@@ -1,10 +1,10 @@
 """Exact Lie point symmetry analysis of polynomial PDE systems.
 
-Expression trees over the rationals, jet-space prolongation, determining
-equations solved by exact elimination, Lie-algebra structure theory,
-adjoint matrices and flows in a closed exponential-polynomial ring, monomial
-differential invariants, and adjoint-orbit tooling for optimal systems of
-subalgebras.
+Canonical polynomial expressions over the rationals, jet-space
+prolongation, determining equations solved by exact elimination, Lie-algebra
+structure theory, adjoint matrices and flows in a closed
+exponential-polynomial ring, monomial differential invariants, and
+adjoint-orbit tooling for optimal systems of subalgebras.
 """
 
 from .errors import LiepdeError

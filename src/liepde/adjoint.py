@@ -264,7 +264,7 @@ class ExpPolynomial:
                 if k:
                     term = term * ParamExp(sym, k)
             total = total + term
-        return expr.normalize(total)
+        return total
 
     def __str__(self):
         if not self.terms:
@@ -626,7 +626,7 @@ class FlowMap:
         total = c.to_expression(param_symbols)
         for z, entry in zip(self.coords, row):
             total = total + entry.to_expression(param_symbols) * z
-        return expr.normalize(total)
+        return total
 
     def substitute(self, param, value):
         return FlowMap(
@@ -793,7 +793,7 @@ def transform_solution(flow_map, space, function_names=("f", "g", "h")):
         lam_inv = _invert_monomial_exp(lam)
         func = expr.FunctionApplication(names[a], tuple(args))
         value = lam_inv.to_expression(group_syms) * func + c.to_expression(group_syms)
-        out[dep] = expr.normalize(value)
+        out[dep] = value
     return out
 
 

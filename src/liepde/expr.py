@@ -1,10 +1,12 @@
-"""Exact symbolic expression trees over the rationals.
+"""Exact symbolic expressions over the rationals, held in canonical form.
 
 The expression language is deliberately small: rational constants, tagged
-symbols, sums, products, integer powers, exponentials of a group parameter,
-and opaque function applications.  Every expression normalizes to a unique
-expanded form (a sorted sum of monomials with rational coefficients), which
-is what makes exact golden-value testing of the downstream algebra possible.
+symbols, exponentials of a group parameter, opaque function applications,
+and their sums, products and integer powers.  Arithmetic is eager: every
+operator returns the unique expanded form at once.  A single atom or a
+constant stays its own node; anything else is a `Poly`, a sum of monomials
+with rational coefficients.  Canonical forms are what make exact
+golden-value testing of the downstream algebra possible.
 
 Coefficient arithmetic is `fractions.Fraction` throughout; floats are
 rejected.  Division is supported only by nonzero monomials (negative integer
@@ -55,7 +57,7 @@ def _as_fraction(x):
 class Expr:
     """Base class of all expression nodes.
 
-    Nodes are immutable; equality and hashing go through a precomputed
+    Nodes are immutable and canonical; equality and hashing go through a
     structural key, which is also the total order used for canonical
     sorting.
     """
@@ -78,37 +80,35 @@ class Expr:
     def __lt__(self, other):
         return self._key < other._key
 
-    # Arithmetic sugar.  Operators build raw trees; call normalize() (or use
-    # the module helpers) to obtain the canonical form.
     def __add__(self, other):
-        return Sum((self, _lift(other)))
+        return _canonical(_poly_add(self._poly(), _lift(other)._poly()))
 
-    def __radd__(self, other):
-        return Sum((_lift(other), self))
+    __radd__ = __add__
 
     def __sub__(self, other):
-        return Sum((self, Product((Rational(-1), _lift(other)))))
+        return _canonical(_poly_add(self._poly(), _lift(other)._poly(), -1))
 
     def __rsub__(self, other):
-        return Sum((_lift(other), Product((Rational(-1), self))))
+        return _lift(other) - self
 
     def __mul__(self, other):
-        return Product((self, _lift(other)))
+        return _canonical(_poly_mul(self._poly(), _lift(other)._poly()))
 
-    def __rmul__(self, other):
-        return Product((_lift(other), self))
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return Product((self, Power(_lift(other), -1)))
+        return _canonical(_poly_mul(self._poly(), _poly_pow(_lift(other)._poly(), -1)))
 
     def __rtruediv__(self, other):
-        return Product((_lift(other), Power(self, -1)))
+        return _lift(other) / self
 
     def __pow__(self, n):
-        return Power(self, n)
+        if not isinstance(n, int):
+            raise TypeError("power exponents must be plain integers")
+        return _canonical(_poly_pow(self._poly(), n))
 
     def __neg__(self):
-        return Product((Rational(-1), self))
+        return _canonical({m: -c for m, c in self._poly().items()})
 
     def __str__(self):
         return render(self)
@@ -132,6 +132,9 @@ class Rational(Expr):
         object.__setattr__(self, "value", value)
         self._setkey((0, value))
 
+    def _poly(self):
+        return {_EMPTY_MONO: self.value} if self.value else {}
+
 
 class Symbol(Expr):
     """Named atom with a role tag.
@@ -154,6 +157,9 @@ class Symbol(Expr):
     def order(self):
         return sum(self.multi)
 
+    def _poly(self):
+        return {(((self, 1),), ()): _ONE}
+
 
 class ParamExp(Expr):
     """exp(k * eps) for a group parameter symbol eps and rational k."""
@@ -167,9 +173,14 @@ class ParamExp(Expr):
         object.__setattr__(self, "k", _as_fraction(k))
         self._setkey((2, param._key, self.k))
 
+    def _poly(self):
+        if self.k == 0:
+            return {_EMPTY_MONO: _ONE}
+        return {((), ((self.param, self.k),)): _ONE}
+
 
 class FunctionApplication(Expr):
-    """Opaque function application, e.g. f(x, y).
+    """Opaque function application, e.g. f(x, y), with canonical arguments.
 
     `derivatives[i]` is the order of formal differentiation with respect to
     argument slot i.  Nonzero derivative counts are only ever produced by
@@ -179,7 +190,7 @@ class FunctionApplication(Expr):
     __slots__ = ("name", "args", "derivatives")
 
     def __init__(self, name, args, derivatives=None):
-        args = tuple(_lift(a) for a in args)
+        args = tuple(normalize(a) for a in args)
         if derivatives is None:
             derivatives = (0,) * len(args)
         derivatives = tuple(derivatives)
@@ -193,55 +204,91 @@ class FunctionApplication(Expr):
              tuple(a._key for a in args))
         )
 
-
-class Power(Expr):
-    """Integer power of a subexpression."""
-
-    __slots__ = ("base", "exponent")
-
-    def __init__(self, base, exponent):
-        if not isinstance(exponent, int):
-            raise TypeError("power exponents must be plain integers")
-        base = _lift(base)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
-        self._setkey((4, base._key, exponent))
-
-
-class Product(Expr):
-    __slots__ = ("factors",)
-
-    def __init__(self, factors):
-        factors = tuple(_lift(f) for f in factors)
-        object.__setattr__(self, "factors", factors)
-        self._setkey((5, tuple(f._key for f in factors)))
-
-
-class Sum(Expr):
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        terms = tuple(_lift(t) for t in terms)
-        object.__setattr__(self, "terms", terms)
-        self._setkey((6, tuple(t._key for t in terms)))
-
-
-ZERO = Rational(0)
-ONE = Rational(1)
+    def _poly(self):
+        return {(((self, 1),), ()): _ONE}
 
 
 # ---------------------------------------------------------------------------
 # Polynomial normal form.
 #
 # A monomial is a pair (powers, pexps):
-#   powers: sorted tuple of (atom, integer exponent), atom a Symbol or
-#           FunctionApplication with normalized arguments;
-#   pexps:  sorted tuple of (group symbol, rational exponent coefficient)
+#   powers: tuple of (atom, nonzero integer exponent) sorted by atom key,
+#           atom a Symbol or FunctionApplication;
+#   pexps:  tuple of (group symbol, nonzero Fraction) sorted by symbol key,
 #           representing a product of ParamExp factors.
-# A polynomial is a dict monomial -> Fraction.
+# A polynomial is a dict monomial -> nonzero Fraction.
 # ---------------------------------------------------------------------------
 
 _EMPTY_MONO = ((), ())
+_ONE = Fraction(1)
+
+
+class Poly(Expr):
+    """Canonical form of every expression that is not an atom or a constant.
+
+    `terms` is the polynomial dict (see above); it is never mutated.  The
+    key is that of the expanded sum of products the polynomial stands for,
+    in canonical term order.  It is computed on first use: most
+    intermediate results are never compared, hashed or sorted, and a sum
+    built term by term would otherwise sort all its terms at every step.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        object.__setattr__(self, "terms", terms)
+
+    def __getattr__(self, name):
+        if name not in ("_key", "_hash"):
+            raise AttributeError(name)
+        keys = tuple(_term_key(m, c) for m, c in _sorted_terms(self.terms))
+        self._setkey(keys[0] if len(keys) == 1 else (6, keys))
+        return getattr(self, name)
+
+    def _poly(self):
+        return self.terms
+
+
+ZERO = Rational(0)
+ONE = Rational(1)
+
+
+def _canonical(poly):
+    """The canonical node for a polynomial dict, which it takes over."""
+    if len(poly) == 1:
+        (mono, coeff), = poly.items()
+        powers, pexps = mono
+        if not powers and not pexps:
+            return Rational(coeff)
+        if coeff == 1:
+            if not pexps and len(powers) == 1 and powers[0][1] == 1:
+                return powers[0][0]
+            if not powers and len(pexps) == 1:
+                return ParamExp(*pexps[0])
+    elif not poly:
+        return ZERO
+    return Poly(poly)
+
+
+def _mono_sort_key(mono):
+    powers, pexps = mono
+    return (
+        tuple((a._key, e) for a, e in powers),
+        tuple((s._key, k) for s, k in pexps),
+    )
+
+
+def _sorted_terms(poly):
+    return sorted(poly.items(), key=lambda it: _mono_sort_key(it[0]))
+
+
+def _term_key(mono, coeff):
+    """Key of the product coeff * atom^e * ... * exp(k*eps) * ..."""
+    powers, pexps = mono
+    keys = [] if coeff == 1 and (powers or pexps) else [(0, coeff)]
+    keys.extend(a._key if e == 1 else (4, a._key, e) for a, e in powers)
+    keys.extend((2, s._key, k) for s, k in pexps)
+    return keys[0] if len(keys) == 1 else (5, tuple(keys))
 
 
 def _mono_mul(m1, m2):
@@ -256,7 +303,7 @@ def _mono_mul(m1, m2):
         powers[atom] = powers.get(atom, 0) + exp
     pexps = {}
     for sym, k in e1 + e2:
-        pexps[sym] = pexps.get(sym, Fraction(0)) + k
+        pexps[sym] = pexps.get(sym, 0) + k
     return (
         tuple(sorted(((a, e) for a, e in powers.items() if e != 0),
                      key=lambda it: it[0]._key)),
@@ -265,146 +312,89 @@ def _mono_mul(m1, m2):
     )
 
 
-def _mono_pow(m, n):
-    powers, pexps = m
-    return (
-        tuple((a, e * n) for a, e in powers),
-        tuple((s, k * n) for s, k in pexps),
-    )
+def _add_term(poly, mono, coeff):
+    c = poly.get(mono, 0) + coeff
+    if c:
+        poly[mono] = c
+    else:
+        poly.pop(mono, None)
 
 
-def _poly_add_inplace(target, poly, scale=Fraction(1)):
-    for mono, coeff in poly.items():
-        c = target.get(mono, Fraction(0)) + coeff * scale
-        if c:
-            target[mono] = c
-        else:
-            target.pop(mono, None)
+def _poly_add(p1, p2, scale=1):
+    out = dict(p1)
+    for mono, coeff in p2.items():
+        _add_term(out, mono, coeff * scale)
+    return out
 
 
 def _poly_mul(p1, p2):
-    if not p1 or not p2:
-        return {}
     out = {}
     for m1, c1 in p1.items():
         for m2, c2 in p2.items():
-            m = _mono_mul(m1, m2)
-            c = out.get(m, Fraction(0)) + c1 * c2
-            if c:
-                out[m] = c
-            else:
-                out.pop(m, None)
+            _add_term(out, _mono_mul(m1, m2), c1 * c2)
     return out
 
 
 def _poly_pow(p, n):
-    result = {_EMPTY_MONO: Fraction(1)}
-    base = p
+    """p**n; a negative n needs p to be a nonzero monomial."""
+    if n < 0:
+        if not p:
+            raise DegenerateInputError("division by zero expression")
+        if len(p) != 1:
+            raise UnsupportedDivisionError(
+                "division is only supported by nonzero monomials, not by sums"
+            )
+        ((powers, pexps), coeff), = p.items()
+        p = {(tuple((a, -e) for a, e in powers), tuple((s, -k) for s, k in pexps)):
+             1 / coeff}
+        n = -n
+    result = {_EMPTY_MONO: _ONE}
     while n:
         if n & 1:
-            result = _poly_mul(result, base)
+            result = _poly_mul(result, p)
         n >>= 1
         if n:
-            base = _poly_mul(base, base)
+            p = _poly_mul(p, p)
     return result
 
 
-def _poly_invert_monomial(p):
-    """Invert a single-monomial polynomial; error otherwise."""
-    if not p:
-        raise DegenerateInputError("division by zero expression")
-    if len(p) != 1:
-        raise UnsupportedDivisionError(
-            "division is only supported by nonzero monomials, not by sums"
-        )
-    (mono, coeff), = p.items()
-    return {_mono_pow(mono, -1): Fraction(1) / coeff}
-
-
-def _to_poly(e):
-    if isinstance(e, Rational):
-        return {_EMPTY_MONO: e.value} if e.value else {}
-    if isinstance(e, Symbol):
-        return {(((e, 1),), ()): Fraction(1)}
-    if isinstance(e, ParamExp):
-        if e.k == 0:
-            return {_EMPTY_MONO: Fraction(1)}
-        return {((), ((e.param, e.k),)): Fraction(1)}
-    if isinstance(e, FunctionApplication):
-        atom = FunctionApplication(
-            e.name, tuple(normalize(a) for a in e.args), e.derivatives
-        )
-        return {(((atom, 1),), ()): Fraction(1)}
-    if isinstance(e, Sum):
-        out = {}
-        for t in e.terms:
-            _poly_add_inplace(out, _to_poly(t))
-        return out
-    if isinstance(e, Product):
-        out = {_EMPTY_MONO: Fraction(1)}
-        for f in e.factors:
-            out = _poly_mul(out, _to_poly(f))
-        return out
-    if isinstance(e, Power):
-        p = _to_poly(e.base)
-        if e.exponent >= 0:
-            return _poly_pow(p, e.exponent)
-        return _poly_pow(_poly_invert_monomial(p), -e.exponent)
-    raise TypeError(f"unknown expression node {e!r}")
-
-
-def _mono_sort_key(mono):
-    powers, pexps = mono
-    return (
-        tuple((a._key, e) for a, e in powers),
-        tuple((s._key, k) for s, k in pexps),
-    )
-
-
-def _term_expr(mono, coeff):
-    powers, pexps = mono
-    factors = []
-    if coeff != 1 or (not powers and not pexps):
-        factors.append(Rational(coeff))
-    for atom, exp in powers:
-        factors.append(atom if exp == 1 else Power(atom, exp))
-    for sym, k in pexps:
-        factors.append(ParamExp(sym, k))
-    if len(factors) == 1:
-        return factors[0]
-    return Product(tuple(factors))
-
-
-def _from_poly(poly):
-    if not poly:
-        return ZERO
-    items = sorted(poly.items(), key=lambda it: _mono_sort_key(it[0]))
-    terms = tuple(_term_expr(m, c) for m, c in items)
-    if len(terms) == 1:
-        return terms[0]
-    return Sum(terms)
+def Power(base, exponent):
+    """`base` raised to an integer power, in canonical form."""
+    return _lift(base) ** exponent
 
 
 def normalize(e):
     """Return the unique canonical form of `e`.
 
-    Semantically equal polynomial expressions map to identical trees.
+    Operator results are canonical already; this lifts numbers to
+    `Rational` and exp(0 * eps) to 1.
     """
-    return _from_poly(_to_poly(_lift(e)))
+    e = _lift(e)
+    return e if isinstance(e, Poly) else _canonical(e._poly())
+
+
+def monomials(e):
+    """The terms of `e` in canonical order, as (monomial, Fraction) pairs.
+
+    A monomial is a pair (powers, pexps): `powers` holds (atom, integer
+    exponent) pairs with atoms Symbols or FunctionApplications, `pexps`
+    holds (group symbol, Fraction k) pairs standing for exp(k * symbol).
+    """
+    return _sorted_terms(_lift(e)._poly())
 
 
 def is_zero(e):
-    return not _to_poly(_lift(e))
+    return not _lift(e)._poly()
 
 
 def equal(a, b):
-    """Exact semantic equality after normalization."""
-    return _to_poly(_lift(a) - _lift(b)) == {}
+    """Exact semantic equality."""
+    return normalize(a) == normalize(b)
 
 
 def constant_value(e):
     """The Fraction value of a constant expression, or None."""
-    p = _to_poly(_lift(e))
+    p = _lift(e)._poly()
     if not p:
         return Fraction(0)
     if len(p) == 1 and _EMPTY_MONO in p:
@@ -415,26 +405,15 @@ def constant_value(e):
 def free_symbols(e):
     """All symbols occurring in `e`, including inside function arguments."""
     out = set()
-    _collect_symbols(_lift(e), out)
+    for (powers, pexps), _ in _lift(e)._poly().items():
+        for atom, _ in powers:
+            if isinstance(atom, Symbol):
+                out.add(atom)
+            else:
+                for a in atom.args:
+                    out |= free_symbols(a)
+        out.update(s for s, _ in pexps)
     return out
-
-
-def _collect_symbols(e, out):
-    if isinstance(e, Symbol):
-        out.add(e)
-    elif isinstance(e, ParamExp):
-        out.add(e.param)
-    elif isinstance(e, FunctionApplication):
-        for a in e.args:
-            _collect_symbols(a, out)
-    elif isinstance(e, Power):
-        _collect_symbols(e.base, out)
-    elif isinstance(e, Product):
-        for f in e.factors:
-            _collect_symbols(f, out)
-    elif isinstance(e, Sum):
-        for t in e.terms:
-            _collect_symbols(t, out)
 
 
 # ---------------------------------------------------------------------------
@@ -444,29 +423,29 @@ def _collect_symbols(e, out):
 def _atom_diff(atom, s):
     """Derivative of a monomial atom with respect to symbol s, as a poly."""
     if isinstance(atom, Symbol):
-        return {_EMPTY_MONO: Fraction(1)} if atom == s else {}
-    if isinstance(atom, FunctionApplication):
-        if s not in free_symbols(atom):
-            return {}
-        if not all(isinstance(a, Symbol) for a in atom.args):
-            raise UnsupportedCompositionError(
-                f"cannot differentiate {atom} with composite arguments by {s.name}"
-            )
-        if len(set(atom.args)) != len(atom.args):
-            raise UnsupportedCompositionError(
-                f"cannot differentiate {atom} with repeated arguments"
-            )
-        slot = atom.args.index(s)
-        d = list(atom.derivatives)
-        d[slot] += 1
-        bumped = FunctionApplication(atom.name, atom.args, tuple(d))
-        return {(((bumped, 1),), ()): Fraction(1)}
-    raise TypeError(f"unexpected monomial atom {atom!r}")
+        return {_EMPTY_MONO: _ONE} if atom == s else {}
+    if s not in free_symbols(atom):
+        return {}
+    if not all(isinstance(a, Symbol) for a in atom.args):
+        raise UnsupportedCompositionError(
+            f"cannot differentiate {atom} with composite arguments by {s.name}"
+        )
+    if len(set(atom.args)) != len(atom.args):
+        raise UnsupportedCompositionError(
+            f"cannot differentiate {atom} with repeated arguments"
+        )
+    slot = atom.args.index(s)
+    d = list(atom.derivatives)
+    d[slot] += 1
+    return FunctionApplication(atom.name, atom.args, tuple(d))._poly()
 
 
-def _poly_diff(poly, s):
+def diff(e, s):
+    """Exact partial derivative; all other symbols are held constant."""
+    if not isinstance(s, Symbol):
+        raise TypeError("can only differentiate with respect to a Symbol")
     out = {}
-    for (powers, pexps), coeff in poly.items():
+    for (powers, pexps), coeff in _lift(e)._poly().items():
         for idx, (atom, exp) in enumerate(powers):
             datom = _atom_diff(atom, s)
             if not datom:
@@ -476,20 +455,13 @@ def _poly_diff(poly, s):
                 del rest[idx]
             else:
                 rest[idx] = (atom, exp - 1)
-            base = {(tuple(rest), pexps): coeff * exp}
-            _poly_add_inplace(out, _poly_mul(base, datom))
-        if isinstance(s, Symbol) and s.role == GROUP:
+            for mono, c in _poly_mul({(tuple(rest), pexps): coeff * exp}, datom).items():
+                _add_term(out, mono, c)
+        if s.role == GROUP:
             for sym, k in pexps:
                 if sym == s:
-                    _poly_add_inplace(out, {(powers, pexps): coeff * k})
-    return out
-
-
-def diff(e, s):
-    """Exact partial derivative; all other symbols are held constant."""
-    if not isinstance(s, Symbol):
-        raise TypeError("can only differentiate with respect to a Symbol")
-    return _from_poly(_poly_diff(_to_poly(_lift(e)), s))
+                    _add_term(out, (powers, pexps), coeff * k)
+    return _canonical(out)
 
 
 # ---------------------------------------------------------------------------
@@ -497,30 +469,34 @@ def diff(e, s):
 # ---------------------------------------------------------------------------
 
 def substitute(e, rules):
-    """Simultaneous, non-recursive substitution of symbols, then normalize."""
+    """Simultaneous, non-recursive substitution of symbols."""
     for target in rules:
         if not isinstance(target, Symbol):
             raise TypeError("substitution targets must be symbols")
     rules = {t: _lift(v) for t, v in rules.items()}
-    return normalize(_sub(_lift(e), rules))
-
-
-def _sub(e, rules):
-    if isinstance(e, Symbol):
-        return rules.get(e, e)
-    if isinstance(e, Rational) or isinstance(e, ParamExp):
-        return e
-    if isinstance(e, FunctionApplication):
-        return FunctionApplication(
-            e.name, tuple(_sub(a, rules) for a in e.args), e.derivatives
-        )
-    if isinstance(e, Power):
-        return Power(_sub(e.base, rules), e.exponent)
-    if isinstance(e, Product):
-        return Product(tuple(_sub(f, rules) for f in e.factors))
-    if isinstance(e, Sum):
-        return Sum(tuple(_sub(t, rules) for t in e.terms))
-    raise TypeError(f"unknown expression node {e!r}")
+    out = {}
+    for mono, coeff in _lift(e)._poly().items():
+        powers, pexps = mono
+        kept = []
+        factor = None
+        for atom, exp in powers:
+            value = rules.get(atom, atom)
+            if isinstance(atom, FunctionApplication):
+                value = FunctionApplication(
+                    atom.name, tuple(substitute(a, rules) for a in atom.args),
+                    atom.derivatives,
+                )
+            if value == atom:
+                kept.append((atom, exp))
+                continue
+            p = _poly_pow(value._poly(), exp)
+            factor = p if factor is None else _poly_mul(factor, p)
+        if factor is None:
+            _add_term(out, mono, coeff)
+            continue
+        for m, c in _poly_mul({(tuple(kept), pexps): coeff}, factor).items():
+            _add_term(out, m, c)
+    return _canonical(out)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +531,7 @@ class MonomialMap:
                 if e:
                     mono = mono * Power(var, e)
             total = total + coeff * mono
-        return normalize(total)
+        return total
 
 
 def collect(e, variables):
@@ -567,7 +543,7 @@ def collect(e, variables):
     variables = tuple(sorted(set(variables), key=lambda s: s._key))
     index = {v: i for i, v in enumerate(variables)}
     buckets = {}
-    for (powers, pexps), coeff in _to_poly(_lift(e)).items():
+    for (powers, pexps), coeff in monomials(e):
         exps = [0] * len(variables)
         rest = []
         for atom, exp in powers:
@@ -583,13 +559,11 @@ def collect(e, variables):
                         f"{atom} depends non-polynomially on the collection variables"
                     )
                 rest.append((atom, exp))
-        key = tuple(exps)
-        bucket = buckets.setdefault(key, {})
-        _poly_add_inplace(bucket, {(tuple(rest), pexps): coeff})
+        _add_term(buckets.setdefault(tuple(exps), {}), (tuple(rest), pexps), coeff)
     terms = {}
     for key, poly in buckets.items():
         if poly:
-            terms[key] = _from_poly(poly)
+            terms[key] = _canonical(poly)
     return MonomialMap(variables, terms)
 
 
@@ -599,16 +573,6 @@ def collect(e, variables):
 
 def _render_fraction(q):
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def _render_factor(atom, exp):
-    if isinstance(atom, (Symbol, FunctionApplication)):
-        base = _render_atom(atom)
-    else:
-        base = f"({render(atom)})"
-    if exp == 1:
-        return base
-    return f"{base}^{exp}"
 
 
 def _render_atom(atom):
@@ -634,7 +598,7 @@ def _render_pexp(sym, k):
 
 def _render_term(mono, coeff):
     powers, pexps = mono
-    pieces = [_render_factor(a, e) for a, e in powers]
+    pieces = [_render_atom(a) if e == 1 else f"{_render_atom(a)}^{e}" for a, e in powers]
     pieces.extend(_render_pexp(s, k) for s, k in pexps)
     if not pieces:
         return _render_fraction(coeff)
@@ -647,13 +611,9 @@ def _render_term(mono, coeff):
 
 
 def render(e):
-    """Stable human-readable form of the normalized expression."""
-    poly = _to_poly(_lift(e))
-    if not poly:
-        return "0"
-    items = sorted(poly.items(), key=lambda it: _mono_sort_key(it[0]))
+    """Stable human-readable form of the canonical expression."""
     parts = []
-    for mono, coeff in items:
+    for mono, coeff in monomials(e):
         text = _render_term(mono, coeff)
         if not parts:
             parts.append(text)
@@ -661,4 +621,4 @@ def render(e):
             parts.append(f" - {text[1:]}")
         else:
             parts.append(f" + {text}")
-    return "".join(parts)
+    return "".join(parts) or "0"

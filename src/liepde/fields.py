@@ -52,7 +52,7 @@ class VectorField:
         total = ZERO
         for sym, coeff in zip(self.coordinates, self.coefficients):
             total = total + coeff * expr.diff(e, sym)
-        return expr.normalize(total)
+        return total
 
     def __add__(self, other):
         self._check_space(other)
@@ -84,7 +84,7 @@ class VectorField:
         )
 
     def __hash__(self):
-        return hash(tuple(expr.normalize(c)._key for c in self.coefficients))
+        return hash(tuple(c._key for c in self.coefficients))
 
     def _check_space(self, other):
         if self.space is not other.space:

@@ -39,7 +39,7 @@ def classify_generator(vf):
             kind = TRANSLATION
             translated.append(sym)
             continue
-        ratio = expr.constant_value(expr.normalize(coeff / sym))
+        ratio = expr.constant_value(coeff / sym)
         if ratio is not None:
             if kind == TRANSLATION:
                 raise UnsupportedGeneratorError(
@@ -135,7 +135,7 @@ class MonomialInvariant:
         for sym, k in zip(self.coordinates, self.exponents):
             if k:
                 e = e * Power(sym, k)
-        return expr.normalize(e)
+        return e
 
     def __eq__(self, other):
         return (
@@ -170,10 +170,10 @@ def monomial_invariants(ws):
 
 def exponent_vector(e, coordinates):
     """Exponent vector of a monomial expression, or None if not a monomial."""
-    poly = expr._to_poly(expr._lift(e))
-    if len(poly) != 1:
+    terms = expr.monomials(e)
+    if len(terms) != 1:
         return None
-    ((powers, pexps), coeff), = poly.items()
+    ((powers, pexps), coeff), = terms
     if pexps or coeff != 1:
         return None
     exps = [0] * len(coordinates)
@@ -197,7 +197,7 @@ def in_invariant_lattice(ws, invariants, e):
 
 def verify_invariant(e, generators, js=None):
     """True iff every prolonged generator annihilates the expression."""
-    e = expr.normalize(expr._lift(e))
+    e = expr.normalize(e)
     if not generators:
         return True
     js = js or generators[0].space
@@ -278,5 +278,5 @@ def similarity_form(vf, function_names=("f", "g", "h")):
     for dep, name in zip(js.dependent, names):
         k = weights.get(dep, Fraction(0)) / w0
         f = expr.FunctionApplication(name, (r,))
-        subs.append((dep, expr.normalize(ParamExp(s, k) * f)))
+        subs.append((dep, ParamExp(s, k) * f))
     return SimilarityForm(vf, SCALING, subs)

@@ -122,7 +122,7 @@ def total_derivative(e, i, js):
         if expr.is_zero(partial):
             continue
         result = result + js.lift(s, i) * partial
-    return expr.normalize(result)
+    return result
 
 
 def total_derivative_multi(e, multi, js):

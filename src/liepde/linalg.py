@@ -315,7 +315,7 @@ def expr_to_paramfrac(e, params):
     num_terms = {}
     min_exps = [0] * nvars
     monos = []
-    for (powers, pexps), coeff in expr._to_poly(e).items():
+    for (powers, pexps), coeff in expr.monomials(e):
         if pexps:
             raise UnsupportedDivisionError(
                 "group-parameter exponentials cannot appear in the parameter field"
@@ -346,7 +346,7 @@ def parampoly_to_expr(p, params):
             if k:
                 term = term * expr.Power(sym, k)
         total = total + term
-    return expr.normalize(total)
+    return total
 
 
 def rref_param(rows, nvars):

@@ -260,7 +260,7 @@ class _Parser:
         lhs = self._parse_expression()
         self.expect("=")
         rhs = self._parse_expression()
-        self.equations.append((expr.normalize(lhs), expr.normalize(rhs)))
+        self.equations.append((lhs, rhs))
 
     def _parse_lead(self, kw):
         tok = self.expect("name", "a derivative d(...)")
@@ -298,7 +298,7 @@ class _Parser:
                 left = left * right
             else:
                 try:
-                    left = expr.normalize(left / right)
+                    left = left / right
                 except UnsupportedDivisionError as exc:
                     raise ParseError(str(exc), op.line, op.column) from exc
         return left
@@ -402,7 +402,7 @@ def parse_expression(text, doc):
     tok = p.peek()
     if tok.kind != "end":
         raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)
-    return expr.normalize(e)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -411,12 +411,11 @@ def parse_expression(text, doc):
 
 def _print_expression(e, independents):
     """Render an expression back into the input grammar."""
-    poly = expr._to_poly(expr._lift(e))
-    if not poly:
+    terms = expr.monomials(e)
+    if not terms:
         return "0"
-    items = sorted(poly.items(), key=lambda it: expr._mono_sort_key(it[0]))
     parts = []
-    for (powers, pexps), coeff in items:
+    for (powers, pexps), coeff in terms:
         if pexps:
             raise ValueError("group exponentials have no input syntax")
         factors = []
@@ -477,7 +476,7 @@ def build_system(doc):
     independent, dependent, params = doc.symbols()
     order = 1
     probe = JetSpace(independent, dependent, 4, slack=2)
-    exprs = [expr.normalize(lhs - rhs) for lhs, rhs in doc.equations]
+    exprs = [lhs - rhs for lhs, rhs in doc.equations]
     for e in exprs:
         for s in probe.jet_symbols_in(e):
             if s.role == expr.JET:
@@ -509,7 +508,7 @@ def build_system(doc):
             raise ParseError(
                 f"equation does not depend linearly on the leading coordinate {lead.name}"
             )
-        rhs = expr.normalize((expr.ZERO - constant) / linear)
+        rhs = -constant / linear
         solved.append((lead, rhs))
     system = PDESystem(space, exprs, tuple(solved), parameters=params)
     return space, system

@@ -376,7 +376,7 @@ def _flow_section(L, space, report, ref):
         baseline = reference.composite_solution(space, EPS_SYMBOL)
         diff = {}
         for dep, base in zip(space.dependent, baseline):
-            delta = expr.normalize(ours[dep] - base)
+            delta = ours[dep] - base
             diff[dep.name] = expr.render(delta)
         composite = {
             "computed": {d.name: expr.render(e) for d, e in ours.items()},

@@ -31,7 +31,7 @@ def characteristic(vf, js=None):
         for i in range(js.p):
             first = js.coordinate(dep, tuple(1 if k == i else 0 for k in range(js.p)))
             q = q - vf.xi[i] * first
-        out[dep] = expr.normalize(q)
+        out[dep] = q
     return out
 
 
@@ -63,7 +63,7 @@ class ProlongedField:
                     f"prolongation order {self.order} too low for coordinate {s.name}"
                 )
             total = total + self.coefficients[s] * partial
-        return expr.normalize(total)
+        return total
 
 
 def prolong(vf, order, js=None):
@@ -82,7 +82,7 @@ def prolong(vf, order, js=None):
                     lifted = list(multi)
                     lifted[i] += 1
                     value = value + vf.xi[i] * js.coordinate(dep, lifted)
-                coeffs[js.coordinate(dep, multi)] = expr.normalize(value)
+                coeffs[js.coordinate(dep, multi)] = value
     return ProlongedField(vf, order, coeffs)
 
 
@@ -226,9 +226,7 @@ def _linear_form(coefficient, unknowns):
                 "determining equation is not linear in the unknowns"
             )
         idx = exps.index(1)
-        form[variables[idx]] = expr.normalize(
-            form.get(variables[idx], ZERO) + c
-        )
+        form[variables[idx]] = form.get(variables[idx], ZERO) + c
     return {k: v for k, v in form.items() if not expr.is_zero(v)}
 
 

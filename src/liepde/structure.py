@@ -235,8 +235,7 @@ def _field_coordinates(fields):
 def _field_row(vf, keys, key_index):
     row = [Fraction(0)] * len(keys)
     for slot, coeff in enumerate(vf.coefficients):
-        poly = expr._to_poly(coeff)
-        for mono, c in poly.items():
+        for mono, c in expr.monomials(coeff):
             key = (slot, mono)
             if key not in key_index:
                 key_index[key] = len(keys)

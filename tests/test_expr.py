@@ -66,6 +66,27 @@ class TestNormalize:
             n = expr.normalize(e)
             assert expr.normalize(n) == n
 
+    def test_ring_axioms_random(self):
+        rng = random.Random(13)
+        for _ in range(150):
+            a, b, c = (random_expression(rng, SYMS) for _ in range(3))
+            assert a + b == b + a
+            assert a * b == b * a
+            assert (a + b) + c == a + (b + c)
+            assert (a * b) * c == a * (b * c)
+            assert a * (b + c) == a * b + a * c
+            assert a - a == Rational(0)
+            assert expr.normalize(a * b) == a * b
+
+    def test_long_sum(self):
+        total = Rational(0)
+        for k in range(1200):
+            total = total + Rational(k + 1) * x**k
+        n = expr.normalize(total)
+        assert n == total
+        assert len(expr.monomials(n)) == 1200
+        assert expr.render(n).startswith("1 + 2*x + 3*x^2 + ")
+
     def test_division_by_monomial(self):
         e = expr.normalize(u / (2 * v**2))
         assert expr.render(e) == "1/2*u*v^-2"

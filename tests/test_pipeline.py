@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import liepde
 from liepde import parser, pipeline, reference
 from liepde.cli import main as cli_main
 from liepde.errors import PipelineError
@@ -107,6 +112,16 @@ class TestEmission:
         tb = pipeline.emit(pipeline.run_pipeline(reference.fixture_document()), "text")
         assert ta == tb
 
+    def test_bytes_match_committed_reports(self, golden_report):
+        # Reports of the shipped fixture at ansatz degree 1, committed when
+        # they were last known good; a refactor must reproduce them exactly.
+        data = pathlib.Path(__file__).parent / "data"
+        for fmt, name in (
+            ("json", "fixture_degree1.json"),
+            ("text", "fixture_degree1.txt"),
+        ):
+            assert pipeline.emit(golden_report, fmt) == (data / name).read_bytes(), fmt
+
     def test_text_contains_tables(self, golden_report):
         text = pipeline.emit(golden_report, "text").decode()
         assert "commutator table" in text
@@ -194,6 +209,34 @@ class TestCli:
         rc = cli_main(["invariants", "--order", "2"])
         assert rc == 0
         assert "lattice generators" in capsys.readouterr().out
+
+    def test_long_equation(self, tmp_path, capsys):
+        # 1000 terms in one equation: each '+' nests one level deeper in the
+        # parse, which must not cost one level of Python recursion.
+        terms = " + ".join(["u*d(u,x)/1000"] * 998)
+        system = tmp_path / "long.pde"
+        system.write_text(
+            "independent t x\ndependent u(t, x)\n"
+            f"eq d(u,t) = d(u,x,x) + {terms}\nlead d(u,t)\n"
+        )
+        rc = cli_main(["symmetries", str(system)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "equation:    -499/500*u*u_x + u_t - u_xx = 0" in out
+        assert "nullspace dimension 4" in out
+
+    def test_python_dash_m(self, capsys):
+        env = dict(os.environ)
+        src = str(pathlib.Path(liepde.__file__).parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["check-generator", "--field", "0; x; 0; u; 0"]
+        run = subprocess.run(
+            [sys.executable, "-m", "liepde", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert cli_main(argv) == 0
+        assert run.stdout == capsys.readouterr().out
 
 
 class TestStageErrors:

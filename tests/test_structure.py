@@ -1,9 +1,11 @@
+import importlib.resources
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from liepde import linalg, structure
+from liepde import linalg, reference, structure
 from liepde.errors import NotASubalgebraError
 from liepde.fields import VectorField, bracket
 from liepde.reference import COMMUTATOR_TABLE, KILLING_FORM
@@ -225,6 +227,14 @@ class TestJsonInterchange:
             for j in range(5):
                 assert L.bracket_coords(unit(5, i), unit(5, j)) == \
                     algebra.bracket_coords(unit(5, i), unit(5, j))
+
+    def test_bundled_data_files_match_reference(self):
+        data = importlib.resources.files("liepde.data")
+        for name, doc in (
+            ("boundary_layer_algebra.json", reference.structure_constants_json()),
+            ("boundary_layer_optimal.json", reference.optimal_table_json()),
+        ):
+            assert json.loads(data.joinpath(name).read_text("utf-8")) == doc, name
 
     def test_bad_vector_length(self):
         with pytest.raises(ValueError):
