@@ -4,7 +4,8 @@ Everything lives in the ring of finite sums  c * prod_i eps_i^m_i * e^(k_i eps_i
 with rational c, k (class ExpPolynomial).  Matrix exponentials are computed
 by the Jordan-Chevalley splitting A = S + N with S diagonalizable over the
 rationals and N nilpotent, so exponentials of matrices with rational
-spectrum are exact and closed in this ring.
+spectrum are exact and closed in this ring.  S comes from the spectral
+projectors, which `linalg` builds from bases of the generalized eigenspaces.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import expr
+from . import expr, linalg
 from .errors import UnsupportedSpectrumError
 from .expr import GROUP, ParamExp, Power, Symbol, ZERO
 
@@ -306,65 +307,8 @@ class ExpPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Univariate rational polynomials (for the Jordan-Chevalley splitting)
+# Spectrum and the Jordan-Chevalley splitting
 # ---------------------------------------------------------------------------
-
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and _poly_trim(list(a)):
-        a = _poly_trim(a)
-        if len(a) < len(b):
-            break
-        coeff = a[-1] / b[-1]
-        deg = len(a) - len(b)
-        q[deg] = coeff
-        for i, y in enumerate(b):
-            a[deg + i] -= coeff * y
-        a = _poly_trim(a)
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _poly_gcdext(a, b):
-    """(g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while _poly_trim(list(r1)):
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-    if r0:
-        lead = r0[-1]
-        r0 = [x / lead for x in r0]
-        s0 = [x / lead for x in s0]
-        t0 = [x / lead for x in t0]
-    return r0, s0, t0
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return _poly_trim(out)
-
 
 def char_poly(A):
     """Characteristic polynomial coefficients (low to high) via Faddeev-LeVerrier."""
@@ -407,34 +351,45 @@ def rational_eigenvalues(c):
         roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
         p = p[1:]
     while len(p) > 1:
-        root = _find_rational_root(p)
-        if root is None:
+        found = _find_rational_root(p)
+        if found is None:
             raise UnsupportedSpectrumError(
                 "characteristic polynomial does not split over the rationals; "
                 f"stuck factor has coefficients {[str(x) for x in p]}"
             )
+        root, p = found
         roots[root] = roots.get(root, 0) + 1
-        p, rem = _poly_divmod(p, [-root, Fraction(1)])
-        if rem:
-            raise AssertionError("exact deflation left a remainder")
     return roots
 
 
 def _find_rational_root(p):
+    """A rational root r of p and the quotient p / (x - r), or None."""
     scale = 1
     for x in p:
         scale = scale * x.denominator // math.gcd(scale, x.denominator)
     ints = [int(x * scale) for x in p]
     a0, an = ints[0], ints[-1]
     if a0 == 0:
-        return Fraction(0)
+        return Fraction(0), p[1:]
     for num in _divisors(abs(a0)):
         for den in _divisors(abs(an)):
             for sign in (1, -1):
                 cand = Fraction(sign * num, den)
-                if _poly_eval(p, cand) == 0:
-                    return cand
+                quotient, value = _deflate(p, cand)
+                if value == 0:
+                    return cand, quotient
     return None
+
+
+def _deflate(p, r):
+    """(q, p(r)) with p = (x - r) q + p(r), by Horner; coefficients low to high."""
+    acc = Fraction(0)
+    q = []
+    for coeff in reversed(p):
+        acc = acc * r + coeff
+        q.append(acc)
+    value = q.pop()
+    return q[::-1], value
 
 
 def _divisors(n):
@@ -448,36 +403,17 @@ def _divisors(n):
     return sorted(out)
 
 
-def _poly_eval(p, x):
-    acc = Fraction(0)
-    for coeff in reversed(p):
-        acc = acc * x + coeff
-    return acc
-
-
 def matrix_exp(A, param=EPS):
     """Exact exp(param * A) for a rational matrix with rational spectrum.
 
-    Jordan-Chevalley: A = S + N with S = p(A) diagonalizable (computed from
-    spectral projectors via CRT interpolation) and N nilpotent; then
+    Jordan-Chevalley: A = S + N with S diagonalizable and N nilpotent,
+    S = sum_s lambda_s P_s over the spectral projectors P_s; then
     exp(tA) = sum_s e^(lambda_s t) P_s * sum_j t^j N^j / j!.
     """
     n = len(A)
     A = [[Fraction(x) for x in row] for row in A]
     roots = rational_eigenvalues(char_poly(A))
-    # CRT: find r_s(x) = 1 mod (x-l_s)^m_s, 0 mod the others; P_s = r_s(A).
-    projectors = {}
-    factors = {
-        lam: _poly_power([-lam, Fraction(1)], m) for lam, m in roots.items()
-    }
-    for lam in roots:
-        g = [Fraction(1)]
-        for other, f in factors.items():
-            if other != lam:
-                g = _poly_mul(g, f)
-        _, _, t = _poly_gcdext(factors[lam], g)
-        r = _poly_mul(g, t)
-        projectors[lam] = _poly_of_matrix(r, A)
+    projectors = _spectral_projectors(A, roots)
     S = [[Fraction(0)] * n for _ in range(n)]
     for lam, P in projectors.items():
         for i in range(n):
@@ -520,24 +456,37 @@ def matrix_exp(A, param=EPS):
     return [tuple(row) for row in result]
 
 
-def _poly_power(p, m):
-    out = [Fraction(1)]
-    for _ in range(m):
-        out = _poly_mul(out, p)
-    return out
+def _spectral_projectors(A, roots):
+    """The projector P_s onto each generalized eigenspace, along the others.
 
-
-def _poly_of_matrix(p, A):
+    The columns of V are bases of the kernels of (A - lambda_s I)^m_s;
+    V is inverted by one rref of [V | I], and P_s = V E_s V^-1 with E_s
+    selecting the columns that belong to lambda_s.
+    """
     n = len(A)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    Ak = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for coeff in p:
-        if coeff:
-            for i in range(n):
-                for j in range(n):
-                    out[i][j] += coeff * Ak[i][j]
-        Ak = _mat_mul_frac(A, Ak)
-    return out
+    columns = []
+    for lam, m in roots.items():
+        B = [[A[i][j] - (lam if i == j else 0) for j in range(n)] for i in range(n)]
+        power = B
+        for _ in range(m - 1):
+            power = _mat_mul_frac(power, B)
+        columns.extend((lam, v) for v in linalg.nullspace(power, n))
+    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    reduced, _ = linalg.rref(
+        [[v[i] for _, v in columns] + identity[i] for i in range(n)]
+    )
+    inverse = [row[n:] for row in reduced]
+    return {
+        lam: [
+            [
+                sum((v[i] * w[j] for (mu, v), w in zip(columns, inverse) if mu == lam),
+                    Fraction(0))
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        for lam in roots
+    }
 
 
 def mat_mul(A, B):

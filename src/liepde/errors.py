@@ -37,6 +37,10 @@ class UnsupportedSpectrumError(LiepdeError):
     """Matrix has eigenvalues outside the rationals."""
 
 
+class NormalFormError(LiepdeError):
+    """Adjoint-orbit normalization did not reach a fixpoint within its bound."""
+
+
 class NotASubalgebraError(LiepdeError):
     """A set of vector fields does not close under the Lie bracket."""
 

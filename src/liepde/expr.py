@@ -9,12 +9,14 @@ with rational coefficients.  Canonical forms are what make exact
 golden-value testing of the downstream algebra possible.
 
 Coefficient arithmetic is `fractions.Fraction` throughout; floats are
-rejected.  Division is supported only by nonzero monomials (negative integer
-powers), never by general sums.
+rejected.  The `/` operator divides only by nonzero monomials (negative
+integer powers), never by general sums; `divide` finds exact quotients of
+polynomials.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -109,6 +111,9 @@ class Expr:
 
     def __neg__(self):
         return _canonical({m: -c for m, c in self._poly().items()})
+
+    def is_constant(self):
+        return constant_value(self) is not None
 
     def __str__(self):
         return render(self)
@@ -400,6 +405,84 @@ def constant_value(e):
     if len(p) == 1 and _EMPTY_MONO in p:
         return p[_EMPTY_MONO]
     return None
+
+
+def content(*es):
+    """The gcd of all terms of the given expressions, as (c, m).
+
+    `c` is the positive rational content: the gcd of the coefficients'
+    numerators over the lcm of their denominators.  `m` is the monomial
+    with each atom at its least exponent over the terms, counting a
+    missing atom as exponent 0.  With no nonzero term it is (1, ONE).
+    """
+    terms = [mono for e in es for mono in _lift(e)._poly().items()]
+    num, den = 0, 1
+    for _, c in terms:
+        num = math.gcd(num, c.numerator)
+        den = math.lcm(den, c.denominator)
+    exps = [dict(powers) for (powers, _), _ in terms]
+    m = ONE
+    for a in set().union(*exps):
+        m = m * a ** min(p.get(a, 0) for p in exps)
+    return Fraction(num or 1, den), m
+
+
+def _atoms(*polys):
+    """The atoms of polynomial dicts, in canonical order."""
+    found = {a for p in polys for (powers, _) in p for a, _ in powers}
+    return sorted(found, key=lambda a: a._key)
+
+
+def _grlex(atoms):
+    """Sort key of (monomial, coefficient) items: graded lex over `atoms`."""
+    def key(item):
+        exps = dict(item[0][0])
+        v = tuple(exps.get(a, 0) for a in atoms)
+        return sum(v), v
+    return key
+
+
+def leading_term(e, symbols=None):
+    """The (monomial, coefficient) term of a nonzero `e` leading in graded lex.
+
+    Exponent vectors are read over `symbols` in the given order, by
+    default over the atoms of `e` in canonical order.  Exponentials of a
+    group parameter take no part in the order.
+    """
+    p = _lift(e)._poly()
+    return max(p.items(), key=_grlex(_atoms(p) if symbols is None else symbols))
+
+
+def divide(a, b):
+    """The exact quotient a / b, or None when it is not found.
+
+    Division by a constant always succeeds.  Otherwise this is multivariate
+    division by graded-lex leading terms (atoms in canonical order), and
+    the quotient must be a polynomial: it gives up when a leading term of
+    the remainder is not a multiple of b's, or when the remainder is not
+    zero after len(a) * (len(b) + 2) + 16 steps.
+    """
+    pa, pb = _lift(a)._poly(), _lift(b)._poly()
+    if not pb:
+        raise DegenerateInputError("division by zero expression")
+    c = constant_value(b)
+    if c is not None:
+        return _canonical({m: v / c for m, v in pa.items()})
+    order = _grlex(_atoms(pa, pb))
+    (powers, pexps), lead = max(pb.items(), key=order)
+    inverse = (tuple((x, -k) for x, k in powers), tuple((s, -k) for s, k in pexps))
+    remainder = dict(pa)
+    quotient = {}
+    for _ in range(len(pa) * (len(pb) + 2) + 16):
+        if not remainder:
+            break
+        mono, coeff = max(remainder.items(), key=order)
+        q = _mono_mul(mono, inverse)
+        if any(k < 0 for _, k in q[0]):
+            return None
+        _add_term(quotient, q, coeff / lead)
+        remainder = _poly_add(remainder, _poly_mul({q: coeff / lead}, pb), -1)
+    return None if remainder else _canonical(quotient)
 
 
 def free_symbols(e):

@@ -4,8 +4,8 @@ Three layers, all division-free of floating point:
 
 * plain `Fraction` matrices (reduced row echelon form, nullspace, solve),
   used by the Lie-algebra structure machinery;
-* the field of rational functions in the system parameters, represented as
-  fractions of multivariate polynomials with only guaranteed-exact
+* the field of rational functions in the system parameters: fractions of
+  `expr` polynomials in the parameter symbols, with only guaranteed-exact
   simplification (monomial/rational content, exact division attempts);
   used to solve determining systems whose coefficients involve parameters;
 * integer kernel lattices via unimodular column reduction, used for the
@@ -117,159 +117,43 @@ def det(rows):
 
 
 # ---------------------------------------------------------------------------
-# Multivariate polynomials over the parameters, and their fraction field
+# The fraction field of the parameter polynomials
 # ---------------------------------------------------------------------------
 
-class ParamPoly:
-    """Polynomial in the parameter symbols: dict[exponent tuple] -> Fraction."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars, terms=None):
-        self.nvars = nvars
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
-
-    @classmethod
-    def constant(cls, nvars, value):
-        value = Fraction(value)
-        return cls(nvars, {(0,) * nvars: value} if value else {})
-
-    def is_zero(self):
-        return not self.terms
-
-    def is_constant(self):
-        return not self.terms or set(self.terms) == {(0,) * self.nvars}
-
-    def constant_value(self):
-        return self.terms.get((0,) * self.nvars, Fraction(0))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            c = out.get(k, Fraction(0)) + v
-            if c:
-                out[k] = c
-            else:
-                out.pop(k, None)
-        return ParamPoly(self.nvars, out)
-
-    def __neg__(self):
-        return ParamPoly(self.nvars, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Fraction):
-            return ParamPoly(self.nvars, {k: v * other for k, v in self.terms.items()})
-        out = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                c = out.get(k, Fraction(0)) + v1 * v2
-                if c:
-                    out[k] = c
-                else:
-                    out.pop(k, None)
-        return ParamPoly(self.nvars, out)
-
-    def shift(self, offsets):
-        return ParamPoly(
-            self.nvars,
-            {tuple(a + b for a, b in zip(k, offsets)): v for k, v in self.terms.items()},
-        )
-
-    def content(self):
-        """Positive rational content (gcd of coefficients)."""
-        if not self.terms:
-            return Fraction(1)
-        g = 0
-        l = 1
-        for v in self.terms.values():
-            g = math.gcd(g, abs(v.numerator))
-            l = l * v.denominator // math.gcd(l, v.denominator)
-        return Fraction(g, l)
-
-    def monomial_content(self):
-        """Componentwise minimum exponent across all terms."""
-        if not self.terms:
-            return (0,) * self.nvars
-        mins = [min(k[i] for k in self.terms) for i in range(self.nvars)]
-        return tuple(mins)
-
-    def leading(self):
-        """(exponent, coeff) of the graded-lex leading term."""
-        key = max(self.terms, key=lambda k: (sum(k), k))
-        return key, self.terms[key]
-
-    def exact_div(self, other):
-        """self / other if the division is exact, else None."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if other.is_constant():
-            c = other.constant_value()
-            return ParamPoly(self.nvars, {k: v / c for k, v in self.terms.items()})
-        remainder = ParamPoly(self.nvars, dict(self.terms))
-        quotient = {}
-        lead_exp, lead_coeff = other.leading()
-        guard = len(self.terms) * (len(other.terms) + 2) + 16
-        while not remainder.is_zero():
-            guard -= 1
-            if guard < 0:
-                return None
-            rexp, rcoeff = remainder.leading()
-            qexp = tuple(a - b for a, b in zip(rexp, lead_exp))
-            if any(q < 0 for q in qexp):
-                return None
-            qc = rcoeff / lead_coeff
-            quotient[qexp] = quotient.get(qexp, Fraction(0)) + qc
-            remainder = remainder - other * ParamPoly(self.nvars, {qexp: qc})
-        return ParamPoly(self.nvars, quotient)
-
-    def __eq__(self, other):
-        return isinstance(other, ParamPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-
 class ParamFrac:
-    """Element of the fraction field of the parameter polynomial ring."""
+    """Element num / den of the field of rational functions in the parameters.
+
+    `num` and `den` are canonical expressions in the parameter symbols;
+    `num` may hold negative powers.  `den` is kept free of monomial and
+    rational content with a positive graded-lex leading coefficient, and
+    becomes 1 whenever it divides `num` exactly.
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
-        if den is None:
-            den = ParamPoly.constant(num.nvars, 1)
-        if den.is_zero():
+    def __init__(self, num, den=expr.ONE):
+        value = expr.constant_value(den)
+        if value == 0:
             raise ZeroDivisionError("zero denominator in parameter field")
-        # Normalize: strip common monomial factors and rational content from
-        # the denominator, then try an exact division.
-        shift = tuple(-m for m in den.monomial_content())
-        if any(shift):
-            den = den.shift(shift)
-            num = num.shift(shift)
-        c = den.content()
-        _, lead = den.leading() if not den.is_zero() else ((), Fraction(1))
-        if lead < 0:
-            c = -c
-        if c != 1:
-            den = den * (Fraction(1) / c)
-            num = num * (Fraction(1) / c)
-        if not den.is_constant():
-            q = num.exact_div(den)
-            if q is not None:
-                num = q
-                den = ParamPoly.constant(num.nvars, 1)
+        if value is None:
+            c, m = expr.content(den)
+            g = c * m if expr.leading_term(den)[1] > 0 else -c * m
+            num, den = num / g, den / g
+            if not den.is_constant():
+                q = expr.divide(num, den)
+                if q is not None:
+                    num, den = q, expr.ONE
+        elif value != 1:
+            num, den = num / value, expr.ONE
         self.num = num
         self.den = den
 
     @classmethod
-    def constant(cls, nvars, value):
-        return cls(ParamPoly.constant(nvars, value))
+    def constant(cls, value):
+        return cls(expr.Rational(value))
 
     def is_zero(self):
-        return self.num.is_zero()
+        return expr.is_zero(self.num)
 
     def __add__(self, other):
         if self.den == other.den:
@@ -295,61 +179,34 @@ class ParamFrac:
         return self * other.inverse()
 
     def __eq__(self, other):
-        return (self.num * other.den) == (other.num * self.den)
+        return expr.is_zero(self.num * other.den - other.num * self.den)
 
     def __hash__(self):
         return hash((self.num, self.den))
 
     def complexity(self):
-        return len(self.num.terms) + len(self.den.terms)
+        return len(expr.monomials(self.num)) + len(expr.monomials(self.den))
 
 
 def expr_to_paramfrac(e, params):
-    """Convert an expression in the parameters into a ParamFrac.
+    """The element of the parameter field that the expression `e` stands for.
 
-    Negative powers of parameters become denominators.  Raises if the
-    expression contains anything but parameters and constants.
+    Raises if `e` contains anything but parameters and constants.
     """
-    nvars = len(params)
-    index = {p: i for i, p in enumerate(params)}
-    num_terms = {}
-    min_exps = [0] * nvars
-    monos = []
-    for (powers, pexps), coeff in expr.monomials(e):
+    for (powers, pexps), _ in expr.monomials(e):
         if pexps:
             raise UnsupportedDivisionError(
                 "group-parameter exponentials cannot appear in the parameter field"
             )
-        exps = [0] * nvars
-        for atom, k in powers:
-            if atom not in index:
+        for atom, _ in powers:
+            if atom not in params:
                 raise UnsupportedDivisionError(
                     f"{atom} is not a parameter; cannot coerce to the parameter field"
                 )
-            exps[index[atom]] = k
-        for i in range(nvars):
-            min_exps[i] = min(min_exps[i], exps[i])
-        monos.append((tuple(exps), coeff))
-    for exps, coeff in monos:
-        key = tuple(a - b for a, b in zip(exps, min_exps))
-        num_terms[key] = num_terms.get(key, Fraction(0)) + coeff
-    num = ParamPoly(nvars, num_terms)
-    den = ParamPoly(nvars, {tuple(-m for m in min_exps): Fraction(1)})
-    return ParamFrac(num, den)
+    return ParamFrac(expr.normalize(e))
 
 
-def parampoly_to_expr(p, params):
-    total = expr.ZERO
-    for exps, coeff in sorted(p.terms.items()):
-        term = expr.Rational(coeff)
-        for sym, k in zip(params, exps):
-            if k:
-                term = term * expr.Power(sym, k)
-        total = total + term
-    return total
-
-
-def rref_param(rows, nvars):
+def rref_param(rows):
     """RREF over the parameter field; returns (rows, pivots)."""
     rows = [list(r) for r in rows]
     if not rows:
@@ -377,10 +234,10 @@ def rref_param(rows, nvars):
     return rows[:r], pivots
 
 
-def nullspace_param(rows, ncols, nvars):
-    reduced, pivots = rref_param(rows, nvars)
-    one = ParamFrac.constant(nvars, 1)
-    zero = ParamFrac.constant(nvars, 0)
+def nullspace_param(rows, ncols):
+    reduced, pivots = rref_param(rows)
+    one = ParamFrac.constant(1)
+    zero = ParamFrac.constant(0)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -392,17 +249,17 @@ def nullspace_param(rows, ncols, nvars):
     return basis
 
 
-def solve_param(rows, rhs, nvars):
+def solve_param(rows, rhs):
     """One solution of A x = b over the parameter field, or None."""
     if not rows:
         return None
     ncols = len(rows[0])
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    reduced, pivots = rref_param(aug, nvars)
+    reduced, pivots = rref_param(aug)
     for prow, pc in zip(reduced, pivots):
         if pc == ncols:
             return None
-    zero = ParamFrac.constant(nvars, 0)
+    zero = ParamFrac.constant(0)
     x = [zero] * ncols
     for prow, pc in zip(reduced, pivots):
         x[pc] = prow[ncols]
@@ -412,37 +269,23 @@ def solve_param(rows, rhs, nvars):
 def clear_denominators(vec, params):
     """Scale a ParamFrac vector to polynomial entries, returned as expressions.
 
-    The result is normalized to have rational content 1 and a positive
-    leading coefficient in its first nonzero entry.
+    The result has rational content 1, and the leading coefficient of its
+    first nonzero entry, in graded lex over `params` in declaration order,
+    is positive.
     """
-    nvars = len(params)
-    scale = ParamPoly.constant(nvars, 1)
+    scale = expr.ONE
     for entry in vec:
-        if not entry.den.is_constant() or entry.den.constant_value() != 1:
+        if not entry.den.is_constant():
             scale = scale * entry.den
     cleared = []
     for entry in vec:
-        p = (entry.num * scale).exact_div(entry.den)
-        if p is None:  # den always divides scale, but stay safe
-            p = entry.num * scale
-        cleared.append(p)
-    contents = [p.content() for p in cleared if not p.is_zero()]
-    if contents:
-        g = Fraction(0)
-        for c in contents:
-            if not g:
-                g = c
-            else:
-                g = Fraction(
-                    math.gcd(g.numerator, c.numerator),
-                    g.denominator * c.denominator
-                    // math.gcd(g.denominator, c.denominator),
-                )
-        first = next(p for p in cleared if not p.is_zero())
-        if first.leading()[1] < 0:
-            g = -g
-        cleared = [p * (Fraction(1) / g) for p in cleared]
-    return [parampoly_to_expr(p, params) for p in cleared]
+        p = expr.divide(entry.num * scale, entry.den)
+        cleared.append(entry.num * scale if p is None else p)
+    g, _ = expr.content(*cleared)
+    first = next((p for p in cleared if not expr.is_zero(p)), None)
+    if first is not None and expr.leading_term(first, params)[1] < 0:
+        g = -g
+    return [p / g for p in cleared]
 
 
 # ---------------------------------------------------------------------------

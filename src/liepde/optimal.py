@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from . import linalg, structure
 from .adjoint import EPS, ExpPolynomial, ad_exp, mat_apply_row
+from .errors import NormalFormError
 
 
 def adjoint_apply(L, i, epsilon, a):
@@ -87,15 +88,17 @@ def invariant_components(L):
 
 
 def classify_directions(L):
-    """(nilpotent indices, diagonal-scaling indices) of the basis adjoints."""
+    """(nilpotent indices, diagonal-scaling indices) of the basis adjoints.
+
+    A direction is nilpotent when no entry of its adjoint matrix has an
+    exponential term, that is when every eigenvalue of its ad is 0.
+    """
     nilpotent = []
     scaling = []
     for i in range(L.n):
-        e_i = [Fraction(0)] * L.n
-        e_i[i] = Fraction(1)
-        ad = L.ad(e_i)
-        if _is_nilpotent_matrix(ad):
-            if any(any(row) for row in ad):
+        keys = [key for row in ad_exp(L, i, param=EPS) for e in row for key in e.terms]
+        if not any(any(ks) for _, _, ks in keys):
+            if any(any(ms) for _, ms, _ in keys):  # ad is not zero
                 nilpotent.append(i)
             continue
         try:
@@ -104,19 +107,6 @@ def classify_directions(L):
             continue
         scaling.append(i)
     return tuple(nilpotent), tuple(scaling)
-
-
-def _is_nilpotent_matrix(A):
-    n = len(A)
-    M = [list(row) for row in A]
-    for _ in range(n):
-        if all(all(x == 0 for x in row) for row in M):
-            return True
-        M = [
-            [sum((M[i][t] * A[t][j] for t in range(n)), Fraction(0)) for j in range(n)]
-            for i in range(n)
-        ]
-    return all(all(x == 0 for x in row) for row in M)
 
 
 class OrbitStep:
@@ -211,7 +201,10 @@ def normal_form_1d(L, a):
     elimination coefficient is nonzero; diagonal scalings then shrink each
     remaining free component to its power-free canonical magnitude (+-1
     whenever the magnitude is a perfect power); finally the sign is fixed
-    when no adjoint-invariant component pins it.
+    when no adjoint-invariant component pins it.  Each kind of direction is
+    swept in index order until a sweep changes nothing, so normalizing the
+    output again changes nothing; NormalFormError is raised when that takes
+    more than a fixed number of sweeps.
     """
     a = tuple(Fraction(x) for x in a)
     if all(x == 0 for x in a):
@@ -219,51 +212,10 @@ def normal_form_1d(L, a):
     inv = invariant_components(L)
     nilpotent, scalings = classify_directions(L)
     steps = []
-    current = a
-    for i in nilpotent:
-        if i in inv or current[i] == 0:
-            continue
-        image = adjoint_apply(L, i, EPS, current)
-        comp = image[i]
-        # component must be affine in eps: a_i + c*eps
-        c = comp.derivative(EPS)
-        if not all(k == (Fraction(0), (0,), (Fraction(0),)) for k in c.terms):
-            continue
-        cval = c.rational_value()
-        if cval is None or cval == 0:
-            continue
-        epsilon = -current[i] / cval
-        after = OrbitStep("translate", i, epsilon, current, ()).replay(L, current)
-        steps.append(OrbitStep("translate", i, epsilon, current, after))
-        current = after
-    # Sweep the scaling directions to a fixpoint: each direction shrinks its
-    # first eligible component to power-free magnitude; a step by one
-    # direction can disturb another's component, so sweep until stable.
-    for _ in range(50):
-        changed = False
-        for i in scalings:
-            exps = _diagonal_exponents(L, i)
-            target = next(
-                (
-                    j
-                    for j in range(L.n)
-                    if j not in inv and current[j] != 0 and exps[j] != 0
-                ),
-                None,
-            )
-            if target is None:
-                continue
-            k = exps[target]
-            q = _power_free_multiplier(current[target], k)
-            if k > 0:
-                q = Fraction(1) / q
-            if q != 1:
-                after = _scaling_multiplier_apply(L, i, q, current)
-                steps.append(OrbitStep("scale", i, q, current, after))
-                current = after
-                changed = True
-        if not changed:
-            break
+    # A step along one direction can refill or disturb the component
+    # another direction settled, so each kind is swept to a fixpoint.
+    current = _sweep(L, inv, nilpotent, _translate_step, a, steps)
+    current = _sweep(L, inv, scalings, _scale_step, current, steps)
     negated = False
     if all(current[j] == 0 for j in inv):
         first = next((x for x in current if x != 0), Fraction(1))
@@ -271,6 +223,61 @@ def normal_form_1d(L, a):
             negated = True
             current = tuple(-x for x in current)
     return NormalFormReport(a, current, steps, negated, inv)
+
+
+_SWEEP_BOUND = 50
+
+
+def _sweep(L, inv, directions, step, current, steps):
+    """Apply `step` along each direction in turn until a sweep changes nothing."""
+    for _ in range(_SWEEP_BOUND):
+        changed = False
+        for i in directions:
+            taken = step(L, inv, i, current)
+            if taken is not None:
+                steps.append(taken)
+                current = taken.after
+                changed = True
+        if not changed:
+            return current
+    raise NormalFormError(
+        f"adjoint normal form did not settle within {_SWEEP_BOUND} sweeps"
+    )
+
+
+def _translate_step(L, inv, i, current):
+    """The translation along nilpotent direction i that zeroes component i."""
+    if i in inv or current[i] == 0:
+        return None
+    # component must be affine in eps: a_i + c*eps
+    c = adjoint_apply(L, i, EPS, current)[i].derivative(EPS)
+    if not all(k == (Fraction(0), (0,), (Fraction(0),)) for k in c.terms):
+        return None
+    cval = c.rational_value()
+    if cval is None or cval == 0:
+        return None
+    epsilon = -current[i] / cval
+    after = OrbitStep("translate", i, epsilon, current, ()).replay(L, current)
+    return OrbitStep("translate", i, epsilon, current, after)
+
+
+def _scale_step(L, inv, i, current):
+    """The scaling along direction i that makes its first eligible component
+    power-free in magnitude, or None if it already is."""
+    exps = _diagonal_exponents(L, i)
+    target = next(
+        (j for j in range(L.n) if j not in inv and current[j] != 0 and exps[j] != 0),
+        None,
+    )
+    if target is None:
+        return None
+    k = exps[target]
+    q = _power_free_multiplier(current[target], k)
+    if k > 0:
+        q = Fraction(1) / q
+    if q == 1:
+        return None
+    return OrbitStep("scale", i, q, current, _scaling_multiplier_apply(L, i, q, current))
 
 
 class OptimalTableEntry:

@@ -315,13 +315,16 @@ class _Parser:
     def _parse_power(self):
         base = self._parse_atom()
         if self.peek().kind == "^":
-            self.advance()
+            op = self.advance()
             sign = 1
             if self.peek().kind == "-":
                 self.advance()
                 sign = -1
             tok = self.expect("number", "an integer exponent")
-            return Power(base, sign * int(tok.text))
+            try:
+                return Power(base, sign * int(tok.text))
+            except UnsupportedDivisionError as exc:
+                raise ParseError(str(exc), op.line, op.column) from exc
         return base
 
     def _parse_atom(self):

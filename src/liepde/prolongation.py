@@ -240,10 +240,7 @@ def _canonical_equation(form, unknowns, params):
             if first is None:
                 first = fr
             entries.append((u.name, fr / first))
-    return tuple(
-        (name, frozenset(fr.num.terms.items()), frozenset(fr.den.terms.items()))
-        for name, fr in entries
-    )
+    return tuple((name, fr.num, fr.den) for name, fr in entries)
 
 
 def build_determining(system, degree):
@@ -289,8 +286,7 @@ def solve_determining(ds):
     the empty list means only the zero solution exists.
     """
     params = ds.system.parameters
-    nvars = len(params)
-    zero = linalg.ParamFrac.constant(nvars, 0)
+    zero = linalg.ParamFrac.constant(0)
     rows = []
     for form in ds.equations:
         row = []
@@ -303,13 +299,13 @@ def solve_determining(ds):
     if not rows:
         basis = [
             [
-                linalg.ParamFrac.constant(nvars, 1) if i == j else zero
+                linalg.ParamFrac.constant(1) if i == j else zero
                 for j in range(len(ds.ansatz.unknowns))
             ]
             for i in range(len(ds.ansatz.unknowns))
         ]
     else:
-        basis = linalg.nullspace_param(rows, len(ds.ansatz.unknowns), nvars)
+        basis = linalg.nullspace_param(rows, len(ds.ansatz.unknowns))
     fields = []
     for vec in basis:
         values = linalg.clear_denominators(vec, params)
@@ -335,7 +331,6 @@ def span_contains(fields, candidate, system):
                 degree = max(degree, sum(exps))
     ansatz = Ansatz(system.space, degree)
     params = system.parameters
-    nvars = len(params)
     cols = []
     for vf in fields:
         coords = ansatz.coordinates_of(vf)
@@ -349,4 +344,4 @@ def span_contains(fields, candidate, system):
     if not cols:
         return all(f.is_zero() for f in rhs)
     rows = [[col[i] for col in cols] for i in range(len(rhs))]
-    return linalg.solve_param(rows, rhs, nvars) is not None
+    return linalg.solve_param(rows, rhs) is not None

@@ -24,6 +24,26 @@ def algebra(golden):
 
 
 @pytest.fixture(scope="session")
+def borel4():
+    """b(4), the upper-triangular 4x4 matrices, on the units E_pq in row order."""
+    pairs = [(p, q) for p in range(4) for q in range(p, 4)]
+    index = {pair: k for k, pair in enumerate(pairs)}
+    brackets = {}
+    for a, (i, j) in enumerate(pairs):
+        for b, (k, l) in enumerate(pairs[a + 1:], a + 1):
+            # [E_ij, E_kl] = delta_jk E_il - delta_li E_kj
+            vec = [0] * len(pairs)
+            if j == k:
+                vec[index[(i, l)]] += 1
+            if l == i:
+                vec[index[(k, j)]] -= 1
+            if any(vec):
+                brackets[(a, b)] = vec
+    labels = [f"E{p + 1}{q + 1}" for p, q in pairs]
+    return structure.LieAlgebra.from_brackets(len(pairs), brackets, labels=labels)
+
+
+@pytest.fixture(scope="session")
 def symmetry_basis(golden):
     from liepde.prolongation import build_determining, solve_determining
 

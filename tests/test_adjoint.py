@@ -119,6 +119,33 @@ class TestMatrixExp:
             a == b for ra, rb in zip(prod, via_sub) for a, b in zip(ra, rb)
         )
 
+    def test_jordan_block_in_skew_basis(self):
+        # A = P J P^-1 with J = [[2,1,0],[0,2,0],[0,0,-1]] and P's columns
+        # (1,0,1), (1,1,0), (0,1,1): no generalized eigenvector is a
+        # coordinate vector.  E(0) = I and E' = A E hold exactly.
+        P = [[F(1), F(1), F(0)], [F(0), F(1), F(1)], [F(1), F(0), F(1)]]
+        P_inv = [[F(1, 2), F(-1, 2), F(1, 2)], [F(1, 2), F(1, 2), F(-1, 2)],
+                 [F(-1, 2), F(1, 2), F(1, 2)]]
+        J = [[F(2), F(1), F(0)], [F(0), F(2), F(0)], [F(0), F(0), F(-1)]]
+
+        def mul(X, Y):
+            return [[sum(X[i][t] * Y[t][j] for t in range(3)) for j in range(3)]
+                    for i in range(3)]
+
+        A = mul(mul(P, J), P_inv)
+        assert rational_eigenvalues(char_poly(A)) == {F(2): 2, F(-1): 1}
+        E = matrix_exp(A)
+        assert [[e.value_at_zero() for e in row] for row in E] == [
+            [F(int(i == j)) for j in range(3)] for i in range(3)
+        ]
+        A_ep = [[ExpPolynomial.constant(x) for x in row] for row in A]
+        AE = mat_mul(A_ep, E)
+        assert all(
+            e.derivative() == ae for row, arow in zip(E, AE) for e, ae in zip(row, arow)
+        )
+        # the Jordan block shows as an eps * e^(2 eps) term
+        assert any((F(0), (1,), (F(2),)) in e.terms for row in E for e in row)
+
     def test_irrational_spectrum_rejected(self):
         with pytest.raises(UnsupportedSpectrumError):
             matrix_exp([[F(0), F(2)], [F(1), F(0)]])  # eigenvalues +-sqrt(2)

@@ -1,6 +1,9 @@
+import pytest
+
 from liepde import expr
 from liepde.expr import DEPENDENT, INDEPENDENT, Symbol
 from liepde.jet import JetSpace, PDESystem
+from liepde.parser import build_system, parse_system
 from liepde.prolongation import (
     build_determining,
     solve_determining,
@@ -88,3 +91,37 @@ class TestSolveDetermining:
         assert basis
         for vf in basis:
             assert all(expr.is_zero(r) for r in symmetry_residual(vf, system))
+
+
+TWO_PARAMETER_SYSTEM = """\
+param z
+param a
+independent t x
+dependent u(t, x)
+eq d(u,t) = (z - a)*d(u,x,x) + (a + z)*u*d(u,x) + (a - 2*z)*d(u,x)
+lead d(u,t)
+"""
+
+# Rendered bases of the system above; the degree-2 generator's sign comes
+# from graded lex in the declared parameter order (z, a).
+TWO_PARAMETER_BASES = {
+    1: [
+        "d/dt",
+        "d/dx",
+        "(t*a + t*z)*d/dx + -1*d/du",
+        "2*t*d/dt + (-t*a + 2*t*z + x)*d/dx + -u*d/du",
+    ],
+}
+TWO_PARAMETER_BASES[2] = TWO_PARAMETER_BASES[1] + [
+    "(3*t^2*a*z^2 - t^2*a^3 + 2*t^2*z^3)*d/dt"
+    " + (3*t*x*a*z^2 - t*x*a^3 + 2*t*x*z^3)*d/dx"
+    " + (-3*t*u*a*z^2 + t*u*a^3 - 2*t*u*z^3 - 3*t*a^2*z + t*a^3 + 4*t*z^3"
+    " - x*a*z + x*a^2 - 2*x*z^2)*d/du",
+]
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_two_parameter_basis_is_pinned(degree):
+    _, system = build_system(parse_system(TWO_PARAMETER_SYSTEM))
+    basis = solve_determining(build_determining(system, degree))
+    assert [str(vf) for vf in basis] == TWO_PARAMETER_BASES[degree]

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from liepde import reference
+from liepde import optimal, reference
 from liepde.adjoint import EPS, ExpPolynomial
+from liepde.errors import NormalFormError
 from liepde.optimal import (
     adjoint_apply,
     classify_directions,
@@ -91,19 +92,28 @@ class TestNormalForm:
         with pytest.raises(ValueError):
             normal_form_1d(algebra, (0,) * 5)
 
-    def test_replay_and_idempotence_random(self, algebra):
-        rng = random.Random(89)
-        count = 0
-        while count < 120:
-            a = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(5))
-            if all(x == 0 for x in a):
-                continue
-            count += 1
-            r = normal_form_1d(algebra, a)
-            assert r.replay(algebra) == r.output
-            again = normal_form_1d(algebra, r.output)
-            assert again.output == r.output
-            assert r.fingerprint(r.input) == (a[3], a[4])
+    def test_replay_and_idempotence_random(self, algebra, borel4):
+        # b(4) has a non-abelian nilradical: a translation can refill a
+        # component that an earlier one zeroed
+        for L, slots, total in ((algebra, (3, 4), 120), (borel4, (0, 4, 7, 9), 40)):
+            rng = random.Random(89)
+            count = 0
+            while count < total:
+                a = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(L.n))
+                if all(x == 0 for x in a):
+                    continue
+                count += 1
+                r = normal_form_1d(L, a)
+                assert r.replay(L) == r.output
+                again = normal_form_1d(L, r.output)
+                assert again.output == r.output
+                assert r.fingerprint(r.input) == tuple(a[j] for j in slots)
+
+    def test_unsettled_sweep_is_a_typed_error(self, algebra, monkeypatch):
+        # a sweep that takes a step needs one more to confirm the fixpoint
+        monkeypatch.setattr(optimal, "_SWEEP_BOUND", 1)
+        with pytest.raises(NormalFormError):
+            normal_form_1d(algebra, (1, 0, 0, 1, 0))
 
     def test_fingerprint_preserved_through_steps(self, algebra):
         rng = random.Random(97)

@@ -66,6 +66,11 @@ class TestErrors:
             parse_system(text)
         assert err.value.line == 3
 
+    def test_negative_power_of_sum(self):
+        text = "independent t x\ndependent u(t, x)\neq d(u,t) = (u + d(u,x))^-1\n"
+        with pytest.raises(ParseError, match="^3:25: division is only supported"):
+            parse_system(text)
+
     def test_bad_character(self):
         with pytest.raises(ParseError, match="unexpected character"):
             parse_system("independent x$\n")
