@@ -41,6 +41,10 @@ class NormalFormError(LiepdeError):
     """Adjoint-orbit normalization did not reach a fixpoint within its bound."""
 
 
+class InternalCheckError(LiepdeError):
+    """A computed result failed the package's own re-check of it."""
+
+
 class NotASubalgebraError(LiepdeError):
     """A set of vector fields does not close under the Lie bracket."""
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import expr, linalg
-from .errors import UnsupportedGeneratorError
+from .errors import InternalCheckError, UnsupportedGeneratorError
 from .expr import GROUP, JET, ParamExp, Power, Symbol
 from .prolongation import prolong
 
@@ -111,7 +111,7 @@ def weight_system(generators, js, order):
                 )
                 coeff = pr.coefficient(sym)
                 if not expr.equal(coeff, expr.Rational(w) * sym):
-                    raise AssertionError(
+                    raise InternalCheckError(
                         f"prolonged coefficient of {sym.name} disagrees with the "
                         "additive weight rule"
                     )

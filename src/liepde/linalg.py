@@ -207,26 +207,43 @@ def expr_to_paramfrac(e, params):
 
 
 def rref_param(rows):
-    """RREF over the parameter field; returns (rows, pivots)."""
-    rows = [list(r) for r in rows]
+    """RREF over the parameter field; returns (rows, pivots).
+
+    `rows` are equal-length sequences of ParamFrac.  The elimination runs
+    on sparse rows and each reduced row comes back as a dict column ->
+    nonzero entry.  Only nonzero cells are touched, but the path is the
+    dense one: columns left to right, and the pivot is the first row from
+    `r` on, in the current row order, whose entry has the least
+    `complexity()`, swapped into place.  ParamFrac does not cancel common
+    factors, so a different path would give equal entries with different
+    representations, and different basis vectors after clear_denominators.
+    """
     if not rows:
         return [], []
     ncols = len(rows[0])
+    rows = [{c: x for c, x in enumerate(row) if not x.is_zero()} for row in rows]
+    zero = ParamFrac.constant(0)
     pivots = []
     r = 0
     for c in range(ncols):
-        candidates = [i for i in range(r, len(rows)) if not rows[i][c].is_zero()]
+        candidates = [i for i in range(r, len(rows)) if c in rows[i]]
         if not candidates:
             continue
         # Prefer the structurally simplest pivot to limit growth.
         i = min(candidates, key=lambda i: rows[i][c].complexity())
         rows[r], rows[i] = rows[i], rows[r]
         inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for j in range(len(rows)):
-            if j != r and not rows[j][c].is_zero():
-                f = rows[j][c]
-                rows[j] = [a - f * b for a, b in zip(rows[j], rows[r])]
+        pivot = rows[r] = {k: x * inv for k, x in rows[r].items()}
+        for j, row in enumerate(rows):
+            f = row.get(c)
+            if f is None or j == r:
+                continue
+            for k, b in pivot.items():
+                x = row.get(k, zero) - f * b
+                if x.is_zero():
+                    row.pop(k, None)
+                else:
+                    row[k] = x
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -244,7 +261,8 @@ def nullspace_param(rows, ncols):
         v = [zero] * ncols
         v[fc] = one
         for prow, pc in zip(reduced, pivots):
-            v[pc] = -prow[fc]
+            if fc in prow:
+                v[pc] = -prow[fc]
         basis.append(v)
     return basis
 
@@ -256,13 +274,12 @@ def solve_param(rows, rhs):
     ncols = len(rows[0])
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     reduced, pivots = rref_param(aug)
-    for prow, pc in zip(reduced, pivots):
-        if pc == ncols:
-            return None
+    if ncols in pivots:
+        return None
     zero = ParamFrac.constant(0)
     x = [zero] * ncols
     for prow, pc in zip(reduced, pivots):
-        x[pc] = prow[ncols]
+        x[pc] = prow.get(ncols, zero)
     return x
 
 

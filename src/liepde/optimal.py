@@ -249,8 +249,13 @@ def _translate_step(L, inv, i, current):
     """The translation along nilpotent direction i that zeroes component i."""
     if i in inv or current[i] == 0:
         return None
-    # component must be affine in eps: a_i + c*eps
-    c = adjoint_apply(L, i, EPS, current)[i].derivative(EPS)
+    # component i of current . Ad(exp(eps v_i)) must be affine in eps: a_i + c*eps
+    M = ad_exp(L, i, param=EPS)
+    component = ExpPolynomial.constant(0)
+    for r, x in enumerate(current):
+        if x:
+            component = component + M[r][i] * x
+    c = component.derivative(EPS)
     if not all(k == (Fraction(0), (0,), (Fraction(0),)) for k in c.terms):
         return None
     cval = c.rational_value()

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 
 from . import expr, linalg
-from .errors import NonPolynomialError
+from .errors import InternalCheckError, NonPolynomialError
 from .expr import JET, UNKNOWN, Symbol, ZERO
 from .fields import VectorField
 from .jet import total_derivative_multi
@@ -286,33 +286,23 @@ def solve_determining(ds):
     the empty list means only the zero solution exists.
     """
     params = ds.system.parameters
+    unknowns = ds.ansatz.unknowns
+    column = {u: k for k, u in enumerate(unknowns)}
     zero = linalg.ParamFrac.constant(0)
     rows = []
     for form in ds.equations:
-        row = []
-        for u in ds.ansatz.unknowns:
-            if u in form:
-                row.append(linalg.expr_to_paramfrac(form[u], params))
-            else:
-                row.append(zero)
+        row = [zero] * len(unknowns)
+        for u, coefficient in form.items():
+            row[column[u]] = linalg.expr_to_paramfrac(coefficient, params)
         rows.append(row)
-    if not rows:
-        basis = [
-            [
-                linalg.ParamFrac.constant(1) if i == j else zero
-                for j in range(len(ds.ansatz.unknowns))
-            ]
-            for i in range(len(ds.ansatz.unknowns))
-        ]
-    else:
-        basis = linalg.nullspace_param(rows, len(ds.ansatz.unknowns))
+    basis = linalg.nullspace_param(rows, len(unknowns))
     fields = []
     for vec in basis:
         values = linalg.clear_denominators(vec, params)
         vf = ds.ansatz.field_from_values(values)
         residuals = symmetry_residual(vf, ds.system)
         if not all(expr.is_zero(r) for r in residuals):
-            raise AssertionError(
+            raise InternalCheckError(
                 "internal error: solved determining system produced a field "
                 "with nonzero symmetry residual"
             )

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from liepde import expr, reference, structure
+from liepde import expr, pipeline, reference, structure
 from liepde.fields import VectorField
 
 
@@ -13,6 +13,26 @@ def golden():
     space, system = reference.fixture_system()
     gens = reference.generators(space)
     return space, system, gens
+
+
+@pytest.fixture(scope="session")
+def fixture_report():
+    """Pipeline report of the shipped fixture at an ansatz degree, run once per degree."""
+    reports = {}
+
+    def report(degree):
+        if degree not in reports:
+            reports[degree] = pipeline.run_pipeline(
+                reference.fixture_document(), ansatz_degree=degree
+            )
+        return reports[degree]
+
+    return report
+
+
+@pytest.fixture(scope="session")
+def golden_report(fixture_report):
+    return fixture_report(1)
 
 
 @pytest.fixture(scope="session")

@@ -40,11 +40,6 @@ def criterion(number, description):
     print(f"ACCEPTANCE {number:>2}: PASS - {description}")
 
 
-@pytest.fixture(scope="module")
-def golden_report():
-    return pipeline.run_pipeline(reference.fixture_document())
-
-
 def note_anchors(report):
     return {n.anchor for n in report.notes}
 

@@ -1,6 +1,7 @@
 import pytest
 
-from liepde import expr
+from liepde import expr, linalg
+from liepde.errors import InternalCheckError
 from liepde.expr import DEPENDENT, INDEPENDENT, Symbol
 from liepde.jet import JetSpace, PDESystem
 from liepde.parser import build_system, parse_system
@@ -125,3 +126,16 @@ def test_two_parameter_basis_is_pinned(degree):
     _, system = build_system(parse_system(TWO_PARAMETER_SYSTEM))
     basis = solve_determining(build_determining(system, degree))
     assert [str(vf) for vf in basis] == TWO_PARAMETER_BASES[degree]
+
+
+def test_wrong_kernel_vector_is_a_typed_error(golden, monkeypatch):
+    # solve_determining re-checks every basis field; a kernel vector that is
+    # not a symmetry raises a package error, not a bare assertion.
+    _, system, _ = golden
+    ds = build_determining(system, 1)
+    monkeypatch.setattr(
+        linalg, "nullspace_param",
+        lambda rows, ncols: [[linalg.ParamFrac.constant(1)] * ncols],
+    )
+    with pytest.raises(InternalCheckError):
+        solve_determining(ds)

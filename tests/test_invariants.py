@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from liepde import expr, reference
-from liepde.errors import UnsupportedGeneratorError
+from liepde import expr, invariants, reference
+from liepde.errors import InternalCheckError, UnsupportedGeneratorError
 from liepde.fields import VectorField
 from liepde.invariants import (
     SCALING,
@@ -76,6 +76,21 @@ class TestWeights:
 
     def test_translations_define_mask(self, golden_weights):
         assert sorted(s.name for s in golden_weights.masked) == ["p", "x", "y"]
+
+    def test_weight_rule_mismatch_is_a_typed_error(self, golden, monkeypatch):
+        # A prolongation that disagrees with the additive weight rule is an
+        # internal fault: it raises a package error, not a bare assertion.
+        space, _, gens = golden
+        real = invariants.prolong
+
+        def skewed(vf, order, js=None):
+            pr = real(vf, order, js)
+            pr.coefficients = {s: 2 * c for s, c in pr.coefficients.items()}
+            return pr
+
+        monkeypatch.setattr(invariants, "prolong", skewed)
+        with pytest.raises(InternalCheckError):
+            weight_system(gens, space, 1)
 
 
 class TestLattice:

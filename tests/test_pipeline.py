@@ -7,14 +7,9 @@ import sys
 import pytest
 
 import liepde
-from liepde import parser, pipeline, reference
+from liepde import linalg, parser, pipeline, reference
 from liepde.cli import main as cli_main
 from liepde.errors import PipelineError
-
-
-@pytest.fixture(scope="module")
-def golden_report():
-    return pipeline.run_pipeline(reference.fixture_document())
 
 
 def note_anchors(report):
@@ -112,15 +107,16 @@ class TestEmission:
         tb = pipeline.emit(pipeline.run_pipeline(reference.fixture_document()), "text")
         assert ta == tb
 
-    def test_bytes_match_committed_reports(self, golden_report):
-        # Reports of the shipped fixture at ansatz degree 1, committed when
-        # they were last known good; a refactor must reproduce them exactly.
+    def test_bytes_match_committed_reports(self, fixture_report):
+        # Reports of the shipped fixture at ansatz degrees 1-3, committed
+        # when they were last known good; a refactor must reproduce them
+        # exactly.  Degrees 2 and 3 pin the parameter-field solve, whose
+        # entries depend on the elimination path.
         data = pathlib.Path(__file__).parent / "data"
-        for fmt, name in (
-            ("json", "fixture_degree1.json"),
-            ("text", "fixture_degree1.txt"),
-        ):
-            assert pipeline.emit(golden_report, fmt) == (data / name).read_bytes(), fmt
+        for degree in (1, 2, 3):
+            for fmt, ext in (("json", "json"), ("text", "txt")):
+                expected = (data / f"fixture_degree{degree}.{ext}").read_bytes()
+                assert pipeline.emit(fixture_report(degree), fmt) == expected, (degree, fmt)
 
     def test_text_contains_tables(self, golden_report):
         text = pipeline.emit(golden_report, "text").decode()
@@ -240,6 +236,15 @@ class TestCli:
 
 
 class TestStageErrors:
+    def test_failed_self_check_names_its_stage(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            linalg, "nullspace_param",
+            lambda rows, ncols: [[linalg.ParamFrac.constant(1)] * ncols],
+        )
+        assert cli_main(["symmetries"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'determining': internal error:"), err
+
     def test_pipeline_error_carries_stage(self):
         text = "independent x y\ndependent u(x, y)\neq d(u,x) = 0\nlead d(u,y)\n"
         with pytest.raises(PipelineError) as err:
