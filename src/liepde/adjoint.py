@@ -2,10 +2,8 @@
 
 Everything lives in the ring of finite sums  c * prod_i eps_i^m_i * e^(k_i eps_i)
 with rational c, k (class ExpPolynomial).  Matrix exponentials are computed
-by the Jordan-Chevalley splitting A = S + N with S diagonalizable over the
-rationals and N nilpotent, so exponentials of matrices with rational
-spectrum are exact and closed in this ring.  S comes from the spectral
-projectors, which `linalg` builds from bases of the generalized eigenspaces.
+by Putzer's algorithm from the eigenvalues alone, so exponentials of
+matrices with rational spectrum are exact and closed in this ring.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import expr, linalg
+from . import expr
 from .errors import UnsupportedSpectrumError
 from .expr import GROUP, ParamExp, Power, Symbol, ZERO
 
@@ -307,7 +305,7 @@ class ExpPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Spectrum and the Jordan-Chevalley splitting
+# Spectrum and the matrix exponential
 # ---------------------------------------------------------------------------
 
 def char_poly(A):
@@ -329,13 +327,17 @@ def char_poly(A):
 
 
 def _mat_mul_frac(A, B):
-    n = len(A)
-    m = len(B[0])
-    inner = len(B)
-    return [
-        [sum((A[i][t] * B[t][j] for t in range(inner)), Fraction(0)) for j in range(m)]
-        for i in range(n)
-    ]
+    """Product of Fraction matrices, skipping zero entries."""
+    out = []
+    for row in A:
+        acc = [Fraction(0)] * len(B[0])
+        for a, brow in zip(row, B):
+            if a:
+                for j, b in enumerate(brow):
+                    if b:
+                        acc[j] += a * b
+        out.append(acc)
+    return out
 
 
 def rational_eigenvalues(c):
@@ -406,87 +408,37 @@ def _divisors(n):
 def matrix_exp(A, param=EPS):
     """Exact exp(param * A) for a rational matrix with rational spectrum.
 
-    Jordan-Chevalley: A = S + N with S diagonalizable and N nilpotent,
-    S = sum_s lambda_s P_s over the spectral projectors P_s; then
-    exp(tA) = sum_s e^(lambda_s t) P_s * sum_j t^j N^j / j!.
+    Putzer's algorithm: with the eigenvalues l_1..l_n listed with
+    multiplicity, exp(tA) = sum_k r_{k+1}(t) P_k, where P_0 = I,
+    P_k = (A - l_k I) P_{k-1}, r_1 = e^(l_1 t) and
+    r_{k+1}(t) = e^(l_{k+1} t) int_0^t e^(-l_{k+1} s) r_k(s) ds.
+    By Cayley-Hamilton P_n = 0; the sum stops at the first P_k = 0.
     """
     n = len(A)
     A = [[Fraction(x) for x in row] for row in A]
     roots = rational_eigenvalues(char_poly(A))
-    projectors = _spectral_projectors(A, roots)
-    S = [[Fraction(0)] * n for _ in range(n)]
-    for lam, P in projectors.items():
+    params = (param,)
+    result = [[{} for _ in range(n)] for _ in range(n)]
+    P = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    r = None
+    for lam in [lam for lam, m in roots.items() for _ in range(m)]:
+        grow = ExpPolynomial.term(1, 0, lam, params, param)
+        if r is None:
+            r = grow
+        else:
+            decay = ExpPolynomial.term(1, 0, -lam, params, param)
+            r = grow * (decay * r).integrate(param)
         for i in range(n):
             for j in range(n):
-                S[i][j] += lam * P[i][j]
-    N = [[A[i][j] - S[i][j] for j in range(n)] for i in range(n)]
-    # exp(tN): finite series.
-    zero = ExpPolynomial.constant(0, (param,))
-    result = [[zero for _ in range(n)] for _ in range(n)]
-    Nk = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    exp_n = [[zero for _ in range(n)] for _ in range(n)]
-    fact = 1
-    for power in range(n + 1):
-        coeff = Fraction(1, fact)
-        for i in range(n):
-            for j in range(n):
-                if Nk[i][j]:
-                    exp_n[i][j] = exp_n[i][j] + ExpPolynomial.term(
-                        Nk[i][j] * coeff, power, 0, (param,), param
-                    )
-        if power < n:
-            Nk = _mat_mul_frac(N, Nk)
-            if all(all(x == 0 for x in row) for row in Nk):
-                break
-            fact *= power + 1
-    for lam, P in projectors.items():
-        scale = ExpPolynomial.term(1, 0, lam, (param,), param)
-        PE = [
-            [
-                ExpPolynomial.term(P[i][j], 0, 0, (param,), param)
-                if P[i][j] else zero
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        block = mat_mul(PE, exp_n)
-        for i in range(n):
-            for j in range(n):
-                result[i][j] = result[i][j] + scale * block[i][j]
-    return [tuple(row) for row in result]
-
-
-def _spectral_projectors(A, roots):
-    """The projector P_s onto each generalized eigenspace, along the others.
-
-    The columns of V are bases of the kernels of (A - lambda_s I)^m_s;
-    V is inverted by one rref of [V | I], and P_s = V E_s V^-1 with E_s
-    selecting the columns that belong to lambda_s.
-    """
-    n = len(A)
-    columns = []
-    for lam, m in roots.items():
+                if P[i][j]:
+                    cell = result[i][j]
+                    for key, c in r.terms.items():
+                        cell[key] = cell.get(key, Fraction(0)) + P[i][j] * c
         B = [[A[i][j] - (lam if i == j else 0) for j in range(n)] for i in range(n)]
-        power = B
-        for _ in range(m - 1):
-            power = _mat_mul_frac(power, B)
-        columns.extend((lam, v) for v in linalg.nullspace(power, n))
-    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    reduced, _ = linalg.rref(
-        [[v[i] for _, v in columns] + identity[i] for i in range(n)]
-    )
-    inverse = [row[n:] for row in reduced]
-    return {
-        lam: [
-            [
-                sum((v[i] * w[j] for (mu, v), w in zip(columns, inverse) if mu == lam),
-                    Fraction(0))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        for lam in roots
-    }
+        P = _mat_mul_frac(B, P)
+        if not any(any(row) for row in P):
+            break
+    return [tuple(ExpPolynomial(params, cell) for cell in row) for row in result]
 
 
 def mat_mul(A, B):
@@ -531,7 +483,8 @@ def ad_exp(L, i, param=EPS):
     """Adjoint matrix of exp(param * v_i), in the row convention.
 
     Row r holds the coordinates of Ad(exp(param v_i)) v_r, so a coordinate
-    row vector transforms as a -> a . M.  Computed from the Lie series
+    row vector transforms as a -> a . M.  The matrix is the transpose of
+    matrix_exp(-ad v_i), the closed form of the Lie series
     Ad(exp(t v_i)) v_j = v_j - t [v_i, v_j] + t^2/2 [v_i,[v_i,v_j]] - ...
     Results are cached on the algebra (it, and they, are immutable).
     """

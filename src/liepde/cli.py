@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -30,7 +31,8 @@ from .prolongation import symmetry_residual
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(
+        _attach_vector(sys.argv[1:] if argv is None else argv))
     try:
         output = args.run(args)
     except (LiepdeError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
@@ -42,6 +44,21 @@ def main(argv=None):
     else:
         sys.stdout.write(output.decode())
     return 0
+
+
+def _attach_vector(argv):
+    """Join `--vector VALUE` into `--vector=VALUE` when VALUE is negative.
+
+    argparse reads a value such as `-1,0,0,1,0` as an option name; joined,
+    a vector with a negative first coordinate works as written.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] == "--vector" and re.match(r"-[0-9.]", token):
+            out[-1] = f"--vector={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _build_parser():

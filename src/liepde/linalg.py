@@ -80,19 +80,6 @@ def solve(rows, rhs):
         x[pc] = prow[ncols]
     return tuple(x)
 
-def rank(rows):
-    return len(rref(rows)[0])
-
-
-def in_span(basis, vector):
-    """Whether `vector` is a rational combination of the basis rows."""
-    if all(x == 0 for x in vector):
-        return True
-    if not basis:
-        return False
-    cols = list(zip(*basis))
-    return solve(cols, vector) is not None
-
 
 def det(rows):
     """Exact determinant by fraction-free style elimination on Fractions."""

@@ -29,10 +29,7 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, vector):
-        return linalg.in_span(self.basis, tuple(Fraction(x) for x in vector))
-
-    def contains_subspace(self, other):
-        return all(self.contains(v) for v in other.basis)
+        return not any(self.reduce_vector(vector))
 
     def reduce_vector(self, vector):
         """Residual of `vector` after eliminating the subspace basis."""

@@ -43,24 +43,38 @@ def algebra(golden):
     )
 
 
-@pytest.fixture(scope="session")
-def borel4():
-    """b(4), the upper-triangular 4x4 matrices, on the units E_pq in row order."""
+def borel_algebra(rng=None):
+    """b(4), the upper-triangular 4x4 matrices, on the basis R_k = s_k E_pq.
+
+    Without `rng` the units E_pq come in row order with every s_k = 1; with
+    it, the order and the scalings s_k in {1, -1, 2, -2} are seeded.
+    """
     pairs = [(p, q) for p in range(4) for q in range(p, 4)]
+    scales = [1] * len(pairs)
+    if rng is not None:
+        rng.shuffle(pairs)
+        scales = [rng.choice([1, -1, 2, -2]) for _ in pairs]
     index = {pair: k for k, pair in enumerate(pairs)}
     brackets = {}
     for a, (i, j) in enumerate(pairs):
         for b, (k, l) in enumerate(pairs[a + 1:], a + 1):
             # [E_ij, E_kl] = delta_jk E_il - delta_li E_kj
-            vec = [0] * len(pairs)
+            vec = [Fraction(0)] * len(pairs)
+            s = scales[a] * scales[b]
             if j == k:
-                vec[index[(i, l)]] += 1
+                vec[index[(i, l)]] += Fraction(s, scales[index[(i, l)]])
             if l == i:
-                vec[index[(k, j)]] -= 1
+                vec[index[(k, j)]] -= Fraction(s, scales[index[(k, j)]])
             if any(vec):
                 brackets[(a, b)] = vec
     labels = [f"E{p + 1}{q + 1}" for p, q in pairs]
     return structure.LieAlgebra.from_brackets(len(pairs), brackets, labels=labels)
+
+
+@pytest.fixture(scope="session")
+def borel4():
+    """b(4) on the units E_pq in row order."""
+    return borel_algebra()
 
 
 @pytest.fixture(scope="session")

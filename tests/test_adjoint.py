@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from liepde import reference
+from conftest import borel_algebra
+from liepde import linalg, reference, structure
 from liepde.adjoint import (
     EPS,
     ExpPolynomial,
+    _mat_mul_frac,
     ad_exp,
     ad_matrix,
     char_poly,
@@ -256,3 +258,157 @@ class TestAdExp:
                     )
                     for t in range(n):
                         assert lhs[t] == rhs[t], (i, j, k, t)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the Jordan-Chevalley matrix exponential that Putzer's algorithm
+# replaced, kept verbatim as an independent computation of exp(tA).
+# ---------------------------------------------------------------------------
+
+def jordan_chevalley_exp(A, param=EPS):
+    """Exact exp(param * A) for a rational matrix with rational spectrum.
+
+    Jordan-Chevalley: A = S + N with S diagonalizable and N nilpotent,
+    S = sum_s lambda_s P_s over the spectral projectors P_s; then
+    exp(tA) = sum_s e^(lambda_s t) P_s * sum_j t^j N^j / j!.
+    """
+    n = len(A)
+    A = [[Fraction(x) for x in row] for row in A]
+    roots = rational_eigenvalues(char_poly(A))
+    projectors = _spectral_projectors(A, roots)
+    S = [[Fraction(0)] * n for _ in range(n)]
+    for lam, P in projectors.items():
+        for i in range(n):
+            for j in range(n):
+                S[i][j] += lam * P[i][j]
+    N = [[A[i][j] - S[i][j] for j in range(n)] for i in range(n)]
+    # exp(tN): finite series.
+    zero = ExpPolynomial.constant(0, (param,))
+    result = [[zero for _ in range(n)] for _ in range(n)]
+    Nk = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    exp_n = [[zero for _ in range(n)] for _ in range(n)]
+    fact = 1
+    for power in range(n + 1):
+        coeff = Fraction(1, fact)
+        for i in range(n):
+            for j in range(n):
+                if Nk[i][j]:
+                    exp_n[i][j] = exp_n[i][j] + ExpPolynomial.term(
+                        Nk[i][j] * coeff, power, 0, (param,), param
+                    )
+        if power < n:
+            Nk = _mat_mul_frac(N, Nk)
+            if all(all(x == 0 for x in row) for row in Nk):
+                break
+            fact *= power + 1
+    for lam, P in projectors.items():
+        scale = ExpPolynomial.term(1, 0, lam, (param,), param)
+        PE = [
+            [
+                ExpPolynomial.term(P[i][j], 0, 0, (param,), param)
+                if P[i][j] else zero
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        block = mat_mul(PE, exp_n)
+        for i in range(n):
+            for j in range(n):
+                result[i][j] = result[i][j] + scale * block[i][j]
+    return [tuple(row) for row in result]
+
+
+def _spectral_projectors(A, roots):
+    """The projector P_s onto each generalized eigenspace, along the others.
+
+    The columns of V are bases of the kernels of (A - lambda_s I)^m_s;
+    V is inverted by one rref of [V | I], and P_s = V E_s V^-1 with E_s
+    selecting the columns that belong to lambda_s.
+    """
+    n = len(A)
+    columns = []
+    for lam, m in roots.items():
+        B = [[A[i][j] - (lam if i == j else 0) for j in range(n)] for i in range(n)]
+        power = B
+        for _ in range(m - 1):
+            power = _mat_mul_frac(power, B)
+        columns.extend((lam, v) for v in linalg.nullspace(power, n))
+    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    reduced, _ = linalg.rref(
+        [[v[i] for _, v in columns] + identity[i] for i in range(n)]
+    )
+    inverse = [row[n:] for row in reduced]
+    return {
+        lam: [
+            [
+                sum((v[i] * w[j] for (mu, v), w in zip(columns, inverse) if mu == lam),
+                    Fraction(0))
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        for lam in roots
+    }
+
+
+def seeded_jordan_matrix(rng, n):
+    """A = P (D + N) P^-1 with Jordan blocks of size <= 3 and a unimodular P."""
+    J = [[F(0)] * n for _ in range(n)]
+    start = 0
+    while start < n:
+        size = min(rng.randint(1, 3), n - start)
+        lam = rng.choice([F(0), F(1), F(-1), F(2), F(-1, 2), F(3)])
+        for i in range(start, start + size):
+            J[i][i] = lam
+            if i + 1 < start + size:
+                J[i][i + 1] = F(1)
+        start += size
+    lower = [[F(int(i == j)) if i <= j else F(rng.randint(-2, 2)) for j in range(n)]
+             for i in range(n)]
+    upper = [[F(int(i == j)) if i >= j else F(rng.randint(-2, 2)) for j in range(n)]
+             for i in range(n)]
+    P = _mat_mul_frac(lower, upper)
+    identity = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    reduced, _ = linalg.rref([P[i] + identity[i] for i in range(n)])
+    P_inv = [list(row[n:]) for row in reduced]
+    return _mat_mul_frac(_mat_mul_frac(P, J), P_inv)
+
+
+def spectrum_algebra(c):
+    """[v1, v2] = c v2: ad(v1) has the eigenvalues 0 and c."""
+    return structure.LieAlgebra.from_brackets(2, {(0, 1): [0, c]})
+
+
+def assert_matches_oracle(A):
+    n = len(A)
+    E = matrix_exp(A)
+    ref = jordan_chevalley_exp(A)
+    assert [[e.terms for e in row] for row in E] == [[e.terms for e in row] for row in ref]
+    assert [[e.value_at_zero() for e in row] for row in E] == [
+        [F(int(i == j)) for j in range(n)] for i in range(n)
+    ]
+    A_ep = [[ExpPolynomial.constant(x) for x in row] for row in A]
+    AE = mat_mul(A_ep, E)
+    assert all(
+        e.derivative() == ae for row, arow in zip(E, AE) for e, ae in zip(row, arow)
+    )
+
+
+class TestMatrixExpOracle:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_seeded_jordan_forms(self, seed):
+        rng = random.Random(seed)
+        assert_matches_oracle(seeded_jordan_matrix(rng, 1 + seed % 6))
+
+    def test_empty_matrix(self):
+        assert matrix_exp([]) == []
+
+    def test_ad_matrices(self, algebra, borel4):
+        rng = random.Random(12)
+        algebras = [algebra, borel4] + [borel_algebra(random.Random(s)) for s in (1, 2, 3)]
+        algebras.append(spectrum_algebra(10 ** 12 + rng.randrange(1, 10 ** 6)))
+        for L in algebras:
+            for i in range(L.n):
+                A = ad_matrix(L, unit(L.n, i))
+                assert_matches_oracle(A)
+                assert_matches_oracle([[-x for x in row] for row in A])

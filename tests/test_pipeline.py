@@ -181,6 +181,29 @@ class TestCli:
         out = capsys.readouterr().out
         assert "output: v4" in out
 
+    @pytest.mark.parametrize("vector, constants", [
+        ("-1,0,0,1,0", None),
+        ("-1,0,0,1,0", "fixture"),
+        ("-1,5/2", "two-dimensional"),
+    ])
+    def test_negative_vector_as_written(self, tmp_path, capsys, vector, constants):
+        # argparse reads "-1,..." as an option name unless it is attached
+        # with "="; both spellings must give the same run
+        tail = []
+        if constants:
+            doc = reference.structure_constants_json() if constants == "fixture" else {
+                "dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": [0, 1]}]}
+            path = tmp_path / "algebra.json"
+            path.write_text(json.dumps(doc))
+            tail = ["--constants", str(path)]
+        runs = []
+        for spelled in (["--vector", vector], [f"--vector={vector}"]):
+            rc = cli_main(["normal-form", *spelled, *tail])
+            runs.append((rc, *capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
+        assert runs[0][1].startswith("input:")
+
     def test_verify_optimal(self, tmp_path, capsys):
         constants = tmp_path / "algebra.json"
         constants.write_text(json.dumps(reference.structure_constants_json()))

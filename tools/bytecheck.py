@@ -1,0 +1,197 @@
+"""Compare the CLI output of two source trees byte for byte.
+
+    python3 tools/bytecheck.py PARENT_TREE CHANGE_TREE
+
+Writes its own inputs to a temporary directory, runs a fixed list of
+``python -m liepde`` commands once with each tree's ``src`` on PYTHONPATH
+(PYTHONHASHSEED=0, working directory the input directory, two processes at
+a time) and prints one line per command: ``same``, or ``DIFF`` with every
+stream that differs (stdout, stderr, exit code) and the first line where it
+differs.  The exit status is 0 when every command is identical and 1
+otherwise.
+
+The list covers the shipped fixture at ansatz degrees 1-3 in text and JSON,
+its ``adjoint``, ``flows``, ``structure``, ``invariants --order 2``,
+``check-generator``, ``normal-form`` and ``verify-optimal`` runs, b(4)
+``structure --constants`` and six fixed ``normal-form`` vectors, normal
+forms on an algebra whose spectrum is near 10^12, Burgers and KdV at ansatz
+degree 2, and a two-parameter system at degrees 1-2.  The optimal table for
+``verify-optimal`` is the one bundled with PARENT_TREE.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import random
+import shutil
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
+
+TABLE = os.path.join("src", "liepde", "data", "boundary_layer_optimal.json")
+
+BURGERS = """\
+param nu > 0
+independent t x
+dependent u(t, x)
+eq d(u,t) + (3/2)*u*d(u,x) = nu*d(u,x,x)
+lead d(u,t)
+"""
+
+KDV = """\
+independent t x
+dependent u(t, x)
+eq d(u,t) + (2)*u*d(u,x) + (-1/2)*d(u,x,x,x) = 0
+lead d(u,x,x,x)
+"""
+
+TWO_PARAMETER = """\
+param z
+param a
+independent t x
+dependent u(t, x)
+eq d(u,t) = (z - a)*d(u,x,x) + (a + z)*u*d(u,x) + (a - 2*z)*d(u,x)
+lead d(u,t)
+"""
+
+
+def borel4():
+    """Structure constants of b(4) on the units E_pq in row order."""
+    pairs = [(p, q) for p in range(4) for q in range(p, 4)]
+    index = {pair: k for k, pair in enumerate(pairs)}
+    brackets = []
+    for a, (i, j) in enumerate(pairs):
+        for b, (k, l) in enumerate(pairs[a + 1:], a + 1):
+            # [E_ij, E_kl] = delta_jk E_il - delta_li E_kj
+            vec = [0] * len(pairs)
+            if j == k:
+                vec[index[(i, l)]] += 1
+            if l == i:
+                vec[index[(k, j)]] -= 1
+            if any(vec):
+                brackets.append({"i": a + 1, "j": b + 1, "coeffs": vec})
+    labels = [f"E{p + 1}{q + 1}" for p, q in pairs]
+    return {"dim": len(pairs), "labels": labels, "brackets": brackets}
+
+
+def vectors(rng, count, dim):
+    """Seeded nonzero rational vectors, about half their entries zero."""
+    out = []
+    while len(out) < count:
+        v = [Fraction(0) if rng.random() < 0.5 else
+             Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+             for _ in range(dim)]
+        if any(v):
+            out.append(",".join(str(x) for x in v))
+    return out
+
+
+def write_inputs(folder, parent):
+    """Write the input files into `folder`; return the command list."""
+    files = {
+        "burgers.pde": BURGERS,
+        "kdv.pde": KDV,
+        "two_parameter.pde": TWO_PARAMETER,
+        "b4.json": json.dumps(borel4(), indent=1),
+    }
+    rng = random.Random(1)
+    c = 10 ** 12 + rng.randrange(1, 10 ** 6)
+    files["spectrum.json"] = json.dumps(
+        {"dim": 2, "labels": ["v1", "v2"],
+         "brackets": [{"i": 1, "j": 2, "coeffs": [0, c]}]})
+    for name, text in files.items():
+        with open(os.path.join(folder, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    shutil.copy(os.path.join(parent, TABLE), os.path.join(folder, "table.json"))
+
+    js = ["--report", "json"]
+    commands = []
+    for degree in (1, 2, 3):
+        commands.append(["--ansatz-degree", str(degree), "symmetries"])
+        commands.append(["--ansatz-degree", str(degree), *js, "symmetries"])
+    for fmt in ([], js):
+        commands += [
+            [*fmt, "adjoint"],
+            [*fmt, "flows"],
+            [*fmt, "structure"],
+            [*fmt, "invariants", "--order", "2"],
+            [*fmt, "check-generator", "--field", "0; x; 0; u; 0"],
+            [*fmt, "normal-form", "--vector", "1,0,0,1,0"],
+            [*fmt, "verify-optimal", "--file", "table.json"],
+        ]
+    # a negative first coordinate, attached and as a separate argument
+    commands.append(["normal-form", "--vector=-1,0,0,1,0"])
+    commands.append(["normal-form", "--vector", "-1,0,0,1,0"])
+    for fmt in ([], js):
+        commands.append([*fmt, "structure", "--constants", "b4.json"])
+    for constants, vecs in (("b4.json", vectors(random.Random(0), 6, 10)),
+                            ("spectrum.json", vectors(random.Random(2), 4, 2))):
+        for vec in vecs:
+            for fmt in ([], js):
+                commands.append([*fmt, "normal-form", f"--vector={vec}",
+                                 "--constants", constants])
+    for name in ("burgers.pde", "kdv.pde"):
+        commands.append(["--ansatz-degree", "2", "symmetries", name])
+        commands.append(["--ansatz-degree", "2", *js, "symmetries", name])
+    for degree in ("1", "2"):
+        commands.append(["--ansatz-degree", degree, "symmetries", "two_parameter.pde"])
+        commands.append(["--ansatz-degree", degree, *js, "symmetries", "two_parameter.pde"])
+    return commands
+
+
+def run(tree, argv, folder):
+    env = dict(os.environ, PYTHONHASHSEED="0",
+               PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    done = subprocess.run([sys.executable, "-m", "liepde", *argv], cwd=folder,
+                          env=env, capture_output=True, timeout=600)
+    return done.stdout, done.stderr, done.returncode
+
+
+def first_difference(a, b):
+    la, lb = a.decode(errors="replace").splitlines(), b.decode(errors="replace").splitlines()
+    for k, (x, y) in enumerate(zip(la, lb)):
+        if x != y:
+            return f"line {k + 1}: {x!r} != {y!r}"
+    if len(la) != len(lb):
+        return f"{len(la)} lines != {len(lb)} lines"
+    return "line endings differ"
+
+
+def compare(left, right):
+    """The differing streams of two (stdout, stderr, exit) results."""
+    out = []
+    for name, a, b in zip(("stdout", "stderr"), left, right):
+        if a != b:
+            out.append(f"{name} {first_difference(a, b)}")
+    if left[2] != right[2]:
+        out.append(f"exit {left[2]} != {right[2]}")
+    return out
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("parent")
+    p.add_argument("change")
+    args = p.parse_args(argv)
+    with tempfile.TemporaryDirectory() as folder:
+        commands = write_inputs(folder, args.parent)
+        jobs = [(tree, cmd) for cmd in commands for tree in (args.parent, args.change)]
+        with ThreadPoolExecutor(2) as pool:
+            results = list(pool.map(lambda job: run(*job, folder), jobs))
+    differing = 0
+    for k, cmd in enumerate(commands):
+        diffs = compare(results[2 * k], results[2 * k + 1])
+        differing += bool(diffs)
+        print(("DIFF " if diffs else "same ") + " ".join(cmd))
+        for line in diffs:
+            print(f"    {line}")
+    print(f"{len(commands) - differing} of {len(commands)} commands identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
