@@ -343,8 +343,10 @@ def _mat_mul_frac(A, B):
 def rational_eigenvalues(c):
     """Roots of a rational-coefficient polynomial with multiplicities.
 
-    Raises UnsupportedSpectrumError if the polynomial does not split over
-    the rationals; the message carries the stuck factor.
+    Keys come 0 first, then by (|numerator|, denominator, positive before
+    negative), each root once with its multiplicity.  Raises
+    UnsupportedSpectrumError if the polynomial does not split over the
+    rationals; the message carries the stuck factor.
     """
     p = list(c)
     roots = {}
@@ -352,35 +354,117 @@ def rational_eigenvalues(c):
     while len(p) > 1 and p[0] == 0:
         roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
         p = p[1:]
-    while len(p) > 1:
-        found = _find_rational_root(p)
-        if found is None:
-            raise UnsupportedSpectrumError(
-                "characteristic polynomial does not split over the rationals; "
-                f"stuck factor has coefficients {[str(x) for x in p]}"
-            )
-        root, p = found
-        roots[root] = roots.get(root, 0) + 1
+    if len(p) > 1 and p[-1] != 0:
+        for root in sorted(_rational_roots(p), key=_search_order):
+            while len(p) > 1:
+                quotient, value = _deflate(p, root)
+                if value:
+                    break
+                p = quotient
+                roots[root] = roots.get(root, 0) + 1
+    if len(p) > 1:
+        raise UnsupportedSpectrumError(
+            "characteristic polynomial does not split over the rationals; "
+            f"stuck factor has coefficients {[str(x) for x in p]}"
+        )
     return roots
 
 
-def _find_rational_root(p):
-    """A rational root r of p and the quotient p / (x - r), or None."""
-    scale = 1
-    for x in p:
-        scale = scale * x.denominator // math.gcd(scale, x.denominator)
+def _search_order(r):
+    """Key order of rational_eigenvalues: |numerator|, denominator, + before -."""
+    return abs(r.numerator), r.denominator, r < 0
+
+
+def _rational_roots(p):
+    """The distinct rational roots of p (coefficients low to high, p[-1] != 0).
+
+    With p cleared of denominators and made primitive, a_n^(n-1) p(y / a_n)
+    is a monic integer polynomial in y = a_n x, so the rational roots of p
+    are its integer roots divided by a_n.
+    """
+    ints = _primitive(p)
+    n, an = len(ints) - 1, ints[-1]
+    monic = [a * an ** (n - 1 - i) for i, a in enumerate(ints[:-1])] + [1]
+    return [Fraction(y, an) for y in _integer_roots(monic)]
+
+
+def _integer_roots(f):
+    """The distinct integer roots of a monic integer polynomial.
+
+    Bisection on integer endpoints within the Cauchy bound, counting the
+    roots in (lo, hi] by the sign changes of the Sturm sequence of the
+    square-free part; every interval that holds a root is halved until it
+    has width one, and its right end is tested exactly.
+    """
+    chain = _sturm_chain(f)
+    if len(chain[-1]) > 1:  # gcd(f, f') is not constant: divide it out
+        chain = _sturm_chain(_poly_divmod(f, chain[-1])[0])
+    h = chain[0]
+    bound = 1 + max(abs(x) for x in f[:-1])
+    changes = {}
+
+    def sign_changes(x):
+        if x not in changes:
+            signs = [v for v in (_value(g, x) for g in chain) if v]
+            changes[x] = sum((a < 0) != (b < 0) for a, b in zip(signs, signs[1:]))
+        return changes[x]
+
+    roots = []
+    intervals = [(-bound, bound)]
+    while intervals:
+        lo, hi = intervals.pop()
+        if sign_changes(lo) == sign_changes(hi):
+            continue
+        if hi - lo == 1:
+            if _value(h, hi) == 0:
+                roots.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        intervals += [(lo, mid), (mid, hi)]
+    return roots
+
+
+def _sturm_chain(f):
+    """f, f' and the negated remainders, each scaled to a primitive integer
+    polynomial (a positive scaling, so signs are kept).  The last member is
+    gcd(f, f') up to a constant."""
+    chain = [_primitive(f), _primitive([k * x for k, x in enumerate(f)][1:])]
+    while len(chain[-1]) > 1:
+        rem = _poly_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append(_primitive([-x for x in rem]))
+    return chain
+
+
+def _primitive(p):
+    """The positive multiple of p with coprime integer coefficients."""
+    scale = math.lcm(*(Fraction(x).denominator for x in p))
     ints = [int(x * scale) for x in p]
-    a0, an = ints[0], ints[-1]
-    if a0 == 0:
-        return Fraction(0), p[1:]
-    for num in _divisors(abs(a0)):
-        for den in _divisors(abs(an)):
-            for sign in (1, -1):
-                cand = Fraction(sign * num, den)
-                quotient, value = _deflate(p, cand)
-                if value == 0:
-                    return cand, quotient
-    return None
+    content = math.gcd(*ints)
+    return [x // content for x in ints]
+
+
+def _poly_divmod(a, b):
+    """Quotient and remainder of a by b in Q[x], coefficients low to high;
+    the remainder has no trailing zeros (the zero polynomial is [])."""
+    rem = [Fraction(x) for x in a]
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for shift in range(len(quot) - 1, -1, -1):
+        f = rem[shift + len(b) - 1] / b[-1]
+        quot[shift] = f
+        for k, y in enumerate(b):
+            rem[shift + k] -= f * y
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
+
+
+def _value(p, x):
+    acc = 0
+    for coeff in reversed(p):
+        acc = acc * x + coeff
+    return acc
 
 
 def _deflate(p, r):
@@ -392,17 +476,6 @@ def _deflate(p, r):
         q.append(acc)
     value = q.pop()
     return q[::-1], value
-
-
-def _divisors(n):
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
 
 
 def matrix_exp(A, param=EPS):
@@ -488,19 +561,15 @@ def ad_exp(L, i, param=EPS):
     Ad(exp(t v_i)) v_j = v_j - t [v_i, v_j] + t^2/2 [v_i,[v_i,v_j]] - ...
     Results are cached on the algebra (it, and they, are immutable).
     """
-    cache = getattr(L, "_ad_exp_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(L, "_ad_exp_cache", cache)
-    key = (i, param)
-    if key not in cache:
+    key = ("ad_exp", i, param)
+    if key not in L.memo:
         e_i = [Fraction(0)] * L.n
         e_i[i] = Fraction(1)
         ad = L.ad(e_i)
         neg = [[-x for x in row] for row in ad]
         col = matrix_exp(neg, param)  # column convention: image of e_j in column j
-        cache[key] = [tuple(col[j][r] for j in range(L.n)) for r in range(L.n)]
-    return cache[key]
+        L.memo[key] = [tuple(col[j][r] for j in range(L.n)) for r in range(L.n)]
+    return L.memo[key]
 
 
 # ---------------------------------------------------------------------------

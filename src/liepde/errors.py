@@ -38,7 +38,8 @@ class UnsupportedSpectrumError(LiepdeError):
 
 
 class NormalFormError(LiepdeError):
-    """Adjoint-orbit normalization did not reach a fixpoint within its bound."""
+    """Adjoint-orbit normalization did not reach a fixpoint within its bound,
+    or could not decide a component's power-free part exactly."""
 
 
 class InternalCheckError(LiepdeError):

@@ -11,6 +11,7 @@ fingerprints that expose coverage gaps mechanically.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from . import linalg, structure
@@ -49,6 +50,18 @@ def _scaling_multiplier_apply(L, i, q, a):
     return tuple(x * q ** k for x, k in zip(a, exps))
 
 
+def _per_algebra(fn):
+    """Evaluate fn(L, *args) once per algebra and arguments, kept in L.memo."""
+    @functools.wraps(fn)
+    def cached(L, *args):
+        key = (fn.__name__, *args)
+        if key not in L.memo:
+            L.memo[key] = fn(L, *args)
+        return L.memo[key]
+    return cached
+
+
+@_per_algebra
 def _diagonal_exponents(L, i):
     M = ad_exp(L, i, param=EPS)
     n = L.n
@@ -65,9 +78,26 @@ def _diagonal_exponents(L, i):
         if k.denominator != 1:
             raise ValueError("non-integer scaling exponent")
         exps.append(int(k))
-    return exps
+    return tuple(exps)
 
 
+@_per_algebra
+def _nilpotent_coefficients(L, i):
+    """Rational M_0..M_d with ad_exp(L, i) = sum_m eps^m M_m, or None when
+    some entry carries an exponential (ad v_i is not nilpotent)."""
+    powers = []
+    for r, row in enumerate(ad_exp(L, i, param=EPS)):
+        for c, e in enumerate(row):
+            for (_, (m,), (k,)), coeff in e.terms.items():
+                if k:
+                    return None
+                while len(powers) <= m:
+                    powers.append([[Fraction(0)] * L.n for _ in range(L.n)])
+                powers[m][r][c] = coeff
+    return tuple(tuple(tuple(row) for row in M) for M in powers)
+
+
+@_per_algebra
 def invariant_components(L):
     """Indices whose component is fixed by every adjoint action."""
     out = []
@@ -87,6 +117,7 @@ def invariant_components(L):
     return tuple(out)
 
 
+@_per_algebra
 def classify_directions(L):
     """(nilpotent indices, diagonal-scaling indices) of the basis adjoints.
 
@@ -96,9 +127,9 @@ def classify_directions(L):
     nilpotent = []
     scaling = []
     for i in range(L.n):
-        keys = [key for row in ad_exp(L, i, param=EPS) for e in row for key in e.terms]
-        if not any(any(ks) for _, _, ks in keys):
-            if any(any(ms) for _, ms, _ in keys):  # ad is not zero
+        powers = _nilpotent_coefficients(L, i)
+        if powers is not None:
+            if len(powers) > 1:  # ad is not zero
                 nilpotent.append(i)
             continue
         try:
@@ -126,14 +157,7 @@ class OrbitStep:
 
     def replay(self, L, a):
         if self.kind == "translate":
-            image = adjoint_apply(L, self.index, self.parameter, a)
-            out = []
-            for e in image:
-                v = e.rational_value()
-                if v is None:
-                    raise ValueError("translate step left a non-rational component")
-                out.append(v)
-            return tuple(out)
+            return _translate_apply(L, self.index, self.parameter, a)
         return _scaling_multiplier_apply(L, self.index, self.parameter, a)
 
     def describe(self, L):
@@ -165,33 +189,68 @@ class NormalFormReport:
         return v
 
 
-def _power_free_multiplier(value, k):
+def _power_free_multiplier(value, k, label):
     """Largest rational q > 0 with q^|k| dividing |value| exactly.
 
     Used to shrink a component a -> a / q^|k| toward its |k|-th-power-free
     part; q = |a|^(1/|k|) exactly when |a| is a perfect |k|-th power.
+    `label` names the component in a NormalFormError.
     """
     k = abs(k)
-    num = _int_power_part(abs(value.numerator), k)
-    den = _int_power_part(value.denominator, k)
+    try:
+        num = _int_power_part(abs(value.numerator), k)
+        den = _int_power_part(value.denominator, k)
+    except NormalFormError as exc:
+        raise NormalFormError(f"component {label} = {value}: {exc}") from None
     return Fraction(num, den)
 
 
+_TRIAL_BOUND = 2 ** 16
+
+
 def _int_power_part(n, k):
-    if n in (0, 1):
-        return max(n, 1)
+    """Largest integer q with q^k dividing n >= 1, exactly.
+
+    Trial division stops at _TRIAL_BOUND = B.  The cofactor m left after it
+    has no prime factor below B, so when m < B^(k+1) it has at most k prime
+    factors and its part is m^(1/k) if that is an integer, else 1.  A larger
+    cofactor that is not a perfect k-th power raises NormalFormError.
+    """
+    if k == 1:
+        return n
+    if n.bit_length() <= k:  # n < 2^k, so no q >= 2 fits
+        return 1
     out = 1
     d = 2
-    while d * d <= n:
+    while d * d <= n and d < _TRIAL_BOUND:
         count = 0
         while n % d == 0:
             n //= d
             count += 1
         out *= d ** (count // k)
         d += 1
-    if n > 1:
-        out *= n ** (1 // k)
-    return out
+    if d * d > n:  # the cofactor is 1 or a prime
+        return out
+    root = _integer_root(n, k)
+    if root ** k == n:
+        return out * root
+    # B^min(k+1, bits) > n exactly when B^(k+1) > n, as B^bits > n
+    if n < _TRIAL_BOUND ** min(k + 1, n.bit_length()):
+        return out
+    raise NormalFormError(
+        f"cannot decide its power-free part for exponent {k}: the cofactor {n} "
+        f"has no prime factor below {_TRIAL_BOUND} and is not a perfect power"
+    )
+
+
+def _integer_root(n, k):
+    """floor(n^(1/k)) for n >= 1, by integer Newton iteration from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def normal_form_1d(L, a):
@@ -245,24 +304,34 @@ def _sweep(L, inv, directions, step, current, steps):
     )
 
 
+def _translate_apply(L, i, epsilon, a):
+    """a . Ad(exp(epsilon v_i)) = sum_m epsilon^m (a . M_m), for nilpotent v_i."""
+    powers = _nilpotent_coefficients(L, i)
+    if powers is None:
+        raise ValueError(f"direction {i} is not nilpotent; it has no rational translate")
+    out = [Fraction(0)] * L.n
+    for m, M in enumerate(powers):
+        scale = Fraction(epsilon) ** m
+        for x, row in zip(a, M):
+            if x:
+                for c, y in enumerate(row):
+                    if y:
+                        out[c] += scale * x * y
+    return tuple(out)
+
+
 def _translate_step(L, inv, i, current):
     """The translation along nilpotent direction i that zeroes component i."""
     if i in inv or current[i] == 0:
         return None
-    # component i of current . Ad(exp(eps v_i)) must be affine in eps: a_i + c*eps
-    M = ad_exp(L, i, param=EPS)
-    component = ExpPolynomial.constant(0)
-    for r, x in enumerate(current):
-        if x:
-            component = component + M[r][i] * x
-    c = component.derivative(EPS)
-    if not all(k == (Fraction(0), (0,), (Fraction(0),)) for k in c.terms):
+    # component i of current . Ad(exp(eps v_i)) is sum_m eps^m (current . M_m)[i];
+    # it must be affine in eps: a_i + c*eps
+    coeffs = [sum((x * M[r][i] for r, x in enumerate(current) if x), Fraction(0))
+              for M in _nilpotent_coefficients(L, i)]
+    if len(coeffs) < 2 or coeffs[1] == 0 or any(coeffs[2:]):
         return None
-    cval = c.rational_value()
-    if cval is None or cval == 0:
-        return None
-    epsilon = -current[i] / cval
-    after = OrbitStep("translate", i, epsilon, current, ()).replay(L, current)
+    epsilon = -current[i] / coeffs[1]
+    after = _translate_apply(L, i, epsilon, current)
     return OrbitStep("translate", i, epsilon, current, after)
 
 
@@ -277,7 +346,7 @@ def _scale_step(L, inv, i, current):
     if target is None:
         return None
     k = exps[target]
-    q = _power_free_multiplier(current[target], k)
+    q = _power_free_multiplier(current[target], k, L.labels[target])
     if k > 0:
         q = Fraction(1) / q
     if q == 1:

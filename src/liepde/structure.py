@@ -61,7 +61,10 @@ class LieAlgebra:
 
     Antisymmetry and the Jacobi identity are asserted at construction;
     when a vector-field realization is supplied, its brackets are checked
-    against the constants.
+    against the constants.  `constants` is the dense cube; `table` holds
+    the nonzero constants only, and the bracket kernels iterate over it.
+    `memo` caches data derived from the (immutable) algebra, such as its
+    adjoint matrices and orbit classification.
     """
 
     def __init__(self, constants, labels=None, realization=None, check_realization=True):
@@ -74,6 +77,14 @@ class LieAlgebra:
             f"v{i + 1}" for i in range(self.n)
         )
         self.realization = tuple(realization) if realization else None
+        # {(i, j): ((k, C^k_ij), ...)} over the nonzero constants only
+        self.table = {}
+        for i, plane in enumerate(self.constants):
+            for j, row in enumerate(plane):
+                terms = tuple((k, c) for k, c in enumerate(row) if c)
+                if terms:
+                    self.table[(i, j)] = terms
+        self.memo = {}
         self._check_antisymmetry()
         self._check_jacobi()
         if self.realization and check_realization:
@@ -104,18 +115,16 @@ class LieAlgebra:
         for i in range(self.n):
             for j in range(i + 1, self.n):
                 for k in range(j + 1, self.n):
-                    for l in range(self.n):
-                        s = Fraction(0)
-                        for m in range(self.n):
-                            s += (
-                                self.constants[i][j][m] * self.constants[m][k][l]
-                                + self.constants[j][k][m] * self.constants[m][i][l]
-                                + self.constants[k][i][m] * self.constants[m][j][l]
-                            )
-                        if s != 0:
-                            raise ValueError(
-                                f"Jacobi identity fails on basis triple ({i},{j},{k})"
-                            )
+                    # [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]
+                    s = {}
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                        for m, x in self.table.get((a, b), ()):
+                            for l, y in self.table.get((m, c), ()):
+                                s[l] = s.get(l, 0) + x * y
+                    if any(s.values()):
+                        raise ValueError(
+                            f"Jacobi identity fails on basis triple ({i},{j},{k})"
+                        )
 
     def _check_realization(self):
         for i in range(self.n):
@@ -142,20 +151,20 @@ class LieAlgebra:
             for j, bj in enumerate(b):
                 if not bj:
                     continue
-                for k in range(self.n):
-                    c = self.constants[i][j][k]
-                    if c:
-                        out[k] += ai * bj * c
+                for k, c in self.table.get((i, j), ()):
+                    out[k] += ai * bj * c
         return tuple(out)
 
     def ad(self, a):
         """Matrix of ad(sum a_i e_i): column j holds [a, e_j] in coordinates."""
-        cols = []
-        for j in range(self.n):
-            e_j = [Fraction(0)] * self.n
-            e_j[j] = Fraction(1)
-            cols.append(self.bracket_coords(a, e_j))
-        return tuple(tuple(cols[j][k] for j in range(self.n)) for k in range(self.n))
+        out = [[Fraction(0)] * self.n for _ in range(self.n)]
+        for i, ai in enumerate(a):
+            if not ai:
+                continue
+            for j in range(self.n):
+                for k, c in self.table.get((i, j), ()):
+                    out[k][j] += ai * c
+        return tuple(tuple(row) for row in out)
 
     def subspace(self, vectors):
         return Subspace(self, vectors)
@@ -257,22 +266,19 @@ def _express_in_basis(vf, basis, coords):
 
 def killing_form(L):
     """K(e_i, e_j) = trace(ad e_i . ad e_j), exact and symmetric."""
-    ads = []
+    # (ad e_i)[a][b] = C^a_ib, kept as {(a, b): C^a_ib} over the nonzero entries
+    ads = [{(a, b): c for b in range(L.n) for a, c in L.table.get((i, b), ())}
+           for i in range(L.n)]
+    out = [[Fraction(0)] * L.n for _ in range(L.n)]
     for i in range(L.n):
-        e_i = [Fraction(0)] * L.n
-        e_i[i] = Fraction(1)
-        ads.append(L.ad(e_i))
-    out = []
-    for i in range(L.n):
-        row = []
-        for j in range(L.n):
+        for j in range(i, L.n):
             t = Fraction(0)
-            for a in range(L.n):
-                for b in range(L.n):
-                    t += ads[i][a][b] * ads[j][b][a]
-            row.append(t)
-        out.append(tuple(row))
-    return tuple(out)
+            for (a, b), c in ads[i].items():
+                d = ads[j].get((b, a))
+                if d:
+                    t += c * d
+            out[i][j] = out[j][i] = t
+    return tuple(tuple(row) for row in out)
 
 
 def product_space(L, S, T):

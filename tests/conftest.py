@@ -43,13 +43,13 @@ def algebra(golden):
     )
 
 
-def borel_algebra(rng=None):
-    """b(4), the upper-triangular 4x4 matrices, on the basis R_k = s_k E_pq.
+def borel_algebra(rng=None, size=4):
+    """b(size), the upper-triangular matrices, on the basis R_k = s_k E_pq.
 
     Without `rng` the units E_pq come in row order with every s_k = 1; with
     it, the order and the scalings s_k in {1, -1, 2, -2} are seeded.
     """
-    pairs = [(p, q) for p in range(4) for q in range(p, 4)]
+    pairs = [(p, q) for p in range(size) for q in range(p, size)]
     scales = [1] * len(pairs)
     if rng is not None:
         rng.shuffle(pairs)

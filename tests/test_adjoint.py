@@ -1,13 +1,21 @@
+import json
+import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from conftest import borel_algebra
+import liepde
 from liepde import linalg, reference, structure
 from liepde.adjoint import (
     EPS,
     ExpPolynomial,
+    _deflate,
     _mat_mul_frac,
     ad_exp,
     ad_matrix,
@@ -412,3 +420,134 @@ class TestMatrixExpOracle:
                 A = ad_matrix(L, unit(L.n, i))
                 assert_matches_oracle(A)
                 assert_matches_oracle([[-x for x in row] for row in A])
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the divisor search that integer root isolation replaced, kept
+# verbatim.  It also fixes the key order of rational_eigenvalues.
+# ---------------------------------------------------------------------------
+
+def _find_rational_root(p):
+    """A rational root r of p and the quotient p / (x - r), or None."""
+    scale = 1
+    for x in p:
+        scale = scale * x.denominator // math.gcd(scale, x.denominator)
+    ints = [int(x * scale) for x in p]
+    a0, an = ints[0], ints[-1]
+    if a0 == 0:
+        return Fraction(0), p[1:]
+    for num in _divisors(abs(a0)):
+        for den in _divisors(abs(an)):
+            for sign in (1, -1):
+                cand = Fraction(sign * num, den)
+                quotient, value = _deflate(p, cand)
+                if value == 0:
+                    return cand, quotient
+    return None
+
+
+def _divisors(n):
+    out = set()
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.add(d)
+            out.add(n // d)
+        d += 1
+    return sorted(out)
+
+
+def divisor_search_eigenvalues(c):
+    p = list(c)
+    roots = {}
+    while len(p) > 1 and p[0] == 0:
+        roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
+        p = p[1:]
+    while len(p) > 1:
+        found = _find_rational_root(p)
+        if found is None:
+            raise UnsupportedSpectrumError(
+                "characteristic polynomial does not split over the rationals; "
+                f"stuck factor has coefficients {[str(x) for x in p]}"
+            )
+        root, p = found
+        roots[root] = roots.get(root, 0) + 1
+    return roots
+
+
+def poly_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def seeded_product(rng, irreducible):
+    """c * prod (d x - n)^e over small rationals n/d, with 0 and repeats,
+    times x^2 + b x + c with no rational root when `irreducible`."""
+    p = [rng.choice([F(1), F(-1), F(3), F(1, 2), F(-2, 3)])]
+    for _ in range(rng.randint(1, 6)):
+        d, n = rng.randint(1, 4), rng.randint(-6, 6)
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            p = poly_mul(p, [F(-n), F(d)])
+    if irreducible:
+        p = poly_mul(p, [F(rng.choice([2, 3, 5])), F(rng.randint(-1, 1)), F(1)])
+    return p
+
+
+def outcome(find, c):
+    try:
+        return list(find(c).items())
+    except UnsupportedSpectrumError as exc:
+        return str(exc)
+
+
+class TestRootSearchOracle:
+    @pytest.mark.parametrize("seed", range(120))
+    def test_seeded_products(self, seed):
+        rng = random.Random(seed)
+        irreducible = seed % 4 == 3
+        p = seeded_product(rng, irreducible)
+        want = outcome(divisor_search_eigenvalues, p)
+        assert outcome(rational_eigenvalues, p) == want
+        assert isinstance(want, str) == irreducible
+
+    def test_irreducible_quadratic_names_the_stuck_factor(self):
+        p = poly_mul(poly_mul([F(-1), F(2)], [F(3), F(1)]), [F(2), F(0), F(1)])
+        with pytest.raises(UnsupportedSpectrumError) as err:
+            rational_eigenvalues(p)
+        assert str(err.value) == outcome(divisor_search_eigenvalues, p)
+        assert "stuck factor has coefficients ['4', '0', '2']" in str(err.value)
+
+    def test_key_order_follows_the_divisor_search(self):
+        p = [F(1)]
+        for r in (F(-3), F(1, 2), F(3), F(-1, 2), F(0), F(1, 2), F(2, 3)):
+            p = poly_mul(p, [-r, F(1)])
+        assert list(rational_eigenvalues(p).items()) == [
+            (F(0), 1), (F(1, 2), 2), (F(-1, 2), 1), (F(2, 3), 1), (F(3), 1), (F(-3), 1),
+        ]
+
+    def test_large_root(self):
+        c = 10 ** 24 + 7
+        assert rational_eigenvalues([F(0), F(-c), F(1)]) == {F(0): 1, F(c): 1}
+        assert rational_eigenvalues([F(c), F(-2 * c - 1), F(2)]) == {F(1, 2): 1, F(c): 1}
+
+    def test_large_spectrum_normal_form_cli(self, tmp_path):
+        # [v1, v2] = (10^24 + 7) v2: the divisor search ran past 15 s here
+        c = 10 ** 24 + 7
+        constants = tmp_path / "algebra.json"
+        constants.write_text(json.dumps(
+            {"dim": 2, "labels": ["v1", "v2"],
+             "brackets": [{"i": 1, "j": 2, "coeffs": [0, c]}]}))
+        env = dict(os.environ)
+        src = str(pathlib.Path(liepde.__file__).parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "liepde", "normal-form", "--vector", "1,1",
+             "--constants", str(constants)],
+            env=env, capture_output=True, text=True, timeout=2,
+        )
+        assert run.returncode == 0, run.stderr
+        assert "output: v1\n" in run.stdout
+        assert f"step: Ad(exp(-1/{c} v2)) -> v1" in run.stdout

@@ -1,8 +1,13 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import liepde
 from liepde import optimal, reference
 from liepde.adjoint import EPS, ExpPolynomial
 from liepde.errors import NormalFormError
@@ -178,3 +183,58 @@ class TestOptimalTable:
         reps.append((0, 0, 0, 0, 1))
         gaps = coverage_gaps(algebra, reps)
         assert gaps == []
+
+
+def naive_power_part(n, k):
+    """Largest q with q^k dividing n, by complete trial division."""
+    out, d = 1, 2
+    while n > 1:
+        count = 0
+        while n % d == 0:
+            n //= d
+            count += 1
+        out *= d ** (count // k)
+        d += 1
+    return out
+
+
+class TestPowerPart:
+    def test_small_values_match_full_factorization(self):
+        for n in range(1, 3000):
+            for k in (1, 2, 3, 5):
+                assert optimal._int_power_part(n, k) == naive_power_part(n, k), (n, k)
+
+    def test_cofactors_past_the_trial_bound(self):
+        B = optimal._TRIAL_BOUND
+        p, q = 65537, 65539  # primes just above the bound
+        assert p > B and q > B
+        assert optimal._int_power_part(12 * p * p, 2) == 2 * p
+        assert optimal._int_power_part(p * q, 2) == 1
+        assert optimal._int_power_part(8 * p ** 3, 3) == 2 * p
+        assert optimal._int_power_part(p * p * q, 3) == 1
+        assert optimal._int_power_part(10 ** 24 + 7, 1) == 10 ** 24 + 7
+        assert optimal._int_power_part((10 ** 24 + 7) ** 2, 2) == 10 ** 24 + 7
+        assert optimal._int_power_part(3, 10 ** 12) == 1
+
+    def test_undecidable_cofactor_is_a_typed_error(self):
+        with pytest.raises(NormalFormError):
+            optimal._int_power_part(10 ** 24 + 7, 2)
+
+    @pytest.mark.parametrize("vector, code, text", [
+        # v5 scales v2 with exponent 1: the multiplier is the component itself
+        ("0,1000000000000000000000007,0,0,0", 0, "output: v2\n"),
+        # v4 scales v3 with exponent 2, and 10^24 + 7 is a prime past the bound
+        ("0,0,1000000000000000000000007,0,0", 1,
+         "error: component v3 = 1000000000000000000000007: cannot decide"),
+    ])
+    def test_large_component_cli_ends(self, vector, code, text):
+        # trial division up to the square root ran past 15 s on both
+        env = dict(os.environ)
+        src = str(pathlib.Path(liepde.__file__).parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "liepde", "normal-form", "--vector", vector],
+            env=env, capture_output=True, text=True, timeout=2,
+        )
+        assert run.returncode == code
+        assert text in (run.stderr if code else run.stdout)

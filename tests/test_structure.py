@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import borel_algebra
 from liepde import linalg, reference, structure
 from liepde.errors import NotASubalgebraError
 from liepde.fields import VectorField, bracket
@@ -239,3 +240,105 @@ class TestJsonInterchange:
     def test_bad_vector_length(self):
         with pytest.raises(ValueError):
             algebra_from_json({"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": ["1"]}]})
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the dense Jacobi check and Killing form that the sparse bracket
+# table replaced, kept verbatim as independent computations.
+# ---------------------------------------------------------------------------
+
+def dense_check_jacobi(n, constants):
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                for l in range(n):
+                    s = Fraction(0)
+                    for m in range(n):
+                        s += (
+                            constants[i][j][m] * constants[m][k][l]
+                            + constants[j][k][m] * constants[m][i][l]
+                            + constants[k][i][m] * constants[m][j][l]
+                        )
+                    if s != 0:
+                        raise ValueError(
+                            f"Jacobi identity fails on basis triple ({i},{j},{k})"
+                        )
+
+
+def dense_killing_form(L):
+    ads = []
+    for i in range(L.n):
+        e_i = [Fraction(0)] * L.n
+        e_i[i] = Fraction(1)
+        ads.append(L.ad(e_i))
+    out = []
+    for i in range(L.n):
+        row = []
+        for j in range(L.n):
+            t = Fraction(0)
+            for a in range(L.n):
+                for b in range(L.n):
+                    t += ads[i][a][b] * ads[j][b][a]
+            row.append(t)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def jacobi_failure(check, *args):
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestSparseTableOracle:
+    @pytest.fixture(scope="class")
+    def algebras(self, algebra):
+        return [algebra, borel_algebra(), borel_algebra(size=3)] + [
+            borel_algebra(random.Random(seed)) for seed in (1, 2, 3)
+        ]
+
+    def test_table_holds_the_nonzero_constants(self, algebras):
+        for L in algebras:
+            dense = {(i, j, k): c for i, plane in enumerate(L.constants)
+                     for j, row in enumerate(plane) for k, c in enumerate(row) if c}
+            sparse = {(i, j, k): c for (i, j), terms in L.table.items()
+                      for k, c in terms}
+            assert sparse == dense
+
+    def test_killing_forms_match_dense(self, algebras):
+        for L in algebras:
+            assert killing_form(L) == dense_killing_form(L)
+
+    def test_ad_and_brackets_match_dense(self, algebras):
+        rng = random.Random(5)
+        for L in algebras:
+            for _ in range(20):
+                a = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(L.n)]
+                b = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(L.n)]
+                want = tuple(sum((a[i] * b[j] * L.constants[i][j][k]
+                                  for i in range(L.n) for j in range(L.n)), F(0))
+                             for k in range(L.n))
+                assert L.bracket_coords(a, b) == want
+                ad = L.ad(a)
+                assert all(ad[k][j] == sum((a[i] * L.constants[i][j][k]
+                                            for i in range(L.n)), F(0))
+                           for k in range(L.n) for j in range(L.n))
+
+    def test_perturbed_copies_rejected_alike(self, algebras):
+        rng = random.Random(11)
+        rejected = 0
+        for L in algebras:
+            for _ in range(15):
+                c = [[list(row) for row in plane] for plane in L.constants]
+                i, j = rng.sample(range(L.n), 2)
+                k = rng.randrange(L.n)
+                delta = rng.choice([F(1), F(-1), F(2), F(1, 2)])
+                c[i][j][k] += delta
+                c[j][i][k] -= delta
+                dense = jacobi_failure(dense_check_jacobi, L.n, c)
+                sparse = jacobi_failure(LieAlgebra, c)
+                assert sparse == dense
+                rejected += dense is not None
+        assert rejected >= 85

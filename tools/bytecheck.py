@@ -5,17 +5,19 @@
 Writes its own inputs to a temporary directory, runs a fixed list of
 ``python -m liepde`` commands once with each tree's ``src`` on PYTHONPATH
 (PYTHONHASHSEED=0, working directory the input directory, two processes at
-a time) and prints one line per command: ``same``, or ``DIFF`` with every
-stream that differs (stdout, stderr, exit code) and the first line where it
-differs.  The exit status is 0 when every command is identical and 1
-otherwise.
+a time, each stopped after TIMEOUT_S seconds) and prints one line per
+command: ``same``, or ``DIFF`` with every stream that differs (stdout,
+stderr, exit code) and the first line where it differs, or ``TIMEOUT`` and
+the side that ran out of time.  The exit status is 0 when every command is
+identical and 1 otherwise.
 
 The list covers the shipped fixture at ansatz degrees 1-3 in text and JSON,
 its ``adjoint``, ``flows``, ``structure``, ``invariants --order 2``,
 ``check-generator``, ``normal-form`` and ``verify-optimal`` runs, b(4)
 ``structure --constants`` and six fixed ``normal-form`` vectors, normal
 forms on an algebra whose spectrum is near 10^12, Burgers and KdV at ansatz
-degree 2, and a two-parameter system at degrees 1-2.  The optimal table for
+degree 2, a two-parameter system at degrees 1-2, and three normal forms
+with the prime 10^24 + 7 as an eigenvalue or a component.  The optimal table for
 ``verify-optimal`` is the one bundled with PARENT_TREE.
 """
 
@@ -33,6 +35,8 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 TABLE = os.path.join("src", "liepde", "data", "boundary_layer_optimal.json")
+TIMEOUT_S = 30
+HUGE = 10 ** 24 + 7
 
 BURGERS = """\
 param nu > 0
@@ -103,6 +107,9 @@ def write_inputs(folder, parent):
     files["spectrum.json"] = json.dumps(
         {"dim": 2, "labels": ["v1", "v2"],
          "brackets": [{"i": 1, "j": 2, "coeffs": [0, c]}]})
+    files["huge.json"] = json.dumps(
+        {"dim": 2, "labels": ["v1", "v2"],
+         "brackets": [{"i": 1, "j": 2, "coeffs": [0, HUGE]}]})
     for name, text in files.items():
         with open(os.path.join(folder, name), "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -140,14 +147,20 @@ def write_inputs(folder, parent):
     for degree in ("1", "2"):
         commands.append(["--ansatz-degree", degree, "symmetries", "two_parameter.pde"])
         commands.append(["--ansatz-degree", degree, *js, "symmetries", "two_parameter.pde"])
+    commands.append(["normal-form", "--vector", "1,1", "--constants", "huge.json"])
+    commands.append(["normal-form", "--vector", f"0,{HUGE},0,0,0"])
+    commands.append(["normal-form", "--vector", f"0,0,{HUGE},0,0"])
     return commands
 
 
 def run(tree, argv, folder):
     env = dict(os.environ, PYTHONHASHSEED="0",
                PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
-    done = subprocess.run([sys.executable, "-m", "liepde", *argv], cwd=folder,
-                          env=env, capture_output=True, timeout=600)
+    try:
+        done = subprocess.run([sys.executable, "-m", "liepde", *argv], cwd=folder,
+                              env=env, capture_output=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
     return done.stdout, done.stderr, done.returncode
 
 
@@ -162,7 +175,11 @@ def first_difference(a, b):
 
 
 def compare(left, right):
-    """The differing streams of two (stdout, stderr, exit) results."""
+    """The differing streams of two (stdout, stderr, exit) results, or the
+    sides that timed out (None)."""
+    if left is None or right is None:
+        return [f"TIMEOUT {side}" for side, result in (("parent", left), ("change", right))
+                if result is None]
     out = []
     for name, a, b in zip(("stdout", "stderr"), left, right):
         if a != b:
