@@ -201,11 +201,10 @@ def verify_invariant(e, generators, js=None):
     if not generators:
         return True
     js = js or generators[0].space
-    order = max(
-        (s.order for s in js.jet_symbols_in(e) if s.role == JET), default=0
-    )
+    coordinates = js.jet_symbols_in(e)
+    order = max((s.order for s in coordinates), default=0)
     for g in generators:
-        pr = prolong(g, order, js)
+        pr = prolong(g, order, js, coordinates)
         if not expr.is_zero(pr.apply(e)):
             return False
     return True

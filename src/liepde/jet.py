@@ -125,11 +125,20 @@ def total_derivative(e, i, js):
     return result
 
 
-def total_derivative_multi(e, multi, js):
-    for i, count in enumerate(multi):
-        for _ in range(count):
-            e = total_derivative(e, i, js)
-    return e
+def total_derivative_memo(memo, multi, js):
+    """D_J e, computed as D_i(D_{J-e_i} e) for the first direction i of J.
+
+    `memo` maps multi-indices to the total derivatives of one expression e
+    found so far and holds e itself at the zero multi-index; every
+    derivative on the way to D_J e is added to it.
+    """
+    multi = tuple(multi)
+    if multi not in memo:
+        i = next(k for k, c in enumerate(multi) if c)
+        lower = list(multi)
+        lower[i] -= 1
+        memo[multi] = total_derivative(total_derivative_memo(memo, lower, js), i, js)
+    return memo[multi]
 
 
 class PDESystem:
@@ -178,11 +187,11 @@ class PDESystem:
         return None
 
     def _derived_rhs(self, rule_idx, extra):
-        key = (rule_idx, extra)
-        if key not in self._derived_cache:
+        memo = self._derived_cache.get(rule_idx)
+        if memo is None:
             _, rhs = self.solved[rule_idx]
-            self._derived_cache[key] = total_derivative_multi(rhs, extra, self.space)
-        return self._derived_cache[key]
+            memo = self._derived_cache[rule_idx] = {(0,) * self.space.p: rhs}
+        return total_derivative_memo(memo, extra, self.space)
 
     def reduce(self, e):
         """Normal form of `e` modulo the system (no leading coordinates left)."""

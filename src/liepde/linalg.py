@@ -175,6 +175,11 @@ class ParamFrac:
         return len(expr.monomials(self.num)) + len(expr.monomials(self.den))
 
 
+PARAM_ZERO = ParamFrac(expr.ZERO)
+"""The zero of the parameter field that dense rows share; rref_param skips it
+by identity."""
+
+
 def expr_to_paramfrac(e, params):
     """The element of the parameter field that the expression `e` stands for.
 
@@ -196,20 +201,24 @@ def expr_to_paramfrac(e, params):
 def rref_param(rows):
     """RREF over the parameter field; returns (rows, pivots).
 
-    `rows` are equal-length sequences of ParamFrac.  The elimination runs
-    on sparse rows and each reduced row comes back as a dict column ->
-    nonzero entry.  Only nonzero cells are touched, but the path is the
-    dense one: columns left to right, and the pivot is the first row from
-    `r` on, in the current row order, whose entry has the least
-    `complexity()`, swapped into place.  ParamFrac does not cancel common
-    factors, so a different path would give equal entries with different
-    representations, and different basis vectors after clear_denominators.
+    `rows` are equal-length sequences of ParamFrac; cells that are the
+    shared PARAM_ZERO are dropped without a test.  The elimination runs on
+    sparse rows and each reduced row comes back as a dict column -> nonzero
+    entry.  Only nonzero cells are touched, but the path is the dense one:
+    columns left to right, and the pivot is the first row from `r` on, in
+    the current row order, whose entry has the least `complexity()`,
+    swapped into place.  ParamFrac does not cancel common factors, so a
+    different path would give equal entries with different representations,
+    and different basis vectors after clear_denominators.
     """
     if not rows:
         return [], []
     ncols = len(rows[0])
-    rows = [{c: x for c, x in enumerate(row) if not x.is_zero()} for row in rows]
-    zero = ParamFrac.constant(0)
+    rows = [
+        {c: x for c, x in enumerate(row) if x is not PARAM_ZERO and not x.is_zero()}
+        for row in rows
+    ]
+    zero = PARAM_ZERO
     pivots = []
     r = 0
     for c in range(ncols):
@@ -241,11 +250,10 @@ def rref_param(rows):
 def nullspace_param(rows, ncols):
     reduced, pivots = rref_param(rows)
     one = ParamFrac.constant(1)
-    zero = ParamFrac.constant(0)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [zero] * ncols
+        v = [PARAM_ZERO] * ncols
         v[fc] = one
         for prow, pc in zip(reduced, pivots):
             if fc in prow:
@@ -263,10 +271,9 @@ def solve_param(rows, rhs):
     reduced, pivots = rref_param(aug)
     if ncols in pivots:
         return None
-    zero = ParamFrac.constant(0)
-    x = [zero] * ncols
+    x = [PARAM_ZERO] * ncols
     for prow, pc in zip(reduced, pivots):
-        x[pc] = prow.get(ncols, zero)
+        x[pc] = prow.get(ncols, PARAM_ZERO)
     return x
 
 
@@ -283,13 +290,16 @@ def clear_denominators(vec, params):
             scale = scale * entry.den
     cleared = []
     for entry in vec:
+        if entry.is_zero():
+            cleared.append(expr.ZERO)
+            continue
         p = expr.divide(entry.num * scale, entry.den)
         cleared.append(entry.num * scale if p is None else p)
     g, _ = expr.content(*cleared)
     first = next((p for p in cleared if not expr.is_zero(p)), None)
     if first is not None and expr.leading_term(first, params)[1] < 0:
         g = -g
-    return [p / g for p in cleared]
+    return [p if expr.is_zero(p) else p / g for p in cleared]
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,10 @@ def _power_free_multiplier(value, k, label):
 
 
 _TRIAL_BOUND = 2 ** 16
+# Miller-Rabin with the first 13 prime bases decides primality exactly below
+# this bound (Sorenson and Webster, Math. Comp. 86 (2017) 985-1003).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 
 def _int_power_part(n, k):
@@ -213,8 +217,9 @@ def _int_power_part(n, k):
 
     Trial division stops at _TRIAL_BOUND = B.  The cofactor m left after it
     has no prime factor below B, so when m < B^(k+1) it has at most k prime
-    factors and its part is m^(1/k) if that is an integer, else 1.  A larger
-    cofactor that is not a perfect k-th power raises NormalFormError.
+    factors and its part is m^(1/k) if that is an integer, else 1.  A prime
+    m below _MR_LIMIT has part 1 as well.  A larger cofactor that is neither
+    a perfect k-th power nor such a prime raises NormalFormError.
     """
     if k == 1:
         return n
@@ -237,10 +242,35 @@ def _int_power_part(n, k):
     # B^min(k+1, bits) > n exactly when B^(k+1) > n, as B^bits > n
     if n < _TRIAL_BOUND ** min(k + 1, n.bit_length()):
         return out
+    if n < _MR_LIMIT and _is_prime(n):
+        return out
     raise NormalFormError(
         f"cannot decide its power-free part for exponent {k}: the cofactor {n} "
         f"has no prime factor below {_TRIAL_BOUND} and is not a perfect power"
     )
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin on the bases _MR_BASES; exact for n < _MR_LIMIT."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _integer_root(n, k):

@@ -17,9 +17,9 @@ import itertools
 
 from . import expr, linalg
 from .errors import InternalCheckError, NonPolynomialError
-from .expr import JET, UNKNOWN, Symbol, ZERO
+from .expr import UNKNOWN, Symbol, ZERO
 from .fields import VectorField
-from .jet import total_derivative_multi
+from .jet import total_derivative_memo
 
 
 def characteristic(vf, js=None):
@@ -66,43 +66,53 @@ class ProlongedField:
         return total
 
 
-def prolong(vf, order, js=None):
-    """Prolong a vector field to the given jet order."""
+def prolong(vf, order, js=None, coordinates=None):
+    """Prolong a vector field to the given jet order.
+
+    By default every coordinate up to `order` gets its coefficient; with
+    `coordinates`, only the dependent and jet symbols listed there (of
+    order at most `order`) do.  D_J Q^a is found as D_i(D_{J-e_i} Q^a) and
+    shared between the coefficients of one dependent variable.
+    """
     if order < 0:
         raise ValueError("prolongation order must be nonnegative")
     js = js or vf.space
+    if coordinates is None:
+        coordinates = [
+            js.coordinate(dep, multi)
+            for dep in js.dependent
+            for j in range(order + 1)
+            for multi in js.multi_indices(j)
+        ]
     q = characteristic(vf, js)
+    memo = {dep.name: {(0,) * js.p: q[dep]} for dep in js.dependent}
+    phi = dict(zip(js.dependent, vf.phi))
     coeffs = {}
-    for alpha, dep in enumerate(js.dependent):
-        coeffs[dep] = vf.phi[alpha]
-        for j in range(1, order + 1):
-            for multi in js.multi_indices(j):
-                value = total_derivative_multi(q[dep], multi, js)
-                for i in range(js.p):
-                    lifted = list(multi)
-                    lifted[i] += 1
-                    value = value + vf.xi[i] * js.coordinate(dep, lifted)
-                coeffs[js.coordinate(dep, multi)] = value
+    for sym in coordinates:
+        if sym.order > order:
+            continue
+        if sym in phi:
+            coeffs[sym] = phi[sym]
+            continue
+        value = total_derivative_memo(memo[sym.base], sym.multi, js)
+        for i in range(js.p):
+            value = value + vf.xi[i] * js.lift(sym, i)
+        coeffs[sym] = value
     return ProlongedField(vf, order, coeffs)
-
-
-def equation_order(e, js):
-    return max((s.order for s in js.jet_symbols_in(e) if s.role == JET), default=0)
 
 
 def symmetry_residual(vf, system):
     """Residual of the infinitesimal symmetry condition, per equation.
 
     All residuals are identically zero exactly when vf generates a symmetry
-    of the system modulo its solved form.
+    of the system modulo its solved form.  Only the coordinates that occur
+    in the equations are prolonged.
     """
     js = system.space
-    order = max(equation_order(eq, js) for eq in system.equations)
-    pr = prolong(vf, order, js)
-    residuals = []
-    for eq in system.equations:
-        residuals.append(system.reduce(pr.apply(eq)))
-    return residuals
+    coordinates = set().union(*(js.jet_symbols_in(eq) for eq in system.equations))
+    order = max((s.order for s in coordinates), default=0)
+    pr = prolong(vf, order, js, coordinates)
+    return [system.reduce(pr.apply(eq)) for eq in system.equations]
 
 
 # ---------------------------------------------------------------------------
@@ -196,87 +206,132 @@ class DeterminingSystem:
     """Homogeneous linear system for the ansatz unknowns.
 
     Each equation is a mapping unknown -> coefficient expression over the
-    system parameters.
+    system parameters; `rows` holds the same equations in the parameter
+    field, as mappings column -> ParamFrac with the unknowns' ansatz order
+    as columns.
     """
 
-    def __init__(self, system, ansatz, equations, raw_count):
+    def __init__(self, system, ansatz, equations, raw_count, rows):
         self.system = system
         self.ansatz = ansatz
         self.equations = equations
         self.raw_count = raw_count
+        self.rows = rows
 
     @property
     def deduped_count(self):
         return len(self.equations)
 
 
-def _linear_form(coefficient, unknowns):
-    """Split a residual coefficient into a linear form over the unknowns."""
-    mm = expr.collect(coefficient, set(unknowns))
-    form = {}
-    variables = mm.variables
-    for exps, c in mm.terms.items():
-        degree = sum(exps)
-        if degree == 0:
-            raise NonPolynomialError(
-                "determining equation has a term without any unknown"
-            )
-        if degree > 1:
-            raise NonPolynomialError(
-                "determining equation is not linear in the unknowns"
-            )
-        idx = exps.index(1)
-        form[variables[idx]] = form.get(variables[idx], ZERO) + c
-    return {k: v for k, v in form.items() if not expr.is_zero(v)}
+def _split_residual(res, split, unknowns):
+    """The linear forms of a residual, in sorted order of their monomials.
+
+    One walk over the terms buckets each by its exponent vector over the
+    split variables (`split` maps each to its place in canonical order);
+    each bucket is then one linear form {unknown: coefficient}, unknowns in
+    order of first appearance.  Terms are read in canonical order, so the
+    forms, their order and the NonPolynomialError messages are those of
+    `expr.collect` over the split variables and then over the unknowns.
+    """
+    buckets = {}
+    for (powers, pexps), coeff in expr.monomials(res):
+        exps = [0] * len(split)
+        factors = []
+        for atom, exp in powers:
+            k = split.get(atom)
+            if k is None:
+                if not isinstance(atom, Symbol) and expr.free_symbols(atom) & split.keys():
+                    raise NonPolynomialError(
+                        f"{atom} depends non-polynomially on the collection variables"
+                    )
+                factors.append((atom, exp))
+            elif exp < 0:
+                raise NonPolynomialError(f"negative power of {atom.name} is not polynomial")
+            else:
+                exps[k] = exp
+        buckets.setdefault(tuple(exps), []).append((factors, pexps, coeff))
+    forms = []
+    for exps in sorted(buckets):
+        form = {}
+        complaint = None
+        for factors, pexps, coeff in buckets[exps]:
+            unknown, degree = None, 0
+            value = expr.Rational(coeff)
+            for atom, exp in factors:
+                if atom in unknowns:
+                    if exp < 0:
+                        raise NonPolynomialError(
+                            f"negative power of {atom.name} is not polynomial"
+                        )
+                    unknown, degree = atom, degree + exp
+                elif not isinstance(atom, Symbol) and expr.free_symbols(atom) & unknowns:
+                    raise NonPolynomialError(
+                        f"{atom} depends non-polynomially on the collection variables"
+                    )
+                else:
+                    value = value * atom ** exp
+            for sym, k in pexps:
+                value = value * expr.ParamExp(sym, k)
+            if degree == 1:
+                form[unknown] = form.get(unknown, ZERO) + value
+            elif complaint is None:
+                complaint = (
+                    "determining equation has a term without any unknown" if degree == 0
+                    else "determining equation is not linear in the unknowns"
+                )
+        if complaint is not None:
+            raise NonPolynomialError(complaint)
+        forms.append(form)
+    return forms
 
 
-def _canonical_equation(form, unknowns, params):
-    """Hashable canonical key of a linear form, scaled by its first coefficient."""
-    entries = []
-    first = None
-    for u in unknowns:
-        if u in form:
-            fr = linalg.expr_to_paramfrac(form[u], params)
-            if first is None:
-                first = fr
-            entries.append((u.name, fr / first))
-    return tuple((name, fr.num, fr.den) for name, fr in entries)
+def _canonical_equation(form, column, params):
+    """The row {column: ParamFrac} of a linear form and its hashable key.
+
+    The key is the row scaled by its entry in the first column, so forms
+    that differ by a factor in the parameter field share it.
+    """
+    row = {column[u]: linalg.expr_to_paramfrac(c, params) for u, c in form.items()}
+    scale = row[min(row)].inverse()
+    key = []
+    for k in sorted(row):
+        scaled = row[k] * scale
+        key.append((k, scaled.num, scaled.den))
+    return row, tuple(key)
 
 
 def build_determining(system, degree):
     """Instantiate the polynomial ansatz and split the symmetry condition.
 
-    Collects the symbolic residuals over every monomial in the jet
-    coordinates and base variables; each vanishing coefficient is one
-    homogeneous linear equation over the unknowns.
+    Splits the symbolic residuals by monomials in the jet coordinates and
+    base variables; each vanishing coefficient is one homogeneous linear
+    equation over the unknowns.  An equation that is a parameter-field
+    multiple of an earlier one is counted in `raw_count` and dropped.
     """
     if degree < 0:
         raise ValueError("ansatz degree must be nonnegative")
     js = system.space
     ansatz = Ansatz(js, degree)
-    generic = ansatz.generic_field()
-    residuals = symmetry_residual(generic, system)
-    max_order = max(equation_order(eq, js) for eq in system.equations) + 1
-    split_vars = set(js.independent) | set(js.dependent) | {
-        s
-        for s in js.coordinates(js.limit, min_order=1)
-    }
+    residuals = symmetry_residual(ansatz.generic_field(), system)
+    split_vars = sorted(js.independent + tuple(js.coordinates(js.limit)),
+                        key=lambda s: s._key)
+    split = {s: k for k, s in enumerate(split_vars)}
+    unknowns = set(ansatz.unknowns)
+    column = {u: k for k, u in enumerate(ansatz.unknowns)}
     equations = []
+    rows = []
     seen = set()
     raw = 0
     for res in residuals:
-        mm = expr.collect(res, split_vars)
-        for exps in sorted(mm.terms):
-            form = _linear_form(mm.terms[exps], ansatz.unknowns)
-            if not form:
-                continue
+        for form in _split_residual(res, split, unknowns):
             raw += 1
-            key = _canonical_equation(form, ansatz.unknowns, system.parameters)
+            row, key = _canonical_equation(form, column, system.parameters)
             if key in seen:
                 continue
             seen.add(key)
             equations.append(form)
-    return DeterminingSystem(system, ansatz, equations, raw)
+            rows.append(row)
+    return DeterminingSystem(system, ansatz, equations, raw, rows)
 
 
 def solve_determining(ds):
@@ -286,16 +341,14 @@ def solve_determining(ds):
     the empty list means only the zero solution exists.
     """
     params = ds.system.parameters
-    unknowns = ds.ansatz.unknowns
-    column = {u: k for k, u in enumerate(unknowns)}
-    zero = linalg.ParamFrac.constant(0)
+    ncols = len(ds.ansatz.unknowns)
     rows = []
-    for form in ds.equations:
-        row = [zero] * len(unknowns)
-        for u, coefficient in form.items():
-            row[column[u]] = linalg.expr_to_paramfrac(coefficient, params)
+    for sparse in ds.rows:
+        row = [linalg.PARAM_ZERO] * ncols
+        for k, entry in sparse.items():
+            row[k] = entry
         rows.append(row)
-    basis = linalg.nullspace_param(rows, len(unknowns))
+    basis = linalg.nullspace_param(rows, ncols)
     fields = []
     for vec in basis:
         values = linalg.clear_denominators(vec, params)

@@ -1,17 +1,23 @@
+import random
+
 import pytest
 
-from liepde import expr, linalg
-from liepde.errors import InternalCheckError
-from liepde.expr import DEPENDENT, INDEPENDENT, Symbol
+from liepde import expr, linalg, reference
+from liepde.errors import InternalCheckError, NonPolynomialError
+from liepde.expr import DEPENDENT, INDEPENDENT, ZERO, Symbol
 from liepde.jet import JetSpace, PDESystem
 from liepde.parser import build_system, parse_system
 from liepde.prolongation import (
+    Ansatz,
     build_determining,
+    prolong,
     solve_determining,
     span_contains,
     symmetry_residual,
 )
 from liepde.reference import extra_generator, generators
+
+from conftest import random_affine_field
 
 
 class TestBuildDetermining:
@@ -139,3 +145,253 @@ def test_wrong_kernel_vector_is_a_typed_error(golden, monkeypatch):
     )
     with pytest.raises(InternalCheckError):
         solve_determining(ds)
+
+
+# ---------------------------------------------------------------------------
+# The one-walk build against the two-pass build it replaced
+# ---------------------------------------------------------------------------
+
+HEAT_SYSTEM = """\
+independent t x
+dependent u(t, x)
+eq d(u,t) = d(u,x,x)
+lead d(u,t)
+"""
+
+# The Burgers and KdV systems of the benchmark, with fixed coefficients.
+BURGERS_SYSTEM = """\
+param nu > 0
+independent t x
+dependent u(t, x)
+eq d(u,t) + (3/2)*u*d(u,x) = nu*d(u,x,x)
+lead d(u,t)
+"""
+
+KDV_SYSTEM = """\
+independent t x
+dependent u(t, x)
+eq d(u,t) + (2)*u*d(u,x) + (-1/2)*d(u,x,x,x) = 0
+lead d(u,x,x,x)
+"""
+
+
+def _old_linear_form(coefficient, unknowns):
+    """Split a residual coefficient into a linear form over the unknowns."""
+    mm = expr.collect(coefficient, set(unknowns))
+    form = {}
+    variables = mm.variables
+    for exps, c in mm.terms.items():
+        degree = sum(exps)
+        if degree == 0:
+            raise NonPolynomialError(
+                "determining equation has a term without any unknown"
+            )
+        if degree > 1:
+            raise NonPolynomialError(
+                "determining equation is not linear in the unknowns"
+            )
+        idx = exps.index(1)
+        form[variables[idx]] = form.get(variables[idx], ZERO) + c
+    return {k: v for k, v in form.items() if not expr.is_zero(v)}
+
+
+def _old_canonical_equation(form, unknowns, params):
+    """Hashable canonical key of a linear form, scaled by its first coefficient."""
+    entries = []
+    first = None
+    for u in unknowns:
+        if u in form:
+            fr = linalg.expr_to_paramfrac(form[u], params)
+            if first is None:
+                first = fr
+            entries.append((u.name, fr / first))
+    return tuple((name, fr.num, fr.den) for name, fr in entries)
+
+
+def old_build_determining(system, degree):
+    """The two-pass build: collect each residual over the jet coordinates and
+    base variables, then each coefficient over the unknowns.  The residuals
+    come from the full, eager prolongation."""
+    js = system.space
+    ansatz = Ansatz(js, degree)
+    order = max(
+        max((s.order for s in js.jet_symbols_in(eq)), default=0)
+        for eq in system.equations
+    )
+    pr = prolong(ansatz.generic_field(), order, js)
+    residuals = [system.reduce(pr.apply(eq)) for eq in system.equations]
+    split_vars = set(js.independent) | set(js.dependent) | {
+        s
+        for s in js.coordinates(js.limit, min_order=1)
+    }
+    equations = []
+    seen = set()
+    raw = 0
+    for res in residuals:
+        mm = expr.collect(res, split_vars)
+        for exps in sorted(mm.terms):
+            form = _old_linear_form(mm.terms[exps], ansatz.unknowns)
+            if not form:
+                continue
+            raw += 1
+            key = _old_canonical_equation(form, ansatz.unknowns, system.parameters)
+            if key in seen:
+                continue
+            seen.add(key)
+            equations.append(form)
+    return equations, raw
+
+
+def _system(name):
+    if name == "fixture":
+        return reference.fixture_system()[1]
+    text = {"burgers": BURGERS_SYSTEM, "kdv": KDV_SYSTEM, "heat": HEAT_SYSTEM,
+            "two-parameter": TWO_PARAMETER_SYSTEM}[name]
+    return build_system(parse_system(text))[1]
+
+
+@pytest.mark.parametrize("name, degree", [
+    ("fixture", 1), ("fixture", 2), ("fixture", 3), ("burgers", 2), ("kdv", 2),
+    ("two-parameter", 1), ("two-parameter", 2), ("heat", 1),
+])
+def test_one_walk_build_matches_two_pass_build(name, degree):
+    system = _system(name)
+    ds = build_determining(system, degree)
+    equations, raw = old_build_determining(system, degree)
+    assert ds.raw_count == raw
+    assert len(ds.equations) == len(equations)
+    for new, old in zip(ds.equations, equations):
+        # same unknowns in the same order, same coefficient expressions
+        assert list(new) == list(old)
+        assert [c._key for c in new.values()] == [c._key for c in old.values()]
+    # each row holds the conversion that solve_determining used to make
+    column = {u: k for k, u in enumerate(ds.ansatz.unknowns)}
+    assert len(ds.rows) == len(equations)
+    for row, form in zip(ds.rows, equations):
+        assert sorted(row) == sorted(column[u] for u in form)
+        for u, c in form.items():
+            fr = linalg.expr_to_paramfrac(c, system.parameters)
+            assert (row[column[u]].num, row[column[u]].den) == (fr.num, fr.den)
+
+
+def test_one_walk_build_keeps_typed_errors():
+    text = "independent t x\ndependent u(t, x)\neq d(u,t) = d(u,x,x)/x\nlead d(u,t)\n"
+    _, system = build_system(parse_system(text))
+    with pytest.raises(NonPolynomialError, match="^negative power of x is not polynomial$"):
+        build_determining(system, 1)
+
+
+def test_restricted_prolongation_matches_full(golden):
+    space, _, _ = golden
+    rng = random.Random(61)
+    coordinates = space.coordinates(3)
+    for _ in range(25):
+        vf = random_affine_field(rng, space)
+        full = prolong(vf, 3)
+        wanted = rng.sample(coordinates, rng.randint(1, len(coordinates)))
+        part = prolong(vf, 3, coordinates=wanted)
+        assert set(part.coefficients) == set(wanted)
+        for sym in wanted:
+            assert part.coefficient(sym) == full.coefficient(sym), sym.name
+
+
+# ---------------------------------------------------------------------------
+# Symmetry residuals against an independent sympy prolongation
+# ---------------------------------------------------------------------------
+
+def sympy_residuals(system, vf):
+    """The reduced symmetry residuals of `vf`, computed with sympy alone.
+
+    pr X(Delta) = xi^i dDelta/dx^i + sum_J dDelta/du^a_J (D_J Q^a
+    + xi^i u^a_{J,i}) with Q^a = phi^a - xi^i u^a_i (Olver, Applications of
+    Lie Groups to Differential Equations, Thm 2.36); dependent variables are
+    sympy functions of the independent ones, so D_J is sympy's derivative.
+    Leading coordinates and their derivatives are then replaced by the
+    differentiated right-hand sides until none is left.  Jet coordinates
+    come back as symbols named as liepde names them.
+    """
+    sp = pytest.importorskip("sympy")
+    js = system.space
+    xs = [sp.Symbol(s.name) for s in js.independent]
+    names = {s.name: sp.Symbol(s.name) for s in js.independent + js.dependent}
+    names.update({s.name: sp.Symbol(s.name) for s in system.parameters})
+    funcs = {s.name: sp.Function(s.name)(*xs) for s in js.dependent}
+
+    def jet(sym):
+        f = funcs[sym.base]
+        counts = [(x, k) for x, k in zip(xs, sym.multi) if k]
+        return sp.Derivative(f, *counts) if counts else f
+
+    # dependent variables as functions, jet coordinates as their derivatives
+    jets = {s.name: jet(s) for s in js.coordinates(js.limit)}
+
+    def lift(e):
+        """A liepde expression in sympy, on the functions and derivatives."""
+        return sp.sympify(expr.render(e).replace("^", "**"), locals=dict(names, **jets))
+
+    def flatten(e):
+        """Derivatives and functions back to liepde-named symbols."""
+        out = {}
+        for d in e.atoms(sp.Derivative):
+            counts = dict(d.variable_count)
+            out[d] = sp.Symbol(d.expr.func.__name__ + "_" + "".join(
+                x.name * counts.get(x, 0) for x in xs))
+        e = e.xreplace(out)
+        return e.xreplace({f: names[n] for n, f in funcs.items()})
+
+    xi = [lift(c) for c in vf.xi]
+    phi = {dep.name: lift(c) for dep, c in zip(js.dependent, vf.phi)}
+    q = {n: phi[n] - sum(xi[i] * f.diff(x) for i, x in enumerate(xs))
+         for n, f in funcs.items()}
+    rules = [(lead.base, lead.multi, lift(rhs)) for lead, rhs in system.solved]
+    out = []
+    for eq in system.equations:
+        atoms = sorted(js.jet_symbols_in(eq), key=lambda s: s._key)
+        dummies = [sp.Dummy() for _ in atoms]
+        flat = sp.sympify(expr.render(eq).replace("^", "**"),
+                          locals=dict(names, **{s.name: d for s, d in zip(atoms, dummies)}))
+        back = {d: jet(s) for s, d in zip(atoms, dummies)}
+        total = sum(xi[i] * flat.diff(x) for i, x in enumerate(xs)).xreplace(back)
+        for s, d in zip(atoms, dummies):
+            partial = flat.diff(d).xreplace(back)
+            dq = q[s.base]
+            for x, k in zip(xs, s.multi):
+                if k:
+                    dq = dq.diff(x, k)
+            lifted = sum(xi[i] * jet(js.lift(s, i)) for i in range(js.p))
+            total += partial * (dq + lifted)
+        total = sp.expand(total)
+        for _ in range(100):
+            replace = {}
+            for d in total.atoms(sp.Derivative):
+                counts = dict(d.variable_count)
+                multi = tuple(counts.get(x, 0) for x in xs)
+                for base, lmulti, rhs in rules:
+                    if base == d.expr.func.__name__ and all(
+                        a >= b for a, b in zip(multi, lmulti)
+                    ):
+                        extra = [(x, a - b) for x, a, b in zip(xs, multi, lmulti) if a > b]
+                        replace[d] = rhs.diff(*extra) if extra else rhs
+                        break
+            if not replace:
+                break
+            total = sp.expand(total.xreplace(replace))
+        else:
+            raise AssertionError("sympy reduction did not terminate")
+        out.append(flatten(total))
+    return out, names
+
+
+@pytest.mark.parametrize("name", ["fixture", "burgers"])
+def test_residuals_match_sympy_prolongation(name):
+    sp = pytest.importorskip("sympy")
+    system = _system(name)
+    js = system.space
+    rng = random.Random(f"sympy-{name}")
+    for _ in range(8):
+        vf = random_affine_field(rng, js)
+        expected, names = sympy_residuals(system, vf)
+        jets = {s.name: sp.Symbol(s.name) for s in js.coordinates(js.limit)}
+        for got, want in zip(symmetry_residual(vf, system), expected):
+            got = sp.sympify(expr.render(got).replace("^", "**"), locals=dict(names, **jets))
+            assert sp.expand(got - want) == 0

@@ -14,7 +14,13 @@ import pytest
 
 from liepde import expr
 from liepde.expr import PARAMETER, Symbol
-from liepde.linalg import ParamFrac, nullspace_param, rref_param, solve_param
+from liepde.linalg import (
+    PARAM_ZERO,
+    ParamFrac,
+    nullspace_param,
+    rref_param,
+    solve_param,
+)
 from liepde.parser import build_system, parse_system
 from liepde.prolongation import build_determining
 
@@ -174,3 +180,19 @@ def test_solve_param_reads_sparse_rows():
             total = total + entry * xi
         assert total == b
     assert solve_param([[a], [z]], [one, zero]) is None
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_shared_zero_cells_match_fresh_zeros(case):
+    # rref_param drops PARAM_ZERO cells by identity; rows that mix it with
+    # zeros made elsewhere reduce exactly as the dense elimination does.
+    rng = random.Random(f"shared-zero-{case}")
+    for _ in range(6):
+        rows = CASES[case](rng)
+        shared = [
+            [PARAM_ZERO if x.is_zero() and rng.random() < 0.5 else x for x in row]
+            for row in rows
+        ]
+        assert any(x is PARAM_ZERO for row in shared for x in row)
+        assert_same_reduction(shared)
+        assert_kernel(shared)

@@ -216,16 +216,44 @@ class TestPowerPart:
         assert optimal._int_power_part((10 ** 24 + 7) ** 2, 2) == 10 ** 24 + 7
         assert optimal._int_power_part(3, 10 ** 12) == 1
 
+    def test_prime_cofactors_are_decided(self):
+        # 10^24 + 7 is a prime past the trial bound and below _MR_LIMIT
+        p = 10 ** 24 + 7
+        assert optimal._int_power_part(p, 2) == 1
+        assert optimal._int_power_part(p, 3) == 1
+        assert optimal._int_power_part(12 * p, 2) == 2
+        assert optimal._int_power_part(8 * p * p, 2) == 2 * p
+
     def test_undecidable_cofactor_is_a_typed_error(self):
-        with pytest.raises(NormalFormError):
-            optimal._int_power_part(10 ** 24 + 7, 2)
+        for n in (
+            318665857834031151167461,  # strong pseudoprime to the bases 2..37
+            3317044064679887385961981,  # _MR_LIMIT, a strong pseudoprime to 2..41
+            2 ** 89 - 1,  # a prime past _MR_LIMIT
+        ):
+            with pytest.raises(NormalFormError):
+                optimal._int_power_part(n, 2)
+
+    def test_miller_rabin_matches_trial_division(self):
+        limit = 20000
+        sieve = [True] * limit
+        sieve[0] = sieve[1] = False
+        for d in range(2, limit):
+            if sieve[d]:
+                sieve[d * d::d] = [False] * len(sieve[d * d::d])
+        assert [n for n in range(limit) if optimal._is_prime(n)] == [
+            n for n in range(limit) if sieve[n]]
+        # strong pseudoprimes to the first 4, 9 and 12 prime bases, Carmichael 561
+        for n in (561, 3215031751, 3825123056546413051, 318665857834031151167461):
+            assert not optimal._is_prime(n), n
+        for n in (65537, 2 ** 61 - 1, 10 ** 24 + 7):
+            assert optimal._is_prime(n), n
 
     @pytest.mark.parametrize("vector, code, text", [
         # v5 scales v2 with exponent 1: the multiplier is the component itself
         ("0,1000000000000000000000007,0,0,0", 0, "output: v2\n"),
-        # v4 scales v3 with exponent 2, and 10^24 + 7 is a prime past the bound
-        ("0,0,1000000000000000000000007,0,0", 1,
-         "error: component v3 = 1000000000000000000000007: cannot decide"),
+        # v4 scales v3 with exponent 2, and 10^24 + 7 is a prime: square-free
+        ("0,0,1000000000000000000000007,0,0", 0,
+         "output: 1000000000000000000000007*v3\n"),
     ])
     def test_large_component_cli_ends(self, vector, code, text):
         # trial division up to the square root ran past 15 s on both

@@ -273,3 +273,22 @@ class TestStageErrors:
         with pytest.raises(PipelineError) as err:
             pipeline.run_pipeline(parser.parse_system(text))
         assert err.value.stage == "system"
+
+    def test_negative_power_in_equation_names_its_stage(self, tmp_path):
+        # Splitting the residuals must keep the collect error, byte for byte.
+        system = tmp_path / "negative.pde"
+        system.write_text(
+            "independent t x\ndependent u(t, x)\neq d(u,t) = d(u,x,x)/x\nlead d(u,t)\n"
+        )
+        env = dict(os.environ)
+        src = str(pathlib.Path(liepde.__file__).parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "liepde", "symmetries", str(system)],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert run.returncode == 1
+        assert run.stdout == b""
+        assert run.stderr == (
+            b"error: stage 'determining': negative power of x is not polynomial\n"
+        )

@@ -11,14 +11,17 @@ stderr, exit code) and the first line where it differs, or ``TIMEOUT`` and
 the side that ran out of time.  The exit status is 0 when every command is
 identical and 1 otherwise.
 
-The list covers the shipped fixture at ansatz degrees 1-3 in text and JSON,
+The list covers the shipped fixture at ansatz degrees 1-4 in text and JSON,
 its ``adjoint``, ``flows``, ``structure``, ``invariants --order 2``,
 ``check-generator``, ``normal-form`` and ``verify-optimal`` runs, b(4)
 ``structure --constants`` and six fixed ``normal-form`` vectors, normal
 forms on an algebra whose spectrum is near 10^12, Burgers and KdV at ansatz
-degree 2, a two-parameter system at degrees 1-2, and three normal forms
-with the prime 10^24 + 7 as an eigenvalue or a component.  The optimal table for
-``verify-optimal`` is the one bundled with PARENT_TREE.
+degree 2, a two-parameter system at degrees 1-2, the heat equation at
+degrees 1-2 (degree 2 exits 1: its span does not close under the bracket),
+a system whose equation divides by an independent variable (exit 1), and
+three normal forms with the prime 10^24 + 7 as an eigenvalue or a
+component.  The optimal table for ``verify-optimal`` is the one bundled
+with PARENT_TREE.
 """
 
 from __future__ import annotations
@@ -62,6 +65,20 @@ eq d(u,t) = (z - a)*d(u,x,x) + (a + z)*u*d(u,x) + (a - 2*z)*d(u,x)
 lead d(u,t)
 """
 
+HEAT = """\
+independent t x
+dependent u(t, x)
+eq d(u,t) = d(u,x,x)
+lead d(u,t)
+"""
+
+NEGATIVE_POWER = """\
+independent t x
+dependent u(t, x)
+eq d(u,t) = d(u,x,x)/x
+lead d(u,t)
+"""
+
 
 def borel4():
     """Structure constants of b(4) on the units E_pq in row order."""
@@ -100,6 +117,8 @@ def write_inputs(folder, parent):
         "burgers.pde": BURGERS,
         "kdv.pde": KDV,
         "two_parameter.pde": TWO_PARAMETER,
+        "heat.pde": HEAT,
+        "negative_power.pde": NEGATIVE_POWER,
         "b4.json": json.dumps(borel4(), indent=1),
     }
     rng = random.Random(1)
@@ -117,7 +136,7 @@ def write_inputs(folder, parent):
 
     js = ["--report", "json"]
     commands = []
-    for degree in (1, 2, 3):
+    for degree in (1, 2, 3, 4):
         commands.append(["--ansatz-degree", str(degree), "symmetries"])
         commands.append(["--ansatz-degree", str(degree), *js, "symmetries"])
     for fmt in ([], js):
@@ -147,6 +166,9 @@ def write_inputs(folder, parent):
     for degree in ("1", "2"):
         commands.append(["--ansatz-degree", degree, "symmetries", "two_parameter.pde"])
         commands.append(["--ansatz-degree", degree, *js, "symmetries", "two_parameter.pde"])
+    for degree in ("1", "2"):
+        commands.append(["--ansatz-degree", degree, "symmetries", "heat.pde"])
+    commands.append(["symmetries", "negative_power.pde"])
     commands.append(["normal-form", "--vector", "1,1", "--constants", "huge.json"])
     commands.append(["normal-form", "--vector", f"0,{HUGE},0,0,0"])
     commands.append(["normal-form", "--vector", f"0,0,{HUGE},0,0"])
