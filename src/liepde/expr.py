@@ -8,9 +8,13 @@ constant stays its own node; anything else is a `Poly`, a sum of monomials
 with rational coefficients.  Canonical forms are what make exact
 golden-value testing of the downstream algebra possible.
 
-Coefficient arithmetic is `fractions.Fraction` throughout; floats are
-rejected.  The `/` operator divides only by nonzero monomials (negative
-integer powers), never by general sums; `divide` finds exact quotients of
+Polynomial coefficients are exact rationals held as a plain `int` when
+they are integral and as a `fractions.Fraction` otherwise, so the common
+integer case never pays for Fraction's gcd normalisation; every coefficient
+division goes through `Fraction`, and floats are rejected.  Constants read
+back through `Rational.value` and `constant_value` are always Fractions.
+The `/` operator divides only by nonzero monomials (negative integer
+powers), never by general sums; `divide` finds exact quotients of
 polynomials.
 """
 
@@ -46,14 +50,22 @@ ROLE_NAMES = {
 }
 
 
-def _as_fraction(x):
-    if isinstance(x, Fraction):
+def _as_coeff(x):
+    """`x` as a coefficient: an int when it is integral, else a Fraction."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     if isinstance(x, float):
         raise TypeError("floats are not allowed in exact expressions")
     raise TypeError(f"cannot interpret {x!r} as a rational number")
+
+
+def _quotient(a, b):
+    """The exact coefficient a / b."""
+    return _as_coeff(Fraction(a, b))
 
 
 class Expr:
@@ -113,7 +125,7 @@ class Expr:
         return _canonical({m: -c for m, c in self._poly().items()})
 
     def is_constant(self):
-        return constant_value(self) is not None
+        return _constant(self._poly()) is not None
 
     def __str__(self):
         return render(self)
@@ -124,21 +136,27 @@ class Expr:
 def _lift(x):
     if isinstance(x, Expr):
         return x
-    return Rational(_as_fraction(x))
+    return Rational(x)
 
 
 class Rational(Expr):
-    """Exact rational constant."""
+    """Exact rational constant num / den; `value` is it as a Fraction."""
 
-    __slots__ = ("value",)
+    __slots__ = ("coeff",)
 
     def __init__(self, num, den=1):
-        value = Fraction(_as_fraction(num), _as_fraction(den))
-        object.__setattr__(self, "value", value)
-        self._setkey((0, value))
+        coeff, den = _as_coeff(num), _as_coeff(den)
+        if den != 1:
+            coeff = _quotient(coeff, den)
+        object.__setattr__(self, "coeff", coeff)
+        self._setkey((0, coeff))
+
+    @property
+    def value(self):
+        return Fraction(self.coeff)
 
     def _poly(self):
-        return {_EMPTY_MONO: self.value} if self.value else {}
+        return {_EMPTY_MONO: self.coeff} if self.coeff else {}
 
 
 class Symbol(Expr):
@@ -175,7 +193,7 @@ class ParamExp(Expr):
         if not (isinstance(param, Symbol) and param.role == GROUP):
             raise TypeError("ParamExp parameter must be a group-parameter symbol")
         object.__setattr__(self, "param", param)
-        object.__setattr__(self, "k", _as_fraction(k))
+        object.__setattr__(self, "k", Fraction(_as_coeff(k)))
         self._setkey((2, param._key, self.k))
 
     def _poly(self):
@@ -221,11 +239,12 @@ class FunctionApplication(Expr):
 #           atom a Symbol or FunctionApplication;
 #   pexps:  tuple of (group symbol, nonzero Fraction) sorted by symbol key,
 #           representing a product of ParamExp factors.
-# A polynomial is a dict monomial -> nonzero Fraction.
+# A polynomial is a dict monomial -> nonzero coefficient, an int when it is
+# integral and a Fraction otherwise.
 # ---------------------------------------------------------------------------
 
 _EMPTY_MONO = ((), ())
-_ONE = Fraction(1)
+_ONE = 1
 
 
 class Poly(Expr):
@@ -259,12 +278,17 @@ ONE = Rational(1)
 
 
 def _canonical(poly):
-    """The canonical node for a polynomial dict, which it takes over."""
+    """The canonical node for a polynomial dict, which it takes over.
+
+    A constant 1 comes back as the `ONE` object itself, so arithmetic
+    results can be tested against it by identity, as `linalg.ParamFrac`
+    does with its denominators.
+    """
     if len(poly) == 1:
         (mono, coeff), = poly.items()
         powers, pexps = mono
         if not powers and not pexps:
-            return Rational(coeff)
+            return ONE if coeff == 1 else Rational(coeff)
         if coeff == 1:
             if not pexps and len(powers) == 1 and powers[0][1] == 1:
                 return powers[0][0]
@@ -320,7 +344,7 @@ def _mono_mul(m1, m2):
 def _add_term(poly, mono, coeff):
     c = poly.get(mono, 0) + coeff
     if c:
-        poly[mono] = c
+        poly[mono] = c if type(c) is int else _as_coeff(c)
     else:
         poly.pop(mono, None)
 
@@ -351,7 +375,7 @@ def _poly_pow(p, n):
             )
         ((powers, pexps), coeff), = p.items()
         p = {(tuple((a, -e) for a, e in powers), tuple((s, -k) for s, k in pexps)):
-             1 / coeff}
+             _quotient(1, coeff)}
         n = -n
     result = {_EMPTY_MONO: _ONE}
     while n:
@@ -379,7 +403,10 @@ def normalize(e):
 
 
 def monomials(e):
-    """The terms of `e` in canonical order, as (monomial, Fraction) pairs.
+    """The terms of `e` in canonical order, as (monomial, coefficient) pairs.
+
+    A coefficient is an int when it is integral and a Fraction otherwise;
+    divide one only through `Fraction`.
 
     A monomial is a pair (powers, pexps): `powers` holds (atom, integer
     exponent) pairs with atoms Symbols or FunctionApplications, `pexps`
@@ -397,14 +424,17 @@ def equal(a, b):
     return normalize(a) == normalize(b)
 
 
+def _constant(p):
+    """The coefficient of a constant polynomial dict, or None."""
+    if not p:
+        return 0
+    return p.get(_EMPTY_MONO) if len(p) == 1 else None
+
+
 def constant_value(e):
     """The Fraction value of a constant expression, or None."""
-    p = _lift(e)._poly()
-    if not p:
-        return Fraction(0)
-    if len(p) == 1 and _EMPTY_MONO in p:
-        return p[_EMPTY_MONO]
-    return None
+    c = _constant(_lift(e)._poly())
+    return None if c is None else Fraction(c)
 
 
 def content(*es):
@@ -465,9 +495,9 @@ def divide(a, b):
     pa, pb = _lift(a)._poly(), _lift(b)._poly()
     if not pb:
         raise DegenerateInputError("division by zero expression")
-    c = constant_value(b)
+    c = _constant(pb)
     if c is not None:
-        return _canonical({m: v / c for m, v in pa.items()})
+        return _canonical({m: _quotient(v, c) for m, v in pa.items()})
     order = _grlex(_atoms(pa, pb))
     (powers, pexps), lead = max(pb.items(), key=order)
     inverse = (tuple((x, -k) for x, k in powers), tuple((s, -k) for s, k in pexps))
@@ -480,8 +510,9 @@ def divide(a, b):
         q = _mono_mul(mono, inverse)
         if any(k < 0 for _, k in q[0]):
             return None
-        _add_term(quotient, q, coeff / lead)
-        remainder = _poly_add(remainder, _poly_mul({q: coeff / lead}, pb), -1)
+        c = _quotient(coeff, lead)
+        _add_term(quotient, q, c)
+        remainder = _poly_add(remainder, _poly_mul({q: c}, pb), -1)
     return None if remainder else _canonical(quotient)
 
 

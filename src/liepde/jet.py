@@ -194,22 +194,25 @@ class PDESystem:
         return total_derivative_memo(memo, extra, self.space)
 
     def reduce(self, e):
-        """Normal form of `e` modulo the system (no leading coordinates left)."""
+        """Normal form of `e` modulo the system (no leading coordinates left).
+
+        Each reducible coordinate has one replacement, the total derivative
+        of its first matching rule, so one pass substitutes all of the
+        coordinates present at once; passes repeat until none is left.
+        """
         e = expr.normalize(e)
         for _ in range(_REDUCTION_PASS_LIMIT):
-            candidates = []
+            rules = {}
             for s in self.space.jet_symbols_in(e):
                 idx = self._matching_rule(s)
-                if idx is not None:
-                    candidates.append((s, idx))
-            if not candidates:
+                if idx is None:
+                    continue
+                lead, _ = self.solved[idx]
+                lmulti = lead.multi if lead.role == JET else (0,) * self.space.p
+                smulti = s.multi if s.role == JET else (0,) * self.space.p
+                extra = tuple(a - b for a, b in zip(smulti, lmulti))
+                rules[s] = self._derived_rhs(idx, extra)
+            if not rules:
                 return e
-            # Rewrite the highest coordinate first (graded order) so each pass
-            # makes strict progress.
-            s, idx = max(candidates, key=lambda c: c[0]._key)
-            lead, _ = self.solved[idx]
-            lmulti = lead.multi if lead.role == JET else (0,) * self.space.p
-            smulti = s.multi if s.role == JET else (0,) * self.space.p
-            extra = tuple(a - b for a, b in zip(smulti, lmulti))
-            e = expr.substitute(e, {s: self._derived_rhs(idx, extra)})
+            e = expr.substitute(e, rules)
         raise IllPosedSystemError("reduction did not terminate; rules may cycle")

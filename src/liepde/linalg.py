@@ -113,12 +113,18 @@ class ParamFrac:
     `num` and `den` are canonical expressions in the parameter symbols;
     `num` may hold negative powers.  `den` is kept free of monomial and
     rational content with a positive graded-lex leading coefficient, and
-    becomes 1 whenever it divides `num` exactly.
+    becomes 1 whenever it divides `num` exactly.  A denominator that is
+    `expr.ONE` itself, as every constant 1 that `expr` arithmetic returns
+    is, is taken as it is.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=expr.ONE):
+        if den is expr.ONE:
+            self.num = num
+            self.den = den
+            return
         value = expr.constant_value(den)
         if value == 0:
             raise ZeroDivisionError("zero denominator in parameter field")

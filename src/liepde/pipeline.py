@@ -188,8 +188,8 @@ def run_pipeline(doc, ansatz_degree=1, invariant_order=1, use_reference=None):
     if ref:
         ref_gens = reference.generators(space)
         contains = {}
-        for i, g in enumerate(ref_gens):
-            member = span_contains(basis, g, system)
+        members = span_contains(basis, ref_gens, system)
+        for i, (g, member) in enumerate(zip(ref_gens, members)):
             zero = all(expr.is_zero(r) for r in symmetry_residual(g, system))
             contains[f"v{i + 1}"] = {"in_span": member, "residual_zero": zero}
         report.reference_check = {

@@ -363,28 +363,46 @@ def solve_determining(ds):
     return fields
 
 
-def span_contains(fields, candidate, system):
-    """Whether `candidate` lies in the parameter-field span of `fields`."""
+def span_contains(fields, candidates, system):
+    """Whether each candidate lies in the parameter-field span of `fields`.
+
+    Returns one bool per candidate.  The coordinates of `fields` are
+    converted to the parameter field once, zeros as the shared
+    `linalg.PARAM_ZERO`.
+    """
+    candidates = list(candidates)
     degree = 0
     base = system.space.independent + system.space.dependent
-    for vf in list(fields) + [candidate]:
+    for vf in list(fields) + candidates:
         for coeff in vf.coefficients:
             mm = expr.collect(coeff, set(base))
             for exps in mm.terms:
                 degree = max(degree, sum(exps))
     ansatz = Ansatz(system.space, degree)
     params = system.parameters
+
+    def column(coords):
+        return [
+            linalg.PARAM_ZERO if expr.is_zero(c) else linalg.expr_to_paramfrac(c, params)
+            for c in coords
+        ]
+
     cols = []
     for vf in fields:
         coords = ansatz.coordinates_of(vf)
         if coords is None:
             raise ValueError("field is not polynomial at the induced degree")
-        cols.append([linalg.expr_to_paramfrac(c, params) for c in coords])
-    target = ansatz.coordinates_of(candidate)
-    if target is None:
-        return False
-    rhs = [linalg.expr_to_paramfrac(c, params) for c in target]
-    if not cols:
-        return all(f.is_zero() for f in rhs)
-    rows = [[col[i] for col in cols] for i in range(len(rhs))]
-    return linalg.solve_param(rows, rhs) is not None
+        cols.append(column(coords))
+    rows = list(zip(*cols))
+    found = []
+    for candidate in candidates:
+        target = ansatz.coordinates_of(candidate)
+        if target is None:
+            found.append(False)
+            continue
+        rhs = column(target)
+        if cols:
+            found.append(linalg.solve_param(rows, rhs) is not None)
+        else:
+            found.append(all(f.is_zero() for f in rhs))
+    return found

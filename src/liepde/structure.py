@@ -247,7 +247,7 @@ def _field_row(vf, keys, key_index):
                 key_index[key] = len(keys)
                 keys.append(key)
                 row.append(Fraction(0))
-            row[key_index[key]] = c
+            row[key_index[key]] = Fraction(c)
     return row
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from liepde import expr
+from liepde import expr, linalg
 from liepde.errors import (
     DegenerateInputError,
     NonPolynomialError,
@@ -102,6 +102,57 @@ class TestNormalize:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             Rational(0.5)
+
+
+class TestCoefficientTypes:
+    """Coefficients are ints when integral and Fractions otherwise, never
+    floats or bools; constants read back as Fractions."""
+
+    def assert_exact(self, e):
+        for c in e._poly().values():
+            assert type(c) in (int, Fraction), (e, c)
+            assert type(c) is int or c.denominator != 1, (e, c)
+        value = expr.constant_value(e)
+        assert value is None or type(value) is Fraction
+        if isinstance(e, Rational):
+            assert type(e.value) is Fraction
+
+    def test_random_corpus(self):
+        rng = random.Random(23)
+        divisors = [2, -3, 4, Fraction(3, 2), Fraction(-2, 5)]
+        for _ in range(150):
+            a, b = (random_expression(rng, SYMS) for _ in range(2))
+            monomial = Rational(rng.choice(divisors)) * rng.choice(SYMS) ** rng.randint(0, 2)
+            results = [
+                a + b, a - b, a * b, -a, a ** rng.randint(0, 3), a / monomial,
+                a / rng.choice(divisors), expr.diff(a, rng.choice(SYMS)),
+                expr.substitute(a, {rng.choice(SYMS): b}),
+                expr.divide(a, rng.choice(divisors)),
+            ]
+            if not expr.is_zero(b):
+                quotient = expr.divide(a * b, b)
+                assert quotient == a
+                results.append(quotient)
+            for e in results:
+                self.assert_exact(e)
+
+    def test_group_exponential_derivative(self):
+        self.assert_exact(expr.diff(ParamExp(eps, Fraction(2, 3)) * x * 3, eps))
+
+    def test_bool_is_lifted_to_int(self):
+        self.assert_exact(x * True)
+        self.assert_exact(Rational(True))
+
+    def test_division_sites(self):
+        three_halves_x = Rational(3, 2) * x
+        assert (3 * x) / 2 == three_halves_x
+        assert expr.divide(3 * x, 2) == three_halves_x
+        assert expr.divide(6 * x * y + 3 * x, 4 * y + 2) == three_halves_x
+        for e in ((3 * x) / 2, expr.divide(3 * x, 2)):
+            self.assert_exact(e)
+        inverse = linalg.ParamFrac.constant(3).inverse()
+        assert inverse.num == Rational(1, 3) and inverse.den == Rational(1)
+        assert expr.constant_value(inverse.num) == Fraction(1, 3)
 
 
 class TestDiff:

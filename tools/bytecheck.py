@@ -16,7 +16,9 @@ its ``adjoint``, ``flows``, ``structure``, ``invariants --order 2``,
 ``check-generator``, ``normal-form`` and ``verify-optimal`` runs, b(4)
 ``structure --constants`` and six fixed ``normal-form`` vectors, normal
 forms on an algebra whose spectrum is near 10^12, Burgers and KdV at ansatz
-degree 2, a two-parameter system at degrees 1-2, the heat equation at
+degree 2, a two-parameter system at degrees 1-2, a Burgers-type system
+whose fractional coefficients multiply to integers at degrees 1-2, the
+heat equation at
 degrees 1-2 (degree 2 exits 1: its span does not close under the bracket),
 a system whose equation divides by an independent variable (exit 1), and
 three normal forms with the prime 10^24 + 7 as an eigenvalue or a
@@ -62,6 +64,14 @@ param a
 independent t x
 dependent u(t, x)
 eq d(u,t) = (z - a)*d(u,x,x) + (a + z)*u*d(u,x) + (a - 2*z)*d(u,x)
+lead d(u,t)
+"""
+
+MIXED = """\
+param nu > 0
+independent t x
+dependent u(t, x)
+eq (2/3)*d(u,t) = (3/4)*nu*d(u,x,x) - (3/2)*u*d(u,x)
 lead d(u,t)
 """
 
@@ -117,6 +127,7 @@ def write_inputs(folder, parent):
         "burgers.pde": BURGERS,
         "kdv.pde": KDV,
         "two_parameter.pde": TWO_PARAMETER,
+        "mixed.pde": MIXED,
         "heat.pde": HEAT,
         "negative_power.pde": NEGATIVE_POWER,
         "b4.json": json.dumps(borel4(), indent=1),
@@ -163,9 +174,10 @@ def write_inputs(folder, parent):
     for name in ("burgers.pde", "kdv.pde"):
         commands.append(["--ansatz-degree", "2", "symmetries", name])
         commands.append(["--ansatz-degree", "2", *js, "symmetries", name])
-    for degree in ("1", "2"):
-        commands.append(["--ansatz-degree", degree, "symmetries", "two_parameter.pde"])
-        commands.append(["--ansatz-degree", degree, *js, "symmetries", "two_parameter.pde"])
+    for name in ("two_parameter.pde", "mixed.pde"):
+        for degree in ("1", "2"):
+            commands.append(["--ansatz-degree", degree, "symmetries", name])
+            commands.append(["--ansatz-degree", degree, *js, "symmetries", name])
     for degree in ("1", "2"):
         commands.append(["--ansatz-degree", degree, "symmetries", "heat.pde"])
     commands.append(["symmetries", "negative_power.pde"])
