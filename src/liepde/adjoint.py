@@ -4,6 +4,12 @@ Everything lives in the ring of finite sums  c * prod_i eps_i^m_i * e^(k_i eps_i
 with rational c, k (class ExpPolynomial).  Matrix exponentials are computed
 by Putzer's algorithm from the eigenvalues alone, so exponentials of
 matrices with rational spectrum are exact and closed in this ring.
+
+Both kernels run on integers and sparse rows.  char_poly scales A by the
+lcm d of its denominators and runs Faddeev-LeVerrier on dA, where each
+division is exact.  matrix_exp forms the Putzer products on the same
+integer matrix, holds each scalar r_k(t) as a dict {(m, l): c} integrated
+in closed form, and builds each entry's ExpPolynomial once, at the end.
 """
 
 from __future__ import annotations
@@ -41,6 +47,15 @@ class ExpPolynomial:
         self.terms = clean
 
     # -- constructors ---------------------------------------------------------
+
+    @classmethod
+    def _clean(cls, params, terms):
+        """An element from terms with distinct keys and nonzero Fraction
+        coefficients, taken as they are."""
+        self = cls.__new__(cls)
+        self.params = params
+        self.terms = terms
+        return self
 
     @classmethod
     def constant(cls, value, params=(EPS,)):
@@ -309,34 +324,53 @@ class ExpPolynomial:
 # ---------------------------------------------------------------------------
 
 def char_poly(A):
-    """Characteristic polynomial coefficients (low to high) via Faddeev-LeVerrier."""
-    n = len(A)
-    # coefficients: p(x) = x^n + c_{n-1} x^(n-1) + ... + c_0
-    M = [[Fraction(0)] * n for _ in range(n)]
-    c = [Fraction(0)] * (n + 1)
-    c[n] = Fraction(1)
-    I = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    Mk = [row[:] for row in I]
+    """Characteristic polynomial coefficients (low to high) via Faddeev-LeVerrier.
+
+    The recursion runs on the integer matrix B = dA, d the lcm of the
+    denominators of A, in sparse rows: M_0 = I, c_k = -tr(B M_(k-1)) / k and
+    M_k = B M_(k-1) + c_k I.  The c_k are the integer coefficients of
+    det(xI - B), so the division is exact, and det(xI - A) has c_k / d^k
+    at x^(n-k).
+    """
+    return _char_poly(*_integer_rows(A))
+
+
+def _char_poly(d, B):
+    """char_poly of A, given d and the rows of B = dA from _integer_rows."""
+    n = len(B)
+    c = [Fraction(1)] * (n + 1)
+    M = [{i: 1} for i in range(n)]
     for k in range(1, n + 1):
-        AM = _mat_mul_frac(A, Mk)
-        tr = sum(AM[i][i] for i in range(n))
-        ck = -tr / k
-        c[n - k] = ck
-        Mk = [[AM[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
+        BM = _rows_mul(B, M)
+        ck = -sum(row.get(i, 0) for i, row in enumerate(BM)) // k
+        c[n - k] = Fraction(ck, d ** k)
+        for i, row in enumerate(BM):
+            x = row.get(i, 0) + ck
+            if x:
+                row[i] = x
+            else:
+                row.pop(i, None)
+        M = BM
     return c
 
 
-def _mat_mul_frac(A, B):
-    """Product of Fraction matrices, skipping zero entries."""
+def _integer_rows(A):
+    """(d, B): d the lcm of the denominators of A (ints or Fractions), B = dA
+    as sparse integer rows {column: entry}."""
+    d = math.lcm(*(x.denominator for row in A for x in row))
+    return d, [{j: x.numerator * (d // x.denominator) for j, x in enumerate(row) if x}
+               for row in A]
+
+
+def _rows_mul(A, B, shift=0):
+    """(A - shift I) B for matrices held as sparse rows, zeros dropped."""
     out = []
-    for row in A:
-        acc = [Fraction(0)] * len(B[0])
-        for a, brow in zip(row, B):
-            if a:
-                for j, b in enumerate(brow):
-                    if b:
-                        acc[j] += a * b
-        out.append(acc)
+    for arow, brow in zip(A, B):
+        acc = {j: -shift * x for j, x in brow.items()} if shift else {}
+        for t, a in arow.items():
+            for j, b in B[t].items():
+                acc[j] = acc.get(j, 0) + a * b
+        out.append({j: x for j, x in acc.items() if x})
     return out
 
 
@@ -478,40 +512,82 @@ def _deflate(p, r):
     return q[::-1], value
 
 
+_ZERO = Fraction(0)
+
+
 def matrix_exp(A, param=EPS):
-    """Exact exp(param * A) for a rational matrix with rational spectrum.
+    """Exact exp(param * A) for a matrix of ints and Fractions with rational
+    spectrum.
 
     Putzer's algorithm: with the eigenvalues l_1..l_n listed with
     multiplicity, exp(tA) = sum_k r_{k+1}(t) P_k, where P_0 = I,
     P_k = (A - l_k I) P_{k-1}, r_1 = e^(l_1 t) and
     r_{k+1}(t) = e^(l_{k+1} t) int_0^t e^(-l_{k+1} s) r_k(s) ds.
     By Cayley-Hamilton P_n = 0; the sum stops at the first P_k = 0.
+
+    Each r_k is a dict {(m, l): c} for c t^m e^(l t).  The products run on
+    the integer matrix B = dA of char_poly: the eigenvalues of B are the
+    integers d l_k, so Q_k = d^k P_k = (B - d l_k I) Q_{k-1} stays integral,
+    and step k adds r_{k+1} / d^k times Q_k to the cells.  A nilpotent A
+    has every l_k = 0, each step is t^m -> t^(m+1) / (m+1), and the result
+    is the finite series sum (tA)^m / m!.
     """
     n = len(A)
-    A = [[Fraction(x) for x in row] for row in A]
-    roots = rational_eigenvalues(char_poly(A))
-    params = (param,)
+    d, B = _integer_rows(A)
+    roots = rational_eigenvalues(_char_poly(d, B))
     result = [[{} for _ in range(n)] for _ in range(n)]
-    P = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    slots = {}  # (m, l) -> its index in the cells, in first-seen order
+    Q = [{i: 1} for i in range(n)]
     r = None
+    scale = 1
     for lam in [lam for lam, m in roots.items() for _ in range(m)]:
-        grow = ExpPolynomial.term(1, 0, lam, params, param)
-        if r is None:
-            r = grow
-        else:
-            decay = ExpPolynomial.term(1, 0, -lam, params, param)
-            r = grow * (decay * r).integrate(param)
-        for i in range(n):
-            for j in range(n):
-                if P[i][j]:
-                    cell = result[i][j]
-                    for key, c in r.terms.items():
-                        cell[key] = cell.get(key, Fraction(0)) + P[i][j] * c
-        B = [[A[i][j] - (lam if i == j else 0) for j in range(n)] for i in range(n)]
-        P = _mat_mul_frac(B, P)
-        if not any(any(row) for row in P):
+        r = {(0, lam): Fraction(1)} if r is None else _putzer_step(r, lam)
+        terms = [(slots.setdefault(key, len(slots)), c / scale) for key, c in r.items()]
+        for cells, row in zip(result, Q):
+            for j, q in row.items():
+                cell = cells[j]
+                for slot, c in terms:
+                    cell[slot] = cell.get(slot, 0) + q * c
+        shift = lam.numerator * (d // lam.denominator)
+        Q = _rows_mul(B, Q, shift)
+        if not any(Q):
             break
-    return [tuple(ExpPolynomial(params, cell) for cell in row) for row in result]
+        scale *= d
+    params = (param,)
+    keys = [(_ZERO, (m,), (lam,)) for m, lam in slots]
+    return [tuple(ExpPolynomial._clean(params, {keys[slot]: c for slot, c in cell.items() if c})
+                  for cell in row) for row in result]
+
+
+def _putzer_step(r, lam):
+    """r_{k+1} from r_k = {(m, mu): c} and lam = l_{k+1}, in closed form.
+
+    With nu = mu - lam, e^(lam t) int_0^t c s^m e^(nu s) ds is
+    c t^(m+1) e^(lam t) / (m+1) when nu = 0, and otherwise
+    sum_{j<=m} c (-1)^(m-j) m!/j! t^j e^(mu t) / nu^(m-j+1) minus its
+    j = 0 coefficient times e^(lam t).
+    """
+    out = {}
+
+    def add(key, c):
+        s = out.get(key, 0) + c
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+
+    for (m, mu), c in r.items():
+        nu = mu - lam
+        if not nu:
+            add((m + 1, lam), c / (m + 1))
+            continue
+        coeff = c / nu
+        for j in range(m, 0, -1):
+            add((j, mu), coeff)
+            coeff = -coeff * j / nu
+        add((0, mu), coeff)
+        add((0, lam), -coeff)
+    return out
 
 
 def mat_mul(A, B):
@@ -652,10 +728,10 @@ class FlowMap:
 def flow(vf, param=EPS):
     """Exact flow of a vector field with affine rational coefficients.
 
-    Solves dz/dt = A z + b as z(t) = exp(tA) z0 + (int_0^t exp(sA) ds) b.
+    Solves dz/dt = A z + b as z(t) = exp(tA) z0 + (int_0^t exp(sA) ds) b;
+    only the columns j with b_j != 0 are integrated.
     """
     coords = vf.coordinates
-    n = len(coords)
     A = []
     b = []
     zero_subs = {z: ZERO for z in coords}
@@ -684,13 +760,12 @@ def flow(vf, param=EPS):
         if not expr.equal(coeff, linear):
             raise ValueError(f"coefficient {coeff} is not affine in the base variables")
     E = matrix_exp(A, param)
-    integrated = [[entry.integrate(param) for entry in row] for row in E]
+    shifts = [(j, ExpPolynomial.constant(bj, (param,))) for j, bj in enumerate(b) if bj]
     translation = []
-    for i in range(n):
+    for row in E:
         acc = ExpPolynomial.constant(0, (param,))
-        for j in range(n):
-            if b[j]:
-                acc = acc + integrated[i][j] * ExpPolynomial.constant(b[j], (param,))
+        for j, bj in shifts:
+            acc = acc + row[j].integrate(param) * bj
         translation.append(acc)
     return FlowMap(coords, E, translation)
 

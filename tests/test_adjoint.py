@@ -16,7 +16,6 @@ from liepde.adjoint import (
     EPS,
     ExpPolynomial,
     _deflate,
-    _mat_mul_frac,
     ad_exp,
     ad_matrix,
     char_poly,
@@ -165,6 +164,47 @@ class TestMatrixExp:
         p = char_poly(A)
         roots = rational_eigenvalues(p)
         assert roots == {F(2): 1, F(3): 1}
+
+
+def interpolated_char_poly(A):
+    """det(xI - A) at x = 0..n by linalg.det, interpolated by Lagrange;
+    coefficients low to high."""
+    n = len(A)
+    points = list(range(n + 1))
+    values = [linalg.det([[F(int(i == j) * x) - A[i][j] for j in range(n)]
+                          for i in range(n)]) for x in points]
+    out = [F(0)] * (n + 1)
+    for x, v in zip(points, values):
+        basis, denom = [F(1)], F(1)
+        for y in points:
+            if y != x:
+                basis = poly_mul(basis, [F(-y), F(1)])
+                denom *= x - y
+        for k, b in enumerate(basis):
+            out[k] += v * b / denom
+    return out
+
+
+def seeded_rational_matrix(rng, n):
+    """Entries n/d with |n| <= 9 and d <= 7, about a third of them zero."""
+    return [[F(0) if rng.random() < 0.3 else F(rng.randint(-9, 9), rng.randint(1, 7))
+             for _ in range(n)] for _ in range(n)]
+
+
+class TestCharPolyOracle:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_matrices(self, seed):
+        A = seeded_rational_matrix(random.Random(seed), 1 + seed % 7)
+        p = char_poly(A)
+        assert p == interpolated_char_poly(A)
+        assert all(type(x) is F for x in p)
+
+    @pytest.mark.parametrize("A", [[], [[F(0)]], [[F(-5, 7)]], [[F(0)] * 4] * 4],
+                             ids=["empty", "zero-1x1", "1x1", "zero-4x4"])
+    def test_edge_cases(self, A):
+        p = char_poly(A)
+        assert p == interpolated_char_poly(A)
+        assert all(type(x) is F for x in p)
 
 
 class TestAdMatrix:
@@ -326,6 +366,20 @@ def jordan_chevalley_exp(A, param=EPS):
     return [tuple(row) for row in result]
 
 
+def _mat_mul_frac(A, B):
+    """Product of Fraction matrices, skipping zero entries."""
+    out = []
+    for row in A:
+        acc = [Fraction(0)] * len(B[0])
+        for a, brow in zip(row, B):
+            if a:
+                for j, b in enumerate(brow):
+                    if b:
+                        acc[j] += a * b
+        out.append(acc)
+    return out
+
+
 def _spectral_projectors(A, roots):
     """The projector P_s onto each generalized eigenspace, along the others.
 
@@ -361,11 +415,20 @@ def _spectral_projectors(A, roots):
 
 def seeded_jordan_matrix(rng, n):
     """A = P (D + N) P^-1 with Jordan blocks of size <= 3 and a unimodular P."""
+    blocks = []
+    while sum(size for _, size in blocks) < n:
+        size = min(rng.randint(1, 3), n - sum(size for _, size in blocks))
+        blocks.append((rng.choice([F(0), F(1), F(-1), F(2), F(-1, 2), F(3)]), size))
+    return conjugated_jordan_matrix(rng, blocks)
+
+
+def conjugated_jordan_matrix(rng, blocks):
+    """P J P^-1 for the Jordan matrix J with the (eigenvalue, size) blocks, in
+    order, and a seeded unimodular P."""
+    n = sum(size for _, size in blocks)
     J = [[F(0)] * n for _ in range(n)]
     start = 0
-    while start < n:
-        size = min(rng.randint(1, 3), n - start)
-        lam = rng.choice([F(0), F(1), F(-1), F(2), F(-1, 2), F(3)])
+    for lam, size in blocks:
         for i in range(start, start + size):
             J[i][i] = lam
             if i + 1 < start + size:
@@ -410,6 +473,25 @@ class TestMatrixExpOracle:
 
     def test_empty_matrix(self):
         assert matrix_exp([]) == []
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_large_jordan_forms_with_thirds(self, seed):
+        # 7x7 and 8x8, two eigenvalues with denominator 3 alternating over
+        # blocks of size <= 3, so each nonzero eigenvalue that repeats does
+        # so in separate blocks
+        rng = random.Random(1000 + seed)
+        n = 7 + seed % 2
+        first = F(rng.choice([-5, -4, -2, -1, 1, 2, 4, 5]), 3)
+        lams = [first, first + rng.choice([-1, 1, 2])]
+        blocks = []
+        while sum(size for _, size in blocks) < n:
+            size = min(rng.randint(1, 3), n - sum(size for _, size in blocks))
+            blocks.append((lams[len(blocks) % 2], size))
+        A = conjugated_jordan_matrix(rng, blocks)
+        roots = rational_eigenvalues(char_poly(A))
+        assert roots == {lam: sum(s for mu, s in blocks if mu == lam) for lam in lams}
+        assert any(x.denominator == 3 for row in A for x in row)
+        assert_matches_oracle(A)
 
     def test_ad_matrices(self, algebra, borel4):
         rng = random.Random(12)

@@ -15,7 +15,9 @@ The list covers the shipped fixture at ansatz degrees 1-4 in text and JSON,
 its ``adjoint``, ``flows``, ``structure``, ``invariants --order 2``,
 ``check-generator``, ``normal-form`` and ``verify-optimal`` runs, b(4)
 ``structure --constants`` and six fixed ``normal-form`` vectors, normal
-forms on an algebra whose spectrum is near 10^12, Burgers and KdV at ansatz
+forms on an algebra whose spectrum is near 10^12, ``structure --constants``
+and two ``normal-form`` vectors on a solvable 3-dimensional algebra whose
+ad v1 is one Jordan block with eigenvalue 1/2, Burgers and KdV at ansatz
 degree 2, a two-parameter system at degrees 1-2, a Burgers-type system
 whose fractional coefficients multiply to integers at degrees 1-2, the
 heat equation at
@@ -90,6 +92,13 @@ lead d(u,t)
 """
 
 
+# [v1, v2] = v2/2 and [v1, v3] = v2 + v3/2: ad v1 is one Jordan block with
+# the eigenvalue 1/2
+JORDAN = {"dim": 3, "labels": ["v1", "v2", "v3"],
+          "brackets": [{"i": 1, "j": 2, "coeffs": [0, "1/2", 0]},
+                       {"i": 1, "j": 3, "coeffs": [0, 1, "1/2"]}]}
+
+
 def borel4():
     """Structure constants of b(4) on the units E_pq in row order."""
     pairs = [(p, q) for p in range(4) for q in range(p, 4)]
@@ -131,6 +140,7 @@ def write_inputs(folder, parent):
         "heat.pde": HEAT,
         "negative_power.pde": NEGATIVE_POWER,
         "b4.json": json.dumps(borel4(), indent=1),
+        "jordan.json": json.dumps(JORDAN),
     }
     rng = random.Random(1)
     c = 10 ** 12 + rng.randrange(1, 10 ** 6)
@@ -171,6 +181,12 @@ def write_inputs(folder, parent):
             for fmt in ([], js):
                 commands.append([*fmt, "normal-form", f"--vector={vec}",
                                  "--constants", constants])
+    for fmt in ([], js):
+        commands.append([*fmt, "structure", "--constants", "jordan.json"])
+    for vec in ("2,1,-3", "0,1/2,3"):
+        for fmt in ([], js):
+            commands.append([*fmt, "normal-form", f"--vector={vec}",
+                             "--constants", "jordan.json"])
     for name in ("burgers.pde", "kdv.pde"):
         commands.append(["--ansatz-degree", "2", "symmetries", name])
         commands.append(["--ansatz-degree", "2", *js, "symmetries", name])
