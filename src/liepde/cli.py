@@ -151,17 +151,7 @@ def _cmd_structure(args):
         out = {
             "schema": pipeline.SCHEMA_VERSION,
             "labels": list(L.labels),
-            "commutators_pretty": [
-                [
-                    L.format_vector(
-                        L.bracket_coords(
-                            pipeline._unit(L.n, i), pipeline._unit(L.n, j)
-                        )
-                    )
-                    for j in range(L.n)
-                ]
-                for i in range(L.n)
-            ],
+            "commutators_pretty": pipeline.commutators_pretty(L),
             "killing": [
                 [pipeline.jfrac(c) for c in row]
                 for row in structure.killing_form(L)
@@ -284,29 +274,12 @@ def _cmd_verify_optimal(args):
     results, collisions = optimal.verify_optimal_table(L, entries)
     out = {
         "schema": pipeline.SCHEMA_VERSION,
-        "entries": [
-            {
-                "label": r.label,
-                "dimension": r.dim,
-                "closed": r.closed,
-                "abelian": r.abelian,
-                "ideal": r.ideal,
-                "derived_intersection_dim": r.derived_intersection_dim,
-            }
-            for r in results
-        ],
+        "entries": pipeline.optimal_entries_json(results),
         "fingerprint_collisions": collisions,
     }
     if args.report == "json":
         return (json.dumps(out, indent=2) + "\n").encode()
-    lines = []
-    for r in results:
-        flags = ["closed" if r.closed else "NOT CLOSED"]
-        if r.abelian:
-            flags.append("abelian")
-        if r.ideal:
-            flags.append("ideal")
-        lines.append(f"{r.label}: dim {r.dim} [{', '.join(flags)}]")
+    lines = [pipeline.optimal_entry_text(e) for e in out["entries"]]
     return ("\n".join(lines) + "\n").encode()
 
 

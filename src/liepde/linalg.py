@@ -1,20 +1,26 @@
-"""Exact linear algebra: rational matrices, the parameter field, integer lattices.
+"""Exact linear algebra over Q and over the field of the system parameters.
 
-Three layers, all division-free of floating point:
+One sparse elimination kernel, `Echelon`, serves both fields: rows are
+dicts column -> nonzero entry, reduced once to reduced row echelon form,
+after which `Echelon.reduce` clears further vectors against them.  `rref`,
+`nullspace` and `solve` over Q and their `_param` twins are thin wrappers.
+Columns are taken left to right.  Over the parameter field the pivot is
+the first row, in the current order, whose entry has the least
+`ParamFrac.complexity()`: `ParamFrac` does not cancel common polynomial
+factors, so another path would store equal entries differently and change
+the basis vectors after `clear_denominators`.  Over Q the reduced row
+echelon form is unique, so the first candidate row serves.
 
-* plain `Fraction` matrices (reduced row echelon form, nullspace, solve),
-  used by the Lie-algebra structure machinery;
-* the field of rational functions in the system parameters: fractions of
-  `expr` polynomials in the parameter symbols, with only guaranteed-exact
-  simplification (monomial/rational content, exact division attempts);
-  used to solve determining systems whose coefficients involve parameters;
-* integer kernel lattices via unimodular column reduction, used for the
-  monomial-invariant lattice.
+The parameter field holds fractions of `expr` polynomials in the parameter
+symbols, with only guaranteed-exact simplification.  `det` and
+`integer_kernel` (unimodular column reduction, for the monomial-invariant
+lattice) keep their own loops.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from . import expr
@@ -22,63 +28,149 @@ from .errors import UnsupportedDivisionError
 
 
 # ---------------------------------------------------------------------------
-# Fraction matrices
+# The elimination kernel
 # ---------------------------------------------------------------------------
+
+class _Field:
+    """What the kernel needs of a field: `weight` ranks candidate pivots
+    (None takes the first candidate) and `coerce` turns an input entry into
+    an element."""
+
+    def __init__(self, zero, one, is_zero, inverse, weight, coerce):
+        self.zero, self.one, self.is_zero = zero, one, is_zero
+        self.inverse, self.weight, self.coerce = inverse, weight, coerce
+
+
+_RATIONALS = _Field(Fraction(0), Fraction(1), operator.not_, lambda x: 1 / x,
+                    None, Fraction)
+
+
+def _sparse(row, field):
+    """The nonzero cells of a dense row, as a dict column -> entry."""
+    zero, is_zero, coerce = field.zero, field.is_zero, field.coerce
+    return {c: coerce(x) for c, x in enumerate(row)
+            if x is not zero and not is_zero(x)}
+
+
+def _eliminate(row, c, pivot, field):
+    """Subtract row[c] times the normalised pivot row (pivot column c) from
+    `row` in place, dropping the entries that become zero."""
+    f = row[c]
+    zero, is_zero = field.zero, field.is_zero
+    for k, b in pivot.items():
+        x = row.get(k, zero) - f * b
+        if is_zero(x):
+            row.pop(k, None)
+        else:
+            row[k] = x
+
+
+class Echelon:
+    """The row space of sparse rows over one field, in reduced row echelon form.
+
+    The rows are reduced once and in place; the pivot for each column is
+    the candidate row of least `field.weight`, first in the current row
+    order, swapped into place.  `reduce` then clears further vectors.
+    """
+
+    def __init__(self, rows, ncols, field):
+        rows = list(rows)
+        weight = field.weight
+        pivots = []
+        r = 0
+        for c in range(ncols):
+            if r == len(rows):
+                break
+            candidates = [i for i in range(r, len(rows)) if c in rows[i]]
+            if not candidates:
+                continue
+            i = candidates[0] if weight is None else min(
+                candidates, key=lambda i: weight(rows[i][c]))
+            rows[r], rows[i] = rows[i], rows[r]
+            inv = field.inverse(rows[r][c])
+            pivot = rows[r] = {k: x * inv for k, x in rows[r].items()}
+            for j, row in enumerate(rows):
+                if j != r and c in row:
+                    _eliminate(row, c, pivot, field)
+            pivots.append(c)
+            r += 1
+        self.rows, self.pivots, self.field = rows[:r], pivots, field
+
+    def reduce(self, vector):
+        """The residual of a sparse vector, as a new dict: empty exactly when
+        the vector lies in the row space."""
+        v = dict(vector)
+        for row, c in zip(self.rows, self.pivots):
+            if c in v:
+                _eliminate(v, c, row, self.field)
+        return v
+
+
+def _kernel(reduced, pivots, ncols, field):
+    """Dense basis of the right kernel of an RREF, one vector per free column."""
+    zero, one = field.zero, field.one
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        v = [zero] * ncols
+        v[fc] = one
+        for prow, pc in zip(reduced, pivots):
+            if fc in prow:
+                v[pc] = -prow[fc]
+        basis.append(v)
+    return basis
+
+
+def _solve(rows, rhs, field):
+    """One solution of A x = b as a dense list, or None if inconsistent."""
+    if not rows:
+        return None
+    ncols = len(rows[0])
+    aug = [_sparse(list(row) + [b], field) for row, b in zip(rows, rhs)]
+    space = Echelon(aug, ncols + 1, field)
+    if ncols in space.pivots:
+        return None
+    x = [field.zero] * ncols
+    for prow, pc in zip(space.rows, space.pivots):
+        x[pc] = prow.get(ncols, field.zero)
+    return x
+
+
+# ---------------------------------------------------------------------------
+# Over Q
+# ---------------------------------------------------------------------------
+
+def sparse(vector):
+    """A rational vector as a dict column -> nonzero Fraction."""
+    return _sparse(vector, _RATIONALS)
+
+
+def dense(row, ncols):
+    """A sparse rational row as a tuple of `ncols` Fractions."""
+    return tuple(row.get(k, _RATIONALS.zero) for k in range(ncols))
+
+
+def row_space(rows, ncols):
+    """The `Echelon` of sparse rational rows (dicts column -> Fraction)."""
+    return Echelon(rows, ncols, _RATIONALS)
+
 
 def rref(rows):
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return [tuple(row) for row in rows[:r]], pivots
+    ncols = len(rows[0]) if rows else 0
+    space = row_space([sparse(r) for r in rows], ncols)
+    return [dense(row, ncols) for row in space.rows], space.pivots
 
 
 def nullspace(rows, ncols):
     """Basis of the right kernel of the matrix, one vector per free column."""
-    reduced, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for prow, pc in zip(reduced, pivots):
-            v[pc] = -prow[fc]
-        basis.append(tuple(v))
-    return basis
+    space = row_space([sparse(r) for r in rows], ncols)
+    return [tuple(v) for v in _kernel(space.rows, space.pivots, ncols, _RATIONALS)]
 
 
 def solve(rows, rhs):
     """One solution of A x = b, or None if inconsistent."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    reduced, pivots = rref(aug)
-    for prow, pc in zip(reduced, pivots):
-        if pc == ncols:
-            return None
-    x = [Fraction(0)] * ncols
-    for prow, pc in zip(reduced, pivots):
-        x[pc] = prow[ncols]
-    return tuple(x)
+    x = _solve(rows, rhs, _RATIONALS)
+    return None if x is None else tuple(x)
 
 
 def det(rows):
@@ -204,83 +296,33 @@ def expr_to_paramfrac(e, params):
     return ParamFrac(expr.normalize(e))
 
 
-def rref_param(rows):
-    """RREF over the parameter field; returns (rows, pivots).
+_PARAMETERS = _Field(PARAM_ZERO, ParamFrac.constant(1), ParamFrac.is_zero,
+                     ParamFrac.inverse, ParamFrac.complexity, lambda x: x)
 
-    `rows` are equal-length sequences of ParamFrac; cells that are the
-    shared PARAM_ZERO are dropped without a test.  The elimination runs on
-    sparse rows and each reduced row comes back as a dict column -> nonzero
-    entry.  Only nonzero cells are touched, but the path is the dense one:
-    columns left to right, and the pivot is the first row from `r` on, in
-    the current row order, whose entry has the least `complexity()`,
-    swapped into place.  ParamFrac does not cancel common factors, so a
-    different path would give equal entries with different representations,
-    and different basis vectors after clear_denominators.
-    """
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    rows = [
-        {c: x for c, x in enumerate(row) if x is not PARAM_ZERO and not x.is_zero()}
-        for row in rows
-    ]
-    zero = PARAM_ZERO
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        candidates = [i for i in range(r, len(rows)) if c in rows[i]]
-        if not candidates:
-            continue
-        # Prefer the structurally simplest pivot to limit growth.
-        i = min(candidates, key=lambda i: rows[i][c].complexity())
-        rows[r], rows[i] = rows[i], rows[r]
-        inv = rows[r][c].inverse()
-        pivot = rows[r] = {k: x * inv for k, x in rows[r].items()}
-        for j, row in enumerate(rows):
-            f = row.get(c)
-            if f is None or j == r:
-                continue
-            for k, b in pivot.items():
-                x = row.get(k, zero) - f * b
-                if x.is_zero():
-                    row.pop(k, None)
-                else:
-                    row[k] = x
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+
+def row_space_param(rows, ncols):
+    """The `Echelon` of sparse rows over the parameter field."""
+    return Echelon(rows, ncols, _PARAMETERS)
+
+
+def rref_param(rows):
+    """RREF of equal-length ParamFrac rows; returns (rows, pivots), each row
+    a dict column -> nonzero entry.  Shared PARAM_ZERO cells are dropped
+    without a test."""
+    ncols = len(rows[0]) if rows else 0
+    space = row_space_param([_sparse(r, _PARAMETERS) for r in rows], ncols)
+    return space.rows, space.pivots
 
 
 def nullspace_param(rows, ncols):
+    """Basis of the right kernel over the parameter field, through rref_param."""
     reduced, pivots = rref_param(rows)
-    one = ParamFrac.constant(1)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [PARAM_ZERO] * ncols
-        v[fc] = one
-        for prow, pc in zip(reduced, pivots):
-            if fc in prow:
-                v[pc] = -prow[fc]
-        basis.append(v)
-    return basis
+    return _kernel(reduced, pivots, ncols, _PARAMETERS)
 
 
 def solve_param(rows, rhs):
     """One solution of A x = b over the parameter field, or None."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    reduced, pivots = rref_param(aug)
-    if ncols in pivots:
-        return None
-    x = [PARAM_ZERO] * ncols
-    for prow, pc in zip(reduced, pivots):
-        x[pc] = prow.get(ncols, PARAM_ZERO)
-    return x
+    return _solve(rows, rhs, _PARAMETERS)
 
 
 def clear_denominators(vec, params):

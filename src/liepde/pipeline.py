@@ -252,13 +252,7 @@ def _structure_section(L, report, ref):
     out = {
         "labels": list(L.labels),
         "commutators": table,
-        "commutators_pretty": [
-            [
-                L.format_vector(L.bracket_coords(_unit(L.n, i), _unit(L.n, j)))
-                for j in range(L.n)
-            ]
-            for i in range(L.n)
-        ],
+        "commutators_pretty": commutators_pretty(L),
         "killing": [[jfrac(c) for c in row] for row in K],
         "killing_determinant": jfrac(linalg.det(K)),
         "derived_series": [_subspace_json(s) for s in derived],
@@ -289,6 +283,15 @@ def _structure_section(L, report, ref):
                 "inconsistent with its own commutator table",
             )
     return out
+
+
+def commutators_pretty(L):
+    """The commutator table [e_i, e_j] written in the algebra's labels."""
+    return [
+        [L.format_vector(L.bracket_coords(_unit(L.n, i), _unit(L.n, j)))
+         for j in range(L.n)]
+        for i in range(L.n)
+    ]
 
 
 def _unit(n, i):
@@ -475,17 +478,7 @@ def _optimal_section(L, report):
     inv = optimal.invariant_components(L)
     out = {
         "invariant_components": [L.labels[j] for j in inv],
-        "entries": [
-            {
-                "label": r.label,
-                "dimension": r.dim,
-                "closed": r.closed,
-                "abelian": r.abelian,
-                "ideal": r.ideal,
-                "derived_intersection_dim": r.derived_intersection_dim,
-            }
-            for r in results
-        ],
+        "entries": optimal_entries_json(results),
         "fingerprint_collisions": collisions,
     }
     failures = [r.label for r in results if not r.closed]
@@ -506,6 +499,31 @@ def _optimal_section(L, report):
             "the list cannot be a complete optimal system",
         )
     return out
+
+
+def optimal_entries_json(results):
+    """The JSON entries of `optimal.verify_optimal_table` results."""
+    return [
+        {
+            "label": r.label,
+            "dimension": r.dim,
+            "closed": r.closed,
+            "abelian": r.abelian,
+            "ideal": r.ideal,
+            "derived_intersection_dim": r.derived_intersection_dim,
+        }
+        for r in results
+    ]
+
+
+def optimal_entry_text(entry):
+    """One optimal-table entry as a text line: label, dimension and flags."""
+    flags = ["closed" if entry["closed"] else "NOT CLOSED"]
+    if entry["abelian"]:
+        flags.append("abelian")
+    if entry["ideal"]:
+        flags.append("ideal")
+    return f"{entry['label']}: dim {entry['dimension']} [{', '.join(flags)}]"
 
 
 # ---------------------------------------------------------------------------
@@ -626,14 +644,7 @@ def _emit_text(report):
         add("adjoint-invariant components: "
             + ", ".join(report.optimal["invariant_components"]))
         for entry in report.optimal["entries"]:
-            flags = []
-            flags.append("closed" if entry["closed"] else "NOT CLOSED")
-            if entry["abelian"]:
-                flags.append("abelian")
-            if entry["ideal"]:
-                flags.append("ideal")
-            add(f"  {entry['label']}: dim {entry['dimension']} "
-                f"[{', '.join(flags)}]")
+            add(f"  {optimal_entry_text(entry)}")
         gaps = report.optimal["one_dimensional_coverage_gaps"]
         if gaps:
             add(f"one-dimensional list does not cover: {', '.join(gaps)}")

@@ -367,8 +367,7 @@ def span_contains(fields, candidates, system):
     """Whether each candidate lies in the parameter-field span of `fields`.
 
     Returns one bool per candidate.  The coordinates of `fields` are
-    converted to the parameter field once, zeros as the shared
-    `linalg.PARAM_ZERO`.
+    reduced once; each candidate is then reduced against them.
     """
     candidates = list(candidates)
     degree = 0
@@ -381,28 +380,19 @@ def span_contains(fields, candidates, system):
     ansatz = Ansatz(system.space, degree)
     params = system.parameters
 
-    def column(coords):
-        return [
-            linalg.PARAM_ZERO if expr.is_zero(c) else linalg.expr_to_paramfrac(c, params)
-            for c in coords
-        ]
+    def row(coords):
+        return {k: linalg.expr_to_paramfrac(c, params)
+                for k, c in enumerate(coords) if not expr.is_zero(c)}
 
-    cols = []
+    rows = []
     for vf in fields:
         coords = ansatz.coordinates_of(vf)
         if coords is None:
             raise ValueError("field is not polynomial at the induced degree")
-        cols.append(column(coords))
-    rows = list(zip(*cols))
+        rows.append(row(coords))
+    span = linalg.row_space_param(rows, len(ansatz.unknowns))
     found = []
     for candidate in candidates:
         target = ansatz.coordinates_of(candidate)
-        if target is None:
-            found.append(False)
-            continue
-        rhs = column(target)
-        if cols:
-            found.append(linalg.solve_param(rows, rhs) is not None)
-        else:
-            found.append(all(f.is_zero() for f in rhs))
+        found.append(target is not None and not span.reduce(row(target)))
     return found

@@ -19,26 +19,20 @@ class Subspace:
 
     def __init__(self, algebra, vectors):
         self.algebra = algebra
-        rows = [tuple(Fraction(x) for x in v) for v in vectors]
-        reduced, pivots = linalg.rref(rows)
-        self.basis = tuple(reduced)
-        self.pivots = tuple(pivots)
+        self._space = linalg.row_space([linalg.sparse(v) for v in vectors], algebra.n)
+        self.basis = tuple(linalg.dense(row, algebra.n) for row in self._space.rows)
+        self.pivots = tuple(self._space.pivots)
 
     @property
     def dim(self):
         return len(self.basis)
 
     def contains(self, vector):
-        return not any(self.reduce_vector(vector))
+        return not self._space.reduce(linalg.sparse(vector))
 
     def reduce_vector(self, vector):
         """Residual of `vector` after eliminating the subspace basis."""
-        v = [Fraction(x) for x in vector]
-        for row, pc in zip(self.basis, self.pivots):
-            if v[pc] != 0:
-                f = v[pc]
-                v = [a - f * b for a, b in zip(v, row)]
-        return tuple(v)
+        return linalg.dense(self._space.reduce(linalg.sparse(vector)), self.algebra.n)
 
     def __eq__(self, other):
         return isinstance(other, Subspace) and self.basis == other.basis
@@ -170,9 +164,11 @@ class LieAlgebra:
         return Subspace(self, vectors)
 
     def whole(self):
-        eye = [[Fraction(1 if i == j else 0) for j in range(self.n)]
-               for i in range(self.n)]
-        return Subspace(self, eye)
+        """The algebra as a subspace of itself, built once."""
+        if "whole" not in self.memo:
+            self.memo["whole"] = Subspace(
+                self, [[int(i == j) for j in range(self.n)] for i in range(self.n)])
+        return self.memo["whole"]
 
     def format_vector(self, vec):
         parts = []
@@ -196,68 +192,50 @@ class LieAlgebra:
 def structure_constants(basis, labels=None):
     """Lie algebra spanned by the given vector fields.
 
-    Raises NotASubalgebraError (naming the offending pair) if some bracket
-    leaves the span.
+    The fields' coefficient rows B, one column per (coefficient slot,
+    monomial), are reduced once with the identity beside them, as [B | I].
+    A bracket [w | 0] reduces to [0 | -c] exactly when w = c B; any residual
+    left in the B columns means the bracket leaves the span, and raises
+    NotASubalgebraError naming the first such pair.
     """
     basis = list(basis)
     n = len(basis)
-    coords = _field_coordinates(basis)
+    index = {}
+    rows = [_field_row(vf, index, grow=True) for vf in basis]
+    width = len(index)
+    for i, row in enumerate(rows):
+        row[width + i] = Fraction(1)
+    span = linalg.row_space(rows, width + n)
     constants = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            br = field_bracket(basis[i], basis[j])
-            sol = _express_in_basis(br, basis, coords)
-            if sol is None:
+            row = _field_row(field_bracket(basis[i], basis[j]), index)
+            residual = span.reduce(row) if row is not None else None
+            if residual is None or any(k < width for k in residual):
                 raise NotASubalgebraError(
                     f"bracket of elements {i + 1} and {j + 1} is outside the span",
                     pair=(i, j),
                 )
-            for k, c in enumerate(sol):
-                constants[i][j][k] = c
-                constants[j][i][k] = -c
+            for k, c in residual.items():
+                constants[i][j][k - width] = -c
+                constants[j][i][k - width] = c
     return LieAlgebra(constants, labels=labels, realization=basis,
                       check_realization=False)
 
 
-def _field_coordinates(fields):
-    """A common rational coordinate system for polynomial vector fields.
-
-    Coordinates are indexed by (coefficient slot, monomial over every symbol
-    appearing in the coefficients).
-    """
-    keys = []
-    key_index = {}
-    rows = []
-    for vf in fields:
-        rows.append(_field_row(vf, keys, key_index))
-    width = len(keys)
-    return {
-        "keys": keys,
-        "index": key_index,
-        "rows": [row + [Fraction(0)] * (width - len(row)) for row in rows],
-    }
-
-
-def _field_row(vf, keys, key_index):
-    row = [Fraction(0)] * len(keys)
+def _field_row(vf, index, grow=False):
+    """The sparse row of a field, one column per (slot, monomial) in `index`;
+    new keys are added if `grow` is set, and otherwise give None."""
+    row = {}
     for slot, coeff in enumerate(vf.coefficients):
         for mono, c in expr.monomials(coeff):
             key = (slot, mono)
-            if key not in key_index:
-                key_index[key] = len(keys)
-                keys.append(key)
-                row.append(Fraction(0))
-            row[key_index[key]] = Fraction(c)
+            if key not in index:
+                if not grow:
+                    return None
+                index[key] = len(index)
+            row[index[key]] = Fraction(c)
     return row
-
-
-def _express_in_basis(vf, basis, coords):
-    row = _field_row(vf, coords["keys"], coords["index"])
-    width = len(coords["keys"])
-    mat = [r + [Fraction(0)] * (width - len(r)) for r in coords["rows"]]
-    row = row + [Fraction(0)] * (width - len(row))
-    cols = list(zip(*mat)) if mat else []
-    return linalg.solve(cols, row)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""The sparse parameter-field solver against the dense elimination it replaced.
+"""The sparse elimination kernel against the dense eliminations it replaced.
 
-`ParamFrac` does not cancel common polynomial factors, so two elimination
-paths that agree in value can still store different numerators and
-denominators, and `clear_denominators` then scales a basis vector by a
-spurious parameter factor.  These tests therefore compare representations,
-not only values.
+Over the parameter field, `ParamFrac` does not cancel common polynomial
+factors, so two elimination paths that agree in value can still store
+different numerators and denominators, and `clear_denominators` then
+scales a basis vector by a spurious parameter factor.  Those tests
+therefore compare representations, not only values.  Over Q the reduced
+row echelon form is unique, and the kernel must give the dense loop's rows
+and pivots exactly.
 """
 
 import random
@@ -17,8 +19,11 @@ from liepde.expr import PARAMETER, Symbol
 from liepde.linalg import (
     PARAM_ZERO,
     ParamFrac,
+    nullspace,
     nullspace_param,
+    rref,
     rref_param,
+    solve,
     solve_param,
 )
 from liepde.parser import build_system, parse_system
@@ -57,6 +62,32 @@ def dense_rref_param(rows):
         if r == len(rows):
             break
     return rows[:r], pivots
+
+
+def dense_rref(rows):
+    """Reduced row echelon form over Q; returns (rows, pivot column indices)."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return [tuple(row) for row in rows[:r]], pivots
 
 
 def random_entry(rng, density=0.4):
@@ -196,3 +227,107 @@ def test_shared_zero_cells_match_fresh_zeros(case):
         assert any(x is PARAM_ZERO for row in shared for x in row)
         assert_same_reduction(shared)
         assert_kernel(shared)
+
+
+# ---------------------------------------------------------------------------
+# Over Q
+# ---------------------------------------------------------------------------
+
+def rational_entry(rng, density=0.5):
+    if rng.random() > density:
+        return Fraction(0)
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+
+
+def rational_matrix(rng, nrows, ncols):
+    return [[rational_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def q_rank_deficient(rng):
+    rows = rational_matrix(rng, 3, 6)
+    for _ in range(3):
+        p, q = rng.sample(rows, 2)
+        f, g = rational_entry(rng, 1), rational_entry(rng, 1)
+        rows.insert(rng.randrange(len(rows) + 1), [f * x + g * y for x, y in zip(p, q)])
+    return rows
+
+
+def q_duplicate(rng):
+    rows = rational_matrix(rng, 4, 5)
+    rows += [list(rows[rng.randrange(4)]) for _ in range(3)]
+    rng.shuffle(rows)
+    return rows
+
+
+def q_zero(rng):
+    ncols = rng.randint(1, 5)
+    return [[Fraction(0)] * ncols for _ in range(rng.randint(1, 4))]
+
+
+Q_CASES = {
+    "rank_deficient": q_rank_deficient,
+    "duplicate": q_duplicate,
+    "zero": q_zero,
+    "wide": lambda rng: rational_matrix(rng, 3, 9),
+    "tall": lambda rng: rational_matrix(rng, 10, 4),
+    "square": lambda rng: rational_matrix(rng, 6, 6),
+    "integer": lambda rng: [[int(x) for x in row]
+                            for row in rational_matrix(rng, 5, 5)],
+}
+
+
+def assert_same_rational_reduction(rows):
+    reduced, pivots = rref(rows)
+    expected, expected_pivots = dense_rref(rows)
+    assert pivots == expected_pivots
+    assert reduced == expected
+    assert all(type(x) is Fraction for row in reduced for x in row)
+    return reduced, pivots
+
+
+@pytest.mark.parametrize("case", sorted(Q_CASES))
+def test_rational_kernel_matches_dense_elimination(case):
+    rng = random.Random(f"rref-q-{case}")
+    for _ in range(15):
+        rows = Q_CASES[case](rng)
+        ncols = len(rows[0])
+        reduced, pivots = assert_same_rational_reduction(rows)
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
+        assert assert_same_rational_reduction(shuffled) == (reduced, pivots)
+        kernel = nullspace(rows, ncols)
+        assert len(kernel) == ncols - len(pivots)
+        for v in kernel:
+            assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in rows)
+        if case == "zero":
+            assert (reduced, pivots) == ([], [])
+
+
+def test_rational_kernel_on_empty_matrices():
+    assert rref([]) == dense_rref([]) == ([], [])
+    assert nullspace([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert solve([], []) is None
+
+
+def test_solve_detects_inconsistent_systems():
+    rng = random.Random("solve-q")
+    for _ in range(20):
+        rows = q_rank_deficient(rng)
+        x = [rational_entry(rng, 1) for _ in range(len(rows[0]))]
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+        y = solve(rows, rhs)
+        assert y is not None
+        assert [sum(a * b for a, b in zip(row, y)) for row in rows] == rhs
+        # rank 3 among 6 rows: some rhs outside the column space exists
+        reduced, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)])
+        assert len(pivots) <= 3
+        for k in range(len(rows)):
+            bad = list(rhs)
+            bad[k] += 1
+            if len(rref([list(row) + [b] for row, b in zip(rows, bad)])[1]) > len(pivots):
+                assert solve(rows, bad) is None
+                break
+        else:
+            pytest.fail("no inconsistent right-hand side found")
+    assert solve([[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]],
+                 [Fraction(1), Fraction(3)]) is None

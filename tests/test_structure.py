@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import borel_algebra
-from liepde import linalg, reference, structure
+from liepde import expr, linalg, parser, reference, structure
 from liepde.errors import NotASubalgebraError
 from liepde.fields import VectorField, bracket
+from liepde.prolongation import build_determining, solve_determining
 from liepde.reference import COMMUTATOR_TABLE, KILLING_FORM
 from liepde.structure import (
     LieAlgebra,
@@ -26,6 +27,9 @@ from liepde.structure import (
     structure_constants,
     subalgebra_check,
 )
+
+from test_determining import BURGERS_SYSTEM, HEAT_SYSTEM, KDV_SYSTEM
+from test_linalg import dense_rref
 
 F = Fraction
 
@@ -342,3 +346,81 @@ class TestSparseTableOracle:
                 assert sparse == dense
                 rejected += dense is not None
         assert rejected >= 85
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-bracket dense solve that the one [B | I] reduction in
+# structure_constants replaced.
+# ---------------------------------------------------------------------------
+
+def per_bracket_constants(basis):
+    """Structure constants by one dense solve per bracket; raises
+    NotASubalgebraError on the first pair whose bracket leaves the span."""
+    keys = {}
+
+    def row(vf):
+        out = {}
+        for slot, coeff in enumerate(vf.coefficients):
+            for mono, c in expr.monomials(coeff):
+                out[keys.setdefault((slot, mono), len(keys))] = F(c)
+        return out
+
+    n = len(basis)
+    rows = [row(vf) for vf in basis]
+    constants = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            target = row(bracket(basis[i], basis[j]))
+            # one equation per coordinate; the unknowns are the coefficients
+            aug = [[r.get(key, F(0)) for r in rows] + [target.get(key, F(0))]
+                   for key in range(len(keys))]
+            reduced, pivots = dense_rref(aug)
+            if n in pivots:
+                raise NotASubalgebraError("outside the span", pair=(i, j))
+            for prow, pc in zip(reduced, pivots):
+                constants[i][j][pc] = prow[n]
+                constants[j][i][pc] = -prow[n]
+    return constants
+
+
+def computed_basis(text, degree):
+    _, system = parser.build_system(parser.parse_system(text))
+    return solve_determining(build_determining(system, degree))
+
+
+@pytest.mark.parametrize("name, degree", [
+    ("fixture", 1), ("fixture", 2), ("fixture", 3), ("burgers", 2), ("kdv", 2),
+])
+def test_structure_constants_match_per_bracket_solve(name, degree):
+    text = {"fixture": reference.fixture_text(), "burgers": BURGERS_SYSTEM,
+            "kdv": KDV_SYSTEM}[name]
+    basis = computed_basis(text, degree)
+    L = structure_constants(basis)
+    expected = per_bracket_constants(basis)
+    assert L.constants == tuple(tuple(tuple(p) for p in plane) for plane in expected)
+    assert any(c for plane in expected for row in plane for c in row)
+
+
+def test_bracket_inside_the_coordinates_but_outside_the_span(golden):
+    # [d/dx + d/dy, x d/dx] = d/dx: its one (slot, monomial) column occurs in
+    # the basis, so only the reduction can tell that d/dx is not in the span
+    space = golden[0]
+    x = space.independent[0]
+    Z, one = expr.ZERO, expr.ONE
+    basis = [VectorField(space, (one, one), (Z, Z, Z)),
+             VectorField(space, (x, Z), (Z, Z, Z))]
+    with pytest.raises(NotASubalgebraError) as oracle:
+        per_bracket_constants(basis)
+    with pytest.raises(NotASubalgebraError) as err:
+        structure_constants(basis)
+    assert err.value.pair == oracle.value.pair == (0, 1)
+
+
+def test_heat_equation_names_the_same_first_pair():
+    basis = computed_basis(HEAT_SYSTEM, 2)
+    with pytest.raises(NotASubalgebraError) as oracle:
+        per_bracket_constants(basis)
+    with pytest.raises(NotASubalgebraError) as err:
+        structure_constants(basis)
+    assert err.value.pair == oracle.value.pair == (6, 7)
+    assert str(err.value) == "bracket of elements 7 and 8 is outside the span"

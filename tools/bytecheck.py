@@ -13,19 +13,20 @@ identical and 1 otherwise.
 
 The list covers the shipped fixture at ansatz degrees 1-4 in text and JSON,
 its ``adjoint``, ``flows``, ``structure``, ``invariants --order 2``,
-``check-generator``, ``normal-form`` and ``verify-optimal`` runs, b(4)
-``structure --constants`` and six fixed ``normal-form`` vectors, normal
-forms on an algebra whose spectrum is near 10^12, ``structure --constants``
-and two ``normal-form`` vectors on a solvable 3-dimensional algebra whose
-ad v1 is one Jordan block with eigenvalue 1/2, Burgers and KdV at ansatz
-degree 2, a two-parameter system at degrees 1-2, a Burgers-type system
-whose fractional coefficients multiply to integers at degrees 1-2, the
-heat equation at
-degrees 1-2 (degree 2 exits 1: its span does not close under the bracket),
-a system whose equation divides by an independent variable (exit 1), and
-three normal forms with the prime 10^24 + 7 as an eigenvalue or a
-component.  The optimal table for ``verify-optimal`` is the one bundled
-with PARENT_TREE.
+``check-generator``, ``normal-form`` and ``verify-optimal`` runs, the
+fixture's computed algebra (``--reference off symmetries``) at degrees 1-2
+in text and JSON, b(4) ``structure --constants`` and six fixed
+``normal-form`` vectors, normal forms on an algebra whose spectrum is near
+10^12, ``structure --constants`` and two ``normal-form`` vectors on a
+solvable 3-dimensional algebra whose ad v1 is one Jordan block with
+eigenvalue 1/2, Burgers and KdV at ansatz degree 2 (and ``structure`` on
+Burgers in text and JSON), a two-parameter system at degrees 1-2, a
+Burgers-type system whose fractional coefficients multiply to integers at
+degrees 1-2, the heat equation at degrees 1-2 (degree 2 exits 1: its span
+does not close under the bracket), a system whose equation divides by an
+independent variable (exit 1), and three normal forms with the prime
+10^24 + 7 as an eigenvalue or a component.  The optimal table for
+``verify-optimal`` is the one bundled with PARENT_TREE.
 """
 
 from __future__ import annotations
@@ -160,6 +161,11 @@ def write_inputs(folder, parent):
     for degree in (1, 2, 3, 4):
         commands.append(["--ansatz-degree", str(degree), "symmetries"])
         commands.append(["--ansatz-degree", str(degree), *js, "symmetries"])
+    # the computed algebra's structure, adjoint and optimal sections
+    for degree in ("1", "2"):
+        for fmt in ([], js):
+            commands.append(["--reference", "off", "--ansatz-degree", degree, *fmt,
+                             "symmetries"])
     for fmt in ([], js):
         commands += [
             [*fmt, "adjoint"],
@@ -190,6 +196,8 @@ def write_inputs(folder, parent):
     for name in ("burgers.pde", "kdv.pde"):
         commands.append(["--ansatz-degree", "2", "symmetries", name])
         commands.append(["--ansatz-degree", "2", *js, "symmetries", name])
+    for fmt in ([], js):
+        commands.append(["--ansatz-degree", "2", *fmt, "structure", "burgers.pde"])
     for name in ("two_parameter.pde", "mixed.pde"):
         for degree in ("1", "2"):
             commands.append(["--ansatz-degree", degree, "symmetries", name])
