@@ -13,7 +13,11 @@ part of the workbench is independently scriptable:
     liepde normal-form --vector "1,0,0,1,0" system.pde
     liepde verify-optimal --file table.json system.pde
 
-Exit code 0 means no module error; discrepancy notes never fail a run.
+`symmetries`, `adjoint`, `flows`, `invariants` and `structure` without
+`--constants` print the full pipeline report.  Every command builds one
+document and prints it with `pipeline.emit`: as it stands with `--report
+json`, else as text rendered from it.  Exit code 0 means no module error;
+discrepancy notes never fail a run.
 """
 
 from __future__ import annotations
@@ -93,7 +97,7 @@ def _build_parser():
     p.add_argument("--constants", help="structure-constants JSON document")
     add("adjoint", _cmd_full_report)
     add("flows", _cmd_full_report)
-    p = add("invariants", _cmd_invariants)
+    p = add("invariants", _cmd_full_report)
     p.add_argument("--order", type=int, default=1)
     p = add("check-generator", _cmd_check_generator)
     p.add_argument("--field", required=True,
@@ -123,54 +127,41 @@ def _use_reference(args):
     return {"auto": None, "on": True, "off": False}[args.reference]
 
 
-def _run(args, invariant_order=1):
-    doc = _load_document(args)
-    return pipeline.run_pipeline(
-        doc,
+def _cmd_full_report(args):
+    report = pipeline.run_pipeline(
+        _load_document(args),
         ansatz_degree=args.ansatz_degree,
-        invariant_order=invariant_order,
+        invariant_order=getattr(args, "order", 1),
         use_reference=_use_reference(args),
     )
-
-
-def _cmd_full_report(args):
-    report = _run(args)
-    return pipeline.emit(report, args.report)
-
-
-def _cmd_invariants(args):
-    report = _run(args, invariant_order=args.order)
     return pipeline.emit(report, args.report)
 
 
 def _cmd_structure(args):
-    if getattr(args, "constants", None):
-        with open(args.constants, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        L = structure.algebra_from_json(doc)
-        out = {
-            "schema": pipeline.SCHEMA_VERSION,
-            "labels": list(L.labels),
-            "commutators_pretty": pipeline.commutators_pretty(L),
-            "killing": [
-                [pipeline.jfrac(c) for c in row]
-                for row in structure.killing_form(L)
-            ],
-            "solvable": structure.is_solvable(L),
-            "semisimple": structure.is_semisimple(L),
-            "derived_dimensions": [
-                s.dim for s in structure.derived_series(L)
-            ],
-        }
-        if args.report == "json":
-            return (json.dumps(out, indent=2) + "\n").encode()
-        lines = [f"algebra on {', '.join(out['labels'])}"]
-        for label, row in zip(out["labels"], out["commutators_pretty"]):
-            lines.append(f"  {label}: " + "  ".join(row))
-        lines.append(f"solvable: {out['solvable']}  semisimple: {out['semisimple']}")
-        lines.append("derived dims: " + " > ".join(map(str, out["derived_dimensions"])))
-        return ("\n".join(lines) + "\n").encode()
-    return _cmd_full_report(args)
+    if not args.constants:
+        return _cmd_full_report(args)
+    L = _algebra_for(args)
+    out = {
+        "schema": pipeline.SCHEMA_VERSION,
+        "labels": list(L.labels),
+        "commutators_pretty": pipeline.commutators_pretty(L),
+        "killing": [
+            [pipeline.jfrac(c) for c in row]
+            for row in structure.killing_form(L)
+        ],
+        "solvable": structure.is_solvable(L),
+        "semisimple": structure.is_semisimple(L),
+        "derived_dimensions": [
+            s.dim for s in structure.derived_series(L)
+        ],
+    }
+    return pipeline.emit(out, args.report, lambda out: [
+        f"algebra on {', '.join(out['labels'])}",
+        *(f"  {label}: " + "  ".join(row)
+          for label, row in zip(out["labels"], out["commutators_pretty"])),
+        f"solvable: {out['solvable']}  semisimple: {out['semisimple']}",
+        "derived dims: " + " > ".join(map(str, out["derived_dimensions"])),
+    ])
 
 
 def _cmd_check_generator(args):
@@ -186,23 +177,22 @@ def _cmd_check_generator(args):
     coeffs = [parser.parse_expression(p, doc) for p in pieces]
     vf = VectorField(space, tuple(coeffs[: space.p]), tuple(coeffs[space.p:]))
     residuals = symmetry_residual(vf, system)
-    ok = all(expr.is_zero(r) for r in residuals)
     out = {
         "schema": pipeline.SCHEMA_VERSION,
         "field": pipeline.field_json(vf, space),
         "residuals": [expr.render(r) for r in residuals],
-        "is_symmetry": ok,
+        "is_symmetry": all(expr.is_zero(r) for r in residuals),
     }
-    if args.report == "json":
-        return (json.dumps(out, indent=2) + "\n").encode()
-    lines = [f"field: {vf}"]
-    for eq, r in zip(system.equations, residuals):
-        lines.append(f"  residual of [{expr.render(eq)} = 0]: {r}")
-    lines.append(f"symmetry: {ok}")
-    return ("\n".join(lines) + "\n").encode()
+    return pipeline.emit(out, args.report, lambda out: [
+        f"field: {vf}",
+        *(f"  residual of [{expr.render(eq)} = 0]: {r}"
+          for eq, r in zip(system.equations, residuals)),
+        f"symmetry: {out['is_symmetry']}",
+    ])
 
 
 def _algebra_for(args):
+    """The algebra of `--constants`, else the one `pipeline` analyses."""
     if getattr(args, "constants", None):
         with open(args.constants, encoding="utf-8") as fh:
             return structure.algebra_from_json(json.load(fh))
@@ -211,17 +201,7 @@ def _algebra_for(args):
     if report_ref is None:
         report_ref = pipeline.detect_reference(doc)
     space, system = parser.build_system(doc)
-    if report_ref:
-        gens = reference.generators(space)
-        return structure.structure_constants(
-            gens, labels=[f"v{i + 1}" for i in range(5)]
-        )
-    from .prolongation import build_determining, solve_determining
-
-    basis = solve_determining(build_determining(system, args.ansatz_degree))
-    return structure.structure_constants(
-        basis, labels=[f"g{i + 1}" for i in range(len(basis))]
-    )
+    return pipeline.analysed_algebra(space, system, report_ref, args.ansatz_degree)
 
 
 def _cmd_normal_form(args):
@@ -248,17 +228,13 @@ def _cmd_normal_form(args):
             for s in r.steps
         ],
     }
-    if args.report == "json":
-        return (json.dumps(out, indent=2) + "\n").encode()
-    lines = [
+    return pipeline.emit(out, args.report, lambda out: [
         f"input:  {L.format_vector(r.input)}",
         f"output: {out['output_pretty']}" + ("  (negated)" if r.negated else ""),
         f"fingerprint ({', '.join(out['fingerprint_components'])}): "
         f"({', '.join(out['fingerprint'])})",
-    ]
-    for s in r.steps:
-        lines.append(f"  step: {s.describe(L)} -> {L.format_vector(s.after)}")
-    return ("\n".join(lines) + "\n").encode()
+        *(f"  step: {s.describe(L)} -> {L.format_vector(s.after)}" for s in r.steps),
+    ])
 
 
 def _cmd_verify_optimal(args):
@@ -277,10 +253,9 @@ def _cmd_verify_optimal(args):
         "entries": pipeline.optimal_entries_json(results),
         "fingerprint_collisions": collisions,
     }
-    if args.report == "json":
-        return (json.dumps(out, indent=2) + "\n").encode()
-    lines = [pipeline.optimal_entry_text(e) for e in out["entries"]]
-    return ("\n".join(lines) + "\n").encode()
+    return pipeline.emit(out, args.report, lambda out: [
+        pipeline.optimal_entry_text(e) for e in out["entries"]
+    ])
 
 
 if __name__ == "__main__":

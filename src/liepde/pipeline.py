@@ -1,11 +1,16 @@
-"""Full analysis pipeline and report emission.
+"""Full analysis pipeline, its report document and emission.
 
 `run_pipeline` drives the modules in order -- symmetries, structure,
 adjoint, flows, invariants, similarity, optimal-system verification -- and
-assembles an AnalysisReport.  When a reference bundle is supplied (the
-shipped boundary-layer corpus, or automatic detection of the shipped
-fixture), every computed table is compared against the baseline and known
-deltas are emitted as discrepancy notes; notes never fail the run.
+returns the report document: a dict with the keys `schema, system,
+options, generators, determining, structure, adjoint, flows, invariants,
+similarity, notes` in that order, then `reference_check`, `composite` and
+`optimal` when present.  With the reference on (the shipped boundary-layer
+corpus, on request or detected for the shipped fixture) the algebra
+sections analyse the baseline's v1..v5 and compare every table against it;
+known deltas become `{"anchor", "detail"}` notes, which never fail the run.
+Otherwise they analyse the computed basis g1..gn (`analysed_algebra`).
+`emit` writes any document as JSON, or as text rendered from it.
 """
 
 from __future__ import annotations
@@ -22,66 +27,6 @@ from .prolongation import build_determining, solve_determining, span_contains, s
 SCHEMA_VERSION = 1
 
 EPS_SYMBOL = Symbol(EPS, GROUP)
-
-
-class Note:
-    """Discrepancy note: a stable anchor slug plus free-form detail."""
-
-    def __init__(self, anchor, detail):
-        self.anchor = anchor
-        self.detail = detail
-
-    def as_json(self):
-        return {"anchor": self.anchor, "detail": self.detail}
-
-    def __str__(self):
-        return f"[{self.anchor}] {self.detail}"
-
-
-class AnalysisReport:
-    """Aggregated results of one pipeline run."""
-
-    def __init__(self):
-        self.system = {}
-        self.options = {}
-        self.generators = []
-        self.determining = {}
-        self.reference_check = None
-        self.structure = {}
-        self.adjoint = {}
-        self.flows = []
-        self.composite = None
-        self.invariants = {}
-        self.similarity = []
-        self.optimal = None
-        self.notes = []
-
-    def note(self, anchor, detail):
-        self.notes.append(Note(anchor, detail))
-
-    # -- serialization ---------------------------------------------------------
-
-    def as_json(self):
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "system": self.system,
-            "options": self.options,
-            "generators": self.generators,
-            "determining": self.determining,
-            "structure": self.structure,
-            "adjoint": self.adjoint,
-            "flows": self.flows,
-            "invariants": self.invariants,
-            "similarity": self.similarity,
-            "notes": [n.as_json() for n in self.notes],
-        }
-        if self.reference_check is not None:
-            doc["reference_check"] = self.reference_check
-        if self.composite is not None:
-            doc["composite"] = self.composite
-        if self.optimal is not None:
-            doc["optimal"] = self.optimal
-        return doc
 
 
 def jfrac(x):
@@ -121,20 +66,31 @@ def detect_reference(doc):
         return False
 
 
+def analysed_algebra(space, system, ref, ansatz_degree, basis=None):
+    """Structure constants of the algebra that the report analyses.
+
+    With the reference on (`ref` true), that is the baseline's v1..v5;
+    otherwise the computed basis g1..gn: `basis` when given, else the
+    solution of the determining system at `ansatz_degree`.
+    """
+    if ref:
+        gens, prefix = reference.generators(space), "v"
+    else:
+        if basis is None:
+            basis = solve_determining(build_determining(system, ansatz_degree))
+        gens, prefix = basis, "g"
+    return structure.structure_constants(
+        list(gens), labels=[f"{prefix}{i + 1}" for i in range(len(gens))]
+    )
+
+
 def run_pipeline(doc, ansatz_degree=1, invariant_order=1, use_reference=None):
     """Execute every analysis stage on a parsed system document.
 
     `use_reference` may be True, False, or None (auto-detect the shipped
-    fixture).  Returns an AnalysisReport.
+    fixture).  Returns the report document (see the module docstring).
     """
-    report = AnalysisReport()
-    report.options = {
-        "ansatz_degree": ansatz_degree,
-        "invariant_order": invariant_order,
-    }
-    if use_reference is None:
-        use_reference = detect_reference(doc)
-    ref = use_reference
+    ref = detect_reference(doc) if use_reference is None else use_reference
 
     def stage(name, fn, *args, **kwargs):
         try:
@@ -143,24 +99,38 @@ def run_pipeline(doc, ansatz_degree=1, invariant_order=1, use_reference=None):
             raise PipelineError(name, exc) from exc
 
     space, system = stage("system", parser.build_system, doc)
-    if ref and (space.p, space.q) != (2, 3):
-        raise PipelineError(
-            "system",
-            LiepdeError(
-                "reference comparison needs the boundary-layer shape "
-                "(2 independent, 3 dependent variables)"
-            ),
-        )
-    report.system = {
-        "independent": [s.name for s in space.independent],
-        "dependent": [s.name for s in space.dependent],
-        "parameters": [s.name for s in system.parameters],
-        "equations": [expr.render(e) for e in system.equations],
-        "leads": [lead.name for lead, _ in system.solved],
-        "order": space.max_order,
+    ref_gens = stage("system", reference.generators, space) if ref else None
+    notes = []
+
+    def note(anchor, detail):
+        notes.append({"anchor": anchor, "detail": detail})
+
+    report = {
+        "schema": SCHEMA_VERSION,
+        "system": {
+            "independent": [s.name for s in space.independent],
+            "dependent": [s.name for s in space.dependent],
+            "parameters": [s.name for s in system.parameters],
+            "equations": [expr.render(e) for e in system.equations],
+            "leads": [lead.name for lead, _ in system.solved],
+            "order": space.max_order,
+        },
+        "options": {
+            "ansatz_degree": ansatz_degree,
+            "invariant_order": invariant_order,
+        },
+        # filled in below; listed here to fix the key order
+        "generators": [],
+        "determining": {},
+        "structure": {},
+        "adjoint": {},
+        "flows": [],
+        "invariants": {},
+        "similarity": [],
+        "notes": notes,
     }
     if ref:
-        report.note(
+        note(
             "reference:boundary-layer/advection-term",
             "the shipped fixture uses the standard advection term v*d(u,y); "
             "the baseline prints v*d(v,y), whose system does not admit all "
@@ -170,7 +140,7 @@ def run_pipeline(doc, ansatz_degree=1, invariant_order=1, use_reference=None):
     # --- symmetries ---------------------------------------------------------
     ds = stage("determining", build_determining, system, ansatz_degree)
     basis = stage("determining", solve_determining, ds)
-    report.determining = {
+    report["determining"] = {
         "unknowns": len(ds.ansatz.unknowns),
         "equations_raw": ds.raw_count,
         "equations_deduped": ds.deduped_count,
@@ -182,24 +152,22 @@ def run_pipeline(doc, ansatz_degree=1, invariant_order=1, use_reference=None):
         # solve_determining has checked that every residual is zero.
         entry["residuals"] = [expr.render(expr.ZERO)] * len(system.equations)
         entry["residual_zero"] = True
-        report.generators.append(entry)
+        report["generators"].append(entry)
 
-    ref_gens = None
     if ref:
-        ref_gens = reference.generators(space)
         contains = {}
         members = span_contains(basis, ref_gens, system)
         for i, (g, member) in enumerate(zip(ref_gens, members)):
             zero = all(expr.is_zero(r) for r in symmetry_residual(g, system))
             contains[f"v{i + 1}"] = {"in_span": member, "residual_zero": zero}
-        report.reference_check = {
+        report["reference_check"] = {
             "contains": contains,
             "reference_dimension": 5,
             "computed_dimension": len(basis),
         }
         if len(basis) != 5:
             extra = reference.extra_generator(space)
-            report.note(
+            note(
                 "reference:boundary-layer/symmetry-dimension",
                 f"computed nullspace dimension {len(basis)} exceeds the baseline "
                 f"count 5; the span also contains {extra} (zero residual, "
@@ -207,76 +175,65 @@ def run_pipeline(doc, ansatz_degree=1, invariant_order=1, use_reference=None):
             )
 
     # --- structure ------------------------------------------------------------
-    struct_basis = list(ref_gens) if ref else list(basis)
-    labels = [f"v{i + 1}" for i in range(len(struct_basis))] if ref else [
-        f"g{i + 1}" for i in range(len(struct_basis))
-    ]
-    L = None
-    try:
-        L = structure.structure_constants(struct_basis, labels=labels)
-    except LiepdeError as exc:
-        raise PipelineError("structure", exc) from exc
-    report.structure = _structure_section(L, report, ref)
+    L = stage("structure", analysed_algebra, space, system, ref, ansatz_degree, basis)
+    report["structure"] = _structure_section(L, note, ref)
 
     # --- adjoint ----------------------------------------------------------------
-    report.adjoint = _adjoint_section(L, report, ref)
+    report["adjoint"] = _adjoint_section(L, note, ref)
 
     # --- flows -------------------------------------------------------------------
-    report.flows, report.composite = _flow_section(L, space, report, ref)
+    report["flows"], composite = _flow_section(L, space, note, ref)
+    if composite is not None:
+        report["composite"] = composite
 
     # --- invariants ----------------------------------------------------------------
-    report.invariants = stage(
-        "invariants", _invariant_section, L, space, invariant_order, report, ref
+    report["invariants"] = stage(
+        "invariants", _invariant_section, L, space, invariant_order, note, ref
     )
 
     # --- similarity -------------------------------------------------------------------
-    report.similarity = _similarity_section(L, report)
+    report["similarity"] = _similarity_section(L)
 
     # --- optimal-system verification ------------------------------------------------
     if ref:
-        report.optimal = _optimal_section(L, report)
+        report["optimal"] = _optimal_section(L, note)
     return report
 
 
-def _structure_section(L, report, ref):
-    table = [
-        [
-            [jfrac(c) for c in L.bracket_coords(_unit(L.n, i), _unit(L.n, j))]
-            for j in range(L.n)
-        ]
-        for i in range(L.n)
-    ]
+def _structure_section(L, note, ref):
     K = structure.killing_form(L)
+    determinant = linalg.det(K)
     derived = structure.derived_series(L)
     lower = structure.lower_central_series(L)
     out = {
         "labels": list(L.labels),
-        "commutators": table,
+        "commutators": [[[jfrac(c) for c in cell] for cell in row]
+                        for row in L.constants],
         "commutators_pretty": commutators_pretty(L),
         "killing": [[jfrac(c) for c in row] for row in K],
-        "killing_determinant": jfrac(linalg.det(K)),
+        "killing_determinant": jfrac(determinant),
         "derived_series": [_subspace_json(s) for s in derived],
         "lower_central_series": [_subspace_json(s) for s in lower],
-        "solvable": structure.is_solvable(L),
-        "nilpotent": structure.is_nilpotent(L),
-        "semisimple": structure.is_semisimple(L),
+        # is_solvable, is_nilpotent and is_semisimple, read off the above
+        "solvable": derived[-1].dim == 0,
+        "nilpotent": lower[-1].dim == 0,
+        "semisimple": determinant != 0,
         "center": _subspace_json(structure.center(L)),
         "radical": _subspace_json(structure.radical(L)),
     }
     if ref:
         match_comm = all(
-            tuple(L.bracket_coords(_unit(L.n, i), _unit(L.n, j)))
-            == reference.COMMUTATOR_TABLE[i][j]
+            L.constants[i][j] == reference.COMMUTATOR_TABLE[i][j]
             for i in range(5)
             for j in range(5)
         )
         match_killing = tuple(tuple(row) for row in K) == reference.KILLING_FORM
         out["matches_reference_commutators"] = match_comm
         out["matches_reference_killing"] = match_killing
-        dims = tuple(s.dim for s in structure.derived_series(L))
+        dims = tuple(s.dim for s in derived)
         out["derived_dimensions"] = list(dims)
         if dims == reference.EXPECTED_DERIVED_DIMS:
-            report.note(
+            note(
                 "reference:boundary-layer/derived-series",
                 "the exact derived series is g > span{v1,v2,v3} > 0; the "
                 "baseline prints the chain <v1..v5> > <v1,v2,2*v3>, which is "
@@ -287,24 +244,14 @@ def _structure_section(L, report, ref):
 
 def commutators_pretty(L):
     """The commutator table [e_i, e_j] written in the algebra's labels."""
-    return [
-        [L.format_vector(L.bracket_coords(_unit(L.n, i), _unit(L.n, j)))
-         for j in range(L.n)]
-        for i in range(L.n)
-    ]
-
-
-def _unit(n, i):
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
-    return tuple(v)
+    return [[L.format_vector(cell) for cell in row] for row in L.constants]
 
 
 def _subspace_json(s):
     return [[jfrac(c) for c in row] for row in s.basis]
 
 
-def _adjoint_section(L, report, ref):
+def _adjoint_section(L, note, ref):
     matrices = []
     deltas = {}
     for i in range(L.n):
@@ -321,7 +268,7 @@ def _adjoint_section(L, report, ref):
             if diff:
                 deltas[i] = diff
                 positions = ", ".join(f"({r + 1},{c + 1})" for r, c in diff)
-                report.note(
+                note(
                     f"reference:boundary-layer/adjoint-matrix-{i + 1}",
                     f"the Lie-series adjoint matrix of {L.labels[i]} differs "
                     f"from the baseline at {positions}; the baseline entry is "
@@ -343,7 +290,7 @@ def _baseline_exppoly(entry):
     return ExpPolynomial.term(c, m, k)
 
 
-def _flow_section(L, space, report, ref):
+def _flow_section(L, space, note, ref):
     flows_out = []
     flow_maps = []
     syms = {EPS: EPS_SYMBOL}
@@ -390,7 +337,7 @@ def _flow_section(L, space, report, ref):
         }
         mismatched = [name for name, d in diff.items() if d != "0"]
         if mismatched:
-            report.note(
+            note(
                 "reference:boundary-layer/composite-transform",
                 "the composed five-flow transform differs from the baseline "
                 f"composite in {', '.join(mismatched)}; the baseline composite "
@@ -400,7 +347,7 @@ def _flow_section(L, space, report, ref):
     return flows_out, composite
 
 
-def _invariant_section(L, space, order, report, ref):
+def _invariant_section(L, space, order, note, ref):
     usable = []
     skipped = []
     for i in range(L.n):
@@ -444,7 +391,7 @@ def _invariant_section(L, space, order, report, ref):
                     failures.append(label)
             out[f"baseline_table_{L.labels[gen_idx]}"] = results
             if failures:
-                report.note(
+                note(
                     f"reference:boundary-layer/invariant-table-{L.labels[gen_idx]}",
                     f"baseline invariant-table entries not annihilated by "
                     f"{L.labels[gen_idx]}: {', '.join(failures)}",
@@ -452,7 +399,7 @@ def _invariant_section(L, space, order, report, ref):
     return out
 
 
-def _similarity_section(L, report):
+def _similarity_section(L):
     out = []
     for i in range(L.n):
         vf = L.realization[i]
@@ -472,7 +419,7 @@ def _similarity_section(L, report):
     return out
 
 
-def _optimal_section(L, report):
+def _optimal_section(L, note):
     entries = reference.optimal_table_entries()
     results, collisions = optimal.verify_optimal_table(L, entries)
     inv = optimal.invariant_components(L)
@@ -483,7 +430,7 @@ def _optimal_section(L, report):
     }
     failures = [r.label for r in results if not r.closed]
     if failures:
-        report.note(
+        note(
             "reference:boundary-layer/optimal-2d-closure",
             "baseline subalgebra entries that do not close under the bracket: "
             + "; ".join(failures),
@@ -492,7 +439,7 @@ def _optimal_section(L, report):
     gaps = optimal.coverage_gaps(L, reps)
     out["one_dimensional_coverage_gaps"] = gaps
     if gaps:
-        report.note(
+        note(
             "reference:boundary-layer/optimal-1d-coverage",
             "the baseline one-dimensional representative list covers no "
             f"direction with nonzero invariant components ({', '.join(gaps)}); "
@@ -530,73 +477,79 @@ def optimal_entry_text(entry):
 # Emission
 # ---------------------------------------------------------------------------
 
-def emit(report, fmt="text"):
-    """Render a report as bytes ('text' or 'json'), deterministically."""
+def emit(doc, fmt="text", lines=None):
+    """Render a document as bytes, deterministically.
+
+    'json' encodes `doc` as it stands; 'text' joins the lines that
+    `lines(doc)` returns, by default `report_lines` for a report document.
+    """
     if fmt == "json":
-        return (json.dumps(report.as_json(), indent=2, sort_keys=False) + "\n").encode()
+        return (json.dumps(doc, indent=2, sort_keys=False) + "\n").encode()
     if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")
-    return _emit_text(report).encode()
+    return ("\n".join((lines or report_lines)(doc)) + "\n").encode()
 
 
-def _emit_text(report):
+def report_lines(report):
+    """The text report, one line per entry, rendered from the report document."""
     lines = []
     add = lines.append
     add("== system ==")
-    add(f"independent: {', '.join(report.system['independent'])}")
-    add(f"dependent:   {', '.join(report.system['dependent'])}")
-    add(f"parameters:  {', '.join(report.system['parameters'])}")
-    for eq in report.system["equations"]:
+    system = report["system"]
+    add(f"independent: {', '.join(system['independent'])}")
+    add(f"dependent:   {', '.join(system['dependent'])}")
+    add(f"parameters:  {', '.join(system['parameters'])}")
+    for eq in system["equations"]:
         add(f"equation:    {eq} = 0")
-    add(f"solved for:  {', '.join(report.system['leads'])}")
+    add(f"solved for:  {', '.join(system['leads'])}")
     add("")
     add("== symmetries ==")
-    d = report.determining
+    d = report["determining"]
     add(
-        f"ansatz degree {report.options['ansatz_degree']}: "
+        f"ansatz degree {report['options']['ansatz_degree']}: "
         f"{d['unknowns']} unknowns, {d['equations_raw']} equations "
         f"({d['equations_deduped']} after dedup), "
         f"nullspace dimension {d['dimension']}"
     )
-    for g in report.generators:
+    for g in report["generators"]:
         flag = "residuals 0" if g["residual_zero"] else "RESIDUAL NONZERO"
         add(f"  {g['label']}: xi=({', '.join(g['xi'])}) "
             f"phi=({', '.join(g['phi'])})  [{flag}]")
-    if report.reference_check:
+    if report.get("reference_check"):
         add("reference generators:")
-        for label, info in report.reference_check["contains"].items():
+        for label, info in report["reference_check"]["contains"].items():
             add(
                 f"  {label}: in span: {info['in_span']}, "
                 f"residual zero: {info['residual_zero']}"
             )
     add("")
     add("== structure ==")
-    labels = report.structure["labels"]
+    struct = report["structure"]
+    labels = struct["labels"]
     add("commutator table ([row, column]):")
-    header = "        " + "  ".join(f"{l:>8}" for l in labels)
-    add(header)
-    for l, row in zip(labels, report.structure["commutators_pretty"]):
+    add("        " + "  ".join(f"{l:>8}" for l in labels))
+    for l, row in zip(labels, struct["commutators_pretty"]):
         add(f"  {l:>4}  " + "  ".join(f"{c:>8}" for c in row))
     add("Killing form:")
-    for row in report.structure["killing"]:
+    for row in struct["killing"]:
         add("  [" + ", ".join(f"{c:>4}" for c in row) + "]")
-    add(f"killing determinant: {report.structure['killing_determinant']}")
+    add(f"killing determinant: {struct['killing_determinant']}")
     add(
-        f"solvable: {report.structure['solvable']}  "
-        f"nilpotent: {report.structure['nilpotent']}  "
-        f"semisimple: {report.structure['semisimple']}"
+        f"solvable: {struct['solvable']}  "
+        f"nilpotent: {struct['nilpotent']}  "
+        f"semisimple: {struct['semisimple']}"
     )
     add("derived series dims: "
-        + " > ".join(str(len(s)) for s in report.structure["derived_series"]))
+        + " > ".join(str(len(s)) for s in struct["derived_series"]))
     add("")
     add("== adjoint matrices ==")
-    for i, M in enumerate(report.adjoint["matrices"]):
+    for i, M in enumerate(report["adjoint"]["matrices"]):
         add(f"Ad(exp(eps {labels[i]})) rows:")
         for row in M:
             add("  [" + ", ".join(_exppoly_text(e) for e in row) + "]")
     add("")
     add("== flows ==")
-    for f in report.flows:
+    for f in report["flows"]:
         if "skipped" in f:
             add(f"  {f['label']}: skipped ({f['skipped']})")
             continue
@@ -605,16 +558,17 @@ def _emit_text(report):
         if "transformed" in f:
             add("      transforms: "
                 + ", ".join(f"{k} -> {v}" for k, v in f["transformed"].items()))
-    if report.composite:
+    composite = report.get("composite")
+    if composite:
         add("composite of all flows (shared parameter):")
-        for k, v in report.composite["computed"].items():
+        for k, v in composite["computed"].items():
             add(f"  {k} -> {v}")
         add("difference against baseline composite:")
-        for k, v in report.composite["difference"].items():
+        for k, v in composite["difference"].items():
             add(f"  {k}: {v}")
     add("")
     add("== invariants ==")
-    inv = report.invariants
+    inv = report["invariants"]
     add(f"order: {inv['order']}")
     if "lattice_monomials" in inv:
         add(f"masked coordinates: {', '.join(inv.get('masked', []))}")
@@ -629,7 +583,7 @@ def _emit_text(report):
                 + (f", failed: {', '.join(fails)}" if fails else ""))
     add("")
     add("== similarity forms ==")
-    for s in report.similarity:
+    for s in report["similarity"]:
         if "skipped" in s:
             add(f"  {s['label']}: skipped ({s['skipped']})")
         elif s.get("note") and not s["substitutions"]:
@@ -638,25 +592,25 @@ def _emit_text(report):
             add(f"  {s['label']}: "
                 + ", ".join(f"{d['variable']} = {d['value']}"
                             for d in s["substitutions"]))
-    if report.optimal:
+    opt = report.get("optimal")
+    if opt:
         add("")
         add("== optimal-system verification ==")
         add("adjoint-invariant components: "
-            + ", ".join(report.optimal["invariant_components"]))
-        for entry in report.optimal["entries"]:
+            + ", ".join(opt["invariant_components"]))
+        for entry in opt["entries"]:
             add(f"  {optimal_entry_text(entry)}")
-        gaps = report.optimal["one_dimensional_coverage_gaps"]
+        gaps = opt["one_dimensional_coverage_gaps"]
         if gaps:
             add(f"one-dimensional list does not cover: {', '.join(gaps)}")
     add("")
     add("== notes ==")
-    if report.notes:
-        for n in report.notes:
-            add(f"  {n}")
+    if report["notes"]:
+        for n in report["notes"]:
+            add(f"  [{n['anchor']}] {n['detail']}")
     else:
         add("  none")
-    add("")
-    return "\n".join(lines)
+    return lines
 
 
 def _exppoly_text(terms):

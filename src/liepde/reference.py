@@ -15,6 +15,7 @@ import importlib.resources
 from fractions import Fraction
 
 from . import expr, parser
+from .errors import LiepdeError
 from .fields import VectorField
 
 
@@ -33,7 +34,15 @@ def fixture_system():
 
 
 def generators(space):
-    """The five reference generators of the boundary-layer system."""
+    """The five reference generators of the boundary-layer system.
+
+    Raises LiepdeError unless `space` has the boundary-layer shape.
+    """
+    if (space.p, space.q) != (2, 3):
+        raise LiepdeError(
+            "reference comparison needs the boundary-layer shape "
+            "(2 independent, 3 dependent variables)"
+        )
     x, y = space.independent
     u, v, p = space.dependent
     Z = expr.ZERO

@@ -41,7 +41,7 @@ def criterion(number, description):
 
 
 def note_anchors(report):
-    return {n.anchor for n in report.notes}
+    return {n["anchor"] for n in report["notes"]}
 
 
 def test_criterion_01_generator_recovery(golden, symmetry_basis):
@@ -105,7 +105,7 @@ def test_criterion_05_adjoint_matrices(algebra, golden_report):
                         assert M[r][c] != expected
                     else:
                         assert M[r][c] == expected, (i, r, c)
-        deltas = golden_report.adjoint["baseline_deltas"]
+        deltas = golden_report["adjoint"]["baseline_deltas"]
         assert deltas == {"4": [[3, 4]]}
         assert "reference:boundary-layer/adjoint-matrix-4" in note_anchors(
             golden_report
@@ -142,7 +142,7 @@ def test_criterion_07_transformed_solutions(golden, golden_report):
             ts = transform_solution(flow(vf), space)
             for dep, value in zip(space.dependent, row):
                 assert expr.equal(ts[dep], value)
-        composite = golden_report.composite
+        composite = golden_report["composite"]
         assert composite is not None
         assert set(composite["difference"]) == {"u", "v", "p"}
         assert composite["difference"]["u"] == "0"

@@ -7,37 +7,52 @@ import sys
 import pytest
 
 import liepde
-from liepde import linalg, parser, pipeline, reference
+from liepde import linalg, parser, pipeline, reference, structure
 from liepde.cli import main as cli_main
 from liepde.errors import PipelineError
 
 
 def note_anchors(report):
-    return {n.anchor for n in report.notes}
+    return {n["anchor"] for n in report["notes"]}
 
 
 class TestGoldenPipeline:
     def test_reference_detected_and_generators_confirmed(self, golden_report):
-        check = golden_report.reference_check
+        check = golden_report["reference_check"]
         assert check is not None
         for label, info in check["contains"].items():
             assert info["in_span"], label
             assert info["residual_zero"], label
 
     def test_every_generator_confirmed(self, golden_report):
-        assert golden_report.generators
-        for g in golden_report.generators:
+        assert golden_report["generators"]
+        for g in golden_report["generators"]:
             assert g["residual_zero"], g["label"]
 
     def test_commutator_and_killing_match_reference(self, golden_report):
-        assert golden_report.structure["matches_reference_commutators"]
-        assert golden_report.structure["matches_reference_killing"]
+        assert golden_report["structure"]["matches_reference_commutators"]
+        assert golden_report["structure"]["matches_reference_killing"]
 
     def test_predicates(self, golden_report):
-        s = golden_report.structure
+        s = golden_report["structure"]
         assert s["solvable"] and not s["semisimple"] and not s["nilpotent"]
         assert s["killing_determinant"] == "0"
         assert s["derived_dimensions"] == [5, 3, 0]
+
+    def test_each_series_computed_once(self, monkeypatch):
+        # solvable, nilpotent and the derived dimensions read the series the
+        # structure section already has
+        calls = {"derived_series": 0, "lower_central_series": 0}
+        for name in calls:
+            inner = getattr(structure, name)
+
+            def counted(L, name=name, inner=inner):
+                calls[name] += 1
+                return inner(L)
+
+            monkeypatch.setattr(structure, name, counted)
+        pipeline.run_pipeline(reference.fixture_document())
+        assert calls == {"derived_series": 1, "lower_central_series": 1}
 
     def test_expected_notes_present(self, golden_report):
         anchors = note_anchors(golden_report)
@@ -55,21 +70,21 @@ class TestGoldenPipeline:
             assert expected in anchors, expected
 
     def test_adjoint_delta_only_in_matrix_4(self, golden_report):
-        deltas = golden_report.adjoint["baseline_deltas"]
+        deltas = golden_report["adjoint"]["baseline_deltas"]
         assert list(deltas) == ["4"]
         assert deltas["4"] == [[3, 4]]
 
     def test_flow_section(self, golden_report):
-        maps = {f["label"]: f for f in golden_report.flows}
+        maps = {f["label"]: f for f in golden_report["flows"]}
         assert maps["v1"]["map"]["x"] == "x + eps"
         assert maps["v4"]["map"]["p"] == "p*exp(2*eps)"
         assert maps["v4"]["transformed"]["u"] == "f(x*exp(eps), y)*exp(-eps)"
-        diff = golden_report.composite["difference"]
+        diff = golden_report["composite"]["difference"]
         assert diff["u"] == "0"
         assert diff["v"] != "0" and diff["p"] != "0"
 
     def test_optimal_section(self, golden_report):
-        opt = golden_report.optimal
+        opt = golden_report["optimal"]
         assert opt["invariant_components"] == ["v4", "v5"]
         assert opt["one_dimensional_coverage_gaps"] == ["v4", "v5"]
         closures = {e["label"]: e["closed"] for e in opt["entries"]}
@@ -79,7 +94,7 @@ class TestGoldenPipeline:
         assert len(passing) == len(closures) - 2
 
     def test_invariant_section(self, golden_report):
-        inv = golden_report.invariants
+        inv = golden_report["invariants"]
         assert inv["masked"] == ["p", "x", "y"]
         assert len(inv["lattice"]) == 6
         assert all(entry["verified"] and entry["in_lattice"]
@@ -130,17 +145,17 @@ class TestOptions:
         report = pipeline.run_pipeline(
             reference.fixture_document(), ansatz_degree=0
         )
-        assert report.determining["dimension"] == 3
-        assert all(g["residual_zero"] for g in report.generators)
+        assert report["determining"]["dimension"] == 3
+        assert all(g["residual_zero"] for g in report["generators"])
 
     def test_reference_off(self):
         report = pipeline.run_pipeline(
             reference.fixture_document(), use_reference=False
         )
-        assert report.reference_check is None
-        assert report.optimal is None
+        assert report.get("reference_check") is None
+        assert report.get("optimal") is None
         # six computed generators drive the structure section
-        assert len(report.structure["labels"]) == 6
+        assert len(report["structure"]["labels"]) == 6
 
     def test_printed_variant_not_detected_as_reference(self):
         doc = parser.parse_system(
@@ -148,8 +163,8 @@ class TestOptions:
         )
         assert not pipeline.detect_reference(doc)
         report = pipeline.run_pipeline(doc)
-        assert report.reference_check is None
-        for g in report.generators:
+        assert report.get("reference_check") is None
+        for g in report["generators"]:
             assert g["residual_zero"]
 
 
@@ -256,6 +271,55 @@ class TestCli:
         assert run.returncode == 0, run.stderr
         assert cli_main(argv) == 0
         assert run.stdout == capsys.readouterr().out
+
+
+    @pytest.mark.parametrize("fmt", [[], ["--report", "json"]])
+    def test_full_report_commands_print_the_same_bytes(self, capsys, fmt):
+        runs = {}
+        for command in ("symmetries", "adjoint", "flows", "structure", "invariants"):
+            rc = cli_main([*fmt, command])
+            runs[command] = (rc, *capsys.readouterr())
+        assert runs["symmetries"][0] == 0
+        for command, run in runs.items():
+            assert run == runs["symmetries"], command
+
+
+BURGERS = """\
+param nu > 0
+independent t x
+dependent u(t, x)
+eq d(u,t) + (3/2)*u*d(u,x) = nu*d(u,x,x)
+lead d(u,t)
+"""
+
+
+class TestReferenceShape:
+    # the baseline's v1..v5 exist only on two independent and three
+    # dependent variables; every command that needs them says so
+    SHAPE = ("reference comparison needs the boundary-layer shape "
+             "(2 independent, 3 dependent variables)")
+
+    def run(self, tmp_path, capsys, *argv):
+        system = tmp_path / "burgers.pde"
+        system.write_text(BURGERS)
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(reference.optimal_table_json()))
+        argv = [str(table) if a == "TABLE" else a for a in argv]
+        rc = cli_main(["--reference", "on", *argv, str(system)])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (1, "")
+        return err
+
+    def test_symmetries_names_the_system_stage(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, "symmetries")
+        assert err == f"error: stage 'system': {self.SHAPE}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("normal-form", "--vector", "1,0,0"),
+        ("verify-optimal", "--file", "TABLE"),
+    ])
+    def test_algebra_commands(self, tmp_path, capsys, argv):
+        assert self.run(tmp_path, capsys, *argv) == f"error: {self.SHAPE}\n"
 
 
 class TestStageErrors:

@@ -20,7 +20,12 @@ in text and JSON, b(4) ``structure --constants`` and six fixed
 10^12, ``structure --constants`` and two ``normal-form`` vectors on a
 solvable 3-dimensional algebra whose ad v1 is one Jordan block with
 eigenvalue 1/2, Burgers and KdV at ansatz degree 2 (and ``structure`` on
-Burgers in text and JSON), a two-parameter system at degrees 1-2, a
+Burgers in text and JSON), the algebra that ``normal-form`` and
+``verify-optimal`` choose (in text and JSON: both on the fixture's computed
+algebra with ``--reference off``; ``normal-form`` and ``check-generator``,
+also with the wrong number of coefficients, on Burgers at degree 2;
+``--reference on`` ``symmetries`` and ``normal-form`` on Burgers, which
+lacks the boundary-layer shape), a two-parameter system at degrees 1-2, a
 Burgers-type system whose fractional coefficients multiply to integers at
 degrees 1-2, the heat equation at degrees 1-2 (degree 2 exits 1: its span
 does not close under the bracket), a system whose equation divides by an
@@ -198,6 +203,23 @@ def write_inputs(folder, parent):
         commands.append(["--ansatz-degree", "2", *js, "symmetries", name])
     for fmt in ([], js):
         commands.append(["--ansatz-degree", "2", *fmt, "structure", "burgers.pde"])
+    # which algebra normal-form and verify-optimal analyse: the computed one
+    # with the reference off or on a system without it, v1..v5 with it on
+    # (which Burgers, of the wrong shape, refuses)
+    for fmt in ([], js):
+        commands += [
+            ["--reference", "off", *fmt, "normal-form", "--vector", "1,0,0,1,0,0"],
+            ["--reference", "off", *fmt, "verify-optimal", "--file", "table.json"],
+            ["--ansatz-degree", "2", *fmt, "normal-form", "--vector", "1,0,0,1,0",
+             "burgers.pde"],
+            ["--ansatz-degree", "2", *fmt, "check-generator", "--field", "1; 0; 0",
+             "burgers.pde"],
+            ["--ansatz-degree", "2", *fmt, "check-generator", "--field", "0; 1",
+             "burgers.pde"],
+            ["--reference", "on", *fmt, "symmetries", "burgers.pde"],
+            ["--reference", "on", *fmt, "normal-form", "--vector", "1,0,0",
+             "burgers.pde"],
+        ]
     for name in ("two_parameter.pde", "mixed.pde"):
         for degree in ("1", "2"):
             commands.append(["--ansatz-degree", degree, "symmetries", name])
