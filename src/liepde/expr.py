@@ -288,7 +288,7 @@ def _canonical(poly):
         (mono, coeff), = poly.items()
         powers, pexps = mono
         if not powers and not pexps:
-            return ONE if coeff == 1 else Rational(coeff)
+            return constant(coeff)
         if coeff == 1:
             if not pexps and len(powers) == 1 and powers[0][1] == 1:
                 return powers[0][0]
@@ -297,6 +297,14 @@ def _canonical(poly):
     elif not poly:
         return ZERO
     return Poly(poly)
+
+
+def constant(c):
+    """The canonical node of the rational constant `c`, as arithmetic returns
+    it: `ZERO`, `ONE` itself or a `Rational`."""
+    if not c:
+        return ZERO
+    return ONE if c == 1 else Rational(c)
 
 
 def _mono_sort_key(mono):
@@ -535,11 +543,11 @@ def free_symbols(e):
 # ---------------------------------------------------------------------------
 
 def _atom_diff(atom, s):
-    """Derivative of a monomial atom with respect to symbol s, as a poly."""
+    """Partial derivative of a monomial atom with respect to symbol s."""
     if isinstance(atom, Symbol):
-        return {_EMPTY_MONO: _ONE} if atom == s else {}
+        return ONE if atom == s else ZERO
     if s not in free_symbols(atom):
-        return {}
+        return ZERO
     if not all(isinstance(a, Symbol) for a in atom.args):
         raise UnsupportedCompositionError(
             f"cannot differentiate {atom} with composite arguments by {s.name}"
@@ -551,31 +559,47 @@ def _atom_diff(atom, s):
     slot = atom.args.index(s)
     d = list(atom.derivatives)
     d[slot] += 1
-    return FunctionApplication(atom.name, atom.args, tuple(d))._poly()
+    return FunctionApplication(atom.name, atom.args, tuple(d))
 
 
-def diff(e, s):
-    """Exact partial derivative; all other symbols are held constant."""
-    if not isinstance(s, Symbol):
-        raise TypeError("can only differentiate with respect to a Symbol")
+def derivation(e, d):
+    """D e for the derivation D that takes each atom a to the expression d(a).
+
+    The Leibniz rule in one walk over the terms of `e`, into one output
+    polynomial; exp(k*eps) goes to k * d(eps) * exp(k*eps).  `d` is called
+    once for each distinct atom and group symbol.
+    """
+    partials = {}
     out = {}
     for (powers, pexps), coeff in _lift(e)._poly().items():
         for idx, (atom, exp) in enumerate(powers):
-            datom = _atom_diff(atom, s)
-            if not datom:
+            p = partials.get(atom)
+            if p is None:
+                p = partials[atom] = d(atom)._poly()
+            if not p:
                 continue
             rest = list(powers)
             if exp == 1:
                 del rest[idx]
             else:
                 rest[idx] = (atom, exp - 1)
-            for mono, c in _poly_mul({(tuple(rest), pexps): coeff * exp}, datom).items():
-                _add_term(out, mono, c)
-        if s.role == GROUP:
-            for sym, k in pexps:
-                if sym == s:
-                    _add_term(out, (powers, pexps), coeff * k)
+            cofactor = (tuple(rest), pexps)
+            for mono, c in p.items():
+                _add_term(out, _mono_mul(cofactor, mono), coeff * exp * c)
+        for sym, k in pexps:
+            p = partials.get(sym)
+            if p is None:
+                p = partials[sym] = d(sym)._poly()
+            for mono, c in p.items():
+                _add_term(out, _mono_mul((powers, pexps), mono), coeff * k * c)
     return _canonical(out)
+
+
+def diff(e, s):
+    """Exact partial derivative; all other symbols are held constant."""
+    if not isinstance(s, Symbol):
+        raise TypeError("can only differentiate with respect to a Symbol")
+    return derivation(e, lambda atom: _atom_diff(atom, s))
 
 
 # ---------------------------------------------------------------------------

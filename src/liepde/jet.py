@@ -113,16 +113,28 @@ class JetSpace:
 
 
 def total_derivative(e, i, js):
-    """Total derivative D_i: d/dx_i plus the chain through all jet coordinates."""
+    """Total derivative D_i: d/dx_i plus the chain through all jet coordinates.
+
+    One Leibniz walk over the terms of `e` (`expr.derivation`): x_i goes to
+    1, a dependent or jet coordinate s to its lift s_i, and a function
+    application to its partial by x_i plus, for each coordinate s among its
+    arguments, s_i times its partial by s.
+    """
     if isinstance(i, Symbol):
         i = js.independent.index(i)
-    result = expr.diff(e, js.independent[i])
-    for s in sorted(js.jet_symbols_in(e), key=lambda s: s._key):
-        partial = expr.diff(e, s)
-        if expr.is_zero(partial):
-            continue
-        result = result + js.lift(s, i) * partial
-    return result
+    x = js.independent[i]
+
+    def d(atom):
+        if not isinstance(atom, Symbol):
+            out = expr._atom_diff(atom, x)
+            for s in sorted(js.jet_symbols_in(atom), key=lambda s: s._key):
+                out = out + js.lift(s, i) * expr._atom_diff(atom, s)
+            return out
+        if atom.role in (DEPENDENT, JET):
+            return js.lift(atom, i)
+        return expr.ONE if atom == x else expr.ZERO
+
+    return expr.derivation(e, d)
 
 
 def total_derivative_memo(memo, multi, js):

@@ -4,17 +4,24 @@ One sparse elimination kernel, `Echelon`, serves both fields: rows are
 dicts column -> nonzero entry, reduced once to reduced row echelon form,
 after which `Echelon.reduce` clears further vectors against them.  `rref`,
 `nullspace` and `solve` over Q and their `_param` twins are thin wrappers.
-Columns are taken left to right.  Over the parameter field the pivot is
-the first row, in the current order, whose entry has the least
-`ParamFrac.complexity()`: `ParamFrac` does not cancel common polynomial
-factors, so another path would store equal entries differently and change
-the basis vectors after `clear_denominators`.  Over Q the reduced row
-echelon form is unique, so the first candidate row serves.
+Columns are taken left to right.  A column index, from each column to the
+set of rows holding it, kept up to date as eliminations fill and clear
+entries, gives each column its candidate pivots and the rows to eliminate
+without scanning the others.  Over the parameter field the pivot is the
+candidate of least (`ParamFrac.complexity()`, current row position), which
+is the first row in the current order with the least complexity:
+`ParamFrac` does not cancel common polynomial factors, so another path
+would store equal entries differently and change the basis vectors after
+`clear_denominators`.  Over Q the reduced row echelon form is unique, so
+the first candidate row serves.
 
 The parameter field holds fractions of `expr` polynomials in the parameter
-symbols, with only guaranteed-exact simplification.  `det` and
-`integer_kernel` (unimodular column reduction, for the monomial-invariant
-lattice) keep their own loops.
+symbols, with only guaranteed-exact simplification.  Two elements that are
+rational constants over `expr.ONE` itself, as most entries of a
+determining matrix are, add, multiply, negate and invert on their
+coefficients directly and give the node `expr` arithmetic would.  `det`
+and `integer_kernel` (unimodular column reduction, for the
+monomial-invariant lattice) keep their own loops.
 """
 
 from __future__ import annotations
@@ -52,49 +59,71 @@ def _sparse(row, field):
             if x is not zero and not is_zero(x)}
 
 
-def _eliminate(row, c, pivot, field):
+def _eliminate(row, c, pivot, field, holders=None, j=None):
     """Subtract row[c] times the normalised pivot row (pivot column c) from
-    `row` in place, dropping the entries that become zero."""
+    `row` in place, dropping the entries that become zero.  With `holders`,
+    the column index of `Echelon`, keep row `j`'s entries in it up to date."""
     f = row[c]
     zero, is_zero = field.zero, field.is_zero
     for k, b in pivot.items():
-        x = row.get(k, zero) - f * b
+        old = row.get(k)
+        x = (zero if old is None else old) - f * b
         if is_zero(x):
-            row.pop(k, None)
+            if old is not None:
+                del row[k]
+                if holders is not None:
+                    holders[k].discard(j)
         else:
             row[k] = x
+            if old is None and holders is not None:
+                holders.setdefault(k, set()).add(j)
 
 
 class Echelon:
     """The row space of sparse rows over one field, in reduced row echelon form.
 
-    The rows are reduced once and in place; the pivot for each column is
-    the candidate row of least `field.weight`, first in the current row
-    order, swapped into place.  `reduce` then clears further vectors.
+    The rows are reduced once and in place.  A column index maps each
+    column to the set of rows holding it, so each column reads only its
+    candidate pivots and eliminates only in the rows that hold it.  The
+    pivot for each column is the candidate of least `field.weight`, first
+    in the current row order, swapped into place.  `reduce` then clears
+    further vectors.
     """
 
     def __init__(self, rows, ncols, field):
         rows = list(rows)
         weight = field.weight
+        holders = {}
+        for j, row in enumerate(rows):
+            for k in row:
+                holders.setdefault(k, set()).add(j)
+        order = list(range(len(rows)))  # order[p]: the row at position p
+        position = list(range(len(rows)))  # position[j]: where row j stands
         pivots = []
         r = 0
         for c in range(ncols):
             if r == len(rows):
                 break
-            candidates = [i for i in range(r, len(rows)) if c in rows[i]]
+            held = holders.get(c, ())
+            candidates = [j for j in held if position[j] >= r]
             if not candidates:
                 continue
-            i = candidates[0] if weight is None else min(
-                candidates, key=lambda i: weight(rows[i][c]))
-            rows[r], rows[i] = rows[i], rows[r]
-            inv = field.inverse(rows[r][c])
-            pivot = rows[r] = {k: x * inv for k, x in rows[r].items()}
-            for j, row in enumerate(rows):
-                if j != r and c in row:
-                    _eliminate(row, c, pivot, field)
+            if weight is None:
+                i = min(candidates, key=position.__getitem__)
+            else:
+                i = min(candidates, key=lambda j: (weight(rows[j][c]), position[j]))
+            moved, p = order[r], position[i]
+            order[r], order[p] = i, moved
+            position[i], position[moved] = r, p
+            inv = field.inverse(rows[i][c])
+            pivot = rows[i] = {k: x * inv for k, x in rows[i].items()}
+            for j in list(held):
+                if j != i:
+                    _eliminate(rows[j], c, pivot, field, holders, j)
             pivots.append(c)
             r += 1
-        self.rows, self.pivots, self.field = rows[:r], pivots, field
+        self.rows = [rows[j] for j in order[:r]]
+        self.pivots, self.field = pivots, field
 
     def reduce(self, vector):
         """The residual of a sparse vector, as a new dict: empty exactly when
@@ -238,9 +267,14 @@ class ParamFrac:
         return cls(expr.Rational(value))
 
     def is_zero(self):
+        if type(self.num) is expr.Rational:
+            return not self.num.coeff
         return expr.is_zero(self.num)
 
     def __add__(self, other):
+        a, b = _rational(self), _rational(other)
+        if a is not None and b is not None:
+            return ParamFrac(expr.constant(a + b))
         if self.den == other.den:
             return ParamFrac(self.num + other.num, self.den)
         return ParamFrac(self.num * other.den + other.num * self.den,
@@ -250,14 +284,25 @@ class ParamFrac:
         return self + (-other)
 
     def __neg__(self):
+        a = _rational(self)
+        if a is not None:
+            return ParamFrac(expr.constant(-a))
         return ParamFrac(-self.num, self.den)
 
     def __mul__(self, other):
+        a, b = _rational(self), _rational(other)
+        if a is not None and b is not None:
+            return ParamFrac(expr.constant(a * b))
+        if self.den is expr.ONE and other.den is expr.ONE:
+            return ParamFrac(self.num * other.num)
         return ParamFrac(self.num * other.num, self.den * other.den)
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverting zero in parameter field")
+        a = _rational(self)
+        if a is not None:
+            return ParamFrac(expr.constant(1 / Fraction(a)))
         return ParamFrac(self.den, self.num)
 
     def __truediv__(self, other):
@@ -270,7 +315,16 @@ class ParamFrac:
         return hash((self.num, self.den))
 
     def complexity(self):
-        return len(expr.monomials(self.num)) + len(expr.monomials(self.den))
+        return len(self.num._poly()) + len(self.den._poly())
+
+
+def _rational(x):
+    """The coefficient of a `ParamFrac` that is a rational constant over
+    `expr.ONE` itself, else None.  The arithmetic of two such elements runs
+    on the coefficients and gives the node that `expr` arithmetic would."""
+    if x.den is expr.ONE and type(x.num) is expr.Rational:
+        return x.num.coeff
+    return None
 
 
 PARAM_ZERO = ParamFrac(expr.ZERO)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import linalg, structure
 from .adjoint import EPS, ExpPolynomial, ad_exp, mat_apply_row
-from .errors import NormalFormError
+from .errors import LiepdeError, NormalFormError
 
 
 def adjoint_apply(L, i, epsilon, a):
@@ -406,8 +406,15 @@ def verify_optimal_table(L, entries):
     `entries` is a list of (label, vectors).  The fingerprint couples the
     dimension of the intersection with the derived algebra with the span of
     the adjoint-invariant components; entries of equal dimension and equal
-    fingerprints are flagged as not mutually distinguishable.
+    fingerprints are flagged as not mutually distinguishable.  A vector
+    without exactly `L.n` coordinates raises `LiepdeError`.
     """
+    for label, vectors in entries:
+        for v in vectors:
+            if len(v) != L.n:
+                raise LiepdeError(
+                    f"entry {label}: vector needs {L.n} coordinates, got {len(v)}"
+                )
     derived = structure.product_space(L, L.whole(), L.whole())
     inv = invariant_components(L)
     results = []

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from liepde import expr
-from liepde.errors import IllPosedSystemError, OrderLimitError
-from liepde.expr import FunctionApplication, Rational
+from liepde.errors import IllPosedSystemError, OrderLimitError, UnsupportedCompositionError
+from liepde.expr import GROUP, UNKNOWN, FunctionApplication, ParamExp, Rational, Symbol
 from liepde.jet import PDESystem, total_derivative
 
 from conftest import random_expression
@@ -14,6 +14,18 @@ def jet_pool(space, order=2):
     return list(space.independent) + list(space.dependent) + [
         s for s in space.coordinates(order, min_order=1)
     ]
+
+
+def total_derivative_by_partials(e, i, js):
+    """D_i e as d/dx_i plus lift(s) times one partial derivative for each
+    jet symbol s: the oracle of the one-walk `total_derivative`."""
+    result = expr.diff(e, js.independent[i])
+    for s in sorted(js.jet_symbols_in(e), key=lambda s: s._key):
+        partial = expr.diff(e, s)
+        if expr.is_zero(partial):
+            continue
+        result = result + js.lift(s, i) * partial
+    return result
 
 
 class TestJetSpace:
@@ -63,6 +75,42 @@ class TestTotalDerivative:
         gp = FunctionApplication("g", (x,), (1,))
         lhs = total_derivative(g * uy, 0, space)
         assert expr.equal(lhs, gp * uy + g * uxy)
+
+    def test_matches_partials_oracle_random(self, golden):
+        # parameters, ansatz unknowns, negative powers, a group exponential
+        # and function applications of independent and dependent variables
+        space, system, _ = golden
+        rng = random.Random(53)
+        x, y = space.independent
+        u, v, _ = space.dependent
+        uy = space.coordinate(u, (0, 1))
+        pool = jet_pool(space) + [
+            system.parameters[0],
+            Symbol("c1", UNKNOWN),
+            x ** -1,
+            uy ** -2,
+            ParamExp(Symbol("eps", GROUP), 2),
+            FunctionApplication("g", (x,)),
+            FunctionApplication("f", (u, x)),
+            FunctionApplication("f", (u, x), (1, 0)),
+            FunctionApplication("h", (v, uy, y)),
+        ]
+        for _ in range(200):
+            e = random_expression(rng, pool)
+            for i in range(space.p):
+                assert total_derivative(e, i, space) == total_derivative_by_partials(
+                    e, i, space)
+
+    def test_composite_argument_error(self, golden):
+        space, _, _ = golden
+        x = space.independent[0]
+        u = space.dependent[0]
+        e = u * FunctionApplication("g", (x + u,))
+        message = "cannot differentiate g(x + u) with composite arguments by x"
+        for derivative in (total_derivative, total_derivative_by_partials):
+            with pytest.raises(UnsupportedCompositionError) as err:
+                derivative(e, 0, space)
+            assert str(err.value) == message
 
     def test_commutation_random(self, golden):
         space, _, _ = golden

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from liepde import expr
+from liepde import expr, reference
 from liepde.expr import PARAMETER, Symbol
 from liepde.linalg import (
     PARAM_ZERO,
@@ -136,11 +136,24 @@ def early_stop(rng):
     return rows
 
 
+def constants(rng):
+    # Every nonzero entry has complexity() 2, so each pivot is a tie that the
+    # row position breaks, and the swaps move rows often.
+    values = [0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]
+    rows = [[ParamFrac.constant(rng.choice(values)) for _ in range(7)] for _ in range(5)]
+    for _ in range(3):
+        p, q = rng.sample(rows, 2)
+        f, g = (ParamFrac.constant(rng.choice(values[3:])) for _ in range(2))
+        rows.insert(rng.randrange(len(rows) + 1), [f * x + g * y for x, y in zip(p, q)])
+    return rows
+
+
 CASES = {
     "rank_deficient": rank_deficient,
     "zero_column": zero_column,
     "tall": tall,
     "early_stop": early_stop,
+    "constants": constants,
 }
 
 
@@ -185,9 +198,13 @@ def test_sparse_matches_dense_elimination(case):
             assert pivots == [0, 1, 2, 3]
 
 
-@pytest.mark.parametrize("degree", [1, 2])
-def test_determining_matrix_matches_dense_elimination(degree):
-    _, system = build_system(parse_system(TWO_PARAMETER_SYSTEM))
+@pytest.mark.parametrize("text, degree", [
+    (TWO_PARAMETER_SYSTEM, 1),
+    (TWO_PARAMETER_SYSTEM, 2),
+    (reference.fixture_text(), 2),
+], ids=["1", "2", "fixture-2"])
+def test_determining_matrix_matches_dense_elimination(text, degree):
+    _, system = build_system(parse_system(text))
     ds = build_determining(system, degree)
     zero = ParamFrac.constant(0)
     rows = [
@@ -197,6 +214,42 @@ def test_determining_matrix_matches_dense_elimination(degree):
     assert any(not x.num.is_constant() for row in rows for x in row)
     assert_same_reduction(rows)
     assert_kernel(rows)
+
+
+LANE_VALUES = [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-4, 3), Fraction(2, 3)]
+
+
+def lane_elements():
+    """Rational constants over `expr.ONE`, with canonical and fresh numerators."""
+    for v in LANE_VALUES:
+        yield ParamFrac(expr.constant(v))
+        yield ParamFrac.constant(v)
+
+
+def assert_same_element(fast, general):
+    assert (fast.num, fast.den) == (general.num, general.den)
+    assert type(fast.num) is type(general.num)
+    assert (fast.num is expr.ONE) == (general.num is expr.ONE)
+    assert (fast.num is expr.ZERO) == (general.num is expr.ZERO)
+
+
+def test_rational_lane_matches_expr_arithmetic():
+    # the general formulas of ParamFrac, computed through expr arithmetic
+    for a in lane_elements():
+        assert a.is_zero() == expr.is_zero(a.num)
+        assert a.complexity() == len(expr.monomials(a.num)) + len(expr.monomials(a.den))
+        assert_same_element(-a, ParamFrac(-a.num, a.den))
+        if not a.is_zero():
+            assert_same_element(a.inverse(), ParamFrac(a.den, a.num))
+        for b in lane_elements():
+            assert_same_element(a * b, ParamFrac(a.num * b.num, a.den * b.den))
+            assert_same_element(a + b, ParamFrac(a.num + b.num, a.den))
+            assert_same_element(a - b, ParamFrac(a.num - b.num, a.den))
+    with pytest.raises(ZeroDivisionError):
+        ParamFrac.constant(0).inverse()
+    for p in POLYNOMIALS:
+        x = ParamFrac(expr.ONE, p) + ParamFrac(p)
+        assert x.complexity() == len(expr.monomials(x.num)) + len(expr.monomials(x.den))
 
 
 def test_solve_param_reads_sparse_rows():

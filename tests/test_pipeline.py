@@ -232,6 +232,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "NOT CLOSED" in out  # the known non-closing baseline entry
 
+    def test_verify_optimal_rejects_short_vectors(self, tmp_path, capsys):
+        # the bundled table holds v1..v5 coordinates; the computed algebra
+        # of the fixture has six dimensions
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(reference.optimal_table_json()))
+        rc = cli_main(["--reference", "off", "verify-optimal", "--file", str(table)])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (1, "")
+        assert err == "error: entry dim1 <v3>: vector needs 6 coordinates, got 5\n"
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.pde"
         bad.write_text("independent x\n")

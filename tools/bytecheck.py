@@ -11,7 +11,9 @@ stderr, exit code) and the first line where it differs, or ``TIMEOUT`` and
 the side that ran out of time.  The exit status is 0 when every command is
 identical and 1 otherwise.
 
-The list covers the shipped fixture at ansatz degrees 1-4 in text and JSON,
+The list covers the shipped fixture at ansatz degrees 1-4 in text and JSON
+and at degree 5 in JSON (a determining matrix large enough that a change in
+the elimination's pivot path shows in the basis),
 its ``adjoint``, ``flows``, ``structure``, ``invariants --order 2``,
 ``check-generator``, ``normal-form`` and ``verify-optimal`` runs, the
 fixture's computed algebra (``--reference off symmetries``) at degrees 1-2
@@ -166,6 +168,8 @@ def write_inputs(folder, parent):
     for degree in (1, 2, 3, 4):
         commands.append(["--ansatz-degree", str(degree), "symmetries"])
         commands.append(["--ansatz-degree", str(degree), *js, "symmetries"])
+    # a 2884x1260 determining matrix: a change of pivot path shows here
+    commands.append(["--ansatz-degree", "5", *js, "symmetries"])
     # the computed algebra's structure, adjoint and optimal sections
     for degree in ("1", "2"):
         for fmt in ([], js):
