@@ -195,11 +195,9 @@ def _algebra_for(args):
         with open(args.constants, encoding="utf-8") as fh:
             return structure.algebra_from_json(json.load(fh))
     doc = _load_document(args)
-    report_ref = _use_reference(args)
-    if report_ref is None:
-        report_ref = pipeline.detect_reference(doc)
     space, system = parser.build_system(doc)
-    return pipeline.analysed_algebra(space, system, report_ref, args.ansatz_degree)
+    ref = pipeline.reference_on(doc, space, _use_reference(args))
+    return pipeline.analysed_algebra(space, system, ref, args.ansatz_degree)
 
 
 def _cmd_normal_form(args):

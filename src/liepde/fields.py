@@ -48,11 +48,20 @@ class VectorField:
         return all(expr.is_zero(c) for c in self.coefficients)
 
     def apply(self, e):
-        """Derivation action on an expression of the base variables."""
-        total = ZERO
-        for sym, coeff in zip(self.coordinates, self.coefficients):
-            total = total + coeff * expr.diff(e, sym)
-        return total
+        """Derivation action on an expression of the base variables, in one
+        Leibniz walk (`expr.derivation`); function applications take the
+        chain rule through their arguments."""
+        coefficients = dict(zip(self.coordinates, self.coefficients))
+
+        def d(atom):
+            if isinstance(atom, expr.Symbol):
+                return coefficients.get(atom, ZERO)
+            out = ZERO
+            for sym, coeff in coefficients.items():
+                out = out + coeff * expr._atom_diff(atom, sym)
+            return out
+
+        return expr.derivation(e, d)
 
     def __add__(self, other):
         self._check_space(other)

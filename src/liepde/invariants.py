@@ -92,7 +92,6 @@ def weight_system(generators, js, order):
     ]
     masked = set()
     rows = []
-    scaling_gens = []
     for vf in generators:
         kind, data = classify_generator(vf)
         if kind == TRANSLATION:
@@ -119,7 +118,6 @@ def weight_system(generators, js, order):
                 w = base_weights[sym]
             row.append(w)
         rows.append(row)
-        scaling_gens.append(vf)
     return WeightSystem(js, order, coordinates, rows, masked, tuple(generators))
 
 

@@ -27,11 +27,11 @@ class JetSpace:
     """Independent/dependent variables plus derivative coordinates.
 
     `max_order` is the declared order of the system; coordinates up to
-    `max_order + slack` can be created on demand (prolongation and
-    reduction need a couple of extra orders).
+    `max_order + 2` can be created on demand (prolongation and reduction
+    need a couple of extra orders).
     """
 
-    def __init__(self, independent, dependent, max_order, slack=2):
+    def __init__(self, independent, dependent, max_order):
         self.independent = tuple(independent)
         self.dependent = tuple(dependent)
         if not self.independent or not self.dependent:
@@ -45,7 +45,7 @@ class JetSpace:
         if max_order < 1:
             raise ValueError("maximum derivative order must be at least 1")
         self.max_order = max_order
-        self.limit = max_order + slack
+        self.limit = max_order + 2
         self._dep_index = {s.name: i for i, s in enumerate(self.dependent)}
 
     @property
@@ -161,16 +161,12 @@ class PDESystem:
     of any of its total-derivative consequences until none remain.
     """
 
-    def __init__(self, space, equations, solved, parameters=(), validate=True):
+    def __init__(self, space, equations, solved, parameters=()):
         self.space = space
         self.equations = tuple(expr.normalize(e) for e in equations)
         self.solved = tuple((lead, expr.normalize(rhs)) for lead, rhs in solved)
         self.parameters = tuple(parameters)
         self._derived_cache = {}
-        if validate:
-            self._validate()
-
-    def _validate(self):
         for lead, rhs in self.solved:
             reduced = self.reduce(rhs)
             for s in self.space.jet_symbols_in(reduced):

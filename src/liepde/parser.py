@@ -253,7 +253,7 @@ class _Parser:
             dependent = tuple(Symbol(n, DEPENDENT) for n, _ in self.dependents)
             # a generous order cap for parsing; the analysis space is rebuilt
             # at the order actually present in the equations
-            self.space = JetSpace(independent, dependent, 4, slack=2)
+            self.space = JetSpace(independent, dependent, 4)
         return self.space
 
     def _parse_equation(self, kw):
@@ -478,13 +478,13 @@ def build_system(doc):
     """JetSpace and PDESystem (with solved form) from a parsed document."""
     independent, dependent, params = doc.symbols()
     order = 1
-    probe = JetSpace(independent, dependent, 4, slack=2)
+    probe = JetSpace(independent, dependent, 4)
     exprs = [lhs - rhs for lhs, rhs in doc.equations]
     for e in exprs:
         for s in probe.jet_symbols_in(e):
             if s.role == expr.JET:
                 order = max(order, s.order)
-    space = JetSpace(independent, dependent, order, slack=2)
+    space = JetSpace(independent, dependent, order)
     if not doc.leads:
         raise ParseError("no leading coordinates declared (need 'lead d(...)')")
     solved = []

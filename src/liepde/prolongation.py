@@ -17,7 +17,7 @@ import itertools
 
 from . import expr, linalg
 from .errors import InternalCheckError, NonPolynomialError
-from .expr import UNKNOWN, Symbol, ZERO
+from .expr import DEPENDENT, JET, UNKNOWN, Symbol, ZERO
 from .fields import VectorField
 from .jet import total_derivative_memo
 
@@ -47,23 +47,34 @@ class ProlongedField:
         return self.coefficients.get(sym, ZERO)
 
     def apply(self, e):
-        """Derivation action on a jet-space expression."""
+        """Derivation action on a jet-space expression, in one Leibniz walk
+        (`expr.derivation`) as in `jet.total_derivative`: x_i goes to xi_i
+        and a dependent or jet coordinate to its coefficient."""
         js = self.field.space
-        total = ZERO
-        for i, x in enumerate(js.independent):
-            partial = expr.diff(e, x)
-            if not expr.is_zero(partial):
-                total = total + self.field.xi[i] * partial
-        for s in sorted(js.jet_symbols_in(e), key=lambda s: s._key):
-            partial = expr.diff(e, s)
-            if expr.is_zero(partial):
-                continue
+        xi = dict(zip(js.independent, self.field.xi))
+
+        def coefficient(s):
             if s not in self.coefficients:
                 raise ValueError(
                     f"prolongation order {self.order} too low for coordinate {s.name}"
                 )
-            total = total + self.coefficients[s] * partial
-        return total
+            return self.coefficients[s]
+
+        # d must not call itself: a closure cycle keeps the coefficients alive
+        def d(atom):
+            if isinstance(atom, Symbol):
+                if atom.role in (DEPENDENT, JET):
+                    return coefficient(atom)
+                return xi.get(atom, ZERO)
+            out = ZERO
+            for x, c in xi.items():
+                out = out + c * expr._atom_diff(atom, x)
+            for s in sorted(js.jet_symbols_in(atom), key=lambda s: s._key):
+                partial = expr._atom_diff(atom, s)
+                out = out + coefficient(s) * partial
+            return out
+
+        return expr.derivation(e, d)
 
 
 def prolong(vf, order, js=None, coordinates=None):

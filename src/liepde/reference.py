@@ -1,12 +1,15 @@
 """Reference corpus for the shipped turbulent boundary-layer fixture.
 
 The package carries the complete expected analysis of its golden system:
-generators, commutator table, Killing form, adjoint matrices, flows,
-transformed solutions, invariant lists, and the subalgebra tables.  The
-pipeline compares its computed results against this corpus and emits a
-discrepancy note (anchored by the slugs defined here) wherever the baseline
-is known to disagree with the exact computation, e.g. misprinted matrix
-entries or a derived-series chain inconsistent with the commutator table.
+generators, commutator table, Killing form, adjoint matrices (as
+`ExpPolynomial` entries), flows, transformed solutions, invariant lists,
+and the subalgebra tables.  In the pipeline, one comparison pass
+(`pipeline._compare_baseline`) checks a report on v1..v5 against this
+corpus and emits a discrepancy note wherever the baseline is known to
+disagree with the exact computation, e.g. misprinted matrix entries or a
+derived-series chain inconsistent with the commutator table.  Besides it,
+only `pipeline.reference_on` (the auto rule and the shape check) and
+`pipeline.analysed_algebra` (v1..v5 as the analysed algebra) read it.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import importlib.resources
 from fractions import Fraction
 
 from . import expr, parser
+from .adjoint import ExpPolynomial
 from .errors import LiepdeError
 from .fields import VectorField
 
@@ -33,16 +37,19 @@ def fixture_system():
     return parser.build_system(fixture_document())
 
 
-def generators(space):
-    """The five reference generators of the boundary-layer system.
-
-    Raises LiepdeError unless `space` has the boundary-layer shape.
-    """
+def require_shape(space):
+    """Raise LiepdeError unless `space` has the boundary-layer shape."""
     if (space.p, space.q) != (2, 3):
         raise LiepdeError(
             "reference comparison needs the boundary-layer shape "
             "(2 independent, 3 dependent variables)"
         )
+
+
+def generators(space):
+    """The five reference generators of the boundary-layer system, on a
+    `space` that passes `require_shape`."""
+    require_shape(space)
     x, y = space.independent
     u, v, p = space.dependent
     Z = expr.ZERO
@@ -89,41 +96,32 @@ KILLING_FORM = tuple(
     )
 )
 
-# The baseline prints a derived chain that is inconsistent with its own
-# commutator table (the exact chain is g > span{v1,v2,v3} > 0); kept for
-# the discrepancy note.
-REPORTED_DERIVED_CHAIN = (
-    ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0),
-     (0, 0, 0, 0, 1)),
-    ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 2, 0, 0)),
-)
-
+# The baseline prints the derived chain <v1..v5> > <v1,v2,2*v3>, which is
+# inconsistent with its own commutator table (the exact chain is
+# g > span{v1,v2,v3} > 0); the pipeline notes it.
 EXPECTED_DERIVED_DIMS = (5, 3, 0)
 
 
-def adjoint_matrix_entries(i):
-    """Baseline adjoint matrix of exp(eps v_i) as (m, k) descriptors.
+# Entries of the baseline adjoint matrices of exp(eps v_i) that differ from
+# the identity, by matrix index i: {(row, column): (c, m, k)} for
+# c * eps^m * e^(k*eps), indices from 0.  Matrix 4 carries a stray entry of
+# 1 at (2, 3) that the Lie series does not produce.
+ADJOINT_ENTRIES = (
+    {(3, 0): (-1, 1, 0)},
+    {(4, 1): (-1, 1, 0)},
+    {(3, 2): (-2, 1, 0), (4, 2): (4, 1, 0)},
+    {(0, 0): (1, 0, 1), (2, 2): (1, 0, 2), (2, 3): (1, 0, 0)},
+    {(1, 1): (1, 0, 1), (2, 2): (1, 0, -4)},
+)
 
-    Entry (m, k, c) stands for c * eps^m * e^(k*eps); plain numbers are
-    rational constants.  Matrix 4 carries a stray (3, 4) entry of 1 in the
-    baseline that the Lie series does not produce.
-    """
-    eye = [[(0, 0, 1) if r == c else 0 for c in range(5)] for r in range(5)]
-    if i == 0:
-        eye[3][0] = (1, 0, -1)
-    elif i == 1:
-        eye[4][1] = (1, 0, -1)
-    elif i == 2:
-        eye[3][2] = (1, 0, -2)
-        eye[4][2] = (1, 0, 4)
-    elif i == 3:
-        eye[0][0] = (0, 1, 1)
-        eye[2][2] = (0, 2, 1)
-        eye[2][3] = (0, 0, 1)  # stray entry in the baseline
-    elif i == 4:
-        eye[1][1] = (0, 1, 1)
-        eye[2][2] = (0, -4, 1)
-    return eye
+
+def adjoint_matrix(i):
+    """Baseline adjoint matrix of exp(eps v_i), as ExpPolynomial entries."""
+    M = [[ExpPolynomial.constant(1 if r == c else 0) for c in range(5)]
+         for r in range(5)]
+    for (r, c), (coeff, m, k) in ADJOINT_ENTRIES[i].items():
+        M[r][c] = ExpPolynomial.term(coeff, m, k)
+    return M
 
 BASELINE_ADJOINT_DELTAS = {3: ((2, 3),)}  # matrix index -> stray positions
 

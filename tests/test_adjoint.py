@@ -35,17 +35,6 @@ def unit(n, i):
     return tuple(v)
 
 
-def baseline_matrix(i):
-    return [
-        [
-            ExpPolynomial.constant(0, (EPS,)) if cell == 0
-            else ExpPolynomial.term(cell[2], cell[0], cell[1])
-            for cell in row
-        ]
-        for row in reference.adjoint_matrix_entries(i)
-    ]
-
-
 class TestExpPolynomial:
     def test_value_at_zero(self):
         e = ExpPolynomial.term(3, 0, 2) + ExpPolynomial.term(5, 1, 0)
@@ -235,7 +224,7 @@ class TestAdExp:
     def test_matches_baseline_except_stray_entry(self, algebra):
         for i in range(5):
             M = ad_exp(algebra, i)
-            B = baseline_matrix(i)
+            B = reference.adjoint_matrix(i)
             strays = reference.BASELINE_ADJOINT_DELTAS.get(i, ())
             for r in range(5):
                 for c in range(5):

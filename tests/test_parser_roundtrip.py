@@ -33,7 +33,7 @@ def documents(draw):
         max_size=len(PARAMETERS), unique_by=lambda p: p[0],
     )))
     space = JetSpace(tuple(Symbol(n, INDEPENDENT) for n in independents),
-                     tuple(Symbol(n, DEPENDENT) for n, _ in dependents), 4, slack=2)
+                     tuple(Symbol(n, DEPENDENT) for n, _ in dependents), 4)
     multis = st.lists(st.integers(0, 2), min_size=len(independents),
                       max_size=len(independents)).filter(lambda m: 1 <= sum(m) <= 3)
     jets = st.builds(space.coordinate, st.sampled_from(space.dependent), multis)

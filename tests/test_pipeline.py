@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import pathlib
@@ -101,6 +102,58 @@ class TestGoldenPipeline:
                    for entry in inv["baseline_first_order"])
 
 
+def added_keys(before, after, path=()):
+    """Key paths of the dict `after` that `before` lacks.
+
+    Asserts that `before`'s keys come first in `after`, in their order, and
+    that every value of `before` is unchanged, except that the top-level
+    `notes` list may grow.
+    """
+    assert list(after)[:len(before)] == list(before), path
+    added = set()
+    for key, value in after.items():
+        if key not in before:
+            added.add(path + (key,))
+        elif path == () and key == "notes":
+            assert value[:len(before[key])] == before[key]
+        elif isinstance(value, dict):
+            added |= added_keys(before[key], value, path + (key,))
+        else:
+            assert value == before[key], path + (key,)
+    return added
+
+
+class TestBaselineComparison:
+    def test_comparison_only_adds(self, monkeypatch, golden_report):
+        # the comparison runs on a deep copy of the sections' report, which
+        # run_pipeline then returns as it is
+        inner = pipeline._compare_baseline
+        compared = []
+
+        def on_copy(report, *args):
+            compared.append(copy.deepcopy(report))
+            inner(compared[0], *args)
+
+        monkeypatch.setattr(pipeline, "_compare_baseline", on_copy)
+        before = pipeline.run_pipeline(reference.fixture_document())
+        assert len(compared) == 1
+        after = compared[0]
+        assert before["notes"] == [] and after["notes"]
+        assert added_keys(before, after) == {
+            ("structure", "matches_reference_commutators"),
+            ("structure", "matches_reference_killing"),
+            ("structure", "derived_dimensions"),
+            ("adjoint", "baseline_deltas"),
+            ("invariants", "baseline_first_order"),
+            ("invariants", "baseline_table_v4"),
+            ("invariants", "baseline_table_v5"),
+            ("reference_check",),
+            ("composite",),
+            ("optimal",),
+        }
+        assert pipeline.emit(after, "json") == pipeline.emit(golden_report, "json")
+
+
 class TestEmission:
     def test_json_is_valid_and_versioned(self, golden_report):
         raw = pipeline.emit(golden_report, "json")
@@ -161,7 +214,7 @@ class TestOptions:
         doc = parser.parse_system(
             reference.fixture_text("boundary_layer_printed.pde")
         )
-        assert not pipeline.detect_reference(doc)
+        assert not pipeline.reference_on(doc, parser.build_system(doc)[0])
         report = pipeline.run_pipeline(doc)
         assert report.get("reference_check") is None
         for g in report["generators"]:

@@ -1,12 +1,67 @@
 import random
 
+import pytest
+
 from liepde import expr
-from liepde.expr import Rational
+from liepde.errors import UnsupportedCompositionError
+from liepde.expr import GROUP, UNKNOWN, FunctionApplication, ParamExp, Rational, Symbol
 from liepde.fields import VectorField, bracket
 from liepde.jet import total_derivative
 from liepde.prolongation import characteristic, prolong, symmetry_residual
 
-from conftest import random_affine_field
+from conftest import random_affine_field, random_expression
+
+
+def field_apply_by_partials(vf, e):
+    """v(e) as one partial derivative per coordinate: the oracle of the
+    one-walk `VectorField.apply`."""
+    total = expr.ZERO
+    for sym, coeff in zip(vf.coordinates, vf.coefficients):
+        total = total + coeff * expr.diff(e, sym)
+    return total
+
+
+def prolonged_apply_by_partials(pr, e):
+    """pr v(e) as one partial derivative per independent variable and per
+    jet symbol of e: the oracle of the one-walk `ProlongedField.apply`."""
+    js = pr.field.space
+    total = expr.ZERO
+    for i, x in enumerate(js.independent):
+        partial = expr.diff(e, x)
+        if not expr.is_zero(partial):
+            total = total + pr.field.xi[i] * partial
+    for s in sorted(js.jet_symbols_in(e), key=lambda s: s._key):
+        partial = expr.diff(e, s)
+        if expr.is_zero(partial):
+            continue
+        if s not in pr.coefficients:
+            raise ValueError(
+                f"prolongation order {pr.order} too low for coordinate {s.name}"
+            )
+        total = total + pr.coefficients[s] * partial
+    return total
+
+
+def apply_pool(space, system, order):
+    """Coordinates up to `order`, a parameter, an ansatz unknown, negative
+    powers, a group exponential and function applications."""
+    x, y = space.independent
+    u, v, _ = space.dependent
+    pool = list(space.independent) + list(space.dependent) + [
+        system.parameters[0],
+        Symbol("c1", UNKNOWN),
+        x ** -1,
+        ParamExp(Symbol("eps", GROUP), 2),
+        FunctionApplication("g", (x,)),
+        FunctionApplication("f", (u, x)),
+        FunctionApplication("f", (u, x), (1, 0)),
+    ]
+    if order:
+        uy = space.coordinate(u, (0, 1))
+        pool += space.coordinates(order, min_order=1) + [
+            uy ** -2, FunctionApplication("h", (v, uy, y)),
+        ]
+    return pool
 
 
 def recursive_prolongation(vf, order, space):
@@ -162,3 +217,46 @@ class TestSymmetryResidual:
                 br = bracket(symmetry_basis[i], symmetry_basis[j])
                 res = symmetry_residual(br, system)
                 assert all(expr.is_zero(r) for r in res)
+
+
+class TestApply:
+    def test_field_matches_partials_oracle_random(self, golden):
+        space, system, _ = golden
+        rng = random.Random(61)
+        pool = apply_pool(space, system, 0)
+        for _ in range(100):
+            vf = random_affine_field(rng, space)
+            e = random_expression(rng, pool)
+            assert vf.apply(e) == field_apply_by_partials(vf, e)
+
+    def test_prolonged_matches_partials_oracle_random(self, golden):
+        space, system, _ = golden
+        rng = random.Random(67)
+        pool = apply_pool(space, system, 2)
+        for _ in range(100):
+            pr = prolong(random_affine_field(rng, space), 2)
+            e = random_expression(rng, pool)
+            assert pr.apply(e) == prolonged_apply_by_partials(pr, e)
+
+    def test_order_too_low(self, golden):
+        space, _, gens = golden
+        u = space.dependent[0]
+        pr = prolong(gens[3], 1)
+        e = u * space.coordinate(u, (2, 0))
+        for apply in (pr.apply, lambda e: prolonged_apply_by_partials(pr, e)):
+            with pytest.raises(ValueError) as err:
+                apply(e)
+            assert str(err.value) == "prolongation order 1 too low for coordinate u_xx"
+
+    def test_composite_argument_error(self, golden):
+        space, _, gens = golden
+        x = space.independent[0]
+        u = space.dependent[0]
+        e = u * FunctionApplication("g", (x + u,))
+        message = "cannot differentiate g(x + u) with composite arguments by x"
+        pr = prolong(gens[3], 1)
+        for apply in (gens[3].apply, lambda e: field_apply_by_partials(gens[3], e),
+                      pr.apply, lambda e: prolonged_apply_by_partials(pr, e)):
+            with pytest.raises(UnsupportedCompositionError) as err:
+                apply(e)
+            assert str(err.value) == message
