@@ -9,7 +9,9 @@ Both kernels run on integers and sparse rows.  char_poly scales A by the
 lcm d of its denominators and runs Faddeev-LeVerrier on dA, where each
 division is exact.  matrix_exp forms the Putzer products on the same
 integer matrix, holds each scalar r_k(t) as a dict {(m, l): c} integrated
-in closed form, and builds each entry's ExpPolynomial once, at the end.
+in closed form (`_putzer_step`), and builds each entry's ExpPolynomial once,
+at the end.  `flow` integrates the translation columns of exp(tA) with the
+same step at eigenvalue 0, the only closed-form integral here.
 """
 
 from __future__ import annotations
@@ -166,27 +168,6 @@ class ExpPolynomial:
             if ks[i]:
                 out = out + ExpPolynomial(self.params, {(r, ms, ks): c * ks[i]})
         return out
-
-    def integrate(self, param=EPS):
-        """Definite integral from 0 to `param`, exact in the ring."""
-        i = self.params.index(param)
-        out = ExpPolynomial(self.params, {})
-        for (r, ms, ks), c in self.terms.items():
-            out = out + self._integrate_term(r, ms, ks, c, i)
-        return out
-
-    def _integrate_term(self, r, ms, ks, c, i):
-        m, k = ms[i], ks[i]
-        if k == 0:
-            m2 = tuple(x + 1 if j == i else x for j, x in enumerate(ms))
-            return ExpPolynomial(self.params, {(r, m2, ks): c / (m + 1)})
-        # int_0^t s^m e^(ks) ds = t^m e^(kt)/k - (m/k) * int_0^t s^(m-1) e^(ks) ds
-        head = ExpPolynomial(self.params, {(r, ms, ks): c / k})
-        if m == 0:
-            zero_ks = tuple(Fraction(0) if j == i else x for j, x in enumerate(ks))
-            return head - ExpPolynomial(self.params, {(r, ms, zero_ks): c / k})
-        m2 = tuple(x - 1 if j == i else x for j, x in enumerate(ms))
-        return head - self._integrate_term(r, m2, ks, c * m / k, i)
 
     # -- substitution --------------------------------------------------------------
 
@@ -729,7 +710,9 @@ def flow(vf, param=EPS):
     """Exact flow of a vector field with affine rational coefficients.
 
     Solves dz/dt = A z + b as z(t) = exp(tA) z0 + (int_0^t exp(sA) ds) b;
-    only the columns j with b_j != 0 are integrated.
+    only the columns j with b_j != 0 are integrated, each entry by Putzer's
+    closed-form step with eigenvalue 0 (`_putzer_step(cell, 0)` is the
+    integral from 0 to t).
     """
     coords = vf.coordinates
     A = []
@@ -760,13 +743,17 @@ def flow(vf, param=EPS):
         if not expr.equal(coeff, linear):
             raise ValueError(f"coefficient {coeff} is not affine in the base variables")
     E = matrix_exp(A, param)
-    shifts = [(j, ExpPolynomial.constant(bj, (param,))) for j, bj in enumerate(b) if bj]
     translation = []
     for row in E:
-        acc = ExpPolynomial.constant(0, (param,))
-        for j, bj in shifts:
-            acc = acc + row[j].integrate(param) * bj
-        translation.append(acc)
+        acc = {}
+        for j, bj in enumerate(b):
+            if not bj:
+                continue
+            cell = {(m, lam): c for (_, (m,), (lam,)), c in row[j].terms.items()}
+            for (m, lam), c in _putzer_step(cell, _ZERO).items():
+                key = (_ZERO, (m,), (lam,))
+                acc[key] = acc.get(key, 0) + c * bj
+        translation.append(ExpPolynomial((param,), acc))
     return FlowMap(coords, E, translation)
 
 
@@ -795,19 +782,18 @@ def identity_flow(coords, params=(EPS,)):
     )
 
 
-def transform_solution(flow_map, space, function_names=("f", "g", "h")):
+def transform_solution(flow_map, space):
     """New solution functions produced by a flow, in the baseline orientation.
 
     The arguments of each solution function are pushed forward through the
     flow; each dependent value is rescaled by the inverse of its linear
     coefficient while translation parts are kept forward, so e.g. a flow
-    scaling u by e^t transforms u = f(x, y) into e^(-t) f(x e^t, y).
+    scaling u by e^t transforms u = f(x, y) into e^(-t) f(x e^t, y).  The
+    functions are named by `JetSpace.function_names`.
     """
     coords = flow_map.coords
     p = space.p
-    names = list(function_names) + [
-        f"F{k + 1}" for k in range(len(function_names), space.q)
-    ]
+    names = space.function_names()
     group_syms = {
         name: Symbol(name, GROUP)
         for entry in flow_map.matrix for e in entry for name in e.params

@@ -16,6 +16,10 @@ back through `Rational.value` and `constant_value` are always Fractions.
 The `/` operator divides only by nonzero monomials (negative integer
 powers), never by general sums; `divide` finds exact quotients of
 polynomials.
+
+Differentiation is one walk: `derivation` takes a derivation's values on
+symbols and applies the Leibniz rule to products and the chain rule to
+function applications; `diff` is the derivation of one symbol's indicator.
 """
 
 from __future__ import annotations
@@ -542,40 +546,23 @@ def free_symbols(e):
 # Differentiation
 # ---------------------------------------------------------------------------
 
-def _atom_diff(atom, s):
-    """Partial derivative of a monomial atom with respect to symbol s."""
-    if isinstance(atom, Symbol):
-        return ONE if atom == s else ZERO
-    if s not in free_symbols(atom):
-        return ZERO
-    if not all(isinstance(a, Symbol) for a in atom.args):
-        raise UnsupportedCompositionError(
-            f"cannot differentiate {atom} with composite arguments by {s.name}"
-        )
-    if len(set(atom.args)) != len(atom.args):
-        raise UnsupportedCompositionError(
-            f"cannot differentiate {atom} with repeated arguments"
-        )
-    slot = atom.args.index(s)
-    d = list(atom.derivatives)
-    d[slot] += 1
-    return FunctionApplication(atom.name, atom.args, tuple(d))
-
-
 def derivation(e, d):
-    """D e for the derivation D that takes each atom a to the expression d(a).
+    """D e for the derivation D that takes each symbol s to the expression d(s).
 
     The Leibniz rule in one walk over the terms of `e`, into one output
-    polynomial; exp(k*eps) goes to k * d(eps) * exp(k*eps).  `d` is called
-    once for each distinct atom and group symbol.
+    polynomial; exp(k*eps) goes to k * d(eps) * exp(k*eps), and a function
+    application f(a_1, ..., a_n) to the chain rule sum_k d(a_k) * f_k, f_k
+    being f with the derivative count of slot k raised.  `d` is called only
+    on symbols, group symbols included, and once for each distinct one.
+    An application with a composite or repeated argument raises
+    UnsupportedCompositionError, naming the first symbol in canonical order
+    that D does not take to zero, unless D takes every symbol in it to zero.
     """
     partials = {}
     out = {}
     for (powers, pexps), coeff in _lift(e)._poly().items():
         for idx, (atom, exp) in enumerate(powers):
-            p = partials.get(atom)
-            if p is None:
-                p = partials[atom] = d(atom)._poly()
+            p = _partial(atom, d, partials)
             if not p:
                 continue
             rest = list(powers)
@@ -587,19 +574,51 @@ def derivation(e, d):
             for mono, c in p.items():
                 _add_term(out, _mono_mul(cofactor, mono), coeff * exp * c)
         for sym, k in pexps:
-            p = partials.get(sym)
-            if p is None:
-                p = partials[sym] = d(sym)._poly()
-            for mono, c in p.items():
+            for mono, c in _partial(sym, d, partials).items():
                 _add_term(out, _mono_mul((powers, pexps), mono), coeff * k * c)
     return _canonical(out)
+
+
+def _partial(atom, d, partials):
+    """The polynomial dict of D atom, kept in `partials`."""
+    p = partials.get(atom)
+    if p is None:
+        if isinstance(atom, Symbol):
+            p = d(atom)._poly()
+        else:
+            p = _chain_rule(atom, d, partials)
+        partials[atom] = p
+    return p
+
+
+def _chain_rule(atom, d, partials):
+    """The polynomial dict of D f(a_1, ..., a_n) (see `derivation`)."""
+    live = [s for s in sorted(free_symbols(atom), key=lambda s: s._key)
+            if _partial(s, d, partials)]
+    if not live:
+        return {}
+    if not all(isinstance(a, Symbol) for a in atom.args):
+        raise UnsupportedCompositionError(
+            f"cannot differentiate {atom} with composite arguments by {live[0].name}"
+        )
+    if len(set(atom.args)) != len(atom.args):
+        raise UnsupportedCompositionError(
+            f"cannot differentiate {atom} with repeated arguments"
+        )
+    out = {}
+    for slot, arg in enumerate(atom.args):
+        counts = list(atom.derivatives)
+        counts[slot] += 1
+        raised = FunctionApplication(atom.name, atom.args, counts)._poly()
+        out = _poly_add(out, _poly_mul(_partial(arg, d, partials), raised))
+    return out
 
 
 def diff(e, s):
     """Exact partial derivative; all other symbols are held constant."""
     if not isinstance(s, Symbol):
         raise TypeError("can only differentiate with respect to a Symbol")
-    return derivation(e, lambda atom: _atom_diff(atom, s))
+    return derivation(e, lambda sym: ONE if sym == s else ZERO)
 
 
 # ---------------------------------------------------------------------------

@@ -49,19 +49,10 @@ class VectorField:
 
     def apply(self, e):
         """Derivation action on an expression of the base variables, in one
-        Leibniz walk (`expr.derivation`); function applications take the
-        chain rule through their arguments."""
+        Leibniz walk (`expr.derivation`): each coordinate goes to its
+        coefficient, every other symbol to 0."""
         coefficients = dict(zip(self.coordinates, self.coefficients))
-
-        def d(atom):
-            if isinstance(atom, expr.Symbol):
-                return coefficients.get(atom, ZERO)
-            out = ZERO
-            for sym, coeff in coefficients.items():
-                out = out + coeff * expr._atom_diff(atom, sym)
-            return out
-
-        return expr.derivation(e, d)
+        return expr.derivation(e, lambda s: coefficients.get(s, ZERO))
 
     def __add__(self, other):
         self._check_space(other)

@@ -97,7 +97,7 @@ def weight_system(generators, js, order):
         if kind == TRANSLATION:
             masked.update(data)
             continue
-        pr = prolong(vf, order, js)
+        pr = prolong(vf, order)
         row = []
         base_weights = {}
         for sym in js.independent + js.dependent:
@@ -193,16 +193,15 @@ def in_invariant_lattice(ws, invariants, e):
     return linalg.in_integer_lattice(basis, vec)
 
 
-def verify_invariant(e, generators, js=None):
+def verify_invariant(e, generators):
     """True iff every prolonged generator annihilates the expression."""
     e = expr.normalize(e)
     if not generators:
         return True
-    js = js or generators[0].space
-    coordinates = js.jet_symbols_in(e)
+    coordinates = generators[0].space.jet_symbols_in(e)
     order = max((s.order for s in coordinates), default=0)
     for g in generators:
-        pr = prolong(g, order, js, coordinates)
+        pr = prolong(g, order, coordinates)
         if not expr.is_zero(pr.apply(e)):
             return False
     return True
@@ -234,15 +233,14 @@ class SimilarityForm:
     __repr__ = __str__
 
 
-def similarity_form(vf, function_names=("f", "g", "h")):
-    """Similarity substitution for one translation or scaling generator."""
+def similarity_form(vf):
+    """Similarity substitution for one translation or scaling generator; the
+    functions are named by `JetSpace.function_names`."""
     js = vf.space
     kind, data = classify_generator(vf)
     r = Symbol("r", expr.INDEPENDENT)
     s = Symbol("s", GROUP)
-    names = list(function_names) + [
-        f"F{k + 1}" for k in range(len(function_names), js.q)
-    ]
+    names = js.function_names()
     if kind == TRANSLATION:
         translated = set(data)
         dep_translated = [c for c in translated if c.role == expr.DEPENDENT]

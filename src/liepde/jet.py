@@ -4,7 +4,9 @@ A jet space enumerates derivative coordinates u^a_J for each dependent
 variable up to a maximum order (with a little slack so prolongation can
 raise the order).  A PDE system additionally carries a solved form: an
 orientation of each equation as "leading coordinate = right-hand side",
-which drives reduction modulo the system.
+which drives reduction modulo the system.  A total derivative is the
+`expr.derivation` given by its values on symbols; `expr` applies the chain
+rule to function applications.
 """
 
 from __future__ import annotations
@@ -105,6 +107,11 @@ class JetSpace:
                     out.append(self.coordinate(dep, multi))
         return out
 
+    def function_names(self):
+        """Names of the solution functions, one per dependent variable:
+        f, g, h, then F4, F5, ..."""
+        return ("f", "g", "h", *(f"F{k + 1}" for k in range(3, self.q)))[:self.q]
+
     def jet_symbols_in(self, e):
         """Dependent and jet symbols occurring in an expression."""
         return {
@@ -115,24 +122,18 @@ class JetSpace:
 def total_derivative(e, i, js):
     """Total derivative D_i: d/dx_i plus the chain through all jet coordinates.
 
-    One Leibniz walk over the terms of `e` (`expr.derivation`): x_i goes to
-    1, a dependent or jet coordinate s to its lift s_i, and a function
-    application to its partial by x_i plus, for each coordinate s among its
-    arguments, s_i times its partial by s.
+    One Leibniz walk over the terms of `e` (`expr.derivation`, which also
+    applies the chain rule to function applications): x_i goes to 1, a
+    dependent or jet coordinate s to its lift s_i, every other symbol to 0.
     """
     if isinstance(i, Symbol):
         i = js.independent.index(i)
     x = js.independent[i]
 
-    def d(atom):
-        if not isinstance(atom, Symbol):
-            out = expr._atom_diff(atom, x)
-            for s in sorted(js.jet_symbols_in(atom), key=lambda s: s._key):
-                out = out + js.lift(s, i) * expr._atom_diff(atom, s)
-            return out
-        if atom.role in (DEPENDENT, JET):
-            return js.lift(atom, i)
-        return expr.ONE if atom == x else expr.ZERO
+    def d(s):
+        if s.role in (DEPENDENT, JET):
+            return js.lift(s, i)
+        return expr.ONE if s == x else expr.ZERO
 
     return expr.derivation(e, d)
 

@@ -236,7 +236,8 @@ class ParamFrac:
     rational content with a positive graded-lex leading coefficient, and
     becomes 1 whenever it divides `num` exactly.  A denominator that is
     `expr.ONE` itself, as every constant 1 that `expr` arithmetic returns
-    is, is taken as it is.
+    is, is taken as it is.  Elements are not hashable: equal elements can
+    have different representations.
     """
 
     __slots__ = ("num", "den")
@@ -310,9 +311,6 @@ class ParamFrac:
 
     def __eq__(self, other):
         return expr.is_zero(self.num * other.den - other.num * self.den)
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     def complexity(self):
         return len(self.num._poly()) + len(self.den._poly())

@@ -99,22 +99,14 @@ def _nilpotent_coefficients(L, i):
 
 @_per_algebra
 def invariant_components(L):
-    """Indices whose component is fixed by every adjoint action."""
-    out = []
-    for j in range(L.n):
-        fixed = True
-        for i in range(L.n):
-            M = ad_exp(L, i, param=EPS)
-            for r in range(L.n):
-                expected = ExpPolynomial.constant(1 if r == j else 0, (EPS,))
-                if M[r][j] != expected:
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if fixed:
-            out.append(j)
-    return tuple(out)
+    """Indices whose component is fixed by every adjoint action.
+
+    Component j of a . Ad(exp(t v_i)) is a_j for every a and t exactly when
+    row j of ad v_i is zero, so j is fixed by every Ad exactly when no
+    bracket [v_i, v_c] has a j component.
+    """
+    touched = {k for terms in L.table.values() for k, _ in terms}
+    return tuple(j for j in range(L.n) if j not in touched)
 
 
 @_per_algebra
@@ -464,26 +456,21 @@ def _invariant_signature(L, S, inv):
     return tuple(reduced)
 
 
-def coverage_gaps(L, representatives, probes=None):
-    """Probe directions the 1D representative list cannot reach.
+def coverage_gaps(L, representatives):
+    """Basis directions the 1D representative list cannot reach.
 
     A representative can only be adjoint-conjugate (up to span scaling) to a
-    vector with a proportional invariant-component signature; probes whose
-    signature is proportional to no representative's are reported.
+    vector with a proportional invariant-component signature; the labels of
+    the basis vectors whose signature is proportional to no
+    representative's are reported.
     """
     inv = invariant_components(L)
-    if probes is None:
-        probes = []
-        for j in range(L.n):
-            e = [Fraction(0)] * L.n
-            e[j] = Fraction(1)
-            probes.append((L.labels[j], tuple(e)))
     rep_sigs = []
     for vec in representatives:
         rep_sigs.append(tuple(Fraction(vec[j]) for j in inv))
     gaps = []
-    for label, probe in probes:
-        sig = tuple(Fraction(probe[j]) for j in inv)
+    for k, label in enumerate(L.labels):
+        sig = tuple(int(j == k) for j in inv)
         if all(x == 0 for x in sig):
             covered = any(all(x == 0 for x in rs) for rs in rep_sigs)
         else:

@@ -22,9 +22,9 @@ from .fields import VectorField
 from .jet import total_derivative_memo
 
 
-def characteristic(vf, js=None):
+def characteristic(vf):
     """Per-dependent characteristic Q^a = phi_a - sum_i xi_i u^a_{x_i}."""
-    js = js or vf.space
+    js = vf.space
     out = {}
     for alpha, dep in enumerate(js.dependent):
         q = vf.phi[alpha]
@@ -48,36 +48,24 @@ class ProlongedField:
 
     def apply(self, e):
         """Derivation action on a jet-space expression, in one Leibniz walk
-        (`expr.derivation`) as in `jet.total_derivative`: x_i goes to xi_i
-        and a dependent or jet coordinate to its coefficient."""
-        js = self.field.space
-        xi = dict(zip(js.independent, self.field.xi))
+        (`expr.derivation`) as in `jet.total_derivative`: x_i goes to xi_i,
+        a dependent or jet coordinate to its coefficient, every other symbol
+        to 0."""
+        xi = dict(zip(self.field.space.independent, self.field.xi))
 
-        def coefficient(s):
+        def d(s):
+            if s.role not in (DEPENDENT, JET):
+                return xi.get(s, ZERO)
             if s not in self.coefficients:
                 raise ValueError(
                     f"prolongation order {self.order} too low for coordinate {s.name}"
                 )
             return self.coefficients[s]
 
-        # d must not call itself: a closure cycle keeps the coefficients alive
-        def d(atom):
-            if isinstance(atom, Symbol):
-                if atom.role in (DEPENDENT, JET):
-                    return coefficient(atom)
-                return xi.get(atom, ZERO)
-            out = ZERO
-            for x, c in xi.items():
-                out = out + c * expr._atom_diff(atom, x)
-            for s in sorted(js.jet_symbols_in(atom), key=lambda s: s._key):
-                partial = expr._atom_diff(atom, s)
-                out = out + coefficient(s) * partial
-            return out
-
         return expr.derivation(e, d)
 
 
-def prolong(vf, order, js=None, coordinates=None):
+def prolong(vf, order, coordinates=None):
     """Prolong a vector field to the given jet order.
 
     By default every coordinate up to `order` gets its coefficient; with
@@ -87,7 +75,7 @@ def prolong(vf, order, js=None, coordinates=None):
     """
     if order < 0:
         raise ValueError("prolongation order must be nonnegative")
-    js = js or vf.space
+    js = vf.space
     if coordinates is None:
         coordinates = [
             js.coordinate(dep, multi)
@@ -95,7 +83,7 @@ def prolong(vf, order, js=None, coordinates=None):
             for j in range(order + 1)
             for multi in js.multi_indices(j)
         ]
-    q = characteristic(vf, js)
+    q = characteristic(vf)
     memo = {dep.name: {(0,) * js.p: q[dep]} for dep in js.dependent}
     phi = dict(zip(js.dependent, vf.phi))
     coeffs = {}
@@ -122,7 +110,7 @@ def symmetry_residual(vf, system):
     js = system.space
     coordinates = set().union(*(js.jet_symbols_in(eq) for eq in system.equations))
     order = max((s.order for s in coordinates), default=0)
-    pr = prolong(vf, order, js, coordinates)
+    pr = prolong(vf, order, coordinates)
     return [system.reduce(pr.apply(eq)) for eq in system.equations]
 
 
@@ -162,19 +150,7 @@ class Ansatz:
                 self.slots.append((f, exps))
 
     def generic_field(self):
-        base = self.space.independent + self.space.dependent
-        coeffs = [ZERO] * (self.space.p + self.space.q)
-        for sym, (f, exps) in zip(self.unknowns, self.slots):
-            mono = expr.ONE
-            for var, e in zip(base, exps):
-                if e:
-                    mono = mono * expr.Power(var, e)
-            coeffs[f] = coeffs[f] + sym * mono
-        return VectorField(
-            self.space,
-            tuple(coeffs[: self.space.p]),
-            tuple(coeffs[self.space.p:]),
-        )
+        return self.field_from_values(self.unknowns)
 
     def field_from_values(self, values):
         """Assemble a vector field from one expression per unknown."""

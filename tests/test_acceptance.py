@@ -152,17 +152,17 @@ def test_criterion_08_invariants(golden):
         first = reference.first_order_invariants(space)
         assert len(first) == 6
         for e in first:
-            assert verify_invariant(e, gens, space), str(e)
+            assert verify_invariant(e, gens), str(e)
         second = reference.second_order_invariants(space)
         assert len(second) == 15
         for e in second:
-            assert verify_invariant(e, gens, space), str(e)
+            assert verify_invariant(e, gens), str(e)
         table = reference.invariant_table_rows(space)
         for gen_idx, rows in table.items():
             failures = tuple(
                 label
                 for label, e in rows
-                if not verify_invariant(e, [gens[gen_idx]], space)
+                if not verify_invariant(e, [gens[gen_idx]])
             )
             assert failures == reference.EXPECTED_INVARIANT_FAILURES[gen_idx]
         _lattice_completeness_box_check(gens, space)

@@ -16,6 +16,7 @@ from liepde.adjoint import (
     EPS,
     ExpPolynomial,
     _deflate,
+    _putzer_step,
     ad_exp,
     ad_matrix,
     char_poly,
@@ -57,6 +58,7 @@ class TestExpPolynomial:
         assert d == ExpPolynomial.term(2, 1, 3) + ExpPolynomial.term(3, 2, 3)
 
     def test_integration_against_derivative(self):
+        # Putzer's step with eigenvalue 0 is the integral from 0 to eps
         rng = random.Random(67)
         for _ in range(100):
             e = ExpPolynomial.constant(0)
@@ -65,7 +67,10 @@ class TestExpPolynomial:
                     F(rng.randint(-4, 4)), rng.randint(0, 2),
                     F(rng.randint(-2, 2)),
                 )
-            integral = e.integrate()
+            cell = {(m, k): c for (_, (m,), (k,)), c in e.terms.items()}
+            integral = ExpPolynomial((EPS,), {
+                (F(0), (m,), (k,)): c for (m, k), c in _putzer_step(cell, F(0)).items()
+            })
             assert integral.derivative() == e
             assert integral.value_at_zero() == 0
 

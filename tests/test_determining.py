@@ -216,7 +216,7 @@ def old_build_determining(system, degree):
         max((s.order for s in js.jet_symbols_in(eq)), default=0)
         for eq in system.equations
     )
-    pr = prolong(ansatz.generic_field(), order, js)
+    pr = prolong(ansatz.generic_field(), order)
     residuals = [system.reduce(pr.apply(eq)) for eq in system.equations]
     split_vars = set(js.independent) | set(js.dependent) | {
         s

@@ -188,7 +188,7 @@ class TestLattice:
     def test_lattice_members_verify(self, golden, golden_weights, golden_lattice):
         space, _, gens = golden
         for inv in golden_lattice:
-            assert verify_invariant(inv.expression(), gens, space), str(inv)
+            assert verify_invariant(inv.expression(), gens), str(inv)
 
 
 class TestVerifyInvariant:
@@ -196,16 +196,16 @@ class TestVerifyInvariant:
         space, _, gens = golden
         y = space.independent[1]
         u = space.dependent[0]
-        assert verify_invariant(y**2 * u, [gens[4]], space)
+        assert verify_invariant(y**2 * u, [gens[4]])
 
     def test_constant(self, golden):
         space, _, gens = golden
-        assert verify_invariant(expr.Rational(7), gens, space)
+        assert verify_invariant(expr.Rational(7), gens)
 
     def test_weighted_coordinate_fails(self, golden):
         space, _, gens = golden
         u = space.dependent[0]
-        assert not verify_invariant(u, [gens[3]], space)
+        assert not verify_invariant(u, [gens[3]])
 
     def test_reference_table_pass_fail(self, golden):
         space, _, gens = golden
@@ -214,7 +214,7 @@ class TestVerifyInvariant:
             failures = tuple(
                 label
                 for label, e in rows
-                if not verify_invariant(e, [gens[gen_idx]], space)
+                if not verify_invariant(e, [gens[gen_idx]])
             )
             assert failures == reference.EXPECTED_INVARIANT_FAILURES[gen_idx]
 

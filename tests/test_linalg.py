@@ -252,6 +252,17 @@ def test_rational_lane_matches_expr_arithmetic():
         assert x.complexity() == len(expr.monomials(x.num)) + len(expr.monomials(x.den))
 
 
+def test_paramfrac_is_unhashable():
+    # equal elements can have different representations, so no hash can
+    # agree with field equality
+    a = ParamFrac(A * A - 1, A * A + A)
+    b = ParamFrac(A - 1, A)
+    assert a == b
+    for x in (a, b, ParamFrac.constant(1)):
+        with pytest.raises(TypeError):
+            hash(x)
+
+
 def test_solve_param_reads_sparse_rows():
     one, zero = ParamFrac.constant(1), ParamFrac.constant(0)
     a, z = ParamFrac(A), ParamFrac(Z)

@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 import liepde
-from liepde import optimal, reference
-from liepde.adjoint import EPS, ExpPolynomial
+from liepde import optimal, reference, structure
+from liepde.adjoint import EPS, ExpPolynomial, ad_exp
 from liepde.errors import NormalFormError
 from liepde.optimal import (
     adjoint_apply,
@@ -52,9 +52,42 @@ class TestAdjointApply:
                     assert image[j].rational_value() == a[j]
 
 
+def invariant_components_by_adjoints(L):
+    """Indices whose component every Ad(exp(eps v_i)) fixes, found by
+    comparing each adjoint matrix entry with a constant: the oracle of
+    `invariant_components`, which reads the structure constants."""
+    out = []
+    for j in range(L.n):
+        fixed = True
+        for i in range(L.n):
+            M = ad_exp(L, i, param=EPS)
+            for r in range(L.n):
+                expected = ExpPolynomial.constant(1 if r == j else 0, (EPS,))
+                if M[r][j] != expected:
+                    fixed = False
+                    break
+            if not fixed:
+                break
+        if fixed:
+            out.append(j)
+    return tuple(out)
+
+
+def jordan_algebra():
+    """[v1, v2] = v2/2 and [v1, v3] = v2 + v3/2: ad v1 is one Jordan block."""
+    return structure.LieAlgebra.from_brackets(
+        3, {(0, 1): (0, F(1, 2), 0), (0, 2): (0, 1, F(1, 2))})
+
+
 class TestInvariantComponents:
     def test_golden_fingerprint_slots(self, algebra):
         assert invariant_components(algebra) == (3, 4)
+
+    def test_matches_adjoint_matrices(self, algebra, borel4):
+        for L, expected in ((algebra, (3, 4)), (borel4, (0, 4, 7, 9)),
+                            (jordan_algebra(), (0,))):
+            assert invariant_components(L) == invariant_components_by_adjoints(L)
+            assert invariant_components(L) == expected
 
     def test_directions(self, algebra):
         nilpotent, scaling = classify_directions(algebra)

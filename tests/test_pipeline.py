@@ -210,6 +210,26 @@ class TestOptions:
         # six computed generators drive the structure section
         assert len(report["structure"]["labels"]) == 6
 
+    def test_symmetry_dimension_note_states_what_holds(self, golden_report):
+        # with + x*y in the x-momentum equation only v3 and v4 survive: the
+        # note names no extra generator and does not claim 2 exceeds 5
+        text = reference.fixture_text().replace(
+            "nu*d(u,y,y)\n", "nu*d(u,y,y) + x*y\n")
+        report = pipeline.run_pipeline(parser.parse_system(text), use_reference=True)
+        contains = report["reference_check"]["contains"]
+        assert [label for label, c in contains.items() if c["in_span"]] == ["v3", "v4"]
+        assert report["reference_check"]["computed_dimension"] == 2
+        details = [n["detail"] for n in report["notes"]
+                   if n["anchor"] == "reference:boundary-layer/symmetry-dimension"]
+        assert details == ["computed nullspace dimension 2 is below the baseline count 5"]
+        # on the fixture, 6 > 5 and x*d/dy + u*d/dv is in the span
+        details = [n["detail"] for n in golden_report["notes"]
+                   if n["anchor"] == "reference:boundary-layer/symmetry-dimension"]
+        assert details == [
+            "computed nullspace dimension 6 exceeds the baseline count 5; the span "
+            "also contains x*d/dy + u*d/dv (zero residual, excluded by the baseline "
+            "determining equations)"]
+
     def test_printed_variant_not_detected_as_reference(self):
         doc = parser.parse_system(
             reference.fixture_text("boundary_layer_printed.pde")

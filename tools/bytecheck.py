@@ -28,7 +28,9 @@ algebra with ``--reference off``; ``normal-form`` and ``check-generator``,
 also with the wrong number of coefficients, on Burgers at degree 2;
 ``--reference on`` ``symmetries`` and ``normal-form`` on Burgers, which
 lacks the boundary-layer shape), the baseline comparison on the fixture's
-printed variant (``--reference on symmetries``, in text and JSON), a
+printed variant and on the fixture with ``+ x*y`` added to the x-momentum
+equation, whose symmetry span has dimension 2 and holds only v3 and v4
+(``--reference on symmetries``, in text and JSON), a
 two-parameter system at degrees 1-2, a Burgers-type system whose fractional
 coefficients multiply to integers at degrees 1-2, the heat equation at
 degrees 1-2 (degree 2 exits 1: its span does not close under the bracket),
@@ -96,6 +98,22 @@ eq d(u,t) = d(u,x,x)
 lead d(u,t)
 """
 
+# the fixture with a forcing term x*y in the x-momentum equation
+FORCED = """\
+param rho > 0
+param nu > 0
+independent x y
+dependent u(x, y)
+dependent v(x, y)
+dependent p(x, y)
+eq d(u,x) + d(v,y) = 0
+eq u*d(u,x) + v*d(u,y) = -(1/rho)*d(p,x) + nu*d(u,y,y) + x*y
+eq d(p,y) = 0
+lead d(v,y)
+lead d(u,y,y)
+lead d(p,y)
+"""
+
 NEGATIVE_POWER = """\
 independent t x
 dependent u(t, x)
@@ -151,6 +169,7 @@ def write_inputs(folder, parent):
         "mixed.pde": MIXED,
         "heat.pde": HEAT,
         "negative_power.pde": NEGATIVE_POWER,
+        "forced.pde": FORCED,
         "b4.json": json.dumps(borel4(), indent=1),
         "jordan.json": json.dumps(JORDAN),
     }
@@ -231,6 +250,8 @@ def write_inputs(folder, parent):
             # the baseline comparison off the fixture: v4 and v5 are not in
             # the span of the printed system's symmetries
             ["--reference", "on", *fmt, "symmetries", "printed.pde"],
+            # a span of dimension 2 that lacks x*d/dy + u*d/dv
+            ["--reference", "on", *fmt, "symmetries", "forced.pde"],
         ]
     for name in ("two_parameter.pde", "mixed.pde"):
         for degree in ("1", "2"):
