@@ -2,9 +2,9 @@
 
 Canonical polynomial expressions over the rationals, jet-space
 prolongation, determining equations solved by exact elimination, Lie-algebra
-structure theory, adjoint matrices and flows in a closed
-exponential-polynomial ring, monomial differential invariants, and
-adjoint-orbit tooling for optimal systems of subalgebras.
+structure theory, exact adjoint matrices, flows as sums of
+c * eps^m * exp(k eps) in the expression layer, monomial differential
+invariants, and adjoint-orbit tooling for optimal systems of subalgebras.
 """
 
 from .errors import LiepdeError

@@ -1,16 +1,18 @@
 """Exact adjoint matrices, one-parameter flows, and solution transforms.
 
-Everything lives in the ring of finite sums  c * prod_i eps_i^m_i * e^(k_i eps_i)
-with rational c, k (class ExpPolynomial).  Matrix exponentials are computed
-by Putzer's algorithm from the eigenvalues alone, so exponentials of
-matrices with rational spectrum are exact and closed in this ring.
+Entries are finite sums c * eps^m * e^(k eps) with rational c, k.  Matrix
+exponentials are computed by Putzer's algorithm from the eigenvalues
+alone, so exponentials of matrices with rational spectrum are exact and
+closed in these sums.  Flows, their composites and the transformed
+solutions are `expr` values, with exp(k eps) as `expr.ParamExp` factors;
+`matrix_exp` and `ad_exp` return `ExpPolynomial` term records.
 
 Both kernels run on integers and sparse rows.  char_poly scales A by the
 lcm d of its denominators and runs Faddeev-LeVerrier on dA, where each
 division is exact.  matrix_exp forms the Putzer products on the same
 integer matrix, holds each scalar r_k(t) as a dict {(m, l): c} integrated
-in closed form (`_putzer_step`), and builds each entry's ExpPolynomial once,
-at the end.  `flow` integrates the translation columns of exp(tA) with the
+in closed form (`_putzer_step`), and builds each entry's record once, at
+the end.  `flow` integrates the translation columns of exp(tA) with the
 same step at eigenvalue 0, the only closed-form integral here.
 """
 
@@ -21,283 +23,48 @@ from fractions import Fraction
 
 from . import expr
 from .errors import UnsupportedSpectrumError
-from .expr import GROUP, ParamExp, Power, Symbol, ZERO
+from .expr import GROUP, ParamExp, Symbol, ZERO
 
 EPS = "eps"
-DELTA = "delta"
+_ZERO = Fraction(0)
 
 
 class ExpPolynomial:
-    """Finite sum of terms c * e^r * prod_i eps_i^m_i * e^(k_i * eps_i).
+    """An entry of `matrix_exp` and `ad_exp`: a sum of c * eps^m * e^(k*eps).
 
-    `params` is a sorted tuple of parameter names; term keys are
-    (r, (m_i,...), (k_i,...)) with rational r (a constant exponent produced
-    by evaluating a parameter at a rational point) and integer m_i.
+    `params` is the one-element tuple (eps,) naming the parameter, and
+    `terms` maps (0, (m,), (k,)) to a nonzero Fraction c, with integer
+    m >= 0 and rational k.  The leading 0 is a constant-exponent slot that
+    is always 0.  The readers of this layout are `pipeline.jexppoly`, the
+    baseline comparison against `reference.adjoint_matrix`,
+    `optimal._diagonal_exponents` and `optimal._nilpotent_coefficients`, and
+    the benchmark's JSON dump of the adjoint matrices.  All arithmetic on
+    flows, composites and transforms is in `expr`; the class goes once the
+    benchmark reads the entries through `pipeline.jexppoly` and `ad_exp`
+    can return `expr` values.
     """
 
     __slots__ = ("params", "terms")
 
-    def __init__(self, params, terms=None):
-        self.params = tuple(params)
-        clean = {}
-        for key, c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                clean[key] = clean.get(key, Fraction(0)) + c
-                if not clean[key]:
-                    del clean[key]
-        self.terms = clean
-
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def _clean(cls, params, terms):
-        """An element from terms with distinct keys and nonzero Fraction
-        coefficients, taken as they are."""
-        self = cls.__new__(cls)
+    def __init__(self, params, terms):
         self.params = params
         self.terms = terms
-        return self
 
     @classmethod
-    def constant(cls, value, params=(EPS,)):
-        value = Fraction(value)
-        n = len(params)
-        if not value:
-            return cls(params, {})
-        return cls(params, {(Fraction(0), (0,) * n, (Fraction(0),) * n): value})
+    def constant(cls, value):
+        return cls.term(value, 0, 0)
 
     @classmethod
-    def term(cls, c, m, k, params=(EPS,), param=EPS):
-        """c * eps^m * e^(k*eps) in the named parameter."""
-        n = len(params)
-        i = params.index(param)
-        ms = tuple(m if j == i else 0 for j in range(n))
-        ks = tuple(Fraction(k) if j == i else Fraction(0) for j in range(n))
-        return cls(params, {(Fraction(0), ms, ks): Fraction(c)})
-
-    def promote(self, params):
-        """The same element viewed over a larger parameter tuple."""
-        params = tuple(params)
-        if params == self.params:
-            return self
-        pos = [params.index(p) for p in self.params]
-        n = len(params)
-        out = {}
-        for (r, ms, ks), c in self.terms.items():
-            new_m = [0] * n
-            new_k = [Fraction(0)] * n
-            for src, dst in enumerate(pos):
-                new_m[dst] = ms[src]
-                new_k[dst] = ks[src]
-            out[(r, tuple(new_m), tuple(new_k))] = c
-        return ExpPolynomial(params, out)
-
-    # -- ring operations --------------------------------------------------------
-
-    def _align(self, other):
-        if not isinstance(other, ExpPolynomial):
-            other = ExpPolynomial.constant(other, self.params)
-        if self.params == other.params:
-            return self, other
-        merged = tuple(sorted(set(self.params) | set(other.params)))
-        return self.promote(merged), other.promote(merged)
-
-    def __add__(self, other):
-        a, b = self._align(other)
-        out = dict(a.terms)
-        for key, c in b.terms.items():
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return ExpPolynomial(a.params, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ExpPolynomial(self.params, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        a, b = self._align(other)
-        return a + (-b)
-
-    def __rsub__(self, other):
-        a, b = self._align(other)
-        return b + (-a)
-
-    def __mul__(self, other):
-        a, b = self._align(other)
-        out = {}
-        for (r1, m1, k1), c1 in a.terms.items():
-            for (r2, m2, k2), c2 in b.terms.items():
-                key = (
-                    r1 + r2,
-                    tuple(x + y for x, y in zip(m1, m2)),
-                    tuple(x + y for x, y in zip(k1, k2)),
-                )
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return ExpPolynomial(a.params, out)
-
-    __rmul__ = __mul__
+    def term(cls, c, m, k):
+        """c * eps^m * e^(k*eps)."""
+        c = Fraction(c)
+        return cls((EPS,), {(_ZERO, (m,), (Fraction(k),)): c} if c else {})
 
     def is_zero(self):
         return not self.terms
 
     def __eq__(self, other):
-        a, b = self._align(other)
-        return a.terms == b.terms
-
-    def __hash__(self):
-        return hash((self.params, frozenset(self.terms.items())))
-
-    # -- calculus ----------------------------------------------------------------
-
-    def derivative(self, param=EPS):
-        i = self.params.index(param)
-        out = ExpPolynomial(self.params, {})
-        for (r, ms, ks), c in self.terms.items():
-            if ms[i] > 0:
-                m2 = tuple(m - 1 if j == i else m for j, m in enumerate(ms))
-                out = out + ExpPolynomial(self.params, {(r, m2, ks): c * ms[i]})
-            if ks[i]:
-                out = out + ExpPolynomial(self.params, {(r, ms, ks): c * ks[i]})
-        return out
-
-    # -- substitution --------------------------------------------------------------
-
-    def substitute(self, param, value):
-        """Evaluate one parameter at an exact rational point.
-
-        e^(k*eps) at eps=q becomes the exact constant exponential e^(k*q),
-        carried in the constant-exponent slot of each term.
-        """
-        value = Fraction(value)
-        i = self.params.index(param)
-        rest = tuple(p for p in self.params if p != param)
-        out = {}
-        for (r, ms, ks), c in self.terms.items():
-            new_c = c * value ** ms[i]
-            if not new_c:
-                continue
-            new_r = r + ks[i] * value
-            new_m = tuple(m for j, m in enumerate(ms) if j != i)
-            new_k = tuple(k for j, k in enumerate(ks) if j != i)
-            key = (new_r, new_m, new_k)
-            s = out.get(key, Fraction(0)) + new_c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return ExpPolynomial(rest, out)
-
-    def substitute_sum(self, param, parts):
-        """Replace one parameter by a sum of fresh parameters, exactly.
-
-        (a+b)^m expands binomially; e^(k(a+b)) = e^(ka) e^(kb).
-        """
-        i = self.params.index(param)
-        rest = [p for p in self.params if p != param]
-        new_params = tuple(sorted(set(rest) | set(parts)))
-        out = ExpPolynomial(new_params, {})
-        for (r, ms, ks), c in self.terms.items():
-            base = {(r,
-                     tuple(m for j, m in enumerate(ms) if j != i),
-                     tuple(k for j, k in enumerate(ks) if j != i)): c}
-            term = ExpPolynomial(tuple(rest), base).promote(new_params)
-            # exponential part
-            for p in parts:
-                if ks[i]:
-                    term = term * ExpPolynomial.term(1, 0, ks[i], new_params, p)
-            # polynomial part (sum of parts)^m
-            linear = ExpPolynomial(new_params, {})
-            for p in parts:
-                linear = linear + ExpPolynomial.term(1, 1, 0, new_params, p)
-            for _ in range(ms[i]):
-                term = term * linear
-            out = out + term
-        return out
-
-    def value_at_zero(self):
-        """Exact value with every parameter set to 0 (must be rational)."""
-        v = self
-        for p in list(v.params):
-            v = v.substitute(p, 0)
-        total = Fraction(0)
-        for (r, _, _), c in v.terms.items():
-            if r != 0:
-                raise ValueError("value involves a non-rational constant exponential")
-            total += c
-        return total
-
-    def rational_value(self):
-        """The Fraction this element equals, or None if not a plain rational."""
-        if not self.terms:
-            return Fraction(0)
-        zero_key = (Fraction(0), (0,) * len(self.params),
-                    (Fraction(0),) * len(self.params))
-        if set(self.terms) == {zero_key}:
-            return self.terms[zero_key]
-        return None
-
-    def to_expression(self, param_symbols):
-        """Convert to an Expr using the given name -> group symbol mapping."""
-        total = ZERO
-        for (r, ms, ks), c in sorted(self.terms.items()):
-            if r != 0:
-                raise ValueError("constant exponentials have no expression form")
-            term = expr.Rational(c)
-            for name, m, k in zip(self.params, ms, ks):
-                sym = param_symbols[name]
-                if m:
-                    term = term * Power(sym, m)
-                if k:
-                    term = term * ParamExp(sym, k)
-            total = total + term
-        return total
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (r, ms, ks), c in sorted(self.terms.items()):
-            factors = []
-            if r:
-                factors.append(f"e^({r})")
-            for name, m, k in zip(self.params, ms, ks):
-                if m == 1:
-                    factors.append(name)
-                elif m:
-                    factors.append(f"{name}^{m}")
-                if k == 1:
-                    factors.append(f"exp({name})")
-                elif k == -1:
-                    factors.append(f"exp(-{name})")
-                elif k:
-                    factors.append(f"exp({k}*{name})")
-            body = "*".join(factors)
-            if not body:
-                text = str(c)
-            elif c == 1:
-                text = body
-            elif c == -1:
-                text = f"-{body}"
-            else:
-                text = f"{c}*{body}"
-            if not parts:
-                parts.append(text)
-            elif text.startswith("-"):
-                parts.append(f" - {text[1:]}")
-            else:
-                parts.append(f" + {text}")
-        return "".join(parts)
-
-    __repr__ = __str__
+        return self.params == other.params and self.terms == other.terms
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +260,6 @@ def _deflate(p, r):
     return q[::-1], value
 
 
-_ZERO = Fraction(0)
-
-
 def matrix_exp(A, param=EPS):
     """Exact exp(param * A) for a matrix of ints and Fractions with rational
     spectrum.
@@ -536,7 +300,7 @@ def matrix_exp(A, param=EPS):
         scale *= d
     params = (param,)
     keys = [(_ZERO, (m,), (lam,)) for m, lam in slots]
-    return [tuple(ExpPolynomial._clean(params, {keys[slot]: c for slot, c in cell.items() if c})
+    return [tuple(ExpPolynomial(params, {keys[slot]: c for slot, c in cell.items() if c})
                   for cell in row) for row in result]
 
 
@@ -572,7 +336,7 @@ def _putzer_step(r, lam):
 
 
 def mat_mul(A, B):
-    """Product of ExpPolynomial matrices."""
+    """Product of matrices of `expr` values."""
     n = len(A)
     m = len(B[0])
     inner = len(B)
@@ -587,21 +351,6 @@ def mat_mul(A, B):
             row.append(acc)
         out.append(tuple(row))
     return out
-
-
-def mat_apply_row(vec, M):
-    """Row vector times matrix; entries may be Fractions or ExpPolynomials."""
-    n = len(M)
-    out = []
-    for j in range(len(M[0])):
-        acc = None
-        for i in range(n):
-            term = M[i][j] * vec[i] if isinstance(M[i][j], ExpPolynomial) else (
-                vec[i] * M[i][j]
-            )
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return tuple(out)
 
 
 def ad_matrix(L, a):
@@ -634,7 +383,7 @@ def ad_exp(L, i, param=EPS):
 # ---------------------------------------------------------------------------
 
 class FlowMap:
-    """Affine map z -> M z + c with ExpPolynomial entries.
+    """Affine map z -> M z + c with `expr` entries in a group symbol.
 
     Rows and columns are indexed by the base coordinates of the jet space.
     """
@@ -645,65 +394,33 @@ class FlowMap:
         self.translation = tuple(translation)
 
     def component(self, sym):
-        """The image of coordinate `sym` as an expression-valued description."""
+        """The row of M and the entry of c that give the image of `sym`."""
         i = self.coords.index(sym)
         return self.matrix[i], self.translation[i]
 
-    def component_expression(self, sym, param_symbols):
+    def component_expression(self, sym):
+        """The image of coordinate `sym`, as one expression."""
         row, c = self.component(sym)
-        total = c.to_expression(param_symbols)
+        total = c
         for z, entry in zip(self.coords, row):
-            total = total + entry.to_expression(param_symbols) * z
+            total = total + entry * z
         return total
-
-    def substitute(self, param, value):
-        return FlowMap(
-            self.coords,
-            [[e.substitute(param, value) for e in row] for row in self.matrix],
-            [e.substitute(param, value) for e in self.translation],
-        )
-
-    def substitute_sum(self, param, parts):
-        return FlowMap(
-            self.coords,
-            [[e.substitute_sum(param, parts) for e in row] for row in self.matrix],
-            [e.substitute_sum(param, parts) for e in self.translation],
-        )
 
     def __eq__(self, other):
         return (
             isinstance(other, FlowMap)
             and self.coords == other.coords
-            and all(
-                a == b
-                for ra, rb in zip(self.matrix, other.matrix)
-                for a, b in zip(ra, rb)
-            )
-            and all(a == b for a, b in zip(self.translation, other.translation))
+            and self.matrix == other.matrix
+            and self.translation == other.translation
         )
 
-    def __str__(self):
-        names = {}
-        pieces = []
-        for sym in self.coords:
-            row, c = self.component(sym)
-            parts = []
-            if not c.is_zero():
-                parts.append(str(c))
-            for z, entry in zip(self.coords, row):
-                if entry.is_zero():
-                    continue
-                body = str(entry)
-                if body == "1":
-                    parts.append(z.name)
-                elif "+" in body or " - " in body:
-                    parts.append(f"({body})*{z.name}")
-                else:
-                    parts.append(f"{body}*{z.name}")
-            pieces.append(f"{sym.name} -> {' + '.join(parts) if parts else '0'}")
-        return ", ".join(pieces)
 
-    __repr__ = __str__
+def _expression(e, sym):
+    """The entry `e` of `matrix_exp` as the `expr` sum of c * sym^m * exp(k*sym)."""
+    total = ZERO
+    for (_, (m,), (k,)), c in e.terms.items():
+        total = total + c * sym ** m * ParamExp(sym, k)
+    return total
 
 
 def flow(vf, param=EPS):
@@ -712,7 +429,8 @@ def flow(vf, param=EPS):
     Solves dz/dt = A z + b as z(t) = exp(tA) z0 + (int_0^t exp(sA) ds) b;
     only the columns j with b_j != 0 are integrated, each entry by Putzer's
     closed-form step with eigenvalue 0 (`_putzer_step(cell, 0)` is the
-    integral from 0 to t).
+    integral from 0 to t).  The entries are `expr` values in the group
+    symbol named `param`.
     """
     coords = vf.coordinates
     A = []
@@ -743,6 +461,7 @@ def flow(vf, param=EPS):
         if not expr.equal(coeff, linear):
             raise ValueError(f"coefficient {coeff} is not affine in the base variables")
     E = matrix_exp(A, param)
+    sym = Symbol(param, GROUP)
     translation = []
     for row in E:
         acc = {}
@@ -753,12 +472,14 @@ def flow(vf, param=EPS):
             for (m, lam), c in _putzer_step(cell, _ZERO).items():
                 key = (_ZERO, (m,), (lam,))
                 acc[key] = acc.get(key, 0) + c * bj
-        translation.append(ExpPolynomial((param,), acc))
-    return FlowMap(coords, E, translation)
+        integral = ExpPolynomial((param,), {key: c for key, c in acc.items() if c})
+        translation.append(_expression(integral, sym))
+    matrix = [[_expression(e, sym) for e in row] for row in E]
+    return FlowMap(coords, matrix, translation)
 
 
 def compose(f, g):
-    """Map composition f after g, exact in the ExpPolynomial ring."""
+    """Map composition f after g, exact in `expr`."""
     if f.coords != g.coords:
         raise ValueError("flow maps live on different coordinate systems")
     matrix = mat_mul(f.matrix, g.matrix)
@@ -771,69 +492,40 @@ def compose(f, g):
     return FlowMap(f.coords, matrix, translation)
 
 
-def identity_flow(coords, params=(EPS,)):
-    zero = ExpPolynomial.constant(0, params)
-    one = ExpPolynomial.constant(1, params)
-    n = len(coords)
-    return FlowMap(
-        coords,
-        [[one if i == j else zero for j in range(n)] for i in range(n)],
-        [zero] * n,
-    )
-
-
 def transform_solution(flow_map, space):
     """New solution functions produced by a flow, in the baseline orientation.
 
     The arguments of each solution function are pushed forward through the
-    flow; each dependent value is rescaled by the inverse of its linear
-    coefficient while translation parts are kept forward, so e.g. a flow
-    scaling u by e^t transforms u = f(x, y) into e^(-t) f(x e^t, y).  The
-    functions are named by `JetSpace.function_names`.
+    flow; each dependent value is divided by its linear coefficient while
+    translation parts are kept forward, so e.g. a flow scaling u by e^t
+    transforms u = f(x, y) into e^(-t) f(x e^t, y).  The functions are named
+    by `JetSpace.function_names`.
     """
     coords = flow_map.coords
     p = space.p
     names = space.function_names()
-    group_syms = {
-        name: Symbol(name, GROUP)
-        for entry in flow_map.matrix for e in entry for name in e.params
-    }
-    for e in flow_map.translation:
-        for name in e.params:
-            group_syms.setdefault(name, Symbol(name, GROUP))
     # forward-transformed independent arguments
     args = []
-    for i, z in enumerate(space.independent):
-        row, c = flow_map.component(z)
-        for j in range(p, len(coords)):
-            if not row[j].is_zero():
-                raise ValueError(
-                    "independent coordinates must transform among themselves"
-                )
-        args.append(flow_map.component_expression(z, group_syms))
+    for z in space.independent:
+        row, _ = flow_map.component(z)
+        if not all(expr.is_zero(e) for e in row[p:]):
+            raise ValueError("independent coordinates must transform among themselves")
+        args.append(flow_map.component_expression(z))
     out = {}
     for a, dep in enumerate(space.dependent):
         row, c = flow_map.component(dep)
         idx = coords.index(dep)
-        for j, entry in enumerate(row):
-            if j != idx and not entry.is_zero():
-                raise ValueError(
-                    f"dependent coordinate {dep.name} mixes with other coordinates; "
-                    "no diagonal solution transform exists"
-                )
+        if not all(expr.is_zero(e) for j, e in enumerate(row) if j != idx):
+            raise ValueError(
+                f"dependent coordinate {dep.name} mixes with other coordinates; "
+                "no diagonal solution transform exists"
+            )
         lam = row[idx]
-        lam_inv = _invert_monomial_exp(lam)
+        # not c * exp(k eps); a row of exp(tA) with no off-diagonal entry
+        # is e^(a t), so no flow gets here
+        terms = expr.monomials(lam)
+        if len(terms) != 1 or terms[0][0][0]:
+            raise ValueError(f"cannot invert the coefficient {lam} of {dep.name}")
         func = expr.FunctionApplication(names[a], tuple(args))
-        value = lam_inv.to_expression(group_syms) * func + c.to_expression(group_syms)
-        out[dep] = value
+        out[dep] = func / lam + c
     return out
-
-
-def _invert_monomial_exp(e):
-    if len(e.terms) != 1:
-        raise ValueError(f"cannot invert non-monomial coefficient {e}")
-    (key, c), = e.terms.items()
-    r, ms, ks = key
-    if any(ms) or r != 0:
-        raise ValueError(f"cannot invert polynomial coefficient {e}")
-    return ExpPolynomial(e.params, {(r, ms, tuple(-k for k in ks)): Fraction(1) / c})

@@ -626,7 +626,13 @@ def diff(e, s):
 # ---------------------------------------------------------------------------
 
 def substitute(e, rules):
-    """Simultaneous, non-recursive substitution of symbols."""
+    """Simultaneous, non-recursive substitution of symbols.
+
+    A rule for a group symbol s also rewrites its exponentials: with s -> 0,
+    exp(k*s) becomes 1, and with s -> sum_j a_j g_j, a rational combination
+    of group symbols, it becomes prod_j exp(k*a_j*g_j).  Any other value for
+    s raises NonPolynomialError where an exp(k*s) occurs.
+    """
     for target in rules:
         if not isinstance(target, Symbol):
             raise TypeError("substitution targets must be symbols")
@@ -648,12 +654,34 @@ def substitute(e, rules):
                 continue
             p = _poly_pow(value._poly(), exp)
             factor = p if factor is None else _poly_mul(factor, p)
+        kept_exps = []
+        for sym, k in pexps:
+            if sym not in rules:
+                kept_exps.append((sym, k))
+                continue
+            p = {((), _exponent_combination(sym, rules[sym], k)): _ONE}
+            factor = p if factor is None else _poly_mul(factor, p)
         if factor is None:
             _add_term(out, mono, coeff)
             continue
-        for m, c in _poly_mul({(tuple(kept), pexps): coeff}, factor).items():
+        for m, c in _poly_mul({(tuple(kept), tuple(kept_exps)): coeff}, factor).items():
             _add_term(out, m, c)
     return _canonical(out)
+
+
+def _exponent_combination(sym, value, k):
+    """The pexps of exp(k * value), for the value of the group symbol `sym`:
+    value must be a rational combination of group symbols."""
+    pexps = []
+    for (powers, exps), a in _sorted_terms(value._poly()):
+        g = powers[0][0] if len(powers) == 1 and powers[0][1] == 1 and not exps else None
+        if not (isinstance(g, Symbol) and g.role == GROUP):
+            raise NonPolynomialError(
+                f"exp({sym.name}) with {sym.name} = {value} is not an exponential "
+                "of a rational combination of group symbols"
+            )
+        pexps.append((g, k * a))
+    return tuple(pexps)
 
 
 # ---------------------------------------------------------------------------

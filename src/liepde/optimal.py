@@ -15,29 +15,8 @@ import functools
 from fractions import Fraction
 
 from . import linalg, structure
-from .adjoint import EPS, ExpPolynomial, ad_exp, mat_apply_row
-from .errors import LiepdeError, NormalFormError
-
-
-def adjoint_apply(L, i, epsilon, a):
-    """Exact image of the coordinate row vector `a` under Ad(exp(eps v_i)).
-
-    `epsilon` may be a Fraction (components stay exact, possibly with
-    constant exponentials) or the string name of a symbolic parameter.
-    Components of `a` may be rationals or ExpPolynomial values from an
-    earlier step.
-    """
-    M = ad_exp(L, i, param=EPS)
-    vec = [
-        x if isinstance(x, ExpPolynomial) else ExpPolynomial.constant(x, (EPS,))
-        for x in a
-    ]
-    image = mat_apply_row(vec, M)
-    if isinstance(epsilon, str):
-        if epsilon != EPS:
-            image = tuple(e.substitute_sum(EPS, (epsilon,)) for e in image)
-        return image
-    return tuple(e.substitute(EPS, Fraction(epsilon)) for e in image)
+from .adjoint import EPS, ad_exp
+from .errors import LiepdeError, NormalFormError, UnsupportedSpectrumError
 
 
 def _scaling_multiplier_apply(L, i, q, a):
@@ -114,12 +93,18 @@ def classify_directions(L):
     """(nilpotent indices, diagonal-scaling indices) of the basis adjoints.
 
     A direction is nilpotent when no entry of its adjoint matrix has an
-    exponential term, that is when every eigenvalue of its ad is 0.
+    exponential term, that is when every eigenvalue of its ad is 0.  A
+    direction whose ad has an eigenvalue outside the rationals, such as a
+    rotation, is neither, and is skipped like any other direction that is
+    neither nilpotent nor a diagonal scaling.
     """
     nilpotent = []
     scaling = []
     for i in range(L.n):
-        powers = _nilpotent_coefficients(L, i)
+        try:
+            powers = _nilpotent_coefficients(L, i)
+        except UnsupportedSpectrumError:
+            continue
         if powers is not None:
             if len(powers) > 1:  # ad is not zero
                 nilpotent.append(i)

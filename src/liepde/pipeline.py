@@ -195,7 +195,6 @@ def _flow_section(L, space):
     """The flows' JSON entries, and their maps (None where a flow is skipped)."""
     flows_out = []
     flow_maps = []
-    syms = {EPS: EPS_SYMBOL}
     for i in range(L.n):
         vf = L.realization[i]
         entry = {"label": L.labels[i]}
@@ -208,7 +207,7 @@ def _flow_section(L, space):
             continue
         flow_maps.append(fm)
         entry["map"] = {
-            z.name: expr.render(fm.component_expression(z, syms))
+            z.name: expr.render(fm.component_expression(z))
             for z in fm.coords
         }
         try:

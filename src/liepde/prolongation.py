@@ -170,24 +170,6 @@ class Ansatz:
             tuple(coeffs[self.space.p:]),
         )
 
-    def coordinates_of(self, vf):
-        """Coordinates of a polynomial field in the ansatz unknown basis.
-
-        Returns None if some coefficient is not representable at this degree.
-        """
-        values = {}
-        base = self.space.independent + self.space.dependent
-        for f, coeff in enumerate(vf.coefficients):
-            try:
-                mm = expr.collect(coeff, set(base))
-            except NonPolynomialError:
-                return None
-            for exps, c in mm.terms.items():
-                if exps not in self.monomials:
-                    return None
-                values[(f, exps)] = c
-        return [values.get(slot, ZERO) for slot in self.slots]
-
 
 class DeterminingSystem:
     """Homogeneous linear system for the ansatz unknowns.
@@ -353,33 +335,26 @@ def solve_determining(ds):
 def span_contains(fields, candidates, system):
     """Whether each candidate lies in the parameter-field span of `fields`.
 
-    Returns one bool per candidate.  The coordinates of `fields` are
-    reduced once; each candidate is then reduced against them.
+    Returns one bool per candidate.  Each field is a sparse row over the
+    parameter field, with one column per (coefficient slot, base monomial)
+    that `fields` use; the rows are reduced once.  A candidate that needs
+    another column lies outside the span; any other is reduced against them.
     """
-    candidates = list(candidates)
-    degree = 0
-    base = system.space.independent + system.space.dependent
-    for vf in list(fields) + candidates:
-        for coeff in vf.coefficients:
-            mm = expr.collect(coeff, set(base))
-            for exps in mm.terms:
-                degree = max(degree, sum(exps))
-    ansatz = Ansatz(system.space, degree)
+    base = set(system.space.independent + system.space.dependent)
     params = system.parameters
+    columns = {}
 
-    def row(coords):
-        return {k: linalg.expr_to_paramfrac(c, params)
-                for k, c in enumerate(coords) if not expr.is_zero(c)}
+    def coordinates(vf):
+        return {(f, exps): linalg.expr_to_paramfrac(c, params)
+                for f, coeff in enumerate(vf.coefficients)
+                for exps, c in expr.collect(coeff, base).terms.items()}
 
-    rows = []
-    for vf in fields:
-        coords = ansatz.coordinates_of(vf)
-        if coords is None:
-            raise ValueError("field is not polynomial at the induced degree")
-        rows.append(row(coords))
-    span = linalg.row_space_param(rows, len(ansatz.unknowns))
+    rows = [{columns.setdefault(key, len(columns)): x for key, x in coordinates(vf).items()}
+            for vf in fields]
+    span = linalg.row_space_param(rows, len(columns))
     found = []
     for candidate in candidates:
-        target = ansatz.coordinates_of(candidate)
-        found.append(target is not None and not span.reduce(row(target)))
+        target = coordinates(candidate)
+        found.append(all(key in columns for key in target)
+                     and not span.reduce({columns[key]: x for key, x in target.items()}))
     return found

@@ -1,8 +1,9 @@
 """Reference corpus for the shipped turbulent boundary-layer fixture.
 
 The package carries the complete expected analysis of its golden system:
-generators, commutator table, Killing form, adjoint matrices (as
-`ExpPolynomial` entries), flows, transformed solutions, invariant lists,
+generators, commutator table, Killing form, adjoint matrices (as the
+`adjoint.ExpPolynomial` term records that `adjoint.ad_exp` returns), flows
+and transformed solutions (as `expr` values), invariant lists,
 and the subalgebra tables.  In the pipeline, one comparison pass
 (`pipeline._compare_baseline`) checks a report on v1..v5 against this
 corpus and emits a discrepancy note wherever the baseline is known to
@@ -116,7 +117,8 @@ ADJOINT_ENTRIES = (
 
 
 def adjoint_matrix(i):
-    """Baseline adjoint matrix of exp(eps v_i), as ExpPolynomial entries."""
+    """Baseline adjoint matrix of exp(eps v_i), as the term records of
+    `adjoint.ad_exp`."""
     M = [[ExpPolynomial.constant(1 if r == c else 0) for c in range(5)]
          for r in range(5)]
     for (r, c), (coeff, m, k) in ADJOINT_ENTRIES[i].items():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from liepde import expr, pipeline, reference, structure
+from liepde import adjoint, expr, pipeline, reference, structure
 from liepde.fields import VectorField
 
 
@@ -41,6 +41,12 @@ def algebra(golden):
     return structure.structure_constants(
         gens, labels=[f"v{i + 1}" for i in range(5)]
     )
+
+
+def jordan_algebra():
+    """[v1, v2] = v2/2 and [v1, v3] = v2 + v3/2: ad v1 is one Jordan block."""
+    return structure.LieAlgebra.from_brackets(
+        3, {(0, 1): (0, Fraction(1, 2), 0), (0, 2): (0, 1, Fraction(1, 2))})
 
 
 def borel_algebra(rng=None, size=4):
@@ -121,3 +127,38 @@ def random_affine_field(rng, space):
                 c = c + expr.Rational(rng.randint(-2, 2)) * sym
         coeffs.append(c)
     return VectorField(space, tuple(coeffs[: space.p]), tuple(coeffs[space.p:]))
+
+
+EPS_SYM = expr.Symbol(adjoint.EPS, expr.GROUP)
+DELTA_SYM = expr.Symbol("delta", expr.GROUP)
+
+
+def expr_matrix(M, param=adjoint.EPS):
+    """The `matrix_exp` or `ad_exp` records of M as `expr` entries."""
+    sym = expr.Symbol(param, expr.GROUP)
+    return [tuple(adjoint._expression(e, sym) for e in row) for row in M]
+
+
+def substitute_matrix(M, rules):
+    return [tuple(expr.substitute(e, rules) for e in row) for row in M]
+
+
+def identity_matrix(n):
+    return [tuple(expr.ONE if i == j else expr.ZERO for j in range(n)) for i in range(n)]
+
+
+def substitute_map(fm, rules):
+    """The flow map with `rules` substituted into every entry."""
+    return adjoint.FlowMap(fm.coords, substitute_matrix(fm.matrix, rules),
+                           [expr.substitute(e, rules) for e in fm.translation])
+
+
+def identity_map(coords):
+    return adjoint.FlowMap(coords, identity_matrix(len(coords)), [expr.ZERO] * len(coords))
+
+
+def adjoint_image(L, i, a):
+    """The row vector a . Ad(exp(eps v_i)), with `expr` components in eps."""
+    M = expr_matrix(adjoint.ad_exp(L, i))
+    return tuple(sum((x * M[r][j] for r, x in enumerate(a)), expr.ZERO)
+                 for j in range(L.n))

@@ -17,17 +17,29 @@ from fractions import Fraction
 import pytest
 
 from liepde import expr, linalg, pipeline, reference, structure
-from liepde.adjoint import EPS, ExpPolynomial, ad_exp, compose, flow, transform_solution
-from liepde.expr import GROUP, Symbol
+from liepde.adjoint import ad_exp, compose, flow, transform_solution
 from liepde.fields import bracket
 from liepde.invariants import monomial_invariants, verify_invariant, weight_system
-from liepde.optimal import adjoint_apply, coverage_gaps, normal_form_1d, verify_optimal_table
+from liepde.optimal import (
+    _scaling_multiplier_apply,
+    _translate_apply,
+    classify_directions,
+    coverage_gaps,
+    normal_form_1d,
+    verify_optimal_table,
+)
 from liepde.prolongation import span_contains, symmetry_residual
 
-from conftest import random_expression
+from conftest import (
+    DELTA_SYM,
+    EPS_SYM,
+    adjoint_image,
+    identity_map,
+    random_expression,
+    substitute_map,
+)
 
 F = Fraction
-EPS_SYM = Symbol(EPS, GROUP)
 
 
 @contextmanager
@@ -110,23 +122,18 @@ def test_criterion_05_adjoint_matrices(algebra, golden_report):
 def test_criterion_06_flows_and_group_law(golden):
     space, _, gens = golden
     with criterion(6, "flow rows exact and one-parameter group law holds"):
-        syms = {EPS: EPS_SYM}
         rows = reference.flow_table(space, EPS_SYM)
-        rng = random.Random(101)
         for vf, row in zip(gens, rows):
             fm = flow(vf)
             for z, value in zip(fm.coords, row):
-                assert expr.equal(fm.component_expression(z, syms), value)
-            # symbolic group law in two independent parameters
+                assert expr.equal(fm.component_expression(z), value)
+            # symbolic group law in two independent parameters; it holds at
+            # every pair of rational points
             composed = compose(flow(vf, param="eps"), flow(vf, param="delta"))
-            assert composed == fm.substitute_sum("eps", ("eps", "delta"))
-            # three exact rational parameter pairs
-            for _ in range(3):
-                a = F(rng.randint(-6, 6), rng.randint(1, 4))
-                b = F(rng.randint(-6, 6), rng.randint(1, 4))
-                assert compose(
-                    fm.substitute(EPS, a), fm.substitute(EPS, b)
-                ) == fm.substitute(EPS, a + b)
+            assert composed == substitute_map(fm, {EPS_SYM: EPS_SYM + DELTA_SYM})
+            # symbolic inverse law F(eps) o F(-eps) = id
+            inverse = substitute_map(fm, {EPS_SYM: -EPS_SYM})
+            assert compose(fm, inverse) == identity_map(fm.coords)
 
 
 def test_criterion_07_transformed_solutions(golden, golden_report):
@@ -242,15 +249,28 @@ def test_criterion_09a_optimal_table_closure(algebra):
 
 def test_criterion_09b_fingerprint_invariance(algebra):
     with criterion(9, "fingerprint (a4, a5) invariant under 100 random adjoint steps"):
-        rng = random.Random(103)
         a = (F(2), F(-7, 3), F(4), F(5, 2), F(-3))
+        # one symbolic step along every direction, at every eps
+        for i in range(5):
+            image = adjoint_image(algebra, i, a)
+            assert image[3] == expr.Rational(a[3])
+            assert image[4] == expr.Rational(a[4])
+        # 100 exact rational group elements: a rational eps along the
+        # nilpotent v1-v3, a rational multiplier e^eps = q > 0 along v4, v5
+        nilpotent, scaling = classify_directions(algebra)
+        assert (nilpotent, scaling) == ((0, 1, 2), (3, 4))
+        rng = random.Random(103)
         current = a
         for _ in range(100):
             i = rng.randrange(5)
-            val = F(rng.randint(-5, 5), rng.randint(1, 4))
-            current = adjoint_apply(algebra, i, val, current)
-            assert current[3] == ExpPolynomial.constant(a[3], ())
-            assert current[4] == ExpPolynomial.constant(a[4], ())
+            if i in nilpotent:
+                val = F(rng.randint(-5, 5), rng.randint(1, 4))
+                current = _translate_apply(algebra, i, val, current)
+            else:
+                q = F(rng.randint(1, 5), rng.randint(1, 4))
+                current = _scaling_multiplier_apply(algebra, i, q, current)
+            assert current[3] == a[3]
+            assert current[4] == a[4]
 
 
 def test_criterion_09c_coverage_flag(algebra, golden_report):

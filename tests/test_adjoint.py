@@ -9,9 +9,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import borel_algebra
+from conftest import (
+    DELTA_SYM,
+    EPS_SYM,
+    borel_algebra,
+    expr_matrix,
+    identity_matrix,
+    jordan_algebra,
+    substitute_matrix,
+)
 import liepde
-from liepde import linalg, reference, structure
+from liepde import expr, linalg, reference, structure
 from liepde.adjoint import (
     EPS,
     ExpPolynomial,
@@ -20,12 +28,12 @@ from liepde.adjoint import (
     ad_exp,
     ad_matrix,
     char_poly,
-    mat_apply_row,
     mat_mul,
     matrix_exp,
     rational_eigenvalues,
 )
-from liepde.errors import UnsupportedSpectrumError
+from liepde.errors import NonPolynomialError, UnsupportedSpectrumError
+from liepde.expr import ParamExp
 
 F = Fraction
 
@@ -36,58 +44,64 @@ def unit(n, i):
     return tuple(v)
 
 
+def exp_term(c, m, k, sym=EPS_SYM):
+    """c * sym^m * exp(k*sym) in `expr`."""
+    return c * sym ** m * ParamExp(sym, k)
+
+
 class TestExpPolynomial:
+    """The identities of the exp-polynomial sums c * eps^m * e^(k eps), in `expr`."""
+
     def test_value_at_zero(self):
-        e = ExpPolynomial.term(3, 0, 2) + ExpPolynomial.term(5, 1, 0)
-        assert e.value_at_zero() == 3
+        e = exp_term(3, 0, 2) + exp_term(5, 1, 0)
+        assert expr.substitute(e, {EPS_SYM: 0}) == expr.Rational(3)
 
     def test_ring_ops(self):
-        a = ExpPolynomial.term(1, 1, 1)  # eps e^eps
-        b = ExpPolynomial.term(2, 0, -1)  # 2 e^-eps
-        prod = a * b  # 2 eps
-        assert prod == ExpPolynomial.term(2, 1, 0)
-        assert (a - a).is_zero()
+        a = exp_term(1, 1, 1)  # eps e^eps
+        b = exp_term(2, 0, -1)  # 2 e^-eps
+        assert a * b == exp_term(2, 1, 0)
+        assert expr.is_zero(a - a)
 
     def test_unique_keys(self):
-        a = ExpPolynomial.term(1, 1, 2) + ExpPolynomial.term(2, 1, 2)
-        assert len(a.terms) == 1
+        a = exp_term(1, 1, 2) + exp_term(2, 1, 2)
+        assert len(expr.monomials(a)) == 1
 
     def test_derivative(self):
-        e = ExpPolynomial.term(1, 2, 3)  # eps^2 e^{3 eps}
-        d = e.derivative()
-        assert d == ExpPolynomial.term(2, 1, 3) + ExpPolynomial.term(3, 2, 3)
+        e = exp_term(1, 2, 3)  # eps^2 e^{3 eps}
+        assert expr.diff(e, EPS_SYM) == exp_term(2, 1, 3) + exp_term(3, 2, 3)
 
     def test_integration_against_derivative(self):
         # Putzer's step with eigenvalue 0 is the integral from 0 to eps
         rng = random.Random(67)
         for _ in range(100):
-            e = ExpPolynomial.constant(0)
+            cell = {}
             for _ in range(3):
-                e = e + ExpPolynomial.term(
-                    F(rng.randint(-4, 4)), rng.randint(0, 2),
-                    F(rng.randint(-2, 2)),
-                )
-            cell = {(m, k): c for (_, (m,), (k,)), c in e.terms.items()}
-            integral = ExpPolynomial((EPS,), {
-                (F(0), (m,), (k,)): c for (m, k), c in _putzer_step(cell, F(0)).items()
-            })
-            assert integral.derivative() == e
-            assert integral.value_at_zero() == 0
+                c = F(rng.randint(-4, 4))
+                key = (rng.randint(0, 2), F(rng.randint(-2, 2)))
+                cell[key] = cell.get(key, 0) + c
+            cell = {key: c for key, c in cell.items() if c}
+            e = sum((exp_term(c, m, k) for (m, k), c in cell.items()), expr.ZERO)
+            integral = sum((exp_term(c, m, k)
+                            for (m, k), c in _putzer_step(cell, F(0)).items()), expr.ZERO)
+            assert expr.diff(integral, EPS_SYM) == e
+            assert expr.is_zero(expr.substitute(integral, {EPS_SYM: 0}))
 
     def test_substitute_rational(self):
-        e = ExpPolynomial.term(1, 1, 0)
-        assert e.substitute(EPS, F(3, 2)).rational_value() == F(3, 2)
-        exp_part = ExpPolynomial.term(1, 0, 2).substitute(EPS, F(1, 2))
-        # e^(2 * 1/2) = e^1: exact constant exponential, not a rational
-        assert exp_part.rational_value() is None
-        ((r, _, _),) = exp_part.terms
-        assert r == 1
+        # eps -> q delta is the point eps = q at delta = 1; e^(2 eps) at
+        # eps = 1/2 is e^delta there, and a constant has no exponential form
+        e = exp_term(1, 1, 0)
+        assert expr.substitute(e, {EPS_SYM: F(3, 2) * DELTA_SYM}) == F(3, 2) * DELTA_SYM
+        exp_part = expr.substitute(exp_term(1, 0, 2), {EPS_SYM: F(1, 2) * DELTA_SYM})
+        assert exp_part == ParamExp(DELTA_SYM, 1)
+        with pytest.raises(NonPolynomialError):
+            expr.substitute(exp_term(1, 0, 2), {EPS_SYM: F(1, 2)})
 
     def test_substitute_sum_binomial(self):
-        e = ExpPolynomial.term(1, 2, 1)
-        expanded = e.substitute_sum(EPS, ("eps", "delta"))
-        direct = expanded.substitute("delta", F(0))
-        assert direct == e
+        e = exp_term(1, 2, 1)
+        expanded = expr.substitute(e, {EPS_SYM: EPS_SYM + DELTA_SYM})
+        assert expanded == (EPS_SYM + DELTA_SYM) ** 2 * ParamExp(EPS_SYM, 1) \
+            * ParamExp(DELTA_SYM, 1)
+        assert expr.substitute(expanded, {DELTA_SYM: 0}) == e
 
 
 class TestMatrixExp:
@@ -112,15 +126,10 @@ class TestMatrixExp:
 
     def test_group_law_two_parameters(self):
         A = [[F(1), F(1)], [F(0), F(-2)]]
-        Ee = matrix_exp(A, "eps")
-        Ed = matrix_exp(A, "delta")
-        prod = mat_mul(Ee, Ed)
-        via_sub = [
-            [e.substitute_sum("eps", ("eps", "delta")) for e in row] for row in Ee
-        ]
-        assert all(
-            a == b for ra, rb in zip(prod, via_sub) for a, b in zip(ra, rb)
-        )
+        Ee = expr_matrix(matrix_exp(A, "eps"), "eps")
+        Ed = expr_matrix(matrix_exp(A, "delta"), "delta")
+        via_sub = substitute_matrix(Ee, {EPS_SYM: EPS_SYM + DELTA_SYM})
+        assert mat_mul(Ee, Ed) == via_sub
 
     def test_jordan_block_in_skew_basis(self):
         # A = P J P^-1 with J = [[2,1,0],[0,2,0],[0,0,-1]] and P's columns
@@ -138,14 +147,7 @@ class TestMatrixExp:
         A = mul(mul(P, J), P_inv)
         assert rational_eigenvalues(char_poly(A)) == {F(2): 2, F(-1): 1}
         E = matrix_exp(A)
-        assert [[e.value_at_zero() for e in row] for row in E] == [
-            [F(int(i == j)) for j in range(3)] for i in range(3)
-        ]
-        A_ep = [[ExpPolynomial.constant(x) for x in row] for row in A]
-        AE = mat_mul(A_ep, E)
-        assert all(
-            e.derivative() == ae for row, arow in zip(E, AE) for e, ae in zip(row, arow)
-        )
+        assert_exp_identities(A, expr_matrix(E))
         # the Jordan block shows as an eps * e^(2 eps) term
         assert any((F(0), (1,), (F(2),)) in e.terms for row in E for e in row)
 
@@ -238,6 +240,26 @@ class TestAdExp:
                     else:
                         assert M[r][c] == B[r][c], (i, r, c)
 
+    def test_record_layout(self, algebra, borel4):
+        # pipeline.jexppoly and the benchmark's JSON dump read the terms
+        # as (0, (m,), (k,)) -> nonzero Fraction
+        def check(e):
+            assert e.params == (EPS,)
+            for key, c in e.terms.items():
+                r, (m,), (k,) = key
+                assert r == 0 and type(m) is int and m >= 0 and type(k) is F
+                assert type(c) is F and c
+            assert len(set(e.terms)) == len(e.terms)
+
+        for L in (algebra, borel4, jordan_algebra()):
+            for i in range(L.n):
+                for row in ad_exp(L, i):
+                    for e in row:
+                        check(e)
+                for row in matrix_exp(ad_matrix(L, unit(L.n, i))):
+                    for e in row:
+                        check(e)
+
     def test_lie_series_orientation(self, algebra):
         # Ad(exp(eps v1)) v4 = v4 - eps v1
         M = ad_exp(algebra, 0)
@@ -252,54 +274,41 @@ class TestAdExp:
 
     def test_identity_at_zero(self, algebra):
         for i in range(5):
-            M = ad_exp(algebra, i)
-            for r in range(5):
-                for c in range(5):
-                    v = M[r][c].substitute(EPS, F(0)).rational_value()
-                    assert v == (1 if r == c else 0)
+            M = expr_matrix(ad_exp(algebra, i))
+            assert substitute_matrix(M, {EPS_SYM: 0}) == identity_matrix(5)
 
     def test_inverse_at_negated_parameter(self, algebra):
-        # Ad matrices at eps and -eps multiply to the identity; checked at
-        # exact rational points (entries stay exact constant exponentials)
+        # Ad matrices at val*eps and -val*eps multiply to the identity at
+        # every eps, so at every rational point
         for i in range(5):
-            M = ad_exp(algebra, i)
-            for val in (F(1, 2), F(-2)):
-                A = [[e.substitute(EPS, val) for e in row] for row in M]
-                B = [[e.substitute(EPS, -val) for e in row] for row in M]
-                P = mat_mul(A, B)
-                for r in range(5):
-                    for c in range(5):
-                        got = P[r][c]
-                        want = ExpPolynomial.constant(1 if r == c else 0, ())
-                        assert got == want
+            M = expr_matrix(ad_exp(algebra, i))
+            for val in (F(1), F(1, 2), F(-2)):
+                A = substitute_matrix(M, {EPS_SYM: val * EPS_SYM})
+                B = substitute_matrix(M, {EPS_SYM: -val * EPS_SYM})
+                assert mat_mul(A, B) == identity_matrix(5)
 
     def test_ad_homomorphism_preserves_constants(self, algebra):
-        # [Ad x_j, Ad x_k] = Ad [x_j, x_k] over ExpPolynomial entries
+        # [Ad x_j, Ad x_k] = Ad [x_j, x_k] over `expr` entries
         n = algebra.n
         for i in range(n):
-            M = ad_exp(algebra, i)
-            rows = [M[j] for j in range(n)]
+            M = expr_matrix(ad_exp(algebra, i))
             for j in range(n):
                 for k in range(n):
-                    lhs = [ExpPolynomial.constant(0) for _ in range(n)]
+                    lhs = [expr.ZERO] * n
                     # bracket of images, expanded bilinearly
                     for a in range(n):
                         for b in range(n):
-                            coeff = rows[j][a] * rows[k][b]
-                            if coeff.is_zero():
+                            coeff = M[j][a] * M[k][b]
+                            if expr.is_zero(coeff):
                                 continue
                             cvec = algebra.constants[a][b]
                             for t in range(n):
                                 if cvec[t]:
-                                    lhs[t] = lhs[t] + coeff * ExpPolynomial.constant(
-                                        cvec[t]
-                                    )
+                                    lhs[t] = lhs[t] + coeff * cvec[t]
                     image_bracket = algebra.bracket_coords(unit(n, j), unit(n, k))
-                    rhs = mat_apply_row(
-                        [ExpPolynomial.constant(x) for x in image_bracket], M
-                    )
-                    for t in range(n):
-                        assert lhs[t] == rhs[t], (i, j, k, t)
+                    rhs = [sum((x * M[r][t] for r, x in enumerate(image_bracket)), expr.ZERO)
+                           for t in range(n)]
+                    assert lhs == rhs, (i, j, k)
 
 
 # ---------------------------------------------------------------------------
@@ -325,38 +334,27 @@ def jordan_chevalley_exp(A, param=EPS):
                 S[i][j] += lam * P[i][j]
     N = [[A[i][j] - S[i][j] for j in range(n)] for i in range(n)]
     # exp(tN): finite series.
-    zero = ExpPolynomial.constant(0, (param,))
-    result = [[zero for _ in range(n)] for _ in range(n)]
+    sym = expr.Symbol(param, expr.GROUP)
+    exp_n = [[expr.ZERO] * n for _ in range(n)]
     Nk = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    exp_n = [[zero for _ in range(n)] for _ in range(n)]
     fact = 1
     for power in range(n + 1):
         coeff = Fraction(1, fact)
         for i in range(n):
             for j in range(n):
                 if Nk[i][j]:
-                    exp_n[i][j] = exp_n[i][j] + ExpPolynomial.term(
-                        Nk[i][j] * coeff, power, 0, (param,), param
-                    )
+                    exp_n[i][j] = exp_n[i][j] + Nk[i][j] * coeff * sym ** power
         if power < n:
             Nk = _mat_mul_frac(N, Nk)
             if all(all(x == 0 for x in row) for row in Nk):
                 break
             fact *= power + 1
+    result = [[expr.ZERO] * n for _ in range(n)]
     for lam, P in projectors.items():
-        scale = ExpPolynomial.term(1, 0, lam, (param,), param)
-        PE = [
-            [
-                ExpPolynomial.term(P[i][j], 0, 0, (param,), param)
-                if P[i][j] else zero
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        block = mat_mul(PE, exp_n)
+        block = mat_mul(P, exp_n)
         for i in range(n):
             for j in range(n):
-                result[i][j] = result[i][j] + scale * block[i][j]
+                result[i][j] = result[i][j] + ParamExp(sym, lam) * block[i][j]
     return [tuple(row) for row in result]
 
 
@@ -444,19 +442,17 @@ def spectrum_algebra(c):
     return structure.LieAlgebra.from_brackets(2, {(0, 1): [0, c]})
 
 
+def assert_exp_identities(A, E):
+    """E(0) = I and E' = A E for `expr` entries E of exp(eps A)."""
+    assert substitute_matrix(E, {EPS_SYM: 0}) == identity_matrix(len(A))
+    derivative = [tuple(expr.diff(e, EPS_SYM) for e in row) for row in E]
+    assert derivative == mat_mul(A, E)
+
+
 def assert_matches_oracle(A):
-    n = len(A)
-    E = matrix_exp(A)
-    ref = jordan_chevalley_exp(A)
-    assert [[e.terms for e in row] for row in E] == [[e.terms for e in row] for row in ref]
-    assert [[e.value_at_zero() for e in row] for row in E] == [
-        [F(int(i == j)) for j in range(n)] for i in range(n)
-    ]
-    A_ep = [[ExpPolynomial.constant(x) for x in row] for row in A]
-    AE = mat_mul(A_ep, E)
-    assert all(
-        e.derivative() == ae for row, arow in zip(E, AE) for e, ae in zip(row, arow)
-    )
+    E = expr_matrix(matrix_exp(A))
+    assert E == jordan_chevalley_exp(A)
+    assert_exp_identities(A, E)
 
 
 class TestMatrixExpOracle:

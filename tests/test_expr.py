@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -233,6 +234,21 @@ class TestSubstitute:
         g = FunctionApplication("g", (x,))
         out = expr.substitute(g, {x: y})
         assert out == FunctionApplication("g", (y,))
+
+    def test_group_symbol_inside_exponentials(self):
+        delta = Symbol("delta", GROUP)
+        e = ParamExp(eps, 2) + eps * ParamExp(eps, -1)
+        assert expr.substitute(e, {eps: 0}) == Rational(1)
+        shifted = expr.substitute(e, {eps: eps + delta})
+        assert shifted == ParamExp(eps, 2) * ParamExp(delta, 2) + (eps + delta) * ParamExp(
+            eps, -1) * ParamExp(delta, -1)
+        assert expr.substitute(x * ParamExp(eps, 3), {eps: Rational(-2, 3) * delta}) == (
+            x * ParamExp(delta, -2))
+        for value in (eps + 1, x, eps * eps):
+            with pytest.raises(NonPolynomialError, match=re.escape(f"= {value} ")):
+                expr.substitute(e, {eps: value})
+        # without an exponential, any value goes
+        assert expr.substitute(eps * x, {eps: x}) == x * x
 
 
 class TestCollect:

@@ -3,20 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import DELTA_SYM, EPS_SYM, identity_map, substitute_map
 from liepde import expr, reference
-from liepde.adjoint import (
-    EPS,
-    compose,
-    flow,
-    identity_flow,
-    transform_solution,
-)
-from liepde.expr import GROUP, Symbol
+from liepde.adjoint import compose, flow, transform_solution
 from liepde.fields import VectorField
 
 F = Fraction
-EPS_SYM = Symbol(EPS, GROUP)
-SYMS = {EPS: EPS_SYM}
 
 
 class TestFlowRows:
@@ -26,23 +18,19 @@ class TestFlowRows:
         for vf, row in zip(gens, expected_rows):
             fm = flow(vf)
             for z, value in zip(fm.coords, row):
-                got = fm.component_expression(z, SYMS)
+                got = fm.component_expression(z)
                 assert expr.equal(got, value), (vf, z.name)
 
     def test_zero_field_is_identity(self, golden):
         space, _, _ = golden
         fm = flow(VectorField.zero(space))
-        assert fm == identity_flow(fm.coords)
+        assert fm == identity_map(fm.coords)
 
     def test_identity_at_zero(self, golden):
         space, _, gens = golden
         for vf in gens:
-            fm = flow(vf).substitute(EPS, F(0))
-            for i, z in enumerate(fm.coords):
-                row, c = fm.component(z)
-                assert c.rational_value() == 0
-                for j, e in enumerate(row):
-                    assert e.rational_value() == (1 if i == j else 0)
+            fm = flow(vf)
+            assert substitute_map(fm, {EPS_SYM: 0}) == identity_map(fm.coords)
 
     def test_derivative_at_zero_is_field(self, golden):
         # d/deps at eps=0 of each flow component equals the coefficient
@@ -50,13 +38,8 @@ class TestFlowRows:
         for vf in gens:
             fm = flow(vf)
             for z, coeff in zip(fm.coords, vf.coefficients):
-                row, c = fm.component(z)
-                d = c.derivative(EPS).substitute(EPS, F(0)).rational_value()
-                linear = expr.Rational(d if d is not None else 0)
-                for zj, e in zip(fm.coords, row):
-                    dj = e.derivative(EPS).substitute(EPS, F(0)).rational_value()
-                    linear = linear + expr.Rational(dj) * zj
-                assert expr.equal(linear, coeff)
+                derivative = expr.diff(fm.component_expression(z), EPS_SYM)
+                assert expr.equal(expr.substitute(derivative, {EPS_SYM: 0}), coeff)
 
     def test_non_affine_rejected(self, golden):
         space, _, _ = golden
@@ -74,10 +57,12 @@ class TestGroupLaw:
             f_eps = flow(vf, param="eps")
             f_delta = flow(vf, param="delta")
             composed = compose(f_eps, f_delta)
-            via_sub = f_eps.substitute_sum("eps", ("eps", "delta"))
+            via_sub = substitute_map(f_eps, {EPS_SYM: EPS_SYM + DELTA_SYM})
             assert composed == via_sub, str(vf)
 
     def test_rational_parameter_pairs(self, golden):
+        # F(a eps) o F(b eps) = F((a + b) eps) at every eps, so at every
+        # rational point
         space, _, gens = golden
         rng = random.Random(71)
         for vf in gens:
@@ -85,17 +70,18 @@ class TestGroupLaw:
             for _ in range(3):
                 a = F(rng.randint(-6, 6), rng.randint(1, 4))
                 b = F(rng.randint(-6, 6), rng.randint(1, 4))
-                left = compose(fm.substitute(EPS, a), fm.substitute(EPS, b))
-                right = fm.substitute(EPS, a + b)
-                assert left == right
+                left = compose(substitute_map(fm, {EPS_SYM: a * EPS_SYM}),
+                               substitute_map(fm, {EPS_SYM: b * EPS_SYM}))
+                assert left == substitute_map(fm, {EPS_SYM: (a + b) * EPS_SYM})
 
     def test_inverse_at_negated_parameter(self, golden):
         space, _, gens = golden
         for vf in gens:
             fm = flow(vf)
             for val in (F(1), F(-3, 2)):
-                left = compose(fm.substitute(EPS, val), fm.substitute(EPS, -val))
-                assert left == identity_flow(fm.coords, ())
+                left = compose(substitute_map(fm, {EPS_SYM: val * EPS_SYM}),
+                               substitute_map(fm, {EPS_SYM: -val * EPS_SYM}))
+                assert left == identity_map(fm.coords)
 
 
 class TestTransformedSolutions:

@@ -8,11 +8,13 @@ from fractions import Fraction
 import pytest
 
 import liepde
-from liepde import optimal, reference, structure
+from conftest import EPS_SYM, adjoint_image, jordan_algebra
+from liepde import expr, optimal, reference, structure
 from liepde.adjoint import EPS, ExpPolynomial, ad_exp
-from liepde.errors import NormalFormError
+from liepde.errors import NormalFormError, UnsupportedSpectrumError
 from liepde.optimal import (
-    adjoint_apply,
+    _scaling_multiplier_apply,
+    _translate_apply,
     classify_directions,
     coverage_gaps,
     invariant_components,
@@ -25,31 +27,32 @@ F = Fraction
 
 class TestAdjointApply:
     def test_symbolic_translation_action(self, algebra):
-        image = adjoint_apply(algebra, 0, EPS, (1, 0, 0, 1, 0))
-        assert image[0] == ExpPolynomial.constant(1) + ExpPolynomial.term(-1, 1, 0)
-        assert image[3] == ExpPolynomial.constant(1)
+        image = adjoint_image(algebra, 0, (1, 0, 0, 1, 0))
+        assert image[0] == 1 - EPS_SYM
+        assert image[3] == expr.ONE
 
     def test_rational_parameter_kills_component(self, algebra):
-        image = adjoint_apply(algebra, 0, F(1), (1, 0, 0, 1, 0))
-        values = [e.rational_value() for e in image]
-        assert values == [0, 0, 0, 1, 0]
+        image = _translate_apply(algebra, 0, F(1), (1, 0, 0, 1, 0))
+        assert image == (0, 0, 0, 1, 0)
 
     def test_zero_parameter_is_identity(self, algebra):
         rng = random.Random(73)
         for _ in range(20):
             a = tuple(F(rng.randint(-5, 5)) for _ in range(5))
             for i in range(5):
-                image = adjoint_apply(algebra, i, F(0), a)
-                assert tuple(e.rational_value() for e in image) == a
+                image = adjoint_image(algebra, i, a)
+                assert tuple(expr.substitute(e, {EPS_SYM: 0}) for e in image) == tuple(
+                    expr.Rational(x) for x in a)
 
     def test_invariant_components_unchanged(self, algebra):
+        # at every eps, so at every rational point
         rng = random.Random(79)
         for _ in range(25):
             a = tuple(F(rng.randint(-5, 5)) for _ in range(5))
             for i in range(5):
-                image = adjoint_apply(algebra, i, F(rng.randint(-3, 3)), a)
+                image = adjoint_image(algebra, i, a)
                 for j in (3, 4):
-                    assert image[j].rational_value() == a[j]
+                    assert image[j] == expr.Rational(a[j])
 
 
 def invariant_components_by_adjoints(L):
@@ -62,7 +65,7 @@ def invariant_components_by_adjoints(L):
         for i in range(L.n):
             M = ad_exp(L, i, param=EPS)
             for r in range(L.n):
-                expected = ExpPolynomial.constant(1 if r == j else 0, (EPS,))
+                expected = ExpPolynomial.constant(1 if r == j else 0)
                 if M[r][j] != expected:
                     fixed = False
                     break
@@ -73,10 +76,10 @@ def invariant_components_by_adjoints(L):
     return tuple(out)
 
 
-def jordan_algebra():
-    """[v1, v2] = v2/2 and [v1, v3] = v2 + v3/2: ad v1 is one Jordan block."""
-    return structure.LieAlgebra.from_brackets(
-        3, {(0, 1): (0, F(1, 2), 0), (0, 2): (0, 1, F(1, 2))})
+def e2_algebra():
+    """e(2): [v3, v1] = v2 and [v3, v2] = -v1; ad v3 is a rotation, with
+    the eigenvalues +-i."""
+    return structure.LieAlgebra.from_brackets(3, {(2, 0): (0, 1, 0), (2, 1): (-1, 0, 0)})
 
 
 class TestInvariantComponents:
@@ -94,18 +97,39 @@ class TestInvariantComponents:
         assert nilpotent == (0, 1, 2)
         assert scaling == (3, 4)
 
+    def test_rotation_is_skipped(self):
+        # ad v3 of e(2) has no rational spectrum: the direction is neither
+        # nilpotent nor a scaling, and normal forms use the other two
+        L = e2_algebra()
+        with pytest.raises(UnsupportedSpectrumError):
+            ad_exp(L, 2)
+        assert classify_directions(L) == ((0, 1), ())
+        r = normal_form_1d(L, (1, 2, 0))
+        assert r.output == (1, 2, 0)
+        assert not r.steps
+        assert r.fingerprint() == (0,)
+
     def test_fingerprint_invariance_100_random_steps(self, algebra):
-        # chain 100 exact adjoint steps with random directions and rational
-        # parameters; components 4 and 5 stay exactly fixed throughout
+        # chain 100 exact adjoint steps with random directions: a rational
+        # eps along the nilpotent v1-v3, a rational multiplier e^eps = q > 0
+        # along v4, v5; components 4 and 5 stay exactly fixed throughout
         rng = random.Random(83)
         a = (F(3), F(-2), F(5), F(7, 2), F(-1, 3))
+        nilpotent, _ = classify_directions(algebra)
         current = tuple(a)
         for _ in range(100):
             i = rng.randrange(5)
-            eps_val = F(rng.randint(-4, 4), rng.randint(1, 3))
-            current = adjoint_apply(algebra, i, eps_val, current)
-            assert current[3] == ExpPolynomial.constant(a[3], ())
-            assert current[4] == ExpPolynomial.constant(a[4], ())
+            if i in nilpotent:
+                eps_val = F(rng.randint(-4, 4), rng.randint(1, 3))
+                current = _translate_apply(algebra, i, eps_val, current)
+            else:
+                q = F(rng.randint(1, 4), rng.randint(1, 3))
+                current = _scaling_multiplier_apply(algebra, i, q, current)
+            assert current[3] == a[3]
+            assert current[4] == a[4]
+        for i in range(5):
+            image = adjoint_image(algebra, i, a)
+            assert image[3:] == (expr.Rational(a[3]), expr.Rational(a[4]))
 
 
 class TestNormalForm:

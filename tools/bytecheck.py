@@ -34,9 +34,11 @@ equation, whose symmetry span has dimension 2 and holds only v3 and v4
 two-parameter system at degrees 1-2, a Burgers-type system whose fractional
 coefficients multiply to integers at degrees 1-2, the heat equation at
 degrees 1-2 (degree 2 exits 1: its span does not close under the bracket),
-a system whose equation divides by an independent variable (exit 1), and
+a system whose equation divides by an independent variable (exit 1),
 three normal forms with the prime 10^24 + 7 as an eigenvalue or a
-component.  The optimal table for
+component, the heat equation at degree 1 in JSON (its flows and
+transformed solutions), and a ``normal-form`` on e(2), whose ad v3 is a
+rotation with the eigenvalues +-i, in text and JSON.  The optimal table for
 ``verify-optimal`` and the printed variant are the files bundled with
 PARENT_TREE.
 """
@@ -129,6 +131,11 @@ JORDAN = {"dim": 3, "labels": ["v1", "v2", "v3"],
                        {"i": 1, "j": 3, "coeffs": [0, 1, "1/2"]}]}
 
 
+# e(2): [v3, v1] = v2 and [v3, v2] = -v1
+E2 = {"dim": 3, "brackets": [{"i": 3, "j": 1, "coeffs": ["0", "1", "0"]},
+                             {"i": 3, "j": 2, "coeffs": ["-1", "0", "0"]}]}
+
+
 def borel4():
     """Structure constants of b(4) on the units E_pq in row order."""
     pairs = [(p, q) for p in range(4) for q in range(p, 4)]
@@ -172,6 +179,7 @@ def write_inputs(folder, parent):
         "forced.pde": FORCED,
         "b4.json": json.dumps(borel4(), indent=1),
         "jordan.json": json.dumps(JORDAN),
+        "e2.json": json.dumps(E2),
     }
     rng = random.Random(1)
     c = 10 ** 12 + rng.randrange(1, 10 ** 6)
@@ -263,6 +271,9 @@ def write_inputs(folder, parent):
     commands.append(["normal-form", "--vector", "1,1", "--constants", "huge.json"])
     commands.append(["normal-form", "--vector", f"0,{HUGE},0,0,0"])
     commands.append(["normal-form", "--vector", f"0,0,{HUGE},0,0"])
+    commands.append(["--ansatz-degree", "1", *js, "symmetries", "heat.pde"])
+    for fmt in ([], js):
+        commands.append([*fmt, "normal-form", "--constants", "e2.json", "--vector", "1,2,0"])
     return commands
 
 
