@@ -211,10 +211,13 @@ class FunctionApplication(Expr):
 
     `derivatives[i]` is the order of formal differentiation with respect to
     argument slot i.  Nonzero derivative counts are only ever produced by
-    differentiating applications whose arguments are plain symbols.
+    differentiating applications whose arguments are plain symbols.  The
+    symbols of the arguments and the applications with one slot's count
+    raised are kept on the node once `free_symbols` and `derivation` have
+    asked for them.
     """
 
-    __slots__ = ("name", "args", "derivatives")
+    __slots__ = ("name", "args", "derivatives", "_symbols", "_raised")
 
     def __init__(self, name, args, derivatives=None):
         args = tuple(normalize(a) for a in args)
@@ -536,10 +539,19 @@ def free_symbols(e):
             if isinstance(atom, Symbol):
                 out.add(atom)
             else:
-                for a in atom.args:
-                    out |= free_symbols(a)
+                out |= _application_symbols(atom)
         out.update(s for s, _ in pexps)
     return out
+
+
+def _application_symbols(atom):
+    """The symbols of a function application's arguments, kept on it."""
+    try:
+        return atom._symbols
+    except AttributeError:
+        found = frozenset().union(*(free_symbols(a) for a in atom.args))
+        object.__setattr__(atom, "_symbols", found)
+        return found
 
 
 # ---------------------------------------------------------------------------
@@ -606,12 +618,25 @@ def _chain_rule(atom, d, partials):
             f"cannot differentiate {atom} with repeated arguments"
         )
     out = {}
-    for slot, arg in enumerate(atom.args):
-        counts = list(atom.derivatives)
-        counts[slot] += 1
-        raised = FunctionApplication(atom.name, atom.args, counts)._poly()
+    for arg, raised in zip(atom.args, _raised(atom)):
         out = _poly_add(out, _poly_mul(_partial(arg, d, partials), raised))
     return out
+
+
+def _raised(atom):
+    """The polynomial dicts of f_1, ..., f_n, f_k being the application f
+    with the derivative count of slot k raised; kept on `atom`."""
+    try:
+        return atom._raised
+    except AttributeError:
+        raised = []
+        for slot in range(len(atom.args)):
+            counts = list(atom.derivatives)
+            counts[slot] += 1
+            raised.append(FunctionApplication(atom.name, atom.args, counts)._poly())
+        raised = tuple(raised)
+        object.__setattr__(atom, "_raised", raised)
+        return raised
 
 
 def diff(e, s):
@@ -631,25 +656,28 @@ def substitute(e, rules):
     A rule for a group symbol s also rewrites its exponentials: with s -> 0,
     exp(k*s) becomes 1, and with s -> sum_j a_j g_j, a rational combination
     of group symbols, it becomes prod_j exp(k*a_j*g_j).  Any other value for
-    s raises NonPolynomialError where an exp(k*s) occurs.
+    s raises NonPolynomialError where an exp(k*s) occurs.  A function
+    application is rewritten once per call, and kept as it is when no rule
+    touches its arguments.
     """
     for target in rules:
         if not isinstance(target, Symbol):
             raise TypeError("substitution targets must be symbols")
     rules = {t: _lift(v) for t, v in rules.items()}
+    applications = {}
     out = {}
     for mono, coeff in _lift(e)._poly().items():
         powers, pexps = mono
         kept = []
         factor = None
         for atom, exp in powers:
-            value = rules.get(atom, atom)
             if isinstance(atom, FunctionApplication):
-                value = FunctionApplication(
-                    atom.name, tuple(substitute(a, rules) for a in atom.args),
-                    atom.derivatives,
-                )
-            if value == atom:
+                value = applications.get(atom)
+                if value is None:
+                    value = applications[atom] = _substitute_arguments(atom, rules)
+            else:
+                value = rules.get(atom, atom)
+            if value is atom or value == atom:
                 kept.append((atom, exp))
                 continue
             p = _poly_pow(value._poly(), exp)
@@ -667,6 +695,16 @@ def substitute(e, rules):
         for m, c in _poly_mul({(tuple(kept), tuple(kept_exps)): coeff}, factor).items():
             _add_term(out, m, c)
     return _canonical(out)
+
+
+def _substitute_arguments(atom, rules):
+    """A function application with the rules applied to its arguments; the
+    application itself when no rule touches them."""
+    if rules.keys().isdisjoint(_application_symbols(atom)):
+        return atom
+    return FunctionApplication(
+        atom.name, tuple(substitute(a, rules) for a in atom.args), atom.derivatives
+    )
 
 
 def _exponent_combination(sym, value, k):

@@ -49,6 +49,7 @@ class JetSpace:
         self.max_order = max_order
         self.limit = max_order + 2
         self._dep_index = {s.name: i for i, s in enumerate(self.dependent)}
+        self._coordinates = {}
 
     @property
     def p(self):
@@ -59,10 +60,15 @@ class JetSpace:
         return len(self.dependent)
 
     def coordinate(self, dep, multi):
-        """The jet symbol u^dep_multi; the dependent symbol itself at order 0."""
+        """The jet symbol u^dep_multi; the dependent symbol itself at order 0.
+
+        Each symbol is made once per space and kept."""
         if isinstance(dep, int):
             dep = self.dependent[dep]
         multi = tuple(multi)
+        sym = self._coordinates.get((dep, multi))
+        if sym is not None:
+            return sym
         if len(multi) != self.p or any(c < 0 for c in multi):
             raise ValueError(f"bad multi-index {multi}")
         order = sum(multi)
@@ -72,9 +78,10 @@ class JetSpace:
             raise OrderLimitError(
                 f"derivative order {order} exceeds the configured limit {self.limit}"
             )
-        return Symbol(
+        sym = self._coordinates[dep, multi] = Symbol(
             _multi_name(dep, self.independent, multi), JET, base=dep.name, multi=multi
         )
+        return sym
 
     def lift(self, sym, i):
         """The coordinate obtained by one more derivative in direction i."""

@@ -139,13 +139,13 @@ def run_pipeline(doc, ansatz_degree=1, invariant_order=1, use_reference=None):
         },
     }
     L = _stage("structure", analysed_algebra, space, system, ref, ansatz_degree, basis)
-    report["structure"] = _structure_section(L)
-    report["adjoint"] = _adjoint_section(L)
-    report["flows"], flow_maps = _flow_section(L, space)
+    report["structure"] = _stage("structure", _structure_section, L)
+    report["adjoint"] = _stage("adjoint", _adjoint_section, L)
+    report["flows"], flow_maps = _stage("flows", _flow_section, L, space)
     report["invariants"], usable, ws, lattice = _stage(
         "invariants", _invariant_section, L, space, invariant_order
     )
-    report["similarity"] = _similarity_section(L)
+    report["similarity"] = _stage("similarity", _similarity_section, L)
     report["notes"] = []
     if ref:
         _compare_baseline(report, L, space, system, basis, flow_maps, usable, ws, lattice)

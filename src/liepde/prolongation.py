@@ -6,14 +6,22 @@ The prolongation coefficient of a field v on the jet coordinate u^a_J is
 
 with Q^a = phi_a - sum_i xi_i u^a_{x_i} the characteristic.  Applying the
 prolonged field to each equation of a system and reducing modulo the solved
-form gives the symmetry residuals; splitting the residuals of a polynomial
-coefficient ansatz by monomials gives a homogeneous linear system over the
-ansatz unknowns, solved exactly over the parameter field.
+form gives the symmetry residuals.
+
+The determining system is found PDEs first.  The field of unknown functions
+xi_i = F_i(x, u), phi_a = F_{p+a}(x, u) is prolonged once per system, and
+its residuals split by monomials in the independent variables and the jet
+coordinates give linear PDEs in the F_k (`determining_pdes`).  The
+polynomial ansatz is then instantiated in those terms by index arithmetic
+alone (`build_determining`), which gives a homogeneous linear system over
+the ansatz unknowns, solved exactly over the parameter field.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 
 from . import expr, linalg
 from .errors import InternalCheckError, NonPolynomialError
@@ -123,7 +131,8 @@ class Ansatz:
 
     One unknown symbol per (coefficient function, base monomial) pair; the
     base monomials run over all products of the base variables with total
-    degree at most `degree`.
+    degree at most `degree`, sorted.  Unknown f * len(monomials) + i is the
+    coefficient of monomial i in coefficient function f.
     """
 
     def __init__(self, space, degree):
@@ -148,9 +157,6 @@ class Ansatz:
                 sym = Symbol(f"c{len(self.unknowns) + 1}", UNKNOWN)
                 self.unknowns.append(sym)
                 self.slots.append((f, exps))
-
-    def generic_field(self):
-        return self.field_from_values(self.unknowns)
 
     def field_from_values(self, values):
         """Assemble a vector field from one expression per unknown."""
@@ -192,48 +198,54 @@ class DeterminingSystem:
         return len(self.equations)
 
 
-def _split_residual(res, split, unknowns):
-    """The linear forms of a residual, in sorted order of their monomials.
+def split_variables(space):
+    """The variables that split the symmetry condition, in canonical order:
+    the independent variables and the jet coordinates up to the space's
+    limit, the dependent variables among them."""
+    return sorted(space.independent + tuple(space.coordinates(space.limit)),
+                  key=lambda s: s._key)
 
-    One walk over the terms buckets each by its exponent vector over the
-    split variables (`split` maps each to its place in canonical order);
-    each bucket is then one linear form {unknown: coefficient}, unknowns in
-    order of first appearance.  Terms are read in canonical order, so the
-    forms, their order and the NonPolynomialError messages are those of
-    `expr.collect` over the split variables and then over the unknowns.
+
+def determining_pdes(system):
+    """The linear determining PDEs of `system`, one term list per equation.
+
+    The field xi_i = F_i(x, u), phi_a = F_{p+a}(x, u) of unknown functions
+    of the base variables goes through `symmetry_residual`, and each
+    reduced residual is split by its monomials in `split_variables`.  A
+    term (exps, k, multi, coefficient) stands for coefficient * m *
+    D^multi F_k: `exps` is the exponent vector of the monomial m over the
+    split variables (an exponent may be negative when the system divides by
+    a variable), `multi` counts the derivatives by each base variable, in
+    the order independent + dependent, and `coefficient` is an expression
+    in the system parameters that sums the residual's terms with the same
+    m and the same derivative.  Terms come in the order in which they first
+    appear among the residual's terms in canonical order.  The residual is
+    linear in the F_k; a term without one, or with a product of them,
+    raises NonPolynomialError, and so does any other function application
+    of a split variable.
     """
-    buckets = {}
-    for (powers, pexps), coeff in expr.monomials(res):
-        exps = [0] * len(split)
-        factors = []
-        for atom, exp in powers:
-            k = split.get(atom)
-            if k is None:
-                if not isinstance(atom, Symbol) and expr.free_symbols(atom) & split.keys():
-                    raise NonPolynomialError(
-                        f"{atom} depends non-polynomially on the collection variables"
-                    )
-                factors.append((atom, exp))
-            elif exp < 0:
-                raise NonPolynomialError(f"negative power of {atom.name} is not polynomial")
-            else:
-                exps[k] = exp
-        buckets.setdefault(tuple(exps), []).append((factors, pexps, coeff))
-    forms = []
-    for exps in sorted(buckets):
-        form = {}
-        complaint = None
-        for factors, pexps, coeff in buckets[exps]:
+    js = system.space
+    base = js.independent + js.dependent
+    functions = [expr.FunctionApplication(f"F{k + 1}", base) for k in range(len(base))]
+    slot = {f.name: k for k, f in enumerate(functions)}
+    split = {s: k for k, s in enumerate(split_variables(js))}
+    field = VectorField(js, functions[:js.p], functions[js.p:])
+    pdes = []
+    for res in symmetry_residual(field, system):
+        terms = {}
+        for (powers, pexps), coeff in expr.monomials(res):
+            exps = [0] * len(split)
             unknown, degree = None, 0
-            value = expr.Rational(coeff)
-            for atom, exp in factors:
-                if atom in unknowns:
-                    if exp < 0:
-                        raise NonPolynomialError(
-                            f"negative power of {atom.name} is not polynomial"
-                        )
+            value = expr.constant(coeff)
+            for atom, exp in powers:
+                k = split.get(atom)
+                if k is not None:
+                    exps[k] = exp
+                elif isinstance(atom, Symbol):
+                    value = value * atom ** exp
+                elif atom.name in slot and atom.args == base:
                     unknown, degree = atom, degree + exp
-                elif not isinstance(atom, Symbol) and expr.free_symbols(atom) & unknowns:
+                elif expr.free_symbols(atom) & split.keys():
                     raise NonPolynomialError(
                         f"{atom} depends non-polynomially on the collection variables"
                     )
@@ -241,64 +253,153 @@ def _split_residual(res, split, unknowns):
                     value = value * atom ** exp
             for sym, k in pexps:
                 value = value * expr.ParamExp(sym, k)
-            if degree == 1:
-                form[unknown] = form.get(unknown, ZERO) + value
-            elif complaint is None:
-                complaint = (
+            if degree != 1:
+                raise NonPolynomialError(
                     "determining equation has a term without any unknown" if degree == 0
                     else "determining equation is not linear in the unknowns"
                 )
-        if complaint is not None:
-            raise NonPolynomialError(complaint)
-        forms.append(form)
-    return forms
+            key = (tuple(exps), slot[unknown.name], unknown.derivatives)
+            terms[key] = terms.get(key, ZERO) + value
+        pdes.append([(*key, c) for key, c in terms.items()])
+    return pdes
 
 
-def _canonical_equation(form, column, params):
-    """The row {column: ParamFrac} of a linear form and its hashable key.
+def _derivative_cells(monomials, multi, place, width):
+    """What D^multi does to the ansatz monomials: (index, shift, factor) for
+    each monomial n >= multi, D^multi n = factor * n', and shift the
+    exponents of n' = n - multi over the split variables (base variable j
+    at `place[j]`)."""
+    cells = []
+    for i, n in enumerate(monomials):
+        if all(a >= b for a, b in zip(n, multi)):
+            shift = [0] * width
+            factor = 1
+            for pos, a, b in zip(place, n, multi):
+                shift[pos] = a - b
+                factor *= math.perm(a, b)
+            cells.append((i, tuple(shift), factor))
+    return cells
 
-    The key is the row scaled by its entry in the first column, so forms
-    that differ by a factor in the parameter field share it.
+
+def _term_value(coefficient, params):
+    """A term's coefficient as a number when it is rational, else as the
+    parameter-field numerator it converts to."""
+    c = expr.constant_value(coefficient)
+    if c is None:
+        return linalg.expr_to_paramfrac(coefficient, params).num
+    return c.numerator if c.denominator == 1 else c
+
+
+def _generic_order(split_part, entry, unknown):
+    """The canonical sort key of the first term that `unknown`, with the
+    coefficient `entry`, gives the generic residual's equation whose split
+    variables make the leading part `split_part` of the key."""
+    tail = ((unknown._key, 1),)
+    return min(split_part + tuple((a._key, e) for a, e in powers) + tail
+               for (powers, _), _ in expr.monomials(entry.num))
+
+
+def _first_appearance(row, unknowns):
+    """The columns of a row in the order in which their unknowns first
+    appear among the generic residual's terms in canonical order."""
+    return sorted(row, key=lambda col: _generic_order((), row[col], unknowns[col]))
+
+
+def _negative_power(offending, split_vars, unknowns):
+    """The NonPolynomialError for the first generic-residual term, in
+    canonical order, with a negative power of a split variable."""
+    _, exps = min(
+        (_generic_order(tuple((s._key, e) for s, e in zip(split_vars, exps) if e),
+                        entry, unknowns[col]), exps)
+        for exps, row in offending
+        for col, entry in row.items()
+    )
+    var = next(s for s, e in zip(split_vars, exps) if e < 0)
+    return NonPolynomialError(f"negative power of {var.name} is not polynomial")
+
+
+def _canonical_key(row, quotients):
+    """The hashable key of a row {column: ParamFrac}: the row scaled by its
+    entry in the first column, so rows that differ by a factor in the
+    parameter field share it.
+
+    Every entry of a built row has the denominator 1, so an entry's
+    quotient by the first depends on their numerators alone; `quotients`
+    keeps the ones found, keyed by those numerators.
     """
-    row = {column[u]: linalg.expr_to_paramfrac(c, params) for u, c in form.items()}
-    scale = row[min(row)].inverse()
+    first = row[min(row)]
     key = []
     for k in sorted(row):
-        scaled = row[k] * scale
-        key.append((k, scaled.num, scaled.den))
-    return row, tuple(key)
+        pair = (row[k].num, first.num)
+        q = quotients.get(pair)
+        if q is None:
+            scaled = row[k] * first.inverse()
+            q = quotients[pair] = (scaled.num, scaled.den)
+        key.append((k, *q))
+    return tuple(key)
 
 
 def build_determining(system, degree):
-    """Instantiate the polynomial ansatz and split the symmetry condition.
+    """Instantiate the polynomial ansatz in the determining PDEs.
 
-    Splits the symbolic residuals by monomials in the jet coordinates and
-    base variables; each vanishing coefficient is one homogeneous linear
-    equation over the unknowns.  An equation that is a parameter-field
+    A term c * m * D^J F_k of `determining_pdes` and an ansatz monomial
+    n >= J of F_k give the unknown of (k, n) the value c * n!/(n - J)! in
+    the equation of the split monomial m * base^(n - J).  Per PDE, the
+    equations come in sorted order of their exponent vectors, as splitting
+    the symmetry residual of the generic polynomial field gives them, and
+    each holds its unknowns in the order of their first appearance there;
+    a coefficient that cancels drops out, and so does an equation that
+    becomes empty.  An equation with a negative power of a split variable
+    raises NonPolynomialError.  An equation that is a parameter-field
     multiple of an earlier one is counted in `raw_count` and dropped.
     """
     if degree < 0:
         raise ValueError("ansatz degree must be nonnegative")
     js = system.space
     ansatz = Ansatz(js, degree)
-    residuals = symmetry_residual(ansatz.generic_field(), system)
-    split_vars = sorted(js.independent + tuple(js.coordinates(js.limit)),
-                        key=lambda s: s._key)
-    split = {s: k for k, s in enumerate(split_vars)}
-    unknowns = set(ansatz.unknowns)
-    column = {u: k for k, u in enumerate(ansatz.unknowns)}
+    pdes = determining_pdes(system)
+    split_vars = split_variables(js)
+    place = [split_vars.index(s) for s in js.independent + js.dependent]
+    size = len(ansatz.monomials)
+    derivatives = {}
+    quotients = {}
     equations = []
     rows = []
     seen = set()
     raw = 0
-    for res in residuals:
-        for form in _split_residual(res, split, unknowns):
+    for terms in pdes:
+        buckets = {}
+        for exps, slot, multi, coefficient in terms:
+            value = _term_value(coefficient, system.parameters)
+            cells = derivatives.get(multi)
+            if cells is None:
+                cells = derivatives[multi] = _derivative_cells(
+                    ansatz.monomials, multi, place, len(split_vars))
+            for i, shift, factor in cells:
+                bucket = buckets.setdefault(tuple(map(operator.add, exps, shift)), {})
+                col = slot * size + i
+                bucket[col] = bucket.get(col, 0) + value * factor
+        found = []
+        for exps in sorted(buckets):
+            row = {}
+            for col, value in buckets[exps].items():
+                entry = linalg.ParamFrac(
+                    value if isinstance(value, expr.Expr) else expr.constant(value))
+                if not entry.is_zero():
+                    row[col] = entry
+            if row:
+                found.append((exps, row))
+        offending = [(exps, row) for exps, row in found if min(exps) < 0]
+        if offending:
+            raise _negative_power(offending, split_vars, ansatz.unknowns)
+        for _, row in found:
             raw += 1
-            row, key = _canonical_equation(form, column, system.parameters)
+            key = _canonical_key(row, quotients)
             if key in seen:
                 continue
             seen.add(key)
-            equations.append(form)
+            equations.append({ansatz.unknowns[col]: row[col].num
+                              for col in _first_appearance(row, ansatz.unknowns)})
             rows.append(row)
     return DeterminingSystem(system, ansatz, equations, raw, rows)
 

@@ -10,9 +10,11 @@ from liepde.parser import build_system, parse_system
 from liepde.prolongation import (
     Ansatz,
     build_determining,
+    determining_pdes,
     prolong,
     solve_determining,
     span_contains,
+    split_variables,
     symmetry_residual,
 )
 from liepde.reference import extra_generator, generators
@@ -146,7 +148,8 @@ def test_wrong_kernel_vector_is_a_typed_error(golden, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The one-walk build against the two-pass build it replaced
+# The build from the determining PDEs against the two-pass build of the
+# generic polynomial field
 # ---------------------------------------------------------------------------
 
 HEAT_SYSTEM = """\
@@ -216,7 +219,8 @@ def old_build_determining(system, degree):
         max((s.order for s in js.jet_symbols_in(eq)), default=0)
         for eq in system.equations
     )
-    pr = prolong(ansatz.generic_field(), order)
+    # the generic polynomial field: every unknown times its base monomial
+    pr = prolong(ansatz.field_from_values(ansatz.unknowns), order)
     residuals = [system.reduce(pr.apply(eq)) for eq in system.equations]
     split_vars = set(js.independent) | set(js.dependent) | {
         s
@@ -249,8 +253,9 @@ def _system(name):
 
 
 @pytest.mark.parametrize("name, degree", [
-    ("fixture", 1), ("fixture", 2), ("fixture", 3), ("burgers", 2), ("kdv", 2),
-    ("two-parameter", 1), ("two-parameter", 2), ("heat", 1),
+    ("fixture", 1), ("fixture", 2), ("fixture", 3), ("fixture", 4), ("burgers", 2),
+    ("burgers", 3), ("kdv", 2), ("kdv", 3), ("two-parameter", 1), ("two-parameter", 2),
+    ("heat", 1), ("heat", 2), ("heat", 3),
 ])
 def test_one_walk_build_matches_two_pass_build(name, degree):
     system = _system(name)
@@ -273,10 +278,87 @@ def test_one_walk_build_matches_two_pass_build(name, degree):
 
 
 def test_one_walk_build_keeps_typed_errors():
-    text = "independent t x\ndependent u(t, x)\neq d(u,t) = d(u,x,x)/x\nlead d(u,t)\n"
+    for divisor in ("x", "u"):
+        text = ("independent t x\ndependent u(t, x)\n"
+                f"eq d(u,t) = d(u,x,x)/{divisor}\nlead d(u,t)\n")
+        _, system = build_system(parse_system(text))
+        message = f"^negative power of {divisor} is not polynomial$"
+        with pytest.raises(NonPolynomialError, match=message):
+            old_build_determining(system, 1)
+        with pytest.raises(NonPolynomialError, match=message):
+            build_determining(system, 1)
+
+
+@pytest.mark.parametrize("rhs", [
+    "t*d(u,x,x)/u + d(u,x)/x", "x*d(u,x)/u + d(u,x,x)/t", "d(u,x,x) + 1/d(u,x)",
+    "d(u,x,x)/d(u,x) + t/x",
+])
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_negative_power_error_names_the_first_term(rhs, degree):
+    # the error names the variable of the first offending term of the
+    # generic residual in canonical order, or none when no term is left
+    text = f"independent t x\ndependent u(t, x)\neq d(u,t) = {rhs}\nlead d(u,t)\n"
     _, system = build_system(parse_system(text))
-    with pytest.raises(NonPolynomialError, match="^negative power of x is not polynomial$"):
-        build_determining(system, 1)
+    outcomes = []
+    for build in (old_build_determining, build_determining):
+        try:
+            build(system, degree)
+            outcomes.append(None)
+        except NonPolynomialError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
+def pde_residuals(system, vf):
+    """The determining PDEs of `system` with F_k the coefficients of `vf`:
+    each derivative of F_k is its `expr.diff`, each term multiplied out."""
+    js = system.space
+    base = js.independent + js.dependent
+    split = split_variables(js)
+    out = []
+    for terms in determining_pdes(system):
+        total = ZERO
+        for exps, slot, multi, coefficient in terms:
+            value = vf.coefficients[slot]
+            for var, count in zip(base, multi):
+                for _ in range(count):
+                    value = expr.diff(value, var)
+            for var, e in zip(split, exps):
+                value = value * var ** e
+            total = total + coefficient * value
+        out.append(total)
+    return out
+
+
+def test_fixture_pdes_have_78_terms():
+    system = _system("fixture")
+    assert [len(terms) for terms in determining_pdes(system)] == [17, 55, 6]
+
+
+@pytest.mark.parametrize("name, degree", [
+    ("fixture", 1), ("fixture", 2), ("fixture", 3), ("burgers", 1), ("burgers", 2),
+])
+def test_basis_fields_solve_the_pdes(name, degree):
+    system = _system(name)
+    basis = solve_determining(build_determining(system, degree))
+    assert basis
+    for vf in basis:
+        assert all(expr.is_zero(r) for r in pde_residuals(system, vf)), str(vf)
+
+
+@pytest.mark.parametrize("name", ["fixture", "burgers", "kdv", "heat", "two-parameter"])
+def test_pdes_give_the_symmetry_residual(name):
+    # the PDEs instantiated at any field are its symmetry residuals, so a
+    # field that check-generator rejects leaves a nonzero PDE
+    system = _system(name)
+    rng = random.Random(f"pdes-{name}")
+    rejected = 0
+    for _ in range(6):
+        vf = random_affine_field(rng, system.space)
+        residuals = pde_residuals(system, vf)
+        assert residuals == symmetry_residual(vf, system)
+        rejected += not all(expr.is_zero(r) for r in residuals)
+    assert rejected
 
 
 def test_restricted_prolongation_matches_full(golden):

@@ -251,6 +251,124 @@ class TestSubstitute:
         assert expr.substitute(eps * x, {eps: x}) == x * x
 
 
+# ---------------------------------------------------------------------------
+# Kept results on function applications against recomputation
+# ---------------------------------------------------------------------------
+
+def substitute_rebuilt(e, rules):
+    """Substitution term by term, every function application rebuilt from
+    its substituted arguments: the oracle of `expr.substitute` without its
+    kept applications (no group-symbol rules)."""
+    total = expr.ZERO
+    for (powers, pexps), coeff in expr.monomials(e):
+        term = Rational(coeff)
+        for atom, exp in powers:
+            if isinstance(atom, FunctionApplication):
+                atom = FunctionApplication(
+                    atom.name, tuple(substitute_rebuilt(a, rules) for a in atom.args),
+                    atom.derivatives)
+                term = term * atom ** exp
+            else:
+                term = term * expr.normalize(rules.get(atom, atom)) ** exp
+        for sym, k in pexps:
+            term = term * ParamExp(sym, k)
+        total = total + term
+    return total
+
+
+def free_symbols_rebuilt(e):
+    """The symbols of `e`, each application's arguments walked again."""
+    out = set()
+    for (powers, pexps), _ in expr.monomials(e):
+        for atom, _ in powers:
+            if isinstance(atom, Symbol):
+                out.add(atom)
+            else:
+                for a in atom.args:
+                    out |= free_symbols_rebuilt(a)
+        out.update(sym for sym, _ in pexps)
+    return out
+
+
+def diff_rebuilt(e, s):
+    """d e / d s by the product and chain rules on fresh applications: the
+    oracle of `expr.diff` without the raised applications it keeps."""
+    total = expr.ZERO
+    for (powers, pexps), coeff in expr.monomials(e):
+        for idx, (atom, exp) in enumerate(powers):
+            if isinstance(atom, Symbol):
+                d = expr.ONE if atom == s else expr.ZERO
+            else:
+                d = expr.ZERO
+                for slot, arg in enumerate(atom.args):
+                    counts = list(atom.derivatives)
+                    counts[slot] += 1
+                    d = d + diff_rebuilt(arg, s) * FunctionApplication(
+                        atom.name, atom.args, counts)
+            term = Rational(coeff) * exp * atom ** (exp - 1) * d
+            for other, (b, e2) in enumerate(powers):
+                if other != idx:
+                    term = term * b ** e2
+            for sym, k in pexps:
+                term = term * ParamExp(sym, k)
+            total = total + term
+    return total
+
+
+def application_pool():
+    """Symbols and function applications of them, some of them twice: once
+    as a shared object and once built anew."""
+    g = FunctionApplication("g", (x, u))
+    h = FunctionApplication("h", (y,))
+    k = FunctionApplication("k", (x + u,))
+    f = FunctionApplication("f", (x, y, u, v), (1, 0, 2, 0))
+    return [x, y, u, v, c1, g, g, h, k, f, FunctionApplication("g", (x, u))]
+
+
+class TestKeptApplications:
+    def test_substitute_matches_rebuilt(self):
+        rng = random.Random(71)
+        pool = application_pool()
+        for _ in range(60):
+            e = random_expression(rng, pool)
+            targets = rng.sample([x, y, u, v, c1], rng.randint(1, 3))
+            rules = {t: random_expression(rng, [x, y, u, v, c1], depth=1) for t in targets}
+            got = expr.substitute(e, rules)
+            assert got == substitute_rebuilt(e, rules), (e, rules)
+            # the same call again, on the same objects
+            assert expr.substitute(e, rules) == got
+
+    def test_untouched_application_is_kept(self):
+        g = FunctionApplication("g", (x, u))
+        out = expr.substitute(g * v + g ** 2 * y, {v: x, y: u})
+        atoms = {atom for (powers, _), _ in expr.monomials(out) for atom, _ in powers}
+        assert any(atom is g for atom in atoms)
+        hit = expr.substitute(g * v, {u: y})
+        assert hit == FunctionApplication("g", (x, y)) * v
+
+    def test_free_symbols_match_rebuilt(self):
+        rng = random.Random(73)
+        pool = application_pool()
+        for _ in range(60):
+            e = random_expression(rng, pool)
+            assert expr.free_symbols(e) == free_symbols_rebuilt(e)
+            assert expr.free_symbols(e) == free_symbols_rebuilt(e)
+
+    def test_diff_matches_rebuilt(self):
+        rng = random.Random(79)
+        pool = [a for a in application_pool()
+                if not (isinstance(a, FunctionApplication) and a.name == "k")]
+        for _ in range(60):
+            e = random_expression(rng, pool)
+            for s in (x, y, u, v):
+                want = diff_rebuilt(e, s)
+                assert expr.diff(e, s) == want, (e, s)
+                assert expr.diff(e, s) == want, (e, s)
+                # a second derivative raises the raised applications again
+                t = rng.choice((x, y, u, v))
+                assert expr.diff(expr.diff(e, s), t) == diff_rebuilt(want, t), (e, s, t)
+
+
 class TestCollect:
     def test_direct_reading(self):
         ux = Symbol("u_x", INDEPENDENT)

@@ -176,3 +176,30 @@ class TestReduceMod:
                 (ux - vx,),
                 ((ux, vx), (vx, ux)),
             )
+
+
+def test_coordinate_is_made_once_per_space(golden):
+    # every call for one coordinate gives one object, equal to the symbol
+    # built afresh; bad and too-high multi-indices raise on every call
+    space = golden[0]
+    rng = random.Random(83)
+    made = {}
+    for _ in range(300):
+        order = rng.randint(0, space.limit)
+        multi = rng.choice(space.multi_indices(order))
+        alpha = rng.randrange(space.q)
+        dep = space.dependent[alpha]
+        sym = space.coordinate(rng.choice([dep, alpha]), rng.choice([multi, list(multi)]))
+        suffix = "".join(x.name * c for x, c in zip(space.independent, multi))
+        fresh = dep if order == 0 else Symbol(
+            f"{dep.name}_{suffix}", expr.JET, base=dep.name, multi=multi)
+        assert sym == fresh and sym.name == fresh.name
+        assert made.setdefault((alpha, multi), sym) is sym
+    dep = space.dependent[0]
+    for _ in range(2):
+        with pytest.raises(OrderLimitError):
+            space.coordinate(dep, (space.limit + 1, 0))
+        with pytest.raises(ValueError):
+            space.coordinate(dep, (1,))
+        with pytest.raises(ValueError):
+            space.coordinate(dep, (-1, 2))

@@ -10,7 +10,7 @@ import pytest
 import liepde
 from liepde import linalg, parser, pipeline, reference, structure
 from liepde.cli import main as cli_main
-from liepde.errors import PipelineError
+from liepde.errors import LiepdeError, PipelineError
 
 
 def note_anchors(report):
@@ -420,6 +420,34 @@ class TestStageErrors:
         with pytest.raises(PipelineError) as err:
             pipeline.run_pipeline(parser.parse_system(text))
         assert err.value.stage == "system"
+
+    def test_adjoint_failure_names_its_stage(self, tmp_path, capsys):
+        # The 2-D Laplace equation's rotation has the eigenvalues +-i, which
+        # the adjoint matrices cannot hold; the error says where it arose.
+        system = tmp_path / "laplace.pde"
+        system.write_text("independent x y\ndependent u(x, y)\n"
+                          "eq d(u,x,x) + d(u,y,y) = 0\nlead d(u,x,x)\n")
+        assert cli_main(["symmetries", str(system)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(
+            "error: stage 'adjoint': characteristic polynomial does not split"), err
+
+    @pytest.mark.parametrize("section, stage", [
+        ("_structure_section", "structure"),
+        ("_adjoint_section", "adjoint"),
+        ("_flow_section", "flows"),
+        ("_similarity_section", "similarity"),
+    ])
+    def test_analysis_section_failure_names_its_stage(self, monkeypatch, section, stage):
+        def fail(*args):
+            raise LiepdeError("section failed")
+
+        monkeypatch.setattr(pipeline, section, fail)
+        with pytest.raises(PipelineError) as err:
+            pipeline.run_pipeline(reference.fixture_document())
+        assert err.value.stage == stage
+        assert str(err.value) == f"stage '{stage}': section failed"
 
     def test_negative_power_in_equation_names_its_stage(self, tmp_path):
         # Splitting the residuals must keep the collect error, byte for byte.

@@ -37,8 +37,11 @@ degrees 1-2 (degree 2 exits 1: its span does not close under the bracket),
 a system whose equation divides by an independent variable (exit 1),
 three normal forms with the prime 10^24 + 7 as an eigenvalue or a
 component, the heat equation at degree 1 in JSON (its flows and
-transformed solutions), and a ``normal-form`` on e(2), whose ad v3 is a
-rotation with the eigenvalues +-i, in text and JSON.  The optimal table for
+transformed solutions), a ``normal-form`` on e(2), whose ad v3 is a
+rotation with the eigenvalues +-i, in text and JSON, Burgers and KdV at
+ansatz degree 3 in JSON, the heat equation at degree 3 (exit 1), and a
+system whose equation divides by the dependent variable (exit 1 at the
+determining stage).  The optimal table for
 ``verify-optimal`` and the printed variant are the files bundled with
 PARENT_TREE.
 """
@@ -123,6 +126,14 @@ eq d(u,t) = d(u,x,x)/x
 lead d(u,t)
 """
 
+# divides by the dependent variable: the determining split refuses u^-1
+DIVIDES_BY_U = """\
+independent t x
+dependent u(t, x)
+eq d(u,t) = d(u,x,x)/u
+lead d(u,t)
+"""
+
 
 # [v1, v2] = v2/2 and [v1, v3] = v2 + v3/2: ad v1 is one Jordan block with
 # the eigenvalue 1/2
@@ -176,6 +187,7 @@ def write_inputs(folder, parent):
         "mixed.pde": MIXED,
         "heat.pde": HEAT,
         "negative_power.pde": NEGATIVE_POWER,
+        "divides_by_u.pde": DIVIDES_BY_U,
         "forced.pde": FORCED,
         "b4.json": json.dumps(borel4(), indent=1),
         "jordan.json": json.dumps(JORDAN),
@@ -274,6 +286,11 @@ def write_inputs(folder, parent):
     commands.append(["--ansatz-degree", "1", *js, "symmetries", "heat.pde"])
     for fmt in ([], js):
         commands.append([*fmt, "normal-form", "--constants", "e2.json", "--vector", "1,2,0"])
+    # the determining split at degree 3 off the fixture, and its refusals
+    for name in ("burgers.pde", "kdv.pde"):
+        commands.append(["--ansatz-degree", "3", *js, "symmetries", name])
+    commands.append(["--ansatz-degree", "3", "symmetries", "heat.pde"])
+    commands.append(["symmetries", "divides_by_u.pde"])
     return commands
 
 
