@@ -220,7 +220,7 @@ class FunctionApplication(Expr):
     __slots__ = ("name", "args", "derivatives", "_symbols", "_raised")
 
     def __init__(self, name, args, derivatives=None):
-        args = tuple(normalize(a) for a in args)
+        args = tuple(a if isinstance(a, Symbol) else normalize(a) for a in args)
         if derivatives is None:
             derivatives = (0,) * len(args)
         derivatives = tuple(derivatives)
@@ -794,10 +794,6 @@ def collect(e, variables):
 # Rendering
 # ---------------------------------------------------------------------------
 
-def _render_fraction(q):
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def _render_atom(atom):
     if isinstance(atom, Symbol):
         return atom.name
@@ -816,7 +812,7 @@ def _render_pexp(sym, k):
         return f"exp({sym.name})"
     if k == -1:
         return f"exp(-{sym.name})"
-    return f"exp({_render_fraction(k)}*{sym.name})"
+    return f"exp({Fraction(k)}*{sym.name})"
 
 
 def _render_term(mono, coeff):
@@ -824,13 +820,13 @@ def _render_term(mono, coeff):
     pieces = [_render_atom(a) if e == 1 else f"{_render_atom(a)}^{e}" for a, e in powers]
     pieces.extend(_render_pexp(s, k) for s, k in pexps)
     if not pieces:
-        return _render_fraction(coeff)
+        return str(Fraction(coeff))
     body = "*".join(pieces)
     if coeff == 1:
         return body
     if coeff == -1:
         return f"-{body}"
-    return f"{_render_fraction(coeff)}*{body}"
+    return f"{Fraction(coeff)}*{body}"
 
 
 def render(e):

@@ -397,22 +397,13 @@ def verify_optimal_table(L, entries):
     results = []
     for label, vectors in entries:
         S = L.subspace(vectors)
-        closed = structure.subalgebra_check(L, S)
-        offending = None
-        if not closed:
-            for a in S.basis:
-                for b in S.basis:
-                    if not S.contains(L.bracket_coords(a, b)):
-                        offending = (a, b)
-                        break
-                if offending:
-                    break
+        offending = structure.bracket_outside(L, S.basis, S.basis, S)
         inter = _intersection_dim(L, S, derived)
         sig = _invariant_signature(L, S, inv)
         results.append(
             OptimalTableEntry(
                 label, [tuple(Fraction(x) for x in v) for v in vectors],
-                closed, offending, S.dim,
+                offending is None, offending, S.dim,
                 structure.is_abelian(L, S), structure.is_ideal(L, S),
                 inter, sig,
             )
@@ -445,38 +436,13 @@ def coverage_gaps(L, representatives):
     """Basis directions the 1D representative list cannot reach.
 
     A representative can only be adjoint-conjugate (up to span scaling) to a
-    vector with a proportional invariant-component signature; the labels of
-    the basis vectors whose signature is proportional to no
-    representative's are reported.
+    vector with a proportional invariant-component signature.  The
+    signature of v_k is the unit vector e_k when k is an invariant
+    component and 0 otherwise, so a representative reaches v_k exactly when
+    its support on the invariant components is {k}, or is empty when k is
+    not invariant; the labels of the unreached basis vectors are reported.
     """
     inv = invariant_components(L)
-    rep_sigs = []
-    for vec in representatives:
-        rep_sigs.append(tuple(Fraction(vec[j]) for j in inv))
-    gaps = []
-    for k, label in enumerate(L.labels):
-        sig = tuple(int(j == k) for j in inv)
-        if all(x == 0 for x in sig):
-            covered = any(all(x == 0 for x in rs) for rs in rep_sigs)
-        else:
-            covered = any(_proportional(sig, rs) for rs in rep_sigs)
-        if not covered:
-            gaps.append(label)
-    return gaps
-
-
-def _proportional(a, b):
-    if all(x == 0 for x in b):
-        return False
-    ratio = None
-    for x, y in zip(a, b):
-        if y == 0:
-            if x != 0:
-                return False
-            continue
-        r = Fraction(x) / Fraction(y)
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return False
-    return ratio is not None and ratio != 0
+    supports = {frozenset(j for j in inv if Fraction(vec[j])) for vec in representatives}
+    return [label for k, label in enumerate(L.labels)
+            if frozenset({k}.intersection(inv)) not in supports]

@@ -30,8 +30,7 @@ EPS_SYMBOL = Symbol(EPS, GROUP)
 
 
 def jfrac(x):
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return str(Fraction(x))
 
 
 def jexppoly(e):

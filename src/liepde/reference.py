@@ -343,9 +343,7 @@ def structure_constants_json():
             if any(vec):
                 brackets.append(
                     {"i": i + 1, "j": j + 1,
-                     "coeffs": [f"{c.numerator}/{c.denominator}"
-                                if c.denominator != 1 else str(c.numerator)
-                                for c in vec]}
+                     "coeffs": [str(Fraction(c)) for c in vec]}
                 )
     return {"dim": 5, "labels": ["v1", "v2", "v3", "v4", "v5"],
             "brackets": brackets}
@@ -356,11 +354,6 @@ def optimal_table_json(values=(1, 2)):
     for label, vectors in optimal_table_entries(values):
         entries.append(
             {"label": label,
-             "vectors": [[_frac_str(x) for x in vec] for vec in vectors]}
+             "vectors": [[str(Fraction(x)) for x in vec] for vec in vectors]}
         )
     return {"schema": 1, "entries": entries}
-
-
-def _frac_str(x):
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"

@@ -3,6 +3,13 @@
 Algebras are given by structure constants (optionally realized by vector
 fields); subspaces are stored with reduced-row-echelon canonical bases so
 equality is decidable and reports are stable.
+
+Questions about subspaces go through two kernels.  `bracket_outside` finds
+the first pair of two lists whose bracket leaves a subspace: closure under
+the bracket, ideals, abelian subspaces and the offending pair of a
+non-closing table entry (`optimal.verify_optimal_table`) are each one call.
+`_series` iterates one step on subspaces from the whole algebra until a
+term is 0 or repeats: the derived and the lower central series.
 """
 
 from __future__ import annotations
@@ -268,29 +275,25 @@ def product_space(L, S, T):
     return L.subspace(vectors)
 
 
-def derived_series(L):
-    """g, [g,g], [[g,g],[g,g]], ... until stabilization."""
+def _series(L, step):
+    """g, step(g), step(step(g)), ... until a term is 0 or repeats the last."""
     series = [L.whole()]
-    while True:
-        nxt = product_space(L, series[-1], series[-1])
+    while series[-1].dim:
+        nxt = step(series[-1])
         if nxt == series[-1]:
             break
         series.append(nxt)
-        if nxt.dim == 0:
-            break
     return series
+
+
+def derived_series(L):
+    """g, [g,g], [[g,g],[g,g]], ... until stabilization."""
+    return _series(L, lambda S: product_space(L, S, S))
 
 
 def lower_central_series(L):
-    series = [L.whole()]
-    while True:
-        nxt = product_space(L, L.whole(), series[-1])
-        if nxt == series[-1]:
-            break
-        series.append(nxt)
-        if nxt.dim == 0:
-            break
-    return series
+    """g, [g,g], [g,[g,g]], ... until stabilization."""
+    return _series(L, lambda S: product_space(L, L.whole(), S))
 
 
 def is_solvable(L):
@@ -324,53 +327,41 @@ def radical(L):
             sum((K[i][j] * d[j] for j in range(L.n)), Fraction(0))
             for i in range(L.n)
         ))
-    if not rows:
-        return L.whole()
     return L.subspace(linalg.nullspace(rows, L.n))
+
+
+def bracket_outside(L, A, B, S):
+    """The first pair (a, b) of A x B, in that order, whose bracket [a, b]
+    is not in the subspace S, or None when every bracket is."""
+    for a in A:
+        for b in B:
+            if not S.contains(L.bracket_coords(a, b)):
+                return a, b
+    return None
 
 
 def is_abelian(L, S=None):
     S = S if S is not None else L.whole()
-    for a in S.basis:
-        for b in S.basis:
-            if any(L.bracket_coords(a, b)):
-                return False
-    return True
+    return bracket_outside(L, S.basis, S.basis, L.subspace([])) is None
 
 
 def subalgebra_check(L, S):
     """Whether the subspace closes under the bracket."""
-    for a in S.basis:
-        for b in S.basis:
-            if not S.contains(L.bracket_coords(a, b)):
-                return False
-    return True
+    return bracket_outside(L, S.basis, S.basis, S) is None
 
 
 def is_ideal(L, S):
-    for i in range(L.n):
-        e_i = [Fraction(0)] * L.n
-        e_i[i] = Fraction(1)
-        for b in S.basis:
-            if not S.contains(L.bracket_coords(e_i, b)):
-                return False
-    return True
+    return bracket_outside(L, L.whole().basis, S.basis, S) is None
 
 
 def normalizer(L, S):
     """{y : [y, S] is contained in S}."""
     rows = []
     for b in S.basis:
-        # linear map y -> [y, b]; its residual modulo S must vanish
-        residuals = []
-        for i in range(L.n):
-            e_i = [Fraction(0)] * L.n
-            e_i[i] = Fraction(1)
-            residuals.append(S.reduce_vector(L.bracket_coords(e_i, b)))
-        for k in range(L.n):
-            rows.append(tuple(residuals[i][k] for i in range(L.n)))
-    if not rows:
-        return L.whole()
+        # linear map y -> [y, b]; its residual modulo S must vanish, so
+        # row k holds component k of the residuals of [e_i, b]
+        rows.extend(zip(*(S.reduce_vector(L.bracket_coords(e, b))
+                          for e in L.whole().basis)))
     return L.subspace(linalg.nullspace(rows, L.n))
 
 

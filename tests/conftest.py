@@ -49,6 +49,19 @@ def jordan_algebra():
         3, {(0, 1): (0, Fraction(1, 2), 0), (0, 2): (0, 1, Fraction(1, 2))})
 
 
+def sl2_algebra():
+    """sl(2) on e, h, f: [e, h] = -2e, [e, f] = h and [h, f] = -2f."""
+    return structure.LieAlgebra.from_brackets(
+        3, {(0, 1): (-2, 0, 0), (0, 2): (0, 1, 0), (1, 2): (0, 0, -2)},
+        labels=["e", "h", "f"])
+
+
+def heisenberg_algebra():
+    """h(3) on x, y, z: [x, y] = z, and z is central."""
+    return structure.LieAlgebra.from_brackets(
+        3, {(0, 1): (0, 0, 1)}, labels=["x", "y", "z"])
+
+
 def borel_algebra(rng=None, size=4):
     """b(size), the upper-triangular matrices, on the basis R_k = s_k E_pq.
 

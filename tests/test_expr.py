@@ -156,6 +156,24 @@ class TestCoefficientTypes:
         assert expr.constant_value(inverse.num) == Fraction(1, 3)
 
 
+class TestApplicationArguments:
+    def test_symbol_argument_is_kept(self):
+        g = FunctionApplication("g", (x, u))
+        assert g.args[0] is x
+        assert g.args[1] is u
+
+    def test_other_arguments_are_canonical(self):
+        assert FunctionApplication("f", (1,)).args == (expr.ONE,)
+        assert FunctionApplication("f", (1,)).args[0] is expr.ONE
+        assert FunctionApplication("f", (Rational(1),)).args[0] is expr.ONE
+        assert FunctionApplication("f", (Fraction(1, 2),)).args == (Rational(1, 2),)
+        assert FunctionApplication("f", (ParamExp(eps, 0),)).args[0] is expr.ONE
+        assert FunctionApplication("f", (ParamExp(eps, 1),)).args == (ParamExp(eps, 1),)
+        s = x + y
+        assert FunctionApplication("f", (s,)).args == (s,)
+        assert FunctionApplication("f", (x, 0)) == FunctionApplication("f", (x, expr.ZERO))
+
+
 class TestDiff:
     def test_power_rule(self):
         assert expr.diff(x**2 * u, x) == expr.normalize(2 * x * u)

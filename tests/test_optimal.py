@@ -22,6 +22,8 @@ from liepde.optimal import (
     verify_optimal_table,
 )
 
+from test_structure import ORACLE_ALGEBRAS, oracle_algebra
+
 F = Fraction
 
 
@@ -240,6 +242,91 @@ class TestOptimalTable:
         reps.append((0, 0, 0, 0, 1))
         gaps = coverage_gaps(algebra, reps)
         assert gaps == []
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-direction proportionality test that reading each
+# representative's support on the invariant components replaced.
+# ---------------------------------------------------------------------------
+
+def proportional_coverage_gaps(L, representatives):
+    inv = invariant_components(L)
+    rep_sigs = []
+    for vec in representatives:
+        rep_sigs.append(tuple(Fraction(vec[j]) for j in inv))
+    gaps = []
+    for k, label in enumerate(L.labels):
+        sig = tuple(int(j == k) for j in inv)
+        if all(x == 0 for x in sig):
+            covered = any(all(x == 0 for x in rs) for rs in rep_sigs)
+        else:
+            covered = any(_proportional(sig, rs) for rs in rep_sigs)
+        if not covered:
+            gaps.append(label)
+    return gaps
+
+
+def _proportional(a, b):
+    if all(x == 0 for x in b):
+        return False
+    ratio = None
+    for x, y in zip(a, b):
+        if y == 0:
+            if x != 0:
+                return False
+            continue
+        r = Fraction(x) / Fraction(y)
+        if ratio is None:
+            ratio = r
+        elif r != ratio:
+            return False
+    return ratio is not None and ratio != 0
+
+
+def seeded_representatives(L, rng):
+    """0 to 4 vectors: zero vectors, scaled units and sparse rational ones,
+    the last often with several invariant components."""
+    reps = []
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            reps.append((0,) * L.n)
+        elif kind == 1:
+            v = [0] * L.n
+            v[rng.randrange(L.n)] = F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 2))
+            reps.append(tuple(v))
+        else:
+            reps.append(tuple(0 if rng.random() < 0.5 else F(rng.randint(-3, 3), 2)
+                              for _ in range(L.n)))
+    return reps
+
+
+class TestCoverageOracle:
+    @pytest.mark.parametrize("seed, name", enumerate(ORACLE_ALGEBRAS))
+    def test_gaps_match_proportionality(self, algebra, seed, name):
+        L = oracle_algebra(name, algebra)
+        rng = random.Random(200 + seed)
+        lists = [[], [(0,) * L.n], [tuple(int(i == k) for i in range(L.n))
+                                    for k in range(L.n)]]
+        lists += [seeded_representatives(L, rng) for _ in range(150)]
+        inv = invariant_components(L)
+        several = 0
+        sizes = set()
+        for reps in lists:
+            gaps = coverage_gaps(L, reps)
+            assert gaps == proportional_coverage_gaps(L, reps), reps
+            sizes.add(len(gaps))
+            several += any(sum(1 for j in inv if v[j]) > 1 for v in reps)
+        assert coverage_gaps(L, []) == list(L.labels)
+        assert coverage_gaps(L, lists[2]) == []
+        assert len(sizes) > 1
+        assert several > 0 or len(inv) < 2
+
+    def test_string_components(self, algebra):
+        # components are read through Fraction, as the table files write them
+        reps = [("0", "0", "0", "1/2", "0"), ("1", "0", "0", "0", "0")]
+        assert coverage_gaps(algebra, reps) == ["v5"]
+        assert proportional_coverage_gaps(algebra, reps) == ["v5"]
 
 
 def naive_power_part(n, k):

@@ -91,7 +91,43 @@ class TestErrors:
             build_system(parse_system(text))
 
 
+DECLARED = "independent x y\ndependent u(x, y)\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("independent x\ndependent (x)\n",
+     "2:11: expected a dependent variable name, found '('"),
+    ("param a b\n", "1:9: unexpected trailing input 'b'"),
+    ("param a\nparam a\n", "2:7: 'a' already declared"),
+    ("independent x\ndependent u(x)\ndependent u(x)\n", "3:11: 'u' already declared"),
+    ("param a > 1\n", "1:11: only '> 0' is supported"),
+    ("independent\n", "1:12: expected variable names"),
+    ("independent x\ndependent u(y)\n",
+     "2:13: argument 'y' is not an independent variable"),
+    ("independent x\neq d(u,x) = 0\n", "2:5: variables must be declared before equations"),
+    (DECLARED + "eq d(u,x) = 0\nlead u\n",
+     "4:6: leading coordinates are written d(u, x, ...)"),
+    (DECLARED + "eq d(u,x) = *\n", "3:13: unexpected token '*'"),
+    (DECLARED + "eq d(w,x) = 0\n", "3:6: 'w' is not a dependent variable"),
+    (DECLARED + "eq d(u,w) = 0\n", "3:8: 'w' is not an independent variable"),
+    (DECLARED + "eq d(u,x) = u\n", "no leading coordinates declared (need 'lead d(...)')"),
+])
+def test_error_message(text, message):
+    with pytest.raises(ParseError) as err:
+        build_system(parse_system(text))
+    assert str(err.value) == message
+
+
 class TestExpressions:
+    def test_unary_plus(self):
+        doc = parse_system(DECLARED + "eq +d(u,x) = +u - +x\nlead d(u,x)\n")
+        x = doc.symbols()[0][0]
+        u = doc.symbols()[1][0]
+        lhs, rhs = doc.equations[0]
+        assert expr.render(lhs) == "u_x"
+        assert expr.equal(rhs, u - x)
+
+
     def test_precedence(self):
         doc = reference.fixture_document()
         e = parse_expression("1 + 2*x^2", doc)

@@ -366,6 +366,73 @@ class TestCli:
         for command, run in runs.items():
             assert run == runs["symmetries"], command
 
+    SL2 = {"dim": 3, "labels": ["e", "h", "f"],
+           "brackets": [{"i": 1, "j": 2, "coeffs": [-2, 0, 0]},
+                        {"i": 1, "j": 3, "coeffs": [0, 1, 0]},
+                        {"i": 2, "j": 3, "coeffs": [0, 0, -2]}]}
+
+    @pytest.mark.parametrize("name, text", [
+        ("fixture", "algebra on v1, v2, v3, v4, v5\n"
+                    "  v1: 0  0  0  v1  0\n"
+                    "  v2: 0  0  0  0  v2\n"
+                    "  v3: 0  0  0  2*v3  -4*v3\n"
+                    "  v4: -v1  0  -2*v3  0  0\n"
+                    "  v5: 0  -v2  4*v3  0  0\n"
+                    "solvable: True  semisimple: False\n"
+                    "derived dims: 5 > 3 > 0\n"),
+        ("sl2", "algebra on e, h, f\n"
+                "  e: 0  -2*e  h\n"
+                "  h: 2*e  0  -2*f\n"
+                "  f: -h  2*f  0\n"
+                "solvable: False  semisimple: True\n"
+                "derived dims: 3\n"),
+    ])
+    def test_structure_constants_text(self, tmp_path, capsys, name, text):
+        rc = cli_main(["structure", "--constants", self.constants(tmp_path, name)])
+        assert (rc, *capsys.readouterr()) == (0, text, "")
+
+    @pytest.mark.parametrize("name, killing, solvable, semisimple, dims", [
+        ("fixture", [["0"] * 5] * 3 + [["0", "0", "0", "5", "-8"],
+                                       ["0", "0", "0", "-8", "17"]],
+         True, False, [5, 3, 0]),
+        ("sl2", [["0", "0", "4"], ["0", "8", "0"], ["4", "0", "0"]], False, True, [3]),
+    ])
+    def test_structure_constants_json(self, tmp_path, capsys, name, killing,
+                                      solvable, semisimple, dims):
+        rc = cli_main(["--report", "json", "structure", "--constants",
+                       self.constants(tmp_path, name)])
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, "")
+        doc = json.loads(out)
+        assert list(doc) == ["schema", "labels", "commutators_pretty", "killing",
+                             "solvable", "semisimple", "derived_dimensions"]
+        assert doc["schema"] == pipeline.SCHEMA_VERSION
+        assert doc["killing"] == killing
+        assert (doc["solvable"], doc["semisimple"]) == (solvable, semisimple)
+        assert doc["derived_dimensions"] == dims
+
+    def constants(self, tmp_path, name):
+        if name == "fixture":
+            return str(pathlib.Path(liepde.__file__).parent / "data"
+                       / "boundary_layer_algebra.json")
+        path = tmp_path / "sl2.json"
+        path.write_text(json.dumps(self.SL2))
+        return str(path)
+
+
+def test_skipped_flow_entry():
+    # g5 = x^2 d/dy + 2xu d/dv of the computed algebra at degree 2 has a
+    # quadratic coefficient, which the exact flow does not integrate
+    report = pipeline.run_pipeline(reference.fixture_document(), ansatz_degree=2,
+                                   use_reference=False)
+    g5 = report["generators"][4]
+    assert (g5["label"], g5["xi"], g5["phi"]) == ("g5", ["0", "x^2"], ["0", "2*x*u", "0"])
+    reason = "flow requires affine coefficients with rational slopes; got x^2"
+    skipped = [f for f in report["flows"] if "skipped" in f]
+    assert skipped == [{"label": "g5", "skipped": reason}]
+    lines = pipeline.emit(report, "text").decode().splitlines()
+    assert f"  g5: skipped ({reason})" in lines
+
 
 BURGERS = """\
 param nu > 0

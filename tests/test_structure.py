@@ -5,19 +5,22 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import borel_algebra
+from conftest import borel_algebra, heisenberg_algebra, jordan_algebra, sl2_algebra
 from liepde import expr, linalg, parser, reference, structure
 from liepde.errors import NotASubalgebraError
 from liepde.fields import VectorField, bracket
+from liepde.optimal import verify_optimal_table
 from liepde.prolongation import build_determining, solve_determining
 from liepde.reference import COMMUTATOR_TABLE, KILLING_FORM
 from liepde.structure import (
     LieAlgebra,
     algebra_from_json,
+    bracket_outside,
     center,
     derived_series,
     is_abelian,
     is_ideal,
+    is_nilpotent,
     is_semisimple,
     is_solvable,
     killing_form,
@@ -424,3 +427,209 @@ def test_heat_equation_names_the_same_first_pair():
         structure_constants(basis)
     assert err.value.pair == oracle.value.pair == (6, 7)
     assert str(err.value) == "bracket of elements 7 and 8 is outside the span"
+
+
+# ---------------------------------------------------------------------------
+# sl(2), h(3) and the 2-D abelian algebra: a series that stops on a repeated
+# term or at 0, nilpotency, and the radical of an abelian algebra.
+# ---------------------------------------------------------------------------
+
+class TestSmallAlgebras:
+    def test_sl2(self):
+        L = sl2_algebra()
+        assert [s.dim for s in derived_series(L)] == [3]
+        assert [s.dim for s in lower_central_series(L)] == [3]
+        assert not is_solvable(L)
+        assert not is_nilpotent(L)
+        assert is_semisimple(L)
+        assert radical(L).dim == 0
+        assert center(L).dim == 0
+
+    def test_heisenberg(self):
+        L = heisenberg_algebra()
+        z = L.subspace([(0, 0, 1)])
+        for series in (derived_series(L), lower_central_series(L)):
+            assert [s.dim for s in series] == [3, 1, 0]
+            assert series[1] == z
+        assert is_solvable(L)
+        assert is_nilpotent(L)
+        assert not is_semisimple(L)
+        assert center(L) == z
+        assert radical(L) == L.whole()
+
+    def test_two_dimensional_abelian(self):
+        L = LieAlgebra.from_brackets(2, {})
+        assert [s.dim for s in derived_series(L)] == [2, 0]
+        assert [s.dim for s in lower_central_series(L)] == [2, 0]
+        assert is_nilpotent(L)
+        assert is_abelian(L)
+        assert radical(L) == L.whole()
+
+    def test_fixture_lower_central_series_repeats(self, algebra):
+        # [g, g] = <v1, v2, v3> and [g, <v1, v2, v3>] is the same span
+        assert [s.dim for s in lower_central_series(algebra)] == [5, 3]
+        assert not is_nilpotent(algebra)
+
+    def test_normalizer_of_zero_is_whole(self, algebra):
+        for L in (algebra, sl2_algebra(), heisenberg_algebra()):
+            assert normalizer(L, L.subspace([])) == L.whole()
+
+    def test_heisenberg_subspaces(self):
+        L = heisenberg_algebra()
+        xy = L.subspace([(1, 0, 0), (0, 1, 0)])
+        assert not subalgebra_check(L, xy)
+        assert not is_ideal(L, xy)
+        assert not is_abelian(L, xy)
+        xz = L.subspace([(1, 0, 0), (0, 0, 1)])
+        assert subalgebra_check(L, xz)
+        assert is_ideal(L, xz)
+        assert is_abelian(L, xz)
+        assert normalizer(L, L.subspace([(1, 0, 0)])) == xz
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-question double loops over brackets, the two series loops
+# and the normalizer's hand-built unit vectors, kept verbatim.
+# ---------------------------------------------------------------------------
+
+def loop_subalgebra_check(L, S):
+    for a in S.basis:
+        for b in S.basis:
+            if not S.contains(L.bracket_coords(a, b)):
+                return False
+    return True
+
+
+def loop_is_ideal(L, S):
+    for i in range(L.n):
+        e_i = [Fraction(0)] * L.n
+        e_i[i] = Fraction(1)
+        for b in S.basis:
+            if not S.contains(L.bracket_coords(e_i, b)):
+                return False
+    return True
+
+
+def loop_is_abelian(L, S):
+    for a in S.basis:
+        for b in S.basis:
+            if any(L.bracket_coords(a, b)):
+                return False
+    return True
+
+
+def loop_offending(L, S):
+    """The pair `verify_optimal_table` searched for after `subalgebra_check`."""
+    offending = None
+    for a in S.basis:
+        for b in S.basis:
+            if not S.contains(L.bracket_coords(a, b)):
+                offending = (a, b)
+                break
+        if offending:
+            break
+    return offending
+
+
+def loop_derived_series(L):
+    series = [L.whole()]
+    while True:
+        nxt = structure.product_space(L, series[-1], series[-1])
+        if nxt == series[-1]:
+            break
+        series.append(nxt)
+        if nxt.dim == 0:
+            break
+    return series
+
+
+def loop_lower_central_series(L):
+    series = [L.whole()]
+    while True:
+        nxt = structure.product_space(L, L.whole(), series[-1])
+        if nxt == series[-1]:
+            break
+        series.append(nxt)
+        if nxt.dim == 0:
+            break
+    return series
+
+
+def loop_normalizer(L, S):
+    rows = []
+    for b in S.basis:
+        residuals = []
+        for i in range(L.n):
+            e_i = [Fraction(0)] * L.n
+            e_i[i] = Fraction(1)
+            residuals.append(S.reduce_vector(L.bracket_coords(e_i, b)))
+        for k in range(L.n):
+            rows.append(tuple(residuals[i][k] for i in range(L.n)))
+    if not rows:
+        return L.whole()
+    return L.subspace(linalg.nullspace(rows, L.n))
+
+
+def seeded_spans(L, rng, count):
+    """Lists of 0 to n vectors, each a unit vector or a sparse rational one."""
+    out = []
+    for _ in range(count):
+        vectors = []
+        for _ in range(rng.randint(0, L.n)):
+            if rng.random() < 0.5:
+                vectors.append(unit(L.n, rng.randrange(L.n)))
+            else:
+                vectors.append(tuple(
+                    F(0) if rng.random() < 0.5 else F(rng.randint(-3, 3), rng.randint(1, 2))
+                    for _ in range(L.n)))
+        out.append(vectors)
+    return out
+
+
+ORACLE_ALGEBRAS = ("fixture", "b4", "jordan", "sl2", "h3")
+
+
+def oracle_algebra(name, algebra):
+    return {"fixture": lambda: algebra, "b4": borel_algebra, "jordan": jordan_algebra,
+            "sl2": sl2_algebra, "h3": heisenberg_algebra}[name]()
+
+
+class TestBracketSearchOracle:
+    @pytest.mark.parametrize("seed, name", enumerate(ORACLE_ALGEBRAS))
+    def test_subspace_questions_match_the_loops(self, algebra, seed, name):
+        L = oracle_algebra(name, algebra)
+        spans = seeded_spans(L, random.Random(100 + seed), 80)
+        results, _ = verify_optimal_table(
+            L, [(str(k), vectors) for k, vectors in enumerate(spans)])
+        seen = set()
+        for vectors, r in zip(spans, results):
+            S = L.subspace(vectors)
+            offending = loop_offending(L, S)
+            assert r.offending == offending
+            assert r.closed == (offending is None)
+            flags = (loop_subalgebra_check(L, S), loop_is_ideal(L, S),
+                     loop_is_abelian(L, S))
+            assert (subalgebra_check(L, S), is_ideal(L, S), is_abelian(L, S)) == flags
+            assert (r.closed, r.ideal, r.abelian) == flags
+            assert normalizer(L, S) == loop_normalizer(L, S)
+            seen.update(enumerate(flags))
+        # every flag is seen both true and false
+        assert seen == {(k, v) for k in range(3) for v in (True, False)}
+
+    def test_first_pair_in_order(self):
+        L = heisenberg_algebra()
+        x, y, z = L.whole().basis
+        xy = L.subspace([x, y])
+        assert bracket_outside(L, xy.basis, xy.basis, xy) == (x, y)
+        # [y, x] = -z is found before [x, y] when y comes first
+        assert bracket_outside(L, [z, y], [x, y], xy) == (y, x)
+        assert bracket_outside(L, [x, y, z], [z], L.subspace([])) is None
+        assert bracket_outside(L, [], [x], L.subspace([])) is None
+
+    def test_series_match_the_loops(self, algebra):
+        algebras = [oracle_algebra(name, algebra) for name in ORACLE_ALGEBRAS]
+        algebras += [LieAlgebra.from_brackets(2, {}), borel_algebra(size=3)]
+        algebras += [borel_algebra(random.Random(seed)) for seed in (1, 2)]
+        for L in algebras:
+            assert derived_series(L) == loop_derived_series(L)
+            assert lower_central_series(L) == loop_lower_central_series(L)

@@ -39,9 +39,12 @@ three normal forms with the prime 10^24 + 7 as an eigenvalue or a
 component, the heat equation at degree 1 in JSON (its flows and
 transformed solutions), a ``normal-form`` on e(2), whose ad v3 is a
 rotation with the eigenvalues +-i, in text and JSON, Burgers and KdV at
-ansatz degree 3 in JSON, the heat equation at degree 3 (exit 1), and a
+ansatz degree 3 in JSON, the heat equation at degree 3 (exit 1), a
 system whose equation divides by the dependent variable (exit 1 at the
-determining stage).  The optimal table for
+determining stage), and, in text and JSON, ``structure --constants`` and one
+``normal-form --constants`` on sl(2) and on h(3) and ``verify-optimal
+--constants`` on a two-entry sl(2) table in which <e, h> closes and <e, f>
+does not.  The optimal table for
 ``verify-optimal`` and the printed variant are the files bundled with
 PARENT_TREE.
 """
@@ -142,6 +145,22 @@ JORDAN = {"dim": 3, "labels": ["v1", "v2", "v3"],
                        {"i": 1, "j": 3, "coeffs": [0, 1, "1/2"]}]}
 
 
+# sl(2) on e, h, f: [e, h] = -2e, [e, f] = h and [h, f] = -2f
+SL2 = {"dim": 3, "labels": ["e", "h", "f"],
+       "brackets": [{"i": 1, "j": 2, "coeffs": [-2, 0, 0]},
+                    {"i": 1, "j": 3, "coeffs": [0, 1, 0]},
+                    {"i": 2, "j": 3, "coeffs": [0, 0, -2]}]}
+
+# <e, h> closes under the bracket; [e, f] = h leaves <e, f>
+SL2_TABLE = {"schema": 1, "entries": [
+    {"label": "<e,h>", "vectors": [[1, 0, 0], [0, 1, 0]]},
+    {"label": "<e,f>", "vectors": [[1, 0, 0], [0, 0, 1]]}]}
+
+# h(3) on x, y, z: [x, y] = z
+H3 = {"dim": 3, "labels": ["x", "y", "z"],
+      "brackets": [{"i": 1, "j": 2, "coeffs": [0, 0, 1]}]}
+
+
 # e(2): [v3, v1] = v2 and [v3, v2] = -v1
 E2 = {"dim": 3, "brackets": [{"i": 3, "j": 1, "coeffs": ["0", "1", "0"]},
                              {"i": 3, "j": 2, "coeffs": ["-1", "0", "0"]}]}
@@ -192,6 +211,9 @@ def write_inputs(folder, parent):
         "b4.json": json.dumps(borel4(), indent=1),
         "jordan.json": json.dumps(JORDAN),
         "e2.json": json.dumps(E2),
+        "sl2.json": json.dumps(SL2),
+        "sl2_table.json": json.dumps(SL2_TABLE),
+        "h3.json": json.dumps(H3),
     }
     rng = random.Random(1)
     c = 10 ** 12 + rng.randrange(1, 10 ** 6)
@@ -291,6 +313,16 @@ def write_inputs(folder, parent):
         commands.append(["--ansatz-degree", "3", *js, "symmetries", name])
     commands.append(["--ansatz-degree", "3", "symmetries", "heat.pde"])
     commands.append(["symmetries", "divides_by_u.pde"])
+    # sl(2) and h(3): a series that stops on a repeated term and one that
+    # reaches 0, a normal form with one translation and one that is negated,
+    # and a table with one closing and one non-closing entry
+    for fmt in ([], js):
+        for constants, vec in (("sl2.json", "3,1,0"), ("h3.json", "0,0,-3")):
+            commands.append([*fmt, "structure", "--constants", constants])
+            commands.append([*fmt, "normal-form", f"--vector={vec}",
+                             "--constants", constants])
+        commands.append([*fmt, "verify-optimal", "--constants", "sl2.json",
+                         "--file", "sl2_table.json"])
     return commands
 
 
