@@ -3,7 +3,8 @@
 Entries are finite sums c * eps^m * e^(k eps) with rational c, k.  Matrix
 exponentials are computed by Putzer's algorithm from the eigenvalues
 alone, so exponentials of matrices with rational spectrum are exact and
-closed in these sums.  Flows, their composites and the transformed
+closed in these sums.  The group parameter is the one symbol eps
+(`EPS`, `EPS_SYMBOL`).  Flows, their composites and the transformed
 solutions are `expr` values, with exp(k eps) as `expr.ParamExp` factors;
 `matrix_exp` and `ad_exp` return `ExpPolynomial` term records.
 
@@ -26,15 +27,16 @@ from .errors import UnsupportedSpectrumError
 from .expr import GROUP, ParamExp, Symbol, ZERO
 
 EPS = "eps"
+EPS_SYMBOL = Symbol(EPS, GROUP)
 _ZERO = Fraction(0)
 
 
 class ExpPolynomial:
     """An entry of `matrix_exp` and `ad_exp`: a sum of c * eps^m * e^(k*eps).
 
-    `params` is the one-element tuple (eps,) naming the parameter, and
     `terms` maps (0, (m,), (k,)) to a nonzero Fraction c, with integer
-    m >= 0 and rational k.  The leading 0 is a constant-exponent slot that
+    m >= 0 and rational k; the parameter is always eps, so the record does
+    not name it.  The leading 0 is a constant-exponent slot that
     is always 0.  The readers of this layout are `pipeline.jexppoly`, the
     baseline comparison against `reference.adjoint_matrix`,
     `optimal._diagonal_exponents` and `optimal._nilpotent_coefficients`, and
@@ -44,10 +46,9 @@ class ExpPolynomial:
     can return `expr` values.
     """
 
-    __slots__ = ("params", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, params, terms):
-        self.params = params
+    def __init__(self, terms):
         self.terms = terms
 
     @classmethod
@@ -58,13 +59,13 @@ class ExpPolynomial:
     def term(cls, c, m, k):
         """c * eps^m * e^(k*eps)."""
         c = Fraction(c)
-        return cls((EPS,), {(_ZERO, (m,), (Fraction(k),)): c} if c else {})
+        return cls({(_ZERO, (m,), (Fraction(k),)): c} if c else {})
 
     def is_zero(self):
         return not self.terms
 
     def __eq__(self, other):
-        return self.params == other.params and self.terms == other.terms
+        return self.terms == other.terms
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +261,8 @@ def _deflate(p, r):
     return q[::-1], value
 
 
-def matrix_exp(A, param=EPS):
-    """Exact exp(param * A) for a matrix of ints and Fractions with rational
+def matrix_exp(A):
+    """Exact exp(eps * A) for a matrix of ints and Fractions with rational
     spectrum.
 
     Putzer's algorithm: with the eigenvalues l_1..l_n listed with
@@ -298,9 +299,8 @@ def matrix_exp(A, param=EPS):
         if not any(Q):
             break
         scale *= d
-    params = (param,)
     keys = [(_ZERO, (m,), (lam,)) for m, lam in slots]
-    return [tuple(ExpPolynomial(params, {keys[slot]: c for slot, c in cell.items() if c})
+    return [tuple(ExpPolynomial({keys[slot]: c for slot, c in cell.items() if c})
                   for cell in row) for row in result]
 
 
@@ -358,22 +358,22 @@ def ad_matrix(L, a):
     return L.ad(tuple(Fraction(x) for x in a))
 
 
-def ad_exp(L, i, param=EPS):
-    """Adjoint matrix of exp(param * v_i), in the row convention.
+def ad_exp(L, i):
+    """Adjoint matrix of exp(eps * v_i), in the row convention.
 
-    Row r holds the coordinates of Ad(exp(param v_i)) v_r, so a coordinate
+    Row r holds the coordinates of Ad(exp(eps v_i)) v_r, so a coordinate
     row vector transforms as a -> a . M.  The matrix is the transpose of
     matrix_exp(-ad v_i), the closed form of the Lie series
     Ad(exp(t v_i)) v_j = v_j - t [v_i, v_j] + t^2/2 [v_i,[v_i,v_j]] - ...
     Results are cached on the algebra (it, and they, are immutable).
     """
-    key = ("ad_exp", i, param)
+    key = ("ad_exp", i)
     if key not in L.memo:
         e_i = [Fraction(0)] * L.n
         e_i[i] = Fraction(1)
         ad = L.ad(e_i)
         neg = [[-x for x in row] for row in ad]
-        col = matrix_exp(neg, param)  # column convention: image of e_j in column j
+        col = matrix_exp(neg)  # column convention: image of e_j in column j
         L.memo[key] = [tuple(col[j][r] for j in range(L.n)) for r in range(L.n)]
     return L.memo[key]
 
@@ -415,22 +415,21 @@ class FlowMap:
         )
 
 
-def _expression(e, sym):
-    """The entry `e` of `matrix_exp` as the `expr` sum of c * sym^m * exp(k*sym)."""
+def _expression(e):
+    """The entry `e` of `matrix_exp` as the `expr` sum of c * eps^m * exp(k*eps)."""
     total = ZERO
     for (_, (m,), (k,)), c in e.terms.items():
-        total = total + c * sym ** m * ParamExp(sym, k)
+        total = total + c * EPS_SYMBOL ** m * ParamExp(EPS_SYMBOL, k)
     return total
 
 
-def flow(vf, param=EPS):
+def flow(vf):
     """Exact flow of a vector field with affine rational coefficients.
 
     Solves dz/dt = A z + b as z(t) = exp(tA) z0 + (int_0^t exp(sA) ds) b;
     only the columns j with b_j != 0 are integrated, each entry by Putzer's
     closed-form step with eigenvalue 0 (`_putzer_step(cell, 0)` is the
-    integral from 0 to t).  The entries are `expr` values in the group
-    symbol named `param`.
+    integral from 0 to t).  The entries are `expr` values in `EPS_SYMBOL`.
     """
     coords = vf.coordinates
     A = []
@@ -460,8 +459,7 @@ def flow(vf, param=EPS):
             linear = linear + expr.Rational(a) * z
         if not expr.equal(coeff, linear):
             raise ValueError(f"coefficient {coeff} is not affine in the base variables")
-    E = matrix_exp(A, param)
-    sym = Symbol(param, GROUP)
+    E = matrix_exp(A)
     translation = []
     for row in E:
         acc = {}
@@ -472,9 +470,9 @@ def flow(vf, param=EPS):
             for (m, lam), c in _putzer_step(cell, _ZERO).items():
                 key = (_ZERO, (m,), (lam,))
                 acc[key] = acc.get(key, 0) + c * bj
-        integral = ExpPolynomial((param,), {key: c for key, c in acc.items() if c})
-        translation.append(_expression(integral, sym))
-    matrix = [[_expression(e, sym) for e in row] for row in E]
+        integral = ExpPolynomial({key: c for key, c in acc.items() if c})
+        translation.append(_expression(integral))
+    matrix = [[_expression(e) for e in row] for row in E]
     return FlowMap(coords, matrix, translation)
 
 

@@ -81,14 +81,11 @@ def _build_parser():
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, run, needs_system=True, **extra):
+    def add(name, run):
         p = sub.add_parser(name)
-        if needs_system:
-            p.add_argument("system", nargs="?",
-                           help="system-definition file (defaults to the "
-                                "shipped boundary-layer fixture)")
-        for flag, kwargs in extra.items():
-            p.add_argument(flag, **kwargs)
+        p.add_argument("system", nargs="?",
+                       help="system-definition file (defaults to the "
+                            "shipped boundary-layer fixture)")
         p.set_defaults(run=run)
         return p
 

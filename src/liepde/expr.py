@@ -44,15 +44,6 @@ PARAMETER = 3
 UNKNOWN = 4
 GROUP = 5
 
-ROLE_NAMES = {
-    INDEPENDENT: "independent",
-    DEPENDENT: "dependent",
-    JET: "jet",
-    PARAMETER: "parameter",
-    UNKNOWN: "unknown",
-    GROUP: "group",
-}
-
 
 def _as_coeff(x):
     """`x` as a coefficient: an int when it is integral, else a Fraction."""
@@ -726,42 +717,13 @@ def _exponent_combination(sym, value, k):
 # Coefficient collection
 # ---------------------------------------------------------------------------
 
-class MonomialMap:
-    """Decomposition of an expression as sum(coefficient * monomial).
-
-    Keys are exponent tuples aligned with the sorted variable tuple; the
-    coefficients are free of those variables.
-    """
-
-    def __init__(self, variables, terms):
-        self.variables = variables
-        self.terms = terms
-
-    def __iter__(self):
-        return iter(sorted(self.terms.items()))
-
-    def __len__(self):
-        return len(self.terms)
-
-    def coefficient(self, exponents):
-        return self.terms.get(tuple(exponents), ZERO)
-
-    def reassemble(self):
-        total = ZERO
-        for exps, coeff in self.terms.items():
-            mono = ONE
-            for var, e in zip(self.variables, exps):
-                if e:
-                    mono = mono * Power(var, e)
-            total = total + coeff * mono
-        return total
-
-
 def collect(e, variables):
     """Collect `e` as a polynomial in `variables`.
 
-    Raises NonPolynomialError if `e` depends on any of the variables other
-    than through nonnegative integer powers.
+    Returns {exponent tuple: coefficient}: the exponents follow the
+    variables in canonical order, and each coefficient is a nonzero
+    expression free of them.  Raises NonPolynomialError if `e` depends on
+    any of the variables other than through nonnegative integer powers.
     """
     variables = tuple(sorted(set(variables), key=lambda s: s._key))
     index = {v: i for i, v in enumerate(variables)}
@@ -783,11 +745,7 @@ def collect(e, variables):
                     )
                 rest.append((atom, exp))
         _add_term(buckets.setdefault(tuple(exps), {}), (tuple(rest), pexps), coeff)
-    terms = {}
-    for key, poly in buckets.items():
-        if poly:
-            terms[key] = _canonical(poly)
-    return MonomialMap(variables, terms)
+    return {key: _canonical(poly) for key, poly in buckets.items() if poly}
 
 
 # ---------------------------------------------------------------------------

@@ -40,10 +40,6 @@ class VectorField:
     def coefficients(self):
         return self.xi + self.phi
 
-    def coefficient(self, sym):
-        idx = self.coordinates.index(sym)
-        return self.coefficients[idx]
-
     def is_zero(self):
         return all(expr.is_zero(c) for c in self.coefficients)
 
@@ -72,9 +68,6 @@ class VectorField:
             tuple(c * f for f in self.phi),
         )
 
-    def __rmul__(self, c):
-        return self.scale(c)
-
     def __eq__(self, other):
         return (
             isinstance(other, VectorField)
@@ -82,9 +75,6 @@ class VectorField:
             and all(expr.equal(a, b)
                     for a, b in zip(self.coefficients, other.coefficients))
         )
-
-    def __hash__(self):
-        return hash(tuple(c._key for c in self.coefficients))
 
     def _check_space(self, other):
         if self.space is not other.space:

@@ -135,16 +135,6 @@ class MonomialInvariant:
                 e = e * Power(sym, k)
         return e
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, MonomialInvariant)
-            and self.coordinates == other.coordinates
-            and self.exponents == other.exponents
-        )
-
-    def __hash__(self):
-        return hash((self.coordinates, self.exponents))
-
     def __str__(self):
         return expr.render(self.expression())
 
@@ -221,16 +211,6 @@ class SimilarityForm:
         self.kind = kind
         self.substitutions = substitutions  # list of (symbol, expression or None)
         self.note = note
-
-    def __str__(self):
-        if self.note and not self.substitutions:
-            return self.note
-        body = ", ".join(
-            f"{sym.name} = {expr.render(e)}" for sym, e in self.substitutions
-        )
-        return body if not self.note else f"{body}  ({self.note})"
-
-    __repr__ = __str__
 
 
 def similarity_form(vf):

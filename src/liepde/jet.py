@@ -133,8 +133,6 @@ def total_derivative(e, i, js):
     applies the chain rule to function applications): x_i goes to 1, a
     dependent or jet coordinate s to its lift s_i, every other symbol to 0.
     """
-    if isinstance(i, Symbol):
-        i = js.independent.index(i)
     x = js.independent[i]
 
     def d(s):

@@ -372,11 +372,6 @@ def nullspace_param(rows, ncols):
     return _kernel(reduced, pivots, ncols, _PARAMETERS)
 
 
-def solve_param(rows, rhs):
-    """One solution of A x = b over the parameter field, or None."""
-    return _solve(rows, rhs, _PARAMETERS)
-
-
 def clear_denominators(vec, params):
     """Scale a ParamFrac vector to polynomial entries, returned as expressions.
 

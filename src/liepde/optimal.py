@@ -15,7 +15,7 @@ import functools
 from fractions import Fraction
 
 from . import linalg, structure
-from .adjoint import EPS, ad_exp
+from .adjoint import ad_exp
 from .errors import LiepdeError, NormalFormError, UnsupportedSpectrumError
 
 
@@ -42,7 +42,7 @@ def _per_algebra(fn):
 
 @_per_algebra
 def _diagonal_exponents(L, i):
-    M = ad_exp(L, i, param=EPS)
+    M = ad_exp(L, i)
     n = L.n
     exps = []
     for r in range(n):
@@ -65,7 +65,7 @@ def _nilpotent_coefficients(L, i):
     """Rational M_0..M_d with ad_exp(L, i) = sum_m eps^m M_m, or None when
     some entry carries an exponential (ad v_i is not nilpotent)."""
     powers = []
-    for r, row in enumerate(ad_exp(L, i, param=EPS)):
+    for r, row in enumerate(ad_exp(L, i)):
         for c, e in enumerate(row):
             for (_, (m,), (k,)), coeff in e.terms.items():
                 if k:
@@ -153,9 +153,8 @@ class NormalFormReport:
         self.negated = negated
         self.fingerprint_indices = tuple(fingerprint_indices)
 
-    def fingerprint(self, vector=None):
-        v = self.input if vector is None else vector
-        return tuple(v[j] for j in self.fingerprint_indices)
+    def fingerprint(self):
+        return tuple(self.input[j] for j in self.fingerprint_indices)
 
     def replay(self, L):
         v = self.input

@@ -90,14 +90,12 @@ def tokenize(text):
 class SystemDocument:
     """Parsed system definition: declarations, equations, leading coordinates."""
 
-    def __init__(self, parameters, independents, dependents, equations, leads,
-                 options=None):
+    def __init__(self, parameters, independents, dependents, equations, leads):
         self.parameters = tuple(parameters)      # (name, positive flag)
         self.independents = tuple(independents)  # names
         self.dependents = tuple(dependents)      # (name, arg names)
         self.equations = tuple(equations)        # (lhs Expr, rhs Expr)
         self.leads = tuple(leads)                # (dep name, multi tuple)
-        self.options = dict(options or {})
 
     # symbol construction is deterministic from the declarations
     def symbols(self):
@@ -119,9 +117,6 @@ class SystemDocument:
                 for a, b in zip(self.equations, other.equations)
             )
         )
-
-    def __hash__(self):
-        return hash((self.parameters, self.independents, self.dependents, self.leads))
 
 
 class _Parser:
@@ -504,14 +499,11 @@ def build_system(doc):
                 f"leading coordinate {lead.name} does not appear in an unclaimed equation"
             )
         claimed.add(found)
-        mm = expr.collect(exprs[found], {lead})
-        linear = mm.coefficient((1,))
-        constant = mm.coefficient((0,))
-        if any(sum(k) > 1 for k, _ in mm) or expr.is_zero(linear):
+        terms = expr.collect(exprs[found], {lead})
+        if (1,) not in terms or terms.keys() - {(0,), (1,)}:
             raise ParseError(
                 f"equation does not depend linearly on the leading coordinate {lead.name}"
             )
-        rhs = -constant / linear
-        solved.append((lead, rhs))
+        solved.append((lead, -terms.get((0,), expr.ZERO) / terms[(1,)]))
     system = PDESystem(space, exprs, tuple(solved), parameters=params)
     return space, system

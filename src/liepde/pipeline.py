@@ -9,7 +9,10 @@ shipped boundary-layer corpus, on request or detected for the shipped
 fixture: `reference_on`) they analyse the baseline's v1..v5, and one pass
 after them, `_compare_baseline`, adds the comparison keys and the known
 deltas as `{"anchor", "detail"}` notes, which never fail the run.
-Otherwise they analyse the computed basis g1..gn (`analysed_algebra`).
+Otherwise they analyse the computed basis g1..gn (`analysed_algebra`);
+when that span is not closed under the bracket, even over the parameter
+field, the report has none of the five analysis sections and its one note,
+`algebra/span-not-closed`, names the pair.
 `emit` writes any document as JSON, or as text rendered from it.
 """
 
@@ -19,14 +22,11 @@ import json
 from fractions import Fraction
 
 from . import adjoint, expr, invariants, linalg, optimal, parser, reference, structure
-from .adjoint import EPS
-from .errors import LiepdeError, PipelineError, UnsupportedGeneratorError
-from .expr import GROUP, Symbol
+from .errors import LiepdeError, NotASubalgebraError, PipelineError, UnsupportedGeneratorError
+from .fields import bracket
 from .prolongation import build_determining, solve_determining, span_contains, symmetry_residual
 
 SCHEMA_VERSION = 1
-
-EPS_SYMBOL = Symbol(EPS, GROUP)
 
 
 def jfrac(x):
@@ -35,13 +35,12 @@ def jfrac(x):
 
 def jexppoly(e):
     out = []
-    for (r, ms, ks), c in sorted(e.terms.items()):
+    for (_, (m,), (k,)), c in sorted(e.terms.items()):
         term = {"c": jfrac(c)}
-        for name, m, k in zip(e.params, ms, ks):
-            if m:
-                term[f"{name}_power"] = m
-            if k:
-                term[f"{name}_exp"] = jfrac(k)
+        if m:
+            term["eps_power"] = m
+        if k:
+            term["eps_exp"] = jfrac(k)
         out.append(term)
     return out
 
@@ -137,7 +136,25 @@ def run_pipeline(doc, ansatz_degree=1, invariant_order=1, use_reference=None):
             "dimension": len(basis),
         },
     }
-    L = _stage("structure", analysed_algebra, space, system, ref, ansatz_degree, basis)
+    try:
+        L = analysed_algebra(space, system, ref, ansatz_degree, basis)
+    except NotASubalgebraError as exc:
+        i, j = exc.pair
+        if ref or _stage("structure", span_contains, basis,
+                         [bracket(basis[i], basis[j])], system)[0]:
+            raise PipelineError("structure", exc) from exc
+        # A truncated ansatz need not span a subalgebra (the heat equation's
+        # algebra is infinite-dimensional): report the basis, and no analysis.
+        report["notes"] = [{
+            "anchor": "algebra/span-not-closed",
+            "detail": f"the span found at ansatz degree {ansatz_degree} is not "
+                      f"closed under the bracket: [g{i + 1}, g{j + 1}] lies outside "
+                      "it, also over the parameter field; the structure, adjoint, "
+                      "flow, invariant and similarity sections are omitted",
+        }]
+        return report
+    except LiepdeError as exc:
+        raise PipelineError("structure", exc) from exc
     report["structure"] = _stage("structure", _structure_section, L)
     report["adjoint"] = _stage("adjoint", _adjoint_section, L)
     report["flows"], flow_maps = _stage("flows", _flow_section, L, space)
@@ -185,7 +202,7 @@ def _subspace_json(s):
 
 def _adjoint_section(L):
     return {"matrices": [
-        [[jexppoly(e) for e in row] for row in adjoint.ad_exp(L, i, param=EPS)]
+        [[jexppoly(e) for e in row] for row in adjoint.ad_exp(L, i)]
         for i in range(L.n)
     ]}
 
@@ -198,7 +215,7 @@ def _flow_section(L, space):
         vf = L.realization[i]
         entry = {"label": L.labels[i]}
         try:
-            fm = adjoint.flow(vf, param=EPS)
+            fm = adjoint.flow(vf)
         except (ValueError, LiepdeError) as exc:
             entry["skipped"] = str(exc)
             flows_out.append(entry)
@@ -307,6 +324,14 @@ def _compare_baseline(report, L, space, system, basis, flow_maps, usable, ws, la
         "reference_dimension": 5,
         "computed_dimension": len(basis),
     }
+    rejected = [label for label, info in contains.items() if not info["residual_zero"]]
+    if rejected:
+        note(
+            "reference:boundary-layer/not-admitted",
+            f"the baseline generators {', '.join(rejected)} have a nonzero "
+            "symmetry residual, so this system does not admit them; the "
+            "analysis sections still describe v1..v5 as given",
+        )
     if len(basis) != 5:
         relation = "exceeds" if len(basis) > 5 else "is below"
         detail = f"computed nullspace dimension {len(basis)} {relation} the baseline count 5"
@@ -336,7 +361,7 @@ def _compare_baseline(report, L, space, system, basis, flow_maps, usable, ws, la
 
     deltas = {}
     for i in range(5):
-        M = adjoint.ad_exp(L, i, param=EPS)
+        M = adjoint.ad_exp(L, i)
         baseline = reference.adjoint_matrix(i)
         diff = [(r, c) for r in range(5) for c in range(5)
                 if M[r][c] != baseline[r][c]]
@@ -359,7 +384,7 @@ def _compare_baseline(report, L, space, system, basis, flow_maps, usable, ws, la
         for fm in flow_maps[1:5]:
             chain = adjoint.compose(fm, chain)
         ours = adjoint.transform_solution(chain, space)
-        baseline = reference.composite_solution(space, EPS_SYMBOL)
+        baseline = reference.composite_solution(space)
         diff = {
             dep.name: expr.render(ours[dep] - base)
             for dep, base in zip(space.dependent, baseline)
@@ -508,6 +533,34 @@ def report_lines(report):
                 f"  {label}: in span: {info['in_span']}, "
                 f"residual zero: {info['residual_zero']}"
             )
+    if "structure" in report:
+        lines += _analysis_lines(report)
+    opt = report.get("optimal")
+    if opt:
+        add("")
+        add("== optimal-system verification ==")
+        add("adjoint-invariant components: "
+            + ", ".join(opt["invariant_components"]))
+        for entry in opt["entries"]:
+            add(f"  {optimal_entry_text(entry)}")
+        gaps = opt["one_dimensional_coverage_gaps"]
+        if gaps:
+            add(f"one-dimensional list does not cover: {', '.join(gaps)}")
+    add("")
+    add("== notes ==")
+    if report["notes"]:
+        for n in report["notes"]:
+            add(f"  [{n['anchor']}] {n['detail']}")
+    else:
+        add("  none")
+    return lines
+
+
+def _analysis_lines(report):
+    """The text of the structure, adjoint, flow, invariant and similarity
+    sections."""
+    lines = []
+    add = lines.append
     add("")
     add("== structure ==")
     struct = report["structure"]
@@ -578,24 +631,6 @@ def report_lines(report):
             add(f"  {s['label']}: "
                 + ", ".join(f"{d['variable']} = {d['value']}"
                             for d in s["substitutions"]))
-    opt = report.get("optimal")
-    if opt:
-        add("")
-        add("== optimal-system verification ==")
-        add("adjoint-invariant components: "
-            + ", ".join(opt["invariant_components"]))
-        for entry in opt["entries"]:
-            add(f"  {optimal_entry_text(entry)}")
-        gaps = opt["one_dimensional_coverage_gaps"]
-        if gaps:
-            add(f"one-dimensional list does not cover: {', '.join(gaps)}")
-    add("")
-    add("== notes ==")
-    if report["notes"]:
-        for n in report["notes"]:
-            add(f"  [{n['anchor']}] {n['detail']}")
-    else:
-        add("  none")
     return lines
 
 

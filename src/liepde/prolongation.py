@@ -448,7 +448,7 @@ def span_contains(fields, candidates, system):
     def coordinates(vf):
         return {(f, exps): linalg.expr_to_paramfrac(c, params)
                 for f, coeff in enumerate(vf.coefficients)
-                for exps, c in expr.collect(coeff, base).terms.items()}
+                for exps, c in expr.collect(coeff, base).items()}
 
     rows = [{columns.setdefault(key, len(columns)): x for key, x in coordinates(vf).items()}
             for vf in fields]

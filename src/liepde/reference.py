@@ -3,12 +3,14 @@
 The package carries the complete expected analysis of its golden system:
 generators, commutator table, Killing form, adjoint matrices (as the
 `adjoint.ExpPolynomial` term records that `adjoint.ad_exp` returns), flows
-and transformed solutions (as `expr` values), invariant lists,
-and the subalgebra tables.  In the pipeline, one comparison pass
-(`pipeline._compare_baseline`) checks a report on v1..v5 against this
-corpus and emits a discrepancy note wherever the baseline is known to
-disagree with the exact computation, e.g. misprinted matrix entries or a
-derived-series chain inconsistent with the commutator table.  Besides it,
+and transformed solutions (as `expr` values), all in the one group
+parameter `adjoint.EPS_SYMBOL`, invariant lists, and the subalgebra tables
+with their free parameters at each of PARAMETER_VALUES.  In the pipeline,
+one comparison pass (`pipeline._compare_baseline`) checks a report on
+v1..v5 against this corpus and emits a discrepancy note wherever the
+baseline is known to disagree with the exact computation, e.g. misprinted
+matrix entries or a derived-series chain inconsistent with the commutator
+table.  Besides it,
 only `pipeline.reference_on` (the auto rule and the shape check) and
 `pipeline.analysed_algebra` (v1..v5 as the analysed algebra) read it.
 """
@@ -19,7 +21,7 @@ import importlib.resources
 from fractions import Fraction
 
 from . import expr, parser
-from .adjoint import ExpPolynomial
+from .adjoint import EPS_SYMBOL, ExpPolynomial
 from .errors import LiepdeError
 from .fields import VectorField
 
@@ -128,8 +130,9 @@ def adjoint_matrix(i):
 BASELINE_ADJOINT_DELTAS = {3: ((2, 3),)}  # matrix index -> stray positions
 
 
-def flow_table(space, eps):
+def flow_table(space):
     """Baseline one-parameter flow rows as expressions of the base variables."""
+    eps = EPS_SYMBOL
     x, y = space.independent
     u, v, p = space.dependent
     E = lambda k: expr.ParamExp(eps, k)
@@ -142,8 +145,9 @@ def flow_table(space, eps):
     )
 
 
-def transformed_solutions(space, eps):
+def transformed_solutions(space):
     """Baseline per-generator transformed solution triples."""
+    eps = EPS_SYMBOL
     x, y = space.independent
     E = lambda k: expr.ParamExp(eps, k)
     f = lambda *a: expr.FunctionApplication("f", a)
@@ -158,8 +162,9 @@ def transformed_solutions(space, eps):
     )
 
 
-def composite_solution(space, eps):
+def composite_solution(space):
     """Baseline composite transform (all five flows chained at one parameter)."""
+    eps = EPS_SYMBOL
     x, y = space.independent
     E = lambda k: expr.ParamExp(eps, k)
     arg1 = (x + eps) * E(1)
@@ -261,21 +266,27 @@ def invariant_table_rows(space):
 EXPECTED_INVARIANT_FAILURES = {3: ("u", "p"), 4: ("y^5*v_y",)}
 
 
-def optimal_1d_representatives(values=(1, 2)):
-    """Baseline one-dimensional representatives, parameters instantiated."""
+# The values at which the free parameters of the baseline optimal table
+# (its a's and b's) are instantiated.
+PARAMETER_VALUES = (1, 2)
+
+
+def optimal_1d_representatives():
+    """Baseline one-dimensional representatives, each parameter at each of
+    PARAMETER_VALUES."""
     reps = [("v3", (0, 0, 1, 0, 0))]
-    for a in values:
+    for a in PARAMETER_VALUES:
         reps.append((f"a1*v1+a2*v2 (a={a})", (a, a, 0, 0, 0)))
         reps.append((f"a1*v2+a2*v3 (a={a})", (0, a, a, 0, 0)))
         reps.append((f"a1*v1+a2*v2+a3*v3 (a={a})", (a, a, a, 0, 0)))
     return reps
 
 
-def optimal_table_entries(values=(1, 2)):
+def optimal_table_entries():
     """Baseline optimal-system table, beta parameters instantiated.
 
     Returns a list of (label, vectors); spans with free parameters appear
-    once per instantiation value.
+    once per value in PARAMETER_VALUES.
     """
 
     def e(*idx_coeffs):
@@ -285,7 +296,7 @@ def optimal_table_entries(values=(1, 2)):
         return tuple(vec)
 
     entries = []
-    for label, vec in optimal_1d_representatives(values):
+    for label, vec in optimal_1d_representatives():
         entries.append((f"dim1 <{label}>", [vec]))
     pairs = [
         (0, 1), (0, 2), (1, 2), (1, 3), (2, 3),
@@ -295,7 +306,7 @@ def optimal_table_entries(values=(1, 2)):
         entries.append(
             (f"dim2 <v{i + 1},v{j + 1}>", [e((i, 1)), e((j, 1))])
         )
-    for b in values:
+    for b in PARAMETER_VALUES:
         entries.append(
             (f"dim2 <v1, sum_i b*vi> (b={b})",
              [e((0, 1)), e((1, b), (2, b), (3, b), (4, b))])
@@ -330,7 +341,7 @@ def optimal_table_entries(values=(1, 2)):
 # [b1 v2 + b2 v3, v1 + 5/2 b3 (v4+v5)] = 5/2 b3 (b1 v2 - 2 b2 v3), which
 # lies in the span only if b1, b2, or b3 vanishes.
 EXPECTED_CLOSURE_FAILURES = tuple(
-    f"dim2 <b1*v2+b2*v3, v1+5/2*b3*(v4+v5)> (b={b})" for b in (1, 2)
+    f"dim2 <b1*v2+b2*v3, v1+5/2*b3*(v4+v5)> (b={b})" for b in PARAMETER_VALUES
 )
 
 
@@ -349,9 +360,9 @@ def structure_constants_json():
             "brackets": brackets}
 
 
-def optimal_table_json(values=(1, 2)):
+def optimal_table_json():
     entries = []
-    for label, vectors in optimal_table_entries(values):
+    for label, vectors in optimal_table_entries():
         entries.append(
             {"label": label,
              "vectors": [[str(Fraction(x)) for x in vec] for vec in vectors]}

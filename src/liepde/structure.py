@@ -44,17 +44,6 @@ class Subspace:
     def __eq__(self, other):
         return isinstance(other, Subspace) and self.basis == other.basis
 
-    def __hash__(self):
-        return hash(self.basis)
-
-    def __str__(self):
-        if not self.basis:
-            return "{0}"
-        return "span{" + "; ".join(
-            self.algebra.format_vector(v) for v in self.basis
-        ) + "}"
-
-    __repr__ = __str__
 
 
 class LieAlgebra:

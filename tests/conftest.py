@@ -142,14 +142,13 @@ def random_affine_field(rng, space):
     return VectorField(space, tuple(coeffs[: space.p]), tuple(coeffs[space.p:]))
 
 
-EPS_SYM = expr.Symbol(adjoint.EPS, expr.GROUP)
+EPS_SYM = adjoint.EPS_SYMBOL
 DELTA_SYM = expr.Symbol("delta", expr.GROUP)
 
 
-def expr_matrix(M, param=adjoint.EPS):
+def expr_matrix(M):
     """The `matrix_exp` or `ad_exp` records of M as `expr` entries."""
-    sym = expr.Symbol(param, expr.GROUP)
-    return [tuple(adjoint._expression(e, sym) for e in row) for row in M]
+    return [tuple(adjoint._expression(e) for e in row) for row in M]
 
 
 def substitute_matrix(M, rules):

@@ -180,8 +180,8 @@ def _old_linear_form(coefficient, unknowns):
     """Split a residual coefficient into a linear form over the unknowns."""
     mm = expr.collect(coefficient, set(unknowns))
     form = {}
-    variables = mm.variables
-    for exps, c in mm.terms.items():
+    variables = sorted(set(unknowns))
+    for exps, c in mm.items():
         degree = sum(exps)
         if degree == 0:
             raise NonPolynomialError(
@@ -231,8 +231,8 @@ def old_build_determining(system, degree):
     raw = 0
     for res in residuals:
         mm = expr.collect(res, split_vars)
-        for exps in sorted(mm.terms):
-            form = _old_linear_form(mm.terms[exps], ansatz.unknowns)
+        for exps in sorted(mm):
+            form = _old_linear_form(mm[exps], ansatz.unknowns)
             if not form:
                 continue
             raw += 1

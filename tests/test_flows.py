@@ -14,7 +14,7 @@ F = Fraction
 class TestFlowRows:
     def test_reference_flow_table(self, golden):
         space, _, gens = golden
-        expected_rows = reference.flow_table(space, EPS_SYM)
+        expected_rows = reference.flow_table(space)
         for vf, row in zip(gens, expected_rows):
             fm = flow(vf)
             for z, value in zip(fm.coords, row):
@@ -54,8 +54,8 @@ class TestGroupLaw:
     def test_symbolic_two_parameter_composition(self, golden):
         space, _, gens = golden
         for vf in gens:
-            f_eps = flow(vf, param="eps")
-            f_delta = flow(vf, param="delta")
+            f_eps = flow(vf)
+            f_delta = substitute_map(f_eps, {EPS_SYM: DELTA_SYM})
             composed = compose(f_eps, f_delta)
             via_sub = substitute_map(f_eps, {EPS_SYM: EPS_SYM + DELTA_SYM})
             assert composed == via_sub, str(vf)
@@ -87,7 +87,7 @@ class TestGroupLaw:
 class TestTransformedSolutions:
     def test_reference_per_generator_list(self, golden):
         space, _, gens = golden
-        expected = reference.transformed_solutions(space, EPS_SYM)
+        expected = reference.transformed_solutions(space)
         for vf, row in zip(gens, expected):
             ts = transform_solution(flow(vf), space)
             for dep, value in zip(space.dependent, row):
@@ -102,7 +102,7 @@ class TestTransformedSolutions:
         for vf in gens[1:]:
             chain = compose(flow(vf), chain)
         ours = transform_solution(chain, space)
-        baseline = reference.composite_solution(space, EPS_SYM)
+        baseline = reference.composite_solution(space)
         u, v, p = space.dependent
         diff_u = expr.normalize(ours[u] - baseline[0])
         diff_v = expr.normalize(ours[v] - baseline[1])

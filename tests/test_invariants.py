@@ -55,6 +55,23 @@ class TestClassify:
         with pytest.raises(UnsupportedGeneratorError):
             classify_generator(w)
 
+    def test_mixing_names_the_coordinate(self, golden):
+        # d/dx + y d/dy meets the scaling after the translation, and
+        # x d/dx + d/dy the translation after the scaling; both at y
+        space, _, _ = golden
+        x, y = space.independent
+        Z = expr.ZERO
+        for xi in ((expr.ONE, y), (x, expr.ONE)):
+            with pytest.raises(UnsupportedGeneratorError,
+                               match="^generator mixes translation and scaling at y$"):
+                classify_generator(VectorField(space, xi, (Z, Z, Z)))
+
+    def test_zero_generator_rejected(self, golden):
+        space, _, _ = golden
+        with pytest.raises(UnsupportedGeneratorError,
+                           match="^zero generator has no invariant theory$"):
+            classify_generator(VectorField.zero(space))
+
 
 class TestWeights:
     def test_scaling_weights_from_prolongation(self, golden, golden_weights):

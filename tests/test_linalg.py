@@ -24,7 +24,6 @@ from liepde.linalg import (
     rref,
     rref_param,
     solve,
-    solve_param,
 )
 from liepde.parser import build_system, parse_system
 from liepde.prolongation import build_determining
@@ -261,20 +260,6 @@ def test_paramfrac_is_unhashable():
     for x in (a, b, ParamFrac.constant(1)):
         with pytest.raises(TypeError):
             hash(x)
-
-
-def test_solve_param_reads_sparse_rows():
-    one, zero = ParamFrac.constant(1), ParamFrac.constant(0)
-    a, z = ParamFrac(A), ParamFrac(Z)
-    rows = [[a, zero, one], [zero, z, zero]]
-    x = solve_param(rows, [one, a])
-    assert x is not None
-    for row, b in zip(rows, [one, a]):
-        total = zero
-        for entry, xi in zip(row, x):
-            total = total + entry * xi
-        assert total == b
-    assert solve_param([[a], [z]], [one, zero]) is None
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

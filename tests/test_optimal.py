@@ -10,7 +10,7 @@ import pytest
 import liepde
 from conftest import EPS_SYM, adjoint_image, jordan_algebra
 from liepde import expr, optimal, reference, structure
-from liepde.adjoint import EPS, ExpPolynomial, ad_exp
+from liepde.adjoint import ExpPolynomial, ad_exp
 from liepde.errors import NormalFormError, UnsupportedSpectrumError
 from liepde.optimal import (
     _scaling_multiplier_apply,
@@ -65,7 +65,7 @@ def invariant_components_by_adjoints(L):
     for j in range(L.n):
         fixed = True
         for i in range(L.n):
-            M = ad_exp(L, i, param=EPS)
+            M = ad_exp(L, i)
             for r in range(L.n):
                 expected = ExpPolynomial.constant(1 if r == j else 0)
                 if M[r][j] != expected:
@@ -156,6 +156,23 @@ class TestNormalForm:
         with pytest.raises(ValueError):
             normal_form_1d(algebra, (0,) * 5)
 
+    @pytest.mark.parametrize("vector, output, direction, multiplier", [
+        ((-8, 0, 0, 0, 0), (1, 0, 0, 0, 0), 3, F(1, 8)),
+        ((0, -3, 0, 0, 0), (0, 1, 0, 0, 0), 4, F(1, 3)),
+    ])
+    def test_scaling_then_sign(self, algebra, vector, output, direction, multiplier):
+        # one scaling shrinks the magnitude to 1; with no invariant
+        # component to pin it, the sign is then fixed by negation
+        r = normal_form_1d(algebra, vector)
+        assert r.output == output
+        assert r.negated
+        (step,) = r.steps
+        assert (step.kind, step.index, step.parameter) == ("scale", direction, multiplier)
+        assert step.after == tuple(-x for x in output)
+        assert step.describe(algebra) == (
+            f"Ad(exp(t v{direction + 1})) with e^t = {multiplier}")
+        assert r.replay(algebra) == r.output
+
     def test_replay_and_idempotence_random(self, algebra, borel4):
         # b(4) has a non-abelian nilradical: a translation can refill a
         # component that an earlier one zeroed
@@ -171,7 +188,7 @@ class TestNormalForm:
                 assert r.replay(L) == r.output
                 again = normal_form_1d(L, r.output)
                 assert again.output == r.output
-                assert r.fingerprint(r.input) == tuple(a[j] for j in slots)
+                assert r.fingerprint() == tuple(a[j] for j in slots)
 
     def test_unsettled_sweep_is_a_typed_error(self, algebra, monkeypatch):
         # a sweep that takes a step needs one more to confirm the fixpoint

@@ -11,6 +11,7 @@ import liepde
 from liepde import linalg, parser, pipeline, reference, structure
 from liepde.cli import main as cli_main
 from liepde.errors import LiepdeError, PipelineError
+from test_determining import HEAT_SYSTEM, TWO_PARAMETER_SYSTEM
 
 
 def note_anchors(report):
@@ -230,6 +231,27 @@ class TestOptions:
             "also contains x*d/dy + u*d/dv (zero residual, excluded by the baseline "
             "determining equations)"]
 
+    @pytest.mark.parametrize("variant, rejected", [
+        ("printed", "v4, v5"),
+        ("x*y", "v1, v2, v5"),
+    ])
+    def test_not_admitted_note_names_the_rejected(self, golden_report, variant, rejected):
+        # the analysis still runs on v1..v5; the note says which of them
+        # the system does not admit
+        if variant == "printed":
+            text = reference.fixture_text("boundary_layer_printed.pde")
+        else:
+            text = reference.fixture_text().replace(
+                "nu*d(u,y,y)\n", "nu*d(u,y,y) + x*y\n")
+        report = pipeline.run_pipeline(parser.parse_system(text), use_reference=True)
+        assert [n["detail"] for n in report["notes"]
+                if n["anchor"] == "reference:boundary-layer/not-admitted"] == [
+            f"the baseline generators {rejected} have a nonzero symmetry residual, "
+            "so this system does not admit them; the analysis sections still "
+            "describe v1..v5 as given"]
+        assert report["structure"]["labels"] == ["v1", "v2", "v3", "v4", "v5"]
+        assert "reference:boundary-layer/not-admitted" not in note_anchors(golden_report)
+
     def test_printed_variant_not_detected_as_reference(self):
         doc = parser.parse_system(
             reference.fixture_text("boundary_layer_printed.pde")
@@ -291,6 +313,28 @@ class TestCli:
         assert runs[0] == runs[1]
         assert runs[0][0] == 0
         assert runs[0][1].startswith("input:")
+
+    def test_normal_form_scaling_and_negation(self, capsys):
+        # -8 v1: v4 scales it to -v1, then the sign is fixed
+        assert cli_main(["normal-form", "--vector", "-8,0,0,0,0"]) == 0
+        assert capsys.readouterr().out == (
+            "input:  -8*v1\n"
+            "output: v1  (negated)\n"
+            "fingerprint (v4, v5): (0, 0)\n"
+            "  step: Ad(exp(t v4)) with e^t = 1/8 -> -v1\n"
+        )
+        assert cli_main(["--report", "json", "normal-form", "--vector=-8,0,0,0,0"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "schema": 1,
+            "input": ["-8", "0", "0", "0", "0"],
+            "output": ["1", "0", "0", "0", "0"],
+            "output_pretty": "v1",
+            "negated": True,
+            "fingerprint_components": ["v4", "v5"],
+            "fingerprint": ["0", "0"],
+            "steps": [{"kind": "scale", "direction": "v4", "parameter": "1/8",
+                       "after": ["-1", "0", "0", "0", "0"]}],
+        }
 
     def test_verify_optimal(self, tmp_path, capsys):
         constants = tmp_path / "algebra.json"
@@ -470,6 +514,63 @@ class TestReferenceShape:
     ])
     def test_algebra_commands(self, tmp_path, capsys, argv):
         assert self.run(tmp_path, capsys, *argv) == f"error: {self.SHAPE}\n"
+
+
+class TestSpanNotClosed:
+    """A truncated span that is not a subalgebra: the heat equation's
+    algebra is infinite-dimensional, so its polynomial truncations at
+    degrees 2 and 3 do not close under the bracket."""
+
+    SECTIONS = ["structure", "adjoint", "flows", "invariants", "similarity"]
+
+    @pytest.mark.parametrize("degree, dimension, pair", [(2, 8, "g7, g8"), (3, 10, "g7, g10")])
+    def test_basis_reported_and_analysis_omitted(self, degree, dimension, pair):
+        report = pipeline.run_pipeline(parser.parse_system(HEAT_SYSTEM), ansatz_degree=degree)
+        assert list(report) == [
+            "schema", "system", "options", "generators", "determining", "notes"]
+        assert report["determining"]["dimension"] == dimension
+        assert len(report["generators"]) == dimension
+        assert all(g["residual_zero"] for g in report["generators"])
+        assert report["notes"] == [{
+            "anchor": "algebra/span-not-closed",
+            "detail": f"the span found at ansatz degree {degree} is not closed under "
+                      f"the bracket: [{pair}] lies outside it, also over the parameter "
+                      "field; the structure, adjoint, flow, invariant and similarity "
+                      "sections are omitted",
+        }]
+
+    def test_degree_one_closes(self):
+        report = pipeline.run_pipeline(parser.parse_system(HEAT_SYSTEM), ansatz_degree=1)
+        assert all(key in report for key in self.SECTIONS)
+        assert report["notes"] == []
+
+    def test_text_has_only_present_sections(self, tmp_path, capsys):
+        system = tmp_path / "heat.pde"
+        system.write_text(HEAT_SYSTEM)
+        assert cli_main(["--ansatz-degree", "2", "symmetries", str(system)]) == 0
+        out = capsys.readouterr().out
+        headings = [line for line in out.splitlines() if line.startswith("== ")]
+        assert headings == ["== system ==", "== symmetries ==", "== notes =="]
+        assert "  [algebra/span-not-closed] the span found at ansatz degree 2" in out
+
+    def test_algebra_commands_still_fail(self, tmp_path, capsys):
+        system = tmp_path / "heat.pde"
+        system.write_text(HEAT_SYSTEM)
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"entries": [{"label": "g1", "vectors": [[1] + [0] * 7]}]}))
+        for argv in (["normal-form", "--vector", ",".join(["1"] + ["0"] * 7)],
+                     ["verify-optimal", "--file", str(table)]):
+            assert cli_main(["--ansatz-degree", "2", *argv, str(system)]) == 1
+            assert capsys.readouterr().err == (
+                "error: bracket of elements 7 and 8 is outside the span\n")
+
+    def test_closing_over_the_parameter_field_still_fails(self):
+        # [g1, g3] = (a + z) g2 lies in the span over the parameter field but
+        # not over the rationals, which the structure constants need
+        with pytest.raises(PipelineError) as err:
+            pipeline.run_pipeline(parser.parse_system(TWO_PARAMETER_SYSTEM))
+        assert str(err.value) == (
+            "stage 'structure': bracket of elements 1 and 3 is outside the span")
 
 
 class TestStageErrors:

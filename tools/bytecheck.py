@@ -33,18 +33,22 @@ equation, whose symmetry span has dimension 2 and holds only v3 and v4
 (``--reference on symmetries``, in text and JSON), a
 two-parameter system at degrees 1-2, a Burgers-type system whose fractional
 coefficients multiply to integers at degrees 1-2, the heat equation at
-degrees 1-2 (degree 2 exits 1: its span does not close under the bracket),
+degrees 1-2 (at degree 2 its span does not close under the bracket, so
+the report stops after the symmetries with a note),
 a system whose equation divides by an independent variable (exit 1),
 three normal forms with the prime 10^24 + 7 as an eigenvalue or a
 component, the heat equation at degree 1 in JSON (its flows and
 transformed solutions), a ``normal-form`` on e(2), whose ad v3 is a
 rotation with the eigenvalues +-i, in text and JSON, Burgers and KdV at
-ansatz degree 3 in JSON, the heat equation at degree 3 (exit 1), a
+ansatz degree 3 in JSON, the heat equation at degree 3 (its span does
+not close either), a
 system whose equation divides by the dependent variable (exit 1 at the
 determining stage), and, in text and JSON, ``structure --constants`` and one
 ``normal-form --constants`` on sl(2) and on h(3) and ``verify-optimal
 --constants`` on a two-entry sl(2) table in which <e, h> closes and <e, f>
-does not.  The optimal table for
+does not, the fixture's ``normal-form --vector=-8,0,0,0,0`` (a scaling,
+then a negation) in text and JSON, and the heat equation at degree 2 in
+JSON.  The optimal table for
 ``verify-optimal`` and the printed variant are the files bundled with
 PARENT_TREE.
 """
@@ -316,6 +320,11 @@ def write_inputs(folder, parent):
     # sl(2) and h(3): a series that stops on a repeated term and one that
     # reaches 0, a normal form with one translation and one that is negated,
     # and a table with one closing and one non-closing entry
+    # a scaling step and then the sign fixed by negation
+    for fmt in ([], js):
+        commands.append([*fmt, "normal-form", "--vector=-8,0,0,0,0"])
+    # the heat equation's span at degree 2, not closed under the bracket
+    commands.append(["--ansatz-degree", "2", *js, "symmetries", "heat.pde"])
     for fmt in ([], js):
         for constants, vec in (("sl2.json", "3,1,0"), ("h3.json", "0,0,-3")):
             commands.append([*fmt, "structure", "--constants", constants])
