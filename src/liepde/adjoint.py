@@ -4,17 +4,18 @@ Entries are finite sums c * eps^m * e^(k eps) with rational c, k.  Matrix
 exponentials are computed by Putzer's algorithm from the eigenvalues
 alone, so exponentials of matrices with rational spectrum are exact and
 closed in these sums.  The group parameter is the one symbol eps
-(`EPS`, `EPS_SYMBOL`).  Flows, their composites and the transformed
-solutions are `expr` values, with exp(k eps) as `expr.ParamExp` factors;
-`matrix_exp` and `ad_exp` return `ExpPolynomial` term records.
+(`EPS`, `EPS_SYMBOL`).  A flow is the substitution {z: image} it performs;
+images, composites and transformed solutions are `expr` values, with
+exp(k eps) as `expr.ParamExp` factors; `matrix_exp` and `ad_exp` return
+`ExpPolynomial` term records.
 
 Both kernels run on integers and sparse rows.  char_poly scales A by the
 lcm d of its denominators and runs Faddeev-LeVerrier on dA, where each
 division is exact.  matrix_exp forms the Putzer products on the same
 integer matrix, holds each scalar r_k(t) as a dict {(m, l): c} integrated
-in closed form (`_putzer_step`), and builds each entry's record once, at
-the end.  `flow` integrates the translation columns of exp(tA) with the
-same step at eigenvalue 0, the only closed-form integral here.
+in closed form (`_putzer_step`, the one integrator), and builds each
+entry's record once, at the end.  `flow` is matrix_exp of the augmented
+[[A, b], [0, 0]] (Olver, Applications of Lie Groups to DEs, section 1.3).
 """
 
 from __future__ import annotations
@@ -335,24 +336,6 @@ def _putzer_step(r, lam):
     return out
 
 
-def mat_mul(A, B):
-    """Product of matrices of `expr` values."""
-    n = len(A)
-    m = len(B[0])
-    inner = len(B)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = None
-            for t in range(inner):
-                term = A[i][t] * B[t][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(tuple(row))
-    return out
-
-
 def ad_matrix(L, a):
     """Matrix of ad(sum a_i e_i): column j = [a, e_j] in coordinates."""
     return L.ad(tuple(Fraction(x) for x in a))
@@ -382,39 +365,6 @@ def ad_exp(L, i):
 # Flows of affine vector fields
 # ---------------------------------------------------------------------------
 
-class FlowMap:
-    """Affine map z -> M z + c with `expr` entries in a group symbol.
-
-    Rows and columns are indexed by the base coordinates of the jet space.
-    """
-
-    def __init__(self, coords, matrix, translation):
-        self.coords = tuple(coords)
-        self.matrix = [tuple(row) for row in matrix]
-        self.translation = tuple(translation)
-
-    def component(self, sym):
-        """The row of M and the entry of c that give the image of `sym`."""
-        i = self.coords.index(sym)
-        return self.matrix[i], self.translation[i]
-
-    def component_expression(self, sym):
-        """The image of coordinate `sym`, as one expression."""
-        row, c = self.component(sym)
-        total = c
-        for z, entry in zip(self.coords, row):
-            total = total + entry * z
-        return total
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FlowMap)
-            and self.coords == other.coords
-            and self.matrix == other.matrix
-            and self.translation == other.translation
-        )
-
-
 def _expression(e):
     """The entry `e` of `matrix_exp` as the `expr` sum of c * eps^m * exp(k*eps)."""
     total = ZERO
@@ -426,14 +376,13 @@ def _expression(e):
 def flow(vf):
     """Exact flow of a vector field with affine rational coefficients.
 
-    Solves dz/dt = A z + b as z(t) = exp(tA) z0 + (int_0^t exp(sA) ds) b;
-    only the columns j with b_j != 0 are integrated, each entry by Putzer's
-    closed-form step with eigenvalue 0 (`_putzer_step(cell, 0)` is the
-    integral from 0 to t).  The entries are `expr` values in `EPS_SYMBOL`.
+    The flow of dz/dt = A z + b is exp(t [[A, b], [0, 0]]) =
+    [[exp(tA), (int_0^t exp(sA) ds) b], [0, 1]], one `matrix_exp` call E;
+    it is returned as the substitution {z_i: sum_j E_ij z_j + E_in} it
+    performs, with `expr` images in `EPS_SYMBOL`.
     """
     coords = vf.coordinates
-    A = []
-    b = []
+    rows = []
     zero_subs = {z: ZERO for z in coords}
     for coeff in vf.coefficients:
         row = []
@@ -450,44 +399,22 @@ def flow(vf):
             raise ValueError(
                 f"flow requires affine coefficients with rational constants; got {coeff}"
             )
-        A.append(row)
-        b.append(const)
+        rows.append(row + [const])
     # check affineness exactly
-    for coeff, row, const in zip(vf.coefficients, A, b):
-        linear = expr.Rational(const)
+    for coeff, row in zip(vf.coefficients, rows):
+        linear = expr.Rational(row[-1])
         for z, a in zip(coords, row):
             linear = linear + expr.Rational(a) * z
         if not expr.equal(coeff, linear):
             raise ValueError(f"coefficient {coeff} is not affine in the base variables")
-    E = matrix_exp(A)
-    translation = []
-    for row in E:
-        acc = {}
-        for j, bj in enumerate(b):
-            if not bj:
-                continue
-            cell = {(m, lam): c for (_, (m,), (lam,)), c in row[j].terms.items()}
-            for (m, lam), c in _putzer_step(cell, _ZERO).items():
-                key = (_ZERO, (m,), (lam,))
-                acc[key] = acc.get(key, 0) + c * bj
-        integral = ExpPolynomial({key: c for key, c in acc.items() if c})
-        translation.append(_expression(integral))
-    matrix = [[_expression(e) for e in row] for row in E]
-    return FlowMap(coords, matrix, translation)
+    E = matrix_exp(rows + [[_ZERO] * (len(coords) + 1)])
+    return {z: sum((_expression(e) * w for e, w in zip(row, coords)), _expression(row[-1]))
+            for z, row in zip(coords, E)}
 
 
 def compose(f, g):
     """Map composition f after g, exact in `expr`."""
-    if f.coords != g.coords:
-        raise ValueError("flow maps live on different coordinate systems")
-    matrix = mat_mul(f.matrix, g.matrix)
-    translation = []
-    for i in range(len(f.coords)):
-        acc = f.translation[i]
-        for j in range(len(f.coords)):
-            acc = acc + f.matrix[i][j] * g.translation[j]
-        translation.append(acc)
-    return FlowMap(f.coords, matrix, translation)
+    return {z: expr.substitute(e, g) for z, e in f.items()}
 
 
 def transform_solution(flow_map, space):
@@ -499,31 +426,26 @@ def transform_solution(flow_map, space):
     transforms u = f(x, y) into e^(-t) f(x e^t, y).  The functions are named
     by `JetSpace.function_names`.
     """
-    coords = flow_map.coords
-    p = space.p
-    names = space.function_names()
     # forward-transformed independent arguments
     args = []
     for z in space.independent:
-        row, _ = flow_map.component(z)
-        if not all(expr.is_zero(e) for e in row[p:]):
+        if set(space.dependent) & expr.free_symbols(flow_map[z]):
             raise ValueError("independent coordinates must transform among themselves")
-        args.append(flow_map.component_expression(z))
+        args.append(flow_map[z])
     out = {}
-    for a, dep in enumerate(space.dependent):
-        row, c = flow_map.component(dep)
-        idx = coords.index(dep)
-        if not all(expr.is_zero(e) for j, e in enumerate(row) if j != idx):
+    for name, dep in zip(space.function_names(), space.dependent):
+        image = flow_map[dep]
+        if not expr.free_symbols(image) <= {dep, EPS_SYMBOL}:
             raise ValueError(
                 f"dependent coordinate {dep.name} mixes with other coordinates; "
                 "no diagonal solution transform exists"
             )
-        lam = row[idx]
+        lam = expr.diff(image, dep)
         # not c * exp(k eps); a row of exp(tA) with no off-diagonal entry
         # is e^(a t), so no flow gets here
         terms = expr.monomials(lam)
         if len(terms) != 1 or terms[0][0][0]:
             raise ValueError(f"cannot invert the coefficient {lam} of {dep.name}")
-        func = expr.FunctionApplication(names[a], tuple(args))
-        out[dep] = func / lam + c
+        func = expr.FunctionApplication(name, tuple(args))
+        out[dep] = func / lam + expr.substitute(image, {dep: ZERO})
     return out

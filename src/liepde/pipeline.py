@@ -8,12 +8,15 @@ The sections know nothing of the baseline.  With the reference on (the
 shipped boundary-layer corpus, on request or detected for the shipped
 fixture: `reference_on`) they analyse the baseline's v1..v5, and one pass
 after them, `_compare_baseline`, adds the comparison keys and the known
-deltas as `{"anchor", "detail"}` notes, which never fail the run.
+deltas as `{"anchor", "detail"}` notes, which never fail the run; the
+advection-term note describes the shipped fixture and appears only on it.
 Otherwise they analyse the computed basis g1..gn (`analysed_algebra`);
 when that span is not closed under the bracket, even over the parameter
 field, the report has none of the five analysis sections and its one note,
 `algebra/span-not-closed`, names the pair.
-`emit` writes any document as JSON, or as text rendered from it.
+The flow section renders each flow as the substitution {z: image} that
+`adjoint.flow` returns.  `emit` writes any document as JSON, or as text
+rendered from it.
 """
 
 from __future__ import annotations
@@ -164,7 +167,8 @@ def run_pipeline(doc, ansatz_degree=1, invariant_order=1, use_reference=None):
     report["similarity"] = _stage("similarity", _similarity_section, L)
     report["notes"] = []
     if ref:
-        _compare_baseline(report, L, space, system, basis, flow_maps, usable, ws, lattice)
+        _compare_baseline(report, doc, L, space, system, basis, flow_maps, usable, ws,
+                          lattice)
     return report
 
 
@@ -222,10 +226,7 @@ def _flow_section(L, space):
             flow_maps.append(None)
             continue
         flow_maps.append(fm)
-        entry["map"] = {
-            z.name: expr.render(fm.component_expression(z))
-            for z in fm.coords
-        }
+        entry["map"] = {z.name: expr.render(e) for z, e in fm.items()}
         try:
             ts = adjoint.transform_solution(fm, space)
             entry["transformed"] = {
@@ -288,30 +289,34 @@ def _similarity_section(L):
 # Baseline comparison
 # ---------------------------------------------------------------------------
 
-def _compare_baseline(report, L, space, system, basis, flow_maps, usable, ws, lattice):
+def _compare_baseline(report, doc, L, space, system, basis, flow_maps, usable, ws,
+                      lattice):
     """Compare a report on v1..v5 with the boundary-layer baseline.
 
-    Reads the report the sections built and the objects they kept (`L`,
-    the computed `basis`, the flow maps, the usable generators with their
-    weight system and lattice), and only adds keys, each at the end of its
-    dict: `matches_reference_commutators`, `matches_reference_killing` and
-    `derived_dimensions` to `structure`; `baseline_deltas` to `adjoint`;
-    `baseline_first_order` and one `baseline_table_<label>` per tabulated
-    generator to `invariants`; and `reference_check`, `composite` (when
-    every flow of v1..v5 exists) and `optimal` to the report.  Every known
-    delta is appended to `notes`, in the order of the sections.
+    Reads the system document `doc`, the report the sections built and the
+    objects they kept (`L`, the computed `basis`, the flow maps, the usable
+    generators with their weight system and lattice), and only adds keys,
+    each at the end of its dict: `matches_reference_commutators`,
+    `matches_reference_killing` and `derived_dimensions` to `structure`;
+    `baseline_deltas` to `adjoint`; `baseline_first_order` and one
+    `baseline_table_<label>` per tabulated generator to `invariants`; and
+    `reference_check`, `composite` (when every flow of v1..v5 exists) and
+    `optimal` to the report.  Every known delta is appended to `notes`, in
+    the order of the sections; the advection-term note, which describes the
+    shipped fixture, only when `doc` is that fixture.
     """
     notes = report["notes"]
 
     def note(anchor, detail):
         notes.append({"anchor": anchor, "detail": detail})
 
-    note(
-        "reference:boundary-layer/advection-term",
-        "the shipped fixture uses the standard advection term v*d(u,y); "
-        "the baseline prints v*d(v,y), whose system does not admit all "
-        "five baseline generators (see the *_printed fixture)",
-    )
+    if doc == reference.fixture_document():
+        note(
+            "reference:boundary-layer/advection-term",
+            "the shipped fixture uses the standard advection term v*d(u,y); "
+            "the baseline prints v*d(v,y), whose system does not admit all "
+            "five baseline generators (see the *_printed fixture)",
+        )
 
     extra = reference.extra_generator(space)
     *members, extra_in_span = span_contains(basis, [*L.realization, extra], system)
@@ -640,15 +645,11 @@ def _exppoly_text(terms):
     parts = []
     for t in terms:
         factors = []
-        for key, value in t.items():
-            if key.endswith("_power"):
-                name = key[: -len("_power")]
-                factors.append(f"{name}^{value}" if value != 1 else name)
-            elif key.endswith("_exp"):
-                name = key[: -len("_exp")]
-                factors.append(
-                    f"exp({value}*{name})" if value != "1" else f"exp({name})"
-                )
+        m, k = t.get("eps_power"), t.get("eps_exp")
+        if m:
+            factors.append(f"eps^{m}" if m != 1 else "eps")
+        if k:
+            factors.append(f"exp({k}*eps)" if k != "1" else "exp(eps)")
         c = t["c"]
         if not factors:
             parts.append(c)

@@ -3,16 +3,18 @@
 The package carries the complete expected analysis of its golden system:
 generators, commutator table, Killing form, adjoint matrices (as the
 `adjoint.ExpPolynomial` term records that `adjoint.ad_exp` returns), flows
-and transformed solutions (as `expr` values), all in the one group
+(per generator, the images of x, y, u, v, p, as `adjoint.flow` gives
+them) and transformed solutions (as `expr` values), all in the one group
 parameter `adjoint.EPS_SYMBOL`, invariant lists, and the subalgebra tables
 with their free parameters at each of PARAMETER_VALUES.  In the pipeline,
 one comparison pass (`pipeline._compare_baseline`) checks a report on
 v1..v5 against this corpus and emits a discrepancy note wherever the
 baseline is known to disagree with the exact computation, e.g. misprinted
 matrix entries or a derived-series chain inconsistent with the commutator
-table.  Besides it,
-only `pipeline.reference_on` (the auto rule and the shape check) and
-`pipeline.analysed_algebra` (v1..v5 as the analysed algebra) read it.
+table, and the advection-term note only on the shipped fixture itself
+(`fixture_document`).  Besides it, only `pipeline.reference_on` (the auto
+rule and the shape check) and `pipeline.analysed_algebra` (v1..v5 as the
+analysed algebra) read it.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ BASELINE_ADJOINT_DELTAS = {3: ((2, 3),)}  # matrix index -> stray positions
 
 
 def flow_table(space):
-    """Baseline one-parameter flow rows as expressions of the base variables."""
+    """Baseline one-parameter flows: per generator, the images of x, y, u, v, p."""
     eps = EPS_SYMBOL
     x, y = space.independent
     u, v, p = space.dependent

@@ -159,14 +159,31 @@ def identity_matrix(n):
     return [tuple(expr.ONE if i == j else expr.ZERO for j in range(n)) for i in range(n)]
 
 
+def mat_mul(A, B):
+    """Product of matrices of `expr` values."""
+    n = len(A)
+    m = len(B[0])
+    inner = len(B)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = None
+            for t in range(inner):
+                term = A[i][t] * B[t][j]
+                acc = term if acc is None else acc + term
+            row.append(acc)
+        out.append(tuple(row))
+    return out
+
+
 def substitute_map(fm, rules):
-    """The flow map with `rules` substituted into every entry."""
-    return adjoint.FlowMap(fm.coords, substitute_matrix(fm.matrix, rules),
-                           [expr.substitute(e, rules) for e in fm.translation])
+    """The flow with `rules` substituted into every image."""
+    return {z: expr.substitute(e, rules) for z, e in fm.items()}
 
 
 def identity_map(coords):
-    return adjoint.FlowMap(coords, identity_matrix(len(coords)), [expr.ZERO] * len(coords))
+    return {z: z for z in coords}
 
 
 def adjoint_image(L, i, a):

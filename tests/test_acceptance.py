@@ -125,15 +125,15 @@ def test_criterion_06_flows_and_group_law(golden):
         rows = reference.flow_table(space)
         for vf, row in zip(gens, rows):
             fm = flow(vf)
-            for z, value in zip(fm.coords, row):
-                assert expr.equal(fm.component_expression(z), value)
+            for z, value in zip(vf.coordinates, row):
+                assert expr.equal(fm[z], value)
             # symbolic group law in two independent parameters; it holds at
             # every pair of rational points
             composed = compose(fm, substitute_map(fm, {EPS_SYM: DELTA_SYM}))
             assert composed == substitute_map(fm, {EPS_SYM: EPS_SYM + DELTA_SYM})
             # symbolic inverse law F(eps) o F(-eps) = id
             inverse = substitute_map(fm, {EPS_SYM: -EPS_SYM})
-            assert compose(fm, inverse) == identity_map(fm.coords)
+            assert compose(fm, inverse) == identity_map(vf.coordinates)
 
 
 def test_criterion_07_transformed_solutions(golden, golden_report):

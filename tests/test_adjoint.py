@@ -16,6 +16,7 @@ from conftest import (
     expr_matrix,
     identity_matrix,
     jordan_algebra,
+    mat_mul,
     substitute_matrix,
 )
 import liepde
@@ -28,7 +29,6 @@ from liepde.adjoint import (
     ad_exp,
     ad_matrix,
     char_poly,
-    mat_mul,
     matrix_exp,
     rational_eigenvalues,
 )

@@ -194,6 +194,26 @@ class TestEmission:
         assert "== notes ==" in text
 
 
+@pytest.fixture(scope="module")
+def variant_report():
+    """The `--reference on` report of the printed fixture ("printed") or of
+    the fixture with + x*y in the x-momentum equation ("x*y"), run once each."""
+    reports = {}
+
+    def report(variant):
+        if variant not in reports:
+            if variant == "printed":
+                text = reference.fixture_text("boundary_layer_printed.pde")
+            else:
+                text = reference.fixture_text().replace(
+                    "nu*d(u,y,y)\n", "nu*d(u,y,y) + x*y\n")
+            reports[variant] = pipeline.run_pipeline(parser.parse_system(text),
+                                                     use_reference=True)
+        return reports[variant]
+
+    return report
+
+
 class TestOptions:
     def test_degree_zero_translations_only(self):
         report = pipeline.run_pipeline(
@@ -235,15 +255,11 @@ class TestOptions:
         ("printed", "v4, v5"),
         ("x*y", "v1, v2, v5"),
     ])
-    def test_not_admitted_note_names_the_rejected(self, golden_report, variant, rejected):
+    def test_not_admitted_note_names_the_rejected(self, golden_report, variant_report,
+                                                  variant, rejected):
         # the analysis still runs on v1..v5; the note says which of them
         # the system does not admit
-        if variant == "printed":
-            text = reference.fixture_text("boundary_layer_printed.pde")
-        else:
-            text = reference.fixture_text().replace(
-                "nu*d(u,y,y)\n", "nu*d(u,y,y) + x*y\n")
-        report = pipeline.run_pipeline(parser.parse_system(text), use_reference=True)
+        report = variant_report(variant)
         assert [n["detail"] for n in report["notes"]
                 if n["anchor"] == "reference:boundary-layer/not-admitted"] == [
             f"the baseline generators {rejected} have a nonzero symmetry residual, "
@@ -251,6 +267,14 @@ class TestOptions:
             "describe v1..v5 as given"]
         assert report["structure"]["labels"] == ["v1", "v2", "v3", "v4", "v5"]
         assert "reference:boundary-layer/not-admitted" not in note_anchors(golden_report)
+
+    @pytest.mark.parametrize("variant", ["printed", "x*y"])
+    def test_advection_note_only_on_the_fixture(self, golden_report, variant_report,
+                                                variant):
+        # the note describes the shipped fixture's advection term
+        anchor = "reference:boundary-layer/advection-term"
+        assert anchor not in note_anchors(variant_report(variant))
+        assert anchor in note_anchors(golden_report)
 
     def test_printed_variant_not_detected_as_reference(self):
         doc = parser.parse_system(
@@ -476,6 +500,41 @@ def test_skipped_flow_entry():
     assert skipped == [{"label": "g5", "skipped": reason}]
     lines = pipeline.emit(report, "text").decode().splitlines()
     assert f"  g5: skipped ({reason})" in lines
+
+
+TRANSPORT = """\
+independent t x
+dependent u(t, x)
+eq d(u,t) = d(u,x) + x*d(u,x)
+lead d(u,t)
+"""
+
+
+class TestTransportFlows:
+    """u_t = (1 + x) u_x at degree 1: g3 = (1 + x) d/dx is the one shipped
+    flow with both an exponential and a translation, and g2 = u d/dt moves
+    t by a multiple of u."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        return pipeline.run_pipeline(parser.parse_system(TRANSPORT))
+
+    def test_flows(self, report):
+        flows = {f["label"]: f for f in report["flows"]}
+        assert report["generators"][2]["xi"] == ["0", "1 + x"]
+        assert flows["g3"]["map"] == {"t": "t", "x": "-1 + exp(eps) + x*exp(eps)",
+                                      "u": "u"}
+        assert flows["g3"]["transformed"] == {"u": "f(t, -1 + exp(eps) + x*exp(eps))"}
+        assert flows["g2"]["map"] == {"t": "t + u*eps", "x": "x", "u": "u"}
+        assert flows["g2"]["transform_skipped"] == (
+            "independent coordinates must transform among themselves")
+        assert report["notes"] == []
+
+    def test_text(self, report):
+        lines = pipeline.emit(report, "text").decode().splitlines()
+        assert "  g3: t -> t, x -> -1 + exp(eps) + x*exp(eps), u -> u" in lines
+        assert "      transforms: u -> f(t, -1 + exp(eps) + x*exp(eps))" in lines
+        assert "  [0, exp(-1*eps), 0, 0, 0]" in lines
 
 
 BURGERS = """\

@@ -47,10 +47,12 @@ determining stage), and, in text and JSON, ``structure --constants`` and one
 ``normal-form --constants`` on sl(2) and on h(3) and ``verify-optimal
 --constants`` on a two-entry sl(2) table in which <e, h> closes and <e, f>
 does not, the fixture's ``normal-form --vector=-8,0,0,0,0`` (a scaling,
-then a negation) in text and JSON, and the heat equation at degree 2 in
-JSON.  The optimal table for
-``verify-optimal`` and the printed variant are the files bundled with
-PARENT_TREE.
+then a negation) in text and JSON, the heat equation at degree 2 in
+JSON, and the transport equation u_t = (1 + x) u_x at degree 1 in text
+and JSON (its (1 + x) d/dx is a flow with both an exponential and a
+translation, and its u d/dt has no solution transform).  The optimal
+table for ``verify-optimal`` and the printed variant are the files bundled
+with PARENT_TREE.
 """
 
 from __future__ import annotations
@@ -107,6 +109,14 @@ HEAT = """\
 independent t x
 dependent u(t, x)
 eq d(u,t) = d(u,x,x)
+lead d(u,t)
+"""
+
+# (1 + x) d/dx maps x to -1 + exp(eps) + x*exp(eps)
+TRANSPORT = """\
+independent t x
+dependent u(t, x)
+eq d(u,t) = d(u,x) + x*d(u,x)
 lead d(u,t)
 """
 
@@ -209,6 +219,7 @@ def write_inputs(folder, parent):
         "two_parameter.pde": TWO_PARAMETER,
         "mixed.pde": MIXED,
         "heat.pde": HEAT,
+        "transport.pde": TRANSPORT,
         "negative_power.pde": NEGATIVE_POWER,
         "divides_by_u.pde": DIVIDES_BY_U,
         "forced.pde": FORCED,
@@ -332,6 +343,9 @@ def write_inputs(folder, parent):
                              "--constants", constants])
         commands.append([*fmt, "verify-optimal", "--constants", "sl2.json",
                          "--file", "sl2_table.json"])
+    # a flow with an exponential and a translation, and a skipped transform
+    for fmt in ([], js):
+        commands.append(["--ansatz-degree", "1", *fmt, "symmetries", "transport.pde"])
     return commands
 
 
