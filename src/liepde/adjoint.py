@@ -7,7 +7,8 @@ closed in these sums.  The group parameter is the one symbol eps
 (`EPS`, `EPS_SYMBOL`).  A flow is the substitution {z: image} it performs;
 images, composites and transformed solutions are `expr` values, with
 exp(k eps) as `expr.ParamExp` factors; `matrix_exp` and `ad_exp` return
-`ExpPolynomial` term records.
+`ExpPolynomial` term records, which `expression` turns into `expr` values:
+the form in which the adjoint entries are compared and rendered.
 
 Both kernels run on integers and sparse rows.  char_poly scales A by the
 lcm d of its denominators and runs Faddeev-LeVerrier on dA, where each
@@ -38,11 +39,10 @@ class ExpPolynomial:
     `terms` maps (0, (m,), (k,)) to a nonzero Fraction c, with integer
     m >= 0 and rational k; the parameter is always eps, so the record does
     not name it.  The leading 0 is a constant-exponent slot that
-    is always 0.  The readers of this layout are `pipeline.jexppoly`, the
-    baseline comparison against `reference.adjoint_matrix`,
-    `optimal._diagonal_exponents` and `optimal._nilpotent_coefficients`, and
-    the benchmark's JSON dump of the adjoint matrices.  All arithmetic on
-    flows, composites and transforms is in `expr`; the class goes once the
+    is always 0.  In the package, `expression` (the entry as an `expr`
+    value, which every other reader compares and renders), `pipeline.jexppoly`
+    and `optimal`'s two direction readers read this layout; so does the
+    benchmark's JSON dump of the adjoint matrices.  The class goes once the
     benchmark reads the entries through `pipeline.jexppoly` and `ad_exp`
     can return `expr` values.
     """
@@ -51,22 +51,6 @@ class ExpPolynomial:
 
     def __init__(self, terms):
         self.terms = terms
-
-    @classmethod
-    def constant(cls, value):
-        return cls.term(value, 0, 0)
-
-    @classmethod
-    def term(cls, c, m, k):
-        """c * eps^m * e^(k*eps)."""
-        c = Fraction(c)
-        return cls({(_ZERO, (m,), (Fraction(k),)): c} if c else {})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return self.terms == other.terms
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +349,19 @@ def ad_exp(L, i):
 # Flows of affine vector fields
 # ---------------------------------------------------------------------------
 
-def _expression(e):
-    """The entry `e` of `matrix_exp` as the `expr` sum of c * eps^m * exp(k*eps)."""
-    total = ZERO
-    for (_, (m,), (k,)), c in e.terms.items():
-        total = total + c * EPS_SYMBOL ** m * ParamExp(EPS_SYMBOL, k)
-    return total
+def exp_term(c, m, k):
+    """c * eps^m * exp(k*eps) as an `expr` value, for rational c and k and
+    an integer m >= 0; factors equal to 1 are not multiplied in."""
+    term = expr.constant(c)
+    if m:
+        term = term * EPS_SYMBOL ** m
+    return term * ParamExp(EPS_SYMBOL, k) if k else term
+
+
+def expression(e):
+    """The entry `e` of `matrix_exp` or `ad_exp` as the `expr` sum of its
+    terms c * eps^m * exp(k*eps)."""
+    return sum((exp_term(c, m, k) for (_, (m,), (k,)), c in e.terms.items()), ZERO)
 
 
 def flow(vf):
@@ -408,7 +399,7 @@ def flow(vf):
         if not expr.equal(coeff, linear):
             raise ValueError(f"coefficient {coeff} is not affine in the base variables")
     E = matrix_exp(rows + [[_ZERO] * (len(coords) + 1)])
-    return {z: sum((_expression(e) * w for e, w in zip(row, coords)), _expression(row[-1]))
+    return {z: sum((expression(e) * w for e, w in zip(row, coords)), expression(row[-1]))
             for z, row in zip(coords, E)}
 
 

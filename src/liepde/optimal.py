@@ -47,7 +47,7 @@ def _diagonal_exponents(L, i):
     exps = []
     for r in range(n):
         for c in range(n):
-            if r != c and not M[r][c].is_zero():
+            if r != c and M[r][c].terms:
                 raise ValueError(f"adjoint matrix of direction {i} is not diagonal")
         (key, coeff), = M[r][r].terms.items()
         _, ms, ks = key

@@ -13,10 +13,15 @@ advection-term note describes the shipped fixture and appears only on it.
 Otherwise they analyse the computed basis g1..gn (`analysed_algebra`);
 when that span is not closed under the bracket, even over the parameter
 field, the report has none of the five analysis sections and its one note,
-`algebra/span-not-closed`, names the pair.
-The flow section renders each flow as the substitution {z: image} that
-`adjoint.flow` returns.  `emit` writes any document as JSON, or as text
-rendered from it.
+`algebra/span-not-closed`, names the pair.  When the ad of some direction
+has a spectrum outside the rationals, as a rotation's has, the report has
+no `adjoint` key, and the note `algebra/adjoint-spectrum-not-rational`
+names the direction and its stuck factor.
+An adjoint entry is the `expr` value `adjoint.expression` gives: JSON
+writes its terms (`jexppoly`), and the text and the baseline comparison
+render and compare it as that value.  The flow section renders each flow
+as the substitution {z: image} that `adjoint.flow` returns.  `emit` writes
+any document as JSON, or as text rendered from it.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ import json
 from fractions import Fraction
 
 from . import adjoint, expr, invariants, linalg, optimal, parser, reference, structure
-from .errors import LiepdeError, NotASubalgebraError, PipelineError, UnsupportedGeneratorError
+from .errors import (LiepdeError, NotASubalgebraError, PipelineError,
+                     UnsupportedGeneratorError, UnsupportedSpectrumError)
 from .fields import bracket
 from .prolongation import build_determining, solve_determining, span_contains, symmetry_residual
 
@@ -159,13 +165,15 @@ def run_pipeline(doc, ansatz_degree=1, invariant_order=1, use_reference=None):
     except LiepdeError as exc:
         raise PipelineError("structure", exc) from exc
     report["structure"] = _stage("structure", _structure_section, L)
-    report["adjoint"] = _stage("adjoint", _adjoint_section, L)
+    matrices, notes = _stage("adjoint", _adjoint_section, L)
+    if matrices is not None:
+        report["adjoint"] = {"matrices": matrices}
     report["flows"], flow_maps = _stage("flows", _flow_section, L, space)
     report["invariants"], usable, ws, lattice = _stage(
         "invariants", _invariant_section, L, space, invariant_order
     )
     report["similarity"] = _stage("similarity", _similarity_section, L)
-    report["notes"] = []
+    report["notes"] = notes
     if ref:
         _compare_baseline(report, doc, L, space, system, basis, flow_maps, usable, ws,
                           lattice)
@@ -205,10 +213,24 @@ def _subspace_json(s):
 
 
 def _adjoint_section(L):
-    return {"matrices": [
-        [[jexppoly(e) for e in row] for row in adjoint.ad_exp(L, i)]
-        for i in range(L.n)
-    ]}
+    """The adjoint matrices' JSON and no notes; or None and one note naming
+    each direction whose ad has a spectrum outside the rationals, such as a
+    rotation's, so that its Ad(exp(eps v)) has no exact entries."""
+    matrices, stuck = [], []
+    for i in range(L.n):
+        try:
+            M = adjoint.ad_exp(L, i)
+        except UnsupportedSpectrumError as exc:
+            stuck.append(f"{L.labels[i]} ({exc})")
+            continue
+        matrices.append([[jexppoly(e) for e in row] for row in M])
+    if not stuck:
+        return matrices, []
+    return None, [{
+        "anchor": "algebra/adjoint-spectrum-not-rational",
+        "detail": "Ad(exp(eps v)) has no exact entries c*eps^m*exp(k*eps) for "
+                  f"{', '.join(stuck)}; the adjoint section is omitted",
+    }]
 
 
 def _flow_section(L, space):
@@ -369,7 +391,7 @@ def _compare_baseline(report, doc, L, space, system, basis, flow_maps, usable, w
         M = adjoint.ad_exp(L, i)
         baseline = reference.adjoint_matrix(i)
         diff = [(r, c) for r in range(5) for c in range(5)
-                if M[r][c] != baseline[r][c]]
+                if adjoint.expression(M[r][c]) != baseline[r][c]]
         if diff:
             deltas[i] = diff
             positions = ", ".join(f"({r + 1},{c + 1})" for r, c in diff)
@@ -585,12 +607,13 @@ def _analysis_lines(report):
     )
     add("derived series dims: "
         + " > ".join(str(len(s)) for s in struct["derived_series"]))
-    add("")
-    add("== adjoint matrices ==")
-    for i, M in enumerate(report["adjoint"]["matrices"]):
-        add(f"Ad(exp(eps {labels[i]})) rows:")
-        for row in M:
-            add("  [" + ", ".join(_exppoly_text(e) for e in row) + "]")
+    if "adjoint" in report:
+        add("")
+        add("== adjoint matrices ==")
+        for i, M in enumerate(report["adjoint"]["matrices"]):
+            add(f"Ad(exp(eps {labels[i]})) rows:")
+            for row in M:
+                add("  [" + ", ".join(_exppoly_text(e) for e in row) + "]")
     add("")
     add("== flows ==")
     for f in report["flows"]:
@@ -640,23 +663,8 @@ def _analysis_lines(report):
 
 
 def _exppoly_text(terms):
-    if not terms:
-        return "0"
-    parts = []
-    for t in terms:
-        factors = []
-        m, k = t.get("eps_power"), t.get("eps_exp")
-        if m:
-            factors.append(f"eps^{m}" if m != 1 else "eps")
-        if k:
-            factors.append(f"exp({k}*eps)" if k != "1" else "exp(eps)")
-        c = t["c"]
-        if not factors:
-            parts.append(c)
-        elif c == "1":
-            parts.append("*".join(factors))
-        elif c == "-1":
-            parts.append("-" + "*".join(factors))
-        else:
-            parts.append("*".join([c] + factors))
-    return " + ".join(parts)
+    """An adjoint entry, given as its `jexppoly` terms, in `expr.render`."""
+    return expr.render(sum(
+        (adjoint.exp_term(Fraction(t["c"]), t.get("eps_power", 0),
+                          Fraction(t.get("eps_exp", 0))) for t in terms),
+        expr.ZERO))

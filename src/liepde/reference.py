@@ -1,11 +1,10 @@
 """Reference corpus for the shipped turbulent boundary-layer fixture.
 
 The package carries the complete expected analysis of its golden system:
-generators, commutator table, Killing form, adjoint matrices (as the
-`adjoint.ExpPolynomial` term records that `adjoint.ad_exp` returns), flows
-(per generator, the images of x, y, u, v, p, as `adjoint.flow` gives
-them) and transformed solutions (as `expr` values), all in the one group
-parameter `adjoint.EPS_SYMBOL`, invariant lists, and the subalgebra tables
+generators, commutator table, Killing form, adjoint matrices, flows (per
+generator, the images of x, y, u, v, p, as `adjoint.flow` gives them) and
+transformed solutions (the last three as `expr` values in the one group
+parameter `adjoint.EPS_SYMBOL`), invariant lists, and the subalgebra tables
 with their free parameters at each of PARAMETER_VALUES.  In the pipeline,
 one comparison pass (`pipeline._compare_baseline`) checks a report on
 v1..v5 against this corpus and emits a discrepancy note wherever the
@@ -23,7 +22,7 @@ import importlib.resources
 from fractions import Fraction
 
 from . import expr, parser
-from .adjoint import EPS_SYMBOL, ExpPolynomial
+from .adjoint import EPS_SYMBOL, exp_term
 from .errors import LiepdeError
 from .fields import VectorField
 
@@ -121,12 +120,11 @@ ADJOINT_ENTRIES = (
 
 
 def adjoint_matrix(i):
-    """Baseline adjoint matrix of exp(eps v_i), as the term records of
-    `adjoint.ad_exp`."""
-    M = [[ExpPolynomial.constant(1 if r == c else 0) for c in range(5)]
-         for r in range(5)]
+    """Baseline adjoint matrix of exp(eps v_i), with `expr` entries as
+    `adjoint.expression` gives those of `adjoint.ad_exp`."""
+    M = [[expr.ONE if r == c else expr.ZERO for c in range(5)] for r in range(5)]
     for (r, c), (coeff, m, k) in ADJOINT_ENTRIES[i].items():
-        M[r][c] = ExpPolynomial.term(coeff, m, k)
+        M[r][c] = exp_term(coeff, m, k)
     return M
 
 BASELINE_ADJOINT_DELTAS = {3: ((2, 3),)}  # matrix index -> stray positions

@@ -49,15 +49,16 @@ class Subspace:
 class LieAlgebra:
     """Lie algebra with rational structure constants C^k_{ij}.
 
-    Antisymmetry and the Jacobi identity are asserted at construction;
-    when a vector-field realization is supplied, its brackets are checked
-    against the constants.  `constants` is the dense cube; `table` holds
+    Antisymmetry and the Jacobi identity are asserted at construction.
+    `realization`, when given, holds the vector fields whose brackets the
+    constants describe; `structure_constants` reads the constants off those
+    brackets.  `constants` is the dense cube; `table` holds
     the nonzero constants only, and the bracket kernels iterate over it.
     `memo` caches data derived from the (immutable) algebra, such as its
     adjoint matrices and orbit classification.
     """
 
-    def __init__(self, constants, labels=None, realization=None, check_realization=True):
+    def __init__(self, constants, labels=None, realization=None):
         self.n = len(constants)
         self.constants = tuple(
             tuple(tuple(Fraction(x) for x in row) for row in plane)
@@ -77,8 +78,6 @@ class LieAlgebra:
         self.memo = {}
         self._check_antisymmetry()
         self._check_jacobi()
-        if self.realization and check_realization:
-            self._check_realization()
 
     # -- construction helpers -------------------------------------------------
 
@@ -115,20 +114,6 @@ class LieAlgebra:
                         raise ValueError(
                             f"Jacobi identity fails on basis triple ({i},{j},{k})"
                         )
-
-    def _check_realization(self):
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                br = field_bracket(self.realization[i], self.realization[j])
-                combo = None
-                for k in range(self.n):
-                    term = self.realization[k].scale(self.constants[i][j][k])
-                    combo = term if combo is None else combo + term
-                if not (br - combo).is_zero():
-                    raise ValueError(
-                        f"realization bracket [{self.labels[i]},{self.labels[j]}] "
-                        "does not match the structure constants"
-                    )
 
     # -- basic operations ------------------------------------------------------
 
@@ -215,8 +200,7 @@ def structure_constants(basis, labels=None):
             for k, c in residual.items():
                 constants[i][j][k - width] = -c
                 constants[j][i][k - width] = c
-    return LieAlgebra(constants, labels=labels, realization=basis,
-                      check_realization=False)
+    return LieAlgebra(constants, labels=labels, realization=basis)
 
 
 def _field_row(vf, index, grow=False):
@@ -332,11 +316,6 @@ def bracket_outside(L, A, B, S):
 def is_abelian(L, S=None):
     S = S if S is not None else L.whole()
     return bracket_outside(L, S.basis, S.basis, L.subspace([])) is None
-
-
-def subalgebra_check(L, S):
-    """Whether the subspace closes under the bracket."""
-    return bracket_outside(L, S.basis, S.basis, S) is None
 
 
 def is_ideal(L, S):

@@ -148,7 +148,7 @@ DELTA_SYM = expr.Symbol("delta", expr.GROUP)
 
 def expr_matrix(M):
     """The `matrix_exp` or `ad_exp` records of M as `expr` entries."""
-    return [tuple(adjoint._expression(e) for e in row) for row in M]
+    return [tuple(adjoint.expression(e) for e in row) for row in M]
 
 
 def substitute_matrix(M, rules):

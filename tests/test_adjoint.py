@@ -23,12 +23,13 @@ import liepde
 from liepde import expr, linalg, reference, structure
 from liepde.adjoint import (
     EPS,
-    ExpPolynomial,
     _deflate,
     _putzer_step,
     ad_exp,
     ad_matrix,
     char_poly,
+    exp_term,
+    expression,
     matrix_exp,
     rational_eigenvalues,
 )
@@ -42,11 +43,6 @@ def unit(n, i):
     v = [F(0)] * n
     v[i] = F(1)
     return tuple(v)
-
-
-def exp_term(c, m, k, sym=EPS_SYM):
-    """c * sym^m * exp(k*sym) in `expr`."""
-    return c * sym ** m * ParamExp(sym, k)
 
 
 class TestExpPolynomial:
@@ -107,22 +103,22 @@ class TestExpPolynomial:
 class TestMatrixExp:
     def test_zero_matrix(self):
         E = matrix_exp([[F(0)]])
-        assert E[0][0] == ExpPolynomial.constant(1)
+        assert expression(E[0][0]) == expr.ONE
 
     def test_nilpotent(self):
         E = matrix_exp([[F(0), F(1)], [F(0), F(0)]])
-        assert E[0][1] == ExpPolynomial.term(1, 1, 0)
+        assert expression(E[0][1]) == exp_term(1, 1, 0)
 
     def test_diagonalizable(self):
         E = matrix_exp([[F(2), F(0)], [F(0), F(-1)]])
-        assert E[0][0] == ExpPolynomial.term(1, 0, 2)
-        assert E[1][1] == ExpPolynomial.term(1, 0, -1)
+        assert expression(E[0][0]) == exp_term(1, 0, 2)
+        assert expression(E[1][1]) == exp_term(1, 0, -1)
 
     def test_jordan_block(self):
         # [[1,1],[0,1]]: exp = e^t [[1,t],[0,1]]
         E = matrix_exp([[F(1), F(1)], [F(0), F(1)]])
-        assert E[0][0] == ExpPolynomial.term(1, 0, 1)
-        assert E[0][1] == ExpPolynomial.term(1, 1, 1)
+        assert expression(E[0][0]) == exp_term(1, 0, 1)
+        assert expression(E[0][1]) == exp_term(1, 1, 1)
 
     def test_group_law_two_parameters(self):
         A = [[F(1), F(1)], [F(0), F(-2)]]
@@ -236,9 +232,9 @@ class TestAdExp:
             for r in range(5):
                 for c in range(5):
                     if (r, c) in strays:
-                        assert M[r][c] != B[r][c]
+                        assert expression(M[r][c]) != B[r][c]
                     else:
-                        assert M[r][c] == B[r][c], (i, r, c)
+                        assert expression(M[r][c]) == B[r][c], (i, r, c)
 
     def test_record_layout(self, algebra, borel4):
         # pipeline.jexppoly and the benchmark's JSON dump read the terms
@@ -263,13 +259,13 @@ class TestAdExp:
         # Ad(exp(eps v1)) v4 = v4 - eps v1
         M = ad_exp(algebra, 0)
         row = M[3]
-        assert row[0] == ExpPolynomial.term(-1, 1, 0)
-        assert row[3] == ExpPolynomial.constant(1)
+        assert expression(row[0]) == exp_term(-1, 1, 0)
+        assert expression(row[3]) == expr.ONE
 
     def test_scaling_entry(self, algebra):
         # Ad(exp(eps v5)) v3 = e^(-4 eps) v3
         M = ad_exp(algebra, 4)
-        assert M[2][2] == ExpPolynomial.term(1, 0, -4)
+        assert expression(M[2][2]) == exp_term(1, 0, -4)
 
     def test_identity_at_zero(self, algebra):
         for i in range(5):

@@ -10,7 +10,7 @@ import pytest
 import liepde
 from conftest import EPS_SYM, adjoint_image, jordan_algebra
 from liepde import expr, optimal, reference, structure
-from liepde.adjoint import ExpPolynomial, ad_exp
+from liepde.adjoint import ad_exp, expression
 from liepde.errors import NormalFormError, UnsupportedSpectrumError
 from liepde.optimal import (
     _scaling_multiplier_apply,
@@ -67,8 +67,8 @@ def invariant_components_by_adjoints(L):
         for i in range(L.n):
             M = ad_exp(L, i)
             for r in range(L.n):
-                expected = ExpPolynomial.constant(1 if r == j else 0)
-                if M[r][j] != expected:
+                expected = expr.ONE if r == j else expr.ZERO
+                if expression(M[r][j]) != expected:
                     fixed = False
                     break
             if not fixed:

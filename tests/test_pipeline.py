@@ -531,10 +531,87 @@ class TestTransportFlows:
         assert report["notes"] == []
 
     def test_text(self, report):
+        # an adjoint entry renders as the flows do: exp(-eps), and a negative
+        # term after the first as a subtraction
         lines = pipeline.emit(report, "text").decode().splitlines()
         assert "  g3: t -> t, x -> -1 + exp(eps) + x*exp(eps), u -> u" in lines
         assert "      transforms: u -> f(t, -1 + exp(eps) + x*exp(eps))" in lines
-        assert "  [0, exp(-1*eps), 0, 0, 0]" in lines
+        assert "  [0, exp(-eps), 0, 0, 0]" in lines
+        for text, label, row in (
+            (DRIFT, "g3", "  [exp(2*eps), exp(eps) - exp(2*eps), 0, 0, 0, 0]"),
+            (LINEAR_SOURCE, "g5",
+             "  [1 - exp(eps), exp(eps), -2 + exp(-eps) + exp(eps), 1 - exp(eps), -1 + exp(eps)]"),
+        ):
+            report = pipeline.run_pipeline(parser.parse_system(text))
+            lines = pipeline.emit(report, "text").decode().splitlines()
+            start = lines.index(f"Ad(exp(eps {label})) rows:") + 1
+            assert row in lines[start:start + len(report["generators"])]
+
+
+# u_t = u_xx + u_x: g3 = 2t d/dt + (x - t) d/dx gives exp(eps) - exp(2*eps)
+DRIFT = """\
+independent t x
+dependent u(t, x)
+eq d(u,t) = d(u,x,x) + d(u,x)
+lead d(u,t)
+"""
+
+# u_t = u_x + u + x: g5 gives -2 + exp(-eps) + exp(eps)
+LINEAR_SOURCE = """\
+independent t x
+dependent u(t, x)
+eq d(u,t) = d(u,x) + u + x
+lead d(u,t)
+"""
+
+# the 2-D Laplace equation: g4 = y d/dx - x d/dy is a rotation, whose ad
+# has the eigenvalues 0, 0, 0, 0, +-i, +-i
+LAPLACE = """\
+independent x y
+dependent u(x, y)
+eq d(u,x,x) + d(u,y,y) = 0
+lead d(u,x,x)
+"""
+
+
+class TestRotation:
+    """A rotation has no exact adjoint matrix: the report omits only the
+    adjoint section, one note names the direction and its stuck factor, and
+    the run exits 0."""
+
+    NOTE = ("Ad(exp(eps v)) has no exact entries c*eps^m*exp(k*eps) for g4 "
+            "(characteristic polynomial does not split over the rationals; stuck "
+            "factor has coefficients ['1', '0', '2', '0', '1']); the adjoint "
+            "section is omitted")
+
+    def run(self, tmp_path, capsys, *argv):
+        system = tmp_path / "laplace.pde"
+        system.write_text(LAPLACE)
+        assert cli_main([*argv, "symmetries", str(system)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        return out
+
+    def test_json(self, tmp_path, capsys):
+        report = json.loads(self.run(tmp_path, capsys, "--report", "json"))
+        assert list(report) == [
+            "schema", "system", "options", "generators", "determining", "structure",
+            "flows", "invariants", "similarity", "notes"]
+        assert report["determining"]["dimension"] == 8
+        assert report["generators"][3]["xi"] == ["y", "-x"]
+        assert report["notes"] == [
+            {"anchor": "algebra/adjoint-spectrum-not-rational", "detail": self.NOTE}]
+        # the flows skip only the rotation
+        assert ["skipped" in f for f in report["flows"]] == [
+            False, False, False, True, False, False, False, False]
+
+    def test_text(self, tmp_path, capsys):
+        lines = self.run(tmp_path, capsys).splitlines()
+        headings = [line for line in lines if line.startswith("== ")]
+        assert headings == [
+            "== system ==", "== symmetries ==", "== structure ==", "== flows ==",
+            "== invariants ==", "== similarity forms ==", "== notes =="]
+        assert lines[-1] == f"  [algebra/adjoint-spectrum-not-rational] {self.NOTE}"
 
 
 BURGERS = """\
@@ -647,18 +724,6 @@ class TestStageErrors:
         with pytest.raises(PipelineError) as err:
             pipeline.run_pipeline(parser.parse_system(text))
         assert err.value.stage == "system"
-
-    def test_adjoint_failure_names_its_stage(self, tmp_path, capsys):
-        # The 2-D Laplace equation's rotation has the eigenvalues +-i, which
-        # the adjoint matrices cannot hold; the error says where it arose.
-        system = tmp_path / "laplace.pde"
-        system.write_text("independent x y\ndependent u(x, y)\n"
-                          "eq d(u,x,x) + d(u,y,y) = 0\nlead d(u,x,x)\n")
-        assert cli_main(["symmetries", str(system)]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith(
-            "error: stage 'adjoint': characteristic polynomial does not split"), err
 
     @pytest.mark.parametrize("section, stage", [
         ("_structure_section", "structure"),

@@ -50,9 +50,12 @@ does not, the fixture's ``normal-form --vector=-8,0,0,0,0`` (a scaling,
 then a negation) in text and JSON, the heat equation at degree 2 in
 JSON, and the transport equation u_t = (1 + x) u_x at degree 1 in text
 and JSON (its (1 + x) d/dx is a flow with both an exponential and a
-translation, and its u d/dt has no solution transform).  The optimal
-table for ``verify-optimal`` and the printed variant are the files bundled
-with PARENT_TREE.
+translation, and its u d/dt has no solution transform), and, in text and
+JSON at degree 1, u_t = u_xx + u_x and u_t = u_x + u + x (adjoint entries
+with exp(-eps), exp(2*eps) and a negative second term) and the Laplace
+equation u_xx + u_yy = 0 (a rotation, whose adjoint section is omitted with
+a note).  The optimal table for ``verify-optimal`` and the printed variant
+are the files bundled with PARENT_TREE.
 """
 
 from __future__ import annotations
@@ -118,6 +121,29 @@ independent t x
 dependent u(t, x)
 eq d(u,t) = d(u,x) + x*d(u,x)
 lead d(u,t)
+"""
+
+# adjoint entries exp(eps) - exp(2*eps) and -2 + exp(-eps) + exp(eps)
+DRIFT = """\
+independent t x
+dependent u(t, x)
+eq d(u,t) = d(u,x,x) + d(u,x)
+lead d(u,t)
+"""
+
+LINEAR_SOURCE = """\
+independent t x
+dependent u(t, x)
+eq d(u,t) = d(u,x) + u + x
+lead d(u,t)
+"""
+
+# y d/dx - x d/dy is a rotation: its ad has no rational spectrum
+LAPLACE = """\
+independent x y
+dependent u(x, y)
+eq d(u,x,x) + d(u,y,y) = 0
+lead d(u,x,x)
 """
 
 # the fixture with a forcing term x*y in the x-momentum equation
@@ -220,6 +246,9 @@ def write_inputs(folder, parent):
         "mixed.pde": MIXED,
         "heat.pde": HEAT,
         "transport.pde": TRANSPORT,
+        "drift.pde": DRIFT,
+        "linear_source.pde": LINEAR_SOURCE,
+        "laplace.pde": LAPLACE,
         "negative_power.pde": NEGATIVE_POWER,
         "divides_by_u.pde": DIVIDES_BY_U,
         "forced.pde": FORCED,
@@ -346,6 +375,10 @@ def write_inputs(folder, parent):
     # a flow with an exponential and a translation, and a skipped transform
     for fmt in ([], js):
         commands.append(["--ansatz-degree", "1", *fmt, "symmetries", "transport.pde"])
+    # adjoint entries beyond exp(-eps), and a rotation's omitted adjoint section
+    for name in ("drift.pde", "linear_source.pde", "laplace.pde"):
+        for fmt in ([], js):
+            commands.append(["--ansatz-degree", "1", *fmt, "symmetries", name])
     return commands
 
 
