@@ -173,28 +173,42 @@ def exponent_vector(e, coordinates):
     return tuple(exps)
 
 
-def in_invariant_lattice(ws, invariants, e):
-    """Whether a monomial expression lies in the computed lattice."""
+def in_invariant_lattice(ws, invariants, exprs):
+    """Per expression, whether it is a monomial in the computed lattice."""
     free = ws.free_coordinates()
-    vec = exponent_vector(e, free)
-    if vec is None:
-        return False
-    basis = [inv.exponents for inv in invariants]
-    return linalg.in_integer_lattice(basis, vec)
+    vectors = [exponent_vector(e, free) for e in exprs]
+    zero = (0,) * len(free)
+    members = linalg.in_integer_lattice([inv.exponents for inv in invariants],
+                                        [zero if v is None else v for v in vectors])
+    return [v is not None and m for v, m in zip(vectors, members)]
+
+
+def verify_invariants(exprs, generators):
+    """Per expression, whether every prolonged generator annihilates it.
+
+    Each generator is prolonged once, on the dependent and jet coordinates
+    of all the expressions and at the largest order among them.
+    """
+    exprs = [expr.normalize(e) for e in exprs]
+    verified = [True] * len(exprs)
+    if not generators:
+        return verified
+    space = generators[0].space
+    coordinates = set().union(*(space.jet_symbols_in(e) for e in exprs))
+    order = max((s.order for s in coordinates), default=0)
+    for g in generators:
+        if not any(verified):
+            break
+        pr = prolong(g, order, coordinates)
+        for k, e in enumerate(exprs):
+            if verified[k] and not expr.is_zero(pr.apply(e)):
+                verified[k] = False
+    return verified
 
 
 def verify_invariant(e, generators):
     """True iff every prolonged generator annihilates the expression."""
-    e = expr.normalize(e)
-    if not generators:
-        return True
-    coordinates = generators[0].space.jet_symbols_in(e)
-    order = max((s.order for s in coordinates), default=0)
-    for g in generators:
-        pr = prolong(g, order, coordinates)
-        if not expr.is_zero(pr.apply(e)):
-            return False
-    return True
+    return verify_invariants([e], generators)[0]
 
 
 class SimilarityForm:

@@ -2,8 +2,9 @@
 
 One sparse elimination kernel, `Echelon`, serves both fields: rows are
 dicts column -> nonzero entry, reduced once to reduced row echelon form,
-after which `Echelon.reduce` clears further vectors against them.  `rref`,
-`nullspace` and `solve` over Q and their `_param` twins are thin wrappers.
+after which `Echelon.reduce` clears further vectors against them.  `rref` and
+`nullspace` over Q and their `_param` twins are thin wrappers, and
+`in_integer_lattice` reduces its vectors against one `Echelon` of [B | I].
 Columns are taken left to right.  A column index, from each column to the
 set of rows holding it, kept up to date as eliminations fill and clear
 entries, gives each column its candidate pivots and the rows to eliminate
@@ -149,21 +150,6 @@ def _kernel(reduced, pivots, ncols, field):
     return basis
 
 
-def _solve(rows, rhs, field):
-    """One solution of A x = b as a dense list, or None if inconsistent."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    aug = [_sparse(list(row) + [b], field) for row, b in zip(rows, rhs)]
-    space = Echelon(aug, ncols + 1, field)
-    if ncols in space.pivots:
-        return None
-    x = [field.zero] * ncols
-    for prow, pc in zip(space.rows, space.pivots):
-        x[pc] = prow.get(ncols, field.zero)
-    return x
-
-
 # ---------------------------------------------------------------------------
 # Over Q
 # ---------------------------------------------------------------------------
@@ -194,12 +180,6 @@ def nullspace(rows, ncols):
     """Basis of the right kernel of the matrix, one vector per free column."""
     space = row_space([sparse(r) for r in rows], ncols)
     return [tuple(v) for v in _kernel(space.rows, space.pivots, ncols, _RATIONALS)]
-
-
-def solve(rows, rhs):
-    """One solution of A x = b, or None if inconsistent."""
-    x = _solve(rows, rhs, _RATIONALS)
-    return None if x is None else tuple(x)
 
 
 def det(rows):
@@ -476,14 +456,24 @@ def _canonical_int_vector(vec):
     return vec
 
 
-def in_integer_lattice(basis, vector):
-    """Whether the integer vector is an integer combination of the basis."""
-    if all(x == 0 for x in vector):
-        return True
-    if not basis:
-        return False
-    cols = [[Fraction(b[i]) for b in basis] for i in range(len(vector))]
-    x = solve(cols, [Fraction(v) for v in vector])
-    if x is None:
-        return False
-    return all(xi.denominator == 1 for xi in x)
+def in_integer_lattice(basis, vectors):
+    """Per rational vector, whether it is an integer combination of the
+    linearly independent integer rows of `basis`.
+
+    The rows B are reduced once with the identity beside them, as [B | I].
+    A vector [v | 0] reduces to [0 | -x] exactly when v = x B, so v is a
+    member exactly when nothing is left in the B columns and x is integral.
+    """
+    width = len(vectors[0]) if vectors else 0
+    rows = []
+    for i, b in enumerate(basis):
+        row = sparse(b)
+        row[width + i] = Fraction(1)
+        rows.append(row)
+    span = row_space(rows, width + len(basis))
+    out = []
+    for v in vectors:
+        residual = span.reduce(sparse(v))
+        out.append(all(k >= width and x.denominator == 1
+                       for k, x in residual.items()))
+    return out

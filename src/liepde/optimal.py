@@ -391,20 +391,29 @@ def verify_optimal_table(L, entries):
                 raise LiepdeError(
                     f"entry {label}: vector needs {L.n} coordinates, got {len(v)}"
                 )
+    units = L.whole().basis
     derived = structure.product_space(L, L.whole(), L.whole())
     inv = invariant_components(L)
     results = []
     for label, vectors in entries:
         S = L.subspace(vectors)
-        offending = structure.bracket_outside(L, S.basis, S.basis, S)
-        inter = _intersection_dim(L, S, derived)
-        sig = _invariant_signature(L, S, inv)
+        basis = S.basis
+        # [b_q, b_p] = -[b_p, b_q] and [b_p, b_p] = 0, so the pairs p < q
+        # decide closure and abelianness, and the first of them outside S
+        # is the first pair of S x S that `bracket_outside` would name
+        brackets = [((a, b), L.bracket_coords(a, b))
+                    for p, a in enumerate(basis) for b in basis[p + 1:]]
+        offending = next((pair for pair, w in brackets if not S.contains(w)), None)
+        # g is S plus the units off S's pivots, so a closed S is an ideal
+        # when those units bracket it into itself; an ideal is closed
+        ideal = offending is None and structure.bracket_outside(
+            L, [e for i, e in enumerate(units) if i not in S.pivots], basis, S) is None
         results.append(
             OptimalTableEntry(
                 label, [tuple(Fraction(x) for x in v) for v in vectors],
                 offending is None, offending, S.dim,
-                structure.is_abelian(L, S), structure.is_ideal(L, S),
-                inter, sig,
+                not any(any(w) for _, w in brackets), ideal,
+                S.intersection_dim(derived), _invariant_signature(L, S, inv),
             )
         )
     collisions = []
@@ -416,12 +425,6 @@ def verify_optimal_table(L, entries):
         if len(labels) > 1:
             collisions.append(labels)
     return results, collisions
-
-
-def _intersection_dim(L, S, T):
-    # dim(S cap T) = dim S + dim T - dim(S + T)
-    union = L.subspace(list(S.basis) + list(T.basis))
-    return S.dim + T.dim - union.dim
 
 
 def _invariant_signature(L, S, inv):

@@ -65,6 +65,14 @@ def field_json(vf, space):
 # Pipeline
 # ---------------------------------------------------------------------------
 
+def _is_fixture(doc):
+    """Whether `doc` is the shipped boundary-layer fixture's document."""
+    try:
+        return doc == reference.fixture_document()
+    except LiepdeError:
+        return False
+
+
 def reference_on(doc, space, use_reference=None):
     """Whether the analysis of `doc` compares against the baseline.
 
@@ -73,10 +81,7 @@ def reference_on(doc, space, use_reference=None):
     LiepdeError when it is on and `space` lacks the boundary-layer shape.
     """
     if use_reference is None:
-        try:
-            use_reference = doc == reference.fixture_document()
-        except LiepdeError:
-            use_reference = False
+        use_reference = _is_fixture(doc)
     if use_reference:
         reference.require_shape(space)
     return use_reference
@@ -114,7 +119,10 @@ def run_pipeline(doc, ansatz_degree=1, invariant_order=1, use_reference=None):
     fixture).  Returns the report document (see the module docstring).
     """
     space, system = _stage("system", parser.build_system, doc)
-    ref = _stage("system", reference_on, doc, space, use_reference)
+    # the fixture is read once: for the auto rule and the advection note
+    fixture = use_reference is not False and _is_fixture(doc)
+    ref = _stage("system", reference_on, doc, space,
+                 fixture if use_reference is None else use_reference)
     ds = _stage("determining", build_determining, system, ansatz_degree)
     basis = _stage("determining", solve_determining, ds)
     report = {
@@ -175,8 +183,8 @@ def run_pipeline(doc, ansatz_degree=1, invariant_order=1, use_reference=None):
     report["similarity"] = _stage("similarity", _similarity_section, L)
     report["notes"] = notes
     if ref:
-        _compare_baseline(report, doc, L, space, system, basis, flow_maps, usable, ws,
-                          lattice)
+        _compare_baseline(report, fixture, L, space, system, basis, flow_maps, usable,
+                          ws, lattice)
     return report
 
 
@@ -311,28 +319,31 @@ def _similarity_section(L):
 # Baseline comparison
 # ---------------------------------------------------------------------------
 
-def _compare_baseline(report, doc, L, space, system, basis, flow_maps, usable, ws,
-                      lattice):
+def _compare_baseline(report, fixture, L, space, system, basis, flow_maps, usable,
+                      ws, lattice):
     """Compare a report on v1..v5 with the boundary-layer baseline.
 
-    Reads the system document `doc`, the report the sections built and the
-    objects they kept (`L`, the computed `basis`, the flow maps, the usable
-    generators with their weight system and lattice), and only adds keys,
-    each at the end of its dict: `matches_reference_commutators`,
+    Reads whether the system is the shipped `fixture`, the report the
+    sections built and the objects they kept (`L`, the computed `basis`,
+    the flow maps, the usable generators with their weight system and
+    lattice), and only adds keys, each at the end of its dict:
+    `matches_reference_commutators`,
     `matches_reference_killing` and `derived_dimensions` to `structure`;
     `baseline_deltas` to `adjoint`; `baseline_first_order` and one
     `baseline_table_<label>` per tabulated generator to `invariants`; and
     `reference_check`, `composite` (when every flow of v1..v5 exists) and
     `optimal` to the report.  Every known delta is appended to `notes`, in
     the order of the sections; the advection-term note, which describes the
-    shipped fixture, only when `doc` is that fixture.
+    shipped fixture, only on that fixture.  The invariant checks are
+    batched: each generator is prolonged once per list of expressions, and
+    the lattice is reduced once for all first-order invariants.
     """
     notes = report["notes"]
 
     def note(anchor, detail):
         notes.append({"anchor": anchor, "detail": detail})
 
-    if doc == reference.fixture_document():
+    if fixture:
         note(
             "reference:boundary-layer/advection-term",
             "the shipped fixture uses the standard advection term v*d(u,y); "
@@ -434,26 +445,21 @@ def _compare_baseline(report, doc, L, space, system, basis, flow_maps, usable, w
             )
 
     inv = report["invariants"]
+    first = reference.first_order_invariants(space)
+    in_lattice = (invariants.in_invariant_lattice(ws, lattice, first)
+                  if inv["order"] >= 1 else [False] * len(first))
     inv["baseline_first_order"] = [
-        {
-            "expression": expr.render(e),
-            "verified": invariants.verify_invariant(e, usable),
-            "in_lattice": inv["order"] >= 1
-            and invariants.in_invariant_lattice(ws, lattice, e),
-        }
-        for e in reference.first_order_invariants(space)
+        {"expression": expr.render(e), "verified": ok, "in_lattice": member}
+        for e, ok, member in zip(first, invariants.verify_invariants(first, usable),
+                                 in_lattice)
     ]
     for gen_idx, rows in sorted(reference.invariant_table_rows(space).items()):
         label = L.labels[gen_idx]
-        gen = L.realization[gen_idx]
-        results = []
-        failures = []
-        for entry, e in rows:
-            ok = invariants.verify_invariant(e, [gen])
-            results.append({"entry": entry, "verified": ok})
-            if not ok:
-                failures.append(entry)
-        inv[f"baseline_table_{label}"] = results
+        verified = invariants.verify_invariants([e for _, e in rows],
+                                                [L.realization[gen_idx]])
+        inv[f"baseline_table_{label}"] = [
+            {"entry": entry, "verified": ok} for (entry, _), ok in zip(rows, verified)]
+        failures = [entry for (entry, _), ok in zip(rows, verified) if not ok]
         if failures:
             note(
                 f"reference:boundary-layer/invariant-table-{label}",

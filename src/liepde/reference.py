@@ -11,9 +11,10 @@ v1..v5 against this corpus and emits a discrepancy note wherever the
 baseline is known to disagree with the exact computation, e.g. misprinted
 matrix entries or a derived-series chain inconsistent with the commutator
 table, and the advection-term note only on the shipped fixture itself
-(`fixture_document`).  Besides it, only `pipeline.reference_on` (the auto
-rule and the shape check) and `pipeline.analysed_algebra` (v1..v5 as the
-analysed algebra) read it.
+(`fixture_document`, which `run_pipeline` compares with its document once
+per run).  Besides it, only `pipeline.reference_on` (the auto rule and the
+shape check) and `pipeline.analysed_algebra` (v1..v5 as the analysed
+algebra) read it.
 """
 
 from __future__ import annotations

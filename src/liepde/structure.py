@@ -5,11 +5,12 @@ fields); subspaces are stored with reduced-row-echelon canonical bases so
 equality is decidable and reports are stable.
 
 Questions about subspaces go through two kernels.  `bracket_outside` finds
-the first pair of two lists whose bracket leaves a subspace: closure under
-the bracket, ideals, abelian subspaces and the offending pair of a
-non-closing table entry (`optimal.verify_optimal_table`) are each one call.
-`_series` iterates one step on subspaces from the whole algebra until a
-term is 0 or repeats: the derived and the lower central series.
+the first pair of two lists whose bracket leaves a subspace.
+`optimal.verify_optimal_table` computes the brackets of a table entry's
+basis once and reads closure, its offending pair and abelianness off
+them; its ideal test is one `bracket_outside` call.  `_series` iterates
+one step on subspaces from the whole algebra until a term is 0 or
+repeats: the derived and the lower central series.
 """
 
 from __future__ import annotations
@@ -40,6 +41,12 @@ class Subspace:
     def reduce_vector(self, vector):
         """Residual of `vector` after eliminating the subspace basis."""
         return linalg.dense(self._space.reduce(linalg.sparse(vector)), self.algebra.n)
+
+    def intersection_dim(self, other):
+        """dim(self cap other): dim self less the rank of its basis modulo
+        `other`, which spans (self + other) / other."""
+        residuals = [other._space.reduce(row) for row in self._space.rows]
+        return self.dim - len(linalg.row_space(residuals, self.algebra.n).pivots)
 
     def __eq__(self, other):
         return isinstance(other, Subspace) and self.basis == other.basis
@@ -311,15 +318,6 @@ def bracket_outside(L, A, B, S):
             if not S.contains(L.bracket_coords(a, b)):
                 return a, b
     return None
-
-
-def is_abelian(L, S=None):
-    S = S if S is not None else L.whole()
-    return bracket_outside(L, S.basis, S.basis, L.subspace([])) is None
-
-
-def is_ideal(L, S):
-    return bracket_outside(L, L.whole().basis, S.basis, S) is None
 
 
 def normalizer(L, S):

@@ -3,8 +3,24 @@ from fractions import Fraction
 
 import pytest
 
-from liepde import adjoint, expr, pipeline, reference, structure
+from liepde import adjoint, expr, linalg, pipeline, reference, structure
 from liepde.fields import VectorField
+
+
+def solve(rows, rhs):
+    """One solution of A x = b, or None if inconsistent: the pivot columns
+    of one `linalg.row_space` of [A | b] read off its last column."""
+    if not rows:
+        return None
+    ncols = len(rows[0])
+    space = linalg.row_space(
+        [linalg.sparse(list(row) + [b]) for row, b in zip(rows, rhs)], ncols + 1)
+    if ncols in space.pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for prow, pc in zip(space.rows, space.pivots):
+        x[pc] = prow.get(ncols, Fraction(0))
+    return tuple(x)
 
 
 @pytest.fixture(scope="session")

@@ -36,6 +36,7 @@ from conftest import (
     adjoint_image,
     identity_map,
     random_expression,
+    solve,
     substitute_map,
 )
 
@@ -189,7 +190,7 @@ def _lattice_completeness_box_check(gens, space):
     _, pivots = linalg.rref(basis)
     block = [[F(basis[j][p]) for j in range(k)] for p in pivots]
     inv_cols = [
-        linalg.solve(block, [F(1) if r == i else F(0) for r in range(k)])
+        solve(block, [F(1) if r == i else F(0) for r in range(k)])
         for i in range(k)
     ]
     denom = 1

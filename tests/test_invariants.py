@@ -9,13 +9,17 @@ from liepde.fields import VectorField
 from liepde.invariants import (
     SCALING,
     TRANSLATION,
+    MonomialInvariant,
     classify_generator,
     in_invariant_lattice,
     monomial_invariants,
     similarity_form,
     verify_invariant,
+    verify_invariants,
     weight_system,
 )
+
+from conftest import solve
 
 F = Fraction
 
@@ -113,15 +117,18 @@ class TestWeights:
 class TestLattice:
     def test_first_order_ratios_in_lattice(self, golden, golden_weights, golden_lattice):
         space, _, _ = golden
-        for e in reference.first_order_invariants(space):
-            assert in_invariant_lattice(golden_weights, golden_lattice, e), str(e)
+        first = reference.first_order_invariants(space)
+        for e, member in zip(first, in_invariant_lattice(golden_weights, golden_lattice,
+                                                         first)):
+            assert member, str(e)
 
     def test_second_order_ratios_in_lattice(self, golden):
         space, _, gens = golden
         ws = weight_system(gens, space, 2)
         lattice = monomial_invariants(ws)
-        for e in reference.second_order_invariants(space):
-            assert in_invariant_lattice(ws, lattice, e), str(e)
+        second = reference.second_order_invariants(space)
+        for e, member in zip(second, in_invariant_lattice(ws, lattice, second)):
+            assert member, str(e)
 
     def test_single_scaling_order_zero(self, golden):
         space, _, gens = golden
@@ -129,14 +136,15 @@ class TestLattice:
         lattice = monomial_invariants(ws)
         x, y = space.independent
         u, v, p = space.dependent
-        for e in (x, y**2 * u, y * v, y**4 * p):
-            assert in_invariant_lattice(ws, lattice, expr.normalize(e)), str(e)
+        exprs = [expr.normalize(e) for e in (x, y**2 * u, y * v, y**4 * p)]
+        for e, member in zip(exprs, in_invariant_lattice(ws, lattice, exprs)):
+            assert member, str(e)
 
     def test_brute_force_completeness_order_one(self, golden, golden_weights,
                                                 golden_lattice):
         # enumerate every exponent vector with entries in [-4, 4] over the
         # eight free coordinates; meet in the middle on the weight pairs
-        from liepde.linalg import in_integer_lattice, rref, solve
+        from liepde.linalg import in_integer_lattice, rref
 
         ws = golden_weights
         free = ws.free_coordinates()
@@ -200,7 +208,17 @@ class TestLattice:
         assert checked > 100  # the box contains plenty of invariants
         # spot-check the fast member() against the reference routine
         for vec in ([0] * n, basis[0], tuple(2 * x for x in basis[1])):
-            assert member(tuple(vec)) == in_integer_lattice(basis, tuple(vec))
+            assert member(tuple(vec)) == in_integer_lattice(basis, [tuple(vec)])[0]
+        # and both routines on non-members, a unit vector of nonzero weight
+        # (outside the Q-span of the basis) and half of a basis vector,
+        # batched together with the zero vector, a member
+        outside = next(tuple(int(j == k) for j in range(n))
+                       for k in range(n) if any(cols[k]))
+        vectors = [(0,) * n, outside, tuple(F(x, 2) for x in basis[0])]
+        assert [member(v) for v in vectors] == [True, False, False]
+        assert in_integer_lattice(basis, vectors) == [True, False, False]
+        monomials = [MonomialInvariant(free, v).expression() for v in vectors[:2]]
+        assert in_invariant_lattice(ws, golden_lattice, monomials) == [True, False]
 
     def test_lattice_members_verify(self, golden, golden_weights, golden_lattice):
         space, _, gens = golden
@@ -234,6 +252,25 @@ class TestVerifyInvariant:
                 if not verify_invariant(e, [gens[gen_idx]])
             )
             assert failures == reference.EXPECTED_INVARIANT_FAILURES[gen_idx]
+
+    def test_batched_equals_one_at_a_time(self, golden):
+        # each generator prolonged once on the union of the coordinates
+        # gives every expression the answer of its own prolongation
+        space, _, gens = golden
+        u = space.dependent[0]
+        cases = [(rows, [gens[gen_idx]]) for gen_idx, rows in sorted(
+            reference.invariant_table_rows(space).items())]
+        second = reference.second_order_invariants(space)
+        mixed = [("u", u), *(("", e) for e in second), ("u_x", space.coordinate(u, (1, 0)))]
+        cases += [([("", e) for e in second], gens), (mixed, gens), (mixed, [])]
+        seen = set()
+        for rows, generators in cases:
+            exprs = [e for _, e in rows]
+            one_at_a_time = [verify_invariant(e, generators) for e in exprs]
+            assert verify_invariants(exprs, generators) == one_at_a_time
+            seen.update(one_at_a_time)
+        assert seen == {True, False}
+        assert verify_invariants([], gens) == []
 
 
 class TestSimilarityForms:

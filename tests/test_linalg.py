@@ -23,11 +23,11 @@ from liepde.linalg import (
     nullspace_param,
     rref,
     rref_param,
-    solve,
 )
 from liepde.parser import build_system, parse_system
 from liepde.prolongation import build_determining
 
+from conftest import solve
 from test_determining import TWO_PARAMETER_SYSTEM
 
 A = Symbol("a", PARAMETER)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import liepde
-from conftest import EPS_SYM, adjoint_image, jordan_algebra
+from conftest import EPS_SYM, adjoint_image, borel_algebra, jordan_algebra
 from liepde import expr, optimal, reference, structure
 from liepde.adjoint import ad_exp, expression
 from liepde.errors import NormalFormError, UnsupportedSpectrumError
@@ -22,7 +22,8 @@ from liepde.optimal import (
     verify_optimal_table,
 )
 
-from test_structure import ORACLE_ALGEBRAS, oracle_algebra
+from test_linalg import dense_rref
+from test_structure import ORACLE_ALGEBRAS, oracle_algebra, seeded_spans
 
 F = Fraction
 
@@ -259,6 +260,67 @@ class TestOptimalTable:
         reps.append((0, 0, 0, 0, 1))
         gaps = coverage_gaps(algebra, reps)
         assert gaps == []
+
+
+# ---------------------------------------------------------------------------
+# Oracle: every field of a table entry from the definitions, over all pairs
+# of the entry's basis, with brackets read off the dense constants and
+# membership decided by rank.
+# ---------------------------------------------------------------------------
+
+def dense_bracket(L, a, b):
+    out = [F(0)] * L.n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if x and y:
+                for k, c in enumerate(L.constants[i][j]):
+                    out[k] += x * y * c
+    return tuple(out)
+
+
+def rank(vectors):
+    return len(dense_rref(vectors)[0])
+
+
+def brute_force_entry(L, vectors, derived, inv):
+    """(closed, offending, abelian, ideal, derived_intersection_dim,
+    invariant_signature) of span(vectors), given the RREF basis of [g, g]
+    and the components every Ad fixes."""
+    basis = dense_rref(vectors)[0]
+    units = [tuple(F(int(i == j)) for j in range(L.n)) for i in range(L.n)]
+
+    def inside(w):
+        return rank(basis + [w]) == len(basis)
+
+    pairs = [(a, b) for a in basis for b in basis]
+    offending = next(((a, b) for a, b in pairs
+                      if not inside(dense_bracket(L, a, b))), None)
+    abelian = all(not any(dense_bracket(L, a, b)) for a, b in pairs)
+    ideal = all(inside(dense_bracket(L, e, b)) for e in units for b in basis)
+    inter = len(basis) + len(derived) - rank(basis + derived)
+    signature = tuple(dense_rref([tuple(b[j] for j in inv) for b in basis])[0])
+    return offending is None, offending, abelian, ideal, inter, signature
+
+
+class TestOptimalTableOracle:
+    @pytest.mark.parametrize("name", ["fixture", "b4-seeded", "sl2", "h3"])
+    def test_entries_match_the_definitions(self, algebra, name):
+        L = (borel_algebra(random.Random(7)) if name == "b4-seeded"
+             else oracle_algebra(name, algebra))
+        spans = seeded_spans(L, random.Random(f"table-{name}"), 40)
+        results, _ = verify_optimal_table(
+            L, [(str(k), vectors) for k, vectors in enumerate(spans)])
+        units = [tuple(F(int(i == j)) for j in range(L.n)) for i in range(L.n)]
+        derived = dense_rref([dense_bracket(L, e, f) for e in units for f in units])[0]
+        inv = invariant_components_by_adjoints(L)
+        seen = set()
+        for vectors, r in zip(spans, results):
+            expected = brute_force_entry(L, vectors, derived, inv)
+            assert (r.closed, r.offending, r.abelian, r.ideal,
+                    r.derived_intersection_dim, r.invariant_signature) == expected
+            seen.update(enumerate(expected[i] for i in (0, 2, 3)))
+        # closed, abelian and ideal are each seen both true and false
+        assert seen == {(k, v) for k in range(3) for v in (True, False)}
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,6 @@ from liepde.structure import (
     bracket_outside,
     center,
     derived_series,
-    is_abelian,
-    is_ideal,
     is_nilpotent,
     is_semisimple,
     is_solvable,
@@ -40,6 +38,17 @@ def unit(n, i):
     v = [F(0)] * n
     v[i] = F(1)
     return tuple(v)
+
+
+def is_abelian(L, S=None):
+    """Whether every bracket of S, by default the whole algebra, is 0."""
+    S = S if S is not None else L.whole()
+    return bracket_outside(L, S.basis, S.basis, L.subspace([])) is None
+
+
+def is_ideal(L, S):
+    """Whether [g, S] lies in S."""
+    return bracket_outside(L, L.whole().basis, S.basis, S) is None
 
 
 class TestBracket:

@@ -17,8 +17,10 @@ the elimination's pivot path shows in the basis),
 its ``adjoint``, ``flows``, ``structure``, ``invariants --order 2``,
 ``check-generator``, ``normal-form`` and ``verify-optimal`` runs, the
 fixture's computed algebra (``--reference off symmetries``) at degrees 1-2
-in text and JSON, b(4) ``structure --constants`` and six fixed
-``normal-form`` vectors, normal forms on an algebra whose spectrum is near
+in text and JSON, b(4) ``structure --constants``, six fixed
+``normal-form`` vectors and ``verify-optimal --constants`` on a table
+with an ideal, an abelian non-ideal, a closed entry that is neither and a
+non-closing entry, normal forms on an algebra whose spectrum is near
 10^12, ``structure --constants`` and two ``normal-form`` vectors on a
 solvable 3-dimensional algebra whose ad v1 is one Jordan block with
 eigenvalue 1/2, Burgers and KdV at ansatz degree 2 (and ``structure`` on
@@ -225,6 +227,21 @@ def borel4():
     return {"dim": len(pairs), "labels": labels, "brackets": brackets}
 
 
+# b(4) on E11, E12, E13, E14, E22, E23, E24, E33, E34, E44 (borel4's order):
+# the strictly upper triangular ideal, the abelian diagonal <E11, E22>
+# (not an ideal), <E11, E12> (closed, neither abelian nor an ideal) and
+# <E12, E23>, which [E12, E23] = E13 leaves
+B4_TABLE = {"schema": 1, "entries": [
+    {"label": "<E12,E13,E14,E23,E24,E34>",
+     "vectors": [[int(k == i) for k in range(10)] for i in (1, 2, 3, 5, 6, 8)]},
+    {"label": "<E11,E22>",
+     "vectors": [[int(k == i) for k in range(10)] for i in (0, 4)]},
+    {"label": "<E11,E12>",
+     "vectors": [[int(k == i) for k in range(10)] for i in (0, 1)]},
+    {"label": "<E12,E23>",
+     "vectors": [[int(k == i) for k in range(10)] for i in (1, 5)]}]}
+
+
 def vectors(rng, count, dim):
     """Seeded nonzero rational vectors, about half their entries zero."""
     out = []
@@ -253,6 +270,7 @@ def write_inputs(folder, parent):
         "divides_by_u.pde": DIVIDES_BY_U,
         "forced.pde": FORCED,
         "b4.json": json.dumps(borel4(), indent=1),
+        "b4_table.json": json.dumps(B4_TABLE),
         "jordan.json": json.dumps(JORDAN),
         "e2.json": json.dumps(E2),
         "sl2.json": json.dumps(SL2),
@@ -300,6 +318,8 @@ def write_inputs(folder, parent):
     commands.append(["normal-form", "--vector", "-1,0,0,1,0"])
     for fmt in ([], js):
         commands.append([*fmt, "structure", "--constants", "b4.json"])
+        commands.append([*fmt, "verify-optimal", "--constants", "b4.json",
+                         "--file", "b4_table.json"])
     for constants, vecs in (("b4.json", vectors(random.Random(0), 6, 10)),
                             ("spectrum.json", vectors(random.Random(2), 4, 2))):
         for vec in vecs:
