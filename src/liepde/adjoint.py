@@ -41,7 +41,7 @@ class ExpPolynomial:
     not name it.  The leading 0 is a constant-exponent slot that
     is always 0.  In the package, `expression` (the entry as an `expr`
     value, which every other reader compares and renders), `pipeline.jexppoly`
-    and `optimal`'s two direction readers read this layout; so does the
+    and `optimal._terms` read this layout; so does the
     benchmark's JSON dump of the adjoint matrices.  The class goes once the
     benchmark reads the entries through `pipeline.jexppoly` and `ad_exp`
     can return `expr` values.

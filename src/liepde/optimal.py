@@ -1,12 +1,13 @@
 """Adjoint-orbit normalization and verification of subalgebra tables.
 
 The adjoint group of the algebra acts on coordinate row vectors through the
-matrices of `adjoint.ad_exp`.  This module provides exact orbit steps
-(nilpotent directions with rational parameters, scaling directions with
-rational multipliers q = e^t), a deterministic greedy normal form for
-one-dimensional subalgebras, and per-entry verification of proposed
-optimal-system tables: closure, abelian/ideal flags, and conjugacy-invariant
-fingerprints that expose coverage gaps mechanically.
+matrices of `adjoint.ad_exp`, which `_terms` reads once per direction as a
+sparse list of terms coeff * eps^m * e^(k eps).  This module provides exact
+orbit steps (`_act`: nilpotent directions at a rational eps, diagonal
+scalings at a rational multiplier q = e^eps), a deterministic greedy normal
+form for one-dimensional subalgebras, and per-entry verification of
+proposed optimal-system tables: closure, abelian/ideal flags, and
+conjugacy-invariant fingerprints that expose coverage gaps mechanically.
 """
 
 from __future__ import annotations
@@ -17,16 +18,6 @@ from fractions import Fraction
 from . import linalg, structure
 from .adjoint import ad_exp
 from .errors import LiepdeError, NormalFormError, UnsupportedSpectrumError
-
-
-def _scaling_multiplier_apply(L, i, q, a):
-    """Apply Ad(exp(t v_i)) with e^t = q (rational, positive), exactly.
-
-    Only valid when the adjoint matrix of v_i is diagonal with integer
-    exponents; components transform by integer powers of q.
-    """
-    exps = _diagonal_exponents(L, i)
-    return tuple(x * q ** k for x, k in zip(a, exps))
 
 
 def _per_algebra(fn):
@@ -41,39 +32,24 @@ def _per_algebra(fn):
 
 
 @_per_algebra
-def _diagonal_exponents(L, i):
-    M = ad_exp(L, i)
-    n = L.n
-    exps = []
-    for r in range(n):
-        for c in range(n):
-            if r != c and M[r][c].terms:
-                raise ValueError(f"adjoint matrix of direction {i} is not diagonal")
-        (key, coeff), = M[r][r].terms.items()
-        _, ms, ks = key
-        if any(ms) or coeff != 1:
-            raise ValueError(f"adjoint matrix of direction {i} is not a pure scaling")
-        k = ks[0]
-        if k.denominator != 1:
-            raise ValueError("non-integer scaling exponent")
-        exps.append(int(k))
-    return tuple(exps)
+def _terms(L, i):
+    """The nonzero terms (r, c, coeff, m, k) of ad_exp(L, i): entry (r, c) of
+    Ad(exp(eps v_i)) is the sum of coeff * eps^m * e^(k eps) over them."""
+    return tuple((r, c, coeff, m, k)
+                 for r, row in enumerate(ad_exp(L, i))
+                 for c, e in enumerate(row)
+                 for (_, (m,), (k,)), coeff in e.terms.items())
 
 
-@_per_algebra
-def _nilpotent_coefficients(L, i):
-    """Rational M_0..M_d with ad_exp(L, i) = sum_m eps^m M_m, or None when
-    some entry carries an exponential (ad v_i is not nilpotent)."""
-    powers = []
-    for r, row in enumerate(ad_exp(L, i)):
-        for c, e in enumerate(row):
-            for (_, (m,), (k,)), coeff in e.terms.items():
-                if k:
-                    return None
-                while len(powers) <= m:
-                    powers.append([[Fraction(0)] * L.n for _ in range(L.n)])
-                powers[m][r][c] = coeff
-    return tuple(tuple(tuple(row) for row in M) for M in powers)
+def _act(L, i, a, t):
+    """a . Ad(exp(eps v_i)) exactly, at t = eps along a nilpotent direction
+    and at t = e^eps along a diagonal scaling: one of m and k is 0 in every
+    term, so each contributes coeff * t^(m + k)."""
+    out = [Fraction(0)] * L.n
+    for r, c, coeff, m, k in _terms(L, i):
+        if a[r]:
+            out[c] += a[r] * coeff * t ** (m + k)
+    return tuple(out)
 
 
 @_per_algebra
@@ -92,28 +68,26 @@ def invariant_components(L):
 def classify_directions(L):
     """(nilpotent indices, diagonal-scaling indices) of the basis adjoints.
 
-    A direction is nilpotent when no entry of its adjoint matrix has an
-    exponential term, that is when every eigenvalue of its ad is 0.  A
-    direction whose ad has an eigenvalue outside the rationals, such as a
-    rotation, is neither, and is skipped like any other direction that is
-    neither nilpotent nor a diagonal scaling.
+    A direction is nilpotent when no term of its adjoint matrix has an
+    exponential (every eigenvalue of its ad is 0) and some term has a power
+    of eps (its ad is not zero).  It is a diagonal scaling when every term
+    is e^(k eps) on the diagonal, with an integer k.  A direction whose ad
+    has an eigenvalue outside the rationals, such as a rotation, is
+    neither, and is skipped like any other direction that is neither.
     """
     nilpotent = []
     scaling = []
     for i in range(L.n):
         try:
-            powers = _nilpotent_coefficients(L, i)
+            terms = _terms(L, i)
         except UnsupportedSpectrumError:
             continue
-        if powers is not None:
-            if len(powers) > 1:  # ad is not zero
+        if not any(k for *_, k in terms):
+            if any(m for *_, m, _ in terms):
                 nilpotent.append(i)
-            continue
-        try:
-            _diagonal_exponents(L, i)
-        except ValueError:
-            continue
-        scaling.append(i)
+        elif all(r == c and coeff == 1 and m == 0 and k.denominator == 1
+                 for r, c, coeff, m, k in terms):
+            scaling.append(i)
     return tuple(nilpotent), tuple(scaling)
 
 
@@ -125,17 +99,14 @@ class OrbitStep:
     q = e^epsilon of a diagonal scaling direction.
     """
 
-    def __init__(self, kind, index, parameter, before, after):
+    def __init__(self, kind, index, parameter, after):
         self.kind = kind
         self.index = index
         self.parameter = parameter
-        self.before = tuple(before)
         self.after = tuple(after)
 
     def replay(self, L, a):
-        if self.kind == "translate":
-            return _translate_apply(L, self.index, self.parameter, a)
-        return _scaling_multiplier_apply(L, self.index, self.parameter, a)
+        return _act(L, self.index, a, self.parameter)
 
     def describe(self, L):
         if self.kind == "translate":
@@ -310,45 +281,27 @@ def _sweep(L, inv, directions, step, current, steps):
     )
 
 
-def _translate_apply(L, i, epsilon, a):
-    """a . Ad(exp(epsilon v_i)) = sum_m epsilon^m (a . M_m), for nilpotent v_i."""
-    powers = _nilpotent_coefficients(L, i)
-    if powers is None:
-        raise ValueError(f"direction {i} is not nilpotent; it has no rational translate")
-    out = [Fraction(0)] * L.n
-    for m, M in enumerate(powers):
-        scale = Fraction(epsilon) ** m
-        for x, row in zip(a, M):
-            if x:
-                for c, y in enumerate(row):
-                    if y:
-                        out[c] += scale * x * y
-    return tuple(out)
-
-
 def _translate_step(L, inv, i, current):
     """The translation along nilpotent direction i that zeroes component i."""
     if i in inv or current[i] == 0:
         return None
-    # component i of current . Ad(exp(eps v_i)) is sum_m eps^m (current . M_m)[i];
-    # it must be affine in eps: a_i + c*eps
-    coeffs = [sum((x * M[r][i] for r, x in enumerate(current) if x), Fraction(0))
-              for M in _nilpotent_coefficients(L, i)]
-    if len(coeffs) < 2 or coeffs[1] == 0 or any(coeffs[2:]):
+    # component i of current . Ad(exp(eps v_i)) is sum_m coeffs[m] eps^m; it
+    # must be affine in eps: a_i + c*eps
+    coeffs = {}
+    for r, c, coeff, m, _ in _terms(L, i):
+        if c == i and current[r]:
+            coeffs[m] = coeffs.get(m, 0) + current[r] * coeff
+    if not coeffs.get(1) or any(x for m, x in coeffs.items() if m > 1):
         return None
     epsilon = -current[i] / coeffs[1]
-    after = _translate_apply(L, i, epsilon, current)
-    return OrbitStep("translate", i, epsilon, current, after)
+    return OrbitStep("translate", i, epsilon, _act(L, i, current, epsilon))
 
 
 def _scale_step(L, inv, i, current):
     """The scaling along direction i that makes its first eligible component
     power-free in magnitude, or None if it already is."""
-    exps = _diagonal_exponents(L, i)
-    target = next(
-        (j for j in range(L.n) if j not in inv and current[j] != 0 and exps[j] != 0),
-        None,
-    )
+    exps = {r: int(k) for r, _, _, _, k in _terms(L, i) if k}
+    target = next((j for j in range(L.n) if j not in inv and current[j] and j in exps), None)
     if target is None:
         return None
     k = exps[target]
@@ -357,7 +310,7 @@ def _scale_step(L, inv, i, current):
         q = Fraction(1) / q
     if q == 1:
         return None
-    return OrbitStep("scale", i, q, current, _scaling_multiplier_apply(L, i, q, current))
+    return OrbitStep("scale", i, q, _act(L, i, current, q))
 
 
 class OptimalTableEntry:

@@ -21,8 +21,7 @@ from liepde.adjoint import ad_exp, compose, expression, flow, transform_solution
 from liepde.fields import bracket
 from liepde.invariants import monomial_invariants, verify_invariant, weight_system
 from liepde.optimal import (
-    _scaling_multiplier_apply,
-    _translate_apply,
+    _act,
     classify_directions,
     coverage_gaps,
     normal_form_1d,
@@ -266,10 +265,10 @@ def test_criterion_09b_fingerprint_invariance(algebra):
             i = rng.randrange(5)
             if i in nilpotent:
                 val = F(rng.randint(-5, 5), rng.randint(1, 4))
-                current = _translate_apply(algebra, i, val, current)
+                current = _act(algebra, i, current, val)
             else:
                 q = F(rng.randint(1, 5), rng.randint(1, 4))
-                current = _scaling_multiplier_apply(algebra, i, q, current)
+                current = _act(algebra, i, current, q)
             assert current[3] == a[3]
             assert current[4] == a[4]
 

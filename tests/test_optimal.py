@@ -8,13 +8,12 @@ from fractions import Fraction
 import pytest
 
 import liepde
-from conftest import EPS_SYM, adjoint_image, borel_algebra, jordan_algebra
+from conftest import EPS_SYM, adjoint_image, borel_algebra, expr_matrix, jordan_algebra
 from liepde import expr, optimal, reference, structure
 from liepde.adjoint import ad_exp, expression
 from liepde.errors import NormalFormError, UnsupportedSpectrumError
 from liepde.optimal import (
-    _scaling_multiplier_apply,
-    _translate_apply,
+    _act,
     classify_directions,
     coverage_gaps,
     invariant_components,
@@ -35,7 +34,7 @@ class TestAdjointApply:
         assert image[3] == expr.ONE
 
     def test_rational_parameter_kills_component(self, algebra):
-        image = _translate_apply(algebra, 0, F(1), (1, 0, 0, 1, 0))
+        image = _act(algebra, 0, (1, 0, 0, 1, 0), F(1))
         assert image == (0, 0, 0, 1, 0)
 
     def test_zero_parameter_is_identity(self, algebra):
@@ -124,15 +123,92 @@ class TestInvariantComponents:
             i = rng.randrange(5)
             if i in nilpotent:
                 eps_val = F(rng.randint(-4, 4), rng.randint(1, 3))
-                current = _translate_apply(algebra, i, eps_val, current)
+                current = _act(algebra, i, current, eps_val)
             else:
                 q = F(rng.randint(1, 4), rng.randint(1, 3))
-                current = _scaling_multiplier_apply(algebra, i, q, current)
+                current = _act(algebra, i, current, q)
             assert current[3] == a[3]
             assert current[4] == a[4]
         for i in range(5):
             image = adjoint_image(algebra, i, a)
             assert image[3:] == (expr.Rational(a[3]), expr.Rational(a[4]))
+
+
+# ---------------------------------------------------------------------------
+# Oracle: direction classes and exact group actions from the dense adjoint
+# matrices as `expr` values.
+# ---------------------------------------------------------------------------
+
+def classify_by_matrices(L):
+    """(nilpotent, diagonal scaling) directions of L, from expr_matrix(ad_exp).
+
+    Entries polynomial in eps of degree < n vanish after n derivatives, and
+    a term with exp(k eps), k != 0, never does; a diagonal entry e is
+    exp(k eps) exactly when e(0) = 1 and e' = k e with k = e'(0).
+    """
+    nilpotent, scaling = [], []
+    for i in range(L.n):
+        try:
+            M = expr_matrix(ad_exp(L, i))
+        except UnsupportedSpectrumError:
+            continue
+        entries = [e for row in M for e in row]
+        high = entries
+        for _ in range(L.n):
+            high = [expr.diff(e, EPS_SYM) for e in high]
+        if all(expr.is_zero(e) for e in high):
+            if any(not expr.is_zero(expr.diff(e, EPS_SYM)) for e in entries):
+                nilpotent.append(i)
+            continue
+        if any(not expr.is_zero(M[r][c]) for r in range(L.n) for c in range(L.n) if r != c):
+            continue
+        ks = [expr.constant_value(expr.substitute(expr.diff(M[r][r], EPS_SYM), {EPS_SYM: 0}))
+              for r in range(L.n)]
+        if all(k.denominator == 1 and expr.substitute(M[r][r], {EPS_SYM: 0}) == expr.ONE
+               and expr.diff(M[r][r], EPS_SYM) == k * M[r][r] for r, k in enumerate(ks)):
+            scaling.append(i)
+    return tuple(nilpotent), tuple(scaling)
+
+
+def evaluate(e, eps=None, q=None):
+    """The Fraction value of an expr in eps at eps, with each exp(k eps)
+    read as q^k."""
+    total = F(0)
+    for (powers, pexps), c in expr.monomials(e):
+        term = F(c)
+        for atom, p in powers:
+            assert atom == EPS_SYM
+            term *= eps ** p
+        for sym, k in pexps:
+            assert sym == EPS_SYM and k.denominator == 1
+            term *= q ** int(k)
+        total += term
+    return total
+
+
+class TestStepOracle:
+    @pytest.mark.parametrize("seed, name", enumerate((*ORACLE_ALGEBRAS, "e2")))
+    def test_steps_match_the_dense_matrices(self, algebra, seed, name):
+        L = e2_algebra() if name == "e2" else oracle_algebra(name, algebra)
+        nilpotent, scaling = classify_directions(L)
+        assert (nilpotent, scaling) == classify_by_matrices(L)
+        rng = random.Random(300 + seed)
+        for _ in range(30):
+            a = tuple(F(0) if rng.random() < 0.3 else F(rng.randint(-6, 6), rng.randint(1, 3))
+                      for _ in range(L.n))
+            for i in nilpotent:
+                eps = F(rng.randint(-5, 5), rng.randint(1, 4))
+                expected = tuple(evaluate(e, eps=eps) for e in adjoint_image(L, i, a))
+                assert _act(L, i, a, eps) == expected
+            for i in scaling:
+                q = F(rng.randint(1, 5), rng.randint(1, 4))
+                expected = tuple(evaluate(e, q=q) for e in adjoint_image(L, i, a))
+                assert _act(L, i, a, q) == expected
+
+    def test_both_classes_are_seen(self, algebra):
+        classes = [classify_directions(oracle_algebra(name, algebra))
+                   for name in ORACLE_ALGEBRAS]
+        assert all(any(c[k] for c in classes) for k in (0, 1))
 
 
 class TestNormalForm:

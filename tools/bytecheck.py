@@ -56,8 +56,13 @@ translation, and its u d/dt has no solution transform), and, in text and
 JSON at degree 1, u_t = u_xx + u_x and u_t = u_x + u + x (adjoint entries
 with exp(-eps), exp(2*eps) and a negative second term) and the Laplace
 equation u_xx + u_yy = 0 (a rotation, whose adjoint section is omitted with
-a note).  The optimal table for ``verify-optimal`` and the printed variant
-are the files bundled with PARENT_TREE.
+a note), and, in text and JSON, the normal forms that are not yet orbit
+invariants: ``normal-form --constants`` on e(2) at v1 + v3 and at v3, which
+one Ad(exp(v2)) maps onto each other, and ``--reference off normal-form``
+on the Laplace equation at g1 + g3 and at g1 + g2 + g3 + g4, whose g1 and
+g2 translations refill each other through the rotation g4 until the sweep
+bound stops them (exit 1).  The optimal table for ``verify-optimal`` and
+the printed variant are the files bundled with PARENT_TREE.
 """
 
 from __future__ import annotations
@@ -399,6 +404,14 @@ def write_inputs(folder, parent):
     for name in ("drift.pde", "linear_source.pde", "laplace.pde"):
         for fmt in ([], js):
             commands.append(["--ansatz-degree", "1", *fmt, "symmetries", name])
+    # normal forms that differ on one orbit, and one that never settles
+    for fmt in ([], js):
+        for vec in ("1,0,1", "0,0,1"):
+            commands.append([*fmt, "normal-form", "--constants", "e2.json",
+                             f"--vector={vec}"])
+        for vec in ("1,0,1,0,0,0,0,0", "1,1,1,1,0,0,0,0"):
+            commands.append(["--reference", "off", *fmt, "normal-form",
+                             f"--vector={vec}", "laplace.pde"])
     return commands
 
 
