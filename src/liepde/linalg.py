@@ -5,6 +5,9 @@ dicts column -> nonzero entry, reduced once to reduced row echelon form,
 after which `Echelon.reduce` clears further vectors against them.  `rref` and
 `nullspace` over Q and their `_param` twins are thin wrappers, and
 `in_integer_lattice` reduces its vectors against one `Echelon` of [B | I].
+`nullspace_param`, the determining solve, takes sparse rows as the
+determining system holds them; `rref` and `rref_param` take dense rows, the
+form the tests compare against.
 Columns are taken left to right.  A column index, from each column to the
 set of rows holding it, kept up to date as eliminations fill and clear
 entries, gives each column its candidate pivots and the rows to eliminate
@@ -20,7 +23,10 @@ The parameter field holds fractions of `expr` polynomials in the parameter
 symbols, with only guaranteed-exact simplification.  Two elements that are
 rational constants over `expr.ONE` itself, as most entries of a
 determining matrix are, add, multiply, negate and invert on their
-coefficients directly and give the node `expr` arithmetic would.  `det`
+coefficients directly and give the node `expr` arithmetic would.  A
+Laurent monomial such as 2*nu or rho^-1 over `expr.ONE` inverts to one over
+itself, and a difference subtracts the numerators in one step; both give
+the numerator and denominator that the general formulas would.  `det`
 and `integer_kernel` (unimodular column reduction, for the
 monomial-invariant lattice) keep their own loops.
 """
@@ -262,7 +268,13 @@ class ParamFrac:
                          self.den * other.den)
 
     def __sub__(self, other):
-        return self + (-other)
+        a, b = _rational(self), _rational(other)
+        if a is not None and b is not None:
+            return ParamFrac(expr.constant(a - b))
+        if self.den == other.den:
+            return ParamFrac(self.num - other.num, self.den)
+        return ParamFrac(self.num * other.den - other.num * self.den,
+                         self.den * other.den)
 
     def __neg__(self):
         a = _rational(self)
@@ -284,6 +296,8 @@ class ParamFrac:
         a = _rational(self)
         if a is not None:
             return ParamFrac(expr.constant(1 / Fraction(a)))
+        if self.den is expr.ONE and len(self.num._poly()) == 1:
+            return ParamFrac(expr.ONE / self.num)
         return ParamFrac(self.den, self.num)
 
     def __truediv__(self, other):
@@ -307,7 +321,7 @@ def _rational(x):
 
 PARAM_ZERO = ParamFrac(expr.ZERO)
 """The zero of the parameter field that dense rows share; rref_param skips it
-by identity."""
+by identity.  Sparse rows, which nullspace_param takes, hold no zeros."""
 
 
 def expr_to_paramfrac(e, params):
@@ -338,18 +352,28 @@ def row_space_param(rows, ncols):
 
 
 def rref_param(rows):
-    """RREF of equal-length ParamFrac rows; returns (rows, pivots), each row
-    a dict column -> nonzero entry.  Shared PARAM_ZERO cells are dropped
-    without a test."""
+    """RREF of equal-length dense ParamFrac rows; returns (rows, pivots), each
+    row a dict column -> nonzero entry.  Shared PARAM_ZERO cells are dropped
+    without a test.
+
+    The solve does not come through here: `nullspace_param` takes sparse
+    rows.  The rows stay dense because the tests hold the sparse kernel
+    against a dense elimination through it, and the benchmark tracer
+    counts its cells row by row."""
     ncols = len(rows[0]) if rows else 0
     space = row_space_param([_sparse(r, _PARAMETERS) for r in rows], ncols)
     return space.rows, space.pivots
 
 
 def nullspace_param(rows, ncols):
-    """Basis of the right kernel over the parameter field, through rref_param."""
-    reduced, pivots = rref_param(rows)
-    return _kernel(reduced, pivots, ncols, _PARAMETERS)
+    """Basis of the right kernel over the parameter field, one dense vector
+    per free column.
+
+    `rows` are sparse, dicts column -> nonzero ParamFrac, as
+    `DeterminingSystem.rows` holds them; they are copied before the
+    elimination, which works in place, and are left as they were."""
+    space = row_space_param([dict(row) for row in rows], ncols)
+    return _kernel(space.rows, space.pivots, ncols, _PARAMETERS)
 
 
 def clear_denominators(vec, params):

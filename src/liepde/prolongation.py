@@ -411,14 +411,7 @@ def solve_determining(ds):
     the empty list means only the zero solution exists.
     """
     params = ds.system.parameters
-    ncols = len(ds.ansatz.unknowns)
-    rows = []
-    for sparse in ds.rows:
-        row = [linalg.PARAM_ZERO] * ncols
-        for k, entry in sparse.items():
-            row[k] = entry
-        rows.append(row)
-    basis = linalg.nullspace_param(rows, ncols)
+    basis = linalg.nullspace_param(ds.rows, len(ds.ansatz.unknowns))
     fields = []
     for vec in basis:
         values = linalg.clear_denominators(vec, params)

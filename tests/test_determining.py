@@ -134,6 +134,24 @@ def test_two_parameter_basis_is_pinned(degree):
     assert [str(vf) for vf in basis] == TWO_PARAMETER_BASES[degree]
 
 
+@pytest.mark.parametrize("text", [reference.fixture_text(), TWO_PARAMETER_SYSTEM],
+                         ids=["fixture", "two-parameter"])
+def test_solve_leaves_the_determining_rows_unchanged(text):
+    # the elimination works in place, so the solve eliminates on copies;
+    # a second solve of the same system sees the same rows and basis
+    _, system = build_system(parse_system(text))
+    ds = build_determining(system, 2)
+
+    def cells():
+        return [{c: (x.num, x.den) for c, x in row.items()} for row in ds.rows]
+
+    before = cells()
+    first = [str(vf) for vf in solve_determining(ds)]
+    assert cells() == before
+    assert [str(vf) for vf in solve_determining(ds)] == first
+    assert cells() == before
+
+
 def test_wrong_kernel_vector_is_a_typed_error(golden, monkeypatch):
     # solve_determining re-checks every basis field; a kernel vector that is
     # not a symmetry raises a package error, not a bare assertion.

@@ -174,7 +174,8 @@ def assert_same_reduction(rows):
 
 def assert_kernel(rows):
     ncols = len(rows[0])
-    for v in nullspace_param(rows, ncols):
+    sparse = [{c: x for c, x in enumerate(row) if not x.is_zero()} for row in rows]
+    for v in nullspace_param(sparse, ncols):
         for row in rows:
             total = ParamFrac.constant(0)
             for x, y in zip(row, v):
@@ -228,6 +229,7 @@ def lane_elements():
 def assert_same_element(fast, general):
     assert (fast.num, fast.den) == (general.num, general.den)
     assert type(fast.num) is type(general.num)
+    assert type(fast.den) is type(general.den)
     assert (fast.num is expr.ONE) == (general.num is expr.ONE)
     assert (fast.num is expr.ZERO) == (general.num is expr.ZERO)
 
@@ -249,6 +251,45 @@ def test_rational_lane_matches_expr_arithmetic():
     for p in POLYNOMIALS:
         x = ParamFrac(expr.ONE, p) + ParamFrac(p)
         assert x.complexity() == len(expr.monomials(x.num)) + len(expr.monomials(x.den))
+
+
+RHO = Symbol("rho", PARAMETER)
+NU = Symbol("nu", PARAMETER)
+
+
+def laurent_monomial(rng):
+    """c * rho^i * nu^j over `expr.ONE`, with c negative or fractional and
+    i, j negative, zero or positive."""
+    c = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 2, 3]))
+    return ParamFrac(expr.constant(c) * RHO ** rng.randint(-2, 2) * NU ** rng.randint(-2, 2))
+
+
+def test_monomial_inverse_and_difference_match_general_formulas():
+    # the fast inverse of a Laurent monomial and the one-step difference give
+    # the numerator and denominator nodes of the general formulas, down to a
+    # denominator that is `expr.ONE` itself
+    def assert_same_nodes(fast, general):
+        assert_same_element(fast, general)
+        assert (fast.den is expr.ONE) == (general.den is expr.ONE)
+
+    rng = random.Random("laurent-monomials")
+    sums = [RHO + NU, RHO - 2 * NU, RHO * NU + 1]
+    monomials = [laurent_monomial(rng) for _ in range(60)]
+    assert any(len(x.num._poly()) == 1 and not x.num.is_constant() for x in monomials)
+    for x in monomials:
+        assert_same_nodes(x.inverse(), ParamFrac(x.den, x.num))
+    for a, b in zip(monomials, monomials[1:]):
+        assert_same_nodes(a - b, a + (-b))
+        p, q = rng.sample(sums, 2)
+        ap, bp, bq = (x * ParamFrac(expr.ONE, s) for x, s in ((a, p), (b, p), (b, q)))
+        assert ap.den == bp.den and ap.den != bq.den
+        for x, y in ((ap, bp), (ap, bq), (a, bq), (bq, a)):
+            assert_same_nodes(x - y, x + (-y))
+        assert_same_nodes(ap.inverse(), ParamFrac(ap.den, ap.num))
+    with pytest.raises(ZeroDivisionError):
+        ParamFrac(expr.ZERO).inverse()
+    with pytest.raises(ZeroDivisionError):
+        (monomials[0] - monomials[0]).inverse()
 
 
 def test_paramfrac_is_unhashable():

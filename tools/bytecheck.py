@@ -12,8 +12,9 @@ the side that ran out of time.  The exit status is 0 when every command is
 identical and 1 otherwise.
 
 The list covers the shipped fixture at ansatz degrees 1-4 in text and JSON
-and at degree 5 in JSON (a determining matrix large enough that a change in
-the elimination's pivot path shows in the basis),
+and at degrees 5 and 6 in JSON (determining matrices of 2884x1260 and
+5723x2310, large enough that a change in the elimination's pivot path shows
+in the basis),
 its ``adjoint``, ``flows``, ``structure``, ``invariants --order 2``,
 ``check-generator``, ``normal-form`` and ``verify-optimal`` runs, the
 fixture's computed algebra (``--reference off symmetries``) at degrees 1-2
@@ -301,8 +302,10 @@ def write_inputs(folder, parent):
     for degree in (1, 2, 3, 4):
         commands.append(["--ansatz-degree", str(degree), "symmetries"])
         commands.append(["--ansatz-degree", str(degree), *js, "symmetries"])
-    # a 2884x1260 determining matrix: a change of pivot path shows here
-    commands.append(["--ansatz-degree", "5", *js, "symmetries"])
+    # 2884x1260 and 5723x2310 determining matrices: a change of pivot path
+    # shows here
+    for degree in ("5", "6"):
+        commands.append(["--ansatz-degree", degree, *js, "symmetries"])
     # the computed algebra's structure, adjoint and optimal sections
     for degree in ("1", "2"):
         for fmt in ([], js):
