@@ -26,7 +26,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from . import expr, linalg, optimal, parser, pipeline, reference, structure
 from .errors import LiepdeError
@@ -174,7 +173,7 @@ def _cmd_check_generator(args):
     residuals = symmetry_residual(vf, system)
     out = {
         "schema": pipeline.SCHEMA_VERSION,
-        "field": pipeline.field_json(vf, space),
+        "field": pipeline.field_json(vf),
         "residuals": [expr.render(r) for r in residuals],
         "is_symmetry": all(expr.is_zero(r) for r in residuals),
     }
@@ -199,7 +198,7 @@ def _algebra_for(args):
 
 def _cmd_normal_form(args):
     L = _algebra_for(args)
-    vec = [Fraction(x.strip()) for x in args.vector.split(",")]
+    vec = [structure.parse_rational(x.strip()) for x in args.vector.split(",")]
     if len(vec) != L.n:
         raise LiepdeError(f"vector needs {L.n} coordinates, got {len(vec)}")
     r = optimal.normal_form_1d(L, vec)
@@ -233,13 +232,7 @@ def _cmd_normal_form(args):
 def _cmd_verify_optimal(args):
     L = _algebra_for(args)
     with open(args.file, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    entries = []
-    for item in doc["entries"]:
-        vectors = [
-            [Fraction(x) for x in vec] for vec in item["vectors"]
-        ]
-        entries.append((item["label"], vectors))
+        entries = structure.table_from_json(json.load(fh))
     results, collisions = optimal.verify_optimal_table(L, entries)
     out = {
         "schema": pipeline.SCHEMA_VERSION,

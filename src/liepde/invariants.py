@@ -66,13 +66,10 @@ class WeightSystem:
     monomials may not involve them.
     """
 
-    def __init__(self, space, order, coordinates, weight_rows, masked, generators):
-        self.space = space
-        self.order = order
+    def __init__(self, coordinates, weight_rows, masked):
         self.coordinates = tuple(coordinates)
         self.weight_rows = tuple(tuple(r) for r in weight_rows)
         self.masked = frozenset(masked)
-        self.generators = tuple(generators)
 
     def weight(self, generator_index, sym):
         return self.weight_rows[generator_index][self.coordinates.index(sym)]
@@ -118,7 +115,7 @@ def weight_system(generators, js, order):
                 w = base_weights[sym]
             row.append(w)
         rows.append(row)
-    return WeightSystem(js, order, coordinates, rows, masked, tuple(generators))
+    return WeightSystem(coordinates, rows, masked)
 
 
 class MonomialInvariant:
@@ -220,8 +217,7 @@ class SimilarityForm:
     independent variable the solutions depend on the other coordinate only.
     """
 
-    def __init__(self, generator, kind, substitutions, note=""):
-        self.generator = generator
+    def __init__(self, kind, substitutions, note=""):
         self.kind = kind
         self.substitutions = substitutions  # list of (symbol, expression or None)
         self.note = note
@@ -241,7 +237,7 @@ def similarity_form(vf):
         if dep_translated:
             names_text = ", ".join(c.name for c in dep_translated)
             return SimilarityForm(
-                vf, TRANSLATION, [],
+                TRANSLATION, [],
                 note=f"translation on {names_text} is the similarity",
             )
         if len(translated) != 1 or js.p != 2:
@@ -253,7 +249,7 @@ def similarity_form(vf):
         subs = [(moving, s), (fixed, r)]
         for dep, name in zip(js.dependent, names):
             subs.append((dep, expr.FunctionApplication(name, (r,))))
-        return SimilarityForm(vf, TRANSLATION, subs)
+        return SimilarityForm(TRANSLATION, subs)
     weights = data
     scaled_ind = [z for z in js.independent if weights.get(z)]
     if len(scaled_ind) != 1 or js.p != 2:
@@ -268,4 +264,4 @@ def similarity_form(vf):
         k = weights.get(dep, Fraction(0)) / w0
         f = expr.FunctionApplication(name, (r,))
         subs.append((dep, ParamExp(s, k) * f))
-    return SimilarityForm(vf, SCALING, subs)
+    return SimilarityForm(SCALING, subs)

@@ -316,10 +316,9 @@ def _scale_step(L, inv, i, current):
 class OptimalTableEntry:
     """Verification result for one proposed subalgebra."""
 
-    def __init__(self, label, vectors, closed, offending, dim, abelian, ideal,
+    def __init__(self, label, closed, offending, dim, abelian, ideal,
                  derived_intersection_dim, invariant_signature):
         self.label = label
-        self.vectors = vectors
         self.closed = closed
         self.offending = offending
         self.dim = dim
@@ -363,10 +362,9 @@ def verify_optimal_table(L, entries):
             L, [e for i, e in enumerate(units) if i not in S.pivots], basis, S) is None
         results.append(
             OptimalTableEntry(
-                label, [tuple(Fraction(x) for x in v) for v in vectors],
-                offending is None, offending, S.dim,
+                label, offending is None, offending, S.dim,
                 not any(any(w) for _, w in brackets), ideal,
-                S.intersection_dim(derived), _invariant_signature(L, S, inv),
+                S.intersection_dim(derived), _invariant_signature(S, inv),
             )
         )
     collisions = []
@@ -380,7 +378,7 @@ def verify_optimal_table(L, entries):
     return results, collisions
 
 
-def _invariant_signature(L, S, inv):
+def _invariant_signature(S, inv):
     """RREF of the subalgebra's projection onto the invariant components."""
     rows = [tuple(v[j] for j in inv) for v in S.basis]
     reduced, _ = linalg.rref(rows)

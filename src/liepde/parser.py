@@ -169,7 +169,7 @@ class _Parser:
                 raise ParseError(
                     f"unknown declaration {tok.text!r}", tok.line, tok.column
                 )
-            handler(tok)
+            handler()
             if self.peek().kind not in ("newline", "end"):
                 bad = self.peek()
                 raise ParseError(
@@ -190,7 +190,7 @@ class _Parser:
             or any(name == p for p, _ in self.parameters)
         )
 
-    def _parse_param(self, kw):
+    def _parse_param(self):
         tok = self.expect("name", "a parameter name")
         if self._declared(tok.text):
             raise ParseError(f"{tok.text!r} already declared", tok.line, tok.column)
@@ -203,7 +203,7 @@ class _Parser:
             positive = True
         self.parameters.append((tok.text, positive))
 
-    def _parse_independent(self, kw):
+    def _parse_independent(self):
         count = 0
         while self.peek().kind == "name":
             tok = self.advance()
@@ -215,7 +215,7 @@ class _Parser:
             tok = self.peek()
             raise ParseError("expected variable names", tok.line, tok.column)
 
-    def _parse_dependent(self, kw):
+    def _parse_dependent(self):
         tok = self.expect("name", "a dependent variable name")
         if self._declared(tok.text):
             raise ParseError(f"{tok.text!r} already declared", tok.line, tok.column)
@@ -251,19 +251,19 @@ class _Parser:
             self.space = JetSpace(independent, dependent, 4)
         return self.space
 
-    def _parse_equation(self, kw):
+    def _parse_equation(self):
         lhs = self._parse_expression()
         self.expect("=")
         rhs = self._parse_expression()
         self.equations.append((lhs, rhs))
 
-    def _parse_lead(self, kw):
+    def _parse_lead(self):
         tok = self.expect("name", "a derivative d(...)")
         if tok.text != "d":
             raise ParseError(
                 "leading coordinates are written d(u, x, ...)", tok.line, tok.column
             )
-        sym = self._parse_derivative(tok)
+        sym = self._parse_derivative()
         if sym.role != expr.JET:
             raise ParseError(
                 "a leading coordinate must involve at least one derivative",
@@ -335,7 +335,7 @@ class _Parser:
         if tok.kind == "name":
             self.advance()
             if tok.text == "d" and self.peek().kind == "(":
-                return self._parse_derivative(tok)
+                return self._parse_derivative()
             return self._symbol(tok)
         raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.column)
 
@@ -351,7 +351,7 @@ class _Parser:
                 return Symbol(name, PARAMETER)
         raise ParseError(f"undeclared symbol {name!r}", tok.line, tok.column)
 
-    def _parse_derivative(self, dtok):
+    def _parse_derivative(self):
         space = self._ensure_space()
         self.expect("(")
         ftok = self.expect("name", "a dependent variable")

@@ -54,7 +54,7 @@ def jexppoly(e):
     return out
 
 
-def field_json(vf, space):
+def field_json(vf):
     return {
         "xi": [expr.render(c) for c in vf.xi],
         "phi": [expr.render(c) for c in vf.phi],
@@ -141,7 +141,7 @@ def run_pipeline(doc, ansatz_degree=1, invariant_order=1, use_reference=None):
         },
         # solve_determining has checked that every residual is zero.
         "generators": [
-            {**field_json(vf, space), "label": f"g{idx + 1}",
+            {**field_json(vf), "label": f"g{idx + 1}",
              "residuals": [expr.render(expr.ZERO)] * len(system.equations),
              "residual_zero": True}
             for idx, vf in enumerate(basis)
@@ -379,11 +379,8 @@ def _compare_baseline(report, fixture, L, space, system, basis, flow_maps, usabl
         note("reference:boundary-layer/symmetry-dimension", detail)
 
     struct = report["structure"]
-    struct["matches_reference_commutators"] = all(
-        L.constants[i][j] == reference.COMMUTATOR_TABLE[i][j]
-        for i in range(5)
-        for j in range(5)
-    )
+    struct["matches_reference_commutators"] = (
+        L.constants == reference.baseline_algebra().constants)
     struct["matches_reference_killing"] = struct["killing"] == [
         [jfrac(c) for c in row] for row in reference.KILLING_FORM
     ]
@@ -467,8 +464,8 @@ def _compare_baseline(report, fixture, L, space, system, basis, flow_maps, usabl
                 f"{label}: {', '.join(failures)}",
             )
 
-    results, collisions = optimal.verify_optimal_table(
-        L, reference.optimal_table_entries())
+    entries = reference.optimal_table_entries()
+    results, collisions = optimal.verify_optimal_table(L, entries)
     opt = report["optimal"] = {
         "invariant_components": [L.labels[j] for j in optimal.invariant_components(L)],
         "entries": optimal_entries_json(results),
@@ -481,7 +478,7 @@ def _compare_baseline(report, fixture, L, space, system, basis, flow_maps, usabl
             "baseline subalgebra entries that do not close under the bracket: "
             + "; ".join(failures),
         )
-    reps = [vec for _, vec in reference.optimal_1d_representatives()]
+    reps = [vectors[0] for _, vectors in entries if len(vectors) == 1]
     gaps = opt["one_dimensional_coverage_gaps"] = optimal.coverage_gaps(L, reps)
     if gaps:
         note(

@@ -5,24 +5,30 @@ generators, commutator table, Killing form, adjoint matrices, flows (per
 generator, the images of x, y, u, v, p, as `adjoint.flow` gives them) and
 transformed solutions (the last three as `expr` values in the one group
 parameter `adjoint.EPS_SYMBOL`), invariant lists, and the subalgebra tables
-with their free parameters at each of PARAMETER_VALUES.  In the pipeline,
-one comparison pass (`pipeline._compare_baseline`) checks a report on
-v1..v5 against this corpus and emits a discrepancy note wherever the
-baseline is known to disagree with the exact computation, e.g. misprinted
-matrix entries or a derived-series chain inconsistent with the commutator
-table, and the advection-term note only on the shipped fixture itself
-(`fixture_document`, which `run_pipeline` compares with its document once
-per run).  Besides it, only `pipeline.reference_on` (the auto rule and the
-shape check) and `pipeline.analysed_algebra` (v1..v5 as the analysed
-algebra) read it.
+with their free parameters instantiated at 1 and 2.  The commutator table
+and the subalgebra table are the shipped data files
+`boundary_layer_algebra.json` and `boundary_layer_optimal.json`, their only
+copy: `baseline_algebra` and `optimal_table_entries` read them through
+`structure.algebra_from_json` and `structure.table_from_json` on each call.
+In the pipeline, one comparison pass (`pipeline._compare_baseline`) checks
+a report on v1..v5 against this corpus and emits a discrepancy note
+wherever the baseline is known to disagree with the exact computation,
+e.g. misprinted matrix entries or a derived-series chain inconsistent with
+the commutator table, and the advection-term note only on the shipped
+fixture itself (`fixture_document`, which `run_pipeline` compares with its
+document once per run).  Besides it, `pipeline.reference_on` (the auto
+rule and the shape check), `pipeline.analysed_algebra` (v1..v5 as the
+analysed algebra) and `cli._load_document` (`fixture_text`, the system a
+command reads when it names none) read it.
 """
 
 from __future__ import annotations
 
 import importlib.resources
+import json
 from fractions import Fraction
 
-from . import expr, parser
+from . import expr, parser, structure
 from .adjoint import EPS_SYMBOL, exp_term
 from .errors import LiepdeError
 from .fields import VectorField
@@ -76,22 +82,8 @@ def extra_generator(space):
     return VectorField(space, (Z, x), (Z, u, Z))
 
 
-F = Fraction
-
-# Commutator table: entry [i][j] holds the coordinates of [v_i, v_j].
-COMMUTATOR_TABLE = tuple(
-    tuple(tuple(F(x) for x in cell) for cell in row)
-    for row in (
-        (((0,) * 5), ((0,) * 5), ((0,) * 5), (1, 0, 0, 0, 0), ((0,) * 5)),
-        (((0,) * 5), ((0,) * 5), ((0,) * 5), ((0,) * 5), (0, 1, 0, 0, 0)),
-        (((0,) * 5), ((0,) * 5), ((0,) * 5), (0, 0, 2, 0, 0), (0, 0, -4, 0, 0)),
-        ((-1, 0, 0, 0, 0), ((0,) * 5), (0, 0, -2, 0, 0), ((0,) * 5), ((0,) * 5)),
-        (((0,) * 5), (0, -1, 0, 0, 0), (0, 0, 4, 0, 0), ((0,) * 5), ((0,) * 5)),
-    )
-)
-
 KILLING_FORM = tuple(
-    tuple(F(x) for x in row)
+    tuple(Fraction(x) for x in row)
     for row in (
         (0, 0, 0, 0, 0),
         (0, 0, 0, 0, 0),
@@ -267,105 +259,26 @@ def invariant_table_rows(space):
 EXPECTED_INVARIANT_FAILURES = {3: ("u", "p"), 4: ("y^5*v_y",)}
 
 
-# The values at which the free parameters of the baseline optimal table
-# (its a's and b's) are instantiated.
-PARAMETER_VALUES = (1, 2)
-
-
-def optimal_1d_representatives():
-    """Baseline one-dimensional representatives, each parameter at each of
-    PARAMETER_VALUES."""
-    reps = [("v3", (0, 0, 1, 0, 0))]
-    for a in PARAMETER_VALUES:
-        reps.append((f"a1*v1+a2*v2 (a={a})", (a, a, 0, 0, 0)))
-        reps.append((f"a1*v2+a2*v3 (a={a})", (0, a, a, 0, 0)))
-        reps.append((f"a1*v1+a2*v2+a3*v3 (a={a})", (a, a, a, 0, 0)))
-    return reps
+def baseline_algebra():
+    """The baseline commutator table on v1..v5, read from the shipped
+    `boundary_layer_algebra.json`."""
+    return structure.algebra_from_json(
+        json.loads(fixture_text("boundary_layer_algebra.json")))
 
 
 def optimal_table_entries():
-    """Baseline optimal-system table, beta parameters instantiated.
+    """The baseline optimal-system table, read from the shipped
+    `boundary_layer_optimal.json`: a list of (label, vectors), each span
+    with free parameters once per instantiated value."""
+    return structure.table_from_json(
+        json.loads(fixture_text("boundary_layer_optimal.json")))
 
-    Returns a list of (label, vectors); spans with free parameters appear
-    once per value in PARAMETER_VALUES.
-    """
-
-    def e(*idx_coeffs):
-        vec = [0] * 5
-        for i, c in idx_coeffs:
-            vec[i] = c
-        return tuple(vec)
-
-    entries = []
-    for label, vec in optimal_1d_representatives():
-        entries.append((f"dim1 <{label}>", [vec]))
-    pairs = [
-        (0, 1), (0, 2), (1, 2), (1, 3), (2, 3),
-        (0, 3), (0, 4), (1, 4), (2, 4), (3, 4),
-    ]
-    for i, j in pairs:
-        entries.append(
-            (f"dim2 <v{i + 1},v{j + 1}>", [e((i, 1)), e((j, 1))])
-        )
-    for b in PARAMETER_VALUES:
-        entries.append(
-            (f"dim2 <v1, sum_i b*vi> (b={b})",
-             [e((0, 1)), e((1, b), (2, b), (3, b), (4, b))])
-        )
-        entries.append(
-            (f"dim2 <b1*v1+b2*v2, v3+b3*(v4+v5)> (b={b})",
-             [e((0, b), (1, b)), e((2, 1), (3, b), (4, b))])
-        )
-        entries.append(
-            (f"dim2 <b1*v2+b2*v3, v1+5/2*b3*(v4+v5)> (b={b})",
-             [e((1, b), (2, b)),
-              e((0, 1), (3, Fraction(5, 2) * b), (4, Fraction(5, 2) * b))])
-        )
-    triples = [
-        (0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 2, 4),
-        (0, 3, 4), (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4),
-    ]
-    for t in triples:
-        label = ",".join(f"v{i + 1}" for i in t)
-        entries.append((f"dim3 <{label}>", [e((i, 1)) for i in t]))
-    quads = [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4), (1, 2, 3, 4)]
-    for t in quads:
-        label = ",".join(f"v{i + 1}" for i in t)
-        entries.append((f"dim4 <{label}>", [e((i, 1)) for i in t]))
-    entries.append(
-        ("dim5 <v1,v2,v3,v4,v5>", [e((i, 1)) for i in range(5)])
-    )
-    return entries
 
 # The mixed dim-2 entry with the 5/2 factor does not close under the
 # bracket for any instantiation with all three parameters nonzero:
 # [b1 v2 + b2 v3, v1 + 5/2 b3 (v4+v5)] = 5/2 b3 (b1 v2 - 2 b2 v3), which
 # lies in the span only if b1, b2, or b3 vanishes.
-EXPECTED_CLOSURE_FAILURES = tuple(
-    f"dim2 <b1*v2+b2*v3, v1+5/2*b3*(v4+v5)> (b={b})" for b in PARAMETER_VALUES
+EXPECTED_CLOSURE_FAILURES = (
+    "dim2 <b1*v2+b2*v3, v1+5/2*b3*(v4+v5)> (b=1)",
+    "dim2 <b1*v2+b2*v3, v1+5/2*b3*(v4+v5)> (b=2)",
 )
-
-
-def structure_constants_json():
-    """Sparse JSON form of the commutator table (CLI interchange fixture)."""
-    brackets = []
-    for i in range(5):
-        for j in range(i + 1, 5):
-            vec = COMMUTATOR_TABLE[i][j]
-            if any(vec):
-                brackets.append(
-                    {"i": i + 1, "j": j + 1,
-                     "coeffs": [str(Fraction(c)) for c in vec]}
-                )
-    return {"dim": 5, "labels": ["v1", "v2", "v3", "v4", "v5"],
-            "brackets": brackets}
-
-
-def optimal_table_json():
-    entries = []
-    for label, vectors in optimal_table_entries():
-        entries.append(
-            {"label": label,
-             "vectors": [[str(Fraction(x)) for x in vec] for vec in vectors]}
-        )
-    return {"schema": 1, "entries": entries}

@@ -11,6 +11,12 @@ basis once and reads closure, its offending pair and abelianness off
 them; its ideal test is one `bracket_outside` call.  `_series` iterates
 one step on subspaces from the whole algebra until a term is 0 or
 repeats: the derived and the lower central series.
+
+This module is also the one home of the two JSON interchange formats:
+`algebra_from_json` reads a structure-constants document and
+`table_from_json` a subalgebra table.  Both read every number through
+`parse_rational`, as `normal-form --vector` does, and raise ValueError on
+malformed input.
 """
 
 from __future__ import annotations
@@ -332,30 +338,81 @@ def normalizer(L, S):
 
 
 # ---------------------------------------------------------------------------
-# JSON structure-constants interchange
+# JSON interchange: structure constants and subalgebra tables
 # ---------------------------------------------------------------------------
 
 def algebra_from_json(doc):
-    """Build a LieAlgebra from {"dim": n, "brackets": [{"i", "j", "coeffs"}]}.
+    """Build a LieAlgebra from {"dim": n, "labels": [...], "brackets":
+    [{"i", "j", "coeffs"}]}.
 
     Indices are 1-based; missing brackets are zero; antisymmetric partners
-    are filled in automatically.
+    are filled in automatically; `labels` is optional.  A malformed
+    document raises ValueError naming the bracket at fault.
     """
     n = doc["dim"]
+    if not _is_int(n) or n < 0:
+        raise ValueError(f"dim must be a non-negative integer, got {n!r}")
     entries = {}
-    for item in doc.get("brackets", []):
-        i, j = item["i"] - 1, item["j"] - 1
-        coeffs = [_parse_rational(x) for x in item["coeffs"]]
+    for number, item in enumerate(doc.get("brackets", []), 1):
+        where = f"bracket {number}"
+        i, j = item["i"], item["j"]
+        for name, index in (("i", i), ("j", j)):
+            if not _is_int(index) or not 1 <= index <= n:
+                raise ValueError(f"{where}: index {name} = {index!r} is not in 1..{n}")
+        if (i - 1, j - 1) in entries or (j - 1, i - 1) in entries:
+            raise ValueError(f"{where}: the bracket of elements {i} and {j} is given twice")
+        coeffs = _rationals(item["coeffs"], where)
         if len(coeffs) != n:
-            raise ValueError("bracket coefficient vector has wrong length")
-        entries[(i, j)] = coeffs
+            raise ValueError(f"{where}: needs {n} coefficients, got {len(coeffs)}")
+        entries[(i - 1, j - 1)] = coeffs
     labels = doc.get("labels")
+    if labels is not None and (
+            not isinstance(labels, list) or len(labels) != n
+            or not all(isinstance(label, str) for label in labels)):
+        raise ValueError(f"labels must be a list of {n} strings, got {labels!r}")
     return LieAlgebra.from_brackets(n, entries, labels=labels)
 
 
-def _parse_rational(x):
+def table_from_json(doc):
+    """The (label, vectors) entries of a subalgebra table {"schema": 1,
+    "entries": [{"label", "vectors"}]}, as `optimal.verify_optimal_table`
+    takes them.  A malformed entry raises ValueError naming it."""
+    entries = []
+    for item in doc["entries"]:
+        label, vectors = item["label"], item["vectors"]
+        if not isinstance(vectors, list):
+            raise ValueError(f"entry {label}: vectors must be a list, got {vectors!r}")
+        entries.append((label, [_rationals(v, f"entry {label}") for v in vectors]))
+    return entries
+
+
+def parse_rational(x):
+    """An integer or a 'num/den' string as an exact rational: a plain int
+    when it is an integer, else a Fraction.  Anything else, a float or a
+    boolean among them, and a zero denominator raise ValueError."""
     if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, int):
-        return Fraction(x)
+        try:
+            return int(x)
+        except ValueError:
+            pass
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
+    if _is_int(x):
+        return x
     raise ValueError(f"rationals must be integers or 'num/den' strings, got {x!r}")
+
+
+def _rationals(values, where):
+    """`parse_rational` of each value of a JSON list; errors name `where`."""
+    if not isinstance(values, list):
+        raise ValueError(f"{where}: expected a list of rationals, got {values!r}")
+    try:
+        return [parse_rational(x) for x in values]
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)

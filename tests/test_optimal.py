@@ -326,12 +326,14 @@ class TestOptimalTable:
         assert not by_label["<v3,v4>"].abelian
 
     def test_coverage_gap_flags_invariant_directions(self, algebra):
-        reps = [vec for _, vec in reference.optimal_1d_representatives()]
+        reps = [vecs[0] for _, vecs in reference.optimal_table_entries()
+                if len(vecs) == 1]
         gaps = coverage_gaps(algebra, reps)
         assert gaps == ["v4", "v5"]
 
     def test_coverage_satisfied_when_rep_present(self, algebra):
-        reps = [vec for _, vec in reference.optimal_1d_representatives()]
+        reps = [vecs[0] for _, vecs in reference.optimal_table_entries()
+                if len(vecs) == 1]
         reps.append((0, 0, 0, 1, 0))
         reps.append((0, 0, 0, 0, 1))
         gaps = coverage_gaps(algebra, reps)

@@ -13,6 +13,10 @@ from liepde.cli import main as cli_main
 from liepde.errors import LiepdeError, PipelineError
 from test_determining import HEAT_SYSTEM, TWO_PARAMETER_SYSTEM
 
+DATA = pathlib.Path(liepde.__file__).parent / "data"
+ALGEBRA = str(DATA / "boundary_layer_algebra.json")
+TABLE = str(DATA / "boundary_layer_optimal.json")
+
 
 def note_anchors(report):
     return {n["anchor"] for n in report["notes"]}
@@ -304,12 +308,9 @@ class TestCli:
         rc = cli_main(["check-generator", "--field", "0; x"])
         assert rc == 1
 
-    def test_normal_form_with_constants(self, tmp_path, capsys):
-        constants = tmp_path / "algebra.json"
-        constants.write_text(json.dumps(reference.structure_constants_json()))
+    def test_normal_form_with_constants(self, capsys):
         rc = cli_main(
-            ["normal-form", "--vector", "1,0,0,1,0",
-             "--constants", str(constants)]
+            ["normal-form", "--vector", "1,0,0,1,0", "--constants", ALGEBRA]
         )
         assert rc == 0
         out = capsys.readouterr().out
@@ -324,11 +325,12 @@ class TestCli:
         # argparse reads "-1,..." as an option name unless it is attached
         # with "="; both spellings must give the same run
         tail = []
-        if constants:
-            doc = reference.structure_constants_json() if constants == "fixture" else {
-                "dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": [0, 1]}]}
+        if constants == "fixture":
+            tail = ["--constants", ALGEBRA]
+        elif constants:
             path = tmp_path / "algebra.json"
-            path.write_text(json.dumps(doc))
+            path.write_text(json.dumps(
+                {"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": [0, 1]}]}))
             tail = ["--constants", str(path)]
         runs = []
         for spelled in (["--vector", vector], [f"--vector={vector}"]):
@@ -360,28 +362,58 @@ class TestCli:
                        "after": ["-1", "0", "0", "0", "0"]}],
         }
 
-    def test_verify_optimal(self, tmp_path, capsys):
-        constants = tmp_path / "algebra.json"
-        constants.write_text(json.dumps(reference.structure_constants_json()))
-        table = tmp_path / "table.json"
-        table.write_text(json.dumps(reference.optimal_table_json()))
+    def test_verify_optimal(self, capsys):
         rc = cli_main(
-            ["verify-optimal", "--file", str(table),
-             "--constants", str(constants)]
+            ["verify-optimal", "--file", TABLE, "--constants", ALGEBRA]
         )
         assert rc == 0
         out = capsys.readouterr().out
         assert "NOT CLOSED" in out  # the known non-closing baseline entry
 
-    def test_verify_optimal_rejects_short_vectors(self, tmp_path, capsys):
+    def test_verify_optimal_rejects_short_vectors(self, capsys):
         # the bundled table holds v1..v5 coordinates; the computed algebra
         # of the fixture has six dimensions
-        table = tmp_path / "table.json"
-        table.write_text(json.dumps(reference.optimal_table_json()))
-        rc = cli_main(["--reference", "off", "verify-optimal", "--file", str(table)])
+        rc = cli_main(["--reference", "off", "verify-optimal", "--file", TABLE])
         out, err = capsys.readouterr()
         assert (rc, out) == (1, "")
         assert err == "error: entry dim1 <v3>: vector needs 6 coordinates, got 5\n"
+
+    @pytest.mark.parametrize("argv, document, error", [
+        # index 0 once read as the last element, so [v1, v2] was -v1
+        (["structure", "--constants"],
+         {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": ["1", "0"]}]},
+         "bracket 1: index i = 0 is not in 1..2"),
+        (["structure", "--constants"],
+         {"dim": 2, "brackets": [{"i": 3, "j": 1, "coeffs": ["1", "0"]}]},
+         "bracket 1: index i = 3 is not in 1..2"),
+        (["structure", "--constants"], {"dim": "2", "brackets": []},
+         "dim must be a non-negative integer, got '2'"),
+        (["structure", "--constants"], {"dim": 2, "labels": ["a"], "brackets": []},
+         "labels must be a list of 2 strings, got ['a']"),
+        (["structure", "--constants"],
+         {"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": [True, 0]}]},
+         "bracket 1: rationals must be integers or 'num/den' strings, got True"),
+        (["structure", "--constants"],
+         {"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": ["1/0", 0]}]},
+         "bracket 1: zero denominator in '1/0'"),
+        (["verify-optimal", "--file"],
+         {"schema": 1, "entries": [{"label": "<v1>", "vectors": [["1/0", 0, 0, 0, 0]]}]},
+         "entry <v1>: zero denominator in '1/0'"),
+        (["verify-optimal", "--file"],
+         {"schema": 1, "entries": [{"label": "<v1>", "vectors": [[0.1, 0, 0, 0, 0]]}]},
+         "entry <v1>: rationals must be integers or 'num/den' strings, got 0.1"),
+        (["normal-form", "--vector", "1/0,0,0,0,0"], None,
+         "zero denominator in '1/0'"),
+    ], ids=["index-0", "index-3", "string-dim", "short-labels", "boolean",
+            "zero-denominator", "table-zero-denominator", "table-float",
+            "vector-zero-denominator"])
+    def test_malformed_input_is_an_error(self, tmp_path, capsys, argv, document, error):
+        if document is not None:
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps(document))
+            argv = [*argv, str(path)]
+        rc = cli_main(argv)
+        assert (rc, *capsys.readouterr()) == (1, "", f"error: {error}\n")
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.pde"
@@ -481,8 +513,7 @@ class TestCli:
 
     def constants(self, tmp_path, name):
         if name == "fixture":
-            return str(pathlib.Path(liepde.__file__).parent / "data"
-                       / "boundary_layer_algebra.json")
+            return ALGEBRA
         path = tmp_path / "sl2.json"
         path.write_text(json.dumps(self.SL2))
         return str(path)
@@ -632,9 +663,7 @@ class TestReferenceShape:
     def run(self, tmp_path, capsys, *argv):
         system = tmp_path / "burgers.pde"
         system.write_text(BURGERS)
-        table = tmp_path / "table.json"
-        table.write_text(json.dumps(reference.optimal_table_json()))
-        argv = [str(table) if a == "TABLE" else a for a in argv]
+        argv = [TABLE if a == "TABLE" else a for a in argv]
         rc = cli_main(["--reference", "on", *argv, str(system)])
         out, err = capsys.readouterr()
         assert (rc, out) == (1, "")

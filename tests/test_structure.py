@@ -1,5 +1,3 @@
-import importlib.resources
-import json
 import random
 from fractions import Fraction
 
@@ -11,7 +9,7 @@ from liepde.errors import NotASubalgebraError
 from liepde.fields import VectorField, bracket
 from liepde.optimal import verify_optimal_table
 from liepde.prolongation import build_determining, solve_determining
-from liepde.reference import COMMUTATOR_TABLE, KILLING_FORM
+from liepde.reference import KILLING_FORM
 from liepde.structure import (
     LieAlgebra,
     algebra_from_json,
@@ -70,10 +68,11 @@ class TestBracket:
 
 class TestStructureConstants:
     def test_full_commutator_table(self, algebra):
+        table = reference.baseline_algebra().constants
         for i in range(5):
             for j in range(5):
                 got = algebra.bracket_coords(unit(5, i), unit(5, j))
-                assert got == COMMUTATOR_TABLE[i][j], (i, j)
+                assert got == table[i][j], (i, j)
 
     def test_single_field_is_abelian(self, golden):
         _, _, gens = golden
@@ -243,26 +242,48 @@ class TestSubspaces:
 
 class TestJsonInterchange:
     def test_round_trip(self, algebra):
-        from liepde.reference import structure_constants_json
-
-        L = algebra_from_json(structure_constants_json())
+        L = reference.baseline_algebra()
         assert L.n == 5
         for i in range(5):
             for j in range(5):
                 assert L.bracket_coords(unit(5, i), unit(5, j)) == \
                     algebra.bracket_coords(unit(5, i), unit(5, j))
 
-    def test_bundled_data_files_match_reference(self):
-        data = importlib.resources.files("liepde.data")
-        for name, doc in (
-            ("boundary_layer_algebra.json", reference.structure_constants_json()),
-            ("boundary_layer_optimal.json", reference.optimal_table_json()),
-        ):
-            assert json.loads(data.joinpath(name).read_text("utf-8")) == doc, name
-
     def test_bad_vector_length(self):
-        with pytest.raises(ValueError):
-            algebra_from_json({"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": ["1"]}]})
+        def bracket(**item):
+            return {"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": ["1", "0"], **item}]}
+
+        for doc, message in (
+            (bracket(coeffs=["1"]), "bracket 1: needs 2 coefficients, got 1"),
+            # index 0 once read as the last element, so [v1, v2] was -v1
+            (bracket(i=0), "bracket 1: index i = 0 is not in 1..2"),
+            (bracket(i=3), "bracket 1: index i = 3 is not in 1..2"),
+            (bracket(j=True), "bracket 1: index j = True is not in 1..2"),
+            ({"dim": "2", "brackets": []}, "dim must be a non-negative integer, got '2'"),
+            ({**bracket(), "labels": ["a"]}, "labels must be a list of 2 strings"),
+            (bracket(coeffs=[True, 0]), "bracket 1: rationals must be integers"),
+            (bracket(coeffs=["1/0", 0]), "bracket 1: zero denominator in '1/0'"),
+            (bracket(coeffs=[0.5, 0]), "bracket 1: rationals must be integers"),
+            (bracket(coeffs="10"), "bracket 1: expected a list of rationals"),
+            # a second bracket of the same pair once replaced the first
+            ({"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": ["1", "0"]},
+                                     {"i": 2, "j": 1, "coeffs": ["0", "1"]}]},
+             "bracket 2: the bracket of elements 2 and 1 is given twice"),
+        ):
+            with pytest.raises(ValueError) as caught:
+                algebra_from_json(doc)
+            assert str(caught.value).startswith(message), doc
+        for doc, message in (
+            ({"entries": [{"label": "<v1>", "vectors": [[0.1, 0]]}]},
+             "entry <v1>: rationals must be integers or 'num/den' strings, got 0.1"),
+            ({"entries": [{"label": "<v1>", "vectors": [["1/0", 0]]}]},
+             "entry <v1>: zero denominator in '1/0'"),
+            ({"entries": [{"label": "<v1>", "vectors": [[False, 1]]}]},
+             "entry <v1>: rationals must be integers or 'num/den' strings, got False"),
+        ):
+            with pytest.raises(ValueError) as caught:
+                structure.table_from_json(doc)
+            assert str(caught.value) == message, doc
 
 
 # ---------------------------------------------------------------------------

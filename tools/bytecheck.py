@@ -62,7 +62,11 @@ invariants: ``normal-form --constants`` on e(2) at v1 + v3 and at v3, which
 one Ad(exp(v2)) maps onto each other, and ``--reference off normal-form``
 on the Laplace equation at g1 + g3 and at g1 + g2 + g3 + g4, whose g1 and
 g2 translations refill each other through the rotation g4 until the sweep
-bound stops them (exit 1).  The optimal table for ``verify-optimal`` and
+bound stops them (exit 1), and, last, malformed input that must end in an
+error: ``structure --constants`` on documents with a bracket index of 0
+and of 3 on a two-dimensional algebra and with one label for two
+dimensions, and ``verify-optimal --file`` on a table whose coordinate is
+the JSON float 0.1.  The optimal table for ``verify-optimal`` and
 the printed variant are the files bundled with PARENT_TREE.
 """
 
@@ -213,6 +217,18 @@ H3 = {"dim": 3, "labels": ["x", "y", "z"],
 E2 = {"dim": 3, "brackets": [{"i": 3, "j": 1, "coeffs": ["0", "1", "0"]},
                              {"i": 3, "j": 2, "coeffs": ["-1", "0", "0"]}]}
 
+# malformed documents, each an error: a bracket index of 0 (once read as
+# the last element, so that [v1, v2] = -v1) and of 3 on dim 2, one label on
+# dim 2, and a table whose coordinate is the float 0.1
+MALFORMED = {
+    "index0.json": {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": ["1", "0"]}]},
+    "index3.json": {"dim": 2, "brackets": [{"i": 3, "j": 1, "coeffs": ["1", "0"]}]},
+    "short_labels.json": {"dim": 2, "labels": ["a"],
+                          "brackets": [{"i": 1, "j": 2, "coeffs": ["0", "1"]}]},
+    "float_table.json": {"schema": 1, "entries": [
+        {"label": "<v1 + v4/10>", "vectors": [[1, 0, 0, 0.1, 0]]}]},
+}
+
 
 def borel4():
     """Structure constants of b(4) on the units E_pq in row order."""
@@ -282,6 +298,7 @@ def write_inputs(folder, parent):
         "sl2.json": json.dumps(SL2),
         "sl2_table.json": json.dumps(SL2_TABLE),
         "h3.json": json.dumps(H3),
+        **{name: json.dumps(doc) for name, doc in MALFORMED.items()},
     }
     rng = random.Random(1)
     c = 10 ** 12 + rng.randrange(1, 10 ** 6)
@@ -415,6 +432,9 @@ def write_inputs(folder, parent):
         for vec in ("1,0,1,0,0,0,0,0", "1,1,1,1,0,0,0,0"):
             commands.append(["--reference", "off", *fmt, "normal-form",
                              f"--vector={vec}", "laplace.pde"])
+    for name in ("index0.json", "index3.json", "short_labels.json"):
+        commands.append(["structure", "--constants", name])
+    commands.append(["verify-optimal", "--file", "float_table.json"])
     return commands
 
 
