@@ -101,7 +101,10 @@ class Expr:
         return _lift(other) - self
 
     def __mul__(self, other):
-        return _canonical(_poly_mul(self._poly(), _lift(other)._poly()))
+        if isinstance(other, Expr):
+            return _canonical(_poly_mul(self._poly(), other._poly()))
+        c = _as_coeff(other)
+        return _canonical(_poly_scale(self._poly(), c)) if c else ZERO
 
     __rmul__ = __mul__
 
@@ -363,11 +366,22 @@ def _poly_add(p1, p2, scale=1):
 
 
 def _poly_mul(p1, p2):
+    if len(p2) == 1 and _EMPTY_MONO in p2:
+        return _poly_scale(p1, p2[_EMPTY_MONO])
+    if len(p1) == 1 and _EMPTY_MONO in p1:
+        return _poly_scale(p2, p1[_EMPTY_MONO])
     out = {}
     for m1, c1 in p1.items():
         for m2, c2 in p2.items():
             _add_term(out, _mono_mul(m1, m2), c1 * c2)
     return out
+
+
+def _poly_scale(p, c):
+    """p times the nonzero coefficient c, term by term in p's order."""
+    if type(c) is int:
+        return {m: v * c if type(v) is int else _as_coeff(v * c) for m, v in p.items()}
+    return {m: _as_coeff(v * c) for m, v in p.items()}
 
 
 def _poly_pow(p, n):

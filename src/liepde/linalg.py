@@ -20,13 +20,17 @@ would store equal entries differently and change the basis vectors after
 the first candidate row serves.
 
 The parameter field holds fractions of `expr` polynomials in the parameter
-symbols, with only guaranteed-exact simplification.  Two elements that are
-rational constants over `expr.ONE` itself, as most entries of a
-determining matrix are, add, multiply, negate and invert on their
-coefficients directly and give the node `expr` arithmetic would.  A
-Laurent monomial such as 2*nu or rho^-1 over `expr.ONE` inverts to one over
-itself, and a difference subtracts the numerators in one step; both give
-the numerator and denominator that the general formulas would.  `det`
+symbols, with only guaranteed-exact simplification.  A rational element,
+as most entries of a determining matrix are, is a plain number: an int
+when it is integral and a Fraction otherwise, as `expr` holds its
+coefficients.  Only an element that holds a parameter is a `ParamFrac`.
+Its arithmetic takes numbers on either side and returns a number whenever
+the result is constant, and the kernel turns the integral Fractions that
+number arithmetic leaves into ints.  As a pivot candidate a number weighs
+2, what a constant over `expr.ONE` weighs.  A Laurent monomial such as
+2*nu or rho^-1 over `expr.ONE` inverts to one over itself, and a
+difference subtracts the numerators in one step; both give the numerator
+and denominator that the general formulas would.  `det`
 and `integer_kernel` (unimodular column reduction, for the
 monomial-invariant lattice) keep their own loops.
 """
@@ -47,12 +51,14 @@ from .errors import UnsupportedDivisionError
 
 class _Field:
     """What the kernel needs of a field: `weight` ranks candidate pivots
-    (None takes the first candidate) and `coerce` turns an input entry into
-    an element."""
+    (None takes the first candidate), `coerce` turns an input entry into
+    an element and `canonical`, when given, puts each computed entry in the
+    form the field holds it in."""
 
-    def __init__(self, zero, one, is_zero, inverse, weight, coerce):
+    def __init__(self, zero, one, is_zero, inverse, weight, coerce, canonical=None):
         self.zero, self.one, self.is_zero = zero, one, is_zero
         self.inverse, self.weight, self.coerce = inverse, weight, coerce
+        self.canonical = canonical
 
 
 _RATIONALS = _Field(Fraction(0), Fraction(1), operator.not_, lambda x: 1 / x,
@@ -71,17 +77,17 @@ def _eliminate(row, c, pivot, field, holders=None, j=None):
     `row` in place, dropping the entries that become zero.  With `holders`,
     the column index of `Echelon`, keep row `j`'s entries in it up to date."""
     f = row[c]
-    zero, is_zero = field.zero, field.is_zero
+    is_zero, canonical = field.is_zero, field.canonical
     for k, b in pivot.items():
         old = row.get(k)
-        x = (zero if old is None else old) - f * b
+        x = -(f * b) if old is None else old - f * b
         if is_zero(x):
             if old is not None:
                 del row[k]
                 if holders is not None:
                     holders[k].discard(j)
         else:
-            row[k] = x
+            row[k] = x if canonical is None else canonical(x)
             if old is None and holders is not None:
                 holders.setdefault(k, set()).add(j)
 
@@ -123,7 +129,10 @@ class Echelon:
             order[r], order[p] = i, moved
             position[i], position[moved] = r, p
             inv = field.inverse(rows[i][c])
-            pivot = rows[i] = {k: x * inv for k, x in rows[i].items()}
+            pivot = {k: x * inv for k, x in rows[i].items()}
+            if field.canonical is not None:
+                pivot = {k: field.canonical(x) for k, x in pivot.items()}
+            rows[i] = pivot
             for j in list(held):
                 if j != i:
                     _eliminate(rows[j], c, pivot, field, holders, j)
@@ -215,7 +224,14 @@ def det(rows):
 # ---------------------------------------------------------------------------
 
 class ParamFrac:
-    """Element num / den of the field of rational functions in the parameters.
+    """Element num / den of the field of rational functions in the parameters
+    that is not a rational constant.
+
+    A rational element is a plain number, an int when it is integral and a
+    Fraction otherwise, as `expr` holds its coefficients; `element` gives
+    the element an input stands for.  Arithmetic takes numbers on either
+    side and returns a number whenever the result is constant, and
+    `is_zero`, `inverse` and `complexity` take a number for `self`.
 
     `num` and `den` are canonical expressions in the parameter symbols;
     `num` may hold negative powers.  `den` is kept free of monomial and
@@ -244,88 +260,104 @@ class ParamFrac:
                 q = expr.divide(num, den)
                 if q is not None:
                     num, den = q, expr.ONE
-        elif value != 1:
+        else:
             num, den = num / value, expr.ONE
         self.num = num
         self.den = den
 
-    @classmethod
-    def constant(cls, value):
-        return cls(expr.Rational(value))
+    def __bool__(self):
+        return not expr.is_zero(self.num)
 
     def is_zero(self):
-        if type(self.num) is expr.Rational:
-            return not self.num.coeff
-        return expr.is_zero(self.num)
+        return not self
 
     def __add__(self, other):
-        a, b = _rational(self), _rational(other)
-        if a is not None and b is not None:
-            return ParamFrac(expr.constant(a + b))
-        if self.den == other.den:
-            return ParamFrac(self.num + other.num, self.den)
-        return ParamFrac(self.num * other.den + other.num * self.den,
-                         self.den * other.den)
+        n, d = _parts(other)
+        if self.den == d:
+            return _element(self.num + n, d)
+        return _element(self.num * d + n * self.den, self.den * d)
+
+    __radd__ = __add__
 
     def __sub__(self, other):
-        a, b = _rational(self), _rational(other)
-        if a is not None and b is not None:
-            return ParamFrac(expr.constant(a - b))
-        if self.den == other.den:
-            return ParamFrac(self.num - other.num, self.den)
-        return ParamFrac(self.num * other.den - other.num * self.den,
-                         self.den * other.den)
+        n, d = _parts(other)
+        if self.den == d:
+            return _element(self.num - n, d)
+        return _element(self.num * d - n * self.den, self.den * d)
+
+    def __rsub__(self, other):
+        n, d = _parts(other)
+        if self.den == d:
+            return _element(n - self.num, d)
+        return _element(n * self.den - self.num * d, d * self.den)
 
     def __neg__(self):
-        a = _rational(self)
-        if a is not None:
-            return ParamFrac(expr.constant(-a))
-        return ParamFrac(-self.num, self.den)
+        return _element(-self.num, self.den)
 
     def __mul__(self, other):
-        a, b = _rational(self), _rational(other)
-        if a is not None and b is not None:
-            return ParamFrac(expr.constant(a * b))
+        if type(other) is not ParamFrac:
+            return _element(self.num * other, self.den)
         if self.den is expr.ONE and other.den is expr.ONE:
-            return ParamFrac(self.num * other.num)
-        return ParamFrac(self.num * other.num, self.den * other.den)
+            return _element(self.num * other.num)
+        return _element(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
 
     def inverse(self):
-        if self.is_zero():
+        if type(self) is not ParamFrac:
+            return expr._as_coeff(1 / Fraction(self))
+        if not self:
             raise ZeroDivisionError("inverting zero in parameter field")
-        a = _rational(self)
-        if a is not None:
-            return ParamFrac(expr.constant(1 / Fraction(a)))
         if self.den is expr.ONE and len(self.num._poly()) == 1:
-            return ParamFrac(expr.ONE / self.num)
-        return ParamFrac(self.den, self.num)
+            return _element(expr.ONE / self.num)
+        return _element(self.den, self.num)
 
     def __truediv__(self, other):
-        return self * other.inverse()
+        return self * ParamFrac.inverse(other)
 
     def __eq__(self, other):
-        return expr.is_zero(self.num * other.den - other.num * self.den)
+        n, d = _parts(other)
+        return expr.is_zero(self.num * d - n * self.den)
 
     def complexity(self):
+        if type(self) is not ParamFrac:
+            return 2
         return len(self.num._poly()) + len(self.den._poly())
 
 
-def _rational(x):
-    """The coefficient of a `ParamFrac` that is a rational constant over
-    `expr.ONE` itself, else None.  The arithmetic of two such elements runs
-    on the coefficients and gives the node that `expr` arithmetic would."""
+def _parts(x):
+    """The numerator and denominator expressions of an element."""
+    if type(x) is ParamFrac:
+        return x.num, x.den
+    return expr.constant(x), expr.ONE
+
+
+def _element(num, den=expr.ONE):
+    """The element num / den: its number when it is constant."""
+    x = ParamFrac(num, den)
     if x.den is expr.ONE and type(x.num) is expr.Rational:
         return x.num.coeff
-    return None
+    return x
 
 
-PARAM_ZERO = ParamFrac(expr.ZERO)
-"""The zero of the parameter field that dense rows share; rref_param skips it
-by identity.  Sparse rows, which nullspace_param takes, hold no zeros."""
+def element(x):
+    """The element of the parameter field that `x` stands for.
+
+    `x` is a number, a canonical expression in the parameters or a
+    `ParamFrac`; a rational element comes back as an int or a Fraction,
+    any other as a `ParamFrac`.  A float raises TypeError.
+    """
+    if type(x) is ParamFrac:
+        constant = x.den is expr.ONE and type(x.num) is expr.Rational
+        return x.num.coeff if constant else x
+    if isinstance(x, expr.Expr):
+        return x.coeff if type(x) is expr.Rational else ParamFrac(x)
+    return expr._as_coeff(x)
 
 
 def expr_to_paramfrac(e, params):
-    """The element of the parameter field that the expression `e` stands for.
+    """The element of the parameter field that the expression `e` stands for,
+    a number when `e` is constant.
 
     Raises if `e` contains anything but parameters and constants.
     """
@@ -339,11 +371,16 @@ def expr_to_paramfrac(e, params):
                 raise UnsupportedDivisionError(
                     f"{atom} is not a parameter; cannot coerce to the parameter field"
                 )
-    return ParamFrac(expr.normalize(e))
+    return element(expr.normalize(e))
 
 
-_PARAMETERS = _Field(PARAM_ZERO, ParamFrac.constant(1), ParamFrac.is_zero,
-                     ParamFrac.inverse, ParamFrac.complexity, lambda x: x)
+def _integral(x):
+    """A number as the parameter field holds it: an int when it is integral."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+_PARAMETERS = _Field(0, 1, operator.not_, ParamFrac.inverse, ParamFrac.complexity,
+                     element, _integral)
 
 
 def row_space_param(rows, ncols):
@@ -352,9 +389,9 @@ def row_space_param(rows, ncols):
 
 
 def rref_param(rows):
-    """RREF of equal-length dense ParamFrac rows; returns (rows, pivots), each
-    row a dict column -> nonzero entry.  Shared PARAM_ZERO cells are dropped
-    without a test.
+    """RREF of equal-length dense rows over the parameter field; returns
+    (rows, pivots), each row a dict column -> nonzero element.  A cell may
+    be anything `element` takes.
 
     The solve does not come through here: `nullspace_param` takes sparse
     rows.  The rows stay dense because the tests hold the sparse kernel
@@ -369,31 +406,35 @@ def nullspace_param(rows, ncols):
     """Basis of the right kernel over the parameter field, one dense vector
     per free column.
 
-    `rows` are sparse, dicts column -> nonzero ParamFrac, as
-    `DeterminingSystem.rows` holds them; they are copied before the
-    elimination, which works in place, and are left as they were."""
+    `rows` are sparse, dicts column -> nonzero element (a number or a
+    `ParamFrac`), as `DeterminingSystem.rows` holds them; they are copied
+    before the elimination, which works in place, and are left as they
+    were."""
     space = row_space_param([dict(row) for row in rows], ncols)
     return _kernel(space.rows, space.pivots, ncols, _PARAMETERS)
 
 
 def clear_denominators(vec, params):
-    """Scale a ParamFrac vector to polynomial entries, returned as expressions.
+    """Scale a vector over the parameter field to polynomial entries,
+    returned as expressions.
 
     The result has rational content 1, and the leading coefficient of its
     first nonzero entry, in graded lex over `params` in declaration order,
     is positive.
     """
     scale = expr.ONE
-    for entry in vec:
-        if not entry.den.is_constant():
-            scale = scale * entry.den
+    for x in vec:
+        if type(x) is ParamFrac and x.den is not expr.ONE:
+            scale = scale * x.den
     cleared = []
-    for entry in vec:
-        if entry.is_zero():
+    for x in vec:
+        if not x:
             cleared.append(expr.ZERO)
             continue
-        p = expr.divide(entry.num * scale, entry.den)
-        cleared.append(entry.num * scale if p is None else p)
+        num, den = _parts(x)
+        num = num * scale
+        p = num if den is expr.ONE else expr.divide(num, den)
+        cleared.append(num if p is None else p)
     g, _ = expr.content(*cleared)
     first = next((p for p in cleared if not expr.is_zero(p)), None)
     if first is not None and expr.leading_term(first, params)[1] < 0:

@@ -180,22 +180,32 @@ class Ansatz:
 class DeterminingSystem:
     """Homogeneous linear system for the ansatz unknowns.
 
-    Each equation is a mapping unknown -> coefficient expression over the
-    system parameters; `rows` holds the same equations in the parameter
-    field, as mappings column -> ParamFrac with the unknowns' ansatz order
-    as columns.
+    `rows` holds the equations over the parameter field, as mappings
+    column -> nonzero element with the unknowns' ansatz order as columns:
+    a rational cell is an int or a Fraction, any other a `linalg.ParamFrac`
+    over 1.  `equations` shows the same equations as mappings unknown ->
+    coefficient expression.
     """
 
-    def __init__(self, system, ansatz, equations, raw_count, rows):
+    def __init__(self, system, ansatz, raw_count, rows):
         self.system = system
         self.ansatz = ansatz
-        self.equations = equations
         self.raw_count = raw_count
         self.rows = rows
 
     @property
     def deduped_count(self):
-        return len(self.equations)
+        return len(self.rows)
+
+    @property
+    def equations(self):
+        """Each row as a mapping unknown -> coefficient expression, its
+        unknowns in the order of their first appearance among the generic
+        residual's terms in canonical order."""
+        unknowns = self.ansatz.unknowns
+        return [{unknowns[col]: _coefficient(row[col])
+                 for col in _first_appearance(row, unknowns)}
+                for row in self.rows]
 
 
 def split_variables(space):
@@ -290,13 +300,18 @@ def _term_value(coefficient, params):
     return c.numerator if c.denominator == 1 else c
 
 
-def _generic_order(split_part, entry, unknown):
+def _coefficient(cell):
+    """The coefficient expression of a built cell, whose denominator is 1."""
+    return cell.num if type(cell) is linalg.ParamFrac else expr.constant(cell)
+
+
+def _generic_order(split_part, cell, unknown):
     """The canonical sort key of the first term that `unknown`, with the
-    coefficient `entry`, gives the generic residual's equation whose split
+    coefficient `cell`, gives the generic residual's equation whose split
     variables make the leading part `split_part` of the key."""
     tail = ((unknown._key, 1),)
     return min(split_part + tuple((a._key, e) for a, e in powers) + tail
-               for (powers, _), _ in expr.monomials(entry.num))
+               for (powers, _), _ in expr.monomials(_coefficient(cell)))
 
 
 def _first_appearance(row, unknowns):
@@ -310,33 +325,49 @@ def _negative_power(offending, split_vars, unknowns):
     canonical order, with a negative power of a split variable."""
     _, exps = min(
         (_generic_order(tuple((s._key, e) for s, e in zip(split_vars, exps) if e),
-                        entry, unknowns[col]), exps)
+                        cell, unknowns[col]), exps)
         for exps, row in offending
-        for col, entry in row.items()
+        for col, cell in row.items()
     )
     var = next(s for s, e in zip(split_vars, exps) if e < 0)
     return NonPolynomialError(f"negative power of {var.name} is not polynomial")
 
 
 def _canonical_key(row, quotients):
-    """The hashable key of a row {column: ParamFrac}: the row scaled by its
-    entry in the first column, so rows that differ by a factor in the
-    parameter field share it.
+    """The hashable key of a built row: the row scaled by its entry in the
+    first column, so rows that differ by a factor in the parameter field
+    share it.
 
-    Every entry of a built row has the denominator 1, so an entry's
-    quotient by the first depends on their numerators alone; `quotients`
-    keeps the ones found, keyed by those numerators.
+    Two rational cells divide as numbers.  Every other cell of a built row
+    is a `ParamFrac` over 1, so an entry's quotient by the first depends on
+    their numerators alone; `quotients` keeps the ones found, keyed by
+    those numerators and numbers.
     """
-    first = row[min(row)]
-    key = []
-    for k in sorted(row):
-        pair = (row[k].num, first.num)
+    columns = sorted(row)
+    first = row[columns[0]]
+    rational = type(first) is not linalg.ParamFrac
+    inverse = None
+    key = [(columns[0], 1)]
+    for k in columns[1:]:
+        x = row[k]
+        if rational and type(x) is not linalg.ParamFrac:
+            key.append((k, expr._quotient(x, first)))
+            continue
+        pair = (_numerator(x), _numerator(first))
         q = quotients.get(pair)
         if q is None:
-            scaled = row[k] * first.inverse()
-            q = quotients[pair] = (scaled.num, scaled.den)
-        key.append((k, *q))
+            if inverse is None:
+                inverse = linalg.ParamFrac.inverse(first)
+            scaled = x * inverse
+            q = quotients[pair] = (
+                (scaled.num, scaled.den) if type(scaled) is linalg.ParamFrac else scaled)
+        key.append((k, q))
     return tuple(key)
+
+
+def _numerator(cell):
+    """A built cell as a hashable value: its number or its numerator."""
+    return cell.num if type(cell) is linalg.ParamFrac else cell
 
 
 def build_determining(system, degree):
@@ -352,6 +383,7 @@ def build_determining(system, degree):
     becomes empty.  An equation with a negative power of a split variable
     raises NonPolynomialError.  An equation that is a parameter-field
     multiple of an earlier one is counted in `raw_count` and dropped.
+    A rational cell is the int or Fraction its terms add up to.
     """
     if degree < 0:
         raise ValueError("ansatz degree must be nonnegative")
@@ -363,7 +395,6 @@ def build_determining(system, degree):
     size = len(ansatz.monomials)
     derivatives = {}
     quotients = {}
-    equations = []
     rows = []
     seen = set()
     raw = 0
@@ -383,10 +414,9 @@ def build_determining(system, degree):
         for exps in sorted(buckets):
             row = {}
             for col, value in buckets[exps].items():
-                entry = linalg.ParamFrac(
-                    value if isinstance(value, expr.Expr) else expr.constant(value))
-                if not entry.is_zero():
-                    row[col] = entry
+                cell = linalg.element(value)
+                if cell:
+                    row[col] = cell
             if row:
                 found.append((exps, row))
         offending = [(exps, row) for exps, row in found if min(exps) < 0]
@@ -398,10 +428,8 @@ def build_determining(system, degree):
             if key in seen:
                 continue
             seen.add(key)
-            equations.append({ansatz.unknowns[col]: row[col].num
-                              for col in _first_appearance(row, ansatz.unknowns)})
             rows.append(row)
-    return DeterminingSystem(system, ansatz, equations, raw, rows)
+    return DeterminingSystem(system, ansatz, raw, rows)
 
 
 def solve_determining(ds):

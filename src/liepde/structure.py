@@ -347,15 +347,15 @@ def algebra_from_json(doc):
 
     Indices are 1-based; missing brackets are zero; antisymmetric partners
     are filled in automatically; `labels` is optional.  A malformed
-    document raises ValueError naming the bracket at fault.
+    document raises ValueError naming the document or the bracket at fault.
     """
-    n = doc["dim"]
+    n = _object(doc, "the document")["dim"]
     if not _is_int(n) or n < 0:
         raise ValueError(f"dim must be a non-negative integer, got {n!r}")
     entries = {}
-    for number, item in enumerate(doc.get("brackets", []), 1):
+    for number, item in enumerate(_list(doc.get("brackets", []), "brackets"), 1):
         where = f"bracket {number}"
-        i, j = item["i"], item["j"]
+        i, j = _object(item, where)["i"], item["j"]
         for name, index in (("i", i), ("j", j)):
             if not _is_int(index) or not 1 <= index <= n:
                 raise ValueError(f"{where}: index {name} = {index!r} is not in 1..{n}")
@@ -376,13 +376,17 @@ def algebra_from_json(doc):
 def table_from_json(doc):
     """The (label, vectors) entries of a subalgebra table {"schema": 1,
     "entries": [{"label", "vectors"}]}, as `optimal.verify_optimal_table`
-    takes them.  A malformed entry raises ValueError naming it."""
+    takes them; a table without "schema" is read as schema 1.  Another
+    schema, and a malformed document or entry, raise ValueError naming the
+    part at fault."""
+    schema = _object(doc, "the document").get("schema", 1)
+    if not _is_int(schema) or schema != 1:
+        raise ValueError(f"unsupported table schema {schema!r}; only schema 1 is read")
     entries = []
-    for item in doc["entries"]:
-        label, vectors = item["label"], item["vectors"]
-        if not isinstance(vectors, list):
-            raise ValueError(f"entry {label}: vectors must be a list, got {vectors!r}")
-        entries.append((label, [_rationals(v, f"entry {label}") for v in vectors]))
+    for number, item in enumerate(_list(doc["entries"], "entries"), 1):
+        label, vectors = _object(item, f"entry {number}")["label"], item["vectors"]
+        entries.append((label, [_rationals(v, f"entry {label}")
+                                for v in _list(vectors, f"entry {label}: vectors")]))
     return entries
 
 
@@ -412,6 +416,20 @@ def _rationals(values, where):
         return [parse_rational(x) for x in values]
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
+
+
+def _object(value, where):
+    """`value` when it is a JSON object, else ValueError naming `where`."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be a JSON object, got {value!r}")
+    return value
+
+
+def _list(value, where):
+    """`value` when it is a JSON list, else ValueError naming `where`."""
+    if not isinstance(value, list):
+        raise ValueError(f"{where} must be a list, got {value!r}")
+    return value
 
 
 def _is_int(x):

@@ -23,6 +23,24 @@ def solve(rows, rhs):
     return tuple(x)
 
 
+def parts(x):
+    """The numerator and denominator nodes of an element; a number's are its
+    constant and 1."""
+    if type(x) is linalg.ParamFrac:
+        return x.num, x.den
+    return expr.constant(x), expr.ONE
+
+
+def assert_element(x):
+    """`x` is held as the parameter field holds its elements: an int when it
+    is integral, a Fraction when it is rational, else a `linalg.ParamFrac`
+    that is not constant."""
+    if type(x) is linalg.ParamFrac:
+        assert not (x.den is expr.ONE and x.num.is_constant())
+    else:
+        assert type(x) is int or (type(x) is Fraction and x.denominator != 1), x
+
+
 @pytest.fixture(scope="session")
 def golden():
     """Jet space, PDE system, and reference generators of the golden fixture."""

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +20,7 @@ from liepde.prolongation import (
 )
 from liepde.reference import extra_generator, generators
 
-from conftest import random_affine_field
+from conftest import assert_element, parts, random_affine_field
 
 
 class TestBuildDetermining:
@@ -143,7 +144,7 @@ def test_solve_leaves_the_determining_rows_unchanged(text):
     ds = build_determining(system, 2)
 
     def cells():
-        return [{c: (x.num, x.den) for c, x in row.items()} for row in ds.rows]
+        return [{c: (type(x), *parts(x)) for c, x in row.items()} for row in ds.rows]
 
     before = cells()
     first = [str(vf) for vf in solve_determining(ds)]
@@ -159,7 +160,7 @@ def test_wrong_kernel_vector_is_a_typed_error(golden, monkeypatch):
     ds = build_determining(system, 1)
     monkeypatch.setattr(
         linalg, "nullspace_param",
-        lambda rows, ncols: [[linalg.ParamFrac.constant(1)] * ncols],
+        lambda rows, ncols: [[1] * ncols],
     )
     with pytest.raises(InternalCheckError):
         solve_determining(ds)
@@ -223,8 +224,8 @@ def _old_canonical_equation(form, unknowns, params):
             fr = linalg.expr_to_paramfrac(form[u], params)
             if first is None:
                 first = fr
-            entries.append((u.name, fr / first))
-    return tuple((name, fr.num, fr.den) for name, fr in entries)
+            entries.append((u.name, fr * linalg.ParamFrac.inverse(first)))
+    return tuple((name, *parts(fr)) for name, fr in entries)
 
 
 def old_build_determining(system, degree):
@@ -285,14 +286,42 @@ def test_one_walk_build_matches_two_pass_build(name, degree):
         # same unknowns in the same order, same coefficient expressions
         assert list(new) == list(old)
         assert [c._key for c in new.values()] == [c._key for c in old.values()]
-    # each row holds the conversion that solve_determining used to make
+    # each row holds the conversion that solve_determining used to make: a
+    # rational cell is the number the coefficient stands for
     column = {u: k for k, u in enumerate(ds.ansatz.unknowns)}
     assert len(ds.rows) == len(equations)
     for row, form in zip(ds.rows, equations):
         assert sorted(row) == sorted(column[u] for u in form)
         for u, c in form.items():
-            fr = linalg.expr_to_paramfrac(c, system.parameters)
-            assert (row[column[u]].num, row[column[u]].den) == (fr.num, fr.den)
+            cell = row[column[u]]
+            value = expr.constant_value(c)
+            if value is None:
+                fr = linalg.expr_to_paramfrac(c, system.parameters)
+                assert (cell.num, cell.den) == (fr.num, fr.den)
+            else:
+                assert type(cell) in (int, Fraction) and cell == value
+
+
+@pytest.mark.parametrize("name, degree", [
+    ("fixture", 1), ("fixture", 2), ("fixture", 3), ("two-parameter", 1),
+    ("two-parameter", 2), ("burgers", 2),
+])
+def test_cells_are_numbers_or_parametric_fractions(name, degree):
+    # a rational cell is an int or a Fraction, never a float, and only a cell
+    # that holds a parameter is a ParamFrac: in the built rows, in their
+    # reduced echelon form and in the kernel vectors
+    system = _system(name)
+    ds = build_determining(system, degree)
+    ncols = len(ds.ansatz.unknowns)
+    reduced = linalg.row_space_param([dict(row) for row in ds.rows], ncols).rows
+    kernel = linalg.nullspace_param(ds.rows, ncols)
+    built = [x for row in ds.rows for x in row.values()]
+    for cells in (built, [x for row in reduced for x in row.values()],
+                  [x for v in kernel for x in v]):
+        assert cells
+        for x in cells:
+            assert_element(x)
+    assert {type(x) for x in built} >= {int, linalg.ParamFrac}
 
 
 def test_one_walk_build_keeps_typed_errors():

@@ -151,9 +151,9 @@ class TestCoefficientTypes:
         assert expr.divide(6 * x * y + 3 * x, 4 * y + 2) == three_halves_x
         for e in ((3 * x) / 2, expr.divide(3 * x, 2)):
             self.assert_exact(e)
-        inverse = linalg.ParamFrac.constant(3).inverse()
-        assert inverse.num == Rational(1, 3) and inverse.den == Rational(1)
-        assert expr.constant_value(inverse.num) == Fraction(1, 3)
+        for three in (3, linalg.ParamFrac(Rational(3))):
+            inverse = linalg.ParamFrac.inverse(three)
+            assert type(inverse) is Fraction and inverse == Fraction(1, 3)
 
 
 class TestApplicationArguments:

@@ -4,9 +4,11 @@ Over the parameter field, `ParamFrac` does not cancel common polynomial
 factors, so two elimination paths that agree in value can still store
 different numerators and denominators, and `clear_denominators` then
 scales a basis vector by a spurious parameter factor.  Those tests
-therefore compare representations, not only values.  Over Q the reduced
-row echelon form is unique, and the kernel must give the dense loop's rows
-and pivots exactly.
+therefore compare representations, not only values.  A rational element
+is a plain number, an int when it is integral and a Fraction otherwise;
+only an element that holds a parameter is a `ParamFrac`.  Over Q the
+reduced row echelon form is unique, and the kernel must give the dense
+loop's rows and pivots exactly.
 """
 
 import random
@@ -17,8 +19,8 @@ import pytest
 from liepde import expr, reference
 from liepde.expr import PARAMETER, Symbol
 from liepde.linalg import (
-    PARAM_ZERO,
     ParamFrac,
+    element,
     nullspace,
     nullspace_param,
     rref,
@@ -27,7 +29,7 @@ from liepde.linalg import (
 from liepde.parser import build_system, parse_system
 from liepde.prolongation import build_determining
 
-from conftest import solve
+from conftest import assert_element, parts, solve
 from test_determining import TWO_PARAMETER_SYSTEM
 
 A = Symbol("a", PARAMETER)
@@ -44,16 +46,16 @@ def dense_rref_param(rows):
     pivots = []
     r = 0
     for c in range(ncols):
-        candidates = [i for i in range(r, len(rows)) if not rows[i][c].is_zero()]
+        candidates = [i for i in range(r, len(rows)) if not ParamFrac.is_zero(rows[i][c])]
         if not candidates:
             continue
         # Prefer the structurally simplest pivot to limit growth.
-        i = min(candidates, key=lambda i: rows[i][c].complexity())
+        i = min(candidates, key=lambda i: ParamFrac.complexity(rows[i][c]))
         rows[r], rows[i] = rows[i], rows[r]
-        inv = rows[r][c].inverse()
+        inv = ParamFrac.inverse(rows[r][c])
         rows[r] = [x * inv for x in rows[r]]
         for j in range(len(rows)):
-            if j != r and not rows[j][c].is_zero():
+            if j != r and not ParamFrac.is_zero(rows[j][c]):
                 f = rows[j][c]
                 rows[j] = [a - f * b for a, b in zip(rows[j], rows[r])]
         pivots.append(c)
@@ -91,10 +93,10 @@ def dense_rref(rows):
 
 def random_entry(rng, density=0.4):
     if rng.random() > density:
-        return ParamFrac.constant(0)
+        return 0
     scale = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
     if rng.random() < 0.5:
-        return ParamFrac.constant(scale)
+        return element(scale)
     return ParamFrac(expr.Rational(scale) * rng.choice(POLYNOMIALS))
 
 
@@ -107,7 +109,8 @@ def rank_deficient(rng):
     for _ in range(4):
         p, q = rng.sample(rows, 2)
         f, g = random_entry(rng, 1), random_entry(rng, 1)
-        rows.insert(rng.randrange(len(rows) + 1), [f * x + g * y for x, y in zip(p, q)])
+        rows.insert(rng.randrange(len(rows) + 1),
+                    [element(f * x + g * y) for x, y in zip(p, q)])
     return rows
 
 
@@ -115,7 +118,7 @@ def zero_column(rng):
     rows = random_matrix(rng, 6, 6)
     c = rng.randrange(6)
     for row in rows:
-        row[c] = ParamFrac.constant(0)
+        row[c] = 0
     return rows
 
 
@@ -129,7 +132,7 @@ def early_stop(rng):
     # visited.
     rows = random_matrix(rng, 4, 9)
     for i, row in enumerate(rows):
-        row[:i] = [ParamFrac.constant(0)] * i
+        row[:i] = [0] * i
         row[i] = random_entry(rng, 1)
     rng.shuffle(rows)
     return rows
@@ -139,11 +142,12 @@ def constants(rng):
     # Every nonzero entry has complexity() 2, so each pivot is a tie that the
     # row position breaks, and the swaps move rows often.
     values = [0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]
-    rows = [[ParamFrac.constant(rng.choice(values)) for _ in range(7)] for _ in range(5)]
+    rows = [[rng.choice(values) for _ in range(7)] for _ in range(5)]
     for _ in range(3):
         p, q = rng.sample(rows, 2)
-        f, g = (ParamFrac.constant(rng.choice(values[3:])) for _ in range(2))
-        rows.insert(rng.randrange(len(rows) + 1), [f * x + g * y for x, y in zip(p, q)])
+        f, g = (rng.choice(values[3:]) for _ in range(2))
+        rows.insert(rng.randrange(len(rows) + 1),
+                    [element(f * x + g * y) for x, y in zip(p, q)])
     return rows
 
 
@@ -165,22 +169,26 @@ def assert_same_reduction(rows):
     for sparse, dense in zip(reduced, expected):
         for k in range(ncols):
             if k in sparse:
-                assert not sparse[k].is_zero()
-                assert (sparse[k].num, sparse[k].den) == (dense[k].num, dense[k].den)
+                assert_element(sparse[k])
+                assert sparse[k]
+                assert parts(sparse[k]) == parts(dense[k])
             else:
-                assert dense[k].is_zero()
+                assert ParamFrac.is_zero(dense[k])
     return pivots
 
 
 def assert_kernel(rows):
     ncols = len(rows[0])
-    sparse = [{c: x for c, x in enumerate(row) if not x.is_zero()} for row in rows]
+    sparse = [{c: element(x) for c, x in enumerate(row) if not ParamFrac.is_zero(x)}
+              for row in rows]
     for v in nullspace_param(sparse, ncols):
+        for x in v:
+            assert_element(x)
         for row in rows:
-            total = ParamFrac.constant(0)
+            total = 0
             for x, y in zip(row, v):
                 total = total + x * y
-            assert total.is_zero()
+            assert ParamFrac.is_zero(total)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -193,7 +201,7 @@ def test_sparse_matches_dense_elimination(case):
         if case == "rank_deficient":
             assert len(pivots) <= 4
         elif case == "zero_column":
-            assert all(any(not row[c].is_zero() for row in rows) for c in pivots)
+            assert all(any(row[c] for row in rows) for c in pivots)
         elif case == "early_stop":
             assert pivots == [0, 1, 2, 3]
 
@@ -206,12 +214,14 @@ def test_sparse_matches_dense_elimination(case):
 def test_determining_matrix_matches_dense_elimination(text, degree):
     _, system = build_system(parse_system(text))
     ds = build_determining(system, degree)
-    zero = ParamFrac.constant(0)
+    # dense rows of caller-made ParamFracs, constants among them, which the
+    # elimination takes as the numbers they hold
     rows = [
-        [ParamFrac(form[u]) if u in form else zero for u in ds.ansatz.unknowns]
+        [ParamFrac(form[u]) if u in form else 0 for u in ds.ansatz.unknowns]
         for form in ds.equations
     ]
-    assert any(not x.num.is_constant() for row in rows for x in row)
+    assert any(type(x) is ParamFrac and x.num.is_constant() for row in rows for x in row)
+    assert any(type(x) is ParamFrac and not x.num.is_constant() for row in rows for x in row)
     assert_same_reduction(rows)
     assert_kernel(rows)
 
@@ -219,38 +229,51 @@ def test_determining_matrix_matches_dense_elimination(text, degree):
 LANE_VALUES = [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-4, 3), Fraction(2, 3)]
 
 
-def lane_elements():
-    """Rational constants over `expr.ONE`, with canonical and fresh numerators."""
-    for v in LANE_VALUES:
-        yield ParamFrac(expr.constant(v))
-        yield ParamFrac.constant(v)
-
-
-def assert_same_element(fast, general):
-    assert (fast.num, fast.den) == (general.num, general.den)
-    assert type(fast.num) is type(general.num)
-    assert type(fast.den) is type(general.den)
-    assert (fast.num is expr.ONE) == (general.num is expr.ONE)
-    assert (fast.num is expr.ZERO) == (general.num is expr.ZERO)
+def assert_number(x, node):
+    """`x` is the number of the constant `node` that expr arithmetic gives, as
+    the parameter field holds it: an int when it is integral, else a
+    Fraction."""
+    assert type(x) is type(node.coeff) and x == node.coeff, (x, node)
 
 
 def test_rational_lane_matches_expr_arithmetic():
-    # the general formulas of ParamFrac, computed through expr arithmetic
-    for a in lane_elements():
-        assert a.is_zero() == expr.is_zero(a.num)
-        assert a.complexity() == len(expr.monomials(a.num)) + len(expr.monomials(a.den))
-        assert_same_element(-a, ParamFrac(-a.num, a.den))
-        if not a.is_zero():
-            assert_same_element(a.inverse(), ParamFrac(a.den, a.num))
-        for b in lane_elements():
-            assert_same_element(a * b, ParamFrac(a.num * b.num, a.den * b.den))
-            assert_same_element(a + b, ParamFrac(a.num + b.num, a.den))
-            assert_same_element(a - b, ParamFrac(a.num - b.num, a.den))
+    # a constant result of ParamFrac arithmetic is a number: the value that
+    # expr arithmetic on the numerators and denominators gives
+    wrapped = [ParamFrac(expr.constant(v)) for v in LANE_VALUES]
+    for a in LANE_VALUES + wrapped:
+        n, d = parts(a)
+        assert ParamFrac.is_zero(a) == expr.is_zero(n)
+        if not ParamFrac.is_zero(a):
+            assert ParamFrac.complexity(a) == 2
+            assert_number(ParamFrac.inverse(a), d / n)
+        for b in wrapped:
+            m, e = parts(b)
+            assert_number(a * b, n * m)
+            assert_number(b * a, n * m)
+            assert_number(a + b, n + m)
+            assert_number(b + a, n + m)
+            assert_number(a - b, n - m)
+            assert_number(b - a, m - n)
+            if not expr.is_zero(n):
+                assert_number(b / a, m / n)
+        assert_number(element(a), n)
+    assert_number(-wrapped[5], -parts(wrapped[5])[0])
     with pytest.raises(ZeroDivisionError):
-        ParamFrac.constant(0).inverse()
+        ParamFrac.inverse(0)
+    with pytest.raises(ZeroDivisionError):
+        ParamFrac(expr.ZERO).inverse()
+    with pytest.raises(TypeError):
+        element(0.5)
     for p in POLYNOMIALS:
         x = ParamFrac(expr.ONE, p) + ParamFrac(p)
         assert x.complexity() == len(expr.monomials(x.num)) + len(expr.monomials(x.den))
+        # results that cancel to a constant come back as numbers
+        q = ParamFrac(p)
+        assert_number(q - q, expr.ZERO)
+        assert_number(q * q.inverse(), expr.ONE)
+        assert_number(ParamFrac(expr.Rational(-2, 3) * p) / q, expr.Rational(-2, 3))
+        assert_number(x - x, expr.ZERO)
+        assert_number(ParamFrac(3 * p, p + 1) * ParamFrac(p + 1, p), expr.Rational(3))
 
 
 RHO = Symbol("rho", PARAMETER)
@@ -258,38 +281,44 @@ NU = Symbol("nu", PARAMETER)
 
 
 def laurent_monomial(rng):
-    """c * rho^i * nu^j over `expr.ONE`, with c negative or fractional and
-    i, j negative, zero or positive."""
+    """c * rho^i * nu^j, with c negative or fractional and i, j negative,
+    zero or positive: a number when i = j = 0."""
     c = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 2, 3]))
-    return ParamFrac(expr.constant(c) * RHO ** rng.randint(-2, 2) * NU ** rng.randint(-2, 2))
+    return element(expr.constant(c) * RHO ** rng.randint(-2, 2) * NU ** rng.randint(-2, 2))
+
+
+def assert_same_element(fast, general):
+    assert parts(fast) == parts(general)
+    assert type(fast) is type(element(general))
+    if type(fast) is ParamFrac:
+        assert type(fast.num) is type(general.num)
+        assert (fast.den is expr.ONE) == (general.den is expr.ONE)
 
 
 def test_monomial_inverse_and_difference_match_general_formulas():
     # the fast inverse of a Laurent monomial and the one-step difference give
     # the numerator and denominator nodes of the general formulas, down to a
     # denominator that is `expr.ONE` itself
-    def assert_same_nodes(fast, general):
-        assert_same_element(fast, general)
-        assert (fast.den is expr.ONE) == (general.den is expr.ONE)
-
     rng = random.Random("laurent-monomials")
     sums = [RHO + NU, RHO - 2 * NU, RHO * NU + 1]
     monomials = [laurent_monomial(rng) for _ in range(60)]
-    assert any(len(x.num._poly()) == 1 and not x.num.is_constant() for x in monomials)
+    assert any(type(x) is ParamFrac and len(x.num._poly()) == 1 for x in monomials)
+    assert any(type(x) is not ParamFrac for x in monomials)
     for x in monomials:
-        assert_same_nodes(x.inverse(), ParamFrac(x.den, x.num))
+        n, d = parts(x)
+        assert_same_element(ParamFrac.inverse(x), ParamFrac(d, n))
     for a, b in zip(monomials, monomials[1:]):
-        assert_same_nodes(a - b, a + (-b))
+        assert_same_element(a - b, a + (-b))
         p, q = rng.sample(sums, 2)
         ap, bp, bq = (x * ParamFrac(expr.ONE, s) for x, s in ((a, p), (b, p), (b, q)))
         assert ap.den == bp.den and ap.den != bq.den
         for x, y in ((ap, bp), (ap, bq), (a, bq), (bq, a)):
-            assert_same_nodes(x - y, x + (-y))
-        assert_same_nodes(ap.inverse(), ParamFrac(ap.den, ap.num))
+            assert_same_element(x - y, x + (-y))
+        assert_same_element(ap.inverse(), ParamFrac(ap.den, ap.num))
     with pytest.raises(ZeroDivisionError):
         ParamFrac(expr.ZERO).inverse()
     with pytest.raises(ZeroDivisionError):
-        (monomials[0] - monomials[0]).inverse()
+        ParamFrac.inverse(monomials[0] - monomials[0])
 
 
 def test_paramfrac_is_unhashable():
@@ -298,25 +327,86 @@ def test_paramfrac_is_unhashable():
     a = ParamFrac(A * A - 1, A * A + A)
     b = ParamFrac(A - 1, A)
     assert a == b
-    for x in (a, b, ParamFrac.constant(1)):
+    for x in (a, b, ParamFrac(expr.ONE)):
         with pytest.raises(TypeError):
             hash(x)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_shared_zero_cells_match_fresh_zeros(case):
-    # rref_param drops PARAM_ZERO cells by identity; rows that mix it with
-    # zeros made elsewhere reduce exactly as the dense elimination does.
+    # the field's zero is the number 0; rows that mix it with zeros a caller
+    # wraps as ParamFrac(expr.ZERO) reduce exactly as the dense elimination does
     rng = random.Random(f"shared-zero-{case}")
     for _ in range(6):
         rows = CASES[case](rng)
         shared = [
-            [PARAM_ZERO if x.is_zero() and rng.random() < 0.5 else x for x in row]
+            [ParamFrac(expr.ZERO) if ParamFrac.is_zero(x) and rng.random() < 0.5 else x
+             for x in row]
             for row in rows
         ]
-        assert any(x is PARAM_ZERO for row in shared for x in row)
+        assert any(type(x) is ParamFrac and x.is_zero() for row in shared for x in row)
         assert_same_reduction(shared)
         assert_kernel(shared)
+
+
+def sparse_laurent_matrix(rng, nrows, ncols):
+    """Sparse rows whose cells are ints, Fractions and Laurent monomials in
+    rho and nu, with some rows parameter-field combinations of others."""
+    def cell():
+        kind = rng.random()
+        if kind < 0.35:
+            return rng.choice([-3, -2, -1, 1, 2, 4])
+        if kind < 0.5:
+            return element(Fraction(rng.choice([-5, -1, 1, 3]), rng.choice([2, 3, 4])))
+        return laurent_monomial(rng)
+
+    rows = [{c: cell() for c in range(ncols) if rng.random() < 0.35}
+            for _ in range(nrows)]
+    for _ in range(nrows // 3):
+        p, q = rng.sample(rows, 2)
+        f, g = cell(), cell()
+        combined = {}
+        for c in set(p) | set(q):
+            x = element(f * p.get(c, 0) + g * q.get(c, 0))
+            if x:
+                combined[c] = x
+        rows.insert(rng.randrange(len(rows) + 1), combined)
+    return [row for row in rows if row]
+
+
+def annihilates(row, vector):
+    """Whether sum_k row[k] * vector[k] is zero, in expr arithmetic: each
+    entry n / d of the vector is multiplied by the product D of all the
+    denominators, as n * (D / d)."""
+    entries = [parts(x) for x in vector]
+    common = expr.ONE
+    for _, d in entries:
+        common = common * d
+    total = expr.ZERO
+    for k, x in row.items():
+        n, d = entries[k]
+        total = total + parts(x)[0] * n * expr.divide(common, d)
+    return expr.is_zero(total)
+
+
+def test_kernel_vectors_annihilate_mixed_rows_in_expr_arithmetic():
+    rng = random.Random("mixed-oracle")
+    checked = 0
+    for _ in range(15):
+        ncols = rng.randint(4, 9)
+        rows = sparse_laurent_matrix(rng, rng.randint(3, 8), ncols)
+        for row in rows:
+            for x in row.values():
+                assert_element(x)
+        kernel = nullspace_param(rows, ncols)
+        for v in kernel:
+            assert len(v) == ncols
+            for x in v:
+                assert_element(x)
+            for row in rows:
+                assert annihilates(row, v)
+                checked += 1
+    assert checked > 50
 
 
 # ---------------------------------------------------------------------------

@@ -404,9 +404,24 @@ class TestCli:
          "entry <v1>: rationals must be integers or 'num/den' strings, got 0.1"),
         (["normal-form", "--vector", "1/0,0,0,0,0"], None,
          "zero denominator in '1/0'"),
+        # JSON that is not an object where one is needed
+        (["structure", "--constants"], [1],
+         "the document must be a JSON object, got [1]"),
+        (["verify-optimal", "--file"], [1],
+         "the document must be a JSON object, got [1]"),
+        (["structure", "--constants"], {"dim": 2, "brackets": [[1, 2]]},
+         "bracket 1 must be a JSON object, got [1, 2]"),
+        (["verify-optimal", "--file"], {"entries": [1]},
+         "entry 1 must be a JSON object, got 1"),
+        (["verify-optimal", "--file"],
+         {"schema": 7, "entries": [{"label": "<v1>", "vectors": [[1, 0, 0, 0, 0]]}]},
+         "unsupported table schema 7; only schema 1 is read"),
+        (["verify-optimal", "--file"], {"schema": "1", "entries": []},
+         "unsupported table schema '1'; only schema 1 is read"),
     ], ids=["index-0", "index-3", "string-dim", "short-labels", "boolean",
             "zero-denominator", "table-zero-denominator", "table-float",
-            "vector-zero-denominator"])
+            "vector-zero-denominator", "list-document", "list-table",
+            "list-bracket", "number-entry", "table-schema-7", "table-schema-string"])
     def test_malformed_input_is_an_error(self, tmp_path, capsys, argv, document, error):
         if document is not None:
             path = tmp_path / "input.json"
@@ -414,6 +429,19 @@ class TestCli:
             argv = [*argv, str(path)]
         rc = cli_main(argv)
         assert (rc, *capsys.readouterr()) == (1, "", f"error: {error}\n")
+
+    def test_table_without_schema_reads_as_schema_1(self, tmp_path, capsys):
+        entries = [{"label": "<v1>", "vectors": [[1, 0, 0, 0, 0]]},
+                   {"label": "<v2, v3>", "vectors": [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0]]}]
+        outputs = []
+        for name, document in (("with.json", {"schema": 1, "entries": entries}),
+                               ("without.json", {"entries": entries})):
+            path = tmp_path / name
+            path.write_text(json.dumps(document))
+            assert cli_main(["verify-optimal", "--file", str(path)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out and not outputs[0].err
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.pde"
@@ -742,7 +770,7 @@ class TestStageErrors:
     def test_failed_self_check_names_its_stage(self, monkeypatch, capsys):
         monkeypatch.setattr(
             linalg, "nullspace_param",
-            lambda rows, ncols: [[linalg.ParamFrac.constant(1)] * ncols],
+            lambda rows, ncols: [[1] * ncols],
         )
         assert cli_main(["symmetries"]) == 1
         err = capsys.readouterr().err

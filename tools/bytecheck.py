@@ -57,7 +57,9 @@ translation, and its u d/dt has no solution transform), and, in text and
 JSON at degree 1, u_t = u_xx + u_x and u_t = u_x + u + x (adjoint entries
 with exp(-eps), exp(2*eps) and a negative second term) and the Laplace
 equation u_xx + u_yy = 0 (a rotation, whose adjoint section is omitted with
-a note), and, in text and JSON, the normal forms that are not yet orbit
+a note), a KdV-Burgers system u_t + 2 u u_x + b u_xxx = c u_xx at degrees
+1-2 in text and JSON (numbers meet the parametric pivots b and c in its
+elimination), and, in text and JSON, the normal forms that are not yet orbit
 invariants: ``normal-form --constants`` on e(2) at v1 + v3 and at v3, which
 one Ad(exp(v2)) maps onto each other, and ``--reference off normal-form``
 on the Laplace equation at g1 + g3 and at g1 + g2 + g3 + g4, whose g1 and
@@ -181,6 +183,17 @@ eq d(u,t) = d(u,x,x)/x
 lead d(u,t)
 """
 
+# KdV-Burgers with its parameters on the linear terms: rational cells meet
+# parametric pivots other than the fixture's nu and 1/rho
+KDV_BURGERS = """\
+param b
+param c
+independent t x
+dependent u(t, x)
+eq d(u,t) + 2*u*d(u,x) + b*d(u,x,x,x) = c*d(u,x,x)
+lead d(u,t)
+"""
+
 # divides by the dependent variable: the determining split refuses u^-1
 DIVIDES_BY_U = """\
 independent t x
@@ -291,6 +304,7 @@ def write_inputs(folder, parent):
         "negative_power.pde": NEGATIVE_POWER,
         "divides_by_u.pde": DIVIDES_BY_U,
         "forced.pde": FORCED,
+        "kdv_burgers.pde": KDV_BURGERS,
         "b4.json": json.dumps(borel4(), indent=1),
         "b4_table.json": json.dumps(B4_TABLE),
         "jordan.json": json.dumps(JORDAN),
@@ -424,6 +438,10 @@ def write_inputs(folder, parent):
     for name in ("drift.pde", "linear_source.pde", "laplace.pde"):
         for fmt in ([], js):
             commands.append(["--ansatz-degree", "1", *fmt, "symmetries", name])
+    for degree in ("1", "2"):
+        for fmt in ([], js):
+            commands.append(["--ansatz-degree", degree, *fmt, "symmetries",
+                             "kdv_burgers.pde"])
     # normal forms that differ on one orbit, and one that never settles
     for fmt in ([], js):
         for vec in ("1,0,1", "0,0,1"):
