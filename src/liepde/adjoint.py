@@ -10,6 +10,12 @@ exp(k eps) as `expr.ParamExp` factors; `matrix_exp` and `ad_exp` return
 `ExpPolynomial` term records, which `expression` turns into `expr` values:
 the form in which the adjoint entries are compared and rendered.
 
+Every rational here, a characteristic-polynomial coefficient, an
+eigenvalue, an ad entry or a term coefficient, is held as the package holds
+one (`expr.as_rational`): an int when it is integral and a Fraction
+otherwise.  Each division goes through `expr.quotient`, as `/` on two ints
+would give a float.
+
 Both kernels run on integers and sparse rows.  char_poly scales A by the
 lcm d of its denominators and runs Faddeev-LeVerrier on dA, where each
 division is exact.  matrix_exp forms the Putzer products on the same
@@ -22,22 +28,21 @@ entry's record once, at the end.  `flow` is matrix_exp of the augmented
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from . import expr
 from .errors import UnsupportedSpectrumError
-from .expr import GROUP, ParamExp, Symbol, ZERO
+from .expr import GROUP, ParamExp, Symbol, ZERO, as_rational, quotient
 
 EPS = "eps"
 EPS_SYMBOL = Symbol(EPS, GROUP)
-_ZERO = Fraction(0)
 
 
 class ExpPolynomial:
     """An entry of `matrix_exp` and `ad_exp`: a sum of c * eps^m * e^(k*eps).
 
-    `terms` maps (0, (m,), (k,)) to a nonzero Fraction c, with integer
-    m >= 0 and rational k; the parameter is always eps, so the record does
+    `terms` maps (0, (m,), (k,)) to a nonzero rational c, with integer
+    m >= 0 and rational k, c and k each an int when integral and a
+    Fraction otherwise; the parameter is always eps, so the record does
     not name it.  The leading 0 is a constant-exponent slot that
     is always 0.  In the package, `expression` (the entry as an `expr`
     value, which every other reader compares and renders), `pipeline.jexppoly`
@@ -72,12 +77,12 @@ def char_poly(A):
 def _char_poly(d, B):
     """char_poly of A, given d and the rows of B = dA from _integer_rows."""
     n = len(B)
-    c = [Fraction(1)] * (n + 1)
+    c = [1] * (n + 1)
     M = [{i: 1} for i in range(n)]
     for k in range(1, n + 1):
         BM = _rows_mul(B, M)
         ck = -sum(row.get(i, 0) for i, row in enumerate(BM)) // k
-        c[n - k] = Fraction(ck, d ** k)
+        c[n - k] = quotient(ck, d ** k)
         for i, row in enumerate(BM):
             x = row.get(i, 0) + ck
             if x:
@@ -120,15 +125,15 @@ def rational_eigenvalues(c):
     roots = {}
     # strip roots at 0
     while len(p) > 1 and p[0] == 0:
-        roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
+        roots[0] = roots.get(0, 0) + 1
         p = p[1:]
     if len(p) > 1 and p[-1] != 0:
         for root in sorted(_rational_roots(p), key=_search_order):
             while len(p) > 1:
-                quotient, value = _deflate(p, root)
+                rest, value = _deflate(p, root)
                 if value:
                     break
-                p = quotient
+                p = rest
                 roots[root] = roots.get(root, 0) + 1
     if len(p) > 1:
         raise UnsupportedSpectrumError(
@@ -153,7 +158,7 @@ def _rational_roots(p):
     ints = _primitive(p)
     n, an = len(ints) - 1, ints[-1]
     monic = [a * an ** (n - 1 - i) for i, a in enumerate(ints[:-1])] + [1]
-    return [Fraction(y, an) for y in _integer_roots(monic)]
+    return [quotient(y, an) for y in _integer_roots(monic)]
 
 
 def _integer_roots(f):
@@ -207,8 +212,8 @@ def _sturm_chain(f):
 
 def _primitive(p):
     """The positive multiple of p with coprime integer coefficients."""
-    scale = math.lcm(*(Fraction(x).denominator for x in p))
-    ints = [int(x * scale) for x in p]
+    scale = math.lcm(*(x.denominator for x in p))
+    ints = [x.numerator * (scale // x.denominator) for x in p]
     content = math.gcd(*ints)
     return [x // content for x in ints]
 
@@ -216,13 +221,13 @@ def _primitive(p):
 def _poly_divmod(a, b):
     """Quotient and remainder of a by b in Q[x], coefficients low to high;
     the remainder has no trailing zeros (the zero polynomial is [])."""
-    rem = [Fraction(x) for x in a]
-    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    rem = [as_rational(x) for x in a]
+    quot = [0] * max(len(a) - len(b) + 1, 0)
     for shift in range(len(quot) - 1, -1, -1):
-        f = rem[shift + len(b) - 1] / b[-1]
+        f = quotient(rem[shift + len(b) - 1], b[-1])
         quot[shift] = f
         for k, y in enumerate(b):
-            rem[shift + k] -= f * y
+            rem[shift + k] = as_rational(rem[shift + k] - f * y)
     while rem and not rem[-1]:
         rem.pop()
     return quot, rem
@@ -237,10 +242,10 @@ def _value(p, x):
 
 def _deflate(p, r):
     """(q, p(r)) with p = (x - r) q + p(r), by Horner; coefficients low to high."""
-    acc = Fraction(0)
+    acc = 0
     q = []
     for coeff in reversed(p):
-        acc = acc * r + coeff
+        acc = as_rational(acc * r + coeff)
         q.append(acc)
     value = q.pop()
     return q[::-1], value
@@ -272,8 +277,9 @@ def matrix_exp(A):
     r = None
     scale = 1
     for lam in [lam for lam, m in roots.items() for _ in range(m)]:
-        r = {(0, lam): Fraction(1)} if r is None else _putzer_step(r, lam)
-        terms = [(slots.setdefault(key, len(slots)), c / scale) for key, c in r.items()]
+        r = {(0, lam): 1} if r is None else _putzer_step(r, lam)
+        terms = [(slots.setdefault(key, len(slots)), quotient(c, scale))
+                 for key, c in r.items()]
         for cells, row in zip(result, Q):
             for j, q in row.items():
                 cell = cells[j]
@@ -284,8 +290,8 @@ def matrix_exp(A):
         if not any(Q):
             break
         scale *= d
-    keys = [(_ZERO, (m,), (lam,)) for m, lam in slots]
-    return [tuple(ExpPolynomial({keys[slot]: c for slot, c in cell.items() if c})
+    keys = [(0, (m,), (lam,)) for m, lam in slots]
+    return [tuple(ExpPolynomial({keys[slot]: as_rational(c) for slot, c in cell.items() if c})
                   for cell in row) for row in result]
 
 
@@ -300,7 +306,7 @@ def _putzer_step(r, lam):
     out = {}
 
     def add(key, c):
-        s = out.get(key, 0) + c
+        s = as_rational(out.get(key, 0) + c)
         if s:
             out[key] = s
         else:
@@ -309,12 +315,12 @@ def _putzer_step(r, lam):
     for (m, mu), c in r.items():
         nu = mu - lam
         if not nu:
-            add((m + 1, lam), c / (m + 1))
+            add((m + 1, lam), quotient(c, m + 1))
             continue
-        coeff = c / nu
+        coeff = quotient(c, nu)
         for j in range(m, 0, -1):
             add((j, mu), coeff)
-            coeff = -coeff * j / nu
+            coeff = quotient(-coeff * j, nu)
         add((0, mu), coeff)
         add((0, lam), -coeff)
     return out
@@ -322,7 +328,7 @@ def _putzer_step(r, lam):
 
 def ad_matrix(L, a):
     """Matrix of ad(sum a_i e_i): column j = [a, e_j] in coordinates."""
-    return L.ad(tuple(Fraction(x) for x in a))
+    return L.ad(tuple(as_rational(x) for x in a))
 
 
 def ad_exp(L, i):
@@ -336,8 +342,8 @@ def ad_exp(L, i):
     """
     key = ("ad_exp", i)
     if key not in L.memo:
-        e_i = [Fraction(0)] * L.n
-        e_i[i] = Fraction(1)
+        e_i = [0] * L.n
+        e_i[i] = 1
         ad = L.ad(e_i)
         neg = [[-x for x in row] for row in ad]
         col = matrix_exp(neg)  # column convention: image of e_j in column j
@@ -398,7 +404,7 @@ def flow(vf):
             linear = linear + expr.Rational(a) * z
         if not expr.equal(coeff, linear):
             raise ValueError(f"coefficient {coeff} is not affine in the base variables")
-    E = matrix_exp(rows + [[_ZERO] * (len(coords) + 1)])
+    E = matrix_exp(rows + [[0] * (len(coords) + 1)])
     return {z: sum((expression(e) * w for e, w in zip(row, coords)), expression(row[-1]))
             for z, row in zip(coords, E)}
 

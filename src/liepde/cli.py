@@ -37,6 +37,7 @@ def main(argv=None):
     args = _build_parser().parse_args(
         _attach_vector(sys.argv[1:] if argv is None else argv))
     try:
+        _check_options(args)
         output = args.run(args)
     except (LiepdeError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -47,6 +48,14 @@ def main(argv=None):
     else:
         sys.stdout.write(output.decode())
     return 0
+
+
+def _check_options(args):
+    """Reject a negative `--ansatz-degree` or `--order` before any stage runs."""
+    for option, value in (("--ansatz-degree", args.ansatz_degree),
+                          ("--order", getattr(args, "order", 0))):
+        if value < 0:
+            raise LiepdeError(f"{option} must be a non-negative integer, got {value}")
 
 
 def _attach_vector(argv):

@@ -9,10 +9,17 @@ with rational coefficients.  Canonical forms are what make exact
 golden-value testing of the downstream algebra possible.
 
 Polynomial coefficients are exact rationals held as a plain `int` when
-they are integral and as a `fractions.Fraction` otherwise, so the common
-integer case never pays for Fraction's gcd normalisation; every coefficient
-division goes through `Fraction`, and floats are rejected.  Constants read
-back through `Rational.value` and `constant_value` are always Fractions.
+they are integral and as a `fractions.Fraction` otherwise, never as a float
+and never as an integral Fraction: the number convention of the whole
+package, so the common integer case never pays for Fraction's gcd
+normalisation.  `as_rational` puts a number in that form and `quotient` is
+the one exact division.  Two operations leave the convention: `int / int`
+and `int ** negative_int` give floats, so a division or a power that may
+be negative goes through `quotient`.  Floats are rejected.  Two kinds of
+value are Fractions even when integral: constants read back through
+`Rational.value` and `constant_value`, for the PDE-layer callers that divide
+them with `/`, and the exponent `ParamExp.k`, which monomials keep as their
+parameter powers.
 The `/` operator divides only by nonzero monomials (negative integer
 powers), never by general sums; `divide` finds exact quotients of
 polynomials.
@@ -45,8 +52,9 @@ UNKNOWN = 4
 GROUP = 5
 
 
-def _as_coeff(x):
-    """`x` as a coefficient: an int when it is integral, else a Fraction."""
+def as_rational(x):
+    """The exact rational `x` as the package holds it: an int when it is
+    integral, else a Fraction.  A float raises TypeError."""
     if type(x) is int:
         return x
     if isinstance(x, Fraction):
@@ -58,9 +66,12 @@ def _as_coeff(x):
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
-def _quotient(a, b):
-    """The exact coefficient a / b."""
-    return _as_coeff(Fraction(a, b))
+def quotient(a, b):
+    """The exact rational a / b, an int when it is integral; unlike `/` on
+    two ints it never gives a float."""
+    if type(a) is int and type(b) is int and b and not a % b:
+        return a // b
+    return as_rational(Fraction(a, b))
 
 
 class Expr:
@@ -103,7 +114,7 @@ class Expr:
     def __mul__(self, other):
         if isinstance(other, Expr):
             return _canonical(_poly_mul(self._poly(), other._poly()))
-        c = _as_coeff(other)
+        c = as_rational(other)
         return _canonical(_poly_scale(self._poly(), c)) if c else ZERO
 
     __rmul__ = __mul__
@@ -143,9 +154,9 @@ class Rational(Expr):
     __slots__ = ("coeff",)
 
     def __init__(self, num, den=1):
-        coeff, den = _as_coeff(num), _as_coeff(den)
+        coeff, den = as_rational(num), as_rational(den)
         if den != 1:
-            coeff = _quotient(coeff, den)
+            coeff = quotient(coeff, den)
         object.__setattr__(self, "coeff", coeff)
         self._setkey((0, coeff))
 
@@ -191,7 +202,7 @@ class ParamExp(Expr):
         if not (isinstance(param, Symbol) and param.role == GROUP):
             raise TypeError("ParamExp parameter must be a group-parameter symbol")
         object.__setattr__(self, "param", param)
-        object.__setattr__(self, "k", Fraction(_as_coeff(k)))
+        object.__setattr__(self, "k", Fraction(as_rational(k)))
         self._setkey((2, param._key, self.k))
 
     def _poly(self):
@@ -353,7 +364,7 @@ def _mono_mul(m1, m2):
 def _add_term(poly, mono, coeff):
     c = poly.get(mono, 0) + coeff
     if c:
-        poly[mono] = c if type(c) is int else _as_coeff(c)
+        poly[mono] = c if type(c) is int else as_rational(c)
     else:
         poly.pop(mono, None)
 
@@ -380,8 +391,8 @@ def _poly_mul(p1, p2):
 def _poly_scale(p, c):
     """p times the nonzero coefficient c, term by term in p's order."""
     if type(c) is int:
-        return {m: v * c if type(v) is int else _as_coeff(v * c) for m, v in p.items()}
-    return {m: _as_coeff(v * c) for m, v in p.items()}
+        return {m: v * c if type(v) is int else as_rational(v * c) for m, v in p.items()}
+    return {m: as_rational(v * c) for m, v in p.items()}
 
 
 def _poly_pow(p, n):
@@ -395,7 +406,7 @@ def _poly_pow(p, n):
             )
         ((powers, pexps), coeff), = p.items()
         p = {(tuple((a, -e) for a, e in powers), tuple((s, -k) for s, k in pexps)):
-             _quotient(1, coeff)}
+             quotient(1, coeff)}
         n = -n
     result = {_EMPTY_MONO: _ONE}
     while n:
@@ -426,7 +437,7 @@ def monomials(e):
     """The terms of `e` in canonical order, as (monomial, coefficient) pairs.
 
     A coefficient is an int when it is integral and a Fraction otherwise;
-    divide one only through `Fraction`.
+    divide one only through `quotient`.
 
     A monomial is a pair (powers, pexps): `powers` holds (atom, integer
     exponent) pairs with atoms Symbols or FunctionApplications, `pexps`
@@ -517,12 +528,12 @@ def divide(a, b):
         raise DegenerateInputError("division by zero expression")
     c = _constant(pb)
     if c is not None:
-        return _canonical({m: _quotient(v, c) for m, v in pa.items()})
+        return _canonical({m: quotient(v, c) for m, v in pa.items()})
     order = _grlex(_atoms(pa, pb))
     (powers, pexps), lead = max(pb.items(), key=order)
     inverse = (tuple((x, -k) for x, k in powers), tuple((s, -k) for s, k in pexps))
     remainder = dict(pa)
-    quotient = {}
+    result = {}
     for _ in range(len(pa) * (len(pb) + 2) + 16):
         if not remainder:
             break
@@ -530,10 +541,10 @@ def divide(a, b):
         q = _mono_mul(mono, inverse)
         if any(k < 0 for _, k in q[0]):
             return None
-        c = _quotient(coeff, lead)
-        _add_term(quotient, q, c)
+        c = quotient(coeff, lead)
+        _add_term(result, q, c)
         remainder = _poly_add(remainder, _poly_mul({q: c}, pb), -1)
-    return None if remainder else _canonical(quotient)
+    return None if remainder else _canonical(result)
 
 
 def free_symbols(e):
@@ -784,7 +795,7 @@ def _render_pexp(sym, k):
         return f"exp({sym.name})"
     if k == -1:
         return f"exp(-{sym.name})"
-    return f"exp({Fraction(k)}*{sym.name})"
+    return f"exp({k}*{sym.name})"
 
 
 def _render_term(mono, coeff):
@@ -792,13 +803,13 @@ def _render_term(mono, coeff):
     pieces = [_render_atom(a) if e == 1 else f"{_render_atom(a)}^{e}" for a, e in powers]
     pieces.extend(_render_pexp(s, k) for s, k in pexps)
     if not pieces:
-        return str(Fraction(coeff))
+        return str(coeff)
     body = "*".join(pieces)
     if coeff == 1:
         return body
     if coeff == -1:
         return f"-{body}"
-    return f"{Fraction(coeff)}*{body}"
+    return f"{coeff}*{body}"
 
 
 def render(e):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 
 from . import expr
 from .expr import JET, ZERO
@@ -59,7 +58,7 @@ class VectorField:
         )
 
     def __sub__(self, other):
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def scale(self, c):
         return VectorField(

@@ -19,14 +19,19 @@ would store equal entries differently and change the basis vectors after
 `clear_denominators`.  Over Q the reduced row echelon form is unique, so
 the first candidate row serves.
 
+Both fields hold a rational as the package does (`expr.as_rational`): a
+plain int when it is integral and a Fraction otherwise, never a float and
+never an integral Fraction.  The kernel puts each computed entry in that
+form through the field's `canonical` hook, and inverts a number through
+`expr.quotient`, so a pivot of +-1 stays an int.  `rref`, `nullspace` and
+`det` take ints and Fractions and return them in that form.
+
 The parameter field holds fractions of `expr` polynomials in the parameter
 symbols, with only guaranteed-exact simplification.  A rational element,
-as most entries of a determining matrix are, is a plain number: an int
-when it is integral and a Fraction otherwise, as `expr` holds its
-coefficients.  Only an element that holds a parameter is a `ParamFrac`.
-Its arithmetic takes numbers on either side and returns a number whenever
-the result is constant, and the kernel turns the integral Fractions that
-number arithmetic leaves into ints.  As a pivot candidate a number weighs
+as most entries of a determining matrix are, is a plain number; only an
+element that holds a parameter is a `ParamFrac`.  Its arithmetic takes
+numbers on either side and returns a number whenever the result is
+constant.  As a pivot candidate a number weighs
 2, what a constant over `expr.ONE` weighs.  A Laurent monomial such as
 2*nu or rho^-1 over `expr.ONE` inverts to one over itself, and a
 difference subtracts the numerators in one step; both give the numerator
@@ -39,7 +44,6 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 
 from . import expr
 from .errors import UnsupportedDivisionError
@@ -52,17 +56,17 @@ from .errors import UnsupportedDivisionError
 class _Field:
     """What the kernel needs of a field: `weight` ranks candidate pivots
     (None takes the first candidate), `coerce` turns an input entry into
-    an element and `canonical`, when given, puts each computed entry in the
-    form the field holds it in."""
+    an element and `canonical` puts each computed entry in the form the
+    field holds it in."""
 
-    def __init__(self, zero, one, is_zero, inverse, weight, coerce, canonical=None):
+    def __init__(self, zero, one, is_zero, inverse, weight, coerce, canonical):
         self.zero, self.one, self.is_zero = zero, one, is_zero
         self.inverse, self.weight, self.coerce = inverse, weight, coerce
         self.canonical = canonical
 
 
-_RATIONALS = _Field(Fraction(0), Fraction(1), operator.not_, lambda x: 1 / x,
-                    None, Fraction)
+_RATIONALS = _Field(0, 1, operator.not_, lambda x: expr.quotient(1, x), None,
+                    expr.as_rational, expr.as_rational)
 
 
 def _sparse(row, field):
@@ -87,7 +91,7 @@ def _eliminate(row, c, pivot, field, holders=None, j=None):
                 if holders is not None:
                     holders[k].discard(j)
         else:
-            row[k] = x if canonical is None else canonical(x)
+            row[k] = canonical(x)
             if old is None and holders is not None:
                 holders.setdefault(k, set()).add(j)
 
@@ -129,9 +133,7 @@ class Echelon:
             order[r], order[p] = i, moved
             position[i], position[moved] = r, p
             inv = field.inverse(rows[i][c])
-            pivot = {k: x * inv for k, x in rows[i].items()}
-            if field.canonical is not None:
-                pivot = {k: field.canonical(x) for k, x in pivot.items()}
+            pivot = {k: field.canonical(x * inv) for k, x in rows[i].items()}
             rows[i] = pivot
             for j in list(held):
                 if j != i:
@@ -170,17 +172,17 @@ def _kernel(reduced, pivots, ncols, field):
 # ---------------------------------------------------------------------------
 
 def sparse(vector):
-    """A rational vector as a dict column -> nonzero Fraction."""
+    """A rational vector as a dict column -> nonzero rational."""
     return _sparse(vector, _RATIONALS)
 
 
 def dense(row, ncols):
-    """A sparse rational row as a tuple of `ncols` Fractions."""
+    """A sparse rational row as a tuple of `ncols` rationals."""
     return tuple(row.get(k, _RATIONALS.zero) for k in range(ncols))
 
 
 def row_space(rows, ncols):
-    """The `Echelon` of sparse rational rows (dicts column -> Fraction)."""
+    """The `Echelon` of sparse rational rows (dicts column -> rational)."""
     return Echelon(rows, ncols, _RATIONALS)
 
 
@@ -198,25 +200,24 @@ def nullspace(rows, ncols):
 
 
 def det(rows):
-    """Exact determinant by fraction-free style elimination on Fractions."""
-    rows = [list(r) for r in rows]
+    """Exact determinant by Gaussian elimination over Q."""
+    rows = [[expr.as_rational(x) for x in r] for r in rows]
     n = len(rows)
-    sign = 1
-    result = Fraction(1)
+    result = 1
     for c in range(n):
-        pivot_row = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        pivot_row = next((i for i in range(c, n) if rows[i][c]), None)
         if pivot_row is None:
-            return Fraction(0)
+            return 0
         if pivot_row != c:
             rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            sign = -sign
-        result *= rows[c][c]
-        inv = Fraction(1) / rows[c][c]
+            result = -result
+        pivot = rows[c][c]
+        result = expr.as_rational(result * pivot)
         for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return sign * result
+            if rows[i][c]:
+                f = expr.quotient(rows[i][c], pivot)
+                rows[i] = [expr.as_rational(a - f * b) for a, b in zip(rows[i], rows[c])]
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +306,7 @@ class ParamFrac:
 
     def inverse(self):
         if type(self) is not ParamFrac:
-            return expr._as_coeff(1 / Fraction(self))
+            return expr.quotient(1, self)
         if not self:
             raise ZeroDivisionError("inverting zero in parameter field")
         if self.den is expr.ONE and len(self.num._poly()) == 1:
@@ -352,7 +353,7 @@ def element(x):
         return x.num.coeff if constant else x
     if isinstance(x, expr.Expr):
         return x.coeff if type(x) is expr.Rational else ParamFrac(x)
-    return expr._as_coeff(x)
+    return expr.as_rational(x)
 
 
 def expr_to_paramfrac(e, params):
@@ -374,13 +375,8 @@ def expr_to_paramfrac(e, params):
     return element(expr.normalize(e))
 
 
-def _integral(x):
-    """A number as the parameter field holds it: an int when it is integral."""
-    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
-
-
 _PARAMETERS = _Field(0, 1, operator.not_, ParamFrac.inverse, ParamFrac.complexity,
-                     element, _integral)
+                     element, element)
 
 
 def row_space_param(rows, ncols):
@@ -449,19 +445,17 @@ def clear_denominators(vec, params):
 def integer_kernel(rows):
     """Basis of {a integer vector : M a = 0} via unimodular column reduction.
 
-    `rows` may contain Fractions; they are cleared row-wise first.  The
-    returned basis generates the full (saturated) kernel lattice.
+    `rows` may hold Fractions; each row is scaled by the lcm of its
+    denominators first.  The returned basis generates the full (saturated)
+    kernel lattice.
     """
     if not rows:
         return []
     ncols = len(rows[0])
     mat = []
     for row in rows:
-        fracs = [Fraction(x) for x in row]
-        lcm = 1
-        for f in fracs:
-            lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
-        mat.append([int(f * lcm) for f in fracs])
+        lcm = math.lcm(*(x.denominator for x in row))
+        mat.append([x.numerator * (lcm // x.denominator) for x in row])
     u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
 
     def col_combine(c1, c2, a, b, c, d):
@@ -533,7 +527,7 @@ def in_integer_lattice(basis, vectors):
     rows = []
     for i, b in enumerate(basis):
         row = sparse(b)
-        row[width + i] = Fraction(1)
+        row[width + i] = 1
         rows.append(row)
     span = row_space(rows, width + len(basis))
     out = []

@@ -8,16 +8,22 @@ scalings at a rational multiplier q = e^eps), a deterministic greedy normal
 form for one-dimensional subalgebras, and per-entry verification of
 proposed optimal-system tables: closure, abelian/ideal flags, and
 conjugacy-invariant fingerprints that expose coverage gaps mechanically.
+
+Vectors, epsilons and multipliers are rationals as the package holds them
+(`expr.as_rational`): an int when integral and a Fraction otherwise.  An
+orbit step divides through `expr.quotient` and raises a multiplier to a
+negative power as the inverse of a positive one, since `/` on two ints and
+an int to a negative power give floats.
 """
 
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 from . import linalg, structure
 from .adjoint import ad_exp
 from .errors import LiepdeError, NormalFormError, UnsupportedSpectrumError
+from .expr import as_rational, quotient
 
 
 def _per_algebra(fn):
@@ -45,11 +51,17 @@ def _act(L, i, a, t):
     """a . Ad(exp(eps v_i)) exactly, at t = eps along a nilpotent direction
     and at t = e^eps along a diagonal scaling: one of m and k is 0 in every
     term, so each contributes coeff * t^(m + k)."""
-    out = [Fraction(0)] * L.n
+    out = [0] * L.n
     for r, c, coeff, m, k in _terms(L, i):
-        if a[r]:
-            out[c] += a[r] * coeff * t ** (m + k)
-    return tuple(out)
+        x = a[r]
+        if x:
+            e = m + k
+            if e > 0:
+                x = x * t ** e
+            elif e:
+                x = quotient(x, t ** -e)
+            out[c] += x * coeff
+    return tuple(map(as_rational, out))
 
 
 @_per_algebra
@@ -149,7 +161,7 @@ def _power_free_multiplier(value, k, label):
         den = _int_power_part(value.denominator, k)
     except NormalFormError as exc:
         raise NormalFormError(f"component {label} = {value}: {exc}") from None
-    return Fraction(num, den)
+    return quotient(num, den)
 
 
 _TRIAL_BOUND = 2 ** 16
@@ -242,7 +254,7 @@ def normal_form_1d(L, a):
     output again changes nothing; NormalFormError is raised when that takes
     more than a fixed number of sweeps.
     """
-    a = tuple(Fraction(x) for x in a)
+    a = tuple(as_rational(x) for x in a)
     if all(x == 0 for x in a):
         raise ValueError("normal form of the zero vector is undefined")
     inv = invariant_components(L)
@@ -254,7 +266,7 @@ def normal_form_1d(L, a):
     current = _sweep(L, inv, scalings, _scale_step, current, steps)
     negated = False
     if all(current[j] == 0 for j in inv):
-        first = next((x for x in current if x != 0), Fraction(1))
+        first = next((x for x in current if x != 0), 1)
         if first < 0:
             negated = True
             current = tuple(-x for x in current)
@@ -293,7 +305,7 @@ def _translate_step(L, inv, i, current):
             coeffs[m] = coeffs.get(m, 0) + current[r] * coeff
     if not coeffs.get(1) or any(x for m, x in coeffs.items() if m > 1):
         return None
-    epsilon = -current[i] / coeffs[1]
+    epsilon = quotient(-current[i], coeffs[1])
     return OrbitStep("translate", i, epsilon, _act(L, i, current, epsilon))
 
 
@@ -307,7 +319,7 @@ def _scale_step(L, inv, i, current):
     k = exps[target]
     q = _power_free_multiplier(current[target], k, L.labels[target])
     if k > 0:
-        q = Fraction(1) / q
+        q = quotient(1, q)
     if q == 1:
         return None
     return OrbitStep("scale", i, q, _act(L, i, current, q))
@@ -396,6 +408,6 @@ def coverage_gaps(L, representatives):
     not invariant; the labels of the unreached basis vectors are reported.
     """
     inv = invariant_components(L)
-    supports = {frozenset(j for j in inv if Fraction(vec[j])) for vec in representatives}
+    supports = {frozenset(j for j in inv if as_rational(vec[j])) for vec in representatives}
     return [label for k, label in enumerate(L.labels)
             if frozenset({k}.intersection(inv)) not in supports]

@@ -27,7 +27,6 @@ any document as JSON, or as text rendered from it.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from . import adjoint, expr, invariants, linalg, optimal, parser, reference, structure
 from .errors import (LiepdeError, NotASubalgebraError, PipelineError,
@@ -39,7 +38,8 @@ SCHEMA_VERSION = 1
 
 
 def jfrac(x):
-    return str(Fraction(x))
+    """An exact rational as its JSON string, '3' or '-1/2'."""
+    return str(x)
 
 
 def jexppoly(e):
@@ -668,6 +668,6 @@ def _analysis_lines(report):
 def _exppoly_text(terms):
     """An adjoint entry, given as its `jexppoly` terms, in `expr.render`."""
     return expr.render(sum(
-        (adjoint.exp_term(Fraction(t["c"]), t.get("eps_power", 0),
-                          Fraction(t.get("eps_exp", 0))) for t in terms),
+        (adjoint.exp_term(structure.parse_rational(t["c"]), t.get("eps_power", 0),
+                          structure.parse_rational(t.get("eps_exp", 0))) for t in terms),
         expr.ZERO))

@@ -297,7 +297,7 @@ def _term_value(coefficient, params):
     c = expr.constant_value(coefficient)
     if c is None:
         return linalg.expr_to_paramfrac(coefficient, params).num
-    return c.numerator if c.denominator == 1 else c
+    return expr.as_rational(c)
 
 
 def _coefficient(cell):
@@ -351,7 +351,7 @@ def _canonical_key(row, quotients):
     for k in columns[1:]:
         x = row[k]
         if rational and type(x) is not linalg.ParamFrac:
-            key.append((k, expr._quotient(x, first)))
+            key.append((k, expr.quotient(x, first)))
             continue
         pair = (_numerator(x), _numerator(first))
         q = quotients.get(pair)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import importlib.resources
 import json
-from fractions import Fraction
 
 from . import expr, parser, structure
 from .adjoint import EPS_SYMBOL, exp_term
@@ -82,15 +81,12 @@ def extra_generator(space):
     return VectorField(space, (Z, x), (Z, u, Z))
 
 
-KILLING_FORM = tuple(
-    tuple(Fraction(x) for x in row)
-    for row in (
-        (0, 0, 0, 0, 0),
-        (0, 0, 0, 0, 0),
-        (0, 0, 0, 0, 0),
-        (0, 0, 0, 5, -8),
-        (0, 0, 0, -8, 17),
-    )
+KILLING_FORM = (
+    (0, 0, 0, 0, 0),
+    (0, 0, 0, 0, 0),
+    (0, 0, 0, 0, 0),
+    (0, 0, 0, 5, -8),
+    (0, 0, 0, -8, 17),
 )
 
 # The baseline prints the derived chain <v1..v5> > <v1,v2,2*v3>, which is

@@ -2,7 +2,10 @@
 
 Algebras are given by structure constants (optionally realized by vector
 fields); subspaces are stored with reduced-row-echelon canonical bases so
-equality is decidable and reports are stable.
+equality is decidable and reports are stable.  Every rational here, a
+structure constant, a basis coordinate or a Killing-form entry, is held as
+the package holds one (`expr.as_rational`): an int when it is integral and
+a Fraction otherwise, never a float.
 
 Questions about subspaces go through two kernels.  `bracket_outside` finds
 the first pair of two lists whose bracket leaves a subspace.
@@ -60,7 +63,8 @@ class Subspace:
 
 
 class LieAlgebra:
-    """Lie algebra with rational structure constants C^k_{ij}.
+    """Lie algebra with rational structure constants C^k_{ij}, each an int
+    when it is integral and a Fraction otherwise.
 
     Antisymmetry and the Jacobi identity are asserted at construction.
     `realization`, when given, holds the vector fields whose brackets the
@@ -74,7 +78,7 @@ class LieAlgebra:
     def __init__(self, constants, labels=None, realization=None):
         self.n = len(constants)
         self.constants = tuple(
-            tuple(tuple(Fraction(x) for x in row) for row in plane)
+            tuple(tuple(expr.as_rational(x) for x in row) for row in plane)
             for plane in constants
         )
         self.labels = tuple(labels) if labels else tuple(
@@ -97,11 +101,12 @@ class LieAlgebra:
     @classmethod
     def from_brackets(cls, n, entries, labels=None):
         """Build from sparse entries {(i, j): coefficient vector}, 0-indexed."""
-        c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        c = [[[0] * n for _ in range(n)] for _ in range(n)]
         for (i, j), vec in entries.items():
             for k, x in enumerate(vec):
-                c[i][j][k] = Fraction(x)
-                c[j][i][k] = -Fraction(x)
+                x = expr.as_rational(x)
+                c[i][j][k] = x
+                c[j][i][k] = -x
         return cls(c, labels=labels)
 
     def _check_antisymmetry(self):
@@ -132,7 +137,7 @@ class LieAlgebra:
 
     def bracket_coords(self, a, b):
         """Bracket of two coordinate vectors, as a coordinate vector."""
-        out = [Fraction(0)] * self.n
+        out = [0] * self.n
         for i, ai in enumerate(a):
             if not ai:
                 continue
@@ -141,18 +146,18 @@ class LieAlgebra:
                     continue
                 for k, c in self.table.get((i, j), ()):
                     out[k] += ai * bj * c
-        return tuple(out)
+        return tuple(map(expr.as_rational, out))
 
     def ad(self, a):
         """Matrix of ad(sum a_i e_i): column j holds [a, e_j] in coordinates."""
-        out = [[Fraction(0)] * self.n for _ in range(self.n)]
+        out = [[0] * self.n for _ in range(self.n)]
         for i, ai in enumerate(a):
             if not ai:
                 continue
             for j in range(self.n):
                 for k, c in self.table.get((i, j), ()):
                     out[k][j] += ai * c
-        return tuple(tuple(row) for row in out)
+        return tuple(tuple(map(expr.as_rational, row)) for row in out)
 
     def subspace(self, vectors):
         return Subspace(self, vectors)
@@ -198,9 +203,9 @@ def structure_constants(basis, labels=None):
     rows = [_field_row(vf, index, grow=True) for vf in basis]
     width = len(index)
     for i, row in enumerate(rows):
-        row[width + i] = Fraction(1)
+        row[width + i] = 1
     span = linalg.row_space(rows, width + n)
-    constants = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    constants = [[[0] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             row = _field_row(field_bracket(basis[i], basis[j]), index)
@@ -227,7 +232,7 @@ def _field_row(vf, index, grow=False):
                 if not grow:
                     return None
                 index[key] = len(index)
-            row[index[key]] = Fraction(c)
+            row[index[key]] = c
     return row
 
 
@@ -240,15 +245,15 @@ def killing_form(L):
     # (ad e_i)[a][b] = C^a_ib, kept as {(a, b): C^a_ib} over the nonzero entries
     ads = [{(a, b): c for b in range(L.n) for a, c in L.table.get((i, b), ())}
            for i in range(L.n)]
-    out = [[Fraction(0)] * L.n for _ in range(L.n)]
+    out = [[0] * L.n for _ in range(L.n)]
     for i in range(L.n):
         for j in range(i, L.n):
-            t = Fraction(0)
+            t = 0
             for (a, b), c in ads[i].items():
                 d = ads[j].get((b, a))
                 if d:
                     t += c * d
-            out[i][j] = out[j][i] = t
+            out[i][j] = out[j][i] = expr.as_rational(t)
     return tuple(tuple(row) for row in out)
 
 
@@ -309,10 +314,7 @@ def radical(L):
     derived = product_space(L, L.whole(), L.whole())
     rows = []
     for d in derived.basis:
-        rows.append(tuple(
-            sum((K[i][j] * d[j] for j in range(L.n)), Fraction(0))
-            for i in range(L.n)
-        ))
+        rows.append(tuple(sum(K[i][j] * d[j] for j in range(L.n)) for i in range(L.n)))
     return L.subspace(linalg.nullspace(rows, L.n))
 
 
@@ -349,19 +351,20 @@ def algebra_from_json(doc):
     are filled in automatically; `labels` is optional.  A malformed
     document raises ValueError naming the document or the bracket at fault.
     """
-    n = _object(doc, "the document")["dim"]
+    n = _key(_object(doc, "the document"), "dim", "the document")
     if not _is_int(n) or n < 0:
         raise ValueError(f"dim must be a non-negative integer, got {n!r}")
     entries = {}
     for number, item in enumerate(_list(doc.get("brackets", []), "brackets"), 1):
         where = f"bracket {number}"
-        i, j = _object(item, where)["i"], item["j"]
+        _object(item, where)
+        i, j = _key(item, "i", where), _key(item, "j", where)
         for name, index in (("i", i), ("j", j)):
             if not _is_int(index) or not 1 <= index <= n:
                 raise ValueError(f"{where}: index {name} = {index!r} is not in 1..{n}")
         if (i - 1, j - 1) in entries or (j - 1, i - 1) in entries:
             raise ValueError(f"{where}: the bracket of elements {i} and {j} is given twice")
-        coeffs = _rationals(item["coeffs"], where)
+        coeffs = _rationals(_key(item, "coeffs", where), where)
         if len(coeffs) != n:
             raise ValueError(f"{where}: needs {n} coefficients, got {len(coeffs)}")
         entries[(i - 1, j - 1)] = coeffs
@@ -383,8 +386,10 @@ def table_from_json(doc):
     if not _is_int(schema) or schema != 1:
         raise ValueError(f"unsupported table schema {schema!r}; only schema 1 is read")
     entries = []
-    for number, item in enumerate(_list(doc["entries"], "entries"), 1):
-        label, vectors = _object(item, f"entry {number}")["label"], item["vectors"]
+    for number, item in enumerate(_list(_key(doc, "entries", "the document"), "entries"), 1):
+        where = f"entry {number}"
+        _object(item, where)
+        label, vectors = _key(item, "label", where), _key(item, "vectors", where)
         entries.append((label, [_rationals(v, f"entry {label}")
                                 for v in _list(vectors, f"entry {label}: vectors")]))
     return entries
@@ -400,7 +405,7 @@ def parse_rational(x):
         except ValueError:
             pass
         try:
-            return Fraction(x)
+            return expr.as_rational(Fraction(x))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {x!r}") from None
     if _is_int(x):
@@ -423,6 +428,14 @@ def _object(value, where):
     if not isinstance(value, dict):
         raise ValueError(f"{where} must be a JSON object, got {value!r}")
     return value
+
+
+def _key(value, key, where):
+    """`value[key]` of a JSON object, else ValueError naming `where`."""
+    try:
+        return value[key]
+    except KeyError:
+        raise ValueError(f"{where}: missing key {key!r}") from None
 
 
 def _list(value, where):

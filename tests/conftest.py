@@ -31,14 +31,20 @@ def parts(x):
     return expr.constant(x), expr.ONE
 
 
+def assert_rational(x):
+    """`x` is held as the package holds a rational: an int when it is
+    integral and a Fraction otherwise, never a float and never an integral
+    Fraction."""
+    assert type(x) is int or (type(x) is Fraction and x.denominator != 1), x
+
+
 def assert_element(x):
-    """`x` is held as the parameter field holds its elements: an int when it
-    is integral, a Fraction when it is rational, else a `linalg.ParamFrac`
-    that is not constant."""
+    """`x` is held as the parameter field holds its elements: a rational as
+    `assert_rational` asks, else a `linalg.ParamFrac` that is not constant."""
     if type(x) is linalg.ParamFrac:
         assert not (x.den is expr.ONE and x.num.is_constant())
     else:
-        assert type(x) is int or (type(x) is Fraction and x.denominator != 1), x
+        assert_rational(x)
 
 
 @pytest.fixture(scope="session")

@@ -29,7 +29,7 @@ from liepde.linalg import (
 from liepde.parser import build_system, parse_system
 from liepde.prolongation import build_determining
 
-from conftest import assert_element, parts, solve
+from conftest import assert_element, assert_rational, parts, solve
 from test_determining import TWO_PARAMETER_SYSTEM
 
 A = Symbol("a", PARAMETER)
@@ -461,7 +461,9 @@ def assert_same_rational_reduction(rows):
     expected, expected_pivots = dense_rref(rows)
     assert pivots == expected_pivots
     assert reduced == expected
-    assert all(type(x) is Fraction for row in reduced for x in row)
+    for row in reduced:
+        for x in row:
+            assert_rational(x)
     return reduced, pivots
 
 

@@ -480,10 +480,13 @@ class TestCoverageOracle:
         assert several > 0 or len(inv) < 2
 
     def test_string_components(self, algebra):
-        # components are read through Fraction, as the table files write them
-        reps = [("0", "0", "0", "1/2", "0"), ("1", "0", "0", "0", "0")]
+        # components are numbers, as `table_from_json` reads the table files'
+        # strings; a string is refused like every other algebra-layer input
+        reps = [(0, 0, 0, Fraction(1, 2), 0), (1, 0, 0, 0, 0)]
         assert coverage_gaps(algebra, reps) == ["v5"]
         assert proportional_coverage_gaps(algebra, reps) == ["v5"]
+        with pytest.raises(TypeError):
+            coverage_gaps(algebra, [("0", "0", "0", "1/2", "0")])
 
 
 def naive_power_part(n, k):

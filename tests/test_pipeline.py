@@ -418,15 +418,43 @@ class TestCli:
          "unsupported table schema 7; only schema 1 is read"),
         (["verify-optimal", "--file"], {"schema": "1", "entries": []},
          "unsupported table schema '1'; only schema 1 is read"),
+        # a missing key names the document, bracket or entry at fault
+        (["structure", "--constants"], {"entries": [1]},
+         "the document: missing key 'dim'"),
+        (["structure", "--constants"], {"dim": 2, "brackets": [{"i": 1, "j": 2}]},
+         "bracket 1: missing key 'coeffs'"),
+        (["verify-optimal", "--file"], {"dim": 2},
+         "the document: missing key 'entries'"),
+        (["verify-optimal", "--file"], {"entries": [{"label": "<v1>"}]},
+         "entry 1: missing key 'vectors'"),
     ], ids=["index-0", "index-3", "string-dim", "short-labels", "boolean",
             "zero-denominator", "table-zero-denominator", "table-float",
             "vector-zero-denominator", "list-document", "list-table",
-            "list-bracket", "number-entry", "table-schema-7", "table-schema-string"])
+            "list-bracket", "number-entry", "table-schema-7", "table-schema-string",
+            "missing-dim", "missing-coeffs", "missing-entries", "missing-vectors"])
     def test_malformed_input_is_an_error(self, tmp_path, capsys, argv, document, error):
         if document is not None:
             path = tmp_path / "input.json"
             path.write_text(json.dumps(document))
             argv = [*argv, str(path)]
+        rc = cli_main(argv)
+        assert (rc, *capsys.readouterr()) == (1, "", f"error: {error}\n")
+
+    @pytest.mark.parametrize("argv, error", [
+        (["invariants", "--order", "-1"], "--order must be a non-negative integer, got -1"),
+        (["--ansatz-degree", "-1", "symmetries"],
+         "--ansatz-degree must be a non-negative integer, got -1"),
+        (["--ansatz-degree=-2", "structure", "--constants", ALGEBRA],
+         "--ansatz-degree must be a non-negative integer, got -2"),
+    ], ids=["order", "ansatz-degree", "ansatz-degree-constants"])
+    def test_negative_option_is_rejected_before_any_stage(self, monkeypatch, capsys,
+                                                          argv, error):
+        # the check comes first: no system is read and no stage runs
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(parser, "parse_system", unreachable)
+        monkeypatch.setattr(structure, "algebra_from_json", unreachable)
         rc = cli_main(argv)
         assert (rc, *capsys.readouterr()) == (1, "", f"error: {error}\n")
 

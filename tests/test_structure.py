@@ -265,6 +265,15 @@ class TestJsonInterchange:
             (bracket(coeffs=["1/0", 0]), "bracket 1: zero denominator in '1/0'"),
             (bracket(coeffs=[0.5, 0]), "bracket 1: rationals must be integers"),
             (bracket(coeffs="10"), "bracket 1: expected a list of rationals"),
+            # each key the reader needs, missing
+            ({"brackets": []}, "the document: missing key 'dim'"),
+            ({"dim": 2, "brackets": [{"j": 2, "coeffs": ["1", "0"]}]},
+             "bracket 1: missing key 'i'"),
+            ({"dim": 2, "brackets": [{"i": 1, "coeffs": ["1", "0"]}]},
+             "bracket 1: missing key 'j'"),
+            ({"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": ["1", "0", "0"]},
+                                     {"i": 2, "j": 3}]},
+             "bracket 2: missing key 'coeffs'"),
             # a second bracket of the same pair once replaced the first
             ({"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": ["1", "0"]},
                                      {"i": 2, "j": 1, "coeffs": ["0", "1"]}]},
@@ -274,6 +283,10 @@ class TestJsonInterchange:
                 algebra_from_json(doc)
             assert str(caught.value).startswith(message), doc
         for doc, message in (
+            ({"dim": 2, "brackets": []}, "the document: missing key 'entries'"),
+            ({"entries": [{"vectors": [[1, 0]]}]}, "entry 1: missing key 'label'"),
+            ({"entries": [{"label": "<v1>", "vectors": [[1, 0]]}, {"label": "<v2>"}]},
+             "entry 2: missing key 'vectors'"),
             ({"entries": [{"label": "<v1>", "vectors": [[0.1, 0]]}]},
              "entry <v1>: rationals must be integers or 'num/den' strings, got 0.1"),
             ({"entries": [{"label": "<v1>", "vectors": [["1/0", 0]]}]},

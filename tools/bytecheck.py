@@ -68,8 +68,17 @@ bound stops them (exit 1), and, last, malformed input that must end in an
 error: ``structure --constants`` on documents with a bracket index of 0
 and of 3 on a two-dimensional algebra and with one label for two
 dimensions, and ``verify-optimal --file`` on a table whose coordinate is
-the JSON float 0.1.  The optimal table for ``verify-optimal`` and
-the printed variant are the files bundled with PARENT_TREE.
+the JSON float 0.1, and then, in text and JSON, ``structure --constants``
+and two ``normal-form --constants`` vectors with fractional coordinates on
+a four-dimensional algebra whose structure constants are not all integral
+(the Fraction branch of every algebra kernel), ``structure --constants`` on
+a document without ``dim`` and on a bracket without ``coeffs``,
+``verify-optimal --file`` on a table without ``entries``, and ``invariants
+--order -1`` and ``--ansatz-degree -1 symmetries``, which must fail before
+any stage runs.  The optimal table for ``verify-optimal`` and the printed
+variant are the files bundled with PARENT_TREE.  ``algebra_documents``
+and ``vectors`` are also read by the test suite, so its number-type tests
+run on these inputs.
 """
 
 from __future__ import annotations
@@ -230,9 +239,22 @@ H3 = {"dim": 3, "labels": ["x", "y", "z"],
 E2 = {"dim": 3, "brackets": [{"i": 3, "j": 1, "coeffs": ["0", "1", "0"]},
                              {"i": 3, "j": 2, "coeffs": ["-1", "0", "0"]}]}
 
+# [v1, v2] = 2 v2, [v1, v3] = -3/2 v3, [v1, v4] = v4/2 and [v2, v3] = v4/3:
+# structure constants that are not all integral, a Jacobi identity that
+# holds, and ad v1 with the eigenvalues 0, 2, -3/2 and 1/2
+FRACTIONAL = {"dim": 4, "labels": ["v1", "v2", "v3", "v4"],
+              "brackets": [{"i": 1, "j": 2, "coeffs": [0, 2, 0, 0]},
+                           {"i": 1, "j": 3, "coeffs": [0, 0, "-3/2", 0]},
+                           {"i": 1, "j": 4, "coeffs": [0, 0, 0, "1/2"]},
+                           {"i": 2, "j": 3, "coeffs": [0, 0, 0, "1/3"]}]}
+
+# three translations with fractional epsilons, and a negation
+FRACTIONAL_VECTORS = ("1/2,-3,5/4,2/3", "0,-4/3,0,5/6")
+
 # malformed documents, each an error: a bracket index of 0 (once read as
 # the last element, so that [v1, v2] = -v1) and of 3 on dim 2, one label on
-# dim 2, and a table whose coordinate is the float 0.1
+# dim 2, a table whose coordinate is the float 0.1, and documents without
+# "dim", a bracket without "coeffs" and a table without "entries"
 MALFORMED = {
     "index0.json": {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": ["1", "0"]}]},
     "index3.json": {"dim": 2, "brackets": [{"i": 3, "j": 1, "coeffs": ["1", "0"]}]},
@@ -240,6 +262,9 @@ MALFORMED = {
                           "brackets": [{"i": 1, "j": 2, "coeffs": ["0", "1"]}]},
     "float_table.json": {"schema": 1, "entries": [
         {"label": "<v1 + v4/10>", "vectors": [[1, 0, 0, 0.1, 0]]}]},
+    "no_dim.json": {"entries": [1]},
+    "no_coeffs.json": {"dim": 2, "brackets": [{"i": 1, "j": 2}]},
+    "no_entries.json": {"dim": 2},
 }
 
 
@@ -277,6 +302,24 @@ B4_TABLE = {"schema": 1, "entries": [
      "vectors": [[int(k == i) for k in range(10)] for i in (1, 5)]}]}
 
 
+def algebra_documents():
+    """The structure-constants documents the commands read, by file name."""
+    rng = random.Random(1)
+    c = 10 ** 12 + rng.randrange(1, 10 ** 6)
+    return {
+        "b4.json": borel4(),
+        "jordan.json": JORDAN,
+        "e2.json": E2,
+        "sl2.json": SL2,
+        "h3.json": H3,
+        "fractional.json": FRACTIONAL,
+        "spectrum.json": {"dim": 2, "labels": ["v1", "v2"],
+                          "brackets": [{"i": 1, "j": 2, "coeffs": [0, c]}]},
+        "huge.json": {"dim": 2, "labels": ["v1", "v2"],
+                      "brackets": [{"i": 1, "j": 2, "coeffs": [0, HUGE]}]},
+    }
+
+
 def vectors(rng, count, dim):
     """Seeded nonzero rational vectors, about half their entries zero."""
     out = []
@@ -305,23 +348,11 @@ def write_inputs(folder, parent):
         "divides_by_u.pde": DIVIDES_BY_U,
         "forced.pde": FORCED,
         "kdv_burgers.pde": KDV_BURGERS,
-        "b4.json": json.dumps(borel4(), indent=1),
         "b4_table.json": json.dumps(B4_TABLE),
-        "jordan.json": json.dumps(JORDAN),
-        "e2.json": json.dumps(E2),
-        "sl2.json": json.dumps(SL2),
         "sl2_table.json": json.dumps(SL2_TABLE),
-        "h3.json": json.dumps(H3),
         **{name: json.dumps(doc) for name, doc in MALFORMED.items()},
     }
-    rng = random.Random(1)
-    c = 10 ** 12 + rng.randrange(1, 10 ** 6)
-    files["spectrum.json"] = json.dumps(
-        {"dim": 2, "labels": ["v1", "v2"],
-         "brackets": [{"i": 1, "j": 2, "coeffs": [0, c]}]})
-    files["huge.json"] = json.dumps(
-        {"dim": 2, "labels": ["v1", "v2"],
-         "brackets": [{"i": 1, "j": 2, "coeffs": [0, HUGE]}]})
+    files.update((name, json.dumps(doc)) for name, doc in algebra_documents().items())
     for name, text in files.items():
         with open(os.path.join(folder, name), "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -453,6 +484,18 @@ def write_inputs(folder, parent):
     for name in ("index0.json", "index3.json", "short_labels.json"):
         commands.append(["structure", "--constants", name])
     commands.append(["verify-optimal", "--file", "float_table.json"])
+    # the Fraction branch of the algebra kernels
+    for fmt in ([], js):
+        commands.append([*fmt, "structure", "--constants", "fractional.json"])
+        for vec in FRACTIONAL_VECTORS:
+            commands.append([*fmt, "normal-form", f"--vector={vec}",
+                             "--constants", "fractional.json"])
+    # a missing key, and a negative option refused before any stage
+    for name in ("no_dim.json", "no_coeffs.json"):
+        commands.append(["structure", "--constants", name])
+    commands.append(["verify-optimal", "--file", "no_entries.json"])
+    commands.append(["invariants", "--order", "-1"])
+    commands.append(["--ansatz-degree", "-1", "symmetries"])
     return commands
 
 
