@@ -32,6 +32,7 @@ import math
 from . import expr
 from .errors import UnsupportedSpectrumError
 from .expr import GROUP, ParamExp, Symbol, ZERO, as_rational, quotient
+from .structure import per_algebra
 
 EPS = "eps"
 EPS_SYMBOL = Symbol(EPS, GROUP)
@@ -331,6 +332,7 @@ def ad_matrix(L, a):
     return L.ad(tuple(as_rational(x) for x in a))
 
 
+@per_algebra
 def ad_exp(L, i):
     """Adjoint matrix of exp(eps * v_i), in the row convention.
 
@@ -340,15 +342,11 @@ def ad_exp(L, i):
     Ad(exp(t v_i)) v_j = v_j - t [v_i, v_j] + t^2/2 [v_i,[v_i,v_j]] - ...
     Results are cached on the algebra (it, and they, are immutable).
     """
-    key = ("ad_exp", i)
-    if key not in L.memo:
-        e_i = [0] * L.n
-        e_i[i] = 1
-        ad = L.ad(e_i)
-        neg = [[-x for x in row] for row in ad]
-        col = matrix_exp(neg)  # column convention: image of e_j in column j
-        L.memo[key] = [tuple(col[j][r] for j in range(L.n)) for r in range(L.n)]
-    return L.memo[key]
+    e_i = [0] * L.n
+    e_i[i] = 1
+    neg = [[-x for x in row] for row in L.ad(e_i)]
+    col = matrix_exp(neg)  # column convention: image of e_j in column j
+    return [tuple(col[j][r] for j in range(L.n)) for r in range(L.n)]
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ def _attach_vector(argv):
     """
     out = []
     for token in argv:
-        if out and out[-1] == "--vector" and re.match(r"-[0-9.]", token):
+        if out and out[-1] == "--vector" and re.match(r"-[0-9]", token):
             out[-1] = f"--vector={token}"
         else:
             out.append(token)
@@ -206,8 +206,13 @@ def _algebra_for(args):
 
 
 def _cmd_normal_form(args):
+    vec = []
+    for position, x in enumerate(args.vector.split(","), 1):
+        try:
+            vec.append(structure.parse_rational(x.strip()))
+        except ValueError as exc:
+            raise ValueError(f"--vector coordinate {position}: {exc}") from None
     L = _algebra_for(args)
-    vec = [structure.parse_rational(x.strip()) for x in args.vector.split(",")]
     if len(vec) != L.n:
         raise LiepdeError(f"vector needs {L.n} coordinates, got {len(vec)}")
     r = optimal.normal_form_1d(L, vec)

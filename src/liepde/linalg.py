@@ -1,49 +1,49 @@
-"""Exact linear algebra over Q and over the field of the system parameters.
+"""Exact linear algebra over the field of the system parameters, whose
+constants are Q.
 
-One sparse elimination kernel, `Echelon`, serves both fields: rows are
-dicts column -> nonzero entry, reduced once to reduced row echelon form,
-after which `Echelon.reduce` clears further vectors against them.  `rref` and
-`nullspace` over Q and their `_param` twins are thin wrappers, and
-`in_integer_lattice` reduces its vectors against one `Echelon` of [B | I].
-`nullspace_param`, the determining solve, takes sparse rows as the
-determining system holds them; `rref` and `rref_param` take dense rows, the
-form the tests compare against.
-Columns are taken left to right.  A column index, from each column to the
-set of rows holding it, kept up to date as eliminations fill and clear
-entries, gives each column its candidate pivots and the rows to eliminate
-without scanning the others.  Over the parameter field the pivot is the
-candidate of least (`ParamFrac.complexity()`, current row position), which
-is the first row in the current order with the least complexity:
-`ParamFrac` does not cancel common polynomial factors, so another path
-would store equal entries differently and change the basis vectors after
-`clear_denominators`.  Over Q the reduced row echelon form is unique, so
-the first candidate row serves.
+One field serves every solve.  A rational element is a plain number, an
+int when it is integral and a Fraction otherwise, as `expr.as_rational`
+holds it; only an element that holds a parameter is a `ParamFrac`.  So a
+matrix over Q is a matrix over the parameter field whose cells happen to
+be numbers, and the algebra layer's subspaces and the determining solve go
+through the same kernel and the same operations: `element` normalises an
+entry, `ParamFrac.inverse` inverts one (`expr.quotient(1, n)` for a
+number, so a pivot of +-1 stays an int), `not x` tests for zero and
+`ParamFrac.complexity` weighs a pivot candidate.
 
-Both fields hold a rational as the package does (`expr.as_rational`): a
-plain int when it is integral and a Fraction otherwise, never a float and
-never an integral Fraction.  The kernel puts each computed entry in that
-form through the field's `canonical` hook, and inverts a number through
-`expr.quotient`, so a pivot of +-1 stays an int.  `rref`, `nullspace` and
-`det` take ints and Fractions and return them in that form.
+The kernel, `Echelon`, takes rows as dicts column -> nonzero element,
+reduces them once to reduced row echelon form, and `Echelon.reduce` then
+clears further vectors against them.  `rref`, `nullspace`, `rref_param`
+and `nullspace_param` are thin wrappers, and `in_integer_lattice` reduces
+its vectors against one `Echelon` of [B | I].  `nullspace_param`, the
+determining solve, takes sparse rows as the determining system holds
+them; `rref`, `nullspace` and `rref_param` take dense rows, the form the
+tests compare against.  Columns are taken left to right.  A column index,
+from each column to the set of rows holding it, kept up to date as
+eliminations fill and clear entries, gives each column its candidate
+pivots and the rows to eliminate without scanning the others.  The pivot
+is the candidate of least (`ParamFrac.complexity()`, current row
+position): `ParamFrac` does not cancel common polynomial factors, so
+another path would store equal entries differently and change the basis
+vectors after `clear_denominators`.  A number weighs 2, what a constant
+over `expr.ONE` weighs, so over Q every candidate weighs the same and the
+pivot is the first candidate row; there the reduced row echelon form is
+unique anyway.  `rref`, `nullspace` and `det` take ints and Fractions and
+return them in the package's form; a float or a string raises TypeError.
 
-The parameter field holds fractions of `expr` polynomials in the parameter
-symbols, with only guaranteed-exact simplification.  A rational element,
-as most entries of a determining matrix are, is a plain number; only an
-element that holds a parameter is a `ParamFrac`.  Its arithmetic takes
+`ParamFrac` holds fractions of `expr` polynomials in the parameter
+symbols, with only guaranteed-exact simplification.  Its arithmetic takes
 numbers on either side and returns a number whenever the result is
-constant.  As a pivot candidate a number weighs
-2, what a constant over `expr.ONE` weighs.  A Laurent monomial such as
-2*nu or rho^-1 over `expr.ONE` inverts to one over itself, and a
-difference subtracts the numerators in one step; both give the numerator
-and denominator that the general formulas would.  `det`
-and `integer_kernel` (unimodular column reduction, for the
-monomial-invariant lattice) keep their own loops.
+constant.  A Laurent monomial such as 2*nu or rho^-1 over `expr.ONE`
+inverts to one over itself, and a difference subtracts the numerators in
+one step; both give the numerator and denominator that the general
+formulas would.  `det` and `integer_kernel` (unimodular column reduction,
+for the monomial-invariant lattice) keep their own loops.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 
 from . import expr
 from .errors import UnsupportedDivisionError
@@ -53,63 +53,41 @@ from .errors import UnsupportedDivisionError
 # The elimination kernel
 # ---------------------------------------------------------------------------
 
-class _Field:
-    """What the kernel needs of a field: `weight` ranks candidate pivots
-    (None takes the first candidate), `coerce` turns an input entry into
-    an element and `canonical` puts each computed entry in the form the
-    field holds it in."""
-
-    def __init__(self, zero, one, is_zero, inverse, weight, coerce, canonical):
-        self.zero, self.one, self.is_zero = zero, one, is_zero
-        self.inverse, self.weight, self.coerce = inverse, weight, coerce
-        self.canonical = canonical
-
-
-_RATIONALS = _Field(0, 1, operator.not_, lambda x: expr.quotient(1, x), None,
-                    expr.as_rational, expr.as_rational)
-
-
-def _sparse(row, field):
-    """The nonzero cells of a dense row, as a dict column -> entry."""
-    zero, is_zero, coerce = field.zero, field.is_zero, field.coerce
-    return {c: coerce(x) for c, x in enumerate(row)
-            if x is not zero and not is_zero(x)}
-
-
-def _eliminate(row, c, pivot, field, holders=None, j=None):
+def _eliminate(row, c, pivot, holders=None, j=None):
     """Subtract row[c] times the normalised pivot row (pivot column c) from
     `row` in place, dropping the entries that become zero.  With `holders`,
     the column index of `Echelon`, keep row `j`'s entries in it up to date."""
     f = row[c]
-    is_zero, canonical = field.is_zero, field.canonical
     for k, b in pivot.items():
         old = row.get(k)
         x = -(f * b) if old is None else old - f * b
-        if is_zero(x):
+        if not x:
             if old is not None:
                 del row[k]
                 if holders is not None:
                     holders[k].discard(j)
         else:
-            row[k] = canonical(x)
+            row[k] = element(x)
             if old is None and holders is not None:
                 holders.setdefault(k, set()).add(j)
 
 
 class Echelon:
-    """The row space of sparse rows over one field, in reduced row echelon form.
+    """The row space of sparse rows, in reduced row echelon form.
 
     The rows are reduced once and in place.  A column index maps each
     column to the set of rows holding it, so each column reads only its
     candidate pivots and eliminates only in the rows that hold it.  The
-    pivot for each column is the candidate of least `field.weight`, first
-    in the current row order, swapped into place.  `reduce` then clears
-    further vectors.
+    pivot for each column is the candidate of least
+    (`ParamFrac.complexity`, current position), swapped into place; over Q
+    every candidate weighs 2, so it is the first candidate.  Every computed
+    entry is put in the form `element` gives.  `reduce` then clears further
+    vectors.
     """
 
-    def __init__(self, rows, ncols, field):
+    def __init__(self, rows, ncols):
         rows = list(rows)
-        weight = field.weight
+        complexity = ParamFrac.complexity
         holders = {}
         for j, row in enumerate(rows):
             for k in row:
@@ -125,23 +103,20 @@ class Echelon:
             candidates = [j for j in held if position[j] >= r]
             if not candidates:
                 continue
-            if weight is None:
-                i = min(candidates, key=position.__getitem__)
-            else:
-                i = min(candidates, key=lambda j: (weight(rows[j][c]), position[j]))
+            i = min(candidates, key=lambda j: (complexity(rows[j][c]), position[j]))
             moved, p = order[r], position[i]
             order[r], order[p] = i, moved
             position[i], position[moved] = r, p
-            inv = field.inverse(rows[i][c])
-            pivot = {k: field.canonical(x * inv) for k, x in rows[i].items()}
+            inv = ParamFrac.inverse(rows[i][c])
+            pivot = {k: element(x * inv) for k, x in rows[i].items()}
             rows[i] = pivot
             for j in list(held):
                 if j != i:
-                    _eliminate(rows[j], c, pivot, field, holders, j)
+                    _eliminate(rows[j], c, pivot, holders, j)
             pivots.append(c)
             r += 1
         self.rows = [rows[j] for j in order[:r]]
-        self.pivots, self.field = pivots, field
+        self.pivots = pivots
 
     def reduce(self, vector):
         """The residual of a sparse vector, as a new dict: empty exactly when
@@ -149,17 +124,16 @@ class Echelon:
         v = dict(vector)
         for row, c in zip(self.rows, self.pivots):
             if c in v:
-                _eliminate(v, c, row, self.field)
+                _eliminate(v, c, row)
         return v
 
 
-def _kernel(reduced, pivots, ncols, field):
+def _kernel(reduced, pivots, ncols):
     """Dense basis of the right kernel of an RREF, one vector per free column."""
-    zero, one = field.zero, field.one
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivots)):
-        v = [zero] * ncols
-        v[fc] = one
+        v = [0] * ncols
+        v[fc] = 1
         for prow, pc in zip(reduced, pivots):
             if fc in prow:
                 v[pc] = -prow[fc]
@@ -167,24 +141,27 @@ def _kernel(reduced, pivots, ncols, field):
     return basis
 
 
-# ---------------------------------------------------------------------------
-# Over Q
-# ---------------------------------------------------------------------------
-
 def sparse(vector):
-    """A rational vector as a dict column -> nonzero rational."""
-    return _sparse(vector, _RATIONALS)
+    """A dense vector as a dict column -> nonzero element; a cell may be
+    anything `element` takes.  A falsy cell is skipped before `element`
+    sees it, and a cell that `element` makes zero, such as `expr.ZERO`,
+    is dropped."""
+    return {c: e for c, x in enumerate(vector) if x and (e := element(x))}
 
 
 def dense(row, ncols):
-    """A sparse rational row as a tuple of `ncols` rationals."""
-    return tuple(row.get(k, _RATIONALS.zero) for k in range(ncols))
+    """A sparse row as a tuple of `ncols` elements."""
+    return tuple(row.get(k, 0) for k in range(ncols))
 
 
 def row_space(rows, ncols):
-    """The `Echelon` of sparse rational rows (dicts column -> rational)."""
-    return Echelon(rows, ncols, _RATIONALS)
+    """The `Echelon` of sparse rows (dicts column -> nonzero element)."""
+    return Echelon(rows, ncols)
 
+
+# ---------------------------------------------------------------------------
+# Over Q
+# ---------------------------------------------------------------------------
 
 def rref(rows):
     """Reduced row echelon form; returns (rows, pivot column indices)."""
@@ -196,7 +173,7 @@ def rref(rows):
 def nullspace(rows, ncols):
     """Basis of the right kernel of the matrix, one vector per free column."""
     space = row_space([sparse(r) for r in rows], ncols)
-    return [tuple(v) for v in _kernel(space.rows, space.pivots, ncols, _RATIONALS)]
+    return [tuple(v) for v in _kernel(space.rows, space.pivots, ncols)]
 
 
 def det(rows):
@@ -232,7 +209,8 @@ class ParamFrac:
     Fraction otherwise, as `expr` holds its coefficients; `element` gives
     the element an input stands for.  Arithmetic takes numbers on either
     side and returns a number whenever the result is constant, and
-    `is_zero`, `inverse` and `complexity` take a number for `self`.
+    `inverse` and `complexity` take a number for `self`, so the kernel
+    calls them on every entry alike; zero is `not x` for both kinds.
 
     `num` and `den` are canonical expressions in the parameter symbols;
     `num` may hold negative powers.  `den` is kept free of monomial and
@@ -268,9 +246,6 @@ class ParamFrac:
 
     def __bool__(self):
         return not expr.is_zero(self.num)
-
-    def is_zero(self):
-        return not self
 
     def __add__(self, other):
         n, d = _parts(other)
@@ -348,6 +323,8 @@ def element(x):
     `ParamFrac`; a rational element comes back as an int or a Fraction,
     any other as a `ParamFrac`.  A float raises TypeError.
     """
+    if type(x) is int:
+        return x
     if type(x) is ParamFrac:
         constant = x.den is expr.ONE and type(x.num) is expr.Rational
         return x.num.coeff if constant else x
@@ -375,15 +352,6 @@ def expr_to_paramfrac(e, params):
     return element(expr.normalize(e))
 
 
-_PARAMETERS = _Field(0, 1, operator.not_, ParamFrac.inverse, ParamFrac.complexity,
-                     element, element)
-
-
-def row_space_param(rows, ncols):
-    """The `Echelon` of sparse rows over the parameter field."""
-    return Echelon(rows, ncols, _PARAMETERS)
-
-
 def rref_param(rows):
     """RREF of equal-length dense rows over the parameter field; returns
     (rows, pivots), each row a dict column -> nonzero element.  A cell may
@@ -394,7 +362,7 @@ def rref_param(rows):
     against a dense elimination through it, and the benchmark tracer
     counts its cells row by row."""
     ncols = len(rows[0]) if rows else 0
-    space = row_space_param([_sparse(r, _PARAMETERS) for r in rows], ncols)
+    space = row_space([sparse(r) for r in rows], ncols)
     return space.rows, space.pivots
 
 
@@ -406,8 +374,8 @@ def nullspace_param(rows, ncols):
     `ParamFrac`), as `DeterminingSystem.rows` holds them; they are copied
     before the elimination, which works in place, and are left as they
     were."""
-    space = row_space_param([dict(row) for row in rows], ncols)
-    return _kernel(space.rows, space.pivots, ncols, _PARAMETERS)
+    space = row_space([dict(row) for row in rows], ncols)
+    return _kernel(space.rows, space.pivots, ncols)
 
 
 def clear_denominators(vec, params):

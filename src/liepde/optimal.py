@@ -18,26 +18,14 @@ an int to a negative power give floats.
 
 from __future__ import annotations
 
-import functools
-
 from . import linalg, structure
 from .adjoint import ad_exp
 from .errors import LiepdeError, NormalFormError, UnsupportedSpectrumError
 from .expr import as_rational, quotient
+from .structure import per_algebra
 
 
-def _per_algebra(fn):
-    """Evaluate fn(L, *args) once per algebra and arguments, kept in L.memo."""
-    @functools.wraps(fn)
-    def cached(L, *args):
-        key = (fn.__name__, *args)
-        if key not in L.memo:
-            L.memo[key] = fn(L, *args)
-        return L.memo[key]
-    return cached
-
-
-@_per_algebra
+@per_algebra
 def _terms(L, i):
     """The nonzero terms (r, c, coeff, m, k) of ad_exp(L, i): entry (r, c) of
     Ad(exp(eps v_i)) is the sum of coeff * eps^m * e^(k eps) over them."""
@@ -64,7 +52,7 @@ def _act(L, i, a, t):
     return tuple(map(as_rational, out))
 
 
-@_per_algebra
+@per_algebra
 def invariant_components(L):
     """Indices whose component is fixed by every adjoint action.
 
@@ -76,7 +64,7 @@ def invariant_components(L):
     return tuple(j for j in range(L.n) if j not in touched)
 
 
-@_per_algebra
+@per_algebra
 def classify_directions(L):
     """(nilpotent indices, diagonal-scaling indices) of the basis adjoints.
 

@@ -24,11 +24,14 @@ malformed input.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import functools
+import re
 
 from . import expr, linalg
 from .errors import NotASubalgebraError
 from .fields import bracket as field_bracket
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class Subspace:
@@ -61,6 +64,17 @@ class Subspace:
         return isinstance(other, Subspace) and self.basis == other.basis
 
 
+def per_algebra(fn):
+    """Evaluate fn(L, *args) once per algebra and arguments, kept in L.memo
+    under (fn.__name__, *args)."""
+    @functools.wraps(fn)
+    def cached(L, *args):
+        key = (fn.__name__, *args)
+        if key not in L.memo:
+            L.memo[key] = fn(L, *args)
+        return L.memo[key]
+    return cached
+
 
 class LieAlgebra:
     """Lie algebra with rational structure constants C^k_{ij}, each an int
@@ -72,7 +86,7 @@ class LieAlgebra:
     brackets.  `constants` is the dense cube; `table` holds
     the nonzero constants only, and the bracket kernels iterate over it.
     `memo` caches data derived from the (immutable) algebra, such as its
-    adjoint matrices and orbit classification.
+    adjoint matrices and orbit classification; `per_algebra` fills it.
     """
 
     def __init__(self, constants, labels=None, realization=None):
@@ -162,12 +176,10 @@ class LieAlgebra:
     def subspace(self, vectors):
         return Subspace(self, vectors)
 
+    @per_algebra
     def whole(self):
         """The algebra as a subspace of itself, built once."""
-        if "whole" not in self.memo:
-            self.memo["whole"] = Subspace(
-                self, [[int(i == j) for j in range(self.n)] for i in range(self.n)])
-        return self.memo["whole"]
+        return Subspace(self, [[int(i == j) for j in range(self.n)] for i in range(self.n)])
 
     def format_vector(self, vec):
         parts = []
@@ -367,12 +379,16 @@ def algebra_from_json(doc):
         coeffs = _rationals(_key(item, "coeffs", where), where)
         if len(coeffs) != n:
             raise ValueError(f"{where}: needs {n} coefficients, got {len(coeffs)}")
+        if i == j and any(coeffs):
+            raise ValueError(f"{where}: the bracket of element {i} with itself must be 0")
         entries[(i - 1, j - 1)] = coeffs
     labels = doc.get("labels")
     if labels is not None and (
             not isinstance(labels, list) or len(labels) != n
             or not all(isinstance(label, str) for label in labels)):
         raise ValueError(f"labels must be a list of {n} strings, got {labels!r}")
+    if labels is not None and len(set(labels)) != n:
+        raise ValueError(f"labels must be distinct, got {labels!r}")
     return LieAlgebra.from_brackets(n, entries, labels=labels)
 
 
@@ -390,24 +406,24 @@ def table_from_json(doc):
         where = f"entry {number}"
         _object(item, where)
         label, vectors = _key(item, "label", where), _key(item, "vectors", where)
+        if not isinstance(label, str):
+            raise ValueError(f"{where}: label must be a string, got {label!r}")
         entries.append((label, [_rationals(v, f"entry {label}")
                                 for v in _list(vectors, f"entry {label}: vectors")]))
     return entries
 
 
 def parse_rational(x):
-    """An integer or a 'num/den' string as an exact rational: a plain int
-    when it is an integer, else a Fraction.  Anything else, a float or a
-    boolean among them, and a zero denominator raise ValueError."""
-    if isinstance(x, str):
-        try:
-            return int(x)
-        except ValueError:
-            pass
-        try:
-            return expr.as_rational(Fraction(x))
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {x!r}") from None
+    """An integer or an ASCII string `[+-]digits[/digits]` as an exact
+    rational: a plain int when it is an integer, else a Fraction.  Anything
+    else (a float, a boolean, or a string with a decimal point, an exponent,
+    an underscore or a space, or an empty one) and a zero denominator raise
+    ValueError."""
+    if isinstance(x, str) and _RATIONAL.fullmatch(x):
+        num, _, den = x.partition("/")
+        if den and not int(den):
+            raise ValueError(f"zero denominator in {x!r}")
+        return expr.quotient(int(num), int(den or 1))
     if _is_int(x):
         return x
     raise ValueError(f"rationals must be integers or 'num/den' strings, got {x!r}")

@@ -46,7 +46,7 @@ def dense_rref_param(rows):
     pivots = []
     r = 0
     for c in range(ncols):
-        candidates = [i for i in range(r, len(rows)) if not ParamFrac.is_zero(rows[i][c])]
+        candidates = [i for i in range(r, len(rows)) if rows[i][c]]
         if not candidates:
             continue
         # Prefer the structurally simplest pivot to limit growth.
@@ -55,7 +55,7 @@ def dense_rref_param(rows):
         inv = ParamFrac.inverse(rows[r][c])
         rows[r] = [x * inv for x in rows[r]]
         for j in range(len(rows)):
-            if j != r and not ParamFrac.is_zero(rows[j][c]):
+            if j != r and rows[j][c]:
                 f = rows[j][c]
                 rows[j] = [a - f * b for a, b in zip(rows[j], rows[r])]
         pivots.append(c)
@@ -173,13 +173,13 @@ def assert_same_reduction(rows):
                 assert sparse[k]
                 assert parts(sparse[k]) == parts(dense[k])
             else:
-                assert ParamFrac.is_zero(dense[k])
+                assert not dense[k]
     return pivots
 
 
 def assert_kernel(rows):
     ncols = len(rows[0])
-    sparse = [{c: element(x) for c, x in enumerate(row) if not ParamFrac.is_zero(x)}
+    sparse = [{c: element(x) for c, x in enumerate(row) if x}
               for row in rows]
     for v in nullspace_param(sparse, ncols):
         for x in v:
@@ -188,7 +188,7 @@ def assert_kernel(rows):
             total = 0
             for x, y in zip(row, v):
                 total = total + x * y
-            assert ParamFrac.is_zero(total)
+            assert not total
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -242,8 +242,8 @@ def test_rational_lane_matches_expr_arithmetic():
     wrapped = [ParamFrac(expr.constant(v)) for v in LANE_VALUES]
     for a in LANE_VALUES + wrapped:
         n, d = parts(a)
-        assert ParamFrac.is_zero(a) == expr.is_zero(n)
-        if not ParamFrac.is_zero(a):
+        assert (not a) == expr.is_zero(n)
+        if a:
             assert ParamFrac.complexity(a) == 2
             assert_number(ParamFrac.inverse(a), d / n)
         for b in wrapped:
@@ -340,11 +340,11 @@ def test_shared_zero_cells_match_fresh_zeros(case):
     for _ in range(6):
         rows = CASES[case](rng)
         shared = [
-            [ParamFrac(expr.ZERO) if ParamFrac.is_zero(x) and rng.random() < 0.5 else x
+            [ParamFrac(expr.ZERO) if not x and rng.random() < 0.5 else x
              for x in row]
             for row in rows
         ]
-        assert any(type(x) is ParamFrac and x.is_zero() for row in shared for x in row)
+        assert any(type(x) is ParamFrac and not x for row in shared for x in row)
         assert_same_reduction(shared)
         assert_kernel(shared)
 

@@ -14,11 +14,12 @@ terms and the normal forms with their steps.
 import pathlib
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
 from conftest import assert_rational, borel_algebra, jordan_algebra
-from liepde import adjoint, linalg, optimal, structure
+from liepde import adjoint, expr, linalg, optimal, structure
 from liepde.errors import UnsupportedSpectrumError
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tools"))
@@ -169,3 +170,34 @@ def test_normal_form_values(name, algebra):
     # e(2) has no orbit step: its rotation is skipped and its translations
     # never reach a component they can zero
     assert steps or name == "e2"
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2"], ids=["float", "string"])
+@pytest.mark.parametrize("entry", [
+    "linalg.sparse", "linalg.rref", "linalg.nullspace", "linalg.det", "LieAlgebra",
+    "from_brackets", "ad_matrix", "normal_form_1d",
+])
+def test_q_entry_points_refuse_floats_and_strings(entry, bad):
+    # the library's algebra-layer inputs are ints and Fractions only; strings
+    # are read at the edges, through `structure.parse_rational`
+    L = jordan_algebra()
+    calls = {
+        "linalg.sparse": lambda: linalg.sparse([1, bad]),
+        "linalg.rref": lambda: linalg.rref([[1, bad], [0, 1]]),
+        "linalg.nullspace": lambda: linalg.nullspace([[1, bad]], 2),
+        "linalg.det": lambda: linalg.det([[1, bad], [0, 1]]),
+        "LieAlgebra": lambda: structure.LieAlgebra(
+            [[[0, 0], [0, bad]], [[0, 0], [0, 0]]]),
+        "from_brackets": lambda: structure.LieAlgebra.from_brackets(2, {(0, 1): (0, bad)}),
+        "ad_matrix": lambda: adjoint.ad_matrix(L, [bad, 0, 0]),
+        "normal_form_1d": lambda: optimal.normal_form_1d(L, [bad, 0, 0]),
+    }
+    with pytest.raises(TypeError):
+        calls[entry]()
+
+
+def test_sparse_drops_every_zero():
+    # a cell that `linalg.element` turns into 0, such as the truthy
+    # expression expr.ZERO, is not stored as an entry
+    assert linalg.sparse([0, Fraction(4, 2), expr.ZERO, Fraction(0)]) == {1: 2}
+    assert type(linalg.sparse([Fraction(4, 2)])[0]) is int

@@ -9,7 +9,7 @@ import pytest
 
 import liepde
 from liepde import linalg, parser, pipeline, reference, structure
-from liepde.cli import main as cli_main
+from liepde.cli import _attach_vector, main as cli_main
 from liepde.errors import LiepdeError, PipelineError
 from test_determining import HEAT_SYSTEM, TWO_PARAMETER_SYSTEM
 
@@ -403,7 +403,7 @@ class TestCli:
          {"schema": 1, "entries": [{"label": "<v1>", "vectors": [[0.1, 0, 0, 0, 0]]}]},
          "entry <v1>: rationals must be integers or 'num/den' strings, got 0.1"),
         (["normal-form", "--vector", "1/0,0,0,0,0"], None,
-         "zero denominator in '1/0'"),
+         "--vector coordinate 1: zero denominator in '1/0'"),
         # JSON that is not an object where one is needed
         (["structure", "--constants"], [1],
          "the document must be a JSON object, got [1]"),
@@ -427,11 +427,38 @@ class TestCli:
          "the document: missing key 'entries'"),
         (["verify-optimal", "--file"], {"entries": [{"label": "<v1>"}]},
          "entry 1: missing key 'vectors'"),
+        # a nonzero self-bracket, equal labels and a numeric entry label
+        (["structure", "--constants"],
+         {"dim": 2, "brackets": [{"i": 1, "j": 1, "coeffs": [1, 0]}]},
+         "bracket 1: the bracket of element 1 with itself must be 0"),
+        (["structure", "--constants"],
+         {"dim": 2, "labels": ["a", "a"], "brackets": [{"i": 1, "j": 2, "coeffs": [1, 0]}]},
+         "labels must be distinct, got ['a', 'a']"),
+        (["verify-optimal", "--file"],
+         {"schema": 1, "entries": [{"label": 5, "vectors": [[1, 0, 0, 0, 0]]}]},
+         "entry 1: label must be a string, got 5"),
+        # a coordinate is an integer or num/den in ASCII digits, and nothing else
+        (["verify-optimal", "--file"],
+         {"schema": 1, "entries": [{"label": "<v1>", "vectors": [["0.1", 0, 0, 0, 0]]}]},
+         "entry <v1>: rationals must be integers or 'num/den' strings, got '0.1'"),
+        (["normal-form", "--vector=0.5,0,0,0,0"], None,
+         "--vector coordinate 1: rationals must be integers or 'num/den' strings, got '0.5'"),
+        (["normal-form", "--vector", "1,1e3,0,0,0"], None,
+         "--vector coordinate 2: rationals must be integers or 'num/den' strings, got '1e3'"),
+        (["normal-form", "--vector", "1,0,1_0,0,0"], None,
+         "--vector coordinate 3: rationals must be integers or 'num/den' strings, got '1_0'"),
+        (["normal-form", "--vector="], None,
+         "--vector coordinate 1: rationals must be integers or 'num/den' strings, got ''"),
+        (["normal-form", "--vector", "-1,0,0,,0"], None,
+         "--vector coordinate 4: rationals must be integers or 'num/den' strings, got ''"),
     ], ids=["index-0", "index-3", "string-dim", "short-labels", "boolean",
             "zero-denominator", "table-zero-denominator", "table-float",
             "vector-zero-denominator", "list-document", "list-table",
             "list-bracket", "number-entry", "table-schema-7", "table-schema-string",
-            "missing-dim", "missing-coeffs", "missing-entries", "missing-vectors"])
+            "missing-dim", "missing-coeffs", "missing-entries", "missing-vectors",
+            "self-bracket", "duplicate-labels", "numeric-label", "table-decimal-string",
+            "vector-decimal", "vector-exponent", "vector-underscore", "vector-empty",
+            "vector-empty-coordinate"])
     def test_malformed_input_is_an_error(self, tmp_path, capsys, argv, document, error):
         if document is not None:
             path = tmp_path / "input.json"
@@ -439,6 +466,10 @@ class TestCli:
             argv = [*argv, str(path)]
         rc = cli_main(argv)
         assert (rc, *capsys.readouterr()) == (1, "", f"error: {error}\n")
+
+    def test_only_a_negative_integer_is_attached(self):
+        assert _attach_vector(["--vector", "-1,2"]) == ["--vector=-1,2"]
+        assert _attach_vector(["--vector", "-.5,2"]) == ["--vector", "-.5,2"]
 
     @pytest.mark.parametrize("argv, error", [
         (["invariants", "--order", "-1"], "--order must be a non-negative integer, got -1"),

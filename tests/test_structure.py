@@ -278,6 +278,10 @@ class TestJsonInterchange:
             ({"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": ["1", "0"]},
                                      {"i": 2, "j": 1, "coeffs": ["0", "1"]}]},
              "bracket 2: the bracket of elements 2 and 1 is given twice"),
+            # a nonzero [v1, v1] once failed antisymmetry at the 0-based (0,0,0)
+            ({"dim": 2, "brackets": [{"i": 1, "j": 1, "coeffs": [1, 0]}]},
+             "bracket 1: the bracket of element 1 with itself must be 0"),
+            ({**bracket(), "labels": ["a", "a"]}, "labels must be distinct, got ['a', 'a']"),
         ):
             with pytest.raises(ValueError) as caught:
                 algebra_from_json(doc)
@@ -293,10 +297,40 @@ class TestJsonInterchange:
              "entry <v1>: zero denominator in '1/0'"),
             ({"entries": [{"label": "<v1>", "vectors": [[False, 1]]}]},
              "entry <v1>: rationals must be integers or 'num/den' strings, got False"),
+            ({"entries": [{"label": "<v1>", "vectors": [["0.1", 0]]}]},
+             "entry <v1>: rationals must be integers or 'num/den' strings, got '0.1'"),
+            ({"entries": [{"label": 5, "vectors": [[1, 0]]}]},
+             "entry 1: label must be a string, got 5"),
         ):
             with pytest.raises(ValueError) as caught:
                 structure.table_from_json(doc)
             assert str(caught.value) == message, doc
+
+
+@pytest.mark.parametrize("text, value", [
+    ("3", 3), ("-0", 0), ("+7", 7), ("-4/2", -2), ("6/4", Fraction(3, 2)),
+    ("0/5", 0), ("007/014", Fraction(1, 2)), (12, 12),
+])
+def test_parse_rational_reads_integers_and_fractions(text, value):
+    x = structure.parse_rational(text)
+    assert type(x) is type(value) and x == value
+
+
+@pytest.mark.parametrize("text", [
+    "0.5", "1e3", "1_0", "", " 1", "1 ", "1/2/3", "/2", "1/", "--1", "+-1", "0x10",
+    "\u0661", "\u00bd", "1/2.0", "inf", "nan", "1\n", 0.5, True, None,
+])
+def test_parse_rational_refuses_everything_else(text):
+    with pytest.raises(ValueError) as caught:
+        structure.parse_rational(text)
+    assert str(caught.value) == (
+        f"rationals must be integers or 'num/den' strings, got {text!r}")
+
+
+def test_parse_rational_zero_denominator():
+    with pytest.raises(ValueError) as caught:
+        structure.parse_rational("-3/00")
+    assert str(caught.value) == "zero denominator in '-3/00'"
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,10 @@ a four-dimensional algebra whose structure constants are not all integral
 a document without ``dim`` and on a bracket without ``coeffs``,
 ``verify-optimal --file`` on a table without ``entries``, and ``invariants
 --order -1`` and ``--ansatz-degree -1 symmetries``, which must fail before
-any stage runs.  The optimal table for ``verify-optimal`` and the printed
+any stage runs, and, in text and JSON, ``normal-form`` with a decimal, an
+exponent, an underscore and an empty ``--vector``, ``structure --constants``
+on a document with a nonzero self-bracket and on one with two equal labels,
+and ``verify-optimal --file`` on a table entry whose label is a number.  The optimal table for ``verify-optimal`` and the printed
 variant are the files bundled with PARENT_TREE.  ``algebra_documents``
 and ``vectors`` are also read by the test suite, so its number-type tests
 run on these inputs.
@@ -265,6 +268,13 @@ MALFORMED = {
     "no_dim.json": {"entries": [1]},
     "no_coeffs.json": {"dim": 2, "brackets": [{"i": 1, "j": 2}]},
     "no_entries.json": {"dim": 2},
+    # a nonzero [v1, v1], two elements with one label, and a table entry
+    # whose label is a number
+    "self_bracket.json": {"dim": 2, "brackets": [{"i": 1, "j": 1, "coeffs": [1, 0]}]},
+    "duplicate_labels.json": {"dim": 2, "labels": ["a", "a"],
+                              "brackets": [{"i": 1, "j": 2, "coeffs": [1, 0]}]},
+    "numeric_label.json": {"schema": 1, "entries": [
+        {"label": 5, "vectors": [[1, 0, 0, 0, 0]]}]},
 }
 
 
@@ -496,6 +506,14 @@ def write_inputs(folder, parent):
     commands.append(["verify-optimal", "--file", "no_entries.json"])
     commands.append(["invariants", "--order", "-1"])
     commands.append(["--ansatz-degree", "-1", "symmetries"])
+    # --vector coordinates that are not an integer or num/den, and documents
+    # whose brackets or labels are ambiguous
+    for fmt in ([], js):
+        for vec in ("0.5,0,0,0,0", "1e3,0,0,0,0", "1_0,0,0,0,0", ""):
+            commands.append([*fmt, "normal-form", f"--vector={vec}"])
+        for name in ("self_bracket.json", "duplicate_labels.json"):
+            commands.append([*fmt, "structure", "--constants", name])
+        commands.append([*fmt, "verify-optimal", "--file", "numeric_label.json"])
     return commands
 
 
