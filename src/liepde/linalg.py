@@ -22,14 +22,26 @@ tests compare against.  Columns are taken left to right.  A column index,
 from each column to the set of rows holding it, kept up to date as
 eliminations fill and clear entries, gives each column its candidate
 pivots and the rows to eliminate without scanning the others.  The pivot
-is the candidate of least (`ParamFrac.complexity()`, current row
-position): `ParamFrac` does not cancel common polynomial factors, so
-another path would store equal entries differently and change the basis
-vectors after `clear_denominators`.  A number weighs 2, what a constant
-over `expr.ONE` weighs, so over Q every candidate weighs the same and the
-pivot is the first candidate row; there the reduced row echelon form is
-unique anyway.  `rref`, `nullspace` and `det` take ints and Fractions and
-return them in the package's form; a float or a string raises TypeError.
+is the candidate of least (`ParamFrac.complexity()`, row length, current
+row position).  The least complexity limits the swell of the entries; of
+those, the shortest row limits fill-in, since a row update can create an
+entry only in a column of the pivot row: a singleton pivot row creates
+none, and clearing its column in the other rows is all it costs.  The
+normalised pivot row holds the int 1 at its column, as x * x^-1 = 1 in
+the field, so each update drops the pivot column without arithmetic.
+The columns are still taken left to right, so the pivot and free columns
+and the kernel's shape do not depend on the rule.  The reduced row
+echelon form is unique as values, and a number, like a Laurent polynomial
+over `expr.ONE`, has one representation; so over Q, and wherever every
+pivot is a number or a Laurent monomial (the weight-2 candidates, as on
+every fixture matrix), every entry on any path is such an element and
+the rule cannot change a byte.  Only a pivot that is not a Laurent
+monomial brings in a denominator, and `ParamFrac` does not cancel common
+polynomial factors: another path may then store an equal entry with a
+common factor in its numerator and denominator, and `clear_denominators`
+scales a basis vector by it.  `rref`, `nullspace` and `det` take ints and
+Fractions and return them in the package's form; a float or a string
+raises TypeError.
 
 `ParamFrac` holds fractions of `expr` polynomials in the parameter
 symbols, with only guaranteed-exact simplification.  Its arithmetic takes
@@ -56,9 +68,16 @@ from .errors import UnsupportedDivisionError
 def _eliminate(row, c, pivot, holders=None, j=None):
     """Subtract row[c] times the normalised pivot row (pivot column c) from
     `row` in place, dropping the entries that become zero.  With `holders`,
-    the column index of `Echelon`, keep row `j`'s entries in it up to date."""
-    f = row[c]
+    the column index of `Echelon`, keep row `j`'s entries in it up to date.
+
+    The pivot row holds 1 at column c, so row[c] - row[c] * 1 is zero and
+    is dropped without arithmetic."""
+    f = row.pop(c)
+    if holders is not None:
+        holders[c].discard(j)
     for k, b in pivot.items():
+        if k == c:
+            continue
         old = row.get(k)
         x = -(f * b) if old is None else old - f * b
         if not x:
@@ -79,10 +98,11 @@ class Echelon:
     column to the set of rows holding it, so each column reads only its
     candidate pivots and eliminates only in the rows that hold it.  The
     pivot for each column is the candidate of least
-    (`ParamFrac.complexity`, current position), swapped into place; over Q
-    every candidate weighs 2, so it is the first candidate.  Every computed
-    entry is put in the form `element` gives.  `reduce` then clears further
-    vectors.
+    (`ParamFrac.complexity`, row length, current position), swapped into
+    place: the shortest of the simplest pivots makes the least fill-in.
+    The pivot row is scaled to hold the int 1 at its column, and every
+    other computed entry is put in the form `element` gives.  `reduce`
+    then clears further vectors.
     """
 
     def __init__(self, rows, ncols):
@@ -103,12 +123,13 @@ class Echelon:
             candidates = [j for j in held if position[j] >= r]
             if not candidates:
                 continue
-            i = min(candidates, key=lambda j: (complexity(rows[j][c]), position[j]))
+            i = min(candidates,
+                    key=lambda j: (complexity(rows[j][c]), len(rows[j]), position[j]))
             moved, p = order[r], position[i]
             order[r], order[p] = i, moved
             position[i], position[moved] = r, p
             inv = ParamFrac.inverse(rows[i][c])
-            pivot = {k: element(x * inv) for k, x in rows[i].items()}
+            pivot = {k: 1 if k == c else element(x * inv) for k, x in rows[i].items()}
             rows[i] = pivot
             for j in list(held):
                 if j != i:

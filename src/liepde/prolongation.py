@@ -409,7 +409,9 @@ def build_determining(system, degree):
             for i, shift, factor in cells:
                 bucket = buckets.setdefault(tuple(map(operator.add, exps, shift)), {})
                 col = slot * size + i
-                bucket[col] = bucket.get(col, 0) + value * factor
+                term = value if factor == 1 else value * factor
+                old = bucket.get(col)
+                bucket[col] = term if old is None else old + term
         found = []
         for exps in sorted(buckets):
             row = {}

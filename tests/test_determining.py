@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from liepde import expr, linalg, reference
+from liepde.cli import main as cli_main
 from liepde.errors import InternalCheckError, NonPolynomialError
 from liepde.expr import DEPENDENT, INDEPENDENT, ZERO, Symbol
 from liepde.jet import JetSpace, PDESystem
@@ -133,6 +134,20 @@ def test_two_parameter_basis_is_pinned(degree):
     _, system = build_system(parse_system(TWO_PARAMETER_SYSTEM))
     basis = solve_determining(build_determining(system, degree))
     assert [str(vf) for vf in basis] == TWO_PARAMETER_BASES[degree]
+
+
+def test_two_parameter_system_solves_at_degree_3(tmp_path, capsys):
+    # a 77x60 determining matrix whose parametric entries swell when a long
+    # row is taken as the pivot; the solve checks each field's residual
+    _, system = build_system(parse_system(TWO_PARAMETER_SYSTEM))
+    ds = build_determining(system, 3)
+    assert (len(ds.rows), len(ds.ansatz.unknowns)) == (77, 60)
+    assert len(solve_determining(ds)) == 5
+    path = tmp_path / "two_parameter.pde"
+    path.write_text(TWO_PARAMETER_SYSTEM)
+    assert cli_main(["--ansatz-degree", "3", "symmetries", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: stage 'structure': bracket of elements 1 and 3 is outside the span\n")
 
 
 @pytest.mark.parametrize("text", [reference.fixture_text(), TWO_PARAMETER_SYSTEM],

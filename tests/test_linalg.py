@@ -23,8 +23,10 @@ from liepde.linalg import (
     element,
     nullspace,
     nullspace_param,
+    row_space,
     rref,
     rref_param,
+    sparse,
 )
 from liepde.parser import build_system, parse_system
 from liepde.prolongation import build_determining
@@ -49,8 +51,10 @@ def dense_rref_param(rows):
         candidates = [i for i in range(r, len(rows)) if rows[i][c]]
         if not candidates:
             continue
-        # Prefer the structurally simplest pivot to limit growth.
-        i = min(candidates, key=lambda i: ParamFrac.complexity(rows[i][c]))
+        # The structurally simplest pivot limits growth; of those, the row
+        # with the fewest nonzero cells limits fill-in.
+        i = min(candidates, key=lambda i: (ParamFrac.complexity(rows[i][c]),
+                                           sum(1 for x in rows[i] if x)))
         rows[r], rows[i] = rows[i], rows[r]
         inv = ParamFrac.inverse(rows[r][c])
         rows[r] = [x * inv for x in rows[r]]
@@ -224,6 +228,29 @@ def test_determining_matrix_matches_dense_elimination(text, degree):
     assert any(type(x) is ParamFrac and not x.num.is_constant() for row in rows for x in row)
     assert_same_reduction(rows)
     assert_kernel(rows)
+
+
+def assert_unit_pivots(space):
+    # each pivot column holds the int 1 in its own row and nothing elsewhere
+    for i, c in enumerate(space.pivots):
+        assert type(space.rows[i][c]) is int and space.rows[i][c] == 1
+        assert [j for j, row in enumerate(space.rows) if c in row] == [i]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_pivot_columns_hold_a_unit_and_nothing_else(case):
+    rng = random.Random(f"unit-pivot-{case}")
+    for _ in range(12):
+        rows = CASES[case](rng)
+        assert_unit_pivots(row_space([sparse(r) for r in rows], len(rows[0])))
+
+
+def test_fixture_pivot_columns_hold_a_unit_and_nothing_else():
+    _, system = build_system(parse_system(reference.fixture_text()))
+    ds = build_determining(system, 3)
+    space = row_space([dict(r) for r in ds.rows], len(ds.ansatz.unknowns))
+    assert len(space.pivots) == 272
+    assert_unit_pivots(space)
 
 
 LANE_VALUES = [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-4, 3), Fraction(2, 3)]

@@ -78,8 +78,14 @@ a document without ``dim`` and on a bracket without ``coeffs``,
 any stage runs, and, in text and JSON, ``normal-form`` with a decimal, an
 exponent, an underscore and an empty ``--vector``, ``structure --constants``
 on a document with a nonzero self-bracket and on one with two equal labels,
-and ``verify-optimal --file`` on a table entry whose label is a number.  The optimal table for ``verify-optimal`` and the printed
-variant are the files bundled with PARENT_TREE.  ``algebra_documents``
+and ``verify-optimal --file`` on a table entry whose label is a number,
+and, in text and JSON, the two-parameter system at degree 3 (exit 1 at the
+structure stage).  A tree whose elimination takes the first candidate of
+least complexity as the pivot, whatever its row's length, spends more than
+TIMEOUT_S on that system (32 s on an idle 2-vCPU VM) and shows
+``TIMEOUT`` there.  The optimal table for
+``verify-optimal`` and the printed variant are the files bundled with
+PARENT_TREE.  ``algebra_documents``
 and ``vectors`` are also read by the test suite, so its number-type tests
 run on these inputs.
 """
@@ -514,6 +520,10 @@ def write_inputs(folder, parent):
         for name in ("self_bracket.json", "duplicate_labels.json"):
             commands.append([*fmt, "structure", "--constants", name])
         commands.append([*fmt, "verify-optimal", "--file", "numeric_label.json"])
+    # the two-parameter system at degree 3: a 77x60 determining matrix whose
+    # elimination swells when a long row is taken as the pivot
+    for fmt in ([], js):
+        commands.append(["--ansatz-degree", "3", *fmt, "symmetries", "two_parameter.pde"])
     return commands
 
 
