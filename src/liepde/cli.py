@@ -170,15 +170,7 @@ def _cmd_structure(args):
 def _cmd_check_generator(args):
     doc = _load_document(args)
     space, system = parser.build_system(doc)
-    pieces = [p.strip() for p in args.field.split(";")]
-    expected = space.p + space.q
-    if len(pieces) != expected:
-        raise LiepdeError(
-            f"--field needs {expected} coefficients "
-            f"({space.p} xi then {space.q} phi), got {len(pieces)}"
-        )
-    coeffs = [parser.parse_expression(p, doc) for p in pieces]
-    vf = VectorField(space, tuple(coeffs[: space.p]), tuple(coeffs[space.p:]))
+    vf = VectorField(space, *parser.parse_field(args.field, doc))
     residuals = symmetry_residual(vf, system)
     out = {
         "schema": pipeline.SCHEMA_VERSION,

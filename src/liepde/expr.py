@@ -15,11 +15,9 @@ package, so the common integer case never pays for Fraction's gcd
 normalisation.  `as_rational` puts a number in that form and `quotient` is
 the one exact division.  Two operations leave the convention: `int / int`
 and `int ** negative_int` give floats, so a division or a power that may
-be negative goes through `quotient`.  Floats are rejected.  Two kinds of
-value are Fractions even when integral: constants read back through
-`Rational.value` and `constant_value`, for the PDE-layer callers that divide
-them with `/`, and the exponent `ParamExp.k`, which monomials keep as their
-parameter powers.
+be negative goes through `quotient`.  Floats are rejected.  One value is a
+Fraction even when integral: the exponent `ParamExp.k`, which monomials
+keep as their parameter powers.
 The `/` operator divides only by nonzero monomials (negative integer
 powers), never by general sums; `divide` finds exact quotients of
 polynomials.
@@ -149,7 +147,7 @@ def _lift(x):
 
 
 class Rational(Expr):
-    """Exact rational constant num / den; `value` is it as a Fraction."""
+    """Exact rational constant num / den, held in `coeff`."""
 
     __slots__ = ("coeff",)
 
@@ -159,10 +157,6 @@ class Rational(Expr):
             coeff = quotient(coeff, den)
         object.__setattr__(self, "coeff", coeff)
         self._setkey((0, coeff))
-
-    @property
-    def value(self):
-        return Fraction(self.coeff)
 
     def _poly(self):
         return {_EMPTY_MONO: self.coeff} if self.coeff else {}
@@ -463,9 +457,8 @@ def _constant(p):
 
 
 def constant_value(e):
-    """The Fraction value of a constant expression, or None."""
-    c = _constant(_lift(e)._poly())
-    return None if c is None else Fraction(c)
+    """The value of a constant expression as an exact rational, or None."""
+    return _constant(_lift(e)._poly())
 
 
 def content(*es):

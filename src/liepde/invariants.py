@@ -10,8 +10,6 @@ translation/scaling generators come from the same data.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import expr, linalg
 from .errors import InternalCheckError, UnsupportedGeneratorError
 from .expr import GROUP, JET, ParamExp, Power, Symbol
@@ -98,7 +96,7 @@ def weight_system(generators, js, order):
         row = []
         base_weights = {}
         for sym in js.independent + js.dependent:
-            base_weights[sym] = data.get(sym, Fraction(0))
+            base_weights[sym] = data.get(sym, 0)
         for sym in coordinates:
             if sym.role == JET:
                 dep = next(d for d in js.dependent if d.name == sym.base)
@@ -261,7 +259,7 @@ def similarity_form(vf):
     w0 = weights[moving]
     subs = [(moving, ParamExp(s, 1)), (fixed, r)]
     for dep, name in zip(js.dependent, names):
-        k = weights.get(dep, Fraction(0)) / w0
+        k = expr.quotient(weights.get(dep, 0), w0)
         f = expr.FunctionApplication(name, (r,))
         subs.append((dep, ParamExp(s, k) * f))
     return SimilarityForm(SCALING, subs)

@@ -261,7 +261,7 @@ class ParamFrac:
                 if q is not None:
                     num, den = q, expr.ONE
         else:
-            num, den = num / value, expr.ONE
+            num, den = num * expr.quotient(1, value), expr.ONE
         self.num = num
         self.den = den
 

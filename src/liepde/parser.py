@@ -16,11 +16,12 @@ derivative coordinates.  All errors carry line and column positions.
 from __future__ import annotations
 
 from . import expr
-from .errors import ParseError, UnsupportedDivisionError
+from .errors import LiepdeError, ParseError, UnsupportedDivisionError
 from .expr import (
     DEPENDENT,
     INDEPENDENT,
     PARAMETER,
+    ParamExp,
     Power,
     Rational,
     Symbol,
@@ -129,6 +130,7 @@ class _Parser:
         self.equations = []
         self.leads = []
         self.space = None
+        self.group = None
 
     # -- token helpers -----------------------------------------------------
 
@@ -336,8 +338,29 @@ class _Parser:
             self.advance()
             if tok.text == "d" and self.peek().kind == "(":
                 return self._parse_derivative()
+            if self.group is not None:
+                if tok.text == self.group.name:
+                    return self.group
+                if self.peek().kind == "(":
+                    return self._parse_application(tok)
             return self._symbol(tok)
         raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.column)
+
+    def _parse_application(self, tok):
+        """exp(k*<group>) for a rational k, or the application name(arg, ...)."""
+        self.expect("(")
+        args = [self._parse_expression()]
+        while self.peek().kind == ",":
+            self.advance()
+            args.append(self._parse_expression())
+        self.expect(")")
+        if tok.text != "exp":
+            return expr.FunctionApplication(tok.text, args)
+        k = expr.constant_value(args[0] / self.group) if len(args) == 1 else None
+        if k is None:
+            raise ParseError(f"exp takes one rational multiple of {self.group.name}",
+                             tok.line, tok.column)
+        return ParamExp(self.group, k)
 
     def _symbol(self, tok):
         name = tok.text
@@ -386,21 +409,46 @@ def parse_system(text):
     return _Parser(text).parse()
 
 
-def parse_expression(text, doc):
-    """Parse a single expression against a document's declarations."""
+def parse_expression(text, doc, group=None):
+    """Parse a single expression against a document's declarations.  With a
+    group-parameter symbol `group` it also reads what `expr.render` writes
+    for transformed solutions: that symbol, exp(k*eps) for a rational k and
+    applications f(arg, ...) of undeclared names."""
+    [e] = parse_expressions([text], doc, group)
+    return e
+
+
+def parse_expressions(texts, doc, group=None):
+    """`parse_expression` of each text, with one parser and jet space."""
     p = _Parser("")
+    p.group = group
     p.parameters = list(doc.parameters)
     p.independents = list(doc.independents)
     p.dependents = list(doc.dependents)
-    p.tokens = tokenize(text)
-    p.pos = 0
-    p.skip_newlines()
-    e = p._parse_expression()
-    p.skip_newlines()
-    tok = p.peek()
-    if tok.kind != "end":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)
-    return e
+    out = []
+    for text in texts:
+        p.tokens = tokenize(text)
+        p.pos = 0
+        p.skip_newlines()
+        out.append(p._parse_expression())
+        p.skip_newlines()
+        tok = p.peek()
+        if tok.kind != "end":
+            raise ParseError(f"unexpected trailing input {tok.text!r}",
+                             tok.line, tok.column)
+    return out
+
+
+def parse_field(text, doc):
+    """The coefficients (xi, phi) of a vector field written in the `--field`
+    form "xi_1; ...; xi_p; phi_1; ...; phi_q" in `doc`'s names."""
+    pieces = [piece.strip() for piece in text.split(";")]
+    p, q = len(doc.independents), len(doc.dependents)
+    if len(pieces) != p + q:
+        raise LiepdeError(f"--field needs {p + q} coefficients "
+                          f"({p} xi then {q} phi), got {len(pieces)}")
+    coeffs = parse_expressions(pieces, doc)
+    return coeffs[:p], coeffs[p:]
 
 
 # ---------------------------------------------------------------------------

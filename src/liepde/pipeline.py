@@ -10,6 +10,8 @@ fixture: `reference_on`) they analyse the baseline's v1..v5, and one pass
 after them, `_compare_baseline`, adds the comparison keys and the known
 deltas as `{"anchor", "detail"}` notes, which never fail the run; the
 advection-term note describes the shipped fixture and appears only on it.
+The baseline's claims are the data of `boundary_layer_claims.json`, read by
+`reference.claims`, whose docstring names the check of each kind here.
 Otherwise they analyse the computed basis g1..gn (`analysed_algebra`);
 when that span is not closed under the bracket, even over the parameter
 field, the report has none of the five analysis sections and its one note,
@@ -95,14 +97,12 @@ def analysed_algebra(space, system, ref, ansatz_degree, basis=None):
     solution of the determining system at `ansatz_degree`.
     """
     if ref:
-        gens, prefix = reference.generators(space), "v"
+        labels, gens = zip(*reference.claims(space, "generator")["generator"])
     else:
         if basis is None:
             basis = solve_determining(build_determining(system, ansatz_degree))
-        gens, prefix = basis, "g"
-    return structure.structure_constants(
-        list(gens), labels=[f"{prefix}{i + 1}" for i in range(len(gens))]
-    )
+        gens, labels = basis, [f"g{i + 1}" for i in range(len(basis))]
+    return structure.structure_constants(list(gens), labels=list(labels))
 
 
 def _stage(name, fn, *args):
@@ -326,22 +326,27 @@ def _compare_baseline(report, fixture, L, space, system, basis, flow_maps, usabl
     Reads whether the system is the shipped `fixture`, the report the
     sections built and the objects they kept (`L`, the computed `basis`,
     the flow maps, the usable generators with their weight system and
-    lattice), and only adds keys, each at the end of its dict:
-    `matches_reference_commutators`,
-    `matches_reference_killing` and `derived_dimensions` to `structure`;
-    `baseline_deltas` to `adjoint`; `baseline_first_order` and one
-    `baseline_table_<label>` per tabulated generator to `invariants`; and
-    `reference_check`, `composite` (when every flow of v1..v5 exists) and
-    `optimal` to the report.  Every known delta is appended to `notes`, in
-    the order of the sections; the advection-term note, which describes the
-    shipped fixture, only on that fixture.  The invariant checks are
-    batched: each generator is prolonged once per list of expressions, and
-    the lattice is reduced once for all first-order invariants.
+    lattice), and each claim it checks, parsed once (`reference.claims`;
+    the composite only when every flow of v1..v5 exists).  It only adds
+    keys, each at the end of its dict: `reference_check`, the structure's
+    `matches_reference_commutators`, `matches_reference_killing` and
+    `derived_dimensions`, the adjoint's `baseline_deltas`, `composite`, the
+    invariants' `baseline_first_order` and `baseline_table_<label>`, and
+    `optimal`.  Every known delta is appended to `notes`, in the order of
+    the sections; the advection-term note, which describes the shipped
+    fixture, only on that fixture.  The invariant checks are batched: each
+    generator is prolonged once per list of expressions, and the lattice
+    is reduced once for all first-order invariants.
     """
     notes = report["notes"]
 
     def note(anchor, detail):
         notes.append({"anchor": anchor, "detail": detail})
+
+    flows = all(fm is not None for fm in flow_maps[:5])
+    claims = reference.claims(
+        space, "excluded-generator", "killing", "derived-series", "adjoint",
+        *(["composite"] if flows else []), "first-order-invariants", "invariant-table")
 
     if fixture:
         note(
@@ -351,15 +356,15 @@ def _compare_baseline(report, fixture, L, space, system, basis, flow_maps, usabl
             "five baseline generators (see the *_printed fixture)",
         )
 
-    extra = reference.extra_generator(space)
+    [(_, extra)] = claims["excluded-generator"]
     *members, extra_in_span = span_contains(basis, [*L.realization, extra], system)
     contains = {}
-    for i, (g, member) in enumerate(zip(L.realization, members)):
+    for label, g, member in zip(L.labels, L.realization, members):
         zero = all(expr.is_zero(r) for r in symmetry_residual(g, system))
-        contains[f"v{i + 1}"] = {"in_span": member, "residual_zero": zero}
+        contains[label] = {"in_span": member, "residual_zero": zero}
     report["reference_check"] = {
         "contains": contains,
-        "reference_dimension": 5,
+        "reference_dimension": L.n,
         "computed_dimension": len(basis),
     }
     rejected = [label for label, info in contains.items() if not info["residual_zero"]]
@@ -370,9 +375,9 @@ def _compare_baseline(report, fixture, L, space, system, basis, flow_maps, usabl
             "symmetry residual, so this system does not admit them; the "
             "analysis sections still describe v1..v5 as given",
         )
-    if len(basis) != 5:
-        relation = "exceeds" if len(basis) > 5 else "is below"
-        detail = f"computed nullspace dimension {len(basis)} {relation} the baseline count 5"
+    if len(basis) != L.n:
+        relation = "exceeds" if len(basis) > L.n else "is below"
+        detail = f"computed nullspace dimension {len(basis)} {relation} the baseline count {L.n}"
         if extra_in_span:
             detail += (f"; the span also contains {extra} (zero residual, "
                        "excluded by the baseline determining equations)")
@@ -381,12 +386,14 @@ def _compare_baseline(report, fixture, L, space, system, basis, flow_maps, usabl
     struct = report["structure"]
     struct["matches_reference_commutators"] = (
         L.constants == reference.baseline_algebra().constants)
+    [(_, killing)] = claims["killing"]
     struct["matches_reference_killing"] = struct["killing"] == [
-        [jfrac(c) for c in row] for row in reference.KILLING_FORM
+        [jfrac(c) for c in row] for row in killing
     ]
     dims = [len(s) for s in struct["derived_series"]]
     struct["derived_dimensions"] = dims
-    if tuple(dims) == reference.EXPECTED_DERIVED_DIMS:
+    [(_, delta)] = claims["derived-series"]
+    if tuple(dims) == delta:
         note(
             "reference:boundary-layer/derived-series",
             "the exact derived series is g > span{v1,v2,v3} > 0; the "
@@ -395,17 +402,18 @@ def _compare_baseline(report, fixture, L, space, system, basis, flow_maps, usabl
         )
 
     deltas = {}
-    for i in range(5):
+    for label, entries in claims["adjoint"]:
+        i = L.labels.index(label)
         M = adjoint.ad_exp(L, i)
-        baseline = reference.adjoint_matrix(i)
-        diff = [(r, c) for r in range(5) for c in range(5)
-                if adjoint.expression(M[r][c]) != baseline[r][c]]
+        diff = [(r, c) for r in range(L.n) for c in range(L.n)
+                if adjoint.expression(M[r][c])
+                != entries.get((r, c), expr.ONE if r == c else expr.ZERO)]
         if diff:
             deltas[i] = diff
             positions = ", ".join(f"({r + 1},{c + 1})" for r, c in diff)
             note(
                 f"reference:boundary-layer/adjoint-matrix-{i + 1}",
-                f"the Lie-series adjoint matrix of {L.labels[i]} differs "
+                f"the Lie-series adjoint matrix of {label} differs "
                 f"from the baseline at {positions}; the baseline entry is "
                 "not produced by the series",
             )
@@ -414,12 +422,12 @@ def _compare_baseline(report, fixture, L, space, system, basis, flow_maps, usabl
         for i, diff in deltas.items()
     }
 
-    if all(fm is not None for fm in flow_maps[:5]):
+    if flows:
         chain = flow_maps[0]
         for fm in flow_maps[1:5]:
             chain = adjoint.compose(fm, chain)
         ours = adjoint.transform_solution(chain, space)
-        baseline = reference.composite_solution(space)
+        [(_, baseline)] = claims["composite"]
         diff = {
             dep.name: expr.render(ours[dep] - base)
             for dep, base in zip(space.dependent, baseline)
@@ -442,7 +450,7 @@ def _compare_baseline(report, fixture, L, space, system, basis, flow_maps, usabl
             )
 
     inv = report["invariants"]
-    first = reference.first_order_invariants(space)
+    [(_, first)] = claims["first-order-invariants"]
     in_lattice = (invariants.in_invariant_lattice(ws, lattice, first)
                   if inv["order"] >= 1 else [False] * len(first))
     inv["baseline_first_order"] = [
@@ -450,10 +458,9 @@ def _compare_baseline(report, fixture, L, space, system, basis, flow_maps, usabl
         for e, ok, member in zip(first, invariants.verify_invariants(first, usable),
                                  in_lattice)
     ]
-    for gen_idx, rows in sorted(reference.invariant_table_rows(space).items()):
-        label = L.labels[gen_idx]
+    for label, rows in claims["invariant-table"]:
         verified = invariants.verify_invariants([e for _, e in rows],
-                                                [L.realization[gen_idx]])
+                                                [L.realization[L.labels.index(label)]])
         inv[f"baseline_table_{label}"] = [
             {"entry": entry, "verified": ok} for (entry, _), ok in zip(rows, verified)]
         failures = [entry for (entry, _), ok in zip(rows, verified) if not ok]

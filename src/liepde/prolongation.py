@@ -297,7 +297,7 @@ def _term_value(coefficient, params):
     c = expr.constant_value(coefficient)
     if c is None:
         return linalg.expr_to_paramfrac(coefficient, params).num
-    return expr.as_rational(c)
+    return c
 
 
 def _coefficient(cell):

@@ -1,25 +1,22 @@
 """Reference corpus for the shipped turbulent boundary-layer fixture.
 
-The package carries the complete expected analysis of its golden system:
-generators, commutator table, Killing form, adjoint matrices, flows (per
-generator, the images of x, y, u, v, p, as `adjoint.flow` gives them) and
-transformed solutions (the last three as `expr` values in the one group
-parameter `adjoint.EPS_SYMBOL`), invariant lists, and the subalgebra tables
-with their free parameters instantiated at 1 and 2.  The commutator table
-and the subalgebra table are the shipped data files
-`boundary_layer_algebra.json` and `boundary_layer_optimal.json`, their only
-copy: `baseline_algebra` and `optimal_table_entries` read them through
-`structure.algebra_from_json` and `structure.table_from_json` on each call.
-In the pipeline, one comparison pass (`pipeline._compare_baseline`) checks
-a report on v1..v5 against this corpus and emits a discrepancy note
-wherever the baseline is known to disagree with the exact computation,
-e.g. misprinted matrix entries or a derived-series chain inconsistent with
-the commutator table, and the advection-term note only on the shipped
-fixture itself (`fixture_document`, which `run_pipeline` compares with its
-document once per run).  Besides it, `pipeline.reference_on` (the auto
-rule and the shape check), `pipeline.analysed_algebra` (v1..v5 as the
-analysed algebra) and `cli._load_document` (`fixture_text`, the system a
-command reads when it names none) read it.
+The paper's claims about its golden system are shipped data, each checked
+by a computation the report already makes (`pipeline._compare_baseline`):
+the commutator table `boundary_layer_algebra.json` and the subalgebra table
+`boundary_layer_optimal.json` (free parameters at 1 and 2), which
+`baseline_algebra` and `optimal_table_entries` read, and
+`boundary_layer_claims.json` (schema 1), `{kind, label, data}` claims with
+expressions in the fixture's language, which `claims` reads.  By kind:
+- `generator` (v1..v5 as "xi; ...; phi"): the analysed algebra, span and residuals;
+- `excluded-generator` (x d/dy + u d/dv): membership in the computed span;
+- `killing`: `structure.killing_form`;
+- `derived-series` (dimensions at which the printed chain is wrong): `derived_series`;
+- `adjoint` (non-identity [row, column, c, m, k], c*eps^m*exp(k*eps)): `ad_exp`;
+- `composite` (five flows at one parameter): `compose` and `transform_solution`;
+- `first-order-invariants`: `verify_invariants` and `in_invariant_lattice`;
+- `invariant-table` (v4 and v5, labels verbatim): `verify_invariants`.
+`pipeline.reference_on` (the auto rule and the shape check) and
+`cli._load_document` (`fixture_text`) read this module too.
 """
 
 from __future__ import annotations
@@ -43,10 +40,6 @@ def fixture_document():
     return parser.parse_system(fixture_text())
 
 
-def fixture_system():
-    return parser.build_system(fixture_document())
-
-
 def require_shape(space):
     """Raise LiepdeError unless `space` has the boundary-layer shape."""
     if (space.p, space.q) != (2, 3):
@@ -54,205 +47,6 @@ def require_shape(space):
             "reference comparison needs the boundary-layer shape "
             "(2 independent, 3 dependent variables)"
         )
-
-
-def generators(space):
-    """The five reference generators of the boundary-layer system, on a
-    `space` that passes `require_shape`."""
-    require_shape(space)
-    x, y = space.independent
-    u, v, p = space.dependent
-    Z = expr.ZERO
-    O = expr.ONE
-    return (
-        VectorField(space, (O, Z), (Z, Z, Z)),
-        VectorField(space, (Z, O), (Z, Z, Z)),
-        VectorField(space, (Z, Z), (Z, Z, O)),
-        VectorField(space, (x, Z), (u, Z, 2 * p)),
-        VectorField(space, (Z, y), (-2 * u, -1 * v, -4 * p)),
-    )
-
-
-def extra_generator(space):
-    """The additional affine symmetry x d/dy + u d/dv of the standard form."""
-    x, y = space.independent
-    u, v, p = space.dependent
-    Z = expr.ZERO
-    return VectorField(space, (Z, x), (Z, u, Z))
-
-
-KILLING_FORM = (
-    (0, 0, 0, 0, 0),
-    (0, 0, 0, 0, 0),
-    (0, 0, 0, 0, 0),
-    (0, 0, 0, 5, -8),
-    (0, 0, 0, -8, 17),
-)
-
-# The baseline prints the derived chain <v1..v5> > <v1,v2,2*v3>, which is
-# inconsistent with its own commutator table (the exact chain is
-# g > span{v1,v2,v3} > 0); the pipeline notes it.
-EXPECTED_DERIVED_DIMS = (5, 3, 0)
-
-
-# Entries of the baseline adjoint matrices of exp(eps v_i) that differ from
-# the identity, by matrix index i: {(row, column): (c, m, k)} for
-# c * eps^m * e^(k*eps), indices from 0.  Matrix 4 carries a stray entry of
-# 1 at (2, 3) that the Lie series does not produce.
-ADJOINT_ENTRIES = (
-    {(3, 0): (-1, 1, 0)},
-    {(4, 1): (-1, 1, 0)},
-    {(3, 2): (-2, 1, 0), (4, 2): (4, 1, 0)},
-    {(0, 0): (1, 0, 1), (2, 2): (1, 0, 2), (2, 3): (1, 0, 0)},
-    {(1, 1): (1, 0, 1), (2, 2): (1, 0, -4)},
-)
-
-
-def adjoint_matrix(i):
-    """Baseline adjoint matrix of exp(eps v_i), with `expr` entries as
-    `adjoint.expression` gives those of `adjoint.ad_exp`."""
-    M = [[expr.ONE if r == c else expr.ZERO for c in range(5)] for r in range(5)]
-    for (r, c), (coeff, m, k) in ADJOINT_ENTRIES[i].items():
-        M[r][c] = exp_term(coeff, m, k)
-    return M
-
-BASELINE_ADJOINT_DELTAS = {3: ((2, 3),)}  # matrix index -> stray positions
-
-
-def flow_table(space):
-    """Baseline one-parameter flows: per generator, the images of x, y, u, v, p."""
-    eps = EPS_SYMBOL
-    x, y = space.independent
-    u, v, p = space.dependent
-    E = lambda k: expr.ParamExp(eps, k)
-    return (
-        (x + eps, y, u, v, p),
-        (x, y + eps, u, v, p),
-        (x, y, u, v, p + eps),
-        (x * E(1), y, u * E(1), v, p * E(2)),
-        (x, y * E(1), u * E(-2), v * E(-1), p * E(-4)),
-    )
-
-
-def transformed_solutions(space):
-    """Baseline per-generator transformed solution triples."""
-    eps = EPS_SYMBOL
-    x, y = space.independent
-    E = lambda k: expr.ParamExp(eps, k)
-    f = lambda *a: expr.FunctionApplication("f", a)
-    g = lambda *a: expr.FunctionApplication("g", a)
-    h = lambda *a: expr.FunctionApplication("h", a)
-    return (
-        (f(x + eps, y), g(x + eps, y), h(x + eps, y)),
-        (f(x, y + eps), g(x, y + eps), h(x, y + eps)),
-        (f(x, y), g(x, y), h(x, y) + eps),
-        (E(-1) * f(x * E(1), y), g(x * E(1), y), E(-2) * h(x * E(1), y)),
-        (E(2) * f(x, y * E(1)), E(1) * g(x, y * E(1)), E(4) * h(x, y * E(1))),
-    )
-
-
-def composite_solution(space):
-    """Baseline composite transform (all five flows chained at one parameter)."""
-    eps = EPS_SYMBOL
-    x, y = space.independent
-    E = lambda k: expr.ParamExp(eps, k)
-    arg1 = (x + eps) * E(1)
-    arg2 = (y + eps) * E(1)
-    return (
-        E(1) * expr.FunctionApplication("f", (arg1, arg2)),
-        expr.FunctionApplication("g", (arg1, arg2)),
-        E(2) * expr.FunctionApplication("h", (arg1, arg2)) + eps * E(-1),
-    )
-
-
-def first_order_invariants(space):
-    """The six first-order invariant ratios of the baseline."""
-    x, y = space.independent
-    u, v, p = space.dependent
-    ux = space.coordinate(u, (1, 0))
-    vx = space.coordinate(v, (1, 0))
-    px = space.coordinate(p, (1, 0))
-    uy = space.coordinate(u, (0, 1))
-    vy = space.coordinate(v, (0, 1))
-    py = space.coordinate(p, (0, 1))
-    return (
-        ux / v**2,
-        u * vx / v**3,
-        px / (u * v**2),
-        uy / (u * v),
-        vy / v**2,
-        py / (u**2 * v),
-    )
-
-
-def second_order_invariants(space):
-    """All fifteen invariant ratios of the baseline up to order two.
-
-    The baseline prints the third new ratio with an unreadable subscript;
-    the zero-weight reading p_xx / v^4 is used.
-    """
-    u, v, p = space.dependent
-    uxx = space.coordinate(u, (2, 0))
-    vxx = space.coordinate(v, (2, 0))
-    pxx = space.coordinate(p, (2, 0))
-    uxy = space.coordinate(u, (1, 1))
-    vxy = space.coordinate(v, (1, 1))
-    pxy = space.coordinate(p, (1, 1))
-    uyy = space.coordinate(u, (0, 2))
-    vyy = space.coordinate(v, (0, 2))
-    pyy = space.coordinate(p, (0, 2))
-    second = (
-        u * uxx / v**4,
-        u**2 * vxx / v**5,
-        pxx / v**4,
-        uxy / v**3,
-        u * vxy / v**4,
-        pxy / (u * v**3),
-        uyy / (u * v**2),
-        vyy / v**3,
-        pyy / (u**2 * v**2),
-    )
-    return first_order_invariants(space) + second
-
-
-def invariant_table_rows(space):
-    """Baseline single-generator invariant table for v4 and v5.
-
-    Returns {generator index: [(label, expression), ...]}; the pipeline
-    reports which entries the generator actually annihilates.
-    """
-    x, y = space.independent
-    u, v, p = space.dependent
-    c = space.coordinate
-    ux, vx, px = c(u, (1, 0)), c(v, (1, 0)), c(p, (1, 0))
-    uy, vy, py = c(u, (0, 1)), c(v, (0, 1)), c(p, (0, 1))
-    uxx, vxx, pxx = c(u, (2, 0)), c(v, (2, 0)), c(p, (2, 0))
-    uxy, vxy, pxy = c(u, (1, 1)), c(v, (1, 1)), c(p, (1, 1))
-    uyy, vyy, pyy = c(u, (0, 2)), c(v, (0, 2)), c(p, (0, 2))
-    v4_row = [
-        ("u", u), ("u/x", u / x), ("v", v), ("p/x^2", p / x**2),
-        ("u_x", ux), ("x*v_x", x * vx), ("p_x/x", px / x),
-        ("u_y/x", uy / x), ("v_y", vy), ("p_y/x^2", py / x**2),
-        ("y", y), ("p", p),
-        ("x*u_xx", x * uxx), ("x^2*v_xx", x**2 * vxx), ("p_xx", pxx),
-        ("u_xy", uxy), ("x*v_xy", x * vxy), ("p_xy/x", pxy / x),
-        ("u_yy/x", uyy / x), ("v_yy", vyy), ("p_yy/x^2", pyy / x**2),
-    ]
-    v5_row = [
-        ("x", x), ("y^2*u", y**2 * u), ("y*v", y * v), ("y^4*p", y**4 * p),
-        ("y^2*u_x", y**2 * ux), ("y*v_x", y * vx), ("y^4*p_x", y**4 * px),
-        ("y^3*u_y", y**3 * uy), ("y^2*v_y", y**2 * vy), ("y^5*p_y", y**5 * py),
-        ("y^5*v_y", y**5 * vy),
-        ("y^2*u_xx", y**2 * uxx), ("y*v_xx", y * vxx), ("y^4*p_xx", y**4 * pxx),
-        ("y^3*u_xy", y**3 * uxy), ("y^2*v_xy", y**2 * vxy),
-        ("y^5*p_xy", y**5 * pxy),
-        ("y^4*u_yy", y**4 * uyy), ("y^3*v_yy", y**3 * vyy),
-        ("y^6*p_yy", y**6 * pyy),
-    ]
-    return {3: v4_row, 4: v5_row}
-
-# Entries of the baseline invariant table that fail the annihilation check.
-EXPECTED_INVARIANT_FAILURES = {3: ("u", "p"), 4: ("y^5*v_y",)}
 
 
 def baseline_algebra():
@@ -270,11 +64,60 @@ def optimal_table_entries():
         json.loads(fixture_text("boundary_layer_optimal.json")))
 
 
-# The mixed dim-2 entry with the 5/2 factor does not close under the
-# bracket for any instantiation with all three parameters nonzero:
-# [b1 v2 + b2 v3, v1 + 5/2 b3 (v4+v5)] = 5/2 b3 (b1 v2 - 2 b2 v3), which
-# lies in the span only if b1, b2, or b3 vanishes.
-EXPECTED_CLOSURE_FAILURES = (
-    "dim2 <b1*v2+b2*v3, v1+5/2*b3*(v4+v5)> (b=1)",
-    "dim2 <b1*v2+b2*v3, v1+5/2*b3*(v4+v5)> (b=2)",
-)
+def claims(space, *kinds):
+    """The shipped claims of the given kinds, and only those parsed, as
+    {kind: [(label, value), ...]} in document order, on a `space` that
+    passes `require_shape`.  Expressions are parsed in the document's names
+    and mapped by position onto `space`'s variables and jet coordinates.  A
+    value is a `VectorField`, a matrix as `structure.killing_form` gives
+    one, a tuple of dimensions, a dict {(row, column): entry} from 0
+    (`adjoint`), a tuple of expressions or a list of (entry label,
+    expression) (`invariant-table`).
+    """
+    require_shape(space)
+    document = json.loads(fixture_text("boundary_layer_claims.json"))
+    independent = tuple(document["independent"])
+    names = parser.SystemDocument(
+        (), independent, [(n, independent) for n in document["dependent"]], (), ())
+    ind, dep, _ = names.symbols()
+    base = dict(zip(ind + dep, space.independent + space.dependent))
+    position = {d.name: k for k, d in enumerate(dep)}
+
+    def onto(e):
+        if (ind, dep) == (space.independent, space.dependent):
+            return e
+        return expr.substitute(e, {
+            s: base[s] if s in base else space.coordinate(position[s.base], s.multi)
+            for s in expr.free_symbols(e) if s.role != expr.GROUP})
+
+    def parse(texts, group=None):
+        return tuple(map(onto, parser.parse_expressions(texts, names, group)))
+
+    def table(data):
+        labels, texts = zip(*data)
+        return list(zip(labels, parse(texts)))
+
+    def field(text):
+        xi, phi = parser.parse_field(text, names)
+        return VectorField(space, map(onto, xi), map(onto, phi))
+
+    read = {
+        "generator": field,
+        "excluded-generator": field,
+        "killing": lambda data: tuple(tuple(map(structure.parse_rational, row))
+                                      for row in data),
+        "derived-series": tuple,
+        "adjoint": lambda data: {
+            (r - 1, c - 1): exp_term(structure.parse_rational(coeff), m,
+                                     structure.parse_rational(k))
+            for r, c, coeff, m, k in data},
+        "composite": lambda data: parse(data, EPS_SYMBOL),
+        "first-order-invariants": parse,
+        "invariant-table": table,
+    }
+    out = {kind: [] for kind in kinds}
+    for claim in document["claims"]:
+        kind = claim["kind"]
+        if kind in out:
+            out[kind].append((claim["label"], read[kind](claim["data"])))
+    return out

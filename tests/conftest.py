@@ -6,6 +6,8 @@ import pytest
 from liepde import adjoint, expr, linalg, pipeline, reference, structure
 from liepde.fields import VectorField
 
+from baseline import claimed, fixture_system
+
 
 def solve(rows, rhs):
     """One solution of A x = b, or None if inconsistent: the pivot columns
@@ -50,8 +52,8 @@ def assert_element(x):
 @pytest.fixture(scope="session")
 def golden():
     """Jet space, PDE system, and reference generators of the golden fixture."""
-    space, system = reference.fixture_system()
-    gens = reference.generators(space)
+    space, system = fixture_system()
+    gens = claimed(space, "generator")
     return space, system, gens
 
 

@@ -29,6 +29,16 @@ from liepde.optimal import (
 )
 from liepde.prolongation import span_contains, symmetry_residual
 
+from baseline import (
+    BASELINE_ADJOINT_DELTAS,
+    EXPECTED_INVARIANT_FAILURES,
+    adjoint_matrix,
+    claimed,
+    flow_table,
+    invariant_tables,
+    second_order_invariants,
+    transformed_solutions,
+)
 from conftest import (
     DELTA_SYM,
     EPS_SYM,
@@ -78,10 +88,10 @@ def test_criterion_02_commutator_table(algebra):
                 assert got == table[i][j], (i, j)
 
 
-def test_criterion_03_killing_form(algebra):
+def test_criterion_03_killing_form(golden, algebra):
     with criterion(3, "Killing form, determinant, solvability, semisimplicity"):
         K = structure.killing_form(algebra)
-        assert K == reference.KILLING_FORM
+        assert [K] == claimed(golden[0], "killing")
         assert linalg.det(K) == 0
         assert not structure.is_semisimple(algebra)
         assert structure.is_solvable(algebra)
@@ -100,12 +110,12 @@ def test_criterion_04_derived_series(algebra, golden_report):
         )
 
 
-def test_criterion_05_adjoint_matrices(algebra, golden_report):
+def test_criterion_05_adjoint_matrices(golden, algebra, golden_report):
     with criterion(5, "adjoint matrices exact, stray entry of the fourth flagged"):
         for i in range(5):
             M = ad_exp(algebra, i)
-            strays = reference.BASELINE_ADJOINT_DELTAS.get(i, ())
-            baseline = reference.adjoint_matrix(i)
+            strays = BASELINE_ADJOINT_DELTAS.get(i, ())
+            baseline = adjoint_matrix(golden[0], i)
             for r in range(5):
                 for c in range(5):
                     expected = baseline[r][c]
@@ -121,9 +131,9 @@ def test_criterion_05_adjoint_matrices(algebra, golden_report):
 
 
 def test_criterion_06_flows_and_group_law(golden):
-    space, _, gens = golden
+    _, _, gens = golden
     with criterion(6, "flow rows exact and one-parameter group law holds"):
-        rows = reference.flow_table(space)
+        rows = flow_table()
         for vf, row in zip(gens, rows):
             fm = flow(vf)
             for z, value in zip(vf.coordinates, row):
@@ -140,7 +150,7 @@ def test_criterion_06_flows_and_group_law(golden):
 def test_criterion_07_transformed_solutions(golden, golden_report):
     space, _, gens = golden
     with criterion(7, "per-generator transforms exact; composite diffed and noted"):
-        expected = reference.transformed_solutions(space)
+        expected = transformed_solutions()
         for vf, row in zip(gens, expected):
             ts = transform_solution(flow(vf), space)
             for dep, value in zip(space.dependent, row):
@@ -157,22 +167,21 @@ def test_criterion_07_transformed_solutions(golden, golden_report):
 def test_criterion_08_invariants(golden):
     space, _, gens = golden
     with criterion(8, "invariant ratios verified; table rows reported; lattice complete"):
-        first = reference.first_order_invariants(space)
+        [first] = claimed(space, "first-order-invariants")
         assert len(first) == 6
         for e in first:
             assert verify_invariant(e, gens), str(e)
-        second = reference.second_order_invariants(space)
+        second = second_order_invariants(space)
         assert len(second) == 15
         for e in second:
             assert verify_invariant(e, gens), str(e)
-        table = reference.invariant_table_rows(space)
-        for gen_idx, rows in table.items():
+        for label, generator, rows in invariant_tables(space):
             failures = tuple(
-                label
-                for label, e in rows
-                if not verify_invariant(e, [gens[gen_idx]])
+                entry
+                for entry, e in rows
+                if not verify_invariant(e, [generator])
             )
-            assert failures == reference.EXPECTED_INVARIANT_FAILURES[gen_idx]
+            assert failures == EXPECTED_INVARIANT_FAILURES[label]
         _lattice_completeness_box_check(gens, space)
 
 

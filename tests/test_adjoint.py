@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from baseline import BASELINE_ADJOINT_DELTAS, adjoint_matrix
 from conftest import (
     DELTA_SYM,
     EPS_SYM,
@@ -21,7 +22,7 @@ from conftest import (
     substitute_matrix,
 )
 import liepde
-from liepde import expr, linalg, reference, structure
+from liepde import expr, linalg, structure
 from liepde.adjoint import (
     EPS,
     _deflate,
@@ -227,11 +228,11 @@ class TestAdMatrix:
 
 
 class TestAdExp:
-    def test_matches_baseline_except_stray_entry(self, algebra):
+    def test_matches_baseline_except_stray_entry(self, golden, algebra):
         for i in range(5):
             M = ad_exp(algebra, i)
-            B = reference.adjoint_matrix(i)
-            strays = reference.BASELINE_ADJOINT_DELTAS.get(i, ())
+            B = adjoint_matrix(golden[0], i)
+            strays = BASELINE_ADJOINT_DELTAS.get(i, ())
             for r in range(5):
                 for c in range(5):
                     if (r, c) in strays:

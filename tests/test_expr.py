@@ -23,7 +23,7 @@ from liepde.expr import (
     Symbol,
 )
 
-from conftest import random_expression
+from conftest import assert_rational, random_expression
 
 x = Symbol("x", INDEPENDENT)
 y = Symbol("y", INDEPENDENT)
@@ -57,8 +57,8 @@ class TestNormalize:
         assert a == expr.normalize(ParamExp(eps, 5))
 
     def test_lowest_terms(self):
-        assert Rational(2, 4).value == Fraction(1, 2)
-        assert Rational(1, -2).value == Fraction(-1, 2)
+        assert Rational(2, 4).coeff == Fraction(1, 2)
+        assert Rational(1, -2).coeff == Fraction(-1, 2)
 
     def test_idempotent_on_random_corpus(self):
         rng = random.Random(11)
@@ -106,17 +106,15 @@ class TestNormalize:
 
 
 class TestCoefficientTypes:
-    """Coefficients are ints when integral and Fractions otherwise, never
-    floats or bools; constants read back as Fractions."""
+    """Coefficients, and constants read back through `constant_value`, are
+    ints when integral and Fractions otherwise, never floats or bools."""
 
     def assert_exact(self, e):
         for c in e._poly().values():
-            assert type(c) in (int, Fraction), (e, c)
-            assert type(c) is int or c.denominator != 1, (e, c)
+            assert_rational(c)
         value = expr.constant_value(e)
-        assert value is None or type(value) is Fraction
-        if isinstance(e, Rational):
-            assert type(e.value) is Fraction
+        if value is not None:
+            assert_rational(value)
 
     def test_random_corpus(self):
         rng = random.Random(23)
@@ -151,6 +149,7 @@ class TestCoefficientTypes:
         assert expr.divide(6 * x * y + 3 * x, 4 * y + 2) == three_halves_x
         for e in ((3 * x) / 2, expr.divide(3 * x, 2)):
             self.assert_exact(e)
+        assert type(expr.constant_value((4 * x) / (2 * x))) is int
         for three in (3, linalg.ParamFrac(Rational(3))):
             inverse = linalg.ParamFrac.inverse(three)
             assert type(inverse) is Fraction and inverse == Fraction(1, 3)

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from baseline import claimed, flow_table, transformed_solutions
 from conftest import DELTA_SYM, EPS_SYM, identity_map, substitute_map
-from liepde import expr, reference
+from liepde import expr
 from liepde.adjoint import compose, flow, matrix_exp, transform_solution
 from liepde.errors import UnsupportedSpectrumError
 from liepde.fields import VectorField
@@ -14,8 +15,8 @@ F = Fraction
 
 class TestFlowRows:
     def test_reference_flow_table(self, golden):
-        space, _, gens = golden
-        expected_rows = reference.flow_table(space)
+        _, _, gens = golden
+        expected_rows = flow_table()
         for vf, row in zip(gens, expected_rows):
             fm = flow(vf)
             for z, value in zip(vf.coordinates, row):
@@ -155,7 +156,7 @@ class TestGroupLaw:
 class TestTransformedSolutions:
     def test_reference_per_generator_list(self, golden):
         space, _, gens = golden
-        expected = reference.transformed_solutions(space)
+        expected = transformed_solutions()
         for vf, row in zip(gens, expected):
             ts = transform_solution(flow(vf), space)
             for dep, value in zip(space.dependent, row):
@@ -170,7 +171,7 @@ class TestTransformedSolutions:
         for vf in gens[1:]:
             chain = compose(flow(vf), chain)
         ours = transform_solution(chain, space)
-        baseline = reference.composite_solution(space)
+        [baseline] = claimed(space, "composite")
         u, v, p = space.dependent
         diff_u = expr.normalize(ours[u] - baseline[0])
         diff_v = expr.normalize(ours[v] - baseline[1])

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from liepde import expr, invariants, reference
+from liepde import expr, invariants
 from liepde.errors import InternalCheckError, UnsupportedGeneratorError
 from liepde.fields import VectorField
 from liepde.invariants import (
@@ -19,6 +19,8 @@ from liepde.invariants import (
     weight_system,
 )
 
+from baseline import (EXPECTED_INVARIANT_FAILURES, claimed, invariant_tables,
+                      second_order_invariants)
 from conftest import solve
 
 F = Fraction
@@ -117,7 +119,7 @@ class TestWeights:
 class TestLattice:
     def test_first_order_ratios_in_lattice(self, golden, golden_weights, golden_lattice):
         space, _, _ = golden
-        first = reference.first_order_invariants(space)
+        [first] = claimed(space, "first-order-invariants")
         for e, member in zip(first, in_invariant_lattice(golden_weights, golden_lattice,
                                                          first)):
             assert member, str(e)
@@ -126,7 +128,7 @@ class TestLattice:
         space, _, gens = golden
         ws = weight_system(gens, space, 2)
         lattice = monomial_invariants(ws)
-        second = reference.second_order_invariants(space)
+        second = second_order_invariants(space)
         for e, member in zip(second, in_invariant_lattice(ws, lattice, second)):
             assert member, str(e)
 
@@ -244,23 +246,21 @@ class TestVerifyInvariant:
 
     def test_reference_table_pass_fail(self, golden):
         space, _, gens = golden
-        table = reference.invariant_table_rows(space)
-        for gen_idx, rows in table.items():
+        for label, generator, rows in invariant_tables(space):
             failures = tuple(
-                label
-                for label, e in rows
-                if not verify_invariant(e, [gens[gen_idx]])
+                entry
+                for entry, e in rows
+                if not verify_invariant(e, [generator])
             )
-            assert failures == reference.EXPECTED_INVARIANT_FAILURES[gen_idx]
+            assert failures == EXPECTED_INVARIANT_FAILURES[label]
 
     def test_batched_equals_one_at_a_time(self, golden):
         # each generator prolonged once on the union of the coordinates
         # gives every expression the answer of its own prolongation
         space, _, gens = golden
         u = space.dependent[0]
-        cases = [(rows, [gens[gen_idx]]) for gen_idx, rows in sorted(
-            reference.invariant_table_rows(space).items())]
-        second = reference.second_order_invariants(space)
+        cases = [(rows, [generator]) for _, generator, rows in invariant_tables(space)]
+        second = second_order_invariants(space)
         mixed = [("u", u), *(("", e) for e in second), ("u_x", space.coordinate(u, (1, 0)))]
         cases += [([("", e) for e in second], gens), (mixed, gens), (mixed, [])]
         seen = set()

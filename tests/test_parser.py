@@ -1,7 +1,9 @@
 import pytest
 
 from liepde import expr, reference
+from liepde.adjoint import EPS_SYMBOL
 from liepde.errors import ParseError
+from baseline import fixture_system
 from liepde.parser import (
     build_system,
     parse_expression,
@@ -30,7 +32,7 @@ class TestParseFixture:
         assert print_system(parse_system(once)) == once
 
     def test_build_system(self):
-        space, system = reference.fixture_system()
+        space, system = fixture_system()
         assert space.max_order == 2
         assert [lead.name for lead, _ in system.solved] == ["v_y", "u_yy", "p_y"]
         rhs = dict((lead.name, rhs) for lead, rhs in system.solved)
@@ -160,3 +162,16 @@ class TestExpressions:
         doc = reference.fixture_document()
         with pytest.raises(ParseError, match="trailing"):
             parse_expression("x + 1 )", doc)
+
+    def test_group_atoms_only_with_a_group_symbol(self):
+        # exp(k*eps), eps and applications read as `expr.render` writes them
+        doc = reference.fixture_document()
+        e = parse_expression("f(x + eps, y)*exp(-2*eps) + eps*exp(eps/2)", doc, EPS_SYMBOL)
+        assert expr.render(e) == "eps*exp(1/2*eps) + f(x + eps, y)*exp(-2*eps)"
+        for text, message in (("exp(x)", "exp takes one rational multiple of eps"),
+                              ("exp(eps, 1)", "exp takes one rational multiple of eps")):
+            with pytest.raises(ParseError, match=message):
+                parse_expression(text, doc, EPS_SYMBOL)
+        for text in ("eps", "f(x)", "exp(eps)"):
+            with pytest.raises(ParseError, match="undeclared symbol"):
+                parse_expression(text, doc)

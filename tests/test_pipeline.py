@@ -11,6 +11,7 @@ import liepde
 from liepde import linalg, parser, pipeline, reference, structure
 from liepde.cli import _attach_vector, main as cli_main
 from liepde.errors import LiepdeError, PipelineError
+from baseline import EXPECTED_CLOSURE_FAILURES
 from test_determining import HEAT_SYSTEM, TWO_PARAMETER_SYSTEM
 
 DATA = pathlib.Path(liepde.__file__).parent / "data"
@@ -94,7 +95,7 @@ class TestGoldenPipeline:
         assert opt["invariant_components"] == ["v4", "v5"]
         assert opt["one_dimensional_coverage_gaps"] == ["v4", "v5"]
         closures = {e["label"]: e["closed"] for e in opt["entries"]}
-        for label in reference.EXPECTED_CLOSURE_FAILURES:
+        for label in EXPECTED_CLOSURE_FAILURES:
             assert closures[label] is False
         passing = [l for l, ok in closures.items() if ok]
         assert len(passing) == len(closures) - 2

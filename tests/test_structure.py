@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from baseline import claimed, fixture_system
 from conftest import borel_algebra, heisenberg_algebra, jordan_algebra, sl2_algebra
 from liepde import expr, linalg, parser, reference, structure
 from liepde.errors import NotASubalgebraError
 from liepde.fields import VectorField, bracket
 from liepde.optimal import verify_optimal_table
 from liepde.prolongation import build_determining, solve_determining
-from liepde.reference import KILLING_FORM
 from liepde.structure import (
     LieAlgebra,
     algebra_from_json,
@@ -102,7 +102,7 @@ class TestStructureConstants:
 
     def test_realization_matches_constants(self):
         # every bracket [g_i, g_j] of the computed basis is sum_k C^k_ij g_k
-        fixture = reference.fixture_system()
+        fixture = fixture_system()
         burgers = parser.build_system(parser.parse_system(BURGERS_SYSTEM))
         for (space, system), degree in ((fixture, 1), (fixture, 2), (fixture, 3),
                                         (burgers, 2)):
@@ -146,8 +146,8 @@ class TestInvariantsAtConstruction:
 
 
 class TestKillingForm:
-    def test_reference_matrix(self, algebra):
-        assert killing_form(algebra) == KILLING_FORM
+    def test_reference_matrix(self, golden, algebra):
+        assert [killing_form(algebra)] == claimed(golden[0], "killing")
 
     def test_degenerate(self, algebra):
         assert linalg.det(killing_form(algebra)) == 0

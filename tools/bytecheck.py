@@ -80,7 +80,10 @@ exponent, an underscore and an empty ``--vector``, ``structure --constants``
 on a document with a nonzero self-bracket and on one with two equal labels,
 and ``verify-optimal --file`` on a table entry whose label is a number,
 and, in text and JSON, the two-parameter system at degree 3 (exit 1 at the
-structure stage).  A tree whose elimination takes the first candidate of
+structure stage), and, last, the fixture with x, y, u, v, p renamed to s,
+t, a, b, c with ``--reference on``: ``symmetries`` in text and JSON,
+``invariants --order 2`` and ``normal-form --vector 1,0,0,1,0``, which pin
+the positional mapping of the baseline's claims onto other names.  A tree whose elimination takes the first candidate of
 least complexity as the pivot, whatever its row's length, spends more than
 TIMEOUT_S on that system (32 s on an idle 2-vCPU VM) and shows
 ``TIMEOUT`` there.  The optimal table for
@@ -220,6 +223,21 @@ eq d(u,t) = d(u,x,x)/u
 lead d(u,t)
 """
 
+# the fixture with x, y, u, v, p renamed to s, t, a, b, c
+RENAMED = """\
+param rho > 0
+param nu > 0
+independent s t
+dependent a(s, t)
+dependent b(s, t)
+dependent c(s, t)
+eq d(a,s) + d(b,t) = 0
+eq a*d(a,s) + b*d(a,t) = -(1/rho)*d(c,s) + nu*d(a,t,t)
+eq d(c,t) = 0
+lead d(b,t)
+lead d(a,t,t)
+lead d(c,t)
+"""
 
 # [v1, v2] = v2/2 and [v1, v3] = v2 + v3/2: ad v1 is one Jordan block with
 # the eigenvalue 1/2
@@ -364,6 +382,7 @@ def write_inputs(folder, parent):
         "divides_by_u.pde": DIVIDES_BY_U,
         "forced.pde": FORCED,
         "kdv_burgers.pde": KDV_BURGERS,
+        "renamed.pde": RENAMED,
         "b4_table.json": json.dumps(B4_TABLE),
         "sl2_table.json": json.dumps(SL2_TABLE),
         **{name: json.dumps(doc) for name, doc in MALFORMED.items()},
@@ -524,6 +543,12 @@ def write_inputs(folder, parent):
     # elimination swells when a long row is taken as the pivot
     for fmt in ([], js):
         commands.append(["--ansatz-degree", "3", *fmt, "symmetries", "two_parameter.pde"])
+    # the baseline's claims on renamed variables
+    for fmt in ([], js):
+        commands.append(["--reference", "on", *fmt, "symmetries", "renamed.pde"])
+    commands.append(["--reference", "on", "invariants", "--order", "2", "renamed.pde"])
+    commands.append(["--reference", "on", "normal-form", "--vector", "1,0,0,1,0",
+                     "renamed.pde"])
     return commands
 
 
