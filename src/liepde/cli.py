@@ -170,7 +170,7 @@ def _cmd_structure(args):
 def _cmd_check_generator(args):
     doc = _load_document(args)
     space, system = parser.build_system(doc)
-    vf = VectorField(space, *parser.parse_field(args.field, doc))
+    vf = VectorField(space, *parser.parse_field(args.field, doc.names()))
     residuals = symmetry_residual(vf, system)
     out = {
         "schema": pipeline.SCHEMA_VERSION,

@@ -1,8 +1,9 @@
 """Jet-space model of a PDE system: total derivatives and reduction.
 
-A jet space enumerates derivative coordinates u^a_J for each dependent
-variable up to a maximum order (with a little slack so prolongation can
-raise the order).  A PDE system additionally carries a solved form: an
+A jet coordinate u^a_J is the symbol `jet` makes, the one place its name
+is spelled; a jet space enumerates them for each dependent variable up to
+a maximum order (with slack so prolongation and reduction can raise the
+order).  A PDE system additionally carries a solved form: an
 orientation of each equation as "leading coordinate = right-hand side",
 which drives reduction modulo the system.  A total derivative is the
 `expr.derivation` given by its values on symbols; `expr` applies the chain
@@ -20,17 +21,22 @@ from .expr import DEPENDENT, INDEPENDENT, JET, Symbol
 _REDUCTION_PASS_LIMIT = 500
 
 
-def _multi_name(dep, independent, multi):
+def jet(dep, independent, multi):
+    """The jet coordinate of the dependent symbol `dep` differentiated
+    `multi[i]` times by `independent[i]`, named as `u_xy`; `multi` has at
+    least one nonzero count."""
     suffix = "".join(ind.name * c for ind, c in zip(independent, multi))
-    return f"{dep.name}_{suffix}" if suffix else dep.name
+    return Symbol(f"{dep.name}_{suffix}", JET, base=dep.name, multi=multi)
 
 
 class JetSpace:
     """Independent/dependent variables plus derivative coordinates.
 
-    `max_order` is the declared order of the system; coordinates up to
-    `max_order + 2` can be created on demand (prolongation and reduction
-    need a couple of extra orders).
+    `max_order` is the declared order m of the system; coordinates up to
+    `max(m + 2, 2m - 1)` can be created on demand: prolongation needs a
+    couple of extra orders, and one reduction step replaces a coordinate
+    of order up to m, a lead differentiated up to m - 1 more times, by the
+    same derivative of the lead's right-hand side, of order up to 2m - 1.
     """
 
     def __init__(self, independent, dependent, max_order):
@@ -47,7 +53,7 @@ class JetSpace:
         if max_order < 1:
             raise ValueError("maximum derivative order must be at least 1")
         self.max_order = max_order
-        self.limit = max_order + 2
+        self.limit = max(max_order + 2, 2 * max_order - 1)
         self._dep_index = {s.name: i for i, s in enumerate(self.dependent)}
         self._coordinates = {}
 
@@ -78,9 +84,7 @@ class JetSpace:
             raise OrderLimitError(
                 f"derivative order {order} exceeds the configured limit {self.limit}"
             )
-        sym = self._coordinates[dep, multi] = Symbol(
-            _multi_name(dep, self.independent, multi), JET, base=dep.name, multi=multi
-        )
+        sym = self._coordinates[dep, multi] = jet(dep, self.independent, multi)
         return sym
 
     def lift(self, sym, i):

@@ -8,12 +8,23 @@ Grammar (one declaration per line, '#' comments):
     eq <expression> = <expression>
     lead d(<dependent>, <independent>, ...)
 
-Expressions use ``+ - * / ^`` with the usual precedence, integer literals
-(rationals are built with ``/``), parentheses, and ``d(f, x, y, ...)`` for
-derivative coordinates.  All errors carry line and column positions.
+Outside comments the input is ASCII: a name is letters, digits and '_', not
+starting with a digit.  Expressions use ``+ - * / ^`` with the usual
+precedence, integer literals (rationals are built with ``/``), parentheses,
+and ``d(f, x, y, ...)`` for derivative coordinates of any order.  All errors
+carry line and column positions.
+
+A name becomes a symbol through one table {name: Symbol}: the parser fills
+it from the declarations it reads, `SystemDocument.names` gives a parsed
+system's, and `parse_expressions` reads expressions in any table, such as
+one that maps a document's names onto another system's variables.
 """
 
 from __future__ import annotations
+
+import collections
+import itertools
+import re
 
 from . import expr
 from .errors import LiepdeError, ParseError, UnsupportedDivisionError
@@ -26,65 +37,38 @@ from .expr import (
     Rational,
     Symbol,
 )
-from .jet import JetSpace, PDESystem
+from .jet import JetSpace, PDESystem, jet
 
-_PUNCT = ("(", ")", ",", "+", "-", "*", "/", "^", "=", ">")
+Token = collections.namedtuple("Token", "kind text line column")
 
+# one alternative per kind, over ASCII classes; any other character is an
+# error.  A comment runs to the end of its line and takes no columns, so
+# the newline or end token after it has the column of its '#'.
+_TOKEN = re.compile(
+    r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[(),+\-*/^=>])|(?P<space>[ \t\r]+)"
+    r"|(?P<newline>\n)|(?P<number>[0-9]+)|(?P<comment>#[^\n]*)|(?P<bad>.)")
 
-class Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind, text, line, column):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
+_ROLE = {DEPENDENT: "a dependent variable", INDEPENDENT: "an independent variable"}
 
 
 def tokenize(text):
     tokens = []
-    line = 1
-    col = 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            tokens.append(Token("newline", "\n", line, col))
-            line += 1
-            col = 1
-            i += 1
+    line, start = 1, 0  # start: the offset of column 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        piece = m.group()
+        column = m.start() - start + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {piece!r}", line, column)
+        if kind == "comment":
+            start += len(piece)
             continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            startcol = col
-            while i < len(text) and text[i].isdigit():
-                i += 1
-                col += 1
-            tokens.append(Token("number", text[start:i], line, startcol))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            startcol = col
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-                col += 1
-            tokens.append(Token("name", text[start:i], line, startcol))
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("end", "", line, col))
+        tokens.append(Token(piece if kind == "punct" else kind, piece, line, column))
+        if kind == "newline":
+            line, start = line + 1, m.end()
+    tokens.append(Token("end", "", line, len(text) - start + 1))
     return tokens
 
 
@@ -105,6 +89,11 @@ class SystemDocument:
         params = tuple(Symbol(n, PARAMETER) for n, _ in self.parameters)
         return independent, dependent, params
 
+    def names(self):
+        """The table {name: Symbol} of the declarations: independent and
+        dependent variables, then parameters, each in declaration order."""
+        return {s.name: s for s in itertools.chain(*self.symbols())}
+
     def __eq__(self, other):
         return (
             isinstance(other, SystemDocument)
@@ -121,16 +110,19 @@ class SystemDocument:
 
 
 class _Parser:
-    def __init__(self, text):
+    """Recursive descent over the tokens of `text`, resolving each name in
+    the table `names`, which the declarations extend."""
+
+    def __init__(self, text, names, group=None):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.names = names
+        self.group = group
         self.parameters = []
         self.independents = []
         self.dependents = []
         self.equations = []
         self.leads = []
-        self.space = None
-        self.group = None
 
     # -- token helpers -----------------------------------------------------
 
@@ -154,6 +146,15 @@ class _Parser:
         while self.peek().kind == "newline":
             self.advance()
 
+    def lookup(self, role, prefix=""):
+        """The symbol of the next token, a name declared with `role`."""
+        tok = self.expect("name", _ROLE[role])
+        sym = self.names.get(tok.text)
+        if sym is None or sym.role != role:
+            raise ParseError(f"{prefix}{tok.text!r} is not {_ROLE[role]}",
+                             tok.line, tok.column)
+        return sym
+
     # -- declarations --------------------------------------------------------
 
     def parse(self):
@@ -172,11 +173,7 @@ class _Parser:
                     f"unknown declaration {tok.text!r}", tok.line, tok.column
                 )
             handler()
-            if self.peek().kind not in ("newline", "end"):
-                bad = self.peek()
-                raise ParseError(
-                    f"unexpected trailing input {bad.text!r}", bad.line, bad.column
-                )
+            self.expect_line_end()
             self.skip_newlines()
         if not self.equations:
             raise ParseError("no equations", self.peek().line, self.peek().column)
@@ -185,17 +182,20 @@ class _Parser:
             self.equations, self.leads,
         )
 
-    def _declared(self, name):
-        return (
-            name in self.independents
-            or any(name == d for d, _ in self.dependents)
-            or any(name == p for p, _ in self.parameters)
-        )
+    def expect_line_end(self):
+        tok = self.peek()
+        if tok.kind not in ("newline", "end"):
+            raise ParseError(f"unexpected trailing input {tok.text!r}",
+                             tok.line, tok.column)
+
+    def declare(self, tok, role):
+        if tok.text in self.names:
+            raise ParseError(f"{tok.text!r} already declared", tok.line, tok.column)
+        self.names[tok.text] = Symbol(tok.text, role)
 
     def _parse_param(self):
         tok = self.expect("name", "a parameter name")
-        if self._declared(tok.text):
-            raise ParseError(f"{tok.text!r} already declared", tok.line, tok.column)
+        self.declare(tok, PARAMETER)
         positive = False
         if self.peek().kind == ">":
             self.advance()
@@ -206,52 +206,24 @@ class _Parser:
         self.parameters.append((tok.text, positive))
 
     def _parse_independent(self):
-        count = 0
-        while self.peek().kind == "name":
-            tok = self.advance()
-            if self._declared(tok.text):
-                raise ParseError(f"{tok.text!r} already declared", tok.line, tok.column)
-            self.independents.append(tok.text)
-            count += 1
-        if count == 0:
+        if self.peek().kind != "name":
             tok = self.peek()
             raise ParseError("expected variable names", tok.line, tok.column)
+        while self.peek().kind == "name":
+            tok = self.advance()
+            self.declare(tok, INDEPENDENT)
+            self.independents.append(tok.text)
 
     def _parse_dependent(self):
         tok = self.expect("name", "a dependent variable name")
-        if self._declared(tok.text):
-            raise ParseError(f"{tok.text!r} already declared", tok.line, tok.column)
+        self.declare(tok, DEPENDENT)
         self.expect("(")
-        args = []
-        while True:
-            arg = self.expect("name", "an independent variable")
-            if arg.text not in self.independents:
-                raise ParseError(
-                    f"argument {arg.text!r} is not an independent variable",
-                    arg.line, arg.column,
-                )
-            args.append(arg.text)
-            if self.peek().kind == ",":
-                self.advance()
-                continue
-            break
+        args = [self.lookup(INDEPENDENT, "argument ").name]
+        while self.peek().kind == ",":
+            self.advance()
+            args.append(self.lookup(INDEPENDENT, "argument ").name)
         self.expect(")")
         self.dependents.append((tok.text, tuple(args)))
-
-    def _ensure_space(self):
-        if self.space is None:
-            if not self.independents or not self.dependents:
-                tok = self.peek()
-                raise ParseError(
-                    "variables must be declared before equations",
-                    tok.line, tok.column,
-                )
-            independent = tuple(Symbol(n, INDEPENDENT) for n in self.independents)
-            dependent = tuple(Symbol(n, DEPENDENT) for n, _ in self.dependents)
-            # a generous order cap for parsing; the analysis space is rebuilt
-            # at the order actually present in the equations
-            self.space = JetSpace(independent, dependent, 4)
-        return self.space
 
     def _parse_equation(self):
         lhs = self._parse_expression()
@@ -343,7 +315,10 @@ class _Parser:
                     return self.group
                 if self.peek().kind == "(":
                     return self._parse_application(tok)
-            return self._symbol(tok)
+            sym = self.names.get(tok.text)
+            if sym is None:
+                raise ParseError(f"undeclared symbol {tok.text!r}", tok.line, tok.column)
+            return sym
         raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.column)
 
     def _parse_application(self, tok):
@@ -362,69 +337,44 @@ class _Parser:
                              tok.line, tok.column)
         return ParamExp(self.group, k)
 
-    def _symbol(self, tok):
-        name = tok.text
-        if name in self.independents:
-            return Symbol(name, INDEPENDENT)
-        for dep, _ in self.dependents:
-            if name == dep:
-                return Symbol(name, DEPENDENT)
-        for par, _ in self.parameters:
-            if name == par:
-                return Symbol(name, PARAMETER)
-        raise ParseError(f"undeclared symbol {name!r}", tok.line, tok.column)
-
     def _parse_derivative(self):
-        space = self._ensure_space()
+        """d(f, x, ...) after the d: f differentiated once per x listed."""
+        roles = [s.role for s in self.names.values()]
+        if INDEPENDENT not in roles or DEPENDENT not in roles:
+            tok = self.peek()
+            raise ParseError("variables must be declared before equations",
+                             tok.line, tok.column)
         self.expect("(")
-        ftok = self.expect("name", "a dependent variable")
-        dep = None
-        for idx, (name, _) in enumerate(self.dependents):
-            if name == ftok.text:
-                dep = space.dependent[idx]
-        if dep is None:
-            raise ParseError(
-                f"{ftok.text!r} is not a dependent variable", ftok.line, ftok.column
-            )
-        multi = [0] * len(self.independents)
-        count = 0
+        dep = self.lookup(DEPENDENT)
+        by = []
         while self.peek().kind == ",":
             self.advance()
-            vtok = self.expect("name", "an independent variable")
-            if vtok.text not in self.independents:
-                raise ParseError(
-                    f"{vtok.text!r} is not an independent variable",
-                    vtok.line, vtok.column,
-                )
-            multi[self.independents.index(vtok.text)] += 1
-            count += 1
+            by.append(self.lookup(INDEPENDENT))
         self.expect(")")
-        if count == 0:
+        if not by:
             return dep
-        return space.coordinate(dep, multi)
+        independent = [s for s in self.names.values() if s.role == INDEPENDENT]
+        return jet(dep, independent, tuple(map(by.count, independent)))
 
 
 def parse_system(text):
     """Parse a system-definition document."""
-    return _Parser(text).parse()
+    return _Parser(text, {}).parse()
 
 
-def parse_expression(text, doc, group=None):
-    """Parse a single expression against a document's declarations.  With a
-    group-parameter symbol `group` it also reads what `expr.render` writes
-    for transformed solutions: that symbol, exp(k*eps) for a rational k and
-    applications f(arg, ...) of undeclared names."""
-    [e] = parse_expressions([text], doc, group)
+def parse_expression(text, names, group=None):
+    """Parse a single expression in the table `names` {name: Symbol}, such
+    as `SystemDocument.names()`.  With a group-parameter symbol `group` it
+    also reads what `expr.render` writes for transformed solutions: that
+    symbol, exp(k*eps) for a rational k and applications f(arg, ...) of
+    names that are not the group's."""
+    [e] = parse_expressions([text], names, group)
     return e
 
 
-def parse_expressions(texts, doc, group=None):
-    """`parse_expression` of each text, with one parser and jet space."""
-    p = _Parser("")
-    p.group = group
-    p.parameters = list(doc.parameters)
-    p.independents = list(doc.independents)
-    p.dependents = list(doc.dependents)
+def parse_expressions(texts, names, group=None):
+    """`parse_expression` of each text, with one parser."""
+    p = _Parser("", names, group)
     out = []
     for text in texts:
         p.tokens = tokenize(text)
@@ -432,22 +382,20 @@ def parse_expressions(texts, doc, group=None):
         p.skip_newlines()
         out.append(p._parse_expression())
         p.skip_newlines()
-        tok = p.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected trailing input {tok.text!r}",
-                             tok.line, tok.column)
+        p.expect_line_end()
     return out
 
 
-def parse_field(text, doc):
+def parse_field(text, names):
     """The coefficients (xi, phi) of a vector field written in the `--field`
-    form "xi_1; ...; xi_p; phi_1; ...; phi_q" in `doc`'s names."""
+    form "xi_1; ...; xi_p; phi_1; ...; phi_q" in the table `names`."""
     pieces = [piece.strip() for piece in text.split(";")]
-    p, q = len(doc.independents), len(doc.dependents)
+    roles = [s.role for s in names.values()]
+    p, q = roles.count(INDEPENDENT), roles.count(DEPENDENT)
     if len(pieces) != p + q:
         raise LiepdeError(f"--field needs {p + q} coefficients "
                           f"({p} xi then {q} phi), got {len(pieces)}")
-    coeffs = parse_expressions(pieces, doc)
+    coeffs = parse_expressions(pieces, names)
     return coeffs[:p], coeffs[p:]
 
 
@@ -520,13 +468,9 @@ def print_system(doc):
 def build_system(doc):
     """JetSpace and PDESystem (with solved form) from a parsed document."""
     independent, dependent, params = doc.symbols()
-    order = 1
-    probe = JetSpace(independent, dependent, 4)
     exprs = [lhs - rhs for lhs, rhs in doc.equations]
-    for e in exprs:
-        for s in probe.jet_symbols_in(e):
-            if s.role == expr.JET:
-                order = max(order, s.order)
+    symbols = [expr.free_symbols(e) for e in exprs]
+    order = max([1, *(s.order for present in symbols for s in present)])
     space = JetSpace(independent, dependent, order)
     if not doc.leads:
         raise ParseError("no leading coordinates declared (need 'lead d(...)')")
@@ -535,13 +479,8 @@ def build_system(doc):
     for dep_name, multi in doc.leads:
         dep = next(d for d in dependent if d.name == dep_name)
         lead = space.coordinate(dep, multi)
-        found = None
-        for idx, e in enumerate(exprs):
-            if idx in claimed:
-                continue
-            if lead in probe.jet_symbols_in(e):
-                found = idx
-                break
+        found = next((idx for idx, present in enumerate(symbols)
+                      if idx not in claimed and lead in present), None)
         if found is None:
             raise ParseError(
                 f"leading coordinate {lead.name} does not appear in an unclaimed equation"

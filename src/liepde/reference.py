@@ -6,7 +6,8 @@ the commutator table `boundary_layer_algebra.json` and the subalgebra table
 `boundary_layer_optimal.json` (free parameters at 1 and 2), which
 `baseline_algebra` and `optimal_table_entries` read, and
 `boundary_layer_claims.json` (schema 1), `{kind, label, data}` claims with
-expressions in the fixture's language, which `claims` reads.  By kind:
+expressions in the fixture's language, which `claims` parses straight into
+the run's variables through the parser's name table.  By kind:
 - `generator` (v1..v5 as "xi; ...; phi"): the analysed algebra, span and residuals;
 - `excluded-generator` (x d/dy + u d/dv): membership in the computed span;
 - `killing`: `structure.killing_form`;
@@ -24,7 +25,7 @@ from __future__ import annotations
 import importlib.resources
 import json
 
-from . import expr, parser, structure
+from . import parser, structure
 from .adjoint import EPS_SYMBOL, exp_term
 from .errors import LiepdeError
 from .fields import VectorField
@@ -67,8 +68,9 @@ def optimal_table_entries():
 def claims(space, *kinds):
     """The shipped claims of the given kinds, and only those parsed, as
     {kind: [(label, value), ...]} in document order, on a `space` that
-    passes `require_shape`.  Expressions are parsed in the document's names
-    and mapped by position onto `space`'s variables and jet coordinates.  A
+    passes `require_shape`.  Expressions are parsed in the table that maps
+    the document's declared names by position onto `space`'s variables, so
+    they come out in `space`'s variables and jet coordinates.  A
     value is a `VectorField`, a matrix as `structure.killing_form` gives
     one, a tuple of dimensions, a dict {(row, column): entry} from 0
     (`adjoint`), a tuple of expressions or a list of (entry label,
@@ -76,30 +78,18 @@ def claims(space, *kinds):
     """
     require_shape(space)
     document = json.loads(fixture_text("boundary_layer_claims.json"))
-    independent = tuple(document["independent"])
-    names = parser.SystemDocument(
-        (), independent, [(n, independent) for n in document["dependent"]], (), ())
-    ind, dep, _ = names.symbols()
-    base = dict(zip(ind + dep, space.independent + space.dependent))
-    position = {d.name: k for k, d in enumerate(dep)}
-
-    def onto(e):
-        if (ind, dep) == (space.independent, space.dependent):
-            return e
-        return expr.substitute(e, {
-            s: base[s] if s in base else space.coordinate(position[s.base], s.multi)
-            for s in expr.free_symbols(e) if s.role != expr.GROUP})
+    names = dict(zip(document["independent"] + document["dependent"],
+                     space.independent + space.dependent))
 
     def parse(texts, group=None):
-        return tuple(map(onto, parser.parse_expressions(texts, names, group)))
+        return tuple(parser.parse_expressions(texts, names, group))
 
     def table(data):
         labels, texts = zip(*data)
         return list(zip(labels, parse(texts)))
 
     def field(text):
-        xi, phi = parser.parse_field(text, names)
-        return VectorField(space, map(onto, xi), map(onto, phi))
+        return VectorField(space, *parser.parse_field(text, names))
 
     read = {
         "generator": field,

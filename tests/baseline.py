@@ -32,7 +32,7 @@ def _rows(rows):
     """Rows of expressions in the fixture's names, each row "e1; e2; ...",
     read with the group parameter eps, its exponentials and applications."""
     doc = reference.fixture_document()
-    return tuple(tuple(parser.parse_expressions(row.split(";"), doc, EPS_SYMBOL))
+    return tuple(tuple(parser.parse_expressions(row.split(";"), doc.names(), EPS_SYMBOL))
                  for row in rows)
 
 

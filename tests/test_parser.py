@@ -3,6 +3,7 @@ import pytest
 from liepde import expr, reference
 from liepde.adjoint import EPS_SYMBOL
 from liepde.errors import ParseError
+from liepde.prolongation import build_determining, solve_determining
 from baseline import fixture_system
 from liepde.parser import (
     build_system,
@@ -94,6 +95,7 @@ class TestErrors:
 
 
 DECLARED = "independent x y\ndependent u(x, y)\n"
+EVOLUTION = "independent t x\ndependent u(t, x)\n"
 
 
 @pytest.mark.parametrize("text, message", [
@@ -113,11 +115,37 @@ DECLARED = "independent x y\ndependent u(x, y)\n"
     (DECLARED + "eq d(w,x) = 0\n", "3:6: 'w' is not a dependent variable"),
     (DECLARED + "eq d(u,w) = 0\n", "3:8: 'w' is not an independent variable"),
     (DECLARED + "eq d(u,x) = u\n", "no leading coordinates declared (need 'lead d(...)')"),
+    # a newline or end token after a comment has the column of its '#'
+    (EVOLUTION + "eq d(u,t) =   # rhs missing\n", "3:15: unexpected token '\\n'"),
+    (EVOLUTION + "eq d(u,t) = # rhs missing", "3:13: unexpected token ''"),
+    (EVOLUTION + "eq d(u,t) = d(u,x) d(u,x)\n", "3:20: unexpected trailing input 'd'"),
+    # a tab is one column
+    (EVOLUTION + "eq d(u,t) = d(u,x)\t$\n", "3:20: unexpected character '$'"),
+    ("eq d(u,t) = 0\nindependent t\n", "1:5: variables must be declared before equations"),
+    ("param a\n" + EVOLUTION + "eq d(u,a) = 0\n", "4:8: 'a' is not an independent variable"),
+    ("independent t\ndependent t(t)\n", "2:11: 't' already declared"),
+    # names and numbers are ASCII
+    (EVOLUTION + "eq d(u,t) = u^²*d(u,x,x)\n", "3:15: unexpected character '²'"),
+    (EVOLUTION + "eq d(u,t) = β*d(u,x,x)\n", "3:13: unexpected character 'β'"),
 ])
 def test_error_message(text, message):
     with pytest.raises(ParseError) as err:
         build_system(parse_system(text))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("order", [4, 7])
+def test_any_derivative_order(order):
+    # u_t = u_x...x: one reduction step reaches order 2*order - 1
+    doc = parse_system(EVOLUTION + f"eq d(u,t) = d(u{',x' * order})\nlead d(u,t)\n")
+    space, system = build_system(doc)
+    assert space.max_order == order
+    assert space.limit == 2 * order - 1
+    basis = solve_determining(build_determining(system, 1))
+    assert [(tuple(map(expr.render, vf.xi)), tuple(map(expr.render, vf.phi)))
+            for vf in basis] == [(("1", "0"), ("0",)), (("0", "1"), ("0",)),
+                                 ((f"{order}*t", "x"), ("0",)), (("0", "0"), ("1",)),
+                                 (("0", "0"), ("u",)), (("0", "0"), ("x",))]
 
 
 class TestExpressions:
@@ -132,46 +160,46 @@ class TestExpressions:
 
     def test_precedence(self):
         doc = reference.fixture_document()
-        e = parse_expression("1 + 2*x^2", doc)
+        e = parse_expression("1 + 2*x^2", doc.names())
         x = doc.symbols()[0][0]
         assert expr.equal(e, 1 + 2 * x**2)
 
     def test_unary_minus(self):
         doc = reference.fixture_document()
-        e = parse_expression("-x + -(u)", doc)
+        e = parse_expression("-x + -(u)", doc.names())
         x = doc.symbols()[0][0]
         u = doc.symbols()[1][0]
         assert expr.equal(e, -1 * x - u)
 
     def test_rational_literals(self):
         doc = reference.fixture_document()
-        e = parse_expression("2/3", doc)
+        e = parse_expression("2/3", doc.names())
         assert e == expr.Rational(2, 3)
 
     def test_negative_exponent(self):
         doc = reference.fixture_document()
-        e = parse_expression("rho^-1", doc)
+        e = parse_expression("rho^-1", doc.names())
         assert expr.render(e) == "rho^-1"
 
     def test_derivative_coordinates(self):
         doc = reference.fixture_document()
-        e = parse_expression("d(u, x, y)", doc)
+        e = parse_expression("d(u, x, y)", doc.names())
         assert expr.render(e) == "u_xy"
 
     def test_trailing_garbage(self):
         doc = reference.fixture_document()
         with pytest.raises(ParseError, match="trailing"):
-            parse_expression("x + 1 )", doc)
+            parse_expression("x + 1 )", doc.names())
 
     def test_group_atoms_only_with_a_group_symbol(self):
         # exp(k*eps), eps and applications read as `expr.render` writes them
         doc = reference.fixture_document()
-        e = parse_expression("f(x + eps, y)*exp(-2*eps) + eps*exp(eps/2)", doc, EPS_SYMBOL)
+        e = parse_expression("f(x + eps, y)*exp(-2*eps) + eps*exp(eps/2)", doc.names(), EPS_SYMBOL)
         assert expr.render(e) == "eps*exp(1/2*eps) + f(x + eps, y)*exp(-2*eps)"
         for text, message in (("exp(x)", "exp takes one rational multiple of eps"),
                               ("exp(eps, 1)", "exp takes one rational multiple of eps")):
             with pytest.raises(ParseError, match=message):
-                parse_expression(text, doc, EPS_SYMBOL)
+                parse_expression(text, doc.names(), EPS_SYMBOL)
         for text in ("eps", "f(x)", "exp(eps)"):
             with pytest.raises(ParseError, match="undeclared symbol"):
-                parse_expression(text, doc)
+                parse_expression(text, doc.names())

@@ -83,7 +83,13 @@ and, in text and JSON, the two-parameter system at degree 3 (exit 1 at the
 structure stage), and, last, the fixture with x, y, u, v, p renamed to s,
 t, a, b, c with ``--reference on``: ``symmetries`` in text and JSON,
 ``invariants --order 2`` and ``normal-form --vector 1,0,0,1,0``, which pin
-the positional mapping of the baseline's claims onto other names.  A tree whose elimination takes the first candidate of
+the positional mapping of the baseline's claims onto other names, and,
+last, ``symmetries`` on malformed system documents whose errors pin the
+parser's line and column (a comment where the right-hand side belongs,
+trailing input, a tab, an equation before the declarations, a derivative
+by a parameter, a double declaration and non-ASCII characters), and, in
+text and JSON, on u_t = u_xxxx and u_t = u_xxxxxxx, whose reduction
+reaches orders 7 and 13.  A tree whose elimination takes the first candidate of
 least complexity as the pivot, whatever its row's length, spends more than
 TIMEOUT_S on that system (32 s on an idle 2-vCPU VM) and shows
 ``TIMEOUT`` there.  The optimal table for
@@ -239,6 +245,29 @@ lead d(a,t,t)
 lead d(c,t)
 """
 
+EVOLUTION = "independent t x\ndependent u(t, x)\n"
+
+# malformed system documents, each an error with its line and column: a
+# comment where the right-hand side belongs (before a newline and at the
+# end of the text), trailing input, a '$' after a tab, an equation before
+# the declarations, a derivative by a parameter, a name declared twice, and
+# characters outside ASCII in an exponent and in a name
+BAD_SYSTEMS = {
+    "comment_rhs.pde": EVOLUTION + "eq d(u,t) =   # rhs missing\nlead d(u,t)\n",
+    "comment_eof.pde": EVOLUTION + "eq d(u,t) = # rhs missing",
+    "trailing.pde": EVOLUTION + "eq d(u,t) = d(u,x) d(u,x)\nlead d(u,t)\n",
+    "tab.pde": EVOLUTION + "eq d(u,t) = d(u,x)\t$\nlead d(u,t)\n",
+    "early_equation.pde": "eq d(u,t) = 0\n" + EVOLUTION,
+    "by_parameter.pde": "param a\n" + EVOLUTION + "eq d(u,a) = 0\nlead d(u,t)\n",
+    "twice.pde": "independent t\ndependent t(t)\n",
+    "superscript.pde": EVOLUTION + "eq d(u,t) = u^\u00b2*d(u,x,x)\nlead d(u,t)\n",
+    "greek.pde": EVOLUTION + "eq d(u,t) = \u03b2*d(u,x,x)\nlead d(u,t)\n",
+}
+
+# u_t = u_xxxx and u_t = u_xxxxxxx: one reduction step reaches order 2m - 1
+HIGH_ORDER = {f"order{m}.pde": EVOLUTION + f"eq d(u,t) = d(u{',x' * m})\nlead d(u,t)\n"
+              for m in (4, 7)}
+
 # [v1, v2] = v2/2 and [v1, v3] = v2 + v3/2: ad v1 is one Jordan block with
 # the eigenvalue 1/2
 JORDAN = {"dim": 3, "labels": ["v1", "v2", "v3"],
@@ -386,6 +415,8 @@ def write_inputs(folder, parent):
         "b4_table.json": json.dumps(B4_TABLE),
         "sl2_table.json": json.dumps(SL2_TABLE),
         **{name: json.dumps(doc) for name, doc in MALFORMED.items()},
+        **BAD_SYSTEMS,
+        **HIGH_ORDER,
     }
     files.update((name, json.dumps(doc)) for name, doc in algebra_documents().items())
     for name, text in files.items():
@@ -549,6 +580,12 @@ def write_inputs(folder, parent):
     commands.append(["--reference", "on", "invariants", "--order", "2", "renamed.pde"])
     commands.append(["--reference", "on", "normal-form", "--vector", "1,0,0,1,0",
                      "renamed.pde"])
+    # the parser's error positions, and equations of orders 4 and 7
+    for name in BAD_SYSTEMS:
+        commands.append(["symmetries", name])
+    for name in HIGH_ORDER:
+        for fmt in ([], js):
+            commands.append([*fmt, "symmetries", name])
     return commands
 
 
