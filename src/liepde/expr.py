@@ -22,6 +22,14 @@ The `/` operator divides only by nonzero monomials (negative integer
 powers), never by general sums; `divide` finds exact quotients of
 polynomials.
 
+The atoms, symbols and function applications, are hash-consed: each is
+built against one table keyed by its structural key, so equal atoms are
+one object and compare and hash by identity; every other node compares by
+its key.  The table lives as long as the process and holds each distinct
+atom it has built once: 2,455 for the shipped fixture at ansatz degree 6.
+Monomials keep their atoms sorted by key, so a product merges two sorted
+factor tuples.
+
 Differentiation is one walk: `derivation` takes a derivation's values on
 symbols and applies the Leibniz rule to products and the chain rule to
 function applications; `diff` is the derivation of one symbol's indicator.
@@ -75,9 +83,11 @@ def quotient(a, b):
 class Expr:
     """Base class of all expression nodes.
 
-    Nodes are immutable and canonical; equality and hashing go through a
-    structural key, which is also the total order used for canonical
-    sorting.
+    Nodes are immutable and canonical.  Every node has a structural key,
+    `_key`, which is the total order used for canonical sorting.  The atoms
+    (`Symbol` and `FunctionApplication`) are hash-consed: there is one
+    object per key, so they compare and hash by identity.  Every other node
+    compares by its key and caches the key's hash in `_hash`.
     """
 
     __slots__ = ("_key", "_hash")
@@ -162,29 +172,67 @@ class Rational(Expr):
         return {_EMPTY_MONO: self.coeff} if self.coeff else {}
 
 
-class Symbol(Expr):
+# The hash-consed atoms by key, for the life of the process: its size is
+# the number of distinct symbols and applications built.
+_ATOMS = {}
+
+
+class _Atom(Expr):
+    """An atom, `Symbol` or `FunctionApplication`: hash-consed, so it
+    compares and hashes by identity.  `_term`, its one-term polynomial
+    dict, is made on first use and never mutated: arithmetic copies its
+    inputs, and a single unit term canonicalises back to the atom.  Copies
+    and pickles rebuild through the constructor, so they are the atom."""
+
+    __slots__ = ("_term",)
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def _poly(self):
+        try:
+            return self._term
+        except AttributeError:
+            term = {(((self, 1),), ()): _ONE}
+            object.__setattr__(self, "_term", term)
+            return term
+
+
+def _intern(cls, key, **fields):
+    """The atom with key `key`: a new one of class `cls` with attributes
+    `fields`, entered in `_ATOMS` once it is whole, unless the table has
+    gained one for `key` meanwhile."""
+    atom = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(atom, name, value)
+    object.__setattr__(atom, "_key", key)
+    return _ATOMS.setdefault(key, atom)
+
+
+class Symbol(_Atom):
     """Named atom with a role tag.
 
     Jet coordinates carry the name of their dependent variable in `base`
     and the derivative multi-index (one count per independent variable)
-    in `multi`.
+    in `multi`.  Symbols are hash-consed: building one equal to an existing
+    symbol returns that object.
     """
 
     __slots__ = ("name", "role", "base", "multi")
 
-    def __init__(self, name, role, base=None, multi=()):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "role", role)
-        object.__setattr__(self, "base", base if base is not None else name)
-        object.__setattr__(self, "multi", tuple(multi))
-        self._setkey((1, role, self.base, sum(self.multi), self.multi, name))
+    def __new__(cls, name, role, base=None, multi=()):
+        base = name if base is None else base
+        multi = tuple(multi)
+        key = (1, role, base, sum(multi), multi, name)
+        return _ATOMS.get(key) or _intern(cls, key, name=name, role=role,
+                                          base=base, multi=multi)
+
+    def __reduce__(self):
+        return Symbol, (self.name, self.role, self.base, self.multi)
 
     @property
     def order(self):
         return sum(self.multi)
-
-    def _poly(self):
-        return {(((self, 1),), ()): _ONE}
 
 
 class ParamExp(Expr):
@@ -205,36 +253,35 @@ class ParamExp(Expr):
         return {((), ((self.param, self.k),)): _ONE}
 
 
-class FunctionApplication(Expr):
+class FunctionApplication(_Atom):
     """Opaque function application, e.g. f(x, y), with canonical arguments.
 
     `derivatives[i]` is the order of formal differentiation with respect to
     argument slot i.  Nonzero derivative counts are only ever produced by
-    differentiating applications whose arguments are plain symbols.  The
-    symbols of the arguments and the applications with one slot's count
-    raised are kept on the node once `free_symbols` and `derivation` have
-    asked for them.
+    differentiating applications whose arguments are plain symbols.
+    Applications are hash-consed: building one equal to an existing
+    application, by name, derivative counts and argument keys, returns that
+    object, arguments and all.  The symbols of the arguments and the
+    applications with one slot's count raised are kept on the node once
+    `free_symbols` and `derivation` have asked for them.
     """
 
     __slots__ = ("name", "args", "derivatives", "_symbols", "_raised")
 
-    def __init__(self, name, args, derivatives=None):
+    def __new__(cls, name, args, derivatives=None):
         args = tuple(a if isinstance(a, Symbol) else normalize(a) for a in args)
         if derivatives is None:
             derivatives = (0,) * len(args)
         derivatives = tuple(derivatives)
         if len(derivatives) != len(args):
             raise ValueError("derivative counts must align with arguments")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "derivatives", derivatives)
-        self._setkey(
-            (3, name, len(args), sum(derivatives), derivatives,
-             tuple(a._key for a in args))
-        )
+        key = (3, name, len(args), sum(derivatives), derivatives,
+               tuple(a._key for a in args))
+        return _ATOMS.get(key) or _intern(cls, key, name=name, args=args,
+                                          derivatives=derivatives)
 
-    def _poly(self):
-        return {(((self, 1),), ()): _ONE}
+    def __reduce__(self):
+        return FunctionApplication, (self.name, self.args, self.derivatives)
 
 
 # ---------------------------------------------------------------------------
@@ -337,22 +384,36 @@ def _term_key(mono, coeff):
 def _mono_mul(m1, m2):
     p1, e1 = m1
     p2, e2 = m2
-    if not p2 and not e2:
-        return m1
-    if not p1 and not e1:
-        return m2
-    powers = {}
-    for atom, exp in p1 + p2:
-        powers[atom] = powers.get(atom, 0) + exp
-    pexps = {}
-    for sym, k in e1 + e2:
-        pexps[sym] = pexps.get(sym, 0) + k
-    return (
-        tuple(sorted(((a, e) for a, e in powers.items() if e != 0),
-                     key=lambda it: it[0]._key)),
-        tuple(sorted(((s, k) for s, k in pexps.items() if k != 0),
-                     key=lambda it: it[0]._key)),
-    )
+    return _merge(p1, p2), _merge(e1, e2)
+
+
+def _merge(f1, f2):
+    """The product of two factor tuples of a monomial, each sorted by its
+    atoms' keys: one merge pass that adds the exponents of a shared atom
+    and drops a factor whose exponent becomes zero."""
+    if not f2:
+        return f1
+    if not f1:
+        return f2
+    out = []
+    i = j = 0
+    n1, n2 = len(f1), len(f2)
+    while i < n1 and j < n2:
+        a, e = f1[i]
+        b, k = f2[j]
+        if a is b:
+            e += k
+            if e:
+                out.append((a, e))
+            i += 1
+            j += 1
+        elif a._key < b._key:
+            out.append(f1[i])
+            i += 1
+        else:
+            out.append(f2[j])
+            j += 1
+    return (*out, *f1[i:], *f2[j:])
 
 
 def _add_term(poly, mono, coeff):
@@ -652,7 +713,7 @@ def diff(e, s):
     """Exact partial derivative; all other symbols are held constant."""
     if not isinstance(s, Symbol):
         raise TypeError("can only differentiate with respect to a Symbol")
-    return derivation(e, lambda sym: ONE if sym == s else ZERO)
+    return derivation(e, lambda sym: ONE if sym is s else ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +747,7 @@ def substitute(e, rules):
                     value = applications[atom] = _substitute_arguments(atom, rules)
             else:
                 value = rules.get(atom, atom)
-            if value is atom or value == atom:
+            if value is atom:
                 kept.append((atom, exp))
                 continue
             p = _poly_pow(value._poly(), exp)

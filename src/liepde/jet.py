@@ -142,7 +142,7 @@ def total_derivative(e, i, js):
     def d(s):
         if s.role in (DEPENDENT, JET):
             return js.lift(s, i)
-        return expr.ONE if s == x else expr.ZERO
+        return expr.ONE if s is x else expr.ZERO
 
     return expr.derivation(e, d)
 

@@ -478,7 +478,7 @@ def build_system(doc):
     claimed = set()
     for dep_name, multi in doc.leads:
         dep = next(d for d in dependent if d.name == dep_name)
-        lead = space.coordinate(dep, multi)
+        lead = jet(dep, independent, multi) if any(multi) else dep
         found = next((idx for idx, present in enumerate(symbols)
                       if idx not in claimed and lead in present), None)
         if found is None:

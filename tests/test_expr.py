@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -5,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from liepde import expr, linalg
+from liepde.jet import JetSpace, jet
 from liepde.errors import (
     DegenerateInputError,
     NonPolynomialError,
@@ -15,6 +18,7 @@ from liepde.expr import (
     DEPENDENT,
     GROUP,
     INDEPENDENT,
+    JET,
     PARAMETER,
     FunctionApplication,
     ParamExp,
@@ -171,6 +175,121 @@ class TestApplicationArguments:
         s = x + y
         assert FunctionApplication("f", (s,)).args == (s,)
         assert FunctionApplication("f", (x, 0)) == FunctionApplication("f", (x, expr.ZERO))
+
+
+def mono_mul_oracle(m1, m2):
+    """The product of two monomials by adding exponents in dicts and sorting
+    the factors by their atoms' keys."""
+    (p1, e1), (p2, e2) = m1, m2
+    powers = {}
+    for atom, exp in p1 + p2:
+        powers[atom] = powers.get(atom, 0) + exp
+    pexps = {}
+    for sym, k in e1 + e2:
+        pexps[sym] = pexps.get(sym, 0) + k
+    return (
+        tuple(sorted(((a, e) for a, e in powers.items() if e != 0),
+                     key=lambda it: it[0]._key)),
+        tuple(sorted(((s, k) for s, k in pexps.items() if k != 0),
+                     key=lambda it: it[0]._key)),
+    )
+
+
+class TestInterning:
+    def test_equal_constructions_are_one_object(self):
+        u_xy = Symbol("u_xy", JET, base="u", multi=(1, 1))
+        assert jet(u, (x, y), (1, 1)) is u_xy
+        assert jet(u, (x, y), [1, 1]) is u_xy
+        assert JetSpace((x, y), (u,), 2).coordinate(u, (1, 1)) is u_xy
+        assert JetSpace((x, y), (u, v), 3).coordinate(0, (1, 1)) is u_xy
+        assert Symbol("x", INDEPENDENT) is x
+        s, t = x + y, y + x
+        assert s is not t and s == t
+        f = FunctionApplication("f", (s,))
+        assert FunctionApplication("f", (t,)) is f
+        assert f.args == (s,)
+        assert FunctionApplication("f", (x, y), [1, 0]) is FunctionApplication(
+            "f", (x, y), (1, 0))
+
+    def test_different_atoms_are_different_objects(self):
+        assert Symbol("a", PARAMETER) is not Symbol("a", INDEPENDENT)
+        assert Symbol("w", JET, base="u", multi=(1, 0)) is not Symbol(
+            "w", JET, base="u", multi=(0, 1))
+        assert Symbol("w", JET, base="u", multi=(1, 0)) is not Symbol(
+            "w", JET, base="v", multi=(1, 0))
+        applications = [FunctionApplication("f", (x, y), counts)
+                        for counts in ((0, 0), (1, 0), (0, 1), (1, 1))]
+        assert len({id(a) for a in applications}) == 4
+        assert FunctionApplication("f", (x,)) is not FunctionApplication("g", (x,))
+        assert FunctionApplication("f", (x,)) is not FunctionApplication("f", (y,))
+
+    @pytest.mark.parametrize("make", [
+        lambda: u,
+        lambda: eps,
+        lambda: jet(u, (x, y), (0, 2)),
+        lambda: FunctionApplication("f", (x, u), (1, 0)),
+        lambda: FunctionApplication("g", (u, x)),
+    ])
+    def test_copies_are_the_atom(self, make):
+        atom = make()
+        assert copy.copy(atom) is atom
+        assert copy.deepcopy(atom) is atom
+        assert pickle.loads(pickle.dumps(atom)) is atom
+        assert copy.deepcopy([atom, atom])[1] is atom
+
+    def test_equality_is_key_equality(self):
+        rng = random.Random(4242)
+        atoms = [x, y, u, v, c1, eps, jet(u, (x, y), (1, 0)),
+                 FunctionApplication("f", (x, u)), FunctionApplication("f", (x, u), (0, 1)),
+                 FunctionApplication("g", (x + y,)), FunctionApplication("g", (x - y,))]
+        nodes = list(atoms)
+        for seed in range(60):
+            # each expression twice, from the same seed: equal nodes that
+            # are distinct objects unless they are atoms or ZERO and ONE
+            for _ in range(2):
+                nodes.append(random_expression(random.Random(seed), atoms[:6]))
+        nodes += [Rational(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(20)]
+        nodes += [ParamExp(eps, k) for k in (0, 1, Fraction(1, 2))]
+        assert any(type(n) is expr.Poly for n in nodes)
+        for a in nodes:
+            for b in nodes:
+                assert (a == b) == (a._key == b._key), (a, b)
+                if a == b:
+                    assert hash(a) == hash(b), (a, b)
+                if isinstance(a, expr._Atom) and isinstance(b, expr._Atom):
+                    assert (a is b) == (a._key == b._key), (a, b)
+
+    def test_mono_mul_matches_dict_and_sort(self):
+        rng = random.Random(9173)
+        delta = Symbol("delta", GROUP)
+        atoms = [x, y, u, v, c1, jet(u, (x, y), (1, 0)), jet(v, (x, y), (0, 2)),
+                 FunctionApplication("f", (x, u)), FunctionApplication("f", (x, u), (1, 0))]
+        groups = [eps, delta]
+        ks = [Fraction(k, d) for k in (-2, -1, 1, 2) for d in (1, 2)]
+
+        def factors(pool, values):
+            chosen = sorted(rng.sample(pool, rng.randint(0, len(pool))),
+                            key=lambda a: a._key)
+            return tuple((a, rng.choice(values)) for a in chosen)
+
+        def monomial():
+            return factors(atoms, [-2, -1, 1, 2, 3]), factors(groups, ks)
+
+        cancelled = 0
+        for _ in range(3000):
+            m1 = monomial()
+            if rng.random() < 0.4:
+                # the inverse of some of m1's factors, times some others
+                inverse = tuple((a, -e) for a, e in m1[0] if rng.random() < 0.7)
+                inverse_exps = tuple((s, -k) for s, k in m1[1] if rng.random() < 0.7)
+                m2 = expr._mono_mul((inverse, inverse_exps), monomial())
+            else:
+                m2 = monomial()
+            product = expr._mono_mul(m1, m2)
+            assert product == mono_mul_oracle(m1, m2), (m1, m2)
+            assert product == expr._mono_mul(m2, m1)
+            cancelled += len(product[0]) + len(product[1]) < len(m1[0]) + len(m1[1])
+        assert cancelled > 100
 
 
 class TestDiff:

@@ -115,6 +115,9 @@ EVOLUTION = "independent t x\ndependent u(t, x)\n"
     (DECLARED + "eq d(w,x) = 0\n", "3:6: 'w' is not a dependent variable"),
     (DECLARED + "eq d(u,w) = 0\n", "3:8: 'w' is not an independent variable"),
     (DECLARED + "eq d(u,x) = u\n", "no leading coordinates declared (need 'lead d(...)')"),
+    # a lead above the equations' order is checked like any other
+    (DECLARED + "eq d(u,x) = 0\nlead d(u,y,y,y,y)\n",
+     "leading coordinate u_yyyy does not appear in an unclaimed equation"),
     # a newline or end token after a comment has the column of its '#'
     (EVOLUTION + "eq d(u,t) =   # rhs missing\n", "3:15: unexpected token '\\n'"),
     (EVOLUTION + "eq d(u,t) = # rhs missing", "3:13: unexpected token ''"),

@@ -543,6 +543,26 @@ class TestCli:
         assert cli_main(argv) == 0
         assert run.stdout == capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["--ansatz-degree", "2", "--report", "json", "symmetries"],
+        ["--reference", "off", "--ansatz-degree", "2", "--report", "json", "symmetries"],
+    ])
+    def test_report_bytes_do_not_depend_on_hash_order(self, argv):
+        # atoms hash by identity, so no output may follow set order
+        env = dict(os.environ)
+        src = str(pathlib.Path(liepde.__file__).parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        outputs = set()
+        for seed in ("0", "1", "2"):
+            env["PYTHONHASHSEED"] = seed
+            run = subprocess.run(
+                [sys.executable, "-m", "liepde", *argv],
+                env=env, capture_output=True, timeout=120,
+            )
+            assert run.returncode == 0, run.stderr
+            outputs.add((run.stdout, run.stderr))
+        assert len(outputs) == 1
+
 
     @pytest.mark.parametrize("fmt", [[], ["--report", "json"]])
     def test_full_report_commands_print_the_same_bytes(self, capsys, fmt):

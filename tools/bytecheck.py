@@ -89,10 +89,13 @@ parser's line and column (a comment where the right-hand side belongs,
 trailing input, a tab, an equation before the declarations, a derivative
 by a parameter, a double declaration and non-ASCII characters), and, in
 text and JSON, on u_t = u_xxxx and u_t = u_xxxxxxx, whose reduction
-reaches orders 7 and 13.  A tree whose elimination takes the first candidate of
-least complexity as the pivot, whatever its row's length, spends more than
-TIMEOUT_S on that system (32 s on an idle 2-vCPU VM) and shows
-``TIMEOUT`` there.  The optimal table for
+reaches orders 7 and 13, and, last, ``symmetries`` on a system whose
+``lead d(u,y,y,y,y)`` is of higher order than its one equation
+``d(u,x) = 0``, which must end in the lead's own error.  A tree whose
+elimination takes the first candidate of least complexity as the pivot,
+whatever its row's length, spends more than TIMEOUT_S on the two-parameter
+system at degree 3 (32 s on an idle 2-vCPU VM) and shows ``TIMEOUT``
+there.  The optimal table for
 ``verify-optimal`` and the printed variant are the files bundled with
 PARENT_TREE.  ``algebra_documents``
 and ``vectors`` are also read by the test suite, so its number-type tests
@@ -264,6 +267,10 @@ BAD_SYSTEMS = {
     "greek.pde": EVOLUTION + "eq d(u,t) = \u03b2*d(u,x,x)\nlead d(u,t)\n",
 }
 
+# a lead of order 4 on an equation of order 1: it does not appear in the
+# equation, which is the error, not the jet space's order limit
+HIGH_LEAD = "independent x y\ndependent u(x, y)\neq d(u,x) = 0\nlead d(u,y,y,y,y)\n"
+
 # u_t = u_xxxx and u_t = u_xxxxxxx: one reduction step reaches order 2m - 1
 HIGH_ORDER = {f"order{m}.pde": EVOLUTION + f"eq d(u,t) = d(u{',x' * m})\nlead d(u,t)\n"
               for m in (4, 7)}
@@ -412,6 +419,7 @@ def write_inputs(folder, parent):
         "forced.pde": FORCED,
         "kdv_burgers.pde": KDV_BURGERS,
         "renamed.pde": RENAMED,
+        "high_lead.pde": HIGH_LEAD,
         "b4_table.json": json.dumps(B4_TABLE),
         "sl2_table.json": json.dumps(SL2_TABLE),
         **{name: json.dumps(doc) for name, doc in MALFORMED.items()},
@@ -586,6 +594,7 @@ def write_inputs(folder, parent):
     for name in HIGH_ORDER:
         for fmt in ([], js):
             commands.append([*fmt, "symmetries", name])
+    commands.append(["symmetries", "high_lead.pde"])
     return commands
 
 
