@@ -16,12 +16,18 @@ one (`expr.as_rational`): an int when it is integral and a Fraction
 otherwise.  Each division goes through `expr.quotient`, as `/` on two ints
 would give a float.
 
-Both kernels run on integers and sparse rows.  char_poly scales A by the
-lcm d of its denominators and runs Faddeev-LeVerrier on dA, where each
-division is exact.  matrix_exp forms the Putzer products on the same
-integer matrix, holds each scalar r_k(t) as a dict {(m, l): c} integrated
+Both kernels run on integers and sparse rows, and both stop at the first
+zero matrix product.  char_poly scales A by the lcm d of its denominators
+and runs Faddeev-LeVerrier on dA, where each division is exact; once a
+product M_k is zero, every later one is zero and every later coefficient 0,
+so a nilpotent A costs as many products as its nilpotency index.
+matrix_exp forms the Putzer products on the same integer matrix, taking
+the eigenvalues by ascending multiplicity so that the most repeated one
+comes last and the products reach zero once they hold the minimal
+polynomial; it holds each scalar r_k(t) as a dict {(m, l): c} integrated
 in closed form (`_putzer_step`, the one integrator), and builds each
-entry's record once, at the end.  `flow` is matrix_exp of the augmented
+entry's record once, at the end, every zero entry being one shared
+record.  `flow` is matrix_exp of the augmented
 [[A, b], [0, 0]] (Olver, Applications of Lie Groups to DEs, section 1.3).
 """
 
@@ -50,13 +56,17 @@ class ExpPolynomial:
     and `optimal._terms` read this layout; so does the
     benchmark's JSON dump of the adjoint matrices.  The class goes once the
     benchmark reads the entries through `pipeline.jexppoly` and `ad_exp`
-    can return `expr` values.
+    can return `expr` values.  Nothing mutates a record, so every zero entry
+    is the one record `_ZERO_ENTRY`, whose `terms` is empty.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms):
         self.terms = terms
+
+
+_ZERO_ENTRY = ExpPolynomial({})
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +80,9 @@ def char_poly(A):
     denominators of A, in sparse rows: M_0 = I, c_k = -tr(B M_(k-1)) / k and
     M_k = B M_(k-1) + c_k I.  The c_k are the integer coefficients of
     det(xI - B), so the division is exact, and det(xI - A) has c_k / d^k
-    at x^(n-k).
+    at x^(n-k).  Once some M_k is zero, every later c is 0: B M_k = 0 gives
+    c_(k+1) = 0 and M_(k+1) = 0.  So the loop stops at the first zero M_k,
+    and on a nilpotent A it takes as many products as A's nilpotency index.
     """
     return _char_poly(*_integer_rows(A))
 
@@ -78,19 +90,20 @@ def char_poly(A):
 def _char_poly(d, B):
     """char_poly of A, given d and the rows of B = dA from _integer_rows."""
     n = len(B)
-    c = [1] * (n + 1)
+    c = [0] * n + [1]
     M = [{i: 1} for i in range(n)]
     for k in range(1, n + 1):
-        BM = _rows_mul(B, M)
-        ck = -sum(row.get(i, 0) for i, row in enumerate(BM)) // k
+        M = _rows_mul(B, M)
+        ck = -sum(row.get(i, 0) for i, row in enumerate(M)) // k
         c[n - k] = quotient(ck, d ** k)
-        for i, row in enumerate(BM):
+        for i, row in enumerate(M):
             x = row.get(i, 0) + ck
             if x:
                 row[i] = x
             else:
                 row.pop(i, None)
-        M = BM
+        if not any(M):
+            break
     return c
 
 
@@ -260,7 +273,13 @@ def matrix_exp(A):
     multiplicity, exp(tA) = sum_k r_{k+1}(t) P_k, where P_0 = I,
     P_k = (A - l_k I) P_{k-1}, r_1 = e^(l_1 t) and
     r_{k+1}(t) = e^(l_{k+1} t) int_0^t e^(-l_{k+1} s) r_k(s) ds.
-    By Cayley-Hamilton P_n = 0; the sum stops at the first P_k = 0.
+    By Cayley-Hamilton P_n = 0; the sum stops at the first P_k = 0, which
+    is the first product that the minimal polynomial divides.  The
+    eigenvalues are listed by ascending multiplicity, ties in the key order
+    of rational_eigenvalues, so the most repeated one comes last and its
+    repeats beyond its largest Jordan block are never multiplied in: a
+    diagonalisable A whose most repeated eigenvalue has multiplicity m
+    stops m - 1 products early.
 
     Each r_k is a dict {(m, l): c} for c t^m e^(l t).  The products run on
     the integer matrix B = dA of char_poly: the eigenvalues of B are the
@@ -272,12 +291,13 @@ def matrix_exp(A):
     n = len(A)
     d, B = _integer_rows(A)
     roots = rational_eigenvalues(_char_poly(d, B))
+    order = sorted(roots, key=roots.get)  # stable: ties keep the key order
     result = [[{} for _ in range(n)] for _ in range(n)]
     slots = {}  # (m, l) -> its index in the cells, in first-seen order
     Q = [{i: 1} for i in range(n)]
     r = None
     scale = 1
-    for lam in [lam for lam, m in roots.items() for _ in range(m)]:
+    for lam in [lam for lam in order for _ in range(roots[lam])]:
         r = {(0, lam): 1} if r is None else _putzer_step(r, lam)
         terms = [(slots.setdefault(key, len(slots)), quotient(c, scale))
                  for key, c in r.items()]
@@ -292,8 +312,9 @@ def matrix_exp(A):
             break
         scale *= d
     keys = [(0, (m,), (lam,)) for m, lam in slots]
-    return [tuple(ExpPolynomial({keys[slot]: as_rational(c) for slot, c in cell.items() if c})
-                  for cell in row) for row in result]
+    return [tuple(ExpPolynomial(terms) if (terms := {keys[slot]: as_rational(c)
+                                                     for slot, c in cell.items() if c})
+                  else _ZERO_ENTRY for cell in row) for row in result]
 
 
 def _putzer_step(r, lam):

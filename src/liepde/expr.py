@@ -87,7 +87,9 @@ class Expr:
     `_key`, which is the total order used for canonical sorting.  The atoms
     (`Symbol` and `FunctionApplication`) are hash-consed: there is one
     object per key, so they compare and hash by identity.  Every other node
-    compares by its key and caches the key's hash in `_hash`.
+    compares by its key and caches the key's hash in `_hash`.  Nodes refuse
+    `setattr`, so each class rebuilds its copies and pickles through its
+    constructor (`__reduce__`).
     """
 
     __slots__ = ("_key", "_hash")
@@ -168,6 +170,9 @@ class Rational(Expr):
         object.__setattr__(self, "coeff", coeff)
         self._setkey((0, coeff))
 
+    def __reduce__(self):
+        return Rational, (self.coeff,)
+
     def _poly(self):
         return {_EMPTY_MONO: self.coeff} if self.coeff else {}
 
@@ -186,7 +191,11 @@ class _Atom(Expr):
 
     __slots__ = ("_term",)
 
-    __eq__ = object.__eq__
+    # `object.__eq__` would answer NotImplemented for two distinct atoms and
+    # try the reflected call before falling back to identity
+    def __eq__(self, other):
+        return self is other
+
     __hash__ = object.__hash__
 
     def _poly(self):
@@ -246,6 +255,9 @@ class ParamExp(Expr):
         object.__setattr__(self, "param", param)
         object.__setattr__(self, "k", Fraction(as_rational(k)))
         self._setkey((2, param._key, self.k))
+
+    def __reduce__(self):
+        return ParamExp, (self.param, self.k)
 
     def _poly(self):
         if self.k == 0:
@@ -314,6 +326,9 @@ class Poly(Expr):
 
     def __init__(self, terms):
         object.__setattr__(self, "terms", terms)
+
+    def __reduce__(self):
+        return Poly, (self.terms,)
 
     def __getattr__(self, name):
         if name not in ("_key", "_hash"):

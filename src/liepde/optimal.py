@@ -2,10 +2,12 @@
 
 The adjoint group of the algebra acts on coordinate row vectors through the
 matrices of `adjoint.ad_exp`, which `_terms` reads once per direction as a
-sparse list of terms coeff * eps^m * e^(k eps).  This module provides exact
-orbit steps (`_act`: nilpotent directions at a rational eps, diagonal
-scalings at a rational multiplier q = e^eps), a deterministic greedy normal
-form for one-dimensional subalgebras, and per-entry verification of
+sparse list of terms coeff * eps^m * e^(k eps), and `_split_terms` splits
+into the components a step keeps and the terms that move the others.
+This module provides exact orbit steps (`_act`: nilpotent directions at a
+rational eps, diagonal scalings at a rational multiplier q = e^eps), a
+deterministic greedy normal form for one-dimensional subalgebras, and
+per-entry verification of
 proposed optimal-system tables: closure, abelian/ideal flags, and
 conjugacy-invariant fingerprints that expose coverage gaps mechanically.
 
@@ -35,12 +37,31 @@ def _terms(L, i):
                  for (_, (m,), (k,)), coeff in e.terms.items())
 
 
+@per_algebra
+def _split_terms(L, i):
+    """(fixed, moving) for direction i: fixed the components c whose column
+    of Ad(exp(eps v_i)) is the unit diagonal term alone, so that every step
+    along v_i keeps a_c, and moving the terms of `_terms(L, i)` in the other
+    columns."""
+    terms = _terms(L, i)
+    columns = {}
+    for term in terms:
+        columns.setdefault(term[1], []).append(term)
+    fixed = tuple(c for c, column in columns.items() if column == [(c, c, 1, 0, 0)])
+    return fixed, tuple(term for term in terms if term[1] not in fixed)
+
+
 def _act(L, i, a, t):
     """a . Ad(exp(eps v_i)) exactly, at t = eps along a nilpotent direction
     and at t = e^eps along a diagonal scaling: one of m and k is 0 in every
-    term, so each contributes coeff * t^(m + k)."""
+    term, so each contributes a_r * coeff * t^(m + k) to component c.  The
+    fixed components of `_split_terms` are copied; only the moving terms
+    are multiplied out, and a coefficient 1 is not multiplied in."""
+    fixed, moving = _split_terms(L, i)
     out = [0] * L.n
-    for r, c, coeff, m, k in _terms(L, i):
+    for c in fixed:
+        out[c] = a[c]
+    for r, c, coeff, m, k in moving:
         x = a[r]
         if x:
             e = m + k
@@ -48,7 +69,7 @@ def _act(L, i, a, t):
                 x = x * t ** e
             elif e:
                 x = quotient(x, t ** -e)
-            out[c] += x * coeff
+            out[c] += x if coeff == 1 else x * coeff
     return tuple(map(as_rational, out))
 
 
@@ -286,9 +307,10 @@ def _translate_step(L, inv, i, current):
     if i in inv or current[i] == 0:
         return None
     # component i of current . Ad(exp(eps v_i)) is sum_m coeffs[m] eps^m; it
-    # must be affine in eps: a_i + c*eps
+    # must be affine in eps: a_i + c*eps.  A fixed component i has no eps
+    # term, and only the moving terms are scanned
     coeffs = {}
-    for r, c, coeff, m, _ in _terms(L, i):
+    for r, c, coeff, m, _ in _split_terms(L, i)[1]:
         if c == i and current[r]:
             coeffs[m] = coeffs.get(m, 0) + current[r] * coeff
     if not coeffs.get(1) or any(x for m, x in coeffs.items() if m > 1):

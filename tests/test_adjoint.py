@@ -185,6 +185,43 @@ def seeded_rational_matrix(rng, n):
              for _ in range(n)] for _ in range(n)]
 
 
+def seeded_nilpotent_matrix(rng, n):
+    """(A, index): a seeded rational multiple of a unimodular conjugate of a
+    nilpotent Jordan matrix with blocks of size <= 3, and its nilpotency
+    index, the largest block size."""
+    blocks = []
+    while sum(size for _, size in blocks) < n:
+        blocks.append((F(0), min(rng.randint(1, 3), n - sum(size for _, size in blocks))))
+    scale = F(rng.choice([1, -1, 2, -3]), rng.choice([1, 2, 5]))
+    A = [[scale * x for x in row] for row in conjugated_jordan_matrix(rng, blocks)]
+    return A, max(size for _, size in blocks)
+
+
+def nilpotency_index(A):
+    """The least k with A^k = 0 by dense products, or None if there is none."""
+    power = A
+    for k in range(1, len(A) + 1):
+        if not any(any(row) for row in power):
+            return k
+        power = _mat_mul_frac(power, A)
+    return None
+
+
+def counted_char_poly(A, monkeypatch):
+    """char_poly(A) and the number of sparse matrix products it took."""
+    calls = []
+    rows_mul = liepde.adjoint._rows_mul
+
+    def counting(*args):
+        calls.append(args)
+        return rows_mul(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(liepde.adjoint, "_rows_mul", counting)
+        p = char_poly(A)
+    return p, len(calls)
+
+
 class TestCharPolyOracle:
     @pytest.mark.parametrize("seed", range(40))
     def test_seeded_matrices(self, seed):
@@ -201,6 +238,34 @@ class TestCharPolyOracle:
         assert p == interpolated_char_poly(A)
         for x in p:
             assert_rational(x)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_seeded_nilpotent_matrices(self, seed, monkeypatch):
+        # the recursion stops at the first zero M_k, which on a nilpotent
+        # matrix is B^k at its nilpotency index, the largest block size
+        rng = random.Random(3000 + seed)
+        A, index = seeded_nilpotent_matrix(rng, 1 + seed % 8)
+        p, products = counted_char_poly(A, monkeypatch)
+        assert p == interpolated_char_poly(A) == [0] * len(A) + [1]
+        for x in p:
+            assert_rational(x)
+        assert nilpotency_index(A) == index
+        assert products <= index
+
+    def test_nilpotent_ad_matrices_of_b4(self, borel4, monkeypatch):
+        algebras = [borel4] + [borel_algebra(random.Random(s)) for s in (7, 8)]
+        for L in algebras:
+            nilpotent = 0
+            for i in range(L.n):
+                A = ad_matrix(L, unit(L.n, i))
+                index = nilpotency_index(A)
+                if index is None:
+                    continue
+                nilpotent += 1
+                p, products = counted_char_poly(A, monkeypatch)
+                assert p == [0] * L.n + [1]
+                assert products <= index < L.n
+            assert nilpotent == 6
 
 
 class TestAdMatrix:
@@ -462,6 +527,48 @@ class TestMatrixExpOracle:
     def test_seeded_jordan_forms(self, seed):
         rng = random.Random(seed)
         assert_matches_oracle(seeded_jordan_matrix(rng, 1 + seed % 6))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_most_repeated_eigenvalue_nonzero_in_a_block(self, seed):
+        # the Putzer products end on the most repeated eigenvalue: here it is
+        # nonzero, with a Jordan block of size 2 or 3 and perhaps a second
+        # block, and every other eigenvalue is less repeated
+        rng = random.Random(2000 + seed)
+        lam = rng.choice([F(1), F(-1), F(2), F(-1, 2), F(3), F(2, 3)])
+        blocks = [(lam, rng.randint(2, 3))]
+        if rng.random() < 0.5:
+            blocks.append((lam, rng.randint(1, blocks[0][1])))
+        top = sum(size for _, size in blocks)
+        others = [mu for mu in (F(0), F(1), F(-2), F(1, 3)) if mu != lam]
+        for mu in rng.sample(others, rng.randint(1, 2)):
+            room = min(top - 1, 8 - sum(size for _, size in blocks), 3)
+            if room:
+                blocks.append((mu, rng.randint(1, room)))
+        rng.shuffle(blocks)
+        A = conjugated_jordan_matrix(rng, blocks)
+        roots = rational_eigenvalues(char_poly(A))
+        assert max(roots.values()) == roots[lam] == top
+        assert sorted(roots.values()).count(top) == 1
+        assert_matches_oracle(A)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_eigenvalues_tied_in_multiplicity(self, seed):
+        # two eigenvalues of equal multiplicity, each split into blocks
+        # of size <= 3, so the stable order decides which goes last
+        rng = random.Random(2500 + seed)
+        first, second = rng.sample([F(0), F(1), F(-1), F(2), F(-1, 2), F(3)], 2)
+        count = rng.randint(1, 3 if seed % 2 else 4)
+        blocks = []
+        for lam in (first, second):
+            left = count
+            while left:
+                size = rng.randint(1, min(3, left))
+                blocks.append((lam, size))
+                left -= size
+        rng.shuffle(blocks)
+        A = conjugated_jordan_matrix(rng, blocks)
+        assert rational_eigenvalues(char_poly(A)) == {first: count, second: count}
+        assert_matches_oracle(A)
 
     def test_empty_matrix(self):
         assert matrix_exp([]) == []

@@ -237,6 +237,44 @@ class TestInterning:
         assert pickle.loads(pickle.dumps(atom)) is atom
         assert copy.deepcopy([atom, atom])[1] is atom
 
+    @pytest.mark.parametrize("make", [
+        lambda: x + 2 * y,
+        lambda: eps ** 2 * ParamExp(eps, 2) - Fraction(1, 3) * u,
+        lambda: Rational(3),
+        lambda: Rational(Fraction(-2, 3)),
+        lambda: Rational(0),
+        lambda: ParamExp(eps, Fraction(1, 2)),
+        lambda: ParamExp(eps, -2),
+    ])
+    def test_copies_of_other_nodes_are_equal_and_canonical(self, make):
+        node = make()
+        for other in (copy.copy(node), copy.deepcopy(node),
+                      pickle.loads(pickle.dumps(node)), copy.deepcopy([node])[0]):
+            assert type(other) is type(node)
+            assert other == node and node == other
+            assert other._key == node._key and hash(other) == hash(node)
+            # the atoms inside are the interned ones, so the copy reads as
+            # the node it copies
+            assert expr.free_symbols(other) == expr.free_symbols(node)
+            assert expr.render(other) == expr.render(node)
+            if type(node) is Rational:
+                assert type(other.coeff) is type(node.coeff)
+                assert_rational(other.coeff)
+            elif type(node) is ParamExp:
+                assert other.param is node.param and other.k == node.k
+            else:
+                assert other.terms == node.terms
+                for coeff in other.terms.values():
+                    assert_rational(coeff)
+            assert expr.is_zero(other - node)
+
+    def test_application_with_a_poly_argument_copies_to_itself(self):
+        f = FunctionApplication("f", (x + 2 * y, Rational(Fraction(1, 2)) * u))
+        assert copy.copy(f) is f
+        assert copy.deepcopy(f) is f
+        assert pickle.loads(pickle.dumps(f)) is f
+        assert pickle.loads(pickle.dumps(f + x)) == f + x
+
     def test_equality_is_key_equality(self):
         rng = random.Random(4242)
         atoms = [x, y, u, v, c1, eps, jet(u, (x, y), (1, 0)),
@@ -250,14 +288,25 @@ class TestInterning:
                 nodes.append(random_expression(random.Random(seed), atoms[:6]))
         nodes += [Rational(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(20)]
         nodes += [ParamExp(eps, k) for k in (0, 1, Fraction(1, 2))]
-        assert any(type(n) is expr.Poly for n in nodes)
+        # atoms against values of the other node types: sums and products
+        # with exp(k eps) factors, results that canonicalise back to an
+        # atom, and copies that are distinct objects
+        nodes += [eps * ParamExp(eps, 1), ParamExp(eps, 2) - x, 2 * ParamExp(eps, -1),
+                  ParamExp(eps, 1) * FunctionApplication("f", (x, u)),
+                  (x + y) - y, u * v / v, atoms[9] * 1, Rational(1) * eps]
+        nodes += [pickle.loads(pickle.dumps(n)) for n in nodes[len(atoms):len(atoms) + 12]]
+        for kind in (expr.Poly, Rational, ParamExp):
+            assert any(type(n) is kind for n in nodes)
         for a in nodes:
             for b in nodes:
                 assert (a == b) == (a._key == b._key), (a, b)
+                assert (a != b) == (a._key != b._key), (a, b)
                 if a == b:
                     assert hash(a) == hash(b), (a, b)
                 if isinstance(a, expr._Atom) and isinstance(b, expr._Atom):
                     assert (a is b) == (a._key == b._key), (a, b)
+        for a in atoms:
+            assert a != 0 and not a == Fraction(1, 2) and a != "x"
 
     def test_mono_mul_matches_dict_and_sort(self):
         rng = random.Random(9173)

@@ -188,9 +188,12 @@ def evaluate(e, eps=None, q=None):
 
 
 class TestStepOracle:
-    @pytest.mark.parametrize("seed, name", enumerate((*ORACLE_ALGEBRAS, "e2")))
+    @pytest.mark.parametrize("seed, name", enumerate((*ORACLE_ALGEBRAS, "e2", "b4-seeded")))
     def test_steps_match_the_dense_matrices(self, algebra, seed, name):
-        L = e2_algebra() if name == "e2" else oracle_algebra(name, algebra)
+        # b(4) on a shuffled basis with scalings +-1 and +-2, as the
+        # benchmark builds it: fixed and moving components interleave
+        L = (e2_algebra() if name == "e2" else borel_algebra(random.Random(7))
+             if name == "b4-seeded" else oracle_algebra(name, algebra))
         nilpotent, scaling = classify_directions(L)
         assert (nilpotent, scaling) == classify_by_matrices(L)
         rng = random.Random(300 + seed)

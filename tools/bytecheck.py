@@ -91,11 +91,14 @@ by a parameter, a double declaration and non-ASCII characters), and, in
 text and JSON, on u_t = u_xxxx and u_t = u_xxxxxxx, whose reduction
 reaches orders 7 and 13, and, last, ``symmetries`` on a system whose
 ``lead d(u,y,y,y,y)`` is of higher order than its one equation
-``d(u,x) = 0``, which must end in the lead's own error.  A tree whose
-elimination takes the first candidate of least complexity as the pivot,
-whatever its row's length, spends more than TIMEOUT_S on the two-parameter
-system at degree 3 (32 s on an idle 2-vCPU VM) and shows ``TIMEOUT``
-there.  The optimal table for
+``d(u,x) = 0``, which must end in the lead's own error, and, last, in
+text and JSON, four ``normal-form --constants`` vectors on b(4) in a
+seeded basis order with scalings +-1 and +-2 (the benchmark's seeded
+b(4)), where an orbit step keeps some components and moves others.  A
+tree whose elimination takes the first candidate of least complexity as
+the pivot, whatever its row's length, spends more than TIMEOUT_S on the
+two-parameter system at degree 3 (32 s on an idle 2-vCPU VM) and shows
+``TIMEOUT`` there.  The optimal table for
 ``verify-optimal`` and the printed variant are the files bundled with
 PARENT_TREE.  ``algebra_documents``
 and ``vectors`` are also read by the test suite, so its number-type tests
@@ -338,22 +341,35 @@ MALFORMED = {
 }
 
 
-def borel4():
-    """Structure constants of b(4) on the units E_pq in row order."""
+def borel4(rng=None):
+    """Structure constants of b(4) on the basis R_k = s_k E_pq.
+
+    Without `rng` the units E_pq come in row order with every s_k = 1 and
+    are labelled E11, E12, ...; with it, the order and the s_k in
+    {1, -1, 2, -2} are seeded as the benchmark's seeded b(4) draws them,
+    and the elements are labelled b1, b2, ...
+    """
     pairs = [(p, q) for p in range(4) for q in range(p, 4)]
+    scales = [1] * len(pairs)
+    labels = [f"E{p + 1}{q + 1}" for p, q in pairs]
+    if rng is not None:
+        rng.shuffle(pairs)
+        scales = [rng.choice([1, -1, 2, -2]) for _ in pairs]
+        labels = [f"b{k + 1}" for k in range(len(pairs))]
     index = {pair: k for k, pair in enumerate(pairs)}
     brackets = []
     for a, (i, j) in enumerate(pairs):
         for b, (k, l) in enumerate(pairs[a + 1:], a + 1):
             # [E_ij, E_kl] = delta_jk E_il - delta_li E_kj
-            vec = [0] * len(pairs)
+            vec = [Fraction(0)] * len(pairs)
+            s = scales[a] * scales[b]
             if j == k:
-                vec[index[(i, l)]] += 1
+                vec[index[(i, l)]] += Fraction(s, scales[index[(i, l)]])
             if l == i:
-                vec[index[(k, j)]] -= 1
+                vec[index[(k, j)]] -= Fraction(s, scales[index[(k, j)]])
             if any(vec):
-                brackets.append({"i": a + 1, "j": b + 1, "coeffs": vec})
-    labels = [f"E{p + 1}{q + 1}" for p, q in pairs]
+                brackets.append({"i": a + 1, "j": b + 1, "coeffs": [
+                    int(x) if x.denominator == 1 else str(x) for x in vec]})
     return {"dim": len(pairs), "labels": labels, "brackets": brackets}
 
 
@@ -372,12 +388,20 @@ B4_TABLE = {"schema": 1, "entries": [
      "vectors": [[int(k == i) for k in range(10)] for i in (1, 5)]}]}
 
 
+# normal forms on b(4) in the seeded basis of borel4(random.Random(7)): a
+# mixed vector with fractions, one whose translations refill each other's
+# components, every component nonzero, and one scaling with a negation
+B4_SEEDED_VECTORS = ("0,8,5/2,0,7/2,0,0,1,0,-5", "2,7/4,-6,0,0,0,7/4,4/3,-5/2,9",
+                     "1,2,3,4,5,6,7,8,9,10", "-4,0,0,0,0,0,0,0,0,0")
+
+
 def algebra_documents():
     """The structure-constants documents the commands read, by file name."""
     rng = random.Random(1)
     c = 10 ** 12 + rng.randrange(1, 10 ** 6)
     return {
         "b4.json": borel4(),
+        "b4_seeded.json": borel4(random.Random(7)),
         "jordan.json": JORDAN,
         "e2.json": E2,
         "sl2.json": SL2,
@@ -595,6 +619,12 @@ def write_inputs(folder, parent):
         for fmt in ([], js):
             commands.append([*fmt, "symmetries", name])
     commands.append(["symmetries", "high_lead.pde"])
+    # b(4) on a shuffled basis with scalings +-1 and +-2: orbit steps whose
+    # adjoint columns mix components that stay with ones that move
+    for vec in B4_SEEDED_VECTORS:
+        for fmt in ([], js):
+            commands.append([*fmt, "normal-form", f"--vector={vec}",
+                             "--constants", "b4_seeded.json"])
     return commands
 
 
