@@ -169,11 +169,17 @@ class PDESystem:
     `solved` is an ordered tuple of (leading jet coordinate, right-hand
     side); reduction replaces every occurrence of a leading coordinate or
     of any of its total-derivative consequences until none remain.
+    `coordinates` holds the dependent and jet coordinates that occur in
+    the equations and `order` the highest of their orders (0 without
+    any), both found once here.
     """
 
     def __init__(self, space, equations, solved, parameters=()):
         self.space = space
         self.equations = tuple(expr.normalize(e) for e in equations)
+        self.coordinates = frozenset().union(
+            *(space.jet_symbols_in(eq) for eq in self.equations))
+        self.order = max((s.order for s in self.coordinates), default=0)
         self.solved = tuple((lead, expr.normalize(rhs)) for lead, rhs in solved)
         self.parameters = tuple(parameters)
         self._derived_cache = {}

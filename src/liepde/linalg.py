@@ -14,33 +14,35 @@ number, so a pivot of +-1 stays an int), `not x` tests for zero and
 The kernel, `Echelon`, takes rows as dicts column -> nonzero element,
 reduces them once to reduced row echelon form, and `Echelon.reduce` then
 clears further vectors against them.  `rref`, `nullspace`, `rref_param`
-and `nullspace_param` are thin wrappers, and `in_integer_lattice` reduces
-its vectors against one `Echelon` of [B | I].  `nullspace_param`, the
-determining solve, takes sparse rows as the determining system holds
-them; `rref`, `nullspace` and `rref_param` take dense rows, the form the
-tests compare against.  Columns are taken left to right.  A column index,
-from each column to the set of rows holding it, kept up to date as
-eliminations fill and clear entries, gives each column its candidate
-pivots and the rows to eliminate without scanning the others.  The pivot
-is the candidate of least (`ParamFrac.complexity()`, row length, current
-row position).  The least complexity limits the swell of the entries; of
-those, the shortest row limits fill-in, since a row update can create an
-entry only in a column of the pivot row: a singleton pivot row creates
-none, and clearing its column in the other rows is all it costs.  The
-normalised pivot row holds the int 1 at its column, as x * x^-1 = 1 in
-the field, so each update drops the pivot column without arithmetic.
-The columns are still taken left to right, so the pivot and free columns
-and the kernel's shape do not depend on the rule.  The reduced row
-echelon form is unique as values, and a number, like a Laurent polynomial
-over `expr.ONE`, has one representation; so over Q, and wherever every
-pivot is a number or a Laurent monomial (the weight-2 candidates, as on
-every fixture matrix), every entry on any path is such an element and
-the rule cannot change a byte.  Only a pivot that is not a Laurent
-monomial brings in a denominator, and `ParamFrac` does not cancel common
+and `nullspace_param` are thin wrappers, and `in_integer_lattice`
+reduces its vectors against one `Echelon` of [B | I].
+`nullspace_param`, the determining solve, takes sparse rows as the
+determining system holds them and returns the sparse kernel vectors of
+`_kernel`, which `nullspace` densifies; `rref`, `nullspace` and
+`rref_param` take dense rows, the form the tests compare against.
+Columns are taken left to right.  A column index, from each column to
+the set of rows holding it, kept up to date as eliminations fill and
+clear entries, gives each column its candidate pivots and the rows to
+eliminate without scanning the others.  The pivot is the candidate of
+least (`ParamFrac.complexity()`, row length, current row position).  The
+least complexity limits the swell of the entries; of those, the shortest
+row limits fill-in, since a row update can create an entry only in a
+column of the pivot row: a singleton pivot row creates none, and
+clearing its column in the other rows is all it costs.  The normalised
+pivot row holds the int 1 at its column, as x * x^-1 = 1 in the field,
+so each update drops the pivot column without arithmetic.  The columns
+are still taken left to right, so the pivot and free columns and the
+kernel's shape do not depend on the rule.  The reduced row echelon form
+is unique as values, and a number, like a Laurent polynomial over
+`expr.ONE`, has one representation; so over Q, and wherever every pivot
+is a number or a Laurent monomial (the weight-2 candidates, as on every
+fixture matrix), every entry on any path is such an element and the rule
+cannot change a byte.  Only a pivot that is not a Laurent monomial
+brings in a denominator, and `ParamFrac` does not cancel common
 polynomial factors: another path may then store an equal entry with a
 common factor in its numerator and denominator, and `clear_denominators`
-scales a basis vector by it.  `rref`, `nullspace` and `det` take ints and
-Fractions and return them in the package's form; a float or a string
+scales a basis vector by it.  `rref`, `nullspace` and `det` take ints
+and Fractions and return them in the package's form; a float or a string
 raises TypeError.
 
 `ParamFrac` holds fractions of `expr` polynomials in the parameter
@@ -150,15 +152,15 @@ class Echelon:
 
 
 def _kernel(reduced, pivots, ncols):
-    """Dense basis of the right kernel of an RREF, one vector per free column."""
+    """Basis of the right kernel of an RREF, one sparse vector per free
+    column: a dict column -> nonzero element, its columns ascending.  The
+    free column holds 1 and each pivot column whose row holds the free
+    column holds minus that entry; every other column is zero."""
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivots)):
-        v = [0] * ncols
+        v = {pc: -prow[fc] for prow, pc in zip(reduced, pivots) if fc in prow}
         v[fc] = 1
-        for prow, pc in zip(reduced, pivots):
-            if fc in prow:
-                v[pc] = -prow[fc]
-        basis.append(v)
+        basis.append(dict(sorted(v.items())))
     return basis
 
 
@@ -194,7 +196,7 @@ def rref(rows):
 def nullspace(rows, ncols):
     """Basis of the right kernel of the matrix, one vector per free column."""
     space = row_space([sparse(r) for r in rows], ncols)
-    return [tuple(v) for v in _kernel(space.rows, space.pivots, ncols)]
+    return [dense(v, ncols) for v in _kernel(space.rows, space.pivots, ncols)]
 
 
 def det(rows):
@@ -388,8 +390,8 @@ def rref_param(rows):
 
 
 def nullspace_param(rows, ncols):
-    """Basis of the right kernel over the parameter field, one dense vector
-    per free column.
+    """Basis of the right kernel over the parameter field, one sparse vector
+    per free column, as `_kernel` gives it.
 
     `rows` are sparse, dicts column -> nonzero element (a number or a
     `ParamFrac`), as `DeterminingSystem.rows` holds them; they are copied
@@ -400,31 +402,30 @@ def nullspace_param(rows, ncols):
 
 
 def clear_denominators(vec, params):
-    """Scale a vector over the parameter field to polynomial entries,
-    returned as expressions.
+    """Scale a sparse vector over the parameter field, a dict column ->
+    nonzero element, to polynomial entries; returns a dict column ->
+    nonzero expression with the same columns in the same order.
 
     The result has rational content 1, and the leading coefficient of its
-    first nonzero entry, in graded lex over `params` in declaration order,
-    is positive.
+    first entry, in graded lex over `params` in declaration order, is
+    positive.  Only the vector's entries are read: a column it lacks is
+    zero and stays out of the result.
     """
     scale = expr.ONE
-    for x in vec:
+    for x in vec.values():
         if type(x) is ParamFrac and x.den is not expr.ONE:
             scale = scale * x.den
-    cleared = []
-    for x in vec:
-        if not x:
-            cleared.append(expr.ZERO)
-            continue
+    cleared = {}
+    for k, x in vec.items():
         num, den = _parts(x)
         num = num * scale
         p = num if den is expr.ONE else expr.divide(num, den)
-        cleared.append(num if p is None else p)
-    g, _ = expr.content(*cleared)
-    first = next((p for p in cleared if not expr.is_zero(p)), None)
+        cleared[k] = num if p is None else p
+    g, _ = expr.content(*cleared.values())
+    first = next(iter(cleared.values()), None)
     if first is not None and expr.leading_term(first, params)[1] < 0:
         g = -g
-    return [p if expr.is_zero(p) else p / g for p in cleared]
+    return {k: p / g for k, p in cleared.items()}
 
 
 # ---------------------------------------------------------------------------

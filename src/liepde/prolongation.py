@@ -14,7 +14,11 @@ its residuals split by monomials in the independent variables and the jet
 coordinates give linear PDEs in the F_k (`determining_pdes`).  The
 polynomial ansatz is then instantiated in those terms by index arithmetic
 alone (`build_determining`), which gives a homogeneous linear system over
-the ansatz unknowns, solved exactly over the parameter field.
+the ansatz unknowns; an equation is keyed by its exponents over the base
+variables, which the ansatz moves, and the rank of its exponents over
+the jet coordinates, which it does not.  The system is solved exactly over
+the parameter field, and its kernel vectors stay sparse on their way
+into the symmetry fields (`solve_determining`).
 """
 
 from __future__ import annotations
@@ -113,12 +117,10 @@ def symmetry_residual(vf, system):
 
     All residuals are identically zero exactly when vf generates a symmetry
     of the system modulo its solved form.  Only the coordinates that occur
-    in the equations are prolonged.
+    in the equations are prolonged, up to their top order; the system
+    finds both once (`PDESystem.coordinates` and `.order`).
     """
-    js = system.space
-    coordinates = set().union(*(js.jet_symbols_in(eq) for eq in system.equations))
-    order = max((s.order for s in coordinates), default=0)
-    pr = prolong(vf, order, coordinates)
+    pr = prolong(vf, system.order, system.coordinates)
     return [system.reduce(pr.apply(eq)) for eq in system.equations]
 
 
@@ -159,12 +161,13 @@ class Ansatz:
                 self.slots.append((f, exps))
 
     def field_from_values(self, values):
-        """Assemble a vector field from one expression per unknown."""
+        """Assemble a vector field from a dict unknown index -> expression,
+        the values of the unknowns it holds, as `linalg.clear_denominators`
+        gives them; every other unknown is zero."""
         base = self.space.independent + self.space.dependent
         coeffs = [ZERO] * (self.space.p + self.space.q)
-        for value, (f, exps) in zip(values, self.slots):
-            if expr.is_zero(value):
-                continue
+        for k, value in values.items():
+            f, exps = self.slots[k]
             mono = expr.ONE
             for var, e in zip(base, exps):
                 if e:
@@ -277,8 +280,8 @@ def determining_pdes(system):
 def _derivative_cells(monomials, multi, place, width):
     """What D^multi does to the ansatz monomials: (index, shift, factor) for
     each monomial n >= multi, D^multi n = factor * n', and shift the
-    exponents of n' = n - multi over the split variables (base variable j
-    at `place[j]`)."""
+    exponents of n' = n - multi over the base variables in split order
+    (base variable j at `place[j]`, `width` of them)."""
     cells = []
     for i, n in enumerate(monomials):
         if all(a >= b for a, b in zip(n, multi)):
@@ -384,6 +387,14 @@ def build_determining(system, degree):
     raises NonPolynomialError.  An equation that is a parameter-field
     multiple of an earlier one is counted in `raw_count` and dropped.
     A rational cell is the int or Fraction its terms add up to.
+
+    The base variables lead the split order (by role), and the ansatz moves
+    only their exponents.  So each equation is keyed by its exponents over
+    the base variables and the rank, among the PDE's terms, of its
+    exponents over the jet coordinates, which a term keeps in every cell;
+    sorting the keys is sorting the exponent vectors.  Each term's value
+    is multiplied by each distinct factor n!/(n - J)! once, and the cells
+    with that factor share the product.
     """
     if degree < 0:
         raise ValueError("ansatz degree must be nonnegative")
@@ -391,6 +402,7 @@ def build_determining(system, degree):
     ansatz = Ansatz(js, degree)
     pdes = determining_pdes(system)
     split_vars = split_variables(js)
+    width = js.p + js.q
     place = [split_vars.index(s) for s in js.independent + js.dependent]
     size = len(ansatz.monomials)
     derivatives = {}
@@ -399,29 +411,41 @@ def build_determining(system, degree):
     seen = set()
     raw = 0
     for terms in pdes:
+        parts = sorted({exps[width:] for exps, *_ in terms})
+        rank = {part: r for r, part in enumerate(parts)}
         buckets = {}
         for exps, slot, multi, coefficient in terms:
             value = _term_value(coefficient, system.parameters)
+            head = exps[:width]
+            jet = rank[exps[width:]]
             cells = derivatives.get(multi)
             if cells is None:
                 cells = derivatives[multi] = _derivative_cells(
-                    ansatz.monomials, multi, place, len(split_vars))
+                    ansatz.monomials, multi, place, width)
+            products = {1: value}
+            offset = slot * size
             for i, shift, factor in cells:
-                bucket = buckets.setdefault(tuple(map(operator.add, exps, shift)), {})
-                col = slot * size + i
-                term = value if factor == 1 else value * factor
+                key = (tuple(map(operator.add, head, shift)), jet)
+                bucket = buckets.get(key)
+                if bucket is None:
+                    bucket = buckets[key] = {}
+                term = products.get(factor)
+                if term is None:
+                    term = products[factor] = value * factor
+                col = offset + i
                 old = bucket.get(col)
                 bucket[col] = term if old is None else old + term
         found = []
-        for exps in sorted(buckets):
+        for key in sorted(buckets):
             row = {}
-            for col, value in buckets[exps].items():
+            for col, value in buckets[key].items():
                 cell = linalg.element(value)
                 if cell:
                     row[col] = cell
             if row:
-                found.append((exps, row))
-        offending = [(exps, row) for exps, row in found if min(exps) < 0]
+                found.append((key, row))
+        offending = [(head + parts[jet], row) for (head, jet), row in found
+                     if min(head) < 0 or min(parts[jet], default=0) < 0]
         if offending:
             raise _negative_power(offending, split_vars, ansatz.unknowns)
         for _, row in found:
@@ -437,8 +461,11 @@ def build_determining(system, degree):
 def solve_determining(ds):
     """Exact nullspace basis of the determining system, as vector fields.
 
-    Every returned field is re-checked against the symmetry condition;
-    the empty list means only the zero solution exists.
+    The kernel vectors of `linalg.nullspace_param` are sparse, one per free
+    column; each is cleared of denominators and assembled into a field
+    from its nonzero entries alone.  Every returned field is re-checked
+    against the symmetry condition; the empty list means only the zero
+    solution exists.
     """
     params = ds.system.parameters
     basis = linalg.nullspace_param(ds.rows, len(ds.ansatz.unknowns))

@@ -176,7 +176,7 @@ def test_wrong_kernel_vector_is_a_typed_error(golden, monkeypatch):
     ds = build_determining(system, 1)
     monkeypatch.setattr(
         linalg, "nullspace_param",
-        lambda rows, ncols: [[1] * ncols],
+        lambda rows, ncols: [{k: 1 for k in range(ncols)}],
     )
     with pytest.raises(InternalCheckError):
         solve_determining(ds)
@@ -208,6 +208,25 @@ independent t x
 dependent u(t, x)
 eq d(u,t) + (2)*u*d(u,x) + (-1/2)*d(u,x,x,x) = 0
 lead d(u,x,x,x)
+"""
+
+# The mixing-length closure: the fixture with the eddy-viscosity term
+# d/dy(kappa^2 y^2 u_y^2) in the x-momentum equation, solved for p_x.
+MIXING_LENGTH_SYSTEM = """\
+param rho > 0
+param nu > 0
+param kappa > 0
+independent x y
+dependent u(x, y)
+dependent v(x, y)
+dependent p(x, y)
+eq d(u,x) + d(v,y) = 0
+eq u*d(u,x) + v*d(u,y) = -(1/rho)*d(p,x) + nu*d(u,y,y) + 2*kappa^2*y*d(u,y)^2 \
++ 2*kappa^2*y^2*d(u,y)*d(u,y,y)
+eq d(p,y) = 0
+lead d(v,y)
+lead d(p,x)
+lead d(p,y)
 """
 
 
@@ -255,7 +274,7 @@ def old_build_determining(system, degree):
         for eq in system.equations
     )
     # the generic polynomial field: every unknown times its base monomial
-    pr = prolong(ansatz.field_from_values(ansatz.unknowns), order)
+    pr = prolong(ansatz.field_from_values(dict(enumerate(ansatz.unknowns))), order)
     residuals = [system.reduce(pr.apply(eq)) for eq in system.equations]
     split_vars = set(js.independent) | set(js.dependent) | {
         s
@@ -283,14 +302,15 @@ def _system(name):
     if name == "fixture":
         return fixture_system()[1]
     text = {"burgers": BURGERS_SYSTEM, "kdv": KDV_SYSTEM, "heat": HEAT_SYSTEM,
-            "two-parameter": TWO_PARAMETER_SYSTEM}[name]
+            "two-parameter": TWO_PARAMETER_SYSTEM,
+            "mixing-length": MIXING_LENGTH_SYSTEM}[name]
     return build_system(parse_system(text))[1]
 
 
 @pytest.mark.parametrize("name, degree", [
     ("fixture", 1), ("fixture", 2), ("fixture", 3), ("fixture", 4), ("burgers", 2),
     ("burgers", 3), ("kdv", 2), ("kdv", 3), ("two-parameter", 1), ("two-parameter", 2),
-    ("heat", 1), ("heat", 2), ("heat", 3),
+    ("heat", 1), ("heat", 2), ("heat", 3), ("mixing-length", 1), ("mixing-length", 2),
 ])
 def test_one_walk_build_matches_two_pass_build(name, degree):
     system = _system(name)
@@ -320,7 +340,7 @@ def test_one_walk_build_matches_two_pass_build(name, degree):
 
 @pytest.mark.parametrize("name, degree", [
     ("fixture", 1), ("fixture", 2), ("fixture", 3), ("two-parameter", 1),
-    ("two-parameter", 2), ("burgers", 2),
+    ("two-parameter", 2), ("burgers", 2), ("mixing-length", 1),
 ])
 def test_cells_are_numbers_or_parametric_fractions(name, degree):
     # a rational cell is an int or a Fraction, never a float, and only a cell
@@ -333,11 +353,19 @@ def test_cells_are_numbers_or_parametric_fractions(name, degree):
     kernel = linalg.nullspace_param(ds.rows, ncols)
     built = [x for row in ds.rows for x in row.values()]
     for cells in (built, [x for row in reduced for x in row.values()],
-                  [x for v in kernel for x in v]):
+                  [x for v in kernel for x in v.values()]):
         assert cells
         for x in cells:
             assert_element(x)
     assert {type(x) for x in built} >= {int, linalg.ParamFrac}
+
+
+def test_mixing_length_closure_at_degree_1():
+    # the closure's eddy-viscosity term leaves three generators: d/dx, d/dp
+    # and the scaling x*d/dx + y*d/dy - u*d/du - v*d/dv - 2*p*d/dp
+    ds = build_determining(_system("mixing-length"), 1)
+    assert (ds.raw_count, ds.deduped_count) == (118, 37)
+    assert len(solve_determining(ds)) == 3
 
 
 def test_one_walk_build_keeps_typed_errors():

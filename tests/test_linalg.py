@@ -20,6 +20,7 @@ from liepde import expr, reference
 from liepde.expr import PARAMETER, Symbol
 from liepde.linalg import (
     ParamFrac,
+    dense,
     element,
     nullspace,
     nullspace_param,
@@ -186,6 +187,7 @@ def assert_kernel(rows):
     sparse = [{c: element(x) for c, x in enumerate(row) if x}
               for row in rows]
     for v in nullspace_param(sparse, ncols):
+        v = dense(v, ncols)
         for x in v:
             assert_element(x)
         for row in rows:
@@ -425,7 +427,7 @@ def test_kernel_vectors_annihilate_mixed_rows_in_expr_arithmetic():
         for row in rows:
             for x in row.values():
                 assert_element(x)
-        kernel = nullspace_param(rows, ncols)
+        kernel = [dense(v, ncols) for v in nullspace_param(rows, ncols)]
         for v in kernel:
             assert len(v) == ncols
             for x in v:

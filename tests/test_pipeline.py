@@ -850,7 +850,7 @@ class TestStageErrors:
     def test_failed_self_check_names_its_stage(self, monkeypatch, capsys):
         monkeypatch.setattr(
             linalg, "nullspace_param",
-            lambda rows, ncols: [[1] * ncols],
+            lambda rows, ncols: [{k: 1 for k in range(ncols)}],
         )
         assert cli_main(["symmetries"]) == 1
         err = capsys.readouterr().err

@@ -94,7 +94,12 @@ reaches orders 7 and 13, and, last, ``symmetries`` on a system whose
 ``d(u,x) = 0``, which must end in the lead's own error, and, last, in
 text and JSON, four ``normal-form --constants`` vectors on b(4) in a
 seeded basis order with scalings +-1 and +-2 (the benchmark's seeded
-b(4)), where an orbit step keeps some components and moves others.  A
+b(4)), where an orbit step keeps some components and moves others, and,
+last, in text and JSON at degrees 1-3, the mixing-length closure (the
+fixture with 2 kappa^2 y u_y^2 + 2 kappa^2 y^2 u_y u_yy in the x-momentum
+equation, solved for p_x), whose degree-3 determining system has 1975
+rows before dedup and 728 after, with the generators d/dx, d/dp and one
+scaling.  A
 tree whose elimination takes the first candidate of least complexity as
 the pivot, whatever its row's length, spends more than TIMEOUT_S on the
 two-parameter system at degree 3 (32 s on an idle 2-vCPU VM) and shows
@@ -225,6 +230,25 @@ independent t x
 dependent u(t, x)
 eq d(u,t) + 2*u*d(u,x) + b*d(u,x,x,x) = c*d(u,x,x)
 lead d(u,t)
+"""
+
+# the mixing-length closure: the fixture with d/dy(kappa^2 y^2 u_y^2) in the
+# x-momentum equation, solved for p_x; three generators at degrees 1-3
+MIXING_LENGTH = """\
+param rho > 0
+param nu > 0
+param kappa > 0
+independent x y
+dependent u(x, y)
+dependent v(x, y)
+dependent p(x, y)
+eq d(u,x) + d(v,y) = 0
+eq u*d(u,x) + v*d(u,y) = -(1/rho)*d(p,x) + nu*d(u,y,y) + 2*kappa^2*y*d(u,y)^2 \
++ 2*kappa^2*y^2*d(u,y)*d(u,y,y)
+eq d(p,y) = 0
+lead d(v,y)
+lead d(p,x)
+lead d(p,y)
 """
 
 # divides by the dependent variable: the determining split refuses u^-1
@@ -444,6 +468,7 @@ def write_inputs(folder, parent):
         "kdv_burgers.pde": KDV_BURGERS,
         "renamed.pde": RENAMED,
         "high_lead.pde": HIGH_LEAD,
+        "mixing_length.pde": MIXING_LENGTH,
         "b4_table.json": json.dumps(B4_TABLE),
         "sl2_table.json": json.dumps(SL2_TABLE),
         **{name: json.dumps(doc) for name, doc in MALFORMED.items()},
@@ -625,6 +650,11 @@ def write_inputs(folder, parent):
         for fmt in ([], js):
             commands.append([*fmt, "normal-form", f"--vector={vec}",
                              "--constants", "b4_seeded.json"])
+    # the mixing-length closure: 1975 determining rows at degree 3
+    for degree in ("1", "2", "3"):
+        for fmt in ([], js):
+            commands.append(["--ansatz-degree", degree, *fmt, "symmetries",
+                             "mixing_length.pde"])
     return commands
 
 
