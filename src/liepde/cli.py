@@ -10,22 +10,26 @@ part of the workbench is independently scriptable:
     liepde flows system.pde
     liepde invariants --order 2 system.pde
     liepde check-generator --field "0; x; 0; u; 0" system.pde
-    liepde normal-form --vector "1,0,0,1,0" system.pde
+    liepde normal-form --vector -1,0,0,1,0 system.pde
     liepde verify-optimal --file table.json system.pde
 
-`symmetries`, `adjoint`, `flows`, `invariants` and `structure` without
-`--constants` print the full pipeline report.  Every command builds one
-document and prints it with `pipeline.emit`: as it stands with `--report
-json`, else as text rendered from it.  Exit code 0 means no module error;
-discrepancy notes never fail a run.
+The command line is read off two tables: `GLOBAL` options come before the
+command and its `COMMANDS` options after it, as `--opt value` or
+`--opt=value` (a value may start with `-`, names are not abbreviated and the
+last of a repeated option wins), then at most one system file.  `symmetries`,
+`adjoint`, `flows`, `invariants` and `structure` without `--constants` print
+the full pipeline report.  Every command builds one document and prints it
+with `pipeline.emit`: as it stands with `--report json`, else as text
+rendered from it.  Exit code 0 means no module error (discrepancy notes
+never fail a run), 1 a module error, and 2 a command line the tables
+refuse; `-h` or `--help` prints the usage read off the tables.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import re
 import sys
+from types import SimpleNamespace
 
 from . import expr, linalg, optimal, parser, pipeline, reference, structure
 from .errors import LiepdeError
@@ -34,8 +38,15 @@ from .prolongation import symmetry_residual
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(
-        _attach_vector(sys.argv[1:] if argv is None else argv))
+    try:
+        args = _read_argv(sys.argv[1:] if argv is None else argv)
+    except _Usage as usage:
+        command, error = usage.args
+        if error is None:
+            sys.stdout.write(_usage(command))
+            return 0
+        sys.stderr.write(f"{_usage(command)}liepde: error: {error}\n")
+        return 2
     try:
         _check_options(args)
         output = args.run(args)
@@ -58,64 +69,67 @@ def _check_options(args):
             raise LiepdeError(f"{option} must be a non-negative integer, got {value}")
 
 
-def _attach_vector(argv):
-    """Join `--vector VALUE` into `--vector=VALUE` when VALUE is negative.
+class _Usage(Exception):
+    """Raised with the command read so far and the error, or None for `-h`."""
 
-    argparse reads a value such as `-1,0,0,1,0` as an option name; joined,
-    a vector with a negative first coordinate works as written.
-    """
-    out = []
-    for token in argv:
-        if out and out[-1] == "--vector" and re.match(r"-[0-9]", token):
-            out[-1] = f"--vector={token}"
+
+def _read_argv(argv):
+    """The namespace `argv` spells: the handler `run`, `system` and, underscored, each
+    option of `GLOBAL` and the command's table, whose rows are (int, str or choices, default)."""
+    values = {"system": None}
+    command, options = None, GLOBAL
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            raise _Usage(command, None)
+        if token.startswith("-") and token != "-":
+            name, attached, value = token.partition("=")
+            if name not in options:
+                raise _Usage(command, f"unrecognized option {name!r}")
+            if not attached:
+                value = next(tokens, None)
+                if value is None:
+                    raise _Usage(command, f"option {name} expects a value")
+            kind = options[name][0]
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise _Usage(command, f"option {name}: invalid int value {value!r}") from None
+            elif kind is not str and value not in kind:
+                raise _Usage(command, f"option {name}: invalid choice {value!r} "
+                                      f"(choose from {', '.join(kind)})")
+            values[name[2:].replace("-", "_")] = value
+        elif command is None:
+            if token not in COMMANDS:
+                raise _Usage(None, f"unknown command {token!r}")
+            command, options = token, COMMANDS[token][1]
+        elif values["system"] is None:
+            values["system"] = token
         else:
-            out.append(token)
-    return out
+            raise _Usage(command, f"unrecognized argument {token!r}")
+    if command is None:
+        raise _Usage(None, "a command is required")
+    run, options = COMMANDS[command]
+    for name, (_, default) in {**GLOBAL, **options}.items():
+        if values.setdefault(name[2:].replace("-", "_"), default) is REQUIRED:
+            raise _Usage(command, f"option {name} is required")
+    return SimpleNamespace(run=run, **values)
 
 
-def _build_parser():
-    top = argparse.ArgumentParser(
-        prog="liepde",
-        description="Exact Lie point symmetry analysis of polynomial PDE systems",
-    )
-    top.add_argument("--ansatz-degree", type=int, default=1,
-                     help="polynomial degree of the symmetry ansatz (default 1)")
-    top.add_argument("--report", choices=("text", "json"), default="text")
-    top.add_argument("--out", help="write the report to a file instead of stdout")
-    top.add_argument(
-        "--reference", choices=("auto", "on", "off"), default="auto",
-        help="compare against the bundled boundary-layer baseline "
-             "(auto: only for the shipped fixture)",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, run):
-        p = sub.add_parser(name)
-        p.add_argument("system", nargs="?",
-                       help="system-definition file (defaults to the "
-                            "shipped boundary-layer fixture)")
-        p.set_defaults(run=run)
-        return p
-
-    add("symmetries", _cmd_full_report)
-    p = add("structure", _cmd_structure)
-    p.add_argument("--constants", help="structure-constants JSON document")
-    add("adjoint", _cmd_full_report)
-    add("flows", _cmd_full_report)
-    p = add("invariants", _cmd_full_report)
-    p.add_argument("--order", type=int, default=1)
-    p = add("check-generator", _cmd_check_generator)
-    p.add_argument("--field", required=True,
-                   help="semicolon-separated coefficients, xi first then phi")
-    p = add("normal-form", _cmd_normal_form)
-    p.add_argument("--vector", required=True,
-                   help="comma-separated rational coordinates")
-    p.add_argument("--constants", help="structure-constants JSON document")
-    p = add("verify-optimal", _cmd_verify_optimal)
-    p.add_argument("--file", required=True,
-                   help="JSON table of subalgebra entries")
-    p.add_argument("--constants", help="structure-constants JSON document")
-    return top
+def _usage(command):
+    """The usage read off the tables: `command`'s line, or every command's."""
+    def spell(options):
+        words = []
+        for name, (kind, default) in options.items():
+            word = name + " " + ("N" if kind is int else name[2:].upper() if kind is str
+                                 else "{" + ",".join(kind) + "}")
+            words.append(word + " " if default is REQUIRED else f"[{word}] ")
+        return "".join(words)
+    lines = [f"usage: liepde [-h] {spell(GLOBAL)}COMMAND [options] [system]"]
+    lines += (f"  liepde {name} {spell(COMMANDS[name][1])}[system]"
+              for name in ([command] if command else COMMANDS))
+    return "\n".join(lines) + "\n"
 
 
 def _load_document(args):
@@ -248,6 +262,22 @@ def _cmd_verify_optimal(args):
     return pipeline.emit(out, args.report, lambda out: [
         pipeline.optimal_entry_text(e) for e in out["entries"]
     ])
+
+
+REQUIRED = object()  # the default of an option that must be given
+GLOBAL = {"--ansatz-degree": (int, 1), "--report": (("text", "json"), "text"),
+          "--out": (str, None), "--reference": (("auto", "on", "off"), "auto")}
+COMMANDS = {
+    "symmetries": (_cmd_full_report, {}),
+    "structure": (_cmd_structure, {"--constants": (str, None)}),
+    "adjoint": (_cmd_full_report, {}),
+    "flows": (_cmd_full_report, {}),
+    "invariants": (_cmd_full_report, {"--order": (int, 1)}),
+    "check-generator": (_cmd_check_generator, {"--field": (str, REQUIRED)}),
+    "normal-form": (_cmd_normal_form, {"--vector": (str, REQUIRED), "--constants": (str, None)}),
+    "verify-optimal": (_cmd_verify_optimal,
+                       {"--file": (str, REQUIRED), "--constants": (str, None)}),
+}
 
 
 if __name__ == "__main__":

@@ -13,6 +13,10 @@ class UnsupportedDivisionError(LiepdeError):
     """Division by anything other than a nonzero monomial."""
 
 
+class ExpansionLimitError(LiepdeError):
+    """A power of a sum whose expansion could exceed `expr.POWER_TERMS` terms."""
+
+
 class UnsupportedCompositionError(LiepdeError):
     """Chain-rule derivative of a function with composite arguments."""
 

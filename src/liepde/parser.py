@@ -27,7 +27,7 @@ import itertools
 import re
 
 from . import expr
-from .errors import LiepdeError, ParseError, UnsupportedDivisionError
+from .errors import ExpansionLimitError, LiepdeError, ParseError, UnsupportedDivisionError
 from .expr import (
     DEPENDENT,
     INDEPENDENT,
@@ -292,7 +292,7 @@ class _Parser:
             tok = self.expect("number", "an integer exponent")
             try:
                 return Power(base, sign * int(tok.text))
-            except UnsupportedDivisionError as exc:
+            except (UnsupportedDivisionError, ExpansionLimitError) as exc:
                 raise ParseError(str(exc), op.line, op.column) from exc
         return base
 

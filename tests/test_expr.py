@@ -10,6 +10,7 @@ from liepde import expr, linalg
 from liepde.jet import JetSpace, jet
 from liepde.errors import (
     DegenerateInputError,
+    ExpansionLimitError,
     NonPolynomialError,
     UnsupportedCompositionError,
     UnsupportedDivisionError,
@@ -95,6 +96,17 @@ class TestNormalize:
     def test_division_by_monomial(self):
         e = expr.normalize(u / (2 * v**2))
         assert expr.render(e) == "1/2*u*v^-2"
+
+    def test_power_of_a_sum_within_the_term_budget(self):
+        # C(43 + 2, 2) = 990 terms at most: formed; C(44 + 2, 2) = 1035: refused
+        assert expr.POWER_TERMS == 1000
+        assert len(expr.monomials((x + y + u) ** 43)) == 990
+        with pytest.raises(ExpansionLimitError, match=re.escape(
+                "a 3-term sum to the power 44 has up to 1035 terms, over the budget of 1000")):
+            (x + y + u) ** 44
+        # a monomial, a first power and a negative power are never refused
+        assert (2 * x * y) ** 5000 == 2 ** 5000 * x**5000 * y**5000
+        assert (x + y) ** 1 == x + y
 
     def test_division_by_sum_rejected(self):
         with pytest.raises(UnsupportedDivisionError):

@@ -74,6 +74,15 @@ class TestErrors:
         with pytest.raises(ParseError, match="^3:25: division is only supported"):
             parse_system(text)
 
+    def test_power_over_the_term_budget(self):
+        # refused at its '^' before any product is formed
+        text = ("independent t x\ndependent u(t, x)\n"
+                "eq d(u,t) = d(u,x,x) + (x+t)^4000\nlead d(u,t)\n")
+        with pytest.raises(ParseError, match=(
+                "^3:29: a 2-term sum to the power 4000 has up to 4001 terms, "
+                "over the budget of 1000$")):
+            parse_system(text)
+
     def test_bad_character(self):
         with pytest.raises(ParseError, match="unexpected character"):
             parse_system("independent x$\n")

@@ -4,12 +4,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 import liepde
-from liepde import linalg, parser, pipeline, reference, structure
-from liepde.cli import _attach_vector, main as cli_main
+from liepde import cli, linalg, parser, pipeline, reference, structure
+from liepde.cli import main as cli_main
 from liepde.errors import LiepdeError, PipelineError
 from baseline import EXPECTED_CLOSURE_FAILURES
 from test_determining import HEAT_SYSTEM, TWO_PARAMETER_SYSTEM
@@ -323,8 +324,7 @@ class TestCli:
         ("-1,5/2", "two-dimensional"),
     ])
     def test_negative_vector_as_written(self, tmp_path, capsys, vector, constants):
-        # argparse reads "-1,..." as an option name unless it is attached
-        # with "="; both spellings must give the same run
+        # a value may start with "-": both spellings must give the same run
         tail = []
         if constants == "fixture":
             tail = ["--constants", ALGEBRA]
@@ -468,9 +468,153 @@ class TestCli:
         rc = cli_main(argv)
         assert (rc, *capsys.readouterr()) == (1, "", f"error: {error}\n")
 
-    def test_only_a_negative_integer_is_attached(self):
-        assert _attach_vector(["--vector", "-1,2"]) == ["--vector=-1,2"]
-        assert _attach_vector(["--vector", "-.5,2"]) == ["--vector", "-.5,2"]
+    def test_any_negative_vector_reaches_the_vector_reader(self, capsys):
+        runs = []
+        for spelled in (["--vector", "-.5,2"], ["--vector=-.5,2"]):
+            runs.append((cli_main(["normal-form", *spelled]), *capsys.readouterr()))
+        assert runs[0] == runs[1] == (1, "", "error: --vector coordinate 1: rationals "
+                                      "must be integers or 'num/den' strings, got '-.5'\n")
+
+    HANDLERS = {"symmetries": "_cmd_full_report", "structure": "_cmd_structure",
+                "adjoint": "_cmd_full_report", "flows": "_cmd_full_report",
+                "invariants": "_cmd_full_report", "check-generator": "_cmd_check_generator",
+                "normal-form": "_cmd_normal_form", "verify-optimal": "_cmd_verify_optimal"}
+    DEFAULTS = {"ansatz_degree": 1, "report": "text", "out": None, "reference": "auto",
+                "system": None}
+
+    @pytest.mark.parametrize("argv, command, values", [
+        (["symmetries"], "symmetries", {}),
+        (["adjoint", "s.pde"], "adjoint", {"system": "s.pde"}),
+        (["flows"], "flows", {}),
+        (["--ansatz-degree", "2", "--report", "json", "--out", "r.json",
+          "--reference", "off", "symmetries", "s.pde"], "symmetries",
+         {"ansatz_degree": 2, "report": "json", "out": "r.json", "reference": "off",
+          "system": "s.pde"}),
+        (["--ansatz-degree=2", "--report=json", "--out=r.json", "--reference=off",
+          "symmetries", "s.pde"], "symmetries",
+         {"ansatz_degree": 2, "report": "json", "out": "r.json", "reference": "off",
+          "system": "s.pde"}),
+        (["structure"], "structure", {"constants": None}),
+        (["structure", "--constants", "a.json"], "structure", {"constants": "a.json"}),
+        (["structure", "--constants=a.json"], "structure", {"constants": "a.json"}),
+        (["invariants"], "invariants", {"order": 1}),
+        (["invariants", "--order", "2"], "invariants", {"order": 2}),
+        (["invariants", "--order=2"], "invariants", {"order": 2}),
+        (["check-generator", "--field", "0; x"], "check-generator", {"field": "0; x"}),
+        (["check-generator", "--field=0; x"], "check-generator", {"field": "0; x"}),
+        (["normal-form", "--vector", "-1,0"], "normal-form",
+         {"vector": "-1,0", "constants": None}),
+        (["normal-form", "--vector", "-1,0", "--constants", "a.json"], "normal-form",
+         {"vector": "-1,0", "constants": "a.json"}),
+        (["normal-form", "--vector=-1,0", "--constants=a.json"], "normal-form",
+         {"vector": "-1,0", "constants": "a.json"}),
+        (["verify-optimal", "--file", "t.json"], "verify-optimal",
+         {"file": "t.json", "constants": None}),
+        (["verify-optimal", "--file", "t.json", "--constants", "a.json"], "verify-optimal",
+         {"file": "t.json", "constants": "a.json"}),
+        (["verify-optimal", "--file=t.json", "--constants=a.json"], "verify-optimal",
+         {"file": "t.json", "constants": "a.json"}),
+        # the system before, between or after options; a repeated option's
+        # last value; an "=" inside a value; values that start with "-"
+        (["--report", "json", "--report=text", "invariants", "--order", "3", "s.pde",
+          "--order=4"], "invariants", {"order": 4, "system": "s.pde"}),
+        (["check-generator", "--field=a=b", "-"], "check-generator",
+         {"field": "a=b", "system": "-"}),
+        (["--ansatz-degree", "-1", "--out", "-o", "invariants", "--order", "-2"],
+         "invariants", {"ansatz_degree": -1, "out": "-o", "order": -2}),
+        (["check-generator", "--field", "--help"], "check-generator", {"field": "--help"}),
+    ])
+    def test_argv_table(self, argv, command, values):
+        args = vars(cli._read_argv(argv))
+        assert args.pop("run").__name__ == self.HANDLERS[command]
+        assert args == {**self.DEFAULTS, **values}
+
+    @pytest.mark.parametrize("argv, error, lines", [
+        ([], "a command is required", 10),
+        (["--report", "json"], "a command is required", 10),
+        (["foo"], "unknown command 'foo'", 10),
+        (["--bogus", "symmetries"], "unrecognized option '--bogus'", 10),
+        (["--bogus=1", "symmetries"], "unrecognized option '--bogus'", 10),
+        (["-x", "symmetries"], "unrecognized option '-x'", 10),
+        (["symmetries", "--bogus"], "unrecognized option '--bogus'", 3),
+        # no abbreviations, global options before the command only, and a
+        # command's options after it only
+        (["--ans", "2", "symmetries"], "unrecognized option '--ans'", 10),
+        (["symmetries", "--report", "json"], "unrecognized option '--report'", 3),
+        (["--order", "2", "invariants"], "unrecognized option '--order'", 10),
+        (["symmetries", "--order", "2"], "unrecognized option '--order'", 3),
+        (["--ansatz-degree"], "option --ansatz-degree expects a value", 10),
+        (["check-generator", "--field"], "option --field expects a value", 3),
+        (["--ansatz-degree", "x", "symmetries"], "option --ansatz-degree: invalid int value 'x'", 10),
+        (["invariants", "--order=1.5"], "option --order: invalid int value '1.5'", 3),
+        (["--report", "xml", "symmetries"],
+         "option --report: invalid choice 'xml' (choose from text, json)", 10),
+        (["--reference=maybe", "symmetries"],
+         "option --reference: invalid choice 'maybe' (choose from auto, on, off)", 10),
+        (["check-generator"], "option --field is required", 3),
+        (["normal-form", "--constants", "a.json"], "option --vector is required", 3),
+        (["verify-optimal", "s.pde"], "option --file is required", 3),
+        (["symmetries", "a.pde", "b.pde"], "unrecognized argument 'b.pde'", 3),
+        (["structure", "a.pde", "--constants", "c.json", "b.pde"],
+         "unrecognized argument 'b.pde'", 3),
+    ])
+    def test_usage_error(self, monkeypatch, capsys, argv, error, lines):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(parser, "parse_system", unreachable)
+        rc = cli_main(argv)
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err.startswith("usage: liepde [-h] [--ansatz-degree N] ")
+        assert err.endswith(f"\nliepde: error: {error}\n")
+        # the usage of the command read, else of every command
+        assert len(err.splitlines()) == lines
+
+    USAGE = ("usage: liepde [-h] [--ansatz-degree N] [--report {text,json}] [--out OUT] "
+             "[--reference {auto,on,off}] COMMAND [options] [system]\n")
+
+    EVERY_COMMAND = [
+        "symmetries [system]",
+        "structure [--constants CONSTANTS] [system]",
+        "adjoint [system]",
+        "flows [system]",
+        "invariants [--order N] [system]",
+        "check-generator --field FIELD [system]",
+        "normal-form --vector VECTOR [--constants CONSTANTS] [system]",
+        "verify-optimal --file FILE [--constants CONSTANTS] [system]",
+    ]
+
+    @pytest.mark.parametrize("argv, commands", [
+        (["--help"], EVERY_COMMAND),
+        (["--report", "json", "-h", "--bogus"], EVERY_COMMAND),
+        (["symmetries", "--help"], ["symmetries [system]"]),
+        (["normal-form", "-h"], ["normal-form --vector VECTOR [--constants CONSTANTS] [system]"]),
+    ])
+    def test_help(self, capsys, argv, commands):
+        assert cli_main(argv) == 0
+        out, err = capsys.readouterr()
+        assert (out, err) == (self.USAGE + "".join(f"  liepde {c}\n" for c in commands), "")
+
+    def test_importing_the_cli_loads_neither_argparse_nor_gettext(self):
+        env = dict(os.environ)
+        src = str(pathlib.Path(liepde.__file__).parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, liepde.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+    def test_power_over_the_term_budget_exits_1_at_once(self, tmp_path, capsys):
+        system = tmp_path / "power.pde"
+        system.write_text("independent t x\ndependent u(t, x)\n"
+                          "eq d(u,t) = d(u,x,x) + (x+t)^4000\nlead d(u,t)\n")
+        start = time.perf_counter()
+        rc = cli_main(["symmetries", str(system)])
+        assert time.perf_counter() - start < 1
+        assert (rc, *capsys.readouterr()) == (1, "", (
+            "error: 3:29: a 2-term sum to the power 4000 has up to 4001 terms, "
+            "over the budget of 1000\n"))
 
     @pytest.mark.parametrize("argv, error", [
         (["invariants", "--order", "-1"], "--order must be a non-negative integer, got -1"),

@@ -99,7 +99,12 @@ last, in text and JSON at degrees 1-3, the mixing-length closure (the
 fixture with 2 kappa^2 y u_y^2 + 2 kappa^2 y^2 u_y u_yy in the x-momentum
 equation, solved for p_x), whose degree-3 determining system has 1975
 rows before dedup and 728 after, with the generators d/dx, d/dp and one
-scaling.  A
+scaling, and, last, the usage: ``--help``, ``symmetries --help``, an
+unknown command, an unknown option, ``check-generator`` without
+``--field``, a bad ``--report`` choice, a bad ``--ansatz-degree`` integer
+and ``normal-form --vector -.5,2`` (exit 1 from the vector reader), and
+``symmetries`` on u_t = u_xx + (x+t)^4000, whose power is refused at its
+``^`` before any product is formed.  A
 tree whose elimination takes the first candidate of least complexity as
 the pivot, whatever its row's length, spends more than TIMEOUT_S on the
 two-parameter system at degree 3 (32 s on an idle 2-vCPU VM) and shows
@@ -469,6 +474,7 @@ def write_inputs(folder, parent):
         "renamed.pde": RENAMED,
         "high_lead.pde": HIGH_LEAD,
         "mixing_length.pde": MIXING_LENGTH,
+        "power.pde": EVOLUTION + "eq d(u,t) = d(u,x,x) + (x+t)^4000\nlead d(u,t)\n",
         "b4_table.json": json.dumps(B4_TABLE),
         "sl2_table.json": json.dumps(SL2_TABLE),
         **{name: json.dumps(doc) for name, doc in MALFORMED.items()},
@@ -655,6 +661,16 @@ def write_inputs(folder, parent):
         for fmt in ([], js):
             commands.append(["--ansatz-degree", degree, *fmt, "symmetries",
                              "mixing_length.pde"])
+    # the usage, and command lines refused with exit 2 before any stage; a
+    # --vector value that starts with "-." is read by the vector reader
+    commands += [
+        ["--help"], ["symmetries", "--help"], ["frobnicate"],
+        ["--bogus", "symmetries"], ["check-generator"],
+        ["--report", "xml", "symmetries"], ["--ansatz-degree", "x", "symmetries"],
+        ["normal-form", "--vector", "-.5,2"],
+    ]
+    # a power of a sum past the term budget, refused at its '^'
+    commands.append(["symmetries", "power.pde"])
     return commands
 
 
