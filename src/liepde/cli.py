@@ -13,16 +13,16 @@ part of the workbench is independently scriptable:
     liepde normal-form --vector -1,0,0,1,0 system.pde
     liepde verify-optimal --file table.json system.pde
 
-The command line is read off two tables: `GLOBAL` options come before the
-command and its `COMMANDS` options after it, as `--opt value` or
-`--opt=value` (a value may start with `-`, names are not abbreviated and the
-last of a repeated option wins), then at most one system file.  `symmetries`,
-`adjoint`, `flows`, `invariants` and `structure` without `--constants` print
-the full pipeline report.  Every command builds one document and prints it
-with `pipeline.emit`: as it stands with `--report json`, else as text
-rendered from it.  Exit code 0 means no module error (discrepancy notes
-never fail a run), 1 a module error, and 2 a command line the tables
-refuse; `-h` or `--help` prints the usage read off the tables.
+The command line is read off two tables: `GLOBAL` options before the
+command, its `COMMANDS` options after it, as `--opt value` or `--opt=value`
+(full names; a value may start with `-` but is not an option name; the last
+repeat wins), then at most one system file, after `--` if it starts with `-`.
+`symmetries`, `adjoint`, `flows`, `invariants` and `structure` without
+`--constants` print the full pipeline report.  Every command prints one
+document with `pipeline.emit`: as it stands with `--report json`, else as
+text.  Exit code 0 means no module error (discrepancy notes never fail a
+run), 1 a module error and 2 a command line the tables refuse; `-h` or
+`--help` prints the usage read off the tables.
 """
 
 from __future__ import annotations
@@ -78,17 +78,19 @@ def _read_argv(argv):
     option of `GLOBAL` and the command's table, whose rows are (int, str or choices, default)."""
     values = {"system": None}
     command, options = None, GLOBAL
-    tokens = iter(argv)
+    tokens, ended = iter(argv), False  # after "--" every token is positional
     for token in tokens:
-        if token in ("-h", "--help"):
+        if token == "--" and not ended:
+            ended = True
+        elif not ended and token in ("-h", "--help"):
             raise _Usage(command, None)
-        if token.startswith("-") and token != "-":
+        elif not ended and token.startswith("-") and token != "-":
             name, attached, value = token.partition("=")
             if name not in options:
                 raise _Usage(command, f"unrecognized option {name!r}")
             if not attached:
                 value = next(tokens, None)
-                if value is None:
+                if value is None or value.partition("=")[0] in (*GLOBAL, *options, "-h", "--help"):
                     raise _Usage(command, f"option {name} expects a value")
             kind = options[name][0]
             if kind is int:
@@ -110,11 +112,10 @@ def _read_argv(argv):
             raise _Usage(command, f"unrecognized argument {token!r}")
     if command is None:
         raise _Usage(None, "a command is required")
-    run, options = COMMANDS[command]
     for name, (_, default) in {**GLOBAL, **options}.items():
         if values.setdefault(name[2:].replace("-", "_"), default) is REQUIRED:
             raise _Usage(command, f"option {name} is required")
-    return SimpleNamespace(run=run, **values)
+    return SimpleNamespace(run=COMMANDS[command][0], **values)
 
 
 def _usage(command):
@@ -126,10 +127,9 @@ def _usage(command):
                                  else "{" + ",".join(kind) + "}")
             words.append(word + " " if default is REQUIRED else f"[{word}] ")
         return "".join(words)
-    lines = [f"usage: liepde [-h] {spell(GLOBAL)}COMMAND [options] [system]"]
-    lines += (f"  liepde {name} {spell(COMMANDS[name][1])}[system]"
-              for name in ([command] if command else COMMANDS))
-    return "\n".join(lines) + "\n"
+    return "".join([f"usage: liepde [-h] {spell(GLOBAL)}COMMAND [options] [system]\n"] + [
+        f"  liepde {name} {spell(COMMANDS[name][1])}[system]\n"
+        for name in ([command] if command else COMMANDS)])
 
 
 def _load_document(args):

@@ -14,7 +14,7 @@ class UnsupportedDivisionError(LiepdeError):
 
 
 class ExpansionLimitError(LiepdeError):
-    """A power of a sum whose expansion could exceed `expr.POWER_TERMS` terms."""
+    """A power of a sum in a system file that could expand past `parser.POWER_TERMS` terms."""
 
 
 class UnsupportedCompositionError(LiepdeError):

@@ -42,7 +42,6 @@ from fractions import Fraction
 
 from .errors import (
     DegenerateInputError,
-    ExpansionLimitError,
     NonPolynomialError,
     UnsupportedCompositionError,
     UnsupportedDivisionError,
@@ -57,12 +56,6 @@ JET = 2
 PARAMETER = 3
 UNKNOWN = 4
 GROUP = 5
-
-# The most terms a power of a sum may expand to (`_poly_pow`).  The largest
-# bound among the shipped inputs, the tests, tools/bytecheck.py and the
-# benchmark is 21, a six-term sum squared; a two-term sum to the power 999
-# takes 0.7 s, and (x + t)^4000 is refused at once.
-POWER_TERMS = 1000
 
 
 def as_rational(x):
@@ -473,17 +466,7 @@ def _poly_scale(p, c):
 
 
 def _poly_pow(p, n):
-    """p**n; a negative n needs p to be a nonzero monomial.
-
-    A k-term p to a power n > 1 has up to C(n + k - 1, k - 1) terms; past
-    POWER_TERMS the product is refused before it is formed.
-    """
-    if n > 1 and len(p) > 1:
-        bound = math.comb(n + len(p) - 1, len(p) - 1)
-        if bound > POWER_TERMS:
-            raise ExpansionLimitError(
-                f"a {len(p)}-term sum to the power {n} has up to {bound} terms, "
-                f"over the budget of {POWER_TERMS}")
+    """p**n; a negative n needs p to be a nonzero monomial."""
     if n < 0:
         if not p:
             raise DegenerateInputError("division by zero expression")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import math
 import re
 
 from . import expr
@@ -49,6 +50,12 @@ _TOKEN = re.compile(
     r"|(?P<newline>\n)|(?P<number>[0-9]+)|(?P<comment>#[^\n]*)|(?P<bad>.)")
 
 _ROLE = {DEPENDENT: "a dependent variable", INDEPENDENT: "an independent variable"}
+
+# The most terms a power of a sum written in a system file may expand to.
+# No shipped or benchmark input writes a power of a sum; a two-term sum to
+# the power 999 takes 0.7 s, and (x + t)^4000 is refused at once.  Powers
+# that the stages form, such as a substitution's, are not bounded.
+POWER_TERMS = 1000
 
 
 def tokenize(text):
@@ -107,6 +114,17 @@ class SystemDocument:
                 for a, b in zip(self.equations, other.equations)
             )
         )
+
+
+def _budgeted(base, n):
+    """The exponent `n`, once the expansion of `base`^`n` is known to stay within
+    POWER_TERMS: a k-term sum to a power n > 1 has up to C(n + k - 1, k - 1) terms."""
+    k = len(expr.monomials(base)) if n > 1 else 1
+    bound = math.comb(n + k - 1, k - 1) if k > 1 else 1
+    if bound > POWER_TERMS:
+        raise ExpansionLimitError(f"a {k}-term sum to the power {n} has up to {bound} "
+                                  f"terms, over the budget of {POWER_TERMS}")
+    return n
 
 
 class _Parser:
@@ -291,7 +309,7 @@ class _Parser:
                 sign = -1
             tok = self.expect("number", "an integer exponent")
             try:
-                return Power(base, sign * int(tok.text))
+                return Power(base, _budgeted(base, sign * int(tok.text)))
             except (UnsupportedDivisionError, ExpansionLimitError) as exc:
                 raise ParseError(str(exc), op.line, op.column) from exc
         return base

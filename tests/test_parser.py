@@ -6,6 +6,7 @@ from liepde.errors import ParseError
 from liepde.prolongation import build_determining, solve_determining
 from baseline import fixture_system
 from liepde.parser import (
+    POWER_TERMS,
     build_system,
     parse_expression,
     parse_system,
@@ -82,6 +83,22 @@ class TestErrors:
                 "^3:29: a 2-term sum to the power 4000 has up to 4001 terms, "
                 "over the budget of 1000$")):
             parse_system(text)
+
+    def test_power_of_a_sum_within_the_term_budget(self):
+        # C(43 + 2, 2) = 990 terms at most: formed; C(44 + 2, 2) = 1035: refused
+        names = reference.fixture_document().names()
+        assert POWER_TERMS == 1000
+        assert len(expr.monomials(parse_expression("(x + y + u)^43", names))) == 990
+        with pytest.raises(ParseError, match=(
+                "^1:12: a 3-term sum to the power 44 has up to 1035 terms, "
+                "over the budget of 1000$")):
+            parse_expression("(x + y + u)^44", names)
+        # a monomial, a first power, a zero sum and a negative power are formed
+        x, y = reference.fixture_document().symbols()[0]
+        assert parse_expression("(2*x*y)^5000", names) == 2**5000 * x**5000 * y**5000
+        assert parse_expression("(x + y)^1", names) == x + y
+        assert expr.is_zero(parse_expression("(x - x)^5000", names))
+        assert parse_expression("(x*y)^-5000", names) == x**-5000 * y**-5000
 
     def test_bad_character(self):
         with pytest.raises(ParseError, match="unexpected character"):

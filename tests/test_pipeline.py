@@ -4,7 +4,6 @@ import os
 import pathlib
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -522,7 +521,14 @@ class TestCli:
          {"field": "a=b", "system": "-"}),
         (["--ansatz-degree", "-1", "--out", "-o", "invariants", "--order", "-2"],
          "invariants", {"ansatz_degree": -1, "out": "-o", "order": -2}),
-        (["check-generator", "--field", "--help"], "check-generator", {"field": "--help"}),
+        (["check-generator", "--field", "-h1"], "check-generator", {"field": "-h1"}),
+        (["normal-form", "--vector", "-.5,2"], "normal-form",
+         {"vector": "-.5,2", "constants": None}),
+        # after "--" every token is positional, a system file starting with "-" too
+        (["symmetries", "--", "-x.pde"], "symmetries", {"system": "-x.pde"}),
+        (["--", "symmetries", "--help"], "symmetries", {"system": "--help"}),
+        (["check-generator", "--field", "--", "--", "--"], "check-generator",
+         {"field": "--", "system": "--"}),
     ])
     def test_argv_table(self, argv, command, values):
         args = vars(cli._read_argv(argv))
@@ -545,6 +551,15 @@ class TestCli:
         (["symmetries", "--order", "2"], "unrecognized option '--order'", 3),
         (["--ansatz-degree"], "option --ansatz-degree expects a value", 10),
         (["check-generator", "--field"], "option --field expects a value", 3),
+        # a forgotten value: the next option is not taken as one
+        (["--out", "--report=json", "symmetries"], "option --out expects a value", 10),
+        (["--out", "--reference", "on", "symmetries"], "option --out expects a value", 10),
+        (["normal-form", "--vector", "--constants", "a.json"],
+         "option --vector expects a value", 3),
+        (["check-generator", "--field", "--help"], "option --field expects a value", 3),
+        (["verify-optimal", "--file", "-h"], "option --file expects a value", 3),
+        (["symmetries", "--", "a.pde", "b.pde"], "unrecognized argument 'b.pde'", 3),
+        (["--", "--report", "json"], "unknown command '--report'", 10),
         (["--ansatz-degree", "x", "symmetries"], "option --ansatz-degree: invalid int value 'x'", 10),
         (["invariants", "--order=1.5"], "option --order: invalid int value '1.5'", 3),
         (["--report", "xml", "symmetries"],
@@ -605,16 +620,27 @@ class TestCli:
                              text=True, timeout=120)
         assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
-    def test_power_over_the_term_budget_exits_1_at_once(self, tmp_path, capsys):
+    def test_power_over_the_term_budget_exits_1(self, tmp_path, capsys):
         system = tmp_path / "power.pde"
         system.write_text("independent t x\ndependent u(t, x)\n"
                           "eq d(u,t) = d(u,x,x) + (x+t)^4000\nlead d(u,t)\n")
-        start = time.perf_counter()
         rc = cli_main(["symmetries", str(system)])
-        assert time.perf_counter() - start < 1
         assert (rc, *capsys.readouterr()) == (1, "", (
             "error: 3:29: a 2-term sum to the power 4000 has up to 4001 terms, "
             "over the budget of 1000\n"))
+
+    def test_long_sum_that_a_stage_squares_still_solves(self, tmp_path, capsys):
+        # the determining stage squares this 51-term right-hand side (a bound
+        # of 1326 terms); only a power written in the system file is budgeted
+        rhs = " + ".join(["d(u,x,x)", "u*d(u,x)", *(f"x^{k}*d(u,x)" for k in range(1, 50))])
+        system = tmp_path / "long.pde"
+        system.write_text(f"independent t x\ndependent u(t, x)\neq d(u,t) = {rhs}\n"
+                          "lead d(u,t)\n")
+        assert cli_main(["--report", "json", "symmetries", str(system)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [(g["xi"], g["phi"]) for g in doc["generators"]] == [(["1", "0"], ["0"])]
+        assert doc["determining"] == {"unknowns": 12, "equations_raw": 404,
+                                      "equations_deduped": 108, "dimension": 1}
 
     @pytest.mark.parametrize("argv, error", [
         (["invariants", "--order", "-1"], "--order must be a non-negative integer, got -1"),

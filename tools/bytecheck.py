@@ -104,7 +104,9 @@ unknown command, an unknown option, ``check-generator`` without
 ``--field``, a bad ``--report`` choice, a bad ``--ansatz-degree`` integer
 and ``normal-form --vector -.5,2`` (exit 1 from the vector reader), and
 ``symmetries`` on u_t = u_xx + (x+t)^4000, whose power is refused at its
-``^`` before any product is formed.  A
+``^`` before any product is formed, and on u_t = u_xx + u u_x + (x + x^2 +
+... + x^49) u_x, whose 51-term right-hand side the determining stage
+squares (the term budget bounds only powers written in the file).  A
 tree whose elimination takes the first candidate of least complexity as
 the pivot, whatever its row's length, spends more than TIMEOUT_S on the
 two-parameter system at degree 3 (32 s on an idle 2-vCPU VM) and shows
@@ -475,6 +477,8 @@ def write_inputs(folder, parent):
         "high_lead.pde": HIGH_LEAD,
         "mixing_length.pde": MIXING_LENGTH,
         "power.pde": EVOLUTION + "eq d(u,t) = d(u,x,x) + (x+t)^4000\nlead d(u,t)\n",
+        "long_sum.pde": EVOLUTION + "eq d(u,t) = d(u,x,x) + u*d(u,x)" + "".join(
+            f" + x^{k}*d(u,x)" for k in range(1, 50)) + "\nlead d(u,t)\n",
         "b4_table.json": json.dumps(B4_TABLE),
         "sl2_table.json": json.dumps(SL2_TABLE),
         **{name: json.dumps(doc) for name, doc in MALFORMED.items()},
@@ -671,6 +675,8 @@ def write_inputs(folder, parent):
     ]
     # a power of a sum past the term budget, refused at its '^'
     commands.append(["symmetries", "power.pde"])
+    # a long sum that a stage squares: not budgeted
+    commands.append(["symmetries", "long_sum.pde"])
     return commands
 
 
