@@ -31,7 +31,7 @@ import json
 import sys
 from types import SimpleNamespace
 
-from . import expr, linalg, optimal, parser, pipeline, reference, structure
+from . import expr, optimal, parser, pipeline, reference, structure
 from .errors import LiepdeError
 from .fields import VectorField
 from .prolongation import symmetry_residual
@@ -160,17 +160,14 @@ def _cmd_structure(args):
     if not args.constants:
         return _cmd_full_report(args)
     L = _algebra_for(args)
-    K = structure.killing_form(L)
-    derived = structure.derived_series(L)
     out = {
         "schema": pipeline.SCHEMA_VERSION,
         "labels": list(L.labels),
         "commutators_pretty": pipeline.commutators_pretty(L),
-        "killing": [[pipeline.jfrac(c) for c in row] for row in K],
-        # is_solvable and is_semisimple, read off the above
-        "solvable": derived[-1].dim == 0,
-        "semisimple": linalg.det(K) != 0,
-        "derived_dimensions": [s.dim for s in derived],
+        "killing": [[pipeline.jfrac(c) for c in row] for row in structure.killing_form(L)],
+        "solvable": structure.is_solvable(L),
+        "semisimple": structure.is_semisimple(L),
+        "derived_dimensions": [s.dim for s in structure.derived_series(L)],
     }
     return pipeline.emit(out, args.report, lambda out: [
         f"algebra on {', '.join(out['labels'])}",

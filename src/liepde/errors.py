@@ -14,7 +14,9 @@ class UnsupportedDivisionError(LiepdeError):
 
 
 class ExpansionLimitError(LiepdeError):
-    """A power of a sum in a system file that could expand past `parser.POWER_TERMS` terms."""
+    """A power of a sum over its budget: written in a system file, one that
+    could expand past `parser.POWER_TERMS` terms; formed by a stage, one
+    whose terms times exponent pass `expr.POWER_COST`."""
 
 
 class UnsupportedCompositionError(LiepdeError):

@@ -42,6 +42,7 @@ from fractions import Fraction
 
 from .errors import (
     DegenerateInputError,
+    ExpansionLimitError,
     NonPolynomialError,
     UnsupportedCompositionError,
     UnsupportedDivisionError,
@@ -465,8 +466,24 @@ def _poly_scale(p, c):
     return {m: as_rational(v * c) for m, v in p.items()}
 
 
+# The most a power of a sum may cost to form, counted as its bound on terms
+# times the exponent: a k-term sum to a power n > 1 has up to
+# C(n + k - 1, k - 1) terms.  The parser's stricter POWER_TERMS bounds a
+# power written in a system file; this bounds one that a stage forms, such
+# as a substitution's.  The square of a 51-term sum costs 2,652.
+POWER_COST = 10 ** 6
+
+
 def _poly_pow(p, n):
-    """p**n; a negative n needs p to be a nonzero monomial."""
+    """p**n; a negative n needs p to be a nonzero monomial, and a power of a
+    sum that costs more than POWER_COST raises ExpansionLimitError."""
+    k = len(p)
+    if n > 1 and k > 1:
+        terms = math.comb(n + k - 1, k - 1)
+        if terms * n > POWER_COST:
+            raise ExpansionLimitError(
+                f"a {k}-term sum to the power {n} has up to {terms} terms, times the "
+                f"power {terms * n}, over the budget of {POWER_COST}")
     if n < 0:
         if not p:
             raise DegenerateInputError("division by zero expression")

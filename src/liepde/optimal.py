@@ -366,7 +366,7 @@ def verify_optimal_table(L, entries):
                     f"entry {label}: vector needs {L.n} coordinates, got {len(v)}"
                 )
     units = L.whole().basis
-    derived = structure.product_space(L, L.whole(), L.whole())
+    derived = structure.derived_algebra(L)
     inv = invariant_components(L)
     results = []
     for label, vectors in entries:

@@ -54,7 +54,8 @@ _ROLE = {DEPENDENT: "a dependent variable", INDEPENDENT: "an independent variabl
 # The most terms a power of a sum written in a system file may expand to.
 # No shipped or benchmark input writes a power of a sum; a two-term sum to
 # the power 999 takes 0.7 s, and (x + t)^4000 is refused at once.  Powers
-# that the stages form, such as a substitution's, are not bounded.
+# that the stages form, such as a substitution's, are bounded by the looser
+# `expr.POWER_COST`.
 POWER_TERMS = 1000
 
 

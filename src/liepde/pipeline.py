@@ -190,22 +190,19 @@ def run_pipeline(doc, ansatz_degree=1, invariant_order=1, use_reference=None):
 
 def _structure_section(L):
     K = structure.killing_form(L)
-    determinant = linalg.det(K)
-    derived = structure.derived_series(L)
-    lower = structure.lower_central_series(L)
     return {
         "labels": list(L.labels),
         "commutators": [[[jfrac(c) for c in cell] for cell in row]
                         for row in L.constants],
         "commutators_pretty": commutators_pretty(L),
         "killing": [[jfrac(c) for c in row] for row in K],
-        "killing_determinant": jfrac(determinant),
-        "derived_series": [_subspace_json(s) for s in derived],
-        "lower_central_series": [_subspace_json(s) for s in lower],
-        # is_solvable, is_nilpotent and is_semisimple, read off the above
-        "solvable": derived[-1].dim == 0,
-        "nilpotent": lower[-1].dim == 0,
-        "semisimple": determinant != 0,
+        "killing_determinant": jfrac(linalg.det(K)),
+        "derived_series": [_subspace_json(s) for s in structure.derived_series(L)],
+        "lower_central_series": [_subspace_json(s)
+                                 for s in structure.lower_central_series(L)],
+        "solvable": structure.is_solvable(L),
+        "nilpotent": structure.is_nilpotent(L),
+        "semisimple": structure.is_semisimple(L),
         "center": _subspace_json(structure.center(L)),
         "radical": _subspace_json(structure.radical(L)),
     }

@@ -252,6 +252,7 @@ def _field_row(vf, index, grow=False):
 # Structure theory
 # ---------------------------------------------------------------------------
 
+@per_algebra
 def killing_form(L):
     """K(e_i, e_j) = trace(ad e_i . ad e_j), exact and symmetric."""
     # (ad e_i)[a][b] = C^a_ib, kept as {(a, b): C^a_ib} over the nonzero entries
@@ -289,14 +290,22 @@ def _series(L, step):
     return series
 
 
+@per_algebra
 def derived_series(L):
     """g, [g,g], [[g,g],[g,g]], ... until stabilization."""
     return _series(L, lambda S: product_space(L, S, S))
 
 
+@per_algebra
 def lower_central_series(L):
     """g, [g,g], [g,[g,g]], ... until stabilization."""
     return _series(L, lambda S: product_space(L, L.whole(), S))
+
+
+def derived_algebra(L):
+    """[g, g], read off the derived series: g itself when the series has
+    one term."""
+    return derived_series(L)[:2][-1]
 
 
 def is_solvable(L):
@@ -323,9 +332,8 @@ def center(L):
 def radical(L):
     """Killing-orthogonal of the derived algebra (Cartan's criterion)."""
     K = killing_form(L)
-    derived = product_space(L, L.whole(), L.whole())
     rows = []
-    for d in derived.basis:
+    for d in derived_algebra(L).basis:
         rows.append(tuple(sum(K[i][j] * d[j] for j in range(L.n)) for i in range(L.n)))
     return L.subspace(linalg.nullspace(rows, L.n))
 

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +5,7 @@ import pytest
 from liepde import adjoint, expr, linalg, pipeline, reference, structure
 from liepde.fields import VectorField
 
+import corpus
 from baseline import claimed, fixture_system
 
 
@@ -87,49 +87,23 @@ def algebra(golden):
 
 def jordan_algebra():
     """[v1, v2] = v2/2 and [v1, v3] = v2 + v3/2: ad v1 is one Jordan block."""
-    return structure.LieAlgebra.from_brackets(
-        3, {(0, 1): (0, Fraction(1, 2), 0), (0, 2): (0, 1, Fraction(1, 2))})
+    return structure.algebra_from_json(corpus.JORDAN)
 
 
 def sl2_algebra():
     """sl(2) on e, h, f: [e, h] = -2e, [e, f] = h and [h, f] = -2f."""
-    return structure.LieAlgebra.from_brackets(
-        3, {(0, 1): (-2, 0, 0), (0, 2): (0, 1, 0), (1, 2): (0, 0, -2)},
-        labels=["e", "h", "f"])
+    return structure.algebra_from_json(corpus.SL2)
 
 
 def heisenberg_algebra():
     """h(3) on x, y, z: [x, y] = z, and z is central."""
-    return structure.LieAlgebra.from_brackets(
-        3, {(0, 1): (0, 0, 1)}, labels=["x", "y", "z"])
+    return structure.algebra_from_json(corpus.H3)
 
 
 def borel_algebra(rng=None, size=4):
-    """b(size), the upper-triangular matrices, on the basis R_k = s_k E_pq.
-
-    Without `rng` the units E_pq come in row order with every s_k = 1; with
-    it, the order and the scalings s_k in {1, -1, 2, -2} are seeded.
-    """
-    pairs = [(p, q) for p in range(size) for q in range(p, size)]
-    scales = [1] * len(pairs)
-    if rng is not None:
-        rng.shuffle(pairs)
-        scales = [rng.choice([1, -1, 2, -2]) for _ in pairs]
-    index = {pair: k for k, pair in enumerate(pairs)}
-    brackets = {}
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs[a + 1:], a + 1):
-            # [E_ij, E_kl] = delta_jk E_il - delta_li E_kj
-            vec = [Fraction(0)] * len(pairs)
-            s = scales[a] * scales[b]
-            if j == k:
-                vec[index[(i, l)]] += Fraction(s, scales[index[(i, l)]])
-            if l == i:
-                vec[index[(k, j)]] -= Fraction(s, scales[index[(k, j)]])
-            if any(vec):
-                brackets[(a, b)] = vec
-    labels = [f"E{p + 1}{q + 1}" for p, q in pairs]
-    return structure.LieAlgebra.from_brackets(len(pairs), brackets, labels=labels)
+    """b(size) on the basis R_k = s_k E_pq, as `corpus.borel` orders and
+    scales it."""
+    return structure.algebra_from_json(corpus.borel(size, rng))
 
 
 @pytest.fixture(scope="session")

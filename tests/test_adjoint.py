@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import corpus
 from baseline import BASELINE_ADJOINT_DELTAS, adjoint_matrix
 from conftest import (
     DELTA_SYM,
@@ -506,7 +507,7 @@ def conjugated_jordan_matrix(rng, blocks):
 
 def spectrum_algebra(c):
     """[v1, v2] = c v2: ad(v1) has the eigenvalues 0 and c."""
-    return structure.LieAlgebra.from_brackets(2, {(0, 1): [0, c]})
+    return structure.algebra_from_json(corpus.spectrum(c))
 
 
 def assert_exp_identities(A, E):
@@ -716,11 +717,9 @@ class TestRootSearchOracle:
 
     def test_large_spectrum_normal_form_cli(self, tmp_path):
         # [v1, v2] = (10^24 + 7) v2: the divisor search ran past 15 s here
-        c = 10 ** 24 + 7
+        c = corpus.HUGE
         constants = tmp_path / "algebra.json"
-        constants.write_text(json.dumps(
-            {"dim": 2, "labels": ["v1", "v2"],
-             "brackets": [{"i": 1, "j": 2, "coeffs": [0, c]}]}))
+        constants.write_text(json.dumps(corpus.spectrum(c)))
         env = dict(os.environ)
         src = str(pathlib.Path(liepde.__file__).parent.parent)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

@@ -2,16 +2,12 @@
 and on renamed variables, and every claim the report checks is read from it."""
 
 import json
-import pathlib
-import sys
 
 import pytest
 
+from corpus import RENAMED
 from liepde import expr, parser, pipeline, reference
 from liepde.expr import GROUP
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tools"))
-from bytecheck import RENAMED  # noqa: E402
 
 KINDS = ("generator", "excluded-generator", "killing", "derived-series", "adjoint",
          "composite", "first-order-invariants", "invariant-table")

@@ -20,6 +20,7 @@ from liepde.prolongation import (
     symmetry_residual,
 )
 
+import corpus
 from baseline import claimed, fixture_system
 from conftest import assert_element, parts, random_affine_field
 
@@ -103,17 +104,8 @@ class TestSolveDetermining:
             assert all(expr.is_zero(r) for r in symmetry_residual(vf, system))
 
 
-TWO_PARAMETER_SYSTEM = """\
-param z
-param a
-independent t x
-dependent u(t, x)
-eq d(u,t) = (z - a)*d(u,x,x) + (a + z)*u*d(u,x) + (a - 2*z)*d(u,x)
-lead d(u,t)
-"""
-
-# Rendered bases of the system above; the degree-2 generator's sign comes
-# from graded lex in the declared parameter order (z, a).
+# Rendered bases of `corpus.TWO_PARAMETER`; the degree-2 generator's sign
+# comes from graded lex in the declared parameter order (z, a).
 TWO_PARAMETER_BASES = {
     1: [
         "d/dt",
@@ -132,7 +124,7 @@ TWO_PARAMETER_BASES[2] = TWO_PARAMETER_BASES[1] + [
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_two_parameter_basis_is_pinned(degree):
-    _, system = build_system(parse_system(TWO_PARAMETER_SYSTEM))
+    _, system = build_system(parse_system(corpus.TWO_PARAMETER))
     basis = solve_determining(build_determining(system, degree))
     assert [str(vf) for vf in basis] == TWO_PARAMETER_BASES[degree]
 
@@ -140,18 +132,18 @@ def test_two_parameter_basis_is_pinned(degree):
 def test_two_parameter_system_solves_at_degree_3(tmp_path, capsys):
     # a 77x60 determining matrix whose parametric entries swell when a long
     # row is taken as the pivot; the solve checks each field's residual
-    _, system = build_system(parse_system(TWO_PARAMETER_SYSTEM))
+    _, system = build_system(parse_system(corpus.TWO_PARAMETER))
     ds = build_determining(system, 3)
     assert (len(ds.rows), len(ds.ansatz.unknowns)) == (77, 60)
     assert len(solve_determining(ds)) == 5
     path = tmp_path / "two_parameter.pde"
-    path.write_text(TWO_PARAMETER_SYSTEM)
+    path.write_text(corpus.TWO_PARAMETER)
     assert cli_main(["--ansatz-degree", "3", "symmetries", str(path)]) == 1
     assert capsys.readouterr().err == (
         "error: stage 'structure': bracket of elements 1 and 3 is outside the span\n")
 
 
-@pytest.mark.parametrize("text", [reference.fixture_text(), TWO_PARAMETER_SYSTEM],
+@pytest.mark.parametrize("text", [reference.fixture_text(), corpus.TWO_PARAMETER],
                          ids=["fixture", "two-parameter"])
 def test_solve_leaves_the_determining_rows_unchanged(text):
     # the elimination works in place, so the solve eliminates on copies;
@@ -186,49 +178,6 @@ def test_wrong_kernel_vector_is_a_typed_error(golden, monkeypatch):
 # The build from the determining PDEs against the two-pass build of the
 # generic polynomial field
 # ---------------------------------------------------------------------------
-
-HEAT_SYSTEM = """\
-independent t x
-dependent u(t, x)
-eq d(u,t) = d(u,x,x)
-lead d(u,t)
-"""
-
-# The Burgers and KdV systems of the benchmark, with fixed coefficients.
-BURGERS_SYSTEM = """\
-param nu > 0
-independent t x
-dependent u(t, x)
-eq d(u,t) + (3/2)*u*d(u,x) = nu*d(u,x,x)
-lead d(u,t)
-"""
-
-KDV_SYSTEM = """\
-independent t x
-dependent u(t, x)
-eq d(u,t) + (2)*u*d(u,x) + (-1/2)*d(u,x,x,x) = 0
-lead d(u,x,x,x)
-"""
-
-# The mixing-length closure: the fixture with the eddy-viscosity term
-# d/dy(kappa^2 y^2 u_y^2) in the x-momentum equation, solved for p_x.
-MIXING_LENGTH_SYSTEM = """\
-param rho > 0
-param nu > 0
-param kappa > 0
-independent x y
-dependent u(x, y)
-dependent v(x, y)
-dependent p(x, y)
-eq d(u,x) + d(v,y) = 0
-eq u*d(u,x) + v*d(u,y) = -(1/rho)*d(p,x) + nu*d(u,y,y) + 2*kappa^2*y*d(u,y)^2 \
-+ 2*kappa^2*y^2*d(u,y)*d(u,y,y)
-eq d(p,y) = 0
-lead d(v,y)
-lead d(p,x)
-lead d(p,y)
-"""
-
 
 def _old_linear_form(coefficient, unknowns):
     """Split a residual coefficient into a linear form over the unknowns."""
@@ -301,9 +250,9 @@ def old_build_determining(system, degree):
 def _system(name):
     if name == "fixture":
         return fixture_system()[1]
-    text = {"burgers": BURGERS_SYSTEM, "kdv": KDV_SYSTEM, "heat": HEAT_SYSTEM,
-            "two-parameter": TWO_PARAMETER_SYSTEM,
-            "mixing-length": MIXING_LENGTH_SYSTEM}[name]
+    text = {"burgers": corpus.BURGERS, "kdv": corpus.KDV, "heat": corpus.HEAT,
+            "two-parameter": corpus.TWO_PARAMETER,
+            "mixing-length": corpus.MIXING_LENGTH}[name]
     return build_system(parse_system(text))[1]
 
 
@@ -369,9 +318,7 @@ def test_mixing_length_closure_at_degree_1():
 
 
 def test_one_walk_build_keeps_typed_errors():
-    for divisor in ("x", "u"):
-        text = ("independent t x\ndependent u(t, x)\n"
-                f"eq d(u,t) = d(u,x,x)/{divisor}\nlead d(u,t)\n")
+    for divisor, text in (("x", corpus.NEGATIVE_POWER), ("u", corpus.DIVIDES_BY_U)):
         _, system = build_system(parse_system(text))
         message = f"^negative power of {divisor} is not polynomial$"
         with pytest.raises(NonPolynomialError, match=message):
@@ -388,7 +335,7 @@ def test_one_walk_build_keeps_typed_errors():
 def test_negative_power_error_names_the_first_term(rhs, degree):
     # the error names the variable of the first offending term of the
     # generic residual in canonical order, or none when no term is left
-    text = f"independent t x\ndependent u(t, x)\neq d(u,t) = {rhs}\nlead d(u,t)\n"
+    text = corpus.EVOLUTION + f"eq d(u,t) = {rhs}\nlead d(u,t)\n"
     _, system = build_system(parse_system(text))
     outcomes = []
     for build in (old_build_determining, build_determining):

@@ -10,6 +10,7 @@ from liepde import expr, linalg
 from liepde.jet import JetSpace, jet
 from liepde.errors import (
     DegenerateInputError,
+    ExpansionLimitError,
     NonPolynomialError,
     UnsupportedCompositionError,
     UnsupportedDivisionError,
@@ -96,10 +97,18 @@ class TestNormalize:
         e = expr.normalize(u / (2 * v**2))
         assert expr.render(e) == "1/2*u*v^-2"
 
-    def test_power_of_a_long_sum_is_not_budgeted(self):
-        # the term budget is the parser's (parser.POWER_TERMS = 1000); a power
-        # that a stage forms, such as a substitution's, is never refused
+    def test_power_of_a_sum_within_the_cost_budget(self):
+        # the parser refuses (x + y + u)^44 past POWER_TERMS = 1000 terms; a
+        # power that a stage forms is bounded by its terms times the power
+        assert expr.POWER_COST == 10 ** 6
         assert len(expr.monomials((x + y + u) ** 44)) == 1035
+        assert len(expr.monomials((x + y) ** 999)) == 1000
+        with pytest.raises(ExpansionLimitError, match=(
+                "^a 2-term sum to the power 1000 has up to 1001 terms, times the power "
+                "1001000, over the budget of 1000000$")):
+            (x + y) ** 1000
+        # a monomial is not budgeted
+        assert (2 * x * y) ** 5000 == 2**5000 * x**5000 * y**5000
 
     def test_division_by_sum_rejected(self):
         with pytest.raises(UnsupportedDivisionError):

@@ -32,8 +32,8 @@ from liepde.linalg import (
 from liepde.parser import build_system, parse_system
 from liepde.prolongation import build_determining
 
+import corpus
 from conftest import assert_element, assert_rational, parts, solve
-from test_determining import TWO_PARAMETER_SYSTEM
 
 A = Symbol("a", PARAMETER)
 Z = Symbol("z", PARAMETER)
@@ -213,8 +213,8 @@ def test_sparse_matches_dense_elimination(case):
 
 
 @pytest.mark.parametrize("text, degree", [
-    (TWO_PARAMETER_SYSTEM, 1),
-    (TWO_PARAMETER_SYSTEM, 2),
+    (corpus.TWO_PARAMETER, 1),
+    (corpus.TWO_PARAMETER, 2),
     (reference.fixture_text(), 2),
 ], ids=["1", "2", "fixture-2"])
 def test_determining_matrix_matches_dense_elimination(text, degree):

@@ -24,6 +24,7 @@ from liepde.errors import UnsupportedSpectrumError
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tools"))
 import bytecheck  # noqa: E402
+import corpus  # noqa: E402
 
 DOCUMENTS = bytecheck.algebra_documents()
 
@@ -63,7 +64,7 @@ def algebra_and_vectors(name, fixture_algebra):
         L = structure.algebra_from_json(DOCUMENTS["spectrum.json"])
         return L, [parsed(v) for v in bytecheck.vectors(random.Random(2), 4, 2)]
     L = structure.algebra_from_json(DOCUMENTS["fractional.json"])
-    return L, [parsed(v) for v in bytecheck.FRACTIONAL_VECTORS]
+    return L, [parsed(v) for v in corpus.FRACTIONAL_VECTORS]
 
 
 NAMES = ["fixture", "b4", "b4-seeded", "jordan", "e2", "spectrum", "fractional"]

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import liepde
+import corpus
 from baseline import EXPECTED_CLOSURE_FAILURES
 from conftest import EPS_SYM, adjoint_image, borel_algebra, expr_matrix, jordan_algebra
 from liepde import expr, optimal, reference, structure
@@ -82,7 +83,7 @@ def invariant_components_by_adjoints(L):
 def e2_algebra():
     """e(2): [v3, v1] = v2 and [v3, v2] = -v1; ad v3 is a rotation, with
     the eigenvalues +-i."""
-    return structure.LieAlgebra.from_brackets(3, {(2, 0): (0, 1, 0), (2, 1): (-1, 0, 0)})
+    return structure.algebra_from_json(corpus.E2)
 
 
 class TestInvariantComponents:

@@ -4,6 +4,7 @@ from liepde import expr, reference
 from liepde.adjoint import EPS_SYMBOL
 from liepde.errors import ParseError
 from liepde.prolongation import build_determining, solve_determining
+import corpus
 from baseline import fixture_system
 from liepde.parser import (
     POWER_TERMS,
@@ -77,12 +78,10 @@ class TestErrors:
 
     def test_power_over_the_term_budget(self):
         # refused at its '^' before any product is formed
-        text = ("independent t x\ndependent u(t, x)\n"
-                "eq d(u,t) = d(u,x,x) + (x+t)^4000\nlead d(u,t)\n")
         with pytest.raises(ParseError, match=(
                 "^3:29: a 2-term sum to the power 4000 has up to 4001 terms, "
                 "over the budget of 1000$")):
-            parse_system(text)
+            parse_system(corpus.POWER)
 
     def test_power_of_a_sum_within_the_term_budget(self):
         # C(43 + 2, 2) = 990 terms at most: formed; C(44 + 2, 2) = 1035: refused
@@ -110,9 +109,8 @@ class TestErrors:
             parse_system(text)
 
     def test_missing_lead_equation(self):
-        text = "independent x y\ndependent u(x, y)\neq d(u,x) = 0\nlead d(u,y)\n"
         with pytest.raises(ParseError, match="does not appear"):
-            build_system(parse_system(text))
+            build_system(parse_system(corpus.ABSENT_LEAD))
 
     def test_nonlinear_lead(self):
         text = "independent x\ndependent u(x)\neq d(u,x)^2 = u\nlead d(u,x)\n"
@@ -121,7 +119,7 @@ class TestErrors:
 
 
 DECLARED = "independent x y\ndependent u(x, y)\n"
-EVOLUTION = "independent t x\ndependent u(t, x)\n"
+EVOLUTION = corpus.EVOLUTION
 
 
 @pytest.mark.parametrize("text, message", [
@@ -142,17 +140,17 @@ EVOLUTION = "independent t x\ndependent u(t, x)\n"
     (DECLARED + "eq d(u,w) = 0\n", "3:8: 'w' is not an independent variable"),
     (DECLARED + "eq d(u,x) = u\n", "no leading coordinates declared (need 'lead d(...)')"),
     # a lead above the equations' order is checked like any other
-    (DECLARED + "eq d(u,x) = 0\nlead d(u,y,y,y,y)\n",
+    (corpus.HIGH_LEAD,
      "leading coordinate u_yyyy does not appear in an unclaimed equation"),
     # a newline or end token after a comment has the column of its '#'
     (EVOLUTION + "eq d(u,t) =   # rhs missing\n", "3:15: unexpected token '\\n'"),
-    (EVOLUTION + "eq d(u,t) = # rhs missing", "3:13: unexpected token ''"),
+    (corpus.BAD_SYSTEMS["comment_eof.pde"], "3:13: unexpected token ''"),
     (EVOLUTION + "eq d(u,t) = d(u,x) d(u,x)\n", "3:20: unexpected trailing input 'd'"),
     # a tab is one column
     (EVOLUTION + "eq d(u,t) = d(u,x)\t$\n", "3:20: unexpected character '$'"),
     ("eq d(u,t) = 0\nindependent t\n", "1:5: variables must be declared before equations"),
     ("param a\n" + EVOLUTION + "eq d(u,a) = 0\n", "4:8: 'a' is not an independent variable"),
-    ("independent t\ndependent t(t)\n", "2:11: 't' already declared"),
+    (corpus.BAD_SYSTEMS["twice.pde"], "2:11: 't' already declared"),
     # names and numbers are ASCII
     (EVOLUTION + "eq d(u,t) = u^²*d(u,x,x)\n", "3:15: unexpected character '²'"),
     (EVOLUTION + "eq d(u,t) = β*d(u,x,x)\n", "3:13: unexpected character 'β'"),
@@ -166,7 +164,7 @@ def test_error_message(text, message):
 @pytest.mark.parametrize("order", [4, 7])
 def test_any_derivative_order(order):
     # u_t = u_x...x: one reduction step reaches order 2*order - 1
-    doc = parse_system(EVOLUTION + f"eq d(u,t) = d(u{',x' * order})\nlead d(u,t)\n")
+    doc = parse_system(corpus.HIGH_ORDER[f"order{order}.pde"])
     space, system = build_system(doc)
     assert space.max_order == order
     assert space.limit == 2 * order - 1

@@ -12,7 +12,7 @@ from liepde import cli, linalg, parser, pipeline, reference, structure
 from liepde.cli import main as cli_main
 from liepde.errors import LiepdeError, PipelineError
 from baseline import EXPECTED_CLOSURE_FAILURES
-from test_determining import HEAT_SYSTEM, TWO_PARAMETER_SYSTEM
+import corpus
 
 DATA = pathlib.Path(liepde.__file__).parent / "data"
 ALGEBRA = str(DATA / "boundary_layer_algebra.json")
@@ -47,19 +47,18 @@ class TestGoldenPipeline:
         assert s["derived_dimensions"] == [5, 3, 0]
 
     def test_each_series_computed_once(self, monkeypatch):
-        # solvable, nilpotent and the derived dimensions read the series the
-        # structure section already has
-        calls = {"derived_series": 0, "lower_central_series": 0}
-        for name in calls:
-            inner = getattr(structure, name)
+        # the predicates, the radical and the optimal table read the series
+        # that the structure section computed, kept with the algebra
+        series = []
+        inner = structure._series
 
-            def counted(L, name=name, inner=inner):
-                calls[name] += 1
-                return inner(L)
+        def counted(L, step):
+            series.append(step.__qualname__.partition(".")[0])
+            return inner(L, step)
 
-            monkeypatch.setattr(structure, name, counted)
+        monkeypatch.setattr(structure, "_series", counted)
         pipeline.run_pipeline(reference.fixture_document())
-        assert calls == {"derived_series": 1, "lower_central_series": 1}
+        assert series == ["derived_series", "lower_central_series"]
 
     def test_expected_notes_present(self, golden_report):
         anchors = note_anchors(golden_report)
@@ -329,8 +328,7 @@ class TestCli:
             tail = ["--constants", ALGEBRA]
         elif constants:
             path = tmp_path / "algebra.json"
-            path.write_text(json.dumps(
-                {"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": [0, 1]}]}))
+            path.write_text(json.dumps(corpus.spectrum(1)))
             tail = ["--constants", str(path)]
         runs = []
         for spelled in (["--vector", vector], [f"--vector={vector}"]):
@@ -380,13 +378,11 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, document, error", [
         # index 0 once read as the last element, so [v1, v2] was -v1
-        (["structure", "--constants"],
-         {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": ["1", "0"]}]},
+        (["structure", "--constants"], corpus.MALFORMED["index0.json"],
          "bracket 1: index i = 0 is not in 1..2"),
-        (["structure", "--constants"],
-         {"dim": 2, "brackets": [{"i": 3, "j": 1, "coeffs": ["1", "0"]}]},
+        (["structure", "--constants"], corpus.MALFORMED["index3.json"],
          "bracket 1: index i = 3 is not in 1..2"),
-        (["structure", "--constants"], {"dim": "2", "brackets": []},
+        (["structure", "--constants"], corpus.STRING_DIM,
          "dim must be a non-negative integer, got '2'"),
         (["structure", "--constants"], {"dim": 2, "labels": ["a"], "brackets": []},
          "labels must be a list of 2 strings, got ['a']"),
@@ -419,23 +415,20 @@ class TestCli:
         (["verify-optimal", "--file"], {"schema": "1", "entries": []},
          "unsupported table schema '1'; only schema 1 is read"),
         # a missing key names the document, bracket or entry at fault
-        (["structure", "--constants"], {"entries": [1]},
+        (["structure", "--constants"], corpus.MALFORMED["no_dim.json"],
          "the document: missing key 'dim'"),
-        (["structure", "--constants"], {"dim": 2, "brackets": [{"i": 1, "j": 2}]},
+        (["structure", "--constants"], corpus.MALFORMED["no_coeffs.json"],
          "bracket 1: missing key 'coeffs'"),
-        (["verify-optimal", "--file"], {"dim": 2},
+        (["verify-optimal", "--file"], corpus.MALFORMED["no_entries.json"],
          "the document: missing key 'entries'"),
         (["verify-optimal", "--file"], {"entries": [{"label": "<v1>"}]},
          "entry 1: missing key 'vectors'"),
         # a nonzero self-bracket, equal labels and a numeric entry label
-        (["structure", "--constants"],
-         {"dim": 2, "brackets": [{"i": 1, "j": 1, "coeffs": [1, 0]}]},
+        (["structure", "--constants"], corpus.MALFORMED["self_bracket.json"],
          "bracket 1: the bracket of element 1 with itself must be 0"),
-        (["structure", "--constants"],
-         {"dim": 2, "labels": ["a", "a"], "brackets": [{"i": 1, "j": 2, "coeffs": [1, 0]}]},
+        (["structure", "--constants"], corpus.MALFORMED["duplicate_labels.json"],
          "labels must be distinct, got ['a', 'a']"),
-        (["verify-optimal", "--file"],
-         {"schema": 1, "entries": [{"label": 5, "vectors": [[1, 0, 0, 0, 0]]}]},
+        (["verify-optimal", "--file"], corpus.MALFORMED["numeric_label.json"],
          "entry 1: label must be a string, got 5"),
         # a coordinate is an integer or num/den in ASCII digits, and nothing else
         (["verify-optimal", "--file"],
@@ -622,20 +615,26 @@ class TestCli:
 
     def test_power_over_the_term_budget_exits_1(self, tmp_path, capsys):
         system = tmp_path / "power.pde"
-        system.write_text("independent t x\ndependent u(t, x)\n"
-                          "eq d(u,t) = d(u,x,x) + (x+t)^4000\nlead d(u,t)\n")
+        system.write_text(corpus.POWER)
         rc = cli_main(["symmetries", str(system)])
         assert (rc, *capsys.readouterr()) == (1, "", (
             "error: 3:29: a 2-term sum to the power 4000 has up to 4001 terms, "
             "over the budget of 1000\n"))
 
+    def test_power_that_a_stage_forms_over_its_budget_exits_1(self, tmp_path, capsys):
+        # the reduction by u_t = u_xx + u forms (u_xx + u)^4000 from d(u,t)^4000
+        system = tmp_path / "stage_power.pde"
+        system.write_text(corpus.STAGE_POWER)
+        rc = cli_main(["symmetries", str(system)])
+        assert (rc, *capsys.readouterr()) == (1, "", (
+            "error: stage 'system': a 2-term sum to the power 4000 has up to 4001 terms, "
+            "times the power 16004000, over the budget of 1000000\n"))
+
     def test_long_sum_that_a_stage_squares_still_solves(self, tmp_path, capsys):
         # the determining stage squares this 51-term right-hand side (a bound
-        # of 1326 terms); only a power written in the system file is budgeted
-        rhs = " + ".join(["d(u,x,x)", "u*d(u,x)", *(f"x^{k}*d(u,x)" for k in range(1, 50))])
+        # of 1326 terms, times the power 2652): within a stage's power budget
         system = tmp_path / "long.pde"
-        system.write_text(f"independent t x\ndependent u(t, x)\neq d(u,t) = {rhs}\n"
-                          "lead d(u,t)\n")
+        system.write_text(corpus.LONG_SUM)
         assert cli_main(["--report", "json", "symmetries", str(system)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert [(g["xi"], g["phi"]) for g in doc["generators"]] == [(["1", "0"], ["0"])]
@@ -690,10 +689,7 @@ class TestCli:
         # parse, which must not cost one level of Python recursion.
         terms = " + ".join(["u*d(u,x)/1000"] * 998)
         system = tmp_path / "long.pde"
-        system.write_text(
-            "independent t x\ndependent u(t, x)\n"
-            f"eq d(u,t) = d(u,x,x) + {terms}\nlead d(u,t)\n"
-        )
+        system.write_text(corpus.EVOLUTION + f"eq d(u,t) = d(u,x,x) + {terms}\nlead d(u,t)\n")
         rc = cli_main(["symmetries", str(system)])
         assert rc == 0
         out = capsys.readouterr().out
@@ -744,11 +740,6 @@ class TestCli:
         for command, run in runs.items():
             assert run == runs["symmetries"], command
 
-    SL2 = {"dim": 3, "labels": ["e", "h", "f"],
-           "brackets": [{"i": 1, "j": 2, "coeffs": [-2, 0, 0]},
-                        {"i": 1, "j": 3, "coeffs": [0, 1, 0]},
-                        {"i": 2, "j": 3, "coeffs": [0, 0, -2]}]}
-
     @pytest.mark.parametrize("name, text", [
         ("fixture", "algebra on v1, v2, v3, v4, v5\n"
                     "  v1: 0  0  0  v1  0\n"
@@ -793,7 +784,7 @@ class TestCli:
         if name == "fixture":
             return ALGEBRA
         path = tmp_path / "sl2.json"
-        path.write_text(json.dumps(self.SL2))
+        path.write_text(json.dumps(corpus.SL2))
         return str(path)
 
 
@@ -811,14 +802,6 @@ def test_skipped_flow_entry():
     assert f"  g5: skipped ({reason})" in lines
 
 
-TRANSPORT = """\
-independent t x
-dependent u(t, x)
-eq d(u,t) = d(u,x) + x*d(u,x)
-lead d(u,t)
-"""
-
-
 class TestTransportFlows:
     """u_t = (1 + x) u_x at degree 1: g3 = (1 + x) d/dx is the one shipped
     flow with both an exponential and a translation, and g2 = u d/dt moves
@@ -826,7 +809,7 @@ class TestTransportFlows:
 
     @pytest.fixture(scope="class")
     def report(self):
-        return pipeline.run_pipeline(parser.parse_system(TRANSPORT))
+        return pipeline.run_pipeline(parser.parse_system(corpus.TRANSPORT))
 
     def test_flows(self, report):
         flows = {f["label"]: f for f in report["flows"]}
@@ -847,40 +830,14 @@ class TestTransportFlows:
         assert "      transforms: u -> f(t, -1 + exp(eps) + x*exp(eps))" in lines
         assert "  [0, exp(-eps), 0, 0, 0]" in lines
         for text, label, row in (
-            (DRIFT, "g3", "  [exp(2*eps), exp(eps) - exp(2*eps), 0, 0, 0, 0]"),
-            (LINEAR_SOURCE, "g5",
+            (corpus.DRIFT, "g3", "  [exp(2*eps), exp(eps) - exp(2*eps), 0, 0, 0, 0]"),
+            (corpus.LINEAR_SOURCE, "g5",
              "  [1 - exp(eps), exp(eps), -2 + exp(-eps) + exp(eps), 1 - exp(eps), -1 + exp(eps)]"),
         ):
             report = pipeline.run_pipeline(parser.parse_system(text))
             lines = pipeline.emit(report, "text").decode().splitlines()
             start = lines.index(f"Ad(exp(eps {label})) rows:") + 1
             assert row in lines[start:start + len(report["generators"])]
-
-
-# u_t = u_xx + u_x: g3 = 2t d/dt + (x - t) d/dx gives exp(eps) - exp(2*eps)
-DRIFT = """\
-independent t x
-dependent u(t, x)
-eq d(u,t) = d(u,x,x) + d(u,x)
-lead d(u,t)
-"""
-
-# u_t = u_x + u + x: g5 gives -2 + exp(-eps) + exp(eps)
-LINEAR_SOURCE = """\
-independent t x
-dependent u(t, x)
-eq d(u,t) = d(u,x) + u + x
-lead d(u,t)
-"""
-
-# the 2-D Laplace equation: g4 = y d/dx - x d/dy is a rotation, whose ad
-# has the eigenvalues 0, 0, 0, 0, +-i, +-i
-LAPLACE = """\
-independent x y
-dependent u(x, y)
-eq d(u,x,x) + d(u,y,y) = 0
-lead d(u,x,x)
-"""
 
 
 class TestRotation:
@@ -895,7 +852,7 @@ class TestRotation:
 
     def run(self, tmp_path, capsys, *argv):
         system = tmp_path / "laplace.pde"
-        system.write_text(LAPLACE)
+        system.write_text(corpus.LAPLACE)
         assert cli_main([*argv, "symmetries", str(system)]) == 0
         out, err = capsys.readouterr()
         assert err == ""
@@ -923,15 +880,6 @@ class TestRotation:
         assert lines[-1] == f"  [algebra/adjoint-spectrum-not-rational] {self.NOTE}"
 
 
-BURGERS = """\
-param nu > 0
-independent t x
-dependent u(t, x)
-eq d(u,t) + (3/2)*u*d(u,x) = nu*d(u,x,x)
-lead d(u,t)
-"""
-
-
 class TestReferenceShape:
     # the baseline's v1..v5 exist only on two independent and three
     # dependent variables; every command that needs them says so
@@ -940,7 +888,7 @@ class TestReferenceShape:
 
     def run(self, tmp_path, capsys, *argv):
         system = tmp_path / "burgers.pde"
-        system.write_text(BURGERS)
+        system.write_text(corpus.BURGERS)
         argv = [TABLE if a == "TABLE" else a for a in argv]
         rc = cli_main(["--reference", "on", *argv, str(system)])
         out, err = capsys.readouterr()
@@ -968,7 +916,7 @@ class TestSpanNotClosed:
 
     @pytest.mark.parametrize("degree, dimension, pair", [(2, 8, "g7, g8"), (3, 10, "g7, g10")])
     def test_basis_reported_and_analysis_omitted(self, degree, dimension, pair):
-        report = pipeline.run_pipeline(parser.parse_system(HEAT_SYSTEM), ansatz_degree=degree)
+        report = pipeline.run_pipeline(parser.parse_system(corpus.HEAT), ansatz_degree=degree)
         assert list(report) == [
             "schema", "system", "options", "generators", "determining", "notes"]
         assert report["determining"]["dimension"] == dimension
@@ -983,13 +931,13 @@ class TestSpanNotClosed:
         }]
 
     def test_degree_one_closes(self):
-        report = pipeline.run_pipeline(parser.parse_system(HEAT_SYSTEM), ansatz_degree=1)
+        report = pipeline.run_pipeline(parser.parse_system(corpus.HEAT), ansatz_degree=1)
         assert all(key in report for key in self.SECTIONS)
         assert report["notes"] == []
 
     def test_text_has_only_present_sections(self, tmp_path, capsys):
         system = tmp_path / "heat.pde"
-        system.write_text(HEAT_SYSTEM)
+        system.write_text(corpus.HEAT)
         assert cli_main(["--ansatz-degree", "2", "symmetries", str(system)]) == 0
         out = capsys.readouterr().out
         headings = [line for line in out.splitlines() if line.startswith("== ")]
@@ -998,7 +946,7 @@ class TestSpanNotClosed:
 
     def test_algebra_commands_still_fail(self, tmp_path, capsys):
         system = tmp_path / "heat.pde"
-        system.write_text(HEAT_SYSTEM)
+        system.write_text(corpus.HEAT)
         table = tmp_path / "table.json"
         table.write_text(json.dumps({"entries": [{"label": "g1", "vectors": [[1] + [0] * 7]}]}))
         for argv in (["normal-form", "--vector", ",".join(["1"] + ["0"] * 7)],
@@ -1011,7 +959,7 @@ class TestSpanNotClosed:
         # [g1, g3] = (a + z) g2 lies in the span over the parameter field but
         # not over the rationals, which the structure constants need
         with pytest.raises(PipelineError) as err:
-            pipeline.run_pipeline(parser.parse_system(TWO_PARAMETER_SYSTEM))
+            pipeline.run_pipeline(parser.parse_system(corpus.TWO_PARAMETER))
         assert str(err.value) == (
             "stage 'structure': bracket of elements 1 and 3 is outside the span")
 
@@ -1027,9 +975,8 @@ class TestStageErrors:
         assert err.startswith("error: stage 'determining': internal error:"), err
 
     def test_pipeline_error_carries_stage(self):
-        text = "independent x y\ndependent u(x, y)\neq d(u,x) = 0\nlead d(u,y)\n"
         with pytest.raises(PipelineError) as err:
-            pipeline.run_pipeline(parser.parse_system(text))
+            pipeline.run_pipeline(parser.parse_system(corpus.ABSENT_LEAD))
         assert err.value.stage == "system"
 
     @pytest.mark.parametrize("section, stage", [
@@ -1051,9 +998,7 @@ class TestStageErrors:
     def test_negative_power_in_equation_names_its_stage(self, tmp_path):
         # Splitting the residuals must keep the collect error, byte for byte.
         system = tmp_path / "negative.pde"
-        system.write_text(
-            "independent t x\ndependent u(t, x)\neq d(u,t) = d(u,x,x)/x\nlead d(u,t)\n"
-        )
+        system.write_text(corpus.NEGATIVE_POWER)
         env = dict(os.environ)
         src = str(pathlib.Path(liepde.__file__).parent.parent)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

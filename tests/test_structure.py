@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import corpus
 from baseline import claimed, fixture_system
 from conftest import borel_algebra, heisenberg_algebra, jordan_algebra, sl2_algebra
 from liepde import expr, linalg, parser, reference, structure
@@ -26,7 +27,6 @@ from liepde.structure import (
     structure_constants,
 )
 
-from test_determining import BURGERS_SYSTEM, HEAT_SYSTEM, KDV_SYSTEM
 from test_linalg import dense_rref
 
 F = Fraction
@@ -103,7 +103,7 @@ class TestStructureConstants:
     def test_realization_matches_constants(self):
         # every bracket [g_i, g_j] of the computed basis is sum_k C^k_ij g_k
         fixture = fixture_system()
-        burgers = parser.build_system(parser.parse_system(BURGERS_SYSTEM))
+        burgers = parser.build_system(parser.parse_system(corpus.BURGERS))
         for (space, system), degree in ((fixture, 1), (fixture, 2), (fixture, 3),
                                         (burgers, 2)):
             basis = solve_determining(build_determining(system, degree))
@@ -259,7 +259,7 @@ class TestJsonInterchange:
             (bracket(i=0), "bracket 1: index i = 0 is not in 1..2"),
             (bracket(i=3), "bracket 1: index i = 3 is not in 1..2"),
             (bracket(j=True), "bracket 1: index j = True is not in 1..2"),
-            ({"dim": "2", "brackets": []}, "dim must be a non-negative integer, got '2'"),
+            (corpus.STRING_DIM, "dim must be a non-negative integer, got '2'"),
             ({**bracket(), "labels": ["a"]}, "labels must be a list of 2 strings"),
             (bracket(coeffs=[True, 0]), "bracket 1: rationals must be integers"),
             (bracket(coeffs=["1/0", 0]), "bracket 1: zero denominator in '1/0'"),
@@ -279,7 +279,7 @@ class TestJsonInterchange:
                                      {"i": 2, "j": 1, "coeffs": ["0", "1"]}]},
              "bracket 2: the bracket of elements 2 and 1 is given twice"),
             # a nonzero [v1, v1] once failed antisymmetry at the 0-based (0,0,0)
-            ({"dim": 2, "brackets": [{"i": 1, "j": 1, "coeffs": [1, 0]}]},
+            (corpus.MALFORMED["self_bracket.json"],
              "bracket 1: the bracket of element 1 with itself must be 0"),
             ({**bracket(), "labels": ["a", "a"]}, "labels must be distinct, got ['a', 'a']"),
         ):
@@ -479,8 +479,8 @@ def computed_basis(text, degree):
     ("fixture", 1), ("fixture", 2), ("fixture", 3), ("burgers", 2), ("kdv", 2),
 ])
 def test_structure_constants_match_per_bracket_solve(name, degree):
-    text = {"fixture": reference.fixture_text(), "burgers": BURGERS_SYSTEM,
-            "kdv": KDV_SYSTEM}[name]
+    text = {"fixture": reference.fixture_text(), "burgers": corpus.BURGERS,
+            "kdv": corpus.KDV}[name]
     basis = computed_basis(text, degree)
     L = structure_constants(basis)
     expected = per_bracket_constants(basis)
@@ -504,7 +504,7 @@ def test_bracket_inside_the_coordinates_but_outside_the_span(golden):
 
 
 def test_heat_equation_names_the_same_first_pair():
-    basis = computed_basis(HEAT_SYSTEM, 2)
+    basis = computed_basis(corpus.HEAT, 2)
     with pytest.raises(NotASubalgebraError) as oracle:
         per_bracket_constants(basis)
     with pytest.raises(NotASubalgebraError) as err:
