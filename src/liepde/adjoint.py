@@ -6,9 +6,10 @@ alone, so exponentials of matrices with rational spectrum are exact and
 closed in these sums.  The group parameter is the one symbol eps
 (`EPS`, `EPS_SYMBOL`).  A flow is the substitution {z: image} it performs;
 images, composites and transformed solutions are `expr` values, with
-exp(k eps) as `expr.ParamExp` factors; `matrix_exp` and `ad_exp` return
-`ExpPolynomial` term records, which `expression` turns into `expr` values:
-the form in which the adjoint entries are compared and rendered.
+exp(k eps) a monomial factor that `expr.ParamExp` builds; `matrix_exp`
+and `ad_exp` return `ExpPolynomial` term records, which `expression` turns
+into `expr` values: the form in which the adjoint entries are compared
+and rendered.
 
 Every rational here, a characteristic-polynomial coefficient, an
 eigenvalue, an ad entry or a term coefficient, is held as the package holds
@@ -53,7 +54,7 @@ class ExpPolynomial:
     not name it.  The leading 0 is a constant-exponent slot that
     is always 0.  In the package, `expression` (the entry as an `expr`
     value, which every other reader compares and renders), `pipeline.jexppoly`
-    and `optimal._terms` read this layout; so does the
+    and `optimal._split_terms` read this layout; so does the
     benchmark's JSON dump of the adjoint matrices.  The class goes once the
     benchmark reads the entries through `pipeline.jexppoly` and `ad_exp`
     can return `expr` values.  Nothing mutates a record, so every zero entry

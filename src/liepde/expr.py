@@ -5,8 +5,11 @@ symbols, exponentials of a group parameter, opaque function applications,
 and their sums, products and integer powers.  Arithmetic is eager: every
 operator returns the unique expanded form at once.  A single atom or a
 constant stays its own node; anything else is a `Poly`, a sum of monomials
-with rational coefficients.  Canonical forms are what make exact
-golden-value testing of the downstream algebra possible.
+with rational coefficients.  So there are four node classes: `Rational`,
+`Symbol`, `FunctionApplication` and `Poly`.  An exponential exp(k*eps) is
+a factor of a monomial, and `ParamExp` builds it as a `Poly`, as `Power`
+builds a power.  Canonical forms are what make exact golden-value testing
+of the downstream algebra possible.
 
 Polynomial coefficients are exact rationals held as a plain `int` when
 they are integral and as a `fractions.Fraction` otherwise, never as a float
@@ -16,8 +19,8 @@ normalisation.  `as_rational` puts a number in that form and `quotient` is
 the one exact division.  Two operations leave the convention: `int / int`
 and `int ** negative_int` give floats, so a division or a power that may
 be negative goes through `quotient`.  Floats are rejected.  One value is a
-Fraction even when integral: the exponent `ParamExp.k`, which monomials
-keep as their parameter powers.
+Fraction even when integral: the exponent k of a monomial's parameter
+power exp(k*eps).
 The `/` operator divides only by nonzero monomials (negative integer
 powers), never by general sums; `divide` finds exact quotients of
 polynomials.
@@ -245,27 +248,6 @@ class Symbol(_Atom):
         return sum(self.multi)
 
 
-class ParamExp(Expr):
-    """exp(k * eps) for a group parameter symbol eps and rational k."""
-
-    __slots__ = ("param", "k")
-
-    def __init__(self, param, k):
-        if not (isinstance(param, Symbol) and param.role == GROUP):
-            raise TypeError("ParamExp parameter must be a group-parameter symbol")
-        object.__setattr__(self, "param", param)
-        object.__setattr__(self, "k", Fraction(as_rational(k)))
-        self._setkey((2, param._key, self.k))
-
-    def __reduce__(self):
-        return ParamExp, (self.param, self.k)
-
-    def _poly(self):
-        if self.k == 0:
-            return {_EMPTY_MONO: _ONE}
-        return {((), ((self.param, self.k),)): _ONE}
-
-
 class FunctionApplication(_Atom):
     """Opaque function application, e.g. f(x, y), with canonical arguments.
 
@@ -304,7 +286,7 @@ class FunctionApplication(_Atom):
 #   powers: tuple of (atom, nonzero integer exponent) sorted by atom key,
 #           atom a Symbol or FunctionApplication;
 #   pexps:  tuple of (group symbol, nonzero Fraction) sorted by symbol key,
-#           representing a product of ParamExp factors.
+#           representing the product of the factors exp(k * symbol).
 # A polynomial is a dict monomial -> nonzero coefficient, an int when it is
 # integral and a Fraction otherwise.
 # ---------------------------------------------------------------------------
@@ -358,11 +340,8 @@ def _canonical(poly):
         powers, pexps = mono
         if not powers and not pexps:
             return constant(coeff)
-        if coeff == 1:
-            if not pexps and len(powers) == 1 and powers[0][1] == 1:
-                return powers[0][0]
-            if not powers and len(pexps) == 1:
-                return ParamExp(*pexps[0])
+        if coeff == 1 and not pexps and len(powers) == 1 and powers[0][1] == 1:
+            return powers[0][0]
     elif not poly:
         return ZERO
     return Poly(poly)
@@ -510,11 +489,21 @@ def Power(base, exponent):
     return _lift(base) ** exponent
 
 
+def ParamExp(param, k):
+    """exp(k * param) for a group-parameter symbol `param` and a rational k:
+    `ONE` when k is 0, and otherwise the `Poly` of one monomial whose
+    parameter powers hold (param, k)."""
+    if not (isinstance(param, Symbol) and param.role == GROUP):
+        raise TypeError("ParamExp parameter must be a group-parameter symbol")
+    k = Fraction(as_rational(k))
+    return Poly({((), ((param, k),)): _ONE}) if k else ONE
+
+
 def normalize(e):
     """Return the unique canonical form of `e`.
 
     Operator results are canonical already; this lifts numbers to
-    `Rational` and exp(0 * eps) to 1.
+    `Rational` and a constant 1 to `ONE`.
     """
     e = _lift(e)
     return e if isinstance(e, Poly) else _canonical(e._poly())

@@ -198,7 +198,9 @@ class PDESystem:
                 )
 
     def _matching_rule(self, s):
-        """Index of a solved rule whose lead divides the coordinate s."""
+        """(index, extra) of the first solved rule whose lead divides the
+        coordinate s, extra being the multi-index of s over the lead's; None
+        when no lead divides s."""
         if s.role not in (DEPENDENT, JET):
             return None
         smulti = s.multi if s.role == JET else (0,) * self.space.p
@@ -206,8 +208,9 @@ class PDESystem:
             if lead.base != s.base:
                 continue
             lmulti = lead.multi if lead.role == JET else (0,) * self.space.p
-            if all(a >= b for a, b in zip(smulti, lmulti)):
-                return idx
+            extra = tuple(a - b for a, b in zip(smulti, lmulti))
+            if min(extra) >= 0:
+                return idx, extra
         return None
 
     def _derived_rhs(self, rule_idx, extra):
@@ -228,14 +231,9 @@ class PDESystem:
         for _ in range(_REDUCTION_PASS_LIMIT):
             rules = {}
             for s in self.space.jet_symbols_in(e):
-                idx = self._matching_rule(s)
-                if idx is None:
-                    continue
-                lead, _ = self.solved[idx]
-                lmulti = lead.multi if lead.role == JET else (0,) * self.space.p
-                smulti = s.multi if s.role == JET else (0,) * self.space.p
-                extra = tuple(a - b for a, b in zip(smulti, lmulti))
-                rules[s] = self._derived_rhs(idx, extra)
+                match = self._matching_rule(s)
+                if match is not None:
+                    rules[s] = self._derived_rhs(*match)
             if not rules:
                 return e
             e = expr.substitute(e, rules)

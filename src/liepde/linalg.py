@@ -15,7 +15,8 @@ The kernel, `Echelon`, takes rows as dicts column -> nonzero element,
 reduces them once to reduced row echelon form, and `Echelon.reduce` then
 clears further vectors against them.  `rref`, `nullspace`, `rref_param`
 and `nullspace_param` are thin wrappers, and `in_integer_lattice`
-reduces its vectors against one `Echelon` of [B | I].
+reduces its vectors against one `Echelon` of [B | I]; a caller that keeps
+a row space, such as `structure.Subspace`, builds its `Echelon` itself.
 `nullspace_param`, the determining solve, takes sparse rows as the
 determining system holds them and returns the sparse kernel vectors of
 `_kernel`, which `nullspace` densifies; `rref`, `nullspace` and
@@ -177,11 +178,6 @@ def dense(row, ncols):
     return tuple(row.get(k, 0) for k in range(ncols))
 
 
-def row_space(rows, ncols):
-    """The `Echelon` of sparse rows (dicts column -> nonzero element)."""
-    return Echelon(rows, ncols)
-
-
 # ---------------------------------------------------------------------------
 # Over Q
 # ---------------------------------------------------------------------------
@@ -189,13 +185,13 @@ def row_space(rows, ncols):
 def rref(rows):
     """Reduced row echelon form; returns (rows, pivot column indices)."""
     ncols = len(rows[0]) if rows else 0
-    space = row_space([sparse(r) for r in rows], ncols)
+    space = Echelon([sparse(r) for r in rows], ncols)
     return [dense(row, ncols) for row in space.rows], space.pivots
 
 
 def nullspace(rows, ncols):
     """Basis of the right kernel of the matrix, one vector per free column."""
-    space = row_space([sparse(r) for r in rows], ncols)
+    space = Echelon([sparse(r) for r in rows], ncols)
     return [dense(v, ncols) for v in _kernel(space.rows, space.pivots, ncols)]
 
 
@@ -385,7 +381,7 @@ def rref_param(rows):
     against a dense elimination through it, and the benchmark tracer
     counts its cells row by row."""
     ncols = len(rows[0]) if rows else 0
-    space = row_space([sparse(r) for r in rows], ncols)
+    space = Echelon([sparse(r) for r in rows], ncols)
     return space.rows, space.pivots
 
 
@@ -397,7 +393,7 @@ def nullspace_param(rows, ncols):
     `ParamFrac`), as `DeterminingSystem.rows` holds them; they are copied
     before the elimination, which works in place, and are left as they
     were."""
-    space = row_space([dict(row) for row in rows], ncols)
+    space = Echelon([dict(row) for row in rows], ncols)
     return _kernel(space.rows, space.pivots, ncols)
 
 
@@ -519,7 +515,7 @@ def in_integer_lattice(basis, vectors):
         row = sparse(b)
         row[width + i] = 1
         rows.append(row)
-    span = row_space(rows, width + len(basis))
+    span = Echelon(rows, width + len(basis))
     out = []
     for v in vectors:
         residual = span.reduce(sparse(v))

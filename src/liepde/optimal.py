@@ -1,9 +1,9 @@
 """Adjoint-orbit normalization and verification of subalgebra tables.
 
 The adjoint group of the algebra acts on coordinate row vectors through the
-matrices of `adjoint.ad_exp`, which `_terms` reads once per direction as a
-sparse list of terms coeff * eps^m * e^(k eps), and `_split_terms` splits
-into the components a step keeps and the terms that move the others.
+matrices of `adjoint.ad_exp`, which `_split_terms` reads once per direction
+as a sparse list of terms coeff * eps^m * e^(k eps), split into the
+components a step keeps and the terms that move the others.
 This module provides exact orbit steps (`_act`: nilpotent directions at a
 rational eps, diagonal scalings at a rational multiplier q = e^eps), a
 deterministic greedy normal form for one-dimensional subalgebras, and
@@ -28,22 +28,17 @@ from .structure import per_algebra
 
 
 @per_algebra
-def _terms(L, i):
-    """The nonzero terms (r, c, coeff, m, k) of ad_exp(L, i): entry (r, c) of
-    Ad(exp(eps v_i)) is the sum of coeff * eps^m * e^(k eps) over them."""
-    return tuple((r, c, coeff, m, k)
-                 for r, row in enumerate(ad_exp(L, i))
-                 for c, e in enumerate(row)
-                 for (_, (m,), (k,)), coeff in e.terms.items())
-
-
-@per_algebra
 def _split_terms(L, i):
-    """(fixed, moving) for direction i: fixed the components c whose column
-    of Ad(exp(eps v_i)) is the unit diagonal term alone, so that every step
-    along v_i keeps a_c, and moving the terms of `_terms(L, i)` in the other
-    columns."""
-    terms = _terms(L, i)
+    """(fixed, moving) for direction i, from the nonzero terms
+    (r, c, coeff, m, k) of ad_exp(L, i) in row-major order: entry (r, c) of
+    Ad(exp(eps v_i)) is the sum of coeff * eps^m * e^(k eps) over them.
+    fixed holds the components c whose column is the unit diagonal term
+    (c, c, 1, 0, 0) alone, so that every step along v_i keeps a_c, and
+    moving the terms in the other columns."""
+    terms = [(r, c, coeff, m, k)
+             for r, row in enumerate(ad_exp(L, i))
+             for c, e in enumerate(row)
+             for (_, (m,), (k,)), coeff in e.terms.items()]
     columns = {}
     for term in terms:
         columns.setdefault(term[1], []).append(term)
@@ -95,12 +90,15 @@ def classify_directions(L):
     is e^(k eps) on the diagonal, with an integer k.  A direction whose ad
     has an eigenvalue outside the rationals, such as a rotation, is
     neither, and is skipped like any other direction that is neither.
+    Only the moving terms of `_split_terms` are read: a fixed term
+    (c, c, 1, 0, 0) has neither an exponential nor a power of eps, and is
+    a diagonal term e^(0 eps).
     """
     nilpotent = []
     scaling = []
     for i in range(L.n):
         try:
-            terms = _terms(L, i)
+            terms = _split_terms(L, i)[1]
         except UnsupportedSpectrumError:
             continue
         if not any(k for *_, k in terms):
@@ -322,7 +320,7 @@ def _translate_step(L, inv, i, current):
 def _scale_step(L, inv, i, current):
     """The scaling along direction i that makes its first eligible component
     power-free in magnitude, or None if it already is."""
-    exps = {r: int(k) for r, _, _, _, k in _terms(L, i) if k}
+    exps = {r: int(k) for r, _, _, _, k in _split_terms(L, i)[1] if k}
     target = next((j for j in range(L.n) if j not in inv and current[j] and j in exps), None)
     if target is None:
         return None

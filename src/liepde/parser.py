@@ -51,11 +51,13 @@ _TOKEN = re.compile(
 
 _ROLE = {DEPENDENT: "a dependent variable", INDEPENDENT: "an independent variable"}
 
-# The most terms a power of a sum written in a system file may expand to.
-# No shipped or benchmark input writes a power of a sum; a two-term sum to
-# the power 999 takes 0.7 s, and (x + t)^4000 is refused at once.  Powers
-# that the stages form, such as a substitution's, are bounded by the looser
-# `expr.POWER_COST`.
+# The most terms a power of a sum or a product of sums written in a system
+# file may expand to.  No shipped or benchmark input writes a power of a
+# sum or a product of two sums: the largest product bound one writes is 2,
+# a two-term sum times a monomial.  A two-term sum to the power 999 takes
+# 0.7 s; (x + t)^4000 and (x + t)^999*(x + t)^999 are refused at once.
+# Powers that the stages form, such as a substitution's, are bounded by
+# the looser `expr.POWER_COST`.
 POWER_TERMS = 1000
 
 
@@ -81,21 +83,20 @@ def tokenize(text):
 
 
 class SystemDocument:
-    """Parsed system definition: declarations, equations, leading coordinates."""
+    """Parsed system definition: declarations, equations, leading coordinates,
+    each in declaration order and holding the symbols the parser resolved."""
 
     def __init__(self, parameters, independents, dependents, equations, leads):
-        self.parameters = tuple(parameters)      # (name, positive flag)
-        self.independents = tuple(independents)  # names
-        self.dependents = tuple(dependents)      # (name, arg names)
+        self.parameters = tuple(parameters)      # (Symbol, positive flag)
+        self.independents = tuple(independents)  # Symbols
+        self.dependents = tuple(dependents)      # (Symbol, argument Symbols)
         self.equations = tuple(equations)        # (lhs Expr, rhs Expr)
-        self.leads = tuple(leads)                # (dep name, multi tuple)
+        self.leads = tuple(leads)                # jet Symbols
 
-    # symbol construction is deterministic from the declarations
     def symbols(self):
-        independent = tuple(Symbol(n, INDEPENDENT) for n in self.independents)
-        dependent = tuple(Symbol(n, DEPENDENT) for n, _ in self.dependents)
-        params = tuple(Symbol(n, PARAMETER) for n, _ in self.parameters)
-        return independent, dependent, params
+        """(independent, dependent, parameter) Symbols, in declaration order."""
+        return (self.independents, tuple(d for d, _ in self.dependents),
+                tuple(p for p, _ in self.parameters))
 
     def names(self):
         """The table {name: Symbol} of the declarations: independent and
@@ -117,14 +118,25 @@ class SystemDocument:
         )
 
 
+def _length(e):
+    """The number of terms of `e`: at most 1 unless it is a `Poly`."""
+    return len(e.terms) if isinstance(e, expr.Poly) else 1
+
+
+def _within_budget(bound, what):
+    """Raise ExpansionLimitError when `what`, which expands to up to `bound`
+    terms, is over POWER_TERMS."""
+    if bound > POWER_TERMS:
+        raise ExpansionLimitError(
+            f"{what} has up to {bound} terms, over the budget of {POWER_TERMS}")
+
+
 def _budgeted(base, n):
     """The exponent `n`, once the expansion of `base`^`n` is known to stay within
     POWER_TERMS: a k-term sum to a power n > 1 has up to C(n + k - 1, k - 1) terms."""
-    k = len(expr.monomials(base)) if n > 1 else 1
-    bound = math.comb(n + k - 1, k - 1) if k > 1 else 1
-    if bound > POWER_TERMS:
-        raise ExpansionLimitError(f"a {k}-term sum to the power {n} has up to {bound} "
-                                  f"terms, over the budget of {POWER_TERMS}")
+    k = _length(base)
+    if n > 1 and k > 1:
+        _within_budget(math.comb(n + k - 1, k - 1), f"a {k}-term sum to the power {n}")
     return n
 
 
@@ -208,13 +220,15 @@ class _Parser:
                              tok.line, tok.column)
 
     def declare(self, tok, role):
+        """Enter the name of `tok` in the table as a new symbol of `role`,
+        and return that symbol."""
         if tok.text in self.names:
             raise ParseError(f"{tok.text!r} already declared", tok.line, tok.column)
-        self.names[tok.text] = Symbol(tok.text, role)
+        sym = self.names[tok.text] = Symbol(tok.text, role)
+        return sym
 
     def _parse_param(self):
-        tok = self.expect("name", "a parameter name")
-        self.declare(tok, PARAMETER)
+        sym = self.declare(self.expect("name", "a parameter name"), PARAMETER)
         positive = False
         if self.peek().kind == ">":
             self.advance()
@@ -222,32 +236,29 @@ class _Parser:
             if zero.text != "0":
                 raise ParseError("only '> 0' is supported", zero.line, zero.column)
             positive = True
-        self.parameters.append((tok.text, positive))
+        self.parameters.append((sym, positive))
 
     def _parse_independent(self):
         if self.peek().kind != "name":
             tok = self.peek()
             raise ParseError("expected variable names", tok.line, tok.column)
         while self.peek().kind == "name":
-            tok = self.advance()
-            self.declare(tok, INDEPENDENT)
-            self.independents.append(tok.text)
+            self.independents.append(self.declare(self.advance(), INDEPENDENT))
 
     def _parse_dependent(self):
-        tok = self.expect("name", "a dependent variable name")
-        self.declare(tok, DEPENDENT)
+        sym = self.declare(self.expect("name", "a dependent variable name"), DEPENDENT)
         self.expect("(")
-        args = [self.lookup(INDEPENDENT, "argument ").name]
+        args = [self.lookup(INDEPENDENT, "argument ")]
         while self.peek().kind == ",":
             self.advance()
-            args.append(self.lookup(INDEPENDENT, "argument ").name)
+            args.append(self.lookup(INDEPENDENT, "argument "))
         self.expect(")")
-        self.dependents.append((tok.text, tuple(args)))
+        self.dependents.append((sym, tuple(args)))
 
     def _parse_equation(self):
-        lhs = self._parse_expression()
+        lhs = self._parse_sum()
         self.expect("=")
-        rhs = self._parse_expression()
+        rhs = self._parse_sum()
         self.equations.append((lhs, rhs))
 
     def _parse_lead(self):
@@ -262,12 +273,9 @@ class _Parser:
                 "a leading coordinate must involve at least one derivative",
                 tok.line, tok.column,
             )
-        self.leads.append((sym.base, sym.multi))
+        self.leads.append(sym)
 
     # -- expressions ----------------------------------------------------------
-
-    def _parse_expression(self):
-        return self._parse_sum()
 
     def _parse_sum(self):
         left = self._parse_term()
@@ -278,17 +286,22 @@ class _Parser:
         return left
 
     def _parse_term(self):
+        """A product: the product of a k-term and an l-term operand has up to
+        k * l terms, which is checked against POWER_TERMS at the '*'."""
         left = self._parse_unary()
         while self.peek().kind in ("*", "/"):
             op = self.advance()
             right = self._parse_unary()
-            if op.kind == "*":
-                left = left * right
-            else:
-                try:
+            try:
+                if op.kind == "*":
+                    k, l = _length(left), _length(right)
+                    if k > 1 and l > 1:
+                        _within_budget(k * l, f"a product of sums of {k} and {l} terms")
+                    left = left * right
+                else:
                     left = left / right
-                except UnsupportedDivisionError as exc:
-                    raise ParseError(str(exc), op.line, op.column) from exc
+            except (UnsupportedDivisionError, ExpansionLimitError) as exc:
+                raise ParseError(str(exc), op.line, op.column) from exc
         return left
 
     def _parse_unary(self):
@@ -322,7 +335,7 @@ class _Parser:
             return Rational(int(tok.text))
         if tok.kind == "(":
             self.advance()
-            inner = self._parse_expression()
+            inner = self._parse_sum()
             self.expect(")")
             return inner
         if tok.kind == "name":
@@ -343,10 +356,10 @@ class _Parser:
     def _parse_application(self, tok):
         """exp(k*<group>) for a rational k, or the application name(arg, ...)."""
         self.expect("(")
-        args = [self._parse_expression()]
+        args = [self._parse_sum()]
         while self.peek().kind == ",":
             self.advance()
-            args.append(self._parse_expression())
+            args.append(self._parse_sum())
         self.expect(")")
         if tok.text != "exp":
             return expr.FunctionApplication(tok.text, args)
@@ -381,25 +394,19 @@ def parse_system(text):
     return _Parser(text, {}).parse()
 
 
-def parse_expression(text, names, group=None):
-    """Parse a single expression in the table `names` {name: Symbol}, such
-    as `SystemDocument.names()`.  With a group-parameter symbol `group` it
-    also reads what `expr.render` writes for transformed solutions: that
-    symbol, exp(k*eps) for a rational k and applications f(arg, ...) of
-    names that are not the group's."""
-    [e] = parse_expressions([text], names, group)
-    return e
-
-
 def parse_expressions(texts, names, group=None):
-    """`parse_expression` of each text, with one parser."""
+    """Parse each text as one expression in the table `names` {name: Symbol},
+    such as `SystemDocument.names()`, with one parser.  With a
+    group-parameter symbol `group` it also reads what `expr.render` writes
+    for transformed solutions: that symbol, exp(k*eps) for a rational k and
+    applications f(arg, ...) of names that are not the group's."""
     p = _Parser("", names, group)
     out = []
     for text in texts:
         p.tokens = tokenize(text)
         p.pos = 0
         p.skip_newlines()
-        out.append(p._parse_expression())
+        out.append(p._parse_sum())
         p.skip_newlines()
         p.expect_line_end()
     return out
@@ -423,7 +430,8 @@ def parse_field(text, names):
 # ---------------------------------------------------------------------------
 
 def _print_expression(e, independents):
-    """Render an expression back into the input grammar."""
+    """Render an expression back into the input grammar, a jet coordinate as
+    d(u, x, ...) over the independent symbols `independents`."""
     terms = expr.monomials(e)
     if not terms:
         return "0"
@@ -436,10 +444,7 @@ def _print_expression(e, independents):
             if not isinstance(atom, Symbol):
                 raise ValueError(f"{atom} has no input syntax")
             if atom.role == expr.JET:
-                args = [atom.base]
-                for name, c in zip(independents, atom.multi):
-                    args.extend([name] * c)
-                body = f"d({', '.join(args)})"
+                body = _print_jet(atom, independents)
             else:
                 body = atom.name
             factors.append(body if k == 1 else f"{body}^{k if k > 0 else f'-{-k}'}")
@@ -462,22 +467,27 @@ def _print_expression(e, independents):
 def print_system(doc):
     """Canonical text of a document; parses back to an equal document."""
     lines = []
-    for name, positive in doc.parameters:
-        lines.append(f"param {name} > 0" if positive else f"param {name}")
-    lines.append("independent " + " ".join(doc.independents))
-    for name, args in doc.dependents:
-        lines.append(f"dependent {name}({', '.join(args)})")
+    for sym, positive in doc.parameters:
+        lines.append(f"param {sym.name} > 0" if positive else f"param {sym.name}")
+    lines.append("independent " + " ".join(s.name for s in doc.independents))
+    for sym, args in doc.dependents:
+        lines.append(f"dependent {sym.name}({', '.join(a.name for a in args)})")
     for lhs, rhs in doc.equations:
         lines.append(
             f"eq {_print_expression(lhs, doc.independents)} = "
             f"{_print_expression(rhs, doc.independents)}"
         )
-    for dep, multi in doc.leads:
-        args = [dep]
-        for name, c in zip(doc.independents, multi):
-            args.extend([name] * c)
-        lines.append(f"lead d({', '.join(args)})")
+    for lead in doc.leads:
+        lines.append(f"lead {_print_jet(lead, doc.independents)}")
     return "\n".join(lines) + "\n"
+
+
+def _print_jet(sym, independents):
+    """d(u, x, ...) for the jet symbol `sym`: u differentiated once per x."""
+    args = [sym.base]
+    for ind, c in zip(independents, sym.multi):
+        args.extend([ind.name] * c)
+    return f"d({', '.join(args)})"
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +505,7 @@ def build_system(doc):
         raise ParseError("no leading coordinates declared (need 'lead d(...)')")
     solved = []
     claimed = set()
-    for dep_name, multi in doc.leads:
-        dep = next(d for d in dependent if d.name == dep_name)
-        lead = jet(dep, independent, multi) if any(multi) else dep
+    for lead in doc.leads:
         found = next((idx for idx, present in enumerate(symbols)
                       if idx not in claimed and lead in present), None)
         if found is None:

@@ -502,7 +502,7 @@ def span_contains(fields, candidates, system):
 
     rows = [{columns.setdefault(key, len(columns)): x for key, x in coordinates(vf).items()}
             for vf in fields]
-    span = linalg.row_space(rows, len(columns))
+    span = linalg.Echelon(rows, len(columns))
     found = []
     for candidate in candidates:
         target = coordinates(candidate)

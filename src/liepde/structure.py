@@ -39,7 +39,7 @@ class Subspace:
 
     def __init__(self, algebra, vectors):
         self.algebra = algebra
-        self._space = linalg.row_space([linalg.sparse(v) for v in vectors], algebra.n)
+        self._space = linalg.Echelon([linalg.sparse(v) for v in vectors], algebra.n)
         self.basis = tuple(linalg.dense(row, algebra.n) for row in self._space.rows)
         self.pivots = tuple(self._space.pivots)
 
@@ -58,7 +58,7 @@ class Subspace:
         """dim(self cap other): dim self less the rank of its basis modulo
         `other`, which spans (self + other) / other."""
         residuals = [other._space.reduce(row) for row in self._space.rows]
-        return self.dim - len(linalg.row_space(residuals, self.algebra.n).pivots)
+        return self.dim - len(linalg.Echelon(residuals, self.algebra.n).pivots)
 
     def __eq__(self, other):
         return isinstance(other, Subspace) and self.basis == other.basis
@@ -216,7 +216,7 @@ def structure_constants(basis, labels=None):
     width = len(index)
     for i, row in enumerate(rows):
         row[width + i] = 1
-    span = linalg.row_space(rows, width + n)
+    span = linalg.Echelon(rows, width + n)
     constants = [[[0] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):

@@ -11,11 +11,11 @@ from baseline import claimed, fixture_system
 
 def solve(rows, rhs):
     """One solution of A x = b, or None if inconsistent: the pivot columns
-    of one `linalg.row_space` of [A | b] read off its last column."""
+    of one `linalg.Echelon` of [A | b] read off its last column."""
     if not rows:
         return None
     ncols = len(rows[0])
-    space = linalg.row_space(
+    space = linalg.Echelon(
         [linalg.sparse(list(row) + [b]) for row, b in zip(rows, rhs)], ncols + 1)
     if ncols in space.pivots:
         return None

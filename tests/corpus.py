@@ -169,6 +169,10 @@ ABSENT_LEAD = "independent x y\ndependent u(x, y)\neq d(u,x) = 0\nlead d(u,y)\n"
 # a power of a sum past the parser's term budget, refused at its '^'
 POWER = EVOLUTION + "eq d(u,t) = d(u,x,x) + (x+t)^4000\nlead d(u,t)\n"
 
+# two powers within the budget whose product of 1000 x 1000 terms is past
+# it, refused at its '*'
+PRODUCT = EVOLUTION + "eq d(u,t) = d(u,x,x) + (x+t)^999*(x+t)^999\nlead d(u,t)\n"
+
 # a 51-term right-hand side that the determining stage squares: within the
 # budget of a power that a stage forms
 LONG_SUM = EVOLUTION + "eq d(u,t) = d(u,x,x) + u*d(u,x)" + "".join(
@@ -204,6 +208,7 @@ SYSTEMS = {
     "high_lead.pde": HIGH_LEAD,
     "mixing_length.pde": MIXING_LENGTH,
     "power.pde": POWER,
+    "product.pde": PRODUCT,
     "long_sum.pde": LONG_SUM,
     "stage_power.pde": STAGE_POWER,
 }

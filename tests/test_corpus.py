@@ -20,6 +20,7 @@ import bytecheck  # noqa: E402
 SYSTEMS = {**corpus.SYSTEMS, **corpus.HIGH_ORDER, "absent_lead": corpus.ABSENT_LEAD}
 # the systems whose build raises, by the error their comment names
 REFUSED = {"high_lead.pde": ParseError, "absent_lead": ParseError, "power.pde": ParseError,
+           "product.pde": ParseError,
            "stage_power.pde": ExpansionLimitError,
            **{name: ParseError for name in corpus.BAD_SYSTEMS}}
 # the malformed documents that `verify-optimal --file` reads

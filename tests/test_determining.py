@@ -298,7 +298,7 @@ def test_cells_are_numbers_or_parametric_fractions(name, degree):
     system = _system(name)
     ds = build_determining(system, degree)
     ncols = len(ds.ansatz.unknowns)
-    reduced = linalg.row_space([dict(row) for row in ds.rows], ncols).rows
+    reduced = linalg.Echelon([dict(row) for row in ds.rows], ncols).rows
     kernel = linalg.nullspace_param(ds.rows, ncols)
     built = [x for row in ds.rows for x in row.values()]
     for cells in (built, [x for row in reduced for x in row.values()],

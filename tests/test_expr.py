@@ -61,6 +61,20 @@ class TestNormalize:
         a = expr.normalize(ParamExp(eps, 2) * ParamExp(eps, 3))
         assert a == expr.normalize(ParamExp(eps, 5))
 
+    def test_param_exp_is_built_canonical(self):
+        # exp(k eps) is a monomial of a Poly, with the key (2, eps key, k),
+        # and exp(0 eps) is ONE itself, without a normalize
+        assert ParamExp(eps, 0) is expr.ONE
+        for k in (1, -2, Fraction(1, 2)):
+            e = ParamExp(eps, k)
+            assert type(e) is expr.Poly
+            assert e._key == (2, eps._key, Fraction(k))
+            for other in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+                assert type(other) is expr.Poly and other == e and hash(other) == hash(e)
+        assert ParamExp(eps, 1) * ParamExp(eps, -1) is expr.ONE
+        with pytest.raises(TypeError):
+            ParamExp(x, 1)
+
     def test_lowest_terms(self):
         assert Rational(2, 4).coeff == Fraction(1, 2)
         assert Rational(1, -2).coeff == Fraction(-1, 2)
@@ -274,8 +288,6 @@ class TestInterning:
             if type(node) is Rational:
                 assert type(other.coeff) is type(node.coeff)
                 assert_rational(other.coeff)
-            elif type(node) is ParamExp:
-                assert other.param is node.param and other.k == node.k
             else:
                 assert other.terms == node.terms
                 for coeff in other.terms.values():
@@ -309,7 +321,7 @@ class TestInterning:
                   ParamExp(eps, 1) * FunctionApplication("f", (x, u)),
                   (x + y) - y, u * v / v, atoms[9] * 1, Rational(1) * eps]
         nodes += [pickle.loads(pickle.dumps(n)) for n in nodes[len(atoms):len(atoms) + 12]]
-        for kind in (expr.Poly, Rational, ParamExp):
+        for kind in (expr.Poly, Rational):
             assert any(type(n) is kind for n in nodes)
         for a in nodes:
             for b in nodes:

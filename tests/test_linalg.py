@@ -19,12 +19,12 @@ import pytest
 from liepde import expr, reference
 from liepde.expr import PARAMETER, Symbol
 from liepde.linalg import (
+    Echelon,
     ParamFrac,
     dense,
     element,
     nullspace,
     nullspace_param,
-    row_space,
     rref,
     rref_param,
     sparse,
@@ -244,13 +244,13 @@ def test_pivot_columns_hold_a_unit_and_nothing_else(case):
     rng = random.Random(f"unit-pivot-{case}")
     for _ in range(12):
         rows = CASES[case](rng)
-        assert_unit_pivots(row_space([sparse(r) for r in rows], len(rows[0])))
+        assert_unit_pivots(Echelon([sparse(r) for r in rows], len(rows[0])))
 
 
 def test_fixture_pivot_columns_hold_a_unit_and_nothing_else():
     _, system = build_system(parse_system(reference.fixture_text()))
     ds = build_determining(system, 3)
-    space = row_space([dict(r) for r in ds.rows], len(ds.ansatz.unknowns))
+    space = Echelon([dict(r) for r in ds.rows], len(ds.ansatz.unknowns))
     assert len(space.pivots) == 272
     assert_unit_pivots(space)
 

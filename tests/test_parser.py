@@ -9,7 +9,7 @@ from baseline import fixture_system
 from liepde.parser import (
     POWER_TERMS,
     build_system,
-    parse_expression,
+    parse_expressions,
     parse_system,
     print_system,
 )
@@ -43,6 +43,18 @@ class TestParseFixture:
         ux = space.coordinate(u, (1, 0))
         assert expr.equal(rhs["v_y"], -1 * ux)
         assert expr.equal(rhs["p_y"], expr.ZERO)
+
+    def test_build_system_uses_the_document_symbols(self):
+        # the symbols the parser resolved are the objects the system holds
+        doc = reference.fixture_document()
+        space, system = build_system(doc)
+        independent, dependent, params = doc.symbols()
+        assert all(a is b for a, b in zip(space.independent, independent, strict=True))
+        assert all(a is b for a, b in zip(space.dependent, dependent, strict=True))
+        assert all(a is b for a, b in zip(system.parameters, params, strict=True))
+        assert all(lead is sym for (lead, _), sym in zip(system.solved, doc.leads, strict=True))
+        for _, args in doc.dependents:
+            assert all(a is b for a, b in zip(args, independent, strict=True))
 
 
 class TestErrors:
@@ -83,21 +95,43 @@ class TestErrors:
                 "over the budget of 1000$")):
             parse_system(corpus.POWER)
 
+    def test_product_over_the_term_budget(self):
+        # each power is formed, and the product of their 1000 x 1000 terms
+        # is refused at its '*'
+        with pytest.raises(ParseError, match=(
+                "^3:33: a product of sums of 1000 and 1000 terms has up to 1000000 "
+                "terms, over the budget of 1000$")):
+            parse_system(corpus.PRODUCT)
+
+    def test_product_of_sums_within_the_term_budget(self):
+        # 40 x 25 = 1000 terms at most: formed; 41 x 25 = 1025: refused; a
+        # factor of one term is not counted
+        names = reference.fixture_document().names()
+        x, y, u = names["x"], names["y"], names["u"]
+        [e] = parse_expressions(["(x + y)^39*(x + u)^24"], names)
+        assert len(expr.monomials(e)) == 1000
+        with pytest.raises(ParseError, match=(
+                "^1:11: a product of sums of 41 and 25 terms has up to 1025 terms, "
+                "over the budget of 1000$")):
+            parse_expressions(["(x + y)^40*(x + u)^24"], names)
+        [e] = parse_expressions(["(x + y + u)^43*2*x*u/y"], names)
+        assert e == 2 * x * u * (x + y + u) ** 43 / y
+
     def test_power_of_a_sum_within_the_term_budget(self):
         # C(43 + 2, 2) = 990 terms at most: formed; C(44 + 2, 2) = 1035: refused
         names = reference.fixture_document().names()
         assert POWER_TERMS == 1000
-        assert len(expr.monomials(parse_expression("(x + y + u)^43", names))) == 990
+        assert len(expr.monomials(parse_expressions(["(x + y + u)^43"], names)[0])) == 990
         with pytest.raises(ParseError, match=(
                 "^1:12: a 3-term sum to the power 44 has up to 1035 terms, "
                 "over the budget of 1000$")):
-            parse_expression("(x + y + u)^44", names)
+            parse_expressions(["(x + y + u)^44"], names)
         # a monomial, a first power, a zero sum and a negative power are formed
         x, y = reference.fixture_document().symbols()[0]
-        assert parse_expression("(2*x*y)^5000", names) == 2**5000 * x**5000 * y**5000
-        assert parse_expression("(x + y)^1", names) == x + y
-        assert expr.is_zero(parse_expression("(x - x)^5000", names))
-        assert parse_expression("(x*y)^-5000", names) == x**-5000 * y**-5000
+        assert parse_expressions(["(2*x*y)^5000"], names)[0] == 2**5000 * x**5000 * y**5000
+        assert parse_expressions(["(x + y)^1"], names)[0] == x + y
+        assert expr.is_zero(parse_expressions(["(x - x)^5000"], names)[0])
+        assert parse_expressions(["(x*y)^-5000"], names)[0] == x**-5000 * y**-5000
 
     def test_bad_character(self):
         with pytest.raises(ParseError, match="unexpected character"):
@@ -187,46 +221,47 @@ class TestExpressions:
 
     def test_precedence(self):
         doc = reference.fixture_document()
-        e = parse_expression("1 + 2*x^2", doc.names())
+        e = parse_expressions(["1 + 2*x^2"], doc.names())[0]
         x = doc.symbols()[0][0]
         assert expr.equal(e, 1 + 2 * x**2)
 
     def test_unary_minus(self):
         doc = reference.fixture_document()
-        e = parse_expression("-x + -(u)", doc.names())
+        e = parse_expressions(["-x + -(u)"], doc.names())[0]
         x = doc.symbols()[0][0]
         u = doc.symbols()[1][0]
         assert expr.equal(e, -1 * x - u)
 
     def test_rational_literals(self):
         doc = reference.fixture_document()
-        e = parse_expression("2/3", doc.names())
+        e = parse_expressions(["2/3"], doc.names())[0]
         assert e == expr.Rational(2, 3)
 
     def test_negative_exponent(self):
         doc = reference.fixture_document()
-        e = parse_expression("rho^-1", doc.names())
+        e = parse_expressions(["rho^-1"], doc.names())[0]
         assert expr.render(e) == "rho^-1"
 
     def test_derivative_coordinates(self):
         doc = reference.fixture_document()
-        e = parse_expression("d(u, x, y)", doc.names())
+        e = parse_expressions(["d(u, x, y)"], doc.names())[0]
         assert expr.render(e) == "u_xy"
 
     def test_trailing_garbage(self):
         doc = reference.fixture_document()
         with pytest.raises(ParseError, match="trailing"):
-            parse_expression("x + 1 )", doc.names())
+            parse_expressions(["x + 1 )"], doc.names())
 
     def test_group_atoms_only_with_a_group_symbol(self):
         # exp(k*eps), eps and applications read as `expr.render` writes them
         doc = reference.fixture_document()
-        e = parse_expression("f(x + eps, y)*exp(-2*eps) + eps*exp(eps/2)", doc.names(), EPS_SYMBOL)
+        [e] = parse_expressions(["f(x + eps, y)*exp(-2*eps) + eps*exp(eps/2)"],
+                                doc.names(), EPS_SYMBOL)
         assert expr.render(e) == "eps*exp(1/2*eps) + f(x + eps, y)*exp(-2*eps)"
         for text, message in (("exp(x)", "exp takes one rational multiple of eps"),
                               ("exp(eps, 1)", "exp takes one rational multiple of eps")):
             with pytest.raises(ParseError, match=message):
-                parse_expression(text, doc.names(), EPS_SYMBOL)
+                parse_expressions([text], doc.names(), EPS_SYMBOL)
         for text in ("eps", "f(x)", "exp(eps)"):
             with pytest.raises(ParseError, match="undeclared symbol"):
-                parse_expression(text, doc.names())
+                parse_expressions([text], doc.names())

@@ -22,24 +22,26 @@ coefficients = st.one_of(
 
 @st.composite
 def documents(draw):
-    independents = INDEPENDENTS[:draw(st.integers(1, len(INDEPENDENTS)))]
+    independents = tuple(Symbol(n, INDEPENDENT)
+                         for n in INDEPENDENTS[:draw(st.integers(1, len(INDEPENDENTS)))])
     dependents = tuple(
-        (name, tuple(draw(st.lists(st.sampled_from(independents), min_size=1,
-                                   max_size=len(independents), unique=True))))
+        (Symbol(name, DEPENDENT),
+         tuple(draw(st.lists(st.sampled_from(independents), min_size=1,
+                             max_size=len(independents), unique=True))))
         for name in DEPENDENTS[:draw(st.integers(1, len(DEPENDENTS)))]
     )
     parameters = tuple(draw(st.lists(
-        st.tuples(st.sampled_from(PARAMETERS), st.booleans()),
+        st.tuples(st.sampled_from([Symbol(n, PARAMETER) for n in PARAMETERS]),
+                  st.booleans()),
         max_size=len(PARAMETERS), unique_by=lambda p: p[0],
     )))
-    space = JetSpace(tuple(Symbol(n, INDEPENDENT) for n in independents),
-                     tuple(Symbol(n, DEPENDENT) for n, _ in dependents), 4)
+    space = JetSpace(independents, tuple(d for d, _ in dependents), 4)
     multis = st.lists(st.integers(0, 2), min_size=len(independents),
                       max_size=len(independents)).filter(lambda m: 1 <= sum(m) <= 3)
     jets = st.builds(space.coordinate, st.sampled_from(space.dependent), multis)
     atoms = st.one_of(
         st.sampled_from(space.independent + space.dependent),
-        st.sampled_from([Symbol(n, PARAMETER) for n, _ in parameters] or [ONE]),
+        st.sampled_from([p for p, _ in parameters] or [ONE]),
         jets,
     )
     powers = st.tuples(atoms, st.integers(-2, 3).filter(bool))
@@ -49,10 +51,7 @@ def documents(draw):
     )
     sides = st.lists(terms, max_size=4).map(lambda ts: sum(ts, ZERO))
     equations = draw(st.lists(st.tuples(sides, sides), min_size=1, max_size=3))
-    leads = draw(st.lists(
-        st.tuples(st.sampled_from([n for n, _ in dependents]), multis.map(tuple)),
-        max_size=2,
-    ))
+    leads = draw(st.lists(jets, max_size=2))
     return SystemDocument(parameters, independents, dependents, equations, leads)
 
 

@@ -289,6 +289,8 @@ def write_inputs(folder, parent):
     ]
     # a power of a sum past the term budget, refused at its '^'
     commands.append(["symmetries", "power.pde"])
+    # a product of sums past the term budget, refused at its '*'
+    commands.append(["symmetries", "product.pde"])
     # a long sum that a stage squares, within the budget of a stage's power
     commands.append(["symmetries", "long_sum.pde"])
     # a power that the reduction forms, refused before it is expanded
