@@ -22,22 +22,32 @@ zero matrix product.  char_poly scales A by the lcm d of its denominators
 and runs Faddeev-LeVerrier on dA, where each division is exact; once a
 product M_k is zero, every later one is zero and every later coefficient 0,
 so a nilpotent A costs as many products as its nilpotency index.
-matrix_exp forms the Putzer products on the same integer matrix, taking
+matrix_exp first deflates the characteristic polynomial by the distinct
+diagonal entries of A, each only while it is a root, and leaves the root
+search to what remains: every ad and flow matrix the package meets is
+triangular up to a permutation and a scaling of its basis, so its diagonal
+holds its spectrum and the search runs on a constant.  It forms the Putzer
+products on the same integer matrix, taking
 the eigenvalues by ascending multiplicity so that the most repeated one
 comes last and the products reach zero once they hold the minimal
-polynomial; it holds each scalar r_k(t) as a dict {(m, l): c} integrated
+polynomial; on a nilpotent A these are the powers B^k that char_poly
+formed, and it reads them instead.  It holds each scalar r_k(t) as a dict
+{(m, l): c} integrated
 in closed form (`_putzer_step`, the one integrator), and builds each
 entry's record once, at the end, every zero entry being one shared
 record.  `flow` is matrix_exp of the augmented
-[[A, b], [0, 0]] (Olver, Applications of Lie Groups to DEs, section 1.3).
+[[A, b], [0, 0]] (Olver, Applications of Lie Groups to DEs, section 1.3),
+with A and b read off one `expr.collect` per coefficient and each image
+written as one polynomial dict from the entries' terms.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from . import expr
-from .errors import UnsupportedSpectrumError
+from .errors import NonPolynomialError, UnsupportedSpectrumError
 from .expr import GROUP, ParamExp, Symbol, ZERO, as_rational, quotient
 from .structure import per_algebra
 
@@ -85,16 +95,20 @@ def char_poly(A):
     c_(k+1) = 0 and M_(k+1) = 0.  So the loop stops at the first zero M_k,
     and on a nilpotent A it takes as many products as A's nilpotency index.
     """
-    return _char_poly(*_integer_rows(A))
+    return _char_poly(*_integer_rows(A))[0]
 
 
 def _char_poly(d, B):
-    """char_poly of A, given d and the rows of B = dA from _integer_rows."""
+    """(c, products): char_poly of A, given d and the rows of B = dA from
+    _integer_rows, and the products M_1, M_2, ... up to the first zero one.
+    When every c_k is 0, as on a nilpotent A, M_k is the power B^k."""
     n = len(B)
     c = [0] * n + [1]
     M = [{i: 1} for i in range(n)]
+    products = []
     for k in range(1, n + 1):
         M = _rows_mul(B, M)
+        products.append(M)
         ck = -sum(row.get(i, 0) for i, row in enumerate(M)) // k
         c[n - k] = quotient(ck, d ** k)
         for i, row in enumerate(M):
@@ -105,7 +119,7 @@ def _char_poly(d, B):
                 row.pop(i, None)
         if not any(M):
             break
-    return c
+    return c, products
 
 
 def _integer_rows(A):
@@ -156,6 +170,29 @@ def rational_eigenvalues(c):
             f"stuck factor has coefficients {[str(x) for x in p]}"
         )
     return roots
+
+
+def _spectrum(c, guesses):
+    """rational_eigenvalues(c), trying the rationals `guesses` first.
+
+    c is deflated by each guess exactly, and only while it is a root, and
+    rational_eigenvalues searches what remains; when the guesses hold the
+    whole spectrum that is a constant.  The keys come in rational_eigenvalues'
+    order, and a factor that does not split raises its error, naming the same
+    stuck factor: the quotient by every rational root does not depend on the
+    order of the deflations.
+    """
+    p = c
+    roots = {}
+    for r in guesses:
+        while len(p) > 1:
+            rest, value = _deflate(p, r)
+            if value:
+                break
+            p = rest
+            roots[r] = roots.get(r, 0) + 1
+    roots.update(rational_eigenvalues(p))
+    return {r: roots[r] for r in sorted(roots, key=_search_order)}
 
 
 def _search_order(r):
@@ -287,18 +324,26 @@ def matrix_exp(A):
     integers d l_k, so Q_k = d^k P_k = (B - d l_k I) Q_{k-1} stays integral,
     and step k adds r_{k+1} / d^k times Q_k to the cells.  A nilpotent A
     has every l_k = 0, each step is t^m -> t^(m+1) / (m+1), and the result
-    is the finite series sum (tA)^m / m!.
+    is the finite series sum (tA)^m / m!, whose Q_k are the powers B^k
+    that char_poly formed: they are read, not multiplied again.
+
+    The spectrum is `_spectrum` with the distinct diagonal entries of A as
+    its guesses, which gives rational_eigenvalues' keys, order and errors
+    for any A, and runs no root search when the diagonal holds the spectrum.
     """
     n = len(A)
     d, B = _integer_rows(A)
-    roots = rational_eigenvalues(_char_poly(d, B))
+    coeffs, powers = _char_poly(d, B)
+    roots = _spectrum(coeffs, dict.fromkeys(quotient(row.get(i, 0), d)
+                                       for i, row in enumerate(B)))
+    nilpotent = roots == {0: n}
     order = sorted(roots, key=roots.get)  # stable: ties keep the key order
     result = [[{} for _ in range(n)] for _ in range(n)]
     slots = {}  # (m, l) -> its index in the cells, in first-seen order
     Q = [{i: 1} for i in range(n)]
     r = None
     scale = 1
-    for lam in [lam for lam in order for _ in range(roots[lam])]:
+    for k, lam in enumerate([lam for lam in order for _ in range(roots[lam])]):
         r = {(0, lam): 1} if r is None else _putzer_step(r, lam)
         terms = [(slots.setdefault(key, len(slots)), quotient(c, scale))
                  for key, c in r.items()]
@@ -307,8 +352,8 @@ def matrix_exp(A):
                 cell = cells[j]
                 for slot, c in terms:
                     cell[slot] = cell.get(slot, 0) + q * c
-        shift = lam.numerator * (d // lam.denominator)
-        Q = _rows_mul(B, Q, shift)
+        Q = powers[k] if nilpotent else _rows_mul(
+            B, Q, lam.numerator * (d // lam.denominator))
         if not any(Q):
             break
         scale *= d
@@ -396,37 +441,64 @@ def flow(vf):
     The flow of dz/dt = A z + b is exp(t [[A, b], [0, 0]]) =
     [[exp(tA), (int_0^t exp(sA) ds) b], [0, 1]], one `matrix_exp` call E;
     it is returned as the substitution {z_i: sum_j E_ij z_j + E_in} it
-    performs, with `expr` images in `EPS_SYMBOL`.
+    performs, with `expr` images in `EPS_SYMBOL`.  A and b are read off one
+    `expr.collect` per coefficient (`_affine_row`, which raises ValueError
+    for a coefficient that is not affine with rational slopes and constant),
+    and each image is one polynomial dict built from the terms of E
+    (`_image`).
     """
     coords = vf.coordinates
-    rows = []
-    zero_subs = {z: ZERO for z in coords}
-    for coeff in vf.coefficients:
-        row = []
-        for z in coords:
-            d = expr.diff(coeff, z)
-            val = expr.constant_value(d)
-            if val is None:
-                raise ValueError(
-                    f"flow requires affine coefficients with rational slopes; got {coeff}"
-                )
-            row.append(val)
-        const = expr.constant_value(expr.substitute(coeff, zero_subs))
-        if const is None:
-            raise ValueError(
-                f"flow requires affine coefficients with rational constants; got {coeff}"
-            )
-        rows.append(row + [const])
-    # check affineness exactly
-    for coeff, row in zip(vf.coefficients, rows):
-        linear = expr.Rational(row[-1])
-        for z, a in zip(coords, row):
-            linear = linear + expr.Rational(a) * z
-        if not expr.equal(coeff, linear):
-            raise ValueError(f"coefficient {coeff} is not affine in the base variables")
+    # collect's exponents follow the coordinates in canonical order
+    canonical = sorted(range(len(coords)), key=coords.__getitem__)
+    rows = [_affine_row(coeff, coords, canonical) for coeff in vf.coefficients]
     E = matrix_exp(rows + [[0] * (len(coords) + 1)])
-    return {z: sum((expression(e) * w for e, w in zip(row, coords)), expression(row[-1]))
-            for z, row in zip(coords, E)}
+    factors = [((w, 1),) for w in coords] + [()]
+    return {z: _image(row, factors) for z, row in zip(coords, E)}
+
+
+def _affine_row(coeff, coords, canonical):
+    """[a_1, ..., a_n, b] for coeff = a_1 z_1 + ... + a_n z_n + b with
+    rational a_j and b, read off one `expr.collect`; `canonical` lists the
+    indices of the coordinates in canonical order.  Otherwise ValueError
+    naming the rational slopes, for a term of degree two or more, a slope
+    that is not a number, or a coordinate in a function application or a
+    negative power; and, only when every slope is rational, naming the
+    rational constants."""
+    def error(what):
+        return ValueError(f"flow requires affine coefficients with rational {what}; got {coeff}")
+
+    try:
+        parts = expr.collect(coeff, coords)
+    except NonPolynomialError:  # a coordinate in an application or a negative power
+        raise error("slopes") from None
+    row = [0] * (len(coords) + 1)
+    const = ZERO
+    for exps, part in parts.items():
+        if not any(exps):
+            const = part
+            continue
+        value = expr.constant_value(part) if sum(exps) == 1 else None
+        if value is None:
+            raise error("slopes")
+        row[canonical[exps.index(1)]] = value
+    row[-1] = expr.constant_value(const)
+    if row[-1] is None:
+        raise error("constants")
+    return row
+
+
+def _image(row, factors):
+    """sum_j row[j] * w_j for a row of `matrix_exp` entries, as one `expr`
+    value: the polynomial dict with the term c * w_j * eps^m * exp(k eps)
+    for each term of each entry, `factors[j]` holding the monomial powers
+    of w_j (none for the constant column).  The monomials are distinct, and
+    a coordinate sorts before the group parameter, whose role comes last."""
+    poly = {}
+    for e, powers in zip(row, factors):
+        for (_, (m,), (k,)), c in e.terms.items():
+            poly[(powers + ((EPS_SYMBOL, m),) if m else powers,
+                  ((EPS_SYMBOL, Fraction(k)),) if k else ())] = c
+    return expr.canonical(poly)
 
 
 def compose(f, g):

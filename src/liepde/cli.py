@@ -133,13 +133,12 @@ def _usage(command):
 
 
 def _load_document(args):
+    """The parsed system file, or the shipped fixture when none is given."""
     path = getattr(args, "system", None)
-    if path:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = reference.fixture_text()
-    return parser.parse_system(text)
+    if not path:
+        return reference.fixture_document()
+    with open(path, encoding="utf-8") as fh:
+        return parser.parse_system(fh.read())
 
 
 def _use_reference(args):

@@ -115,26 +115,26 @@ class Expr:
         return self._key < other._key
 
     def __add__(self, other):
-        return _canonical(_poly_add(self._poly(), _lift(other)._poly()))
+        return canonical(_poly_add(self._poly(), _lift(other)._poly()))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return _canonical(_poly_add(self._poly(), _lift(other)._poly(), -1))
+        return canonical(_poly_add(self._poly(), _lift(other)._poly(), -1))
 
     def __rsub__(self, other):
         return _lift(other) - self
 
     def __mul__(self, other):
         if isinstance(other, Expr):
-            return _canonical(_poly_mul(self._poly(), other._poly()))
+            return canonical(_poly_mul(self._poly(), other._poly()))
         c = as_rational(other)
-        return _canonical(_poly_scale(self._poly(), c)) if c else ZERO
+        return canonical(_poly_scale(self._poly(), c)) if c else ZERO
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return _canonical(_poly_mul(self._poly(), _poly_pow(_lift(other)._poly(), -1)))
+        return canonical(_poly_mul(self._poly(), _poly_pow(_lift(other)._poly(), -1)))
 
     def __rtruediv__(self, other):
         return _lift(other) / self
@@ -142,10 +142,10 @@ class Expr:
     def __pow__(self, n):
         if not isinstance(n, int):
             raise TypeError("power exponents must be plain integers")
-        return _canonical(_poly_pow(self._poly(), n))
+        return canonical(_poly_pow(self._poly(), n))
 
     def __neg__(self):
-        return _canonical({m: -c for m, c in self._poly().items()})
+        return canonical({m: -c for m, c in self._poly().items()})
 
     def is_constant(self):
         return _constant(self._poly()) is not None
@@ -328,12 +328,14 @@ ZERO = Rational(0)
 ONE = Rational(1)
 
 
-def _canonical(poly):
+def canonical(poly):
     """The canonical node for a polynomial dict, which it takes over.
 
-    A constant 1 comes back as the `ONE` object itself, so arithmetic
-    results can be tested against it by identity, as `linalg.ParamFrac`
-    does with its denominators.
+    Every operator ends here, and so does a caller that builds the dict in
+    the layout above itself, as `adjoint.flow` does its images.  A constant
+    1 comes back as the `ONE` object itself, so arithmetic results can be
+    tested against it by identity, as `linalg.ParamFrac` does with its
+    denominators.
     """
     if len(poly) == 1:
         (mono, coeff), = poly.items()
@@ -506,7 +508,7 @@ def normalize(e):
     `Rational` and a constant 1 to `ONE`.
     """
     e = _lift(e)
-    return e if isinstance(e, Poly) else _canonical(e._poly())
+    return e if isinstance(e, Poly) else canonical(e._poly())
 
 
 def monomials(e):
@@ -603,7 +605,7 @@ def divide(a, b):
         raise DegenerateInputError("division by zero expression")
     c = _constant(pb)
     if c is not None:
-        return _canonical({m: quotient(v, c) for m, v in pa.items()})
+        return canonical({m: quotient(v, c) for m, v in pa.items()})
     order = _grlex(_atoms(pa, pb))
     (powers, pexps), lead = max(pb.items(), key=order)
     inverse = (tuple((x, -k) for x, k in powers), tuple((s, -k) for s, k in pexps))
@@ -619,7 +621,7 @@ def divide(a, b):
         c = quotient(coeff, lead)
         _add_term(result, q, c)
         remainder = _poly_add(remainder, _poly_mul({q: c}, pb), -1)
-    return None if remainder else _canonical(result)
+    return None if remainder else canonical(result)
 
 
 def free_symbols(e):
@@ -679,7 +681,7 @@ def derivation(e, d):
         for sym, k in pexps:
             for mono, c in _partial(sym, d, partials).items():
                 _add_term(out, _mono_mul((powers, pexps), mono), coeff * k * c)
-    return _canonical(out)
+    return canonical(out)
 
 
 def _partial(atom, d, partials):
@@ -785,7 +787,7 @@ def substitute(e, rules):
             continue
         for m, c in _poly_mul({(tuple(kept), tuple(kept_exps)): coeff}, factor).items():
             _add_term(out, m, c)
-    return _canonical(out)
+    return canonical(out)
 
 
 def _substitute_arguments(atom, rules):
@@ -845,7 +847,7 @@ def collect(e, variables):
                     )
                 rest.append((atom, exp))
         _add_term(buckets.setdefault(tuple(exps), {}), (tuple(rest), pexps), coeff)
-    return {key: _canonical(poly) for key, poly in buckets.items() if poly}
+    return {key: canonical(poly) for key, poly in buckets.items() if poly}
 
 
 # ---------------------------------------------------------------------------

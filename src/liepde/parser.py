@@ -104,7 +104,7 @@ class SystemDocument:
         return {s.name: s for s in itertools.chain(*self.symbols())}
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, SystemDocument)
             and self.parameters == other.parameters
             and self.independents == other.independents

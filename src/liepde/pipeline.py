@@ -28,7 +28,7 @@ any document as JSON, or as text rendered from it.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
 
 from . import adjoint, expr, invariants, linalg, optimal, parser, reference, structure
 from .errors import (LiepdeError, NotASubalgebraError, PipelineError,
@@ -529,10 +529,46 @@ def emit(doc, fmt="text", lines=None):
     `lines(doc)` returns, by default `report_lines` for a report document.
     """
     if fmt == "json":
-        return (json.dumps(doc, indent=2, sort_keys=False) + "\n").encode()
+        return (_json(doc, "\n") + "\n").encode()
     if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")
     return ("\n".join((lines or report_lines)(doc)) + "\n").encode()
+
+
+def _json(value, newline):
+    """`value` as json.dumps(value, indent=2) writes it, for the types a
+    document holds: dicts with str keys, lists, tuples, str, int, bool and
+    None; anything else raises TypeError.  `newline` is the line break and
+    indentation of the value's own level.  Each container joins its items'
+    texts with one separator string, which the stdlib writes item by item in
+    pure Python whenever `indent` is set."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is dict or kind is list or kind is tuple:
+        if not value:
+            return "{}" if kind is dict else "[]"
+        inner = newline + "  "
+        if kind is dict:
+            items = (f"{_json_key(key)}: {_json(item, inner)}" for key, item in value.items())
+            return "{" + inner + ("," + inner).join(items) + newline + "}"
+        return "[" + inner + ("," + inner).join(_json(item, inner) for item in value) \
+            + newline + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is int:
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _json_key(key):
+    if type(key) is not str:
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return encode_basestring_ascii(key)
 
 
 def report_lines(report):

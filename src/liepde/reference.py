@@ -17,11 +17,12 @@ the run's variables through the parser's name table.  By kind:
 - `first-order-invariants`: `verify_invariants` and `in_invariant_lattice`;
 - `invariant-table` (v4 and v5, labels verbatim): `verify_invariants`.
 `pipeline.reference_on` (the auto rule and the shape check) and
-`cli._load_document` (`fixture_text`) read this module too.
+`cli._load_document` (`fixture_document`) read this module too.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import json
 
@@ -37,7 +38,10 @@ def fixture_text(name="boundary_layer.pde"):
     )
 
 
+@functools.cache
 def fixture_document():
+    """The shipped fixture's parsed document, parsed once per process: it
+    is immutable and a constant of the package."""
     return parser.parse_system(fixture_text())
 
 

@@ -375,6 +375,7 @@ def algebra_from_json(doc):
     if not _is_int(n) or n < 0:
         raise ValueError(f"dim must be a non-negative integer, got {n!r}")
     entries = {}
+    parsed = {}  # each distinct string's value (see `_rationals`)
     for number, item in enumerate(_list(doc.get("brackets", []), "brackets"), 1):
         where = f"bracket {number}"
         _object(item, where)
@@ -384,7 +385,7 @@ def algebra_from_json(doc):
                 raise ValueError(f"{where}: index {name} = {index!r} is not in 1..{n}")
         if (i - 1, j - 1) in entries or (j - 1, i - 1) in entries:
             raise ValueError(f"{where}: the bracket of elements {i} and {j} is given twice")
-        coeffs = _rationals(_key(item, "coeffs", where), where)
+        coeffs = _rationals(_key(item, "coeffs", where), where, parsed)
         if len(coeffs) != n:
             raise ValueError(f"{where}: needs {n} coefficients, got {len(coeffs)}")
         if i == j and any(coeffs):
@@ -410,13 +411,14 @@ def table_from_json(doc):
     if not _is_int(schema) or schema != 1:
         raise ValueError(f"unsupported table schema {schema!r}; only schema 1 is read")
     entries = []
+    parsed = {}  # each distinct string's value: a table repeats a few strings
     for number, item in enumerate(_list(_key(doc, "entries", "the document"), "entries"), 1):
         where = f"entry {number}"
         _object(item, where)
         label, vectors = _key(item, "label", where), _key(item, "vectors", where)
         if not isinstance(label, str):
             raise ValueError(f"{where}: label must be a string, got {label!r}")
-        entries.append((label, [_rationals(v, f"entry {label}")
+        entries.append((label, [_rationals(v, f"entry {label}", parsed)
                                 for v in _list(vectors, f"entry {label}: vectors")]))
     return entries
 
@@ -437,14 +439,26 @@ def parse_rational(x):
     raise ValueError(f"rationals must be integers or 'num/den' strings, got {x!r}")
 
 
-def _rationals(values, where):
-    """`parse_rational` of each value of a JSON list; errors name `where`."""
+def _rationals(values, where, parsed):
+    """`parse_rational` of each value of a JSON list; errors name `where`.
+    `parsed` keeps the value of each string that parsed, for the whole
+    document, so a repeated string is parsed once; one that fails is not
+    kept, so the error names the first place it occurs."""
     if not isinstance(values, list):
         raise ValueError(f"{where}: expected a list of rationals, got {values!r}")
     try:
-        return [parse_rational(x) for x in values]
+        return [_parse_once(x, parsed) for x in values]
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
+
+
+def _parse_once(x, parsed):
+    if type(x) is not str:
+        return parse_rational(x)
+    value = parsed.get(x)
+    if value is None:
+        value = parsed[x] = parse_rational(x)
+    return value
 
 
 def _object(value, where):

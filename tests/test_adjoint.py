@@ -731,3 +731,87 @@ class TestRootSearchOracle:
         assert run.returncode == 0, run.stderr
         assert "output: v1\n" in run.stdout
         assert f"step: Ad(exp(-1/{c} v2)) -> v1" in run.stdout
+
+
+# ---------------------------------------------------------------------------
+# The spectrum that matrix_exp reads off its diagonal before any root search
+# ---------------------------------------------------------------------------
+
+def diagonal(A):
+    return [x for i, row in enumerate(A) for j, x in enumerate(row) if i == j]
+
+
+def spectrum_outcome(A):
+    """`_spectrum` of A with its diagonal as the guesses, as `outcome` gives it."""
+    return outcome(lambda c: liepde.adjoint._spectrum(c, dict.fromkeys(diagonal(A))),
+                   char_poly(A))
+
+
+def permuted_triangular_matrix(rng, n):
+    """A triangular matrix with repeated diagonal entries, its basis permuted
+    and scaled: the diagonal still holds the spectrum."""
+    lams = [rng.choice([F(0), F(1), F(-1), F(2), F(-1, 2), F(3)]) for _ in range(n)]
+    T = [[lams[i] if i == j else F(rng.randint(-2, 2)) if i < j else F(0)
+          for j in range(n)] for i in range(n)]
+    perm = rng.sample(range(n), n)
+    scale = [F(rng.choice([1, -1, 2, 3]), rng.choice([1, 2])) for _ in range(n)]
+    return [[T[perm[i]][perm[j]] * scale[i] / scale[j] for j in range(n)] for i in range(n)]
+
+
+class TestSpectrumGuesses:
+    """The diagonal guesses change nothing: the keys, their order, the
+    multiplicities and the stuck-factor text are rational_eigenvalues'."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_seeded_matrices(self, seed):
+        # triangular up to a permutation and a scaling (every guess hits),
+        # unimodular conjugates of triangular ones (guesses miss), and
+        # general matrices, which mostly do not split
+        rng = random.Random(4000 + seed)
+        n = 1 + seed % 6
+        A = (permuted_triangular_matrix(rng, n), seeded_jordan_matrix(rng, n),
+             seeded_rational_matrix(rng, n))[seed % 3]
+        assert spectrum_outcome(A) == outcome(rational_eigenvalues, char_poly(A))
+
+    def test_no_guess_is_a_root(self):
+        A = [[F(1), F(1)], [F(1), F(1)]]
+        assert spectrum_outcome(A) == [(0, 1), (2, 1)]
+        assert spectrum_outcome(A) == outcome(rational_eigenvalues, char_poly(A))
+
+    def test_rotation_names_the_stuck_factor(self):
+        A = [[F(0), F(-1)], [F(1), F(0)]]
+        assert spectrum_outcome(A) == outcome(rational_eigenvalues, char_poly(A))
+        assert "stuck factor has coefficients ['1', '0', '1']" in spectrum_outcome(A)
+
+    def test_no_root_search_in_a_fixture_report(self, monkeypatch):
+        from liepde import pipeline, reference
+
+        calls = {"matrix_exp": 0, "_integer_roots": 0}
+        for name in calls:
+            wrapped = getattr(liepde.adjoint, name)
+
+            def counting(*args, name=name, wrapped=wrapped):
+                calls[name] += 1
+                return wrapped(*args)
+
+            monkeypatch.setattr(liepde.adjoint, name, counting)
+        pipeline.run_pipeline(reference.fixture_document())
+        assert calls == {"matrix_exp": 10, "_integer_roots": 0}
+
+    def test_nilpotent_ad_exp_forms_each_power_once(self, monkeypatch):
+        # the Putzer products of a nilpotent A are char_poly's M_k = B^k
+        L = borel_algebra()
+        nilpotent = 0
+        for i in range(L.n):
+            index = nilpotency_index(ad_matrix(L, unit(L.n, i)))
+            if index is None:
+                continue
+            nilpotent += 1
+            products = []
+            rows_mul = liepde.adjoint._rows_mul
+            with monkeypatch.context() as patch:
+                patch.setattr(liepde.adjoint, "_rows_mul",
+                              lambda *args: products.append(args) or rows_mul(*args))
+                ad_exp(L, i)
+            assert len(products) == index
+        assert nilpotent == 6

@@ -69,7 +69,7 @@ def old_derivation(e, d):
                 p = partials[sym] = d(sym)._poly()
             for mono, c in p.items():
                 expr._add_term(out, expr._mono_mul((powers, pexps), mono), coeff * k * c)
-    return expr._canonical(out)
+    return expr.canonical(out)
 
 
 def old_total_derivative(e, i, js):

@@ -60,6 +60,42 @@ class TestFlowRows:
         assert str(error.value) == (
             "flow requires affine coefficients with rational constants; got nu")
 
+    @pytest.mark.parametrize("case, what, got", [
+        ("quadratic", "slopes", "1 + u^2"),
+        ("parameter slope", "slopes", "x*nu"),
+        ("parameter constant", "constants", "x + nu"),
+        ("negative power", "slopes", "y^-1"),
+        ("function application", "slopes", "f(x)"),
+        ("composite application", "slopes", "g(x + y)"),
+        ("constant before a later slope", "constants", "nu"),
+        ("slope before its own constant", "slopes", "y*nu + nu"),
+        ("parameter application", "constants", "h(nu)"),
+    ])
+    def test_error_names_the_first_failing_part(self, golden, case, what, got):
+        # the slopes of a coefficient are checked before its constant, and
+        # the coefficients in order
+        space, _, _ = golden
+        x, y = space.independent
+        u = space.dependent[0]
+        nu = expr.Symbol("nu", expr.PARAMETER)
+        Z = expr.ZERO
+        xi, phi = {
+            "quadratic": ((Z, Z), (u * u + 1, Z, Z)),
+            "parameter slope": ((nu * x, Z), (Z, Z, Z)),
+            "parameter constant": ((x + nu, Z), (Z, Z, Z)),
+            "negative power": ((Z, 1 / y), (Z, Z, Z)),
+            "function application": ((Z, Z), (Z, expr.FunctionApplication("f", (x,)), Z)),
+            "composite application": (
+                (Z, Z), (Z, expr.FunctionApplication("g", (x + y,)), Z)),
+            "constant before a later slope": ((nu, x * x), (Z, Z, Z)),
+            "slope before its own constant": ((nu * y + nu, Z), (Z, Z, Z)),
+            "parameter application": ((Z, Z), (expr.FunctionApplication("h", (nu,)), Z, Z)),
+        }[case]
+        with pytest.raises(ValueError) as error:
+            flow(VectorField(space, xi, phi))
+        assert str(error.value) == (
+            f"flow requires affine coefficients with rational {what}; got {got}")
+
 
 def triangular_field(seed, space):
     """A seeded affine field whose slope matrix is upper triangular in the

@@ -2,17 +2,24 @@ import copy
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import liepde
-from liepde import cli, linalg, parser, pipeline, reference, structure
+from liepde import cli, expr, linalg, parser, pipeline, reference, structure
 from liepde.cli import main as cli_main
 from liepde.errors import LiepdeError, PipelineError
 from baseline import EXPECTED_CLOSURE_FAILURES
 import corpus
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+import bytecheck  # noqa: E402
 
 DATA = pathlib.Path(liepde.__file__).parent / "data"
 ALGEBRA = str(DATA / "boundary_layer_algebra.json")
@@ -197,6 +204,54 @@ class TestEmission:
         assert "Killing form" in text
         assert "== notes ==" in text
 
+    def test_json_writer_matches_json_dumps_on_every_cli_document(
+            self, tmp_path, monkeypatch, capsys):
+        # every document that the byte check's commands emit, text or JSON;
+        # the writer raises TypeError on a key that is not a str
+        commands = bytecheck.write_inputs(str(tmp_path), str(ROOT))
+        monkeypatch.chdir(tmp_path)
+        documents = []
+        emit = pipeline.emit
+        monkeypatch.setattr(pipeline, "emit", lambda doc, *args: (
+            documents.append(doc) or emit(doc, *args)))
+        for argv in commands:
+            try:
+                cli_main(argv)
+            except SystemExit:
+                pass
+        capsys.readouterr()
+        assert len(documents) > 100
+        for doc in documents:
+            assert emit(doc, "json") == (json.dumps(doc, indent=2) + "\n").encode()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_json_writer_matches_json_dumps_on_seeded_documents(self, seed):
+        rng = random.Random(seed)
+        chars = "az09 \"\\/\x00\x01\x1f\x7f\n\t\u00e9\u2028\u4e2d\U0001f600\ud800"
+
+        def text():
+            return "".join(rng.choice(chars) for _ in range(rng.randint(0, 6)))
+
+        def value(depth):
+            kind = rng.randrange(9 if depth < 4 else 6)
+            if kind < 6:
+                return [text(), rng.randint(-10 ** 20, 10 ** 20), True, False, None,
+                        rng.randint(-3, 3)][kind]
+            items = [value(depth + 1) for _ in range(rng.randint(0, 4))]
+            if kind == 6:
+                return {text(): item for item in items}
+            return items if kind == 7 else tuple(items)
+
+        doc = {text(): value(0) for _ in range(5)}
+        assert pipeline.emit(doc, "json") == (json.dumps(doc, indent=2) + "\n").encode()
+
+    @pytest.mark.parametrize("doc", [
+        {"x": 0.5}, [Fraction(1, 2)], {1: "a"}, {"a": {None: 1}}, [{1, 2}],
+    ], ids=["float", "fraction", "int-key", "none-key", "set"])
+    def test_json_writer_refuses_other_types(self, doc):
+        with pytest.raises(TypeError):
+            pipeline.emit(doc, "json")
+
 
 @pytest.fixture(scope="module")
 def variant_report():
@@ -289,6 +344,19 @@ class TestOptions:
         assert report.get("reference_check") is None
         for g in report["generators"]:
             assert g["residual_zero"]
+
+    def test_fixture_is_parsed_once_per_process(self, monkeypatch):
+        doc = reference.fixture_document()
+        assert reference.fixture_document() is doc
+        assert cli._load_document(SimpleNamespace()) is doc
+
+        def unreachable(*args):
+            raise AssertionError("the fixture is parsed or compared again")
+
+        # with the document the CLI loads, the auto rule is an identity check
+        monkeypatch.setattr(parser, "parse_system", unreachable)
+        monkeypatch.setattr(expr, "equal", unreachable)
+        assert pipeline._is_fixture(doc)
 
 
 class TestCli:

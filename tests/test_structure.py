@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -305,6 +306,36 @@ class TestJsonInterchange:
             with pytest.raises(ValueError) as caught:
                 structure.table_from_json(doc)
             assert str(caught.value) == message, doc
+
+
+def test_table_parses_each_distinct_string_once(monkeypatch):
+    doc = json.loads(reference.fixture_text("boundary_layer_optimal.json"))
+    values = [x for e in doc["entries"] for v in e["vectors"] for x in v]
+    parse = structure.parse_rational
+    expected = [(e["label"], [[parse(x) for x in v] for v in e["vectors"]])
+                for e in doc["entries"]]
+    calls = []
+    monkeypatch.setattr(structure, "parse_rational", lambda x: calls.append(x) or parse(x))
+    entries = structure.table_from_json(doc)
+    assert entries == expected
+    assert [[type(x) for x in v] for _, vectors in entries for v in vectors] == \
+        [[type(x) for x in v] for _, vectors in expected for v in vectors]
+    strings = [x for x in calls if isinstance(x, str)]
+    assert len(strings) == len(set(strings)) < len([x for x in values if isinstance(x, str)])
+    assert set(strings) == {x for x in values if isinstance(x, str)}
+
+
+def test_table_string_that_fails_names_its_first_entry():
+    doc = {"entries": [{"label": "<v1>", "vectors": [["1/2", "3"]]},
+                       {"label": "<v2>", "vectors": [["1/2", "1/0"]]},
+                       {"label": "<v3>", "vectors": [["1/0", "1/2"]]}]}
+    with pytest.raises(ValueError) as caught:
+        structure.table_from_json(doc)
+    assert str(caught.value) == "entry <v2>: zero denominator in '1/0'"
+    del doc["entries"][1]
+    with pytest.raises(ValueError) as caught:
+        structure.table_from_json(doc)
+    assert str(caught.value) == "entry <v3>: zero denominator in '1/0'"
 
 
 @pytest.mark.parametrize("text, value", [
