@@ -37,6 +37,9 @@ class JetSpace:
     couple of extra orders, and one reduction step replaces a coordinate
     of order up to m, a lead differentiated up to m - 1 more times, by the
     same derivative of the lead's right-hand side, of order up to 2m - 1.
+    `prolongations` holds the coefficient memo of each field that
+    `prolongation.prolong` has prolonged on this space, keyed by the
+    field's coefficients.
     """
 
     def __init__(self, independent, dependent, max_order):
@@ -56,6 +59,7 @@ class JetSpace:
         self.limit = max(max_order + 2, 2 * max_order - 1)
         self._dep_index = {s.name: i for i, s in enumerate(self.dependent)}
         self._coordinates = {}
+        self.prolongations = {}
 
     @property
     def p(self):
@@ -98,6 +102,13 @@ class JetSpace:
         multi[i] += 1
         dep = self.dependent[self._dep_index[sym.base]]
         return self.coordinate(dep, multi)
+
+    def lower(self, sym, i):
+        """The coordinate that `lift` takes to the jet symbol `sym` in
+        direction i, which `sym` is differentiated by at least once."""
+        multi = list(sym.multi)
+        multi[i] -= 1
+        return self.coordinate(self._dep_index[sym.base], multi)
 
     def multi_indices(self, order):
         """All multi-indices of exactly the given order, graded-lex sorted."""

@@ -1,12 +1,19 @@
 """Prolongation of vector fields and the determining-equation machinery.
 
 The prolongation coefficient of a field v on the jet coordinate u^a_J is
+found one derivative at a time, from phi^0_a = phi_a, by the recursive
+prolongation formula (Olver, Applications of Lie Groups to Differential
+Equations, section 2.3)
 
-    phi^J_a = D_J Q^a + sum_i xi_i * u^a_{J,i}
+    phi^{J+e_i}_a = D_i phi^J_a - sum_k u^a_{J+e_k} * D_i xi_k.
 
-with Q^a = phi_a - sum_i xi_i u^a_{x_i} the characteristic.  Applying the
-prolonged field to each equation of a system and reducing modulo the solved
-form gives the symmetry residuals.
+It equals D_J Q^a + sum_i xi_i * u^a_{J,i}, with Q^a = phi_a - sum_i xi_i
+u^a_{x_i} the characteristic, without differentiating each product
+xi_i u^a_{x_i} |J| times only to cancel its top-order terms.  A field's
+coefficients and its D_i xi_k are kept in one memo on its jet space, which
+every later prolongation of a field with the same coefficients extends.
+Applying the prolonged field to each equation of a system and reducing
+modulo the solved form gives the symmetry residuals.
 
 The determining system is found PDEs first.  The field of unknown functions
 xi_i = F_i(x, u), phi_a = F_{p+a}(x, u) is prolonged once per system, and
@@ -31,7 +38,7 @@ from . import expr, linalg
 from .errors import InternalCheckError, NonPolynomialError
 from .expr import DEPENDENT, JET, UNKNOWN, Symbol, ZERO
 from .fields import VectorField
-from .jet import total_derivative_memo
+from .jet import total_derivative
 
 
 def characteristic(vf):
@@ -48,7 +55,12 @@ def characteristic(vf):
 
 
 class ProlongedField:
-    """A vector field together with its jet-coordinate coefficients."""
+    """A vector field together with its jet-coordinate coefficients.
+
+    `coefficients` holds the coordinates that `prolong` was asked for and
+    no others, whatever the field's memo holds, so `apply` on any other
+    coordinate raises.
+    """
 
     def __init__(self, vf, order, coefficients):
         self.field = vf
@@ -82,8 +94,8 @@ def prolong(vf, order, coordinates=None):
 
     By default every coordinate up to `order` gets its coefficient; with
     `coordinates`, only the dependent and jet symbols listed there (of
-    order at most `order`) do.  D_J Q^a is found as D_i(D_{J-e_i} Q^a) and
-    shared between the coefficients of one dependent variable.
+    order at most `order`) do.  The coefficients come from the field's
+    memo (`_memo`), which this call extends by the ones it lacks.
     """
     if order < 0:
         raise ValueError("prolongation order must be nonnegative")
@@ -95,21 +107,53 @@ def prolong(vf, order, coordinates=None):
             for j in range(order + 1)
             for multi in js.multi_indices(j)
         ]
-    q = characteristic(vf)
-    memo = {dep.name: {(0,) * js.p: q[dep]} for dep in js.dependent}
-    phi = dict(zip(js.dependent, vf.phi))
-    coeffs = {}
-    for sym in coordinates:
-        if sym.order > order:
-            continue
-        if sym in phi:
-            coeffs[sym] = phi[sym]
-            continue
-        value = total_derivative_memo(memo[sym.base], sym.multi, js)
-        for i in range(js.p):
-            value = value + vf.xi[i] * js.lift(sym, i)
-        coeffs[sym] = value
-    return ProlongedField(vf, order, coeffs)
+    memo = _memo(vf)
+    return ProlongedField(vf, order, {sym: _prolonged(memo, sym, vf)
+                                      for sym in coordinates if sym.order <= order})
+
+
+def _memo(vf):
+    """The coefficient memo of `vf`, shared by every field on its space with
+    the same coefficients: each dependent and jet coordinate found so far
+    maps to its coefficient, and each direction i found so far (an int) to
+    the pairs (k, D_i xi_k) with D_i xi_k nonzero."""
+    key = (vf.xi, vf.phi)
+    memo = vf.space.prolongations.get(key)
+    if memo is None:
+        memo = vf.space.prolongations[key] = dict(zip(vf.space.dependent, vf.phi))
+    return memo
+
+
+def _prolonged(memo, sym, vf):
+    """The coefficient of the coordinate `sym`, by the recursive formula
+    from the coordinate one derivative lower in the first direction i of
+    `sym`; it and every coefficient on the way are added to `memo`."""
+    value = memo.get(sym)
+    if value is None:
+        js = vf.space
+        i = next(k for k, c in enumerate(sym.multi) if c)
+        lower = js.lower(sym, i)
+        value = total_derivative(_prolonged(memo, lower, vf), i, js)
+        for k, dxi in _xi_derivatives(memo, i, vf):
+            value = value - js.lift(lower, k) * dxi
+        memo[sym] = value
+    return value
+
+
+def _xi_derivatives(memo, i, vf):
+    """The pairs (k, D_i xi_k) with D_i xi_k nonzero, kept in `memo`; a
+    constant xi_k is not differentiated."""
+    pairs = memo.get(i)
+    if pairs is None:
+        pairs = []
+        for k, xi in enumerate(vf.xi):
+            if xi.is_constant():
+                continue
+            dxi = total_derivative(xi, i, vf.space)
+            if not expr.is_zero(dxi):
+                pairs.append((k, dxi))
+        pairs = memo[i] = tuple(pairs)
+    return pairs
 
 
 def symmetry_residual(vf, system):

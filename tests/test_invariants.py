@@ -18,9 +18,10 @@ from liepde.invariants import (
     verify_invariants,
     weight_system,
 )
+from liepde.prolongation import prolong
 
-from baseline import (EXPECTED_INVARIANT_FAILURES, claimed, invariant_tables,
-                      second_order_invariants)
+from baseline import (EXPECTED_INVARIANT_FAILURES, claimed, fixture_system,
+                      invariant_tables, second_order_invariants)
 from conftest import solve
 
 F = Fraction
@@ -114,6 +115,21 @@ class TestWeights:
         monkeypatch.setattr(invariants, "prolong", skewed)
         with pytest.raises(InternalCheckError):
             weight_system(gens, space, 1)
+
+    def test_weight_rule_checks_memoised_coefficients(self):
+        # the check reads the coefficients that an earlier prolongation left
+        # in the field's memo, and still catches one that breaks the rule
+        space, _ = fixture_system()
+        v4 = claimed(space, "generator")[3]
+        ux = space.coordinate(space.dependent[0], (1, 0))
+        prolong(v4, 1)
+        memo = space.prolongations[v4.xi, v4.phi]
+        assert expr.equal(memo[ux], expr.ZERO)
+        memo[ux] = ux
+        with pytest.raises(InternalCheckError) as err:
+            weight_system([v4], space, 1)
+        assert str(err.value) == (
+            "prolonged coefficient of u_x disagrees with the additive weight rule")
 
 
 class TestLattice:

@@ -2,12 +2,22 @@ import random
 
 import pytest
 
-from liepde import expr
+from liepde import expr, invariants, jet, prolongation
 from liepde.errors import UnsupportedCompositionError
 from liepde.expr import GROUP, UNKNOWN, FunctionApplication, ParamExp, Rational, Symbol
 from liepde.fields import VectorField, bracket
-from liepde.jet import total_derivative
-from liepde.prolongation import characteristic, prolong, symmetry_residual
+from liepde.jet import total_derivative_memo
+from liepde.parser import build_system, parse_system
+from liepde.prolongation import (
+    build_determining,
+    characteristic,
+    prolong,
+    solve_determining,
+    symmetry_residual,
+)
+
+import corpus
+from baseline import claimed, fixture_system
 
 from conftest import random_affine_field, random_expression
 
@@ -64,38 +74,51 @@ def apply_pool(space, system, order):
     return pool
 
 
-def recursive_prolongation(vf, order, space):
+def characteristic_prolongation(vf, order, space):
     """Independent second implementation of the prolongation coefficients.
 
-    Builds each coefficient one derivative at a time,
-    phi^{J,i} = D_i(phi^J) - sum_k (D_i xi_k) u^{J,k},
-    instead of the direct formula D_J Q + sum_i xi_i u_{J,i}.
+    The characteristic formula phi^J = D_J Q + sum_i xi_i u^{J,i}, with the
+    total derivatives of each characteristic Q found once
+    (`total_derivative_memo`), instead of the recursive formula
+    phi^{J,i} = D_i(phi^J) - sum_k (D_i xi_k) u^{J,k} of `prolong`.
     """
+    q = characteristic(vf)
     coeffs = {}
-    for alpha, dep in enumerate(space.dependent):
-        frontier = {(0,) * space.p: vf.phi[alpha]}
-        coeffs[dep] = vf.phi[alpha]
-        for _ in range(order):
-            new_frontier = {}
-            for multi, phi in frontier.items():
+    for dep in space.dependent:
+        memo = {(0,) * space.p: q[dep]}
+        for j in range(order + 1):
+            for multi in space.multi_indices(j):
+                sym = space.coordinate(dep, multi)
+                value = total_derivative_memo(memo, multi, space)
                 for i in range(space.p):
-                    lifted = list(multi)
-                    lifted[i] += 1
-                    key = tuple(lifted)
-                    if key in new_frontier:
-                        continue
-                    value = total_derivative(phi, i, space)
-                    for k in range(space.p):
-                        bump = list(multi)
-                        bump[k] += 1
-                        value = value - total_derivative(
-                            vf.xi[k], i, space
-                        ) * space.coordinate(dep, bump)
-                    new_frontier[key] = expr.normalize(value)
-            for multi, value in new_frontier.items():
-                coeffs[space.coordinate(dep, multi)] = value
-            frontier = new_frontier
+                    value = value + vf.xi[i] * space.lift(sym, i)
+                coeffs[sym] = value
     return coeffs
+
+
+def assert_characteristic_formula(vf, orders=(1, 2, 3)):
+    """`prolong` agrees with the characteristic formula at each order, on
+    exactly the coordinates up to that order."""
+    space = vf.space
+    for order in orders:
+        direct = prolong(vf, order)
+        oracle = characteristic_prolongation(vf, order, space)
+        assert set(direct.coefficients) == set(oracle)
+        for sym, value in oracle.items():
+            assert expr.equal(direct.coefficient(sym), value), (order, sym.name)
+
+
+def generic_field(space):
+    """xi_i = F_i(x, u), phi_a = F_{p+a}(x, u), as `determining_pdes` builds it."""
+    base = space.independent + space.dependent
+    functions = [FunctionApplication(f"F{k + 1}", base) for k in range(len(base))]
+    return VectorField(space, functions[:space.p], functions[space.p:])
+
+
+def fresh(vf):
+    """`vf` on a new fixture space, whose prolongation memo is empty."""
+    space, _ = fixture_system()
+    return VectorField(space, vf.xi, vf.phi)
 
 
 class TestCharacteristic:
@@ -147,23 +170,106 @@ class TestProlong:
         for dep, phi in zip(space.dependent, gens[3].phi):
             assert expr.equal(pr.coefficient(dep), phi)
 
-    def test_agrees_with_recursive_formula_random(self, golden):
+    def test_agrees_with_characteristic_formula_random(self, golden):
         space, _, _ = golden
         rng = random.Random(53)
         for _ in range(25):
-            vf = random_affine_field(rng, space)
-            direct = prolong(vf, 2)
-            recursive = recursive_prolongation(vf, 2, space)
-            for sym, value in recursive.items():
-                assert expr.equal(direct.coefficient(sym), value), sym.name
+            assert_characteristic_formula(random_affine_field(rng, space))
 
-    def test_agrees_with_recursive_formula_reference(self, golden):
-        space, _, gens = golden
+    def test_agrees_with_characteristic_formula_reference(self, golden):
+        _, _, gens = golden
         for vf in gens:
-            direct = prolong(vf, 2)
-            recursive = recursive_prolongation(vf, 2, space)
-            for sym, value in recursive.items():
-                assert expr.equal(direct.coefficient(sym), value)
+            assert_characteristic_formula(vf)
+
+    def test_agrees_with_characteristic_formula_generic(self):
+        # a fresh space: the generic field's memo is not the one that the
+        # determining system's tests fill
+        space, _ = fixture_system()
+        assert_characteristic_formula(generic_field(space))
+
+    def test_agrees_with_characteristic_formula_kdv(self):
+        # a third-order lead, so the basis is prolonged past the jet order
+        # the fixture's equations reach
+        _, system = build_system(parse_system(corpus.KDV))
+        basis = solve_determining(build_determining(system, 2))
+        assert basis
+        for vf in basis:
+            assert_characteristic_formula(vf)
+
+
+class TestMemo:
+    """One coefficient memo per field and space, extended by each prolongation."""
+
+    def test_lower_order_then_higher_matches_fresh(self, golden):
+        _, _, gens = golden
+        for vf in gens:
+            vf = fresh(vf)
+            first = prolong(vf, 1)
+            second = prolong(vf, 2)
+            assert first.coefficients == prolong(fresh(vf), 1).coefficients
+            assert second.coefficients == prolong(fresh(vf), 2).coefficients
+
+    def test_subset_then_all_matches_fresh(self, golden):
+        space, _, _ = golden
+        rng = random.Random(71)
+        coordinates = space.coordinates(3)
+        for _ in range(10):
+            vf = fresh(random_affine_field(rng, space))
+            wanted = rng.sample(coordinates, rng.randint(1, len(coordinates)))
+            part = prolong(vf, 3, wanted)
+            assert set(part.coefficients) == set(wanted)
+            assert prolong(vf, 3).coefficients == prolong(fresh(vf), 3).coefficients
+
+    def test_equal_fields_share_one_memo(self, golden):
+        _, _, gens = golden
+        vf = fresh(gens[3])
+        twin = VectorField(vf.space, vf.xi, vf.phi)
+        prolong(vf, 2)
+        assert len(vf.space.prolongations) == 1
+        prolong(twin, 2)
+        assert len(vf.space.prolongations) == 1
+
+    def test_unrequested_coordinate_raises(self, golden):
+        _, _, gens = golden
+        vf = fresh(gens[3])
+        space = vf.space
+        u = space.dependent[0]
+        ux, uy, uxx = (space.coordinate(u, m) for m in ((1, 0), (0, 1), (2, 0)))
+        prolong(vf, 2)
+        low = prolong(vf, 1)
+        assert uxx not in low.coefficients
+        with pytest.raises(ValueError) as err:
+            low.apply(u * uxx)
+        assert str(err.value) == "prolongation order 1 too low for coordinate u_xx"
+        part = prolong(vf, 2, [ux])
+        assert set(part.coefficients) == {ux}
+        with pytest.raises(ValueError) as err:
+            part.apply(uy)
+        assert str(err.value) == "prolongation order 2 too low for coordinate u_y"
+
+    def test_total_derivatives_only_for_coordinates_not_held(self, monkeypatch):
+        # v4 as the invariants section prolongs it: for its weights, for its
+        # symmetry residual, and for the invariants it is checked against
+        space, system = fixture_system()
+        v4 = claimed(space, "generator")[3]
+        u, v, _ = space.dependent
+        calls = []
+
+        def counting(e, i, js):
+            calls.append((e, i))
+            return jet.total_derivative(e, i, js)
+
+        monkeypatch.setattr(prolongation, "total_derivative", counting)
+        invariants.weight_system([v4], space, 2)
+        # 15 coordinates of orders 1-2, and D_x, D_y of xi_1 = x (xi_2 = 0)
+        assert len(calls) == 15 + 2
+        calls.clear()
+        symmetry_residual(v4, system)
+        assert calls == []
+        uxxy = space.coordinate(u, (2, 1))
+        vy = space.coordinate(v, (0, 1))
+        invariants.verify_invariants([uxxy * vy, u * vy], [v4])
+        assert [i for _, i in calls] == [0]
 
 
 class TestSymmetryResidual:

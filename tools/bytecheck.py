@@ -24,7 +24,8 @@ PARENT_TREE.  The commands, in text and JSON where a command has both:
   JSON (determining matrices of 2884x1260 and 5723x2310, large enough that
   a change in the elimination's pivot path shows in the basis), every
   subcommand on it, its computed algebra (``--reference off``) at degrees
-  1-2, and normal forms with negative, prime and scaled coordinates;
+  1-2, normal forms with negative, prime and scaled coordinates, and
+  ``check-generator`` on fields with nonzero residuals there and on KdV;
 - each corpus system at the ansatz degrees and with the commands that the
   comments in `write_inputs` name, the baseline comparison on `FORCED`,
   `RENAMED` and the printed variant, and on `BURGERS`, which lacks the
@@ -130,6 +131,12 @@ def write_inputs(folder, parent):
             [*fmt, "normal-form", "--vector", "1,0,0,1,0"],
             [*fmt, "verify-optimal", "--file", "table.json"],
         ]
+    # fields with nonzero residuals, whose bytes pin prolonged coefficients
+    for fmt in ([], js):
+        for field in ("x^2; 0; 0; 0; 0", "0; x*y; u*y; 0; p*x"):
+            commands.append([*fmt, "check-generator", "--field", field])
+        commands.append(["--ansatz-degree", "2", *fmt, "check-generator", "--field",
+                         "0; x^2; u", "kdv.pde"])
     # a negative first coordinate, attached and as a separate argument
     commands.append(["normal-form", "--vector=-1,0,0,1,0"])
     commands.append(["normal-form", "--vector", "-1,0,0,1,0"])
