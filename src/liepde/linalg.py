@@ -29,9 +29,11 @@ least (`ParamFrac.complexity()`, row length, current row position).  The
 least complexity limits the swell of the entries; of those, the shortest
 row limits fill-in, since a row update can create an entry only in a
 column of the pivot row: a singleton pivot row creates none, and
-clearing its column in the other rows is all it costs.  The normalised
-pivot row holds the int 1 at its column, as x * x^-1 = 1 in the field,
-so each update drops the pivot column without arithmetic.  The columns
+clearing its column in the other rows is all it costs.  A column with a
+single candidate takes it without weighing it, and a pivot row of one
+cell becomes {c: 1} without inverting the cell.  The normalised pivot row
+holds the int 1 at its column, as x * x^-1 = 1 in the field, so each
+update drops the pivot column without arithmetic.  The columns
 are still taken left to right, so the pivot and free columns and the
 kernel's shape do not depend on the rule.  The reduced row echelon form
 is unique as values, and a number, like a Laurent polynomial over
@@ -103,9 +105,11 @@ class Echelon:
     pivot for each column is the candidate of least
     (`ParamFrac.complexity`, row length, current position), swapped into
     place: the shortest of the simplest pivots makes the least fill-in.
-    The pivot row is scaled to hold the int 1 at its column, and every
-    other computed entry is put in the form `element` gives.  `reduce`
-    then clears further vectors.
+    A single candidate is taken without weighing it.  The pivot row is
+    scaled to hold the int 1 at its column, a row of one cell by becoming
+    {c: 1} without inverting its cell, and every other computed entry is
+    put in the form `element` gives.  `reduce` then clears further
+    vectors.
     """
 
     def __init__(self, rows, ncols):
@@ -126,13 +130,17 @@ class Echelon:
             candidates = [j for j in held if position[j] >= r]
             if not candidates:
                 continue
-            i = min(candidates,
-                    key=lambda j: (complexity(rows[j][c]), len(rows[j]), position[j]))
+            i = candidates[0] if len(candidates) == 1 else min(
+                candidates,
+                key=lambda j: (complexity(rows[j][c]), len(rows[j]), position[j]))
             moved, p = order[r], position[i]
             order[r], order[p] = i, moved
             position[i], position[moved] = r, p
-            inv = ParamFrac.inverse(rows[i][c])
-            pivot = {k: 1 if k == c else element(x * inv) for k, x in rows[i].items()}
+            if len(rows[i]) == 1:
+                pivot = {c: 1}
+            else:
+                inv = ParamFrac.inverse(rows[i][c])
+                pivot = {k: 1 if k == c else element(x * inv) for k, x in rows[i].items()}
             rows[i] = pivot
             for j in list(held):
                 if j != i:

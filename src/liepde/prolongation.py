@@ -19,20 +19,24 @@ The determining system is found PDEs first.  The field of unknown functions
 xi_i = F_i(x, u), phi_a = F_{p+a}(x, u) is prolonged once per system, and
 its residuals split by monomials in the independent variables and the jet
 coordinates give linear PDEs in the F_k (`determining_pdes`).  The
-polynomial ansatz is then instantiated in those terms by index arithmetic
-alone (`build_determining`), which gives a homogeneous linear system over
-the ansatz unknowns; an equation is keyed by its exponents over the base
-variables, which the ansatz moves, and the rank of its exponents over
-the jet coordinates, which it does not.  The system is solved exactly over
-the parameter field, and its kernel vectors stay sparse on their way
-into the symmetry fields (`solve_determining`).
+polynomial ansatz is then instantiated in those terms by integer
+arithmetic alone (`build_determining`), which gives a homogeneous linear
+system over the ansatz unknowns.  An equation is keyed by one int, a
+mixed-radix code whose digits are its exponents over the base variables,
+which the ansatz moves, and last the rank of its exponents over the jet
+coordinates, which it does not; the radix leaves room for the degree, so
+an ansatz monomial shifts a code by adding its own, and the codes sort as
+the exponent vectors do.  Only a PDE with a negative exponent is scanned
+for negative powers, and an equation of one cell is deduplicated by its
+column alone.  The system is solved exactly over the parameter field, and
+its kernel vectors stay sparse on their way into the symmetry fields
+(`solve_determining`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 
 from . import expr, linalg
 from .errors import InternalCheckError, NonPolynomialError
@@ -321,23 +325,6 @@ def determining_pdes(system):
     return pdes
 
 
-def _derivative_cells(monomials, multi, place, width):
-    """What D^multi does to the ansatz monomials: (index, shift, factor) for
-    each monomial n >= multi, D^multi n = factor * n', and shift the
-    exponents of n' = n - multi over the base variables in split order
-    (base variable j at `place[j]`, `width` of them)."""
-    cells = []
-    for i, n in enumerate(monomials):
-        if all(a >= b for a, b in zip(n, multi)):
-            shift = [0] * width
-            factor = 1
-            for pos, a, b in zip(place, n, multi):
-                shift[pos] = a - b
-                factor *= math.perm(a, b)
-            cells.append((i, tuple(shift), factor))
-    return cells
-
-
 def _term_value(coefficient, params):
     """A term's coefficient as a number when it is rational, else as the
     parameter-field numerator it converts to."""
@@ -433,12 +420,22 @@ def build_determining(system, degree):
     A rational cell is the int or Fraction its terms add up to.
 
     The base variables lead the split order (by role), and the ansatz moves
-    only their exponents.  So each equation is keyed by its exponents over
-    the base variables and the rank, among the PDE's terms, of its
-    exponents over the jet coordinates, which a term keeps in every cell;
-    sorting the keys is sorting the exponent vectors.  Each term's value
-    is multiplied by each distinct factor n!/(n - J)! once, and the cells
-    with that factor share the product.
+    only their exponents.  So each equation is keyed by one int, a
+    mixed-radix code: its exponents over the base variables, less the
+    least base exponent of any term (or 0 if that is larger), are the
+    digits in split order, and the rank, among the PDE's terms, of its
+    exponents over the jet coordinates, which a term keeps in every cell,
+    is the last digit.  The radix of a base digit is the range of the
+    terms' base exponents plus the degree plus 1, so adding the shift
+    n - J never carries, and sorting the codes is sorting the exponent
+    vectors.  The cells of D^J are read off one code per ansatz monomial:
+    the shift of n >= J is code(n) - code(J), and its factor n!/(n - J)!
+    is taken over the nonzero slots of J.  Each term's value is multiplied
+    by each distinct factor once, and the cells with that factor share the
+    product.  Only a PDE with a term of a negative exponent is scanned for
+    negative powers, its codes decoded.  A one-cell row is a multiple only
+    of a one-cell row on the same column, so it is keyed by its column;
+    any other row by `_canonical_key`.
     """
     if degree < 0:
         raise ValueError("ansatz degree must be nonnegative")
@@ -449,27 +446,36 @@ def build_determining(system, degree):
     width = js.p + js.q
     place = [split_vars.index(s) for s in js.independent + js.dependent]
     size = len(ansatz.monomials)
+    heads = [e for terms in pdes for exps, *_ in terms for e in exps[:width]]
+    low = min(0, min(heads, default=0))
+    radix = max(heads, default=0) - low + degree + 1
+    jet_parts = [sorted({exps[width:] for exps, *_ in terms}) for terms in pdes]
+    jets = max(map(len, jet_parts), default=1)
+    weight = [jets * radix ** (width - 1 - k) for k in range(width)]  # by split position
+    codes = [sum(e * weight[place[j]] for j, e in enumerate(n)) for n in ansatz.monomials]
     derivatives = {}
     quotients = {}
     rows = []
     seen = set()
     raw = 0
-    for terms in pdes:
-        parts = sorted({exps[width:] for exps, *_ in terms})
+    for terms, parts in zip(pdes, jet_parts):
         rank = {part: r for r, part in enumerate(parts)}
         buckets = {}
         for exps, slot, multi, coefficient in terms:
             value = _term_value(coefficient, system.parameters)
-            head = exps[:width]
-            jet = rank[exps[width:]]
+            start = sum((e - low) * w for e, w in zip(exps, weight)) + rank[exps[width:]]
             cells = derivatives.get(multi)
             if cells is None:
-                cells = derivatives[multi] = _derivative_cells(
-                    ansatz.monomials, multi, place, width)
+                slots = [(j, b) for j, b in enumerate(multi) if b]
+                drop = sum(b * weight[place[j]] for j, b in slots)
+                cells = derivatives[multi] = [
+                    (i, code - drop, math.prod(math.perm(n[j], b) for j, b in slots))
+                    for i, (n, code) in enumerate(zip(ansatz.monomials, codes))
+                    if all(n[j] >= b for j, b in slots)]
             products = {1: value}
             offset = slot * size
             for i, shift, factor in cells:
-                key = (tuple(map(operator.add, head, shift)), jet)
+                key = start + shift
                 bucket = buckets.get(key)
                 if bucket is None:
                     bucket = buckets[key] = {}
@@ -488,18 +494,31 @@ def build_determining(system, degree):
                     row[col] = cell
             if row:
                 found.append((key, row))
-        offending = [(head + parts[jet], row) for (head, jet), row in found
-                     if min(head) < 0 or min(parts[jet], default=0) < 0]
-        if offending:
-            raise _negative_power(offending, split_vars, ansatz.unknowns)
+        if any(min(exps) < 0 for exps, *_ in terms):
+            decoded = [(_exponents(key, low, radix, jets, width, parts), row)
+                       for key, row in found]
+            offending = [(exps, row) for exps, row in decoded if min(exps) < 0]
+            if offending:
+                raise _negative_power(offending, split_vars, ansatz.unknowns)
         for _, row in found:
             raw += 1
-            key = _canonical_key(row, quotients)
+            key = next(iter(row)) if len(row) == 1 else _canonical_key(row, quotients)
             if key in seen:
                 continue
             seen.add(key)
             rows.append(row)
     return DeterminingSystem(system, ansatz, raw, rows)
+
+
+def _exponents(key, low, radix, jets, width, parts):
+    """The exponent vector over the split variables of the equation that
+    `build_determining` keys by the code `key`."""
+    key, jet = divmod(key, jets)
+    head = [0] * width
+    for k in reversed(range(width)):
+        key, digit = divmod(key, radix)
+        head[k] = digit + low
+    return tuple(head) + parts[jet]
 
 
 def solve_determining(ds):

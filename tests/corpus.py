@@ -133,6 +133,25 @@ lead d(p,x)
 lead d(p,y)
 """
 
+# the steady Navier-Stokes equations, the fixture's parent: continuity and
+# both momentum equations; five generators at every degree (the
+# translations, the rotation, d/dp and the scaling), with cells that are
+# almost all parametric and many duplicate rows
+NAVIER_STOKES = """\
+param rho > 0
+param nu > 0
+independent x y
+dependent u(x, y)
+dependent v(x, y)
+dependent p(x, y)
+eq d(u,x) + d(v,y) = 0
+eq u*d(u,x) + v*d(u,y) = -(1/rho)*d(p,x) + nu*d(u,x,x) + nu*d(u,y,y)
+eq u*d(v,x) + v*d(v,y) = -(1/rho)*d(p,y) + nu*d(v,x,x) + nu*d(v,y,y)
+lead d(v,y)
+lead d(p,x)
+lead d(p,y)
+"""
+
 # divides by the dependent variable: the determining split refuses u^-1
 DIVIDES_BY_U = """\
 independent t x
@@ -207,6 +226,7 @@ SYSTEMS = {
     "renamed.pde": RENAMED,
     "high_lead.pde": HIGH_LEAD,
     "mixing_length.pde": MIXING_LENGTH,
+    "navier_stokes.pde": NAVIER_STOKES,
     "power.pde": POWER,
     "product.pde": PRODUCT,
     "long_sum.pde": LONG_SUM,

@@ -252,14 +252,17 @@ def _system(name):
         return fixture_system()[1]
     text = {"burgers": corpus.BURGERS, "kdv": corpus.KDV, "heat": corpus.HEAT,
             "two-parameter": corpus.TWO_PARAMETER,
-            "mixing-length": corpus.MIXING_LENGTH}[name]
+            "mixing-length": corpus.MIXING_LENGTH,
+            "navier-stokes": corpus.NAVIER_STOKES}[name]
     return build_system(parse_system(text))[1]
 
 
 @pytest.mark.parametrize("name, degree", [
-    ("fixture", 1), ("fixture", 2), ("fixture", 3), ("fixture", 4), ("burgers", 2),
-    ("burgers", 3), ("kdv", 2), ("kdv", 3), ("two-parameter", 1), ("two-parameter", 2),
-    ("heat", 1), ("heat", 2), ("heat", 3), ("mixing-length", 1), ("mixing-length", 2),
+    ("fixture", 0), ("fixture", 1), ("fixture", 2), ("fixture", 3), ("fixture", 4),
+    ("burgers", 2), ("burgers", 3), ("kdv", 2), ("kdv", 3), ("two-parameter", 1),
+    ("two-parameter", 2), ("heat", 1), ("heat", 2), ("heat", 3), ("mixing-length", 1),
+    ("mixing-length", 2), ("mixing-length", 3), ("navier-stokes", 1),
+    ("navier-stokes", 2),
 ])
 def test_one_walk_build_matches_two_pass_build(name, degree):
     system = _system(name)

@@ -255,6 +255,43 @@ def test_fixture_pivot_columns_hold_a_unit_and_nothing_else():
     assert_unit_pivots(space)
 
 
+def count_calls(monkeypatch, names):
+    """Wrap each named `ParamFrac` method with a counter; return the counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        wrapped = getattr(ParamFrac, name)
+
+        def counting(x, name=name, wrapped=wrapped):
+            calls[name] += 1
+            return wrapped(x)
+
+        monkeypatch.setattr(ParamFrac, name, counting)
+    return calls
+
+
+def test_one_cell_pivot_rows_are_not_inverted(monkeypatch):
+    # a pivot row with one cell becomes {c: 1} without inverting the cell,
+    # and a column with one candidate takes it without weighing it
+    calls = count_calls(monkeypatch, ["inverse", "complexity"])
+    a, z = ParamFrac(A), ParamFrac(Z)
+    rows = [{0: a}, {0: 3}, {2: Fraction(-1, 2)}, {2: z}, {3: a}, {1: 2, 4: z}]
+    space = Echelon(rows, 5)
+    assert space.rows == [{0: 1}, {1: 1, 4: z * Fraction(1, 2)}, {2: 1}, {3: 1}]
+    assert space.pivots == [0, 1, 2, 3]
+    # columns 0 and 2 have two candidates each; the two-cell row at column 1
+    # is the only pivot row that is inverted
+    assert calls == {"inverse": 1, "complexity": 4}
+
+
+def test_fixture_pivots_invert_only_rows_of_two_or_more_cells(monkeypatch):
+    _, system = build_system(parse_system(reference.fixture_text()))
+    ds = build_determining(system, 3)
+    calls = count_calls(monkeypatch, ["inverse"])
+    space = Echelon([dict(r) for r in ds.rows], len(ds.ansatz.unknowns))
+    # 246 of the 272 pivot rows hold one cell when their column is reached
+    assert (len(space.pivots), calls["inverse"]) == (272, 26)
+
+
 LANE_VALUES = [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-4, 3), Fraction(2, 3)]
 
 
@@ -473,6 +510,36 @@ def q_zero(rng):
     return [[Fraction(0)] * ncols for _ in range(rng.randint(1, 4))]
 
 
+def one_cell_matrix(rng):
+    """Sparse rational rows, about a third of them with one cell, and two
+    columns that only one row holds."""
+    nrows, ncols = rng.randint(4, 9), rng.randint(4, 9)
+    rows = [[rational_entry(rng, 0.3) for _ in range(ncols)] for _ in range(nrows)]
+    for row in rng.sample(rows, nrows // 3):
+        row[:] = [Fraction(0)] * ncols
+        row[rng.randrange(ncols)] = rational_entry(rng, 1)
+    for c in rng.sample(range(ncols), 2):
+        keep = rng.randrange(nrows)
+        for row in rows:
+            row[c] = Fraction(0)
+        rows[keep][c] = rational_entry(rng, 1)
+    return rows
+
+
+def dense_kernel(reduced, pivots, ncols):
+    """The kernel basis of a dense RREF, one vector per free column."""
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[fc]
+        basis.append(tuple(v))
+    return basis
+
+
 Q_CASES = {
     "rank_deficient": q_rank_deficient,
     "duplicate": q_duplicate,
@@ -482,6 +549,7 @@ Q_CASES = {
     "square": lambda rng: rational_matrix(rng, 6, 6),
     "integer": lambda rng: [[int(x) for x in row]
                             for row in rational_matrix(rng, 5, 5)],
+    "one_cell": one_cell_matrix,
 }
 
 
@@ -508,6 +576,7 @@ def test_rational_kernel_matches_dense_elimination(case):
         assert assert_same_rational_reduction(shuffled) == (reduced, pivots)
         kernel = nullspace(rows, ncols)
         assert len(kernel) == ncols - len(pivots)
+        assert kernel == dense_kernel(*dense_rref(rows), ncols)
         for v in kernel:
             assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in rows)
         if case == "zero":

@@ -286,6 +286,11 @@ def write_inputs(folder, parent):
         for fmt in ([], js):
             commands.append(["--ansatz-degree", degree, *fmt, "symmetries",
                              "mixing_length.pde"])
+    # steady Navier-Stokes: a build of parametric cells and duplicate rows
+    for degree in ("1", "2"):
+        for fmt in ([], js):
+            commands.append(["--ansatz-degree", degree, *fmt, "symmetries",
+                             "navier_stokes.pde"])
     # the usage, and command lines refused with exit 2 before any stage; a
     # --vector value that starts with "-." is read by the vector reader
     commands += [
